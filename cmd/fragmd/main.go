@@ -61,6 +61,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -76,13 +77,10 @@ import (
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/md"
-	"github.com/fragmd/fragmd/internal/molecule"
-	"github.com/fragmd/fragmd/internal/mp2"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/resilience"
-	"github.com/fragmd/fragmd/internal/scf"
 	"github.com/fragmd/fragmd/internal/sched"
-	"github.com/fragmd/fragmd/internal/warmstart"
+	"github.com/fragmd/fragmd/internal/traj"
 )
 
 // errUsage marks command-line usage errors whose diagnostics have
@@ -155,85 +153,45 @@ func run(argv []string, out, errOut io.Writer) error {
 	resume := fs.Bool("resume", false, "resume the trajectory from -checkpoint instead of starting fresh")
 	retries := fs.Int("retries", 0, "per-task failure retry budget (0 = failures are fatal)")
 	speculate := fs.Bool("speculate", false, "re-dispatch straggling tasks to idle workers (first copy wins)")
-	if testHookFlagSet != nil {
-		testHookFlagSet(fs)
-	}
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		// fs already printed the diagnostic and usage.
-		return errUsage
+	if err := parseFlags(fs, argv); err != nil {
+		return err
 	}
 
 	if *in == "" {
-		fmt.Fprintln(errOut, "fragmd: -in is required")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd: -in is required")
 	}
 	if (*resume || *ckEvery > 0) && *ckPath == "" {
-		fmt.Fprintln(errOut, "fragmd: -resume and -checkpoint-every need -checkpoint")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd: -resume and -checkpoint-every need -checkpoint")
 	}
 	if *ckEvery < 0 {
-		fmt.Fprintln(errOut, "fragmd: -checkpoint-every must not be negative")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd: -checkpoint-every must not be negative")
 	}
-	file, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	g, err := molecule.ParseXYZ(file)
-	file.Close()
-	if err != nil {
-		return err
-	}
+	var boxA []float64
 	if *box != "" {
-		cell, err := parseBoxFlag(*box)
-		if err != nil {
-			fmt.Fprintf(errOut, "fragmd: -box: %v\n", err)
-			fs.Usage()
-			return errUsage
+		for _, p := range strings.Split(*box, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+			if err != nil {
+				return usage(fs, "fragmd: -box: bad edge length %q", p)
+			}
+			boxA = append(boxA, v)
 		}
-		g.Cell = cell
 	}
-	if *pbc && g.Cell == nil {
-		fmt.Fprintln(errOut, "fragmd: -pbc needs a cell: pass -box or use an XYZ with a cell= comment")
-		fs.Usage()
-		return errUsage
+	f, err := loadSystem(*in, boxA, *apm, *dimerCut, *trimerCut)
+	if errors.Is(err, fragment.ErrBox) {
+		return usage(fs, "fragmd: -%v", err) // err reads "box: …"
 	}
-	if c := g.Cell; c != nil {
-		fmt.Fprintf(out, "system: %d atoms, %d electrons, periodic cell %g x %g x %g Å\n",
-			g.N(), g.NumElectrons(),
-			c.L[0]*chem.AngstromPerBohr, c.L[1]*chem.AngstromPerBohr, c.L[2]*chem.AngstromPerBohr)
-	} else {
-		fmt.Fprintf(out, "system: %d atoms, %d electrons\n", g.N(), g.NumElectrons())
-	}
-
-	opts := fragment.Options{}
-	if *dimerCut > 0 {
-		opts.DimerCutoff = *dimerCut * chem.BohrPerAngstrom
-	}
-	if *trimerCut > 0 {
-		opts.TrimerCutoff = *trimerCut * chem.BohrPerAngstrom
-	}
-	f, err := fragment.ByMolecule(g, *apm, 1, opts)
 	if err != nil {
 		return err
 	}
-	terms := f.Terms()
-	fmt.Fprintf(out, "fragmentation: %d monomers, %d dimers, %d trimers\n",
-		len(terms.Monomers), len(terms.Dimers), len(terms.Trimers))
-
-	prec := linalg.F64
-	if *f32 {
-		prec = linalg.F32
+	if *pbc && f.Geom.Cell == nil {
+		return usage(fs, "fragmd: -pbc needs a cell: pass -box or use an XYZ with a cell= comment")
 	}
-	eval := &potential.RIMP2{Basis: *basisName, SCS: *scs,
-		SCFOpts: scf.Options{RIScreenThresh: *riScreen, Precision: prec},
-		MP2Opts: mp2.Options{Precision: prec}}
+	printSystem(out, f)
+
+	eval, err := potential.Spec{Potential: "rimp2", Basis: *basisName, SCS: *scs, RIScreen: *riScreen, F32: *f32}.Build()
+	if err != nil {
+		return err
+	}
 	var embedOpts *fragment.EmbedOptions
 	if *embed {
 		embedOpts = &fragment.EmbedOptions{SCC: *embedSCC, SCCTol: *embedTol, Damping: *embedDamp}
@@ -248,13 +206,9 @@ func run(argv []string, out, errOut io.Writer) error {
 		WarmStart: *warm, SkipTol: *skipTol * chem.BohrPerAngstrom, MaxSkip: *maxSkip,
 		MaxRetries: *retries, Speculate: *speculate,
 	}
-	if embedOpts != nil {
-		// The engine's task graph is static, so the SCC tolerance only
-		// applies to the serial energy/grad paths; MD runs all rounds.
-		engEmbed := *embedOpts
-		engEmbed.SCCTol = 0
-		engOpts.Embed = &engEmbed
-	}
+	// The engine's task graph is static, so it ignores the SCC tolerance:
+	// that only applies to the serial energy/grad paths; MD runs all rounds.
+	engOpts.Embed = embedOpts
 	linalg.ResetFLOPs()
 
 	switch *mode {
@@ -276,15 +230,17 @@ func run(argv []string, out, errOut io.Writer) error {
 		}
 		if *mode == "grad" {
 			fmt.Fprintln(out, "gradient (Ha/Bohr):")
-			for i := 0; i < g.N(); i++ {
-				fmt.Fprintf(out, "  %-3s % .8f % .8f % .8f\n", chem.Symbol(g.Atoms[i].Z),
+			for i, a := range f.Geom.Atoms {
+				fmt.Fprintf(out, "  %-3s % .8f % .8f % .8f\n", chem.Symbol(a.Z),
 					res.Gradient[3*i], res.Gradient[3*i+1], res.Gradient[3*i+2])
 			}
 		}
 	case "md":
 		drain, stop := armSignals(errOut)
 		defer stop()
-		if err := runMD(out, g, f, eval, engOpts, *steps, *temp, *ckPath, *ckEvery, *resume, nil, drain); err != nil {
+		cfg := traj.Config{Frag: f, Eval: eval, Opts: engOpts, Steps: *steps, TempK: *temp, Seed: 1,
+			CkPath: *ckPath, CkEvery: *ckEvery, Resume: *resume}
+		if err := runMD(out, cfg, nil, drain); err != nil {
 			return err
 		}
 	case "bench":
@@ -305,162 +261,104 @@ func run(argv []string, out, errOut io.Writer) error {
 	return nil
 }
 
-// parseBoxFlag parses the -box value — "L" (cubic) or "Lx,Ly,Lz",
-// edge lengths in Å — into a validated cell in Bohr.
-func parseBoxFlag(s string) (*molecule.Cell, error) {
-	parts := strings.Split(s, ",")
-	var l [3]float64
-	switch len(parts) {
-	case 1:
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad edge length %q", parts[0])
-		}
-		l = [3]float64{v, v, v}
-	case 3:
-		for k, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad edge length %q", p)
-			}
-			l[k] = v
-		}
-	default:
-		return nil, fmt.Errorf(`want "L" or "Lx,Ly,Lz", got %q`, s)
+// parseFlags parses argv into the fully-registered fs: -h/-help yields
+// flag.ErrHelp, any other failure errUsage (fs already printed the
+// diagnostic and usage).
+func parseFlags(fs *flag.FlagSet, argv []string) error {
+	if testHookFlagSet != nil {
+		testHookFlagSet(fs)
 	}
-	return molecule.NewCellAngstrom(l[0], l[1], l[2])
+	err := fs.Parse(argv)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
 }
 
-// runMD integrates an NVE trajectory with optional checkpoint/restart:
-// the run proceeds in chunks, writing an atomic checkpoint (MD state +
-// warm-start cache) after each, and -resume rebuilds everything from
-// the file. A resumed (or continuation) chunk re-evaluates forces at
-// the checkpointed geometry as its local step 0 — the same boundary
-// semantics as chaining two engine runs — so the assembled trajectory
-// reproduces an uninterrupted one; the duplicated boundary step is not
-// re-reported. prep, when non-nil, runs before each chunk's engine is
-// built and may rewrite the options — the distributed coordinator uses
-// it to re-snapshot the worker fleet at every chunk boundary. drain,
-// when non-nil, is polled between chunks: a requested drain stops the
-// run at its last checkpoint and returns nil (exit 0), the graceful
-// half of the two-stage signal handler.
-func runMD(out io.Writer, g *molecule.Geometry, f *fragment.Fragmentation, eval fragment.Evaluator,
-	engOpts sched.Options, steps int, temp float64, ckPath string, ckEvery int, resume bool,
-	prep func(*sched.Options) error, drain *drainer) error {
-	// One cache shared across chunks (and checkpoints) when incremental
-	// evaluation is on; a cold run stays cold.
-	cache := engOpts.Cache
-	if cache == nil && (engOpts.WarmStart || engOpts.SkipTol > 0) {
-		cache = warmstart.NewCache(engOpts.SkipTol, engOpts.MaxSkip)
-	}
-	engOpts.Cache = cache
+// usage reports a command-line usage error — the diagnostic and the
+// flag summary go to fs's output — and returns errUsage.
+func usage(fs *flag.FlagSet, format string, args ...interface{}) error {
+	fmt.Fprintf(fs.Output(), format+"\n", args...)
+	fs.Usage()
+	return errUsage
+}
 
-	var state *md.State
-	done := 0 // completed global steps
-	// The drift baseline is the trajectory's step-0 total energy; a
-	// resumed run reads it from the checkpoint so its drift column
-	// continues the uninterrupted run's, instead of resetting to the
-	// restart boundary and masking accumulated drift.
-	var e0 float64
-	haveE0 := false
-	if resume {
-		ck, err := resilience.Load(ckPath)
-		if err != nil {
-			return err
-		}
-		if !ck.Matches(g) {
-			return fmt.Errorf("fragmd: checkpoint %s was taken from a different system", ckPath)
-		}
-		if ck.Dt != engOpts.Dt {
-			// Integrating a resumed trajectory at a different time step
-			// silently breaks the reproduces-the-uninterrupted-run
-			// guarantee; make the mismatch loud and actionable.
-			return fmt.Errorf("fragmd: checkpoint %s was integrated at dt=%g fs; rerun with -dt %g",
-				ckPath, ck.Dt/chem.AtomicTimePerFs, ck.Dt/chem.AtomicTimePerFs)
-		}
-		if state, err = ck.State(); err != nil {
-			return err
-		}
-		if cache != nil {
-			if err := ck.RestoreCache(cache); err != nil {
-				return err
-			}
-		}
-		done = ck.StepsDone
-		if ck.HasE0 {
-			e0, haveE0 = ck.E0, true
-		}
-		fmt.Fprintf(out, "resumed from %s at step %d/%d (%d warm states)\n", ckPath, done, steps, len(ck.Warm))
-		if ck.TotalSteps > 0 && ck.TotalSteps != steps {
-			fmt.Fprintf(out, "note: checkpointed run was headed for %d steps; continuing to %d\n",
-				ck.TotalSteps, steps)
-		}
-		if done >= steps {
-			fmt.Fprintf(out, "trajectory already complete\n")
-			return nil
-		}
+// loadSystem reads and fragments the XYZ file at path (flag units, Å).
+func loadSystem(path string, boxA []float64, apm int, dimerCut, trimerCut float64) (*fragment.Fragmentation, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	return fragment.LoadSystem(file, boxA, apm, dimerCut, trimerCut)
+}
+
+// printSystem writes the system and fragmentation summary lines.
+func printSystem(out io.Writer, f *fragment.Fragmentation) {
+	g := f.Geom
+	if c := g.Cell; c != nil {
+		fmt.Fprintf(out, "system: %d atoms, %d electrons, periodic cell %g x %g x %g Å\n",
+			g.N(), g.NumElectrons(),
+			c.L[0]*chem.AngstromPerBohr, c.L[1]*chem.AngstromPerBohr, c.L[2]*chem.AngstromPerBohr)
 	} else {
-		state = md.NewState(g)
-		state.SampleVelocities(temp, rand.New(rand.NewSource(1)))
+		fmt.Fprintf(out, "system: %d atoms, %d electrons\n", g.N(), g.NumElectrons())
 	}
+	terms := f.Terms()
+	fmt.Fprintf(out, "fragmentation: %d monomers, %d dimers, %d trimers\n",
+		len(terms.Monomers), len(terms.Dimers), len(terms.Trimers))
+}
 
-	fmt.Fprintf(out, "%6s %18s %14s %10s %11s %9s %8s\n", "step", "Etot (Ha)", "Epot (Ha)", "T (K)", "drift (Ha)", "SCF-iter", "skipped")
-	for done < steps {
-		if drain.drained() {
-			if ckPath == "" {
-				fmt.Fprintf(out, "drained at step %d/%d (no -checkpoint: remaining steps are not resumable)\n", done, steps)
-			} else {
-				fmt.Fprintf(out, "drained at step %d/%d; resume with -resume -checkpoint %s\n", done, steps, ckPath)
+// runMD is the CLI adapter over traj.Run (DESIGN.md §7): it prints the
+// NVE table and the resume/checkpoint/drain lines. prep, when non-nil,
+// runs before each chunk — the distributed coordinator uses it to lease
+// the worker fleet. drain, when non-nil, is polled between chunks: a
+// requested drain stops the run at its last checkpoint and returns nil
+// (exit 0), the graceful half of the two-stage signal handler.
+func runMD(out io.Writer, cfg traj.Config, prep func(*sched.Options) (func(), error), drain *drainer) error {
+	header := func() {
+		fmt.Fprintf(out, "%6s %18s %14s %10s %11s %9s %8s\n", "step", "Etot (Ha)", "Epot (Ha)", "T (K)", "drift (Ha)", "SCF-iter", "skipped")
+	}
+	if !cfg.Resume {
+		header()
+	}
+	done, err := traj.Run(context.Background(), cfg, traj.Hooks{
+		Resumed: func(ck *resilience.Checkpoint) {
+			fmt.Fprintf(out, "resumed from %s at step %d/%d (%d warm states)\n", cfg.CkPath, ck.StepsDone, cfg.Steps, len(ck.Warm))
+			if ck.TotalSteps > 0 && ck.TotalSteps != cfg.Steps {
+				fmt.Fprintf(out, "note: checkpointed run was headed for %d steps; continuing to %d\n",
+					ck.TotalSteps, cfg.Steps)
 			}
-			return nil
-		}
-		// A continuation chunk re-runs the boundary step as its local
-		// step 0 (offset 1); chunk length covers ckEvery new steps.
-		offset := 0
-		if done > 0 {
-			offset = 1
-		}
-		chunk := steps - done + offset
-		if ckEvery > 0 && chunk > ckEvery+offset {
-			chunk = ckEvery + offset
-		}
-		if prep != nil {
-			if err := prep(&engOpts); err != nil {
-				return err
+			if ck.StepsDone >= cfg.Steps {
+				fmt.Fprintf(out, "trajectory already complete\n")
+				return
 			}
-		}
-		eng, err := sched.New(f, eval, engOpts)
-		if err != nil {
-			return err
-		}
-		_, err = eng.Run(state, chunk, func(st sched.StepStats) {
-			if st.Step < offset {
-				return // boundary step, already reported by the previous chunk
+			header()
+		},
+		BeforeChunk: func(o *sched.Options) (func(), error) {
+			if drain.drained() {
+				return nil, traj.ErrStop
 			}
-			global := done - offset + st.Step
-			if !haveE0 {
-				e0 = st.Etot
-				haveE0 = true
+			if prep == nil {
+				return nil, nil
 			}
-			tK := 2 * st.Ekin / (3 * float64(g.N())) * chem.KelvinPerHartree
+			return prep(o)
+		},
+		Step: func(st sched.StepStats, _ float64) {
+			tK := 2 * st.Ekin / (3 * float64(cfg.Frag.Geom.N())) * chem.KelvinPerHartree
 			fmt.Fprintf(out, "%6d %18.8f %14.8f %10.1f %11.2e %9d %8d\n",
-				global, st.Etot, st.Epot, tK, st.Etot-e0, st.SCFIters, st.Skipped)
-		})
-		if err != nil {
-			return err
-		}
-		done += chunk - offset
-		if ckPath != "" {
-			ck := resilience.Snapshot(state, done, engOpts.Dt)
-			ck.TotalSteps = steps
-			ck.Seed = 1
-			ck.E0, ck.HasE0 = e0, haveE0
-			ck.AttachCache(cache)
-			if err := resilience.Save(ckPath, ck); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "checkpoint: %s (step %d/%d)\n", ckPath, done, steps)
-		}
+				st.Step, st.Etot, st.Epot, tK, st.Drift, st.SCFIters, st.Skipped)
+		},
+		Checkpointed: func(done int) {
+			fmt.Fprintf(out, "checkpoint: %s (step %d/%d)\n", cfg.CkPath, done, cfg.Steps)
+		},
+	})
+	if err != nil {
+		return err
+	}
+	if done < cfg.Steps && cfg.CkPath == "" {
+		fmt.Fprintf(out, "drained at step %d/%d (no -checkpoint: remaining steps are not resumable)\n", done, cfg.Steps)
+	} else if done < cfg.Steps {
+		fmt.Fprintf(out, "drained at step %d/%d; resume with -resume -checkpoint %s\n", done, cfg.Steps, cfg.CkPath)
 	}
 	return nil
 }

@@ -6,18 +6,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/fragment"
-	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/netcoord"
+	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
+	"github.com/fragmd/fragmd/internal/traj"
 )
 
 // runWorkerCmd implements "fragmd worker": dial a coordinator, offer
@@ -31,24 +30,14 @@ func runWorkerCmd(argv []string, out, errOut io.Writer) error {
 	skipTol := fs.Float64("skip-tol", 0, "skip re-evaluating polymers that moved less than this (Å, 0 = off; approximate)")
 	maxSkip := fs.Int("max-skip", 0, "staleness bound: max consecutive skipped evaluations per polymer (0 = default)")
 	redial := fs.Duration("redial", 500*time.Millisecond, "pause between reconnect attempts after a lost coordinator (negative = exit after one session)")
-	if testHookFlagSet != nil {
-		testHookFlagSet(fs)
-	}
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := parseFlags(fs, argv); err != nil {
+		return err
 	}
 	if *connect == "" {
-		fmt.Fprintln(errOut, "fragmd worker: -connect is required")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd worker: -connect is required")
 	}
 	if *slots < 1 {
-		fmt.Fprintln(errOut, "fragmd worker: -slots must be at least 1")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd worker: -slots must be at least 1")
 	}
 	return netcoord.RunWorker(context.Background(), *connect, netcoord.WorkerOptions{
 		Slots:     *slots,
@@ -99,40 +88,24 @@ func runCoordinate(argv []string, out, errOut io.Writer) error {
 	resume := fs.Bool("resume", false, "resume the trajectory from -checkpoint instead of starting fresh")
 	retries := fs.Int("retries", 1, "per-task failure retry budget; a dead worker's reclaimed attempts draw on it, so keep it ≥ 1")
 	speculate := fs.Bool("speculate", false, "re-dispatch straggling tasks to idle workers (first copy wins)")
-	if testHookFlagSet != nil {
-		testHookFlagSet(fs)
-	}
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := parseFlags(fs, argv); err != nil {
+		return err
 	}
 	if *in == "" {
-		fmt.Fprintln(errOut, "fragmd coordinate: -in is required")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd coordinate: -in is required")
 	}
 	if *minWorkers < 1 {
-		fmt.Fprintln(errOut, "fragmd coordinate: -min-workers must be at least 1")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd coordinate: -min-workers must be at least 1")
 	}
 	if (*resume || *ckEvery > 0) && *ckPath == "" {
-		fmt.Fprintln(errOut, "fragmd coordinate: -resume and -checkpoint-every need -checkpoint")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd coordinate: -resume and -checkpoint-every need -checkpoint")
 	}
 	if *ckEvery < 0 {
-		fmt.Fprintln(errOut, "fragmd coordinate: -checkpoint-every must not be negative")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd coordinate: -checkpoint-every must not be negative")
 	}
-	spec := netcoord.EvalSpec{Potential: *pot, Basis: *basisName, SCS: *scs, RIScreen: *riScreen}
+	spec := potential.Spec{Potential: *pot, Basis: *basisName, SCS: *scs, RIScreen: *riScreen}
 	if _, err := spec.Build(); err != nil {
-		fmt.Fprintf(errOut, "fragmd coordinate: %v\n", err)
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd coordinate: %v", err)
 	}
 	var embedOpts *fragment.EmbedOptions
 	if *embed {
@@ -143,30 +116,11 @@ func runCoordinate(argv []string, out, errOut io.Writer) error {
 		}
 	}
 
-	file, err := os.Open(*in)
+	f, err := loadSystem(*in, nil, *apm, *dimerCut, *trimerCut)
 	if err != nil {
 		return err
 	}
-	g, err := molecule.ParseXYZ(file)
-	file.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "system: %d atoms, %d electrons\n", g.N(), g.NumElectrons())
-	opts := fragment.Options{}
-	if *dimerCut > 0 {
-		opts.DimerCutoff = *dimerCut * chem.BohrPerAngstrom
-	}
-	if *trimerCut > 0 {
-		opts.TrimerCutoff = *trimerCut * chem.BohrPerAngstrom
-	}
-	f, err := fragment.ByMolecule(g, *apm, 1, opts)
-	if err != nil {
-		return err
-	}
-	terms := f.Terms()
-	fmt.Fprintf(out, "fragmentation: %d monomers, %d dimers, %d trimers\n",
-		len(terms.Monomers), len(terms.Dimers), len(terms.Trimers))
+	printSystem(out, f)
 
 	c, err := netcoord.Listen(*listen, netcoord.CoordinatorOptions{
 		Eval: spec, Heartbeat: *heartbeat,
@@ -185,32 +139,26 @@ func runCoordinate(argv []string, out, errOut io.Writer) error {
 		Groups: *groups, Batch: *batch, Steal: *steal,
 		MaxRetries: *retries, Speculate: *speculate,
 	}
-	if embedOpts != nil {
-		engOpts.Embed = embedOpts
-	}
-	// Each trajectory chunk re-snapshots the fleet, so workers that
+	engOpts.Embed = embedOpts
+	// Each trajectory chunk leases the fleet afresh, so workers that
 	// died are dropped and workers that (re)joined since the last chunk
 	// — including after a coordinator restart — pick up work again.
-	prep := func(o *sched.Options) error {
+	prep := func(o *sched.Options) (func(), error) {
 		ctx := context.Background()
 		if *waitTimeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, *waitTimeout)
 			defer cancel()
 		}
-		if _, err := c.WaitWorkers(ctx, *minWorkers); err != nil {
-			return err
+		release, err := c.Lease(ctx, *minWorkers, o)
+		if err == nil {
+			x := o.Exec.(*netcoord.Executor)
+			fmt.Fprintf(out, "fleet: %d worker processes, %d slots\n", x.Procs(), x.Workers())
 		}
-		x := c.Executor()
-		o.Exec = x
-		o.Workers = 0 // adopt the snapshot's slot count
-		if *groups == 0 {
-			o.Groups = x.Procs()
-		}
-		fmt.Fprintf(out, "fleet: %d worker processes, %d slots\n", x.Procs(), x.Workers())
-		return nil
+		return release, err
 	}
 	drain, stop := armSignals(errOut)
 	defer stop()
-	return runMD(out, g, f, nil, engOpts, *steps, *temp, *ckPath, *ckEvery, *resume, prep, drain)
+	return runMD(out, traj.Config{Frag: f, Opts: engOpts, Steps: *steps, TempK: *temp, Seed: 1,
+		CkPath: *ckPath, CkEvery: *ckEvery, Resume: *resume}, prep, drain)
 }

@@ -18,7 +18,9 @@ import (
 
 	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/chem"
+	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/resilience"
 )
 
 // argvSep joins/splits the re-exec argv in the environment (flags may
@@ -186,6 +188,47 @@ func TestCoordinateSurvivesWorkerKill(t *testing.T) {
 		if d := math.Abs(got[1] - want[1]); d > 1e-10 {
 			t.Errorf("step %d: |ΔEpot| = %.3e Ha between network and single-process runs", step, d)
 		}
+	}
+}
+
+// coordinate shares fragmd's system loader and trajectory driver, so it
+// prints the same system line for a periodic XYZ and refuses a resume
+// at a different time step with the same message. Resume validation
+// precedes the first chunk, so no worker is needed.
+func TestCoordinateMatchesSingleProcessFrontEnd(t *testing.T) {
+	both := func(args ...string) (single, coord string, errSingle, errCoord error) {
+		var s, c bytes.Buffer
+		errSingle = run(append([]string{"-mode", "md"}, args...), &s, io.Discard)
+		errCoord = run(append([]string{"coordinate", "-listen", "127.0.0.1:0"}, args...), &c, io.Discard)
+		return s.String(), c.String(), errSingle, errCoord
+	}
+
+	boxPath := filepath.Join(t.TempDir(), "box.xyz")
+	var b bytes.Buffer
+	if err := molecule.WaterBox(2, 1, 1, 1).WriteXYZ(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(boxPath, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "none.ckpt")
+	single, coord, _, _ := both("-in", boxPath, "-checkpoint", missing, "-resume")
+	line := strings.SplitN(single, "\n", 2)[0]
+	if !strings.Contains(line, "periodic cell") || !strings.HasPrefix(coord, line+"\n") {
+		t.Errorf("system lines differ:\nfragmd:     %q\ncoordinate: %q", single, coord)
+	}
+
+	ck := filepath.Join(t.TempDir(), "traj.ckpt")
+	snap := resilience.Snapshot(md.NewState(molecule.WaterCluster(2)), 1, 0.25*chem.AtomicTimePerFs)
+	if err := resilience.Save(ck, snap); err != nil {
+		t.Fatal(err)
+	}
+	_, _, errSingle, errCoord := both("-in", writeWaterXYZ(t, 2), "-dt", "0.5", "-checkpoint", ck, "-resume")
+	if errCoord == nil || !strings.Contains(errCoord.Error(), "rerun with -dt 0.25") {
+		t.Errorf("coordinate dt mismatch: got %v, want the CLI's -dt message", errCoord)
+	}
+	if errSingle == nil || errCoord == nil || errSingle.Error() != errCoord.Error() {
+		t.Errorf("dt refusals differ: fragmd %v, coordinate %v", errSingle, errCoord)
 	}
 }
 

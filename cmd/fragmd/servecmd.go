@@ -11,12 +11,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/netcoord"
+	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/serve"
 )
 
@@ -41,19 +39,11 @@ func runServe(argv []string, out, errOut io.Writer) error {
 	basisName := fs.String("basis", "sto-3g", "orbital basis for the fleet evaluator: sto-3g | dzp (fleet mode)")
 	scs := fs.Bool("scs", false, "fleet evaluator reports SCS-MP2 energies (fleet mode)")
 	riScreen := fs.Float64("ri-screen", 0, "Schwarz screening threshold for the fleet evaluator (0 = default 1e-12, negative disables; fleet mode)")
-	if testHookFlagSet != nil {
-		testHookFlagSet(fs)
-	}
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := parseFlags(fs, argv); err != nil {
+		return err
 	}
 	if *stateDir == "" {
-		fmt.Fprintln(errOut, "fragmd serve: -state-dir is required")
-		fs.Usage()
-		return errUsage
+		return usage(fs, "fragmd serve: -state-dir is required")
 	}
 
 	opts := serve.Options{
@@ -65,11 +55,9 @@ func runServe(argv []string, out, errOut io.Writer) error {
 		},
 	}
 	if *fleetListen != "" {
-		spec := netcoord.EvalSpec{Potential: *pot, Basis: *basisName, SCS: *scs, RIScreen: *riScreen}
+		spec := potential.Spec{Potential: *pot, Basis: *basisName, SCS: *scs, RIScreen: *riScreen}
 		if _, err := spec.Build(); err != nil {
-			fmt.Fprintf(errOut, "fragmd serve: %v\n", err)
-			fs.Usage()
-			return errUsage
+			return usage(fs, "fragmd serve: %v", err)
 		}
 		c, err := netcoord.Listen(*fleetListen, netcoord.CoordinatorOptions{
 			Eval: spec, Heartbeat: *heartbeat, Logf: opts.Logf,
@@ -93,22 +81,15 @@ func runServe(argv []string, out, errOut io.Writer) error {
 	httpSrv := &http.Server{Handler: s.Handler()}
 	fmt.Fprintf(out, "serving on %s (state: %s)\n", ln.Addr(), *stateDir)
 
-	// Two-stage shutdown, mirroring armSignals: the first signal drains
-	// — admissions 503, running jobs park at their next checkpoint, and
+	// Two-stage shutdown (armSignals): the first signal drains —
+	// admissions 503, running jobs park at their next checkpoint, and
 	// only then does the listener close (clients keep polling statuses
 	// through the drain). The second signal exits immediately; the state
 	// directory still resumes cleanly because every mutation is durable.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
+	drain, stop := armSignals(errOut)
+	defer stop()
 	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(errOut, "fragmd serve: %v: draining — parking in-flight jobs at their next checkpoint (signal again to exit now)\n", sig)
-		go func() {
-			sig := <-sigCh
-			fmt.Fprintf(errOut, "fragmd serve: %v: exiting immediately\n", sig)
-			os.Exit(128 + int(syscall.SIGTERM))
-		}()
+		<-drain.requested
 		if err := s.Drain(context.Background()); err != nil {
 			fmt.Fprintf(errOut, "fragmd serve: %v\n", err)
 		}

@@ -15,8 +15,9 @@ import (
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/molecule"
-	"github.com/fragmd/fragmd/internal/netcoord"
+	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
+	"github.com/fragmd/fragmd/internal/traj"
 )
 
 // A nil drainer must never drain: runMD is also called by code paths
@@ -29,18 +30,17 @@ func TestNilDrainerNeverDrains(t *testing.T) {
 }
 
 // ljSystem builds a small LJ-evaluated water cluster for fast MD runs.
-func ljSystem(t *testing.T) (*molecule.Geometry, *fragment.Fragmentation, fragment.Evaluator) {
+func ljSystem(t *testing.T) (*fragment.Fragmentation, fragment.Evaluator) {
 	t.Helper()
-	g := molecule.WaterCluster(3)
-	f, err := fragment.ByMolecule(g, 3, 1, fragment.Options{})
+	f, err := fragment.ByMolecule(molecule.WaterCluster(3), 3, 1, fragment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := netcoord.EvalSpec{Potential: "lj"}.Build()
+	eval, err := potential.Spec{Potential: "lj"}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, f, eval
+	return f, eval
 }
 
 // A drain requested mid-run must stop runMD at the next checkpoint
@@ -48,14 +48,18 @@ func ljSystem(t *testing.T) (*molecule.Geometry, *fragment.Fragmentation, fragme
 // behind must resume to a trajectory identical to an uninterrupted
 // one — the whole point of draining over dying.
 func TestRunMDDrainStopsAtCheckpointAndResumes(t *testing.T) {
-	opts := sched.Options{Workers: 1, Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
 	const steps, ckEvery = 6, 2
+	cfgFor := func(ckPath string, resume bool) traj.Config {
+		f, eval := ljSystem(t)
+		return traj.Config{Frag: f, Eval: eval, Steps: steps, TempK: 150, Seed: 1,
+			Opts:   sched.Options{Workers: 1, Async: true, Dt: 0.5 * chem.AtomicTimePerFs},
+			CkPath: ckPath, CkEvery: ckEvery, Resume: resume}
+	}
 
 	// Uninterrupted reference. MD evolves the geometry in place, so
 	// every run gets its own freshly built system.
-	g, f, eval := ljSystem(t)
 	var ref bytes.Buffer
-	if err := runMD(&ref, g, f, eval, opts, steps, 150, "", 0, false, nil, nil); err != nil {
+	if err := runMD(&ref, cfgFor("", false), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,22 +68,20 @@ func TestRunMDDrainStopsAtCheckpointAndResumes(t *testing.T) {
 	// exactly the window a real SIGTERM lands in.
 	ckPath := filepath.Join(t.TempDir(), "traj.ck")
 	d := &drainer{}
-	prep := func(*sched.Options) error {
+	prep := func(*sched.Options) (func(), error) {
 		d.flag.Store(true)
-		return nil
+		return nil, nil
 	}
-	g, f, eval = ljSystem(t)
 	var out bytes.Buffer
-	if err := runMD(&out, g, f, eval, opts, steps, 150, ckPath, ckEvery, false, prep, d); err != nil {
+	if err := runMD(&out, cfgFor(ckPath, false), prep, d); err != nil {
 		t.Fatalf("drained run failed: %v", err)
 	}
 	if want := "drained at step 2/6; resume with -resume -checkpoint " + ckPath; !strings.Contains(out.String(), want) {
 		t.Fatalf("output missing %q:\n%s", want, out.String())
 	}
 
-	g, f, eval = ljSystem(t)
 	var resumed bytes.Buffer
-	if err := runMD(&resumed, g, f, eval, opts, steps, 150, ckPath, ckEvery, true, nil, nil); err != nil {
+	if err := runMD(&resumed, cfgFor(ckPath, true), nil, nil); err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
 
@@ -100,12 +102,12 @@ func TestRunMDDrainStopsAtCheckpointAndResumes(t *testing.T) {
 // Draining without -checkpoint still stops promptly but must warn that
 // the remaining steps are gone.
 func TestRunMDDrainWithoutCheckpointWarns(t *testing.T) {
-	g, f, eval := ljSystem(t)
+	f, eval := ljSystem(t)
 	opts := sched.Options{Workers: 1, Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
 	d := &drainer{}
 	d.flag.Store(true)
 	var out bytes.Buffer
-	if err := runMD(&out, g, f, eval, opts, 4, 150, "", 0, false, nil, d); err != nil {
+	if err := runMD(&out, traj.Config{Frag: f, Eval: eval, Opts: opts, Steps: 4, TempK: 150, Seed: 1}, nil, d); err != nil {
 		t.Fatal(err)
 	}
 	if want := "no -checkpoint: remaining steps are not resumable"; !strings.Contains(out.String(), want) {

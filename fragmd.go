@@ -319,12 +319,12 @@ type (
 	WorkerOptions = netcoord.WorkerOptions
 	// EvalSpec names an evaluator configuration portably, so the
 	// coordinator can ship it to workers in the handshake.
-	EvalSpec = netcoord.EvalSpec
+	EvalSpec = potential.Spec
 )
 
-// ListenCoordinator starts accepting worker connections; pass
-// Coordinator.Executor() output via EngineOptions.Exec to run an
-// engine over the fleet.
+// ListenCoordinator starts accepting worker connections; call
+// Coordinator.Lease to point an EngineOptions at the fleet for one
+// engine run.
 func ListenCoordinator(addr string, opts CoordinatorOptions) (*Coordinator, error) {
 	return netcoord.Listen(addr, opts)
 }

@@ -74,7 +74,7 @@ func NetCoord(c *Config) {
 	// Live half: real TCP transport on localhost, throttled-LJ workers.
 	eval := &modelCostEval{perMonomer: perMonomer}
 	coord, err := netcoord.Listen("127.0.0.1:0", netcoord.CoordinatorOptions{
-		Eval:      netcoord.EvalSpec{Potential: "lj"},
+		Eval:      potential.Spec{Potential: "lj"},
 		Heartbeat: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -89,14 +89,14 @@ func NetCoord(c *Config) {
 	}
 	waitCtx, waitCancel := context.WithTimeout(ctx, 30*time.Second)
 	defer waitCancel()
-	if _, err := coord.WaitWorkers(waitCtx, procs); err != nil {
+	opts := sched.Options{Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
+	release, err := coord.Lease(waitCtx, procs, &opts)
+	if err != nil {
 		c.fail("netcoord: " + err.Error())
 		return
 	}
-	x := coord.Executor()
-	eng, err := sched.New(f, nil, sched.Options{
-		Exec: x, Groups: x.Procs(), Async: true, Dt: 0.5 * chem.AtomicTimePerFs,
-	})
+	defer release()
+	eng, err := sched.New(f, nil, opts)
 	if err != nil {
 		c.fail("netcoord: " + err.Error())
 		return

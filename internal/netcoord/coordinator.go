@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
 )
 
@@ -17,7 +18,7 @@ import (
 type CoordinatorOptions struct {
 	// Eval is the evaluator specification shipped to every worker in
 	// the Welcome message.
-	Eval EvalSpec
+	Eval potential.Spec
 	// Heartbeat is the ping interval (default DefaultHeartbeat);
 	// HeartbeatTimeout is how long a connection may stay silent before
 	// the process is declared dead (default 5×Heartbeat). Any inbound
@@ -30,11 +31,11 @@ type CoordinatorOptions struct {
 
 // Coordinator accepts worker registrations on a TCP listener and
 // exposes the connected fleet as sched.Executor snapshots. Create one
-// with Listen, wait for capacity with WaitWorkers, then hand
-// Executor() snapshots to sched engine runs.
+// with Listen, then Lease the fleet for each sched engine run.
 type Coordinator struct {
-	ln   net.Listener
-	opts CoordinatorOptions
+	ln    net.Listener
+	opts  CoordinatorOptions
+	lease chan struct{} // one token: the fleet serves one engine run at a time
 
 	mu     sync.Mutex
 	procs  map[int64]*proc
@@ -89,6 +90,7 @@ func Listen(addr string, opts CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		ln:     ln,
 		opts:   opts,
+		lease:  make(chan struct{}, 1),
 		procs:  map[int64]*proc{},
 		joinCh: make(chan struct{}),
 	}
@@ -401,6 +403,33 @@ type Executor struct {
 	slotProc  []*proc
 	slotLocal []int
 	results   chan sched.ExecResult
+}
+
+// Lease reserves the fleet for one engine run: it waits for the
+// previous lease's release and for at least min worker processes, then
+// points o at a fresh snapshot — Exec is set, Workers adopts its slot
+// count, and Groups, when unset, becomes one group per worker process.
+// Leases are exclusive because a snapshot maps fleet slots to one
+// engine's worker handles: two concurrent engines would corrupt each
+// other's in-flight bookkeeping. Call release when the run ends.
+func (c *Coordinator) Lease(ctx context.Context, min int, o *sched.Options) (release func(), err error) {
+	select {
+	case c.lease <- struct{}{}:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("netcoord: waiting for the fleet lease: %w", ctx.Err())
+	}
+	release = func() { <-c.lease }
+	if _, err = c.WaitWorkers(ctx, min); err != nil {
+		release()
+		return nil, err
+	}
+	x := c.Executor()
+	o.Exec = x
+	o.Workers = 0
+	if o.Groups == 0 {
+		o.Groups = x.Procs()
+	}
+	return release, nil
 }
 
 // Executor snapshots the live fleet. Call WaitWorkers first; a

@@ -145,7 +145,7 @@ func TestNetworkMatchesLocalTrajectory(t *testing.T) {
 	localState, localStats := runTrajectory(t, f, &potential.LennardJones{},
 		sched.Options{Workers: 4, Groups: 2}, seed, steps)
 
-	c := startCoordinator(t, CoordinatorOptions{Eval: EvalSpec{Potential: "lj"}})
+	c := startCoordinator(t, CoordinatorOptions{Eval: potential.Spec{Potential: "lj"}})
 	for i := 0; i < 2; i++ {
 		startWorker(t, c.Addr(), WorkerOptions{Slots: 2})
 	}
@@ -177,7 +177,7 @@ func TestNetworkMatchesLocalEmbedded(t *testing.T) {
 	localState, localStats := runTrajectory(t, f, embedEval(),
 		sched.Options{Workers: 3, Embed: embed}, seed, steps)
 
-	c := startCoordinator(t, CoordinatorOptions{Eval: EvalSpec{Potential: "lj"}})
+	c := startCoordinator(t, CoordinatorOptions{Eval: potential.Spec{Potential: "lj"}})
 	startWorker(t, c.Addr(), WorkerOptions{Slots: 2, Eval: embedEval()})
 	startWorker(t, c.Addr(), WorkerOptions{Slots: 1, Eval: embedEval()})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -231,7 +231,7 @@ func TestSeveredConnectionEvictsAndRecovers(t *testing.T) {
 	localState, localStats := runTrajectory(t, f, &potential.LennardJones{},
 		sched.Options{Workers: 3}, seed, steps)
 
-	c := startCoordinator(t, CoordinatorOptions{Eval: EvalSpec{Potential: "lj"}})
+	c := startCoordinator(t, CoordinatorOptions{Eval: potential.Spec{Potential: "lj"}})
 	startWorker(t, c.Addr(), WorkerOptions{Slots: 2, Eval: &slowEval{delay: 2 * time.Millisecond}})
 	victimCtx, severVictim := context.WithCancel(context.Background())
 	defer severVictim()
@@ -294,7 +294,7 @@ func TestCoordinatorRestartReassemblesFleet(t *testing.T) {
 	}
 
 	c1, err := Listen("127.0.0.1:0", CoordinatorOptions{
-		Eval: EvalSpec{Potential: "lj"}, Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
+		Eval: potential.Spec{Potential: "lj"}, Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestCoordinatorRestartReassemblesFleet(t *testing.T) {
 	var c2 *Coordinator
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		c2, err = Listen(addr, CoordinatorOptions{
-			Eval: EvalSpec{Potential: "lj"}, Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
+			Eval: potential.Spec{Potential: "lj"}, Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
 		if err == nil {
 			break
 		}
@@ -352,7 +352,7 @@ func TestCoordinatorRestartReassemblesFleet(t *testing.T) {
 // explanatory Welcome.Reject before the connection closes.
 func TestHandshakeRejectsStrangers(t *testing.T) {
 	checkGoroutines(t)
-	c := startCoordinator(t, CoordinatorOptions{Eval: EvalSpec{Potential: "lj"}})
+	c := startCoordinator(t, CoordinatorOptions{Eval: potential.Spec{Potential: "lj"}})
 	cases := []struct {
 		name  string
 		hello Hello
@@ -429,7 +429,7 @@ func TestRejectedWorkerDoesNotRedial(t *testing.T) {
 // exactly one result per Execute.
 func TestExecuteOnDeadSlotSynthesizesEviction(t *testing.T) {
 	checkGoroutines(t)
-	c := startCoordinator(t, CoordinatorOptions{Eval: EvalSpec{Potential: "lj"}})
+	c := startCoordinator(t, CoordinatorOptions{Eval: potential.Spec{Potential: "lj"}})
 	cancel := startWorker(t, c.Addr(), WorkerOptions{Slots: 1, Redial: -1})
 	ctx, cancelWait := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelWait()

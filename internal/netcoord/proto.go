@@ -34,13 +34,10 @@
 package netcoord
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/coord"
-	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/potential"
-	"github.com/fragmd/fragmd/internal/scf"
 	"github.com/fragmd/fragmd/internal/sched"
 )
 
@@ -52,45 +49,12 @@ const Magic = "fragmd-netcoord"
 // ProtocolVersion is the wire schema version. The coordinator rejects
 // workers speaking a different version during the handshake — mixed
 // deployments fail loudly at registration, never mid-trajectory.
-const ProtocolVersion = 1
+//
+// History: 1 — initial; 2 — Welcome.Eval became potential.Spec.
+const ProtocolVersion = 2
 
 // DefaultHeartbeat is the default coordinator→worker ping interval.
 const DefaultHeartbeat = 1 * time.Second
-
-// EvalSpec names the potential a worker must build — the coordinator
-// ships it in the Welcome message so both sides of a run agree on the
-// physics by construction (one source of truth, the coordinator's
-// flags).
-type EvalSpec struct {
-	// Potential selects the evaluator: "rimp2", "hf", "hf4c"
-	// (conventional four-center Fock build) or "lj".
-	Potential string
-	// Basis is the orbital basis ("sto-3g" or "dzp"; ab initio
-	// potentials only).
-	Basis string
-	// SCS applies spin-component scaling to reported RI-MP2 energies.
-	SCS bool
-	// RIScreen is the Schwarz screening threshold for three-center
-	// integrals (0 = default, negative disables; see scf.Options).
-	RIScreen float64
-}
-
-// Build constructs the evaluator an EvalSpec describes.
-func (s EvalSpec) Build() (fragment.Evaluator, error) {
-	switch s.Potential {
-	case "rimp2":
-		return &potential.RIMP2{Basis: s.Basis, SCS: s.SCS,
-			SCFOpts: scf.Options{RIScreenThresh: s.RIScreen}}, nil
-	case "hf":
-		return &potential.HF{Basis: s.Basis, UseRI: true}, nil
-	case "hf4c":
-		return &potential.HF{Basis: s.Basis}, nil
-	case "lj":
-		return &potential.LennardJones{}, nil
-	default:
-		return nil, fmt.Errorf("netcoord: unknown potential %q (want rimp2, hf, hf4c or lj)", s.Potential)
-	}
-}
 
 // Hello is the worker's first message after dialing.
 type Hello struct {
@@ -109,8 +73,9 @@ type Welcome struct {
 	// mismatch, bad magic) and the connection is closed.
 	Reject string
 	// Eval tells the worker which potential to build (ignored by
-	// workers running with an explicit WorkerOptions.Eval override).
-	Eval EvalSpec
+	// workers running with an explicit WorkerOptions.Eval override): one
+	// source of truth for the physics, the coordinator's flags.
+	Eval potential.Spec
 	// Heartbeat is the coordinator's ping interval; a worker can use it
 	// to size its own liveness expectations.
 	Heartbeat time.Duration

@@ -35,7 +35,7 @@ type WorkerOptions struct {
 	// one session.
 	Redial time.Duration
 	// Eval overrides the evaluator instead of building it from the
-	// coordinator's Welcome EvalSpec — the hook tests and benchmarks
+	// coordinator's Welcome spec — the hook tests and benchmarks
 	// use to run instrumented potentials.
 	Eval fragment.Evaluator
 	// Logf receives operational log lines (nil = silent).

@@ -9,11 +9,12 @@ import (
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
-// fdEvaluator and fdEmbedded mirror fragment.Evaluator and
+// Evaluator and fdEmbedded mirror fragment.Evaluator and
 // fragment.EmbeddedEvaluator structurally (Go interfaces match by
-// shape), so this helper stays importable from package fragment's own
-// tests without an import cycle.
-type fdEvaluator interface {
+// shape), so this package stays importable from package fragment's own
+// tests without an import cycle. Evaluator is what Spec.Build returns;
+// it is assignable wherever a fragment.Evaluator is wanted.
+type Evaluator interface {
 	Evaluate(g *molecule.Geometry) (float64, []float64, error)
 }
 
@@ -35,7 +36,7 @@ type fdEmbedded interface {
 // coordinate components to test (nil = all), so expensive ab initio
 // evaluators can probe a representative subset and stay
 // -short-compatible.
-func FDForces(eval fdEvaluator, g *molecule.Geometry, field *integrals.PointCharges,
+func FDForces(eval Evaluator, g *molecule.Geometry, field *integrals.PointCharges,
 	h float64, atomIdx, siteIdx []int) (maxAtom, maxSite float64, err error) {
 	if h <= 0 {
 		return 0, 0, fmt.Errorf("potential: FD step %g must be positive", h)

@@ -59,36 +59,47 @@ func TestChaosEnergiesMatchFailureFree(t *testing.T) {
 	const steps = 4
 	clean, _ := chaosRun(t, f, Options{Workers: 4}, steps)
 
-	inj, err := resilience.NewFailureInjector(resilience.InjectOptions{
-		Seed:          5,
-		TaskFailProb:  0.15,
-		DeadWorkers:   map[int]int{2: 3}, // worker 2 dies starting its 4th task
-		StragglerProb: 0.1, StragglerFactor: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos, eng := chaosRun(t, f, Options{
-		Workers: 4, MaxRetries: 8, Speculate: true, Injector: inj,
-	}, steps)
+	// Worker 2 dies starting its first task. That the death is *observed*
+	// is guaranteed only without speculation: the run's initial sweep
+	// hands every idle worker a task while any is ready (step 0 starts
+	// with all polymers ready, far more than 4), and that task can then
+	// only complete through the dead worker's report. A death keyed on a
+	// later task may never fire — with a microsecond evaluator the other
+	// workers can drain the trajectory before worker 2 is handed its n-th
+	// — and under speculation a twin copy can complete the dead worker's
+	// task and end the run before its goroutine was ever scheduled.
+	for _, speculate := range []bool{false, true} {
+		inj, err := resilience.NewFailureInjector(resilience.InjectOptions{
+			Seed:          5,
+			TaskFailProb:  0.15,
+			DeadWorkers:   map[int]int{2: 0},
+			StragglerProb: 0.1, StragglerFactor: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaos, eng := chaosRun(t, f, Options{
+			Workers: 4, MaxRetries: 8, Speculate: speculate, Injector: inj,
+		}, steps)
 
-	if len(chaos) != len(clean) {
-		t.Fatalf("chaos run reported %d steps, clean %d", len(chaos), len(clean))
-	}
-	for i := range clean {
-		if d := math.Abs(chaos[i].Etot - clean[i].Etot); d > 1e-10 {
-			t.Errorf("step %d: |ΔEtot| = %.3e Ha under failure injection (> 1e-10)", i, d)
+		if len(chaos) != len(clean) {
+			t.Fatalf("chaos run reported %d steps, clean %d", len(chaos), len(clean))
 		}
-		if d := math.Abs(chaos[i].Epot - clean[i].Epot); d > 1e-10 {
-			t.Errorf("step %d: |ΔEpot| = %.3e Ha under failure injection (> 1e-10)", i, d)
+		for i := range clean {
+			if d := math.Abs(chaos[i].Etot - clean[i].Etot); d > 1e-10 {
+				t.Errorf("step %d: |ΔEtot| = %.3e Ha under failure injection (> 1e-10)", i, d)
+			}
+			if d := math.Abs(chaos[i].Epot - clean[i].Epot); d > 1e-10 {
+				t.Errorf("step %d: |ΔEpot| = %.3e Ha under failure injection (> 1e-10)", i, d)
+			}
 		}
-	}
-	st := eng.RunStats()
-	if st.Retries == 0 {
-		t.Error("no retries recorded — the injector never fired, test is vacuous")
-	}
-	if st.Evicted != 1 {
-		t.Errorf("Evicted = %d, want 1 (worker 2's scripted death)", st.Evicted)
+		st := eng.RunStats()
+		if st.Retries == 0 {
+			t.Error("no retries recorded — the injector never fired, test is vacuous")
+		}
+		if st.Evicted > 1 || (!speculate && st.Evicted != 1) {
+			t.Errorf("speculate=%t: Evicted = %d, want worker 2's scripted death and no other", speculate, st.Evicted)
+		}
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/molecule"
-	"github.com/fragmd/fragmd/internal/netcoord"
+	"github.com/fragmd/fragmd/internal/potential"
 )
 
 // Status is a job's lifecycle state. queued and running jobs are
@@ -111,9 +110,6 @@ func (sp *JobSpec) normalize() error {
 	if sp.AtomsPerMonomer == 0 {
 		sp.AtomsPerMonomer = 3
 	}
-	if sp.AtomsPerMonomer < 1 {
-		return errors.New("atoms_per_monomer must be at least 1")
-	}
 	if sp.DtFs == 0 {
 		sp.DtFs = 0.5
 	}
@@ -135,52 +131,20 @@ func (sp *JobSpec) normalize() error {
 	if _, err := sp.eval().Build(); err != nil {
 		return fmt.Errorf("potential: %v", err)
 	}
-	if _, _, err := sp.system(); err != nil {
-		return err
-	}
-	return nil
+	_, err := sp.system()
+	return err
 }
 
 // eval is the evaluator description the job needs — the same portable
 // form the network handshake ships, so serve and netcoord agree on the
 // physics vocabulary by construction.
-func (sp *JobSpec) eval() netcoord.EvalSpec {
-	return netcoord.EvalSpec{Potential: sp.Potential, Basis: sp.Basis, SCS: sp.SCS, RIScreen: sp.RIScreen}
+func (sp *JobSpec) eval() potential.Spec {
+	return potential.Spec{Potential: sp.Potential, Basis: sp.Basis, SCS: sp.SCS, RIScreen: sp.RIScreen}
 }
 
 // system parses and fragments the spec's geometry.
-func (sp *JobSpec) system() (*molecule.Geometry, *fragment.Fragmentation, error) {
-	g, err := molecule.ParseXYZ(strings.NewReader(sp.XYZ))
-	if err != nil {
-		return nil, nil, fmt.Errorf("xyz: %v", err)
-	}
-	if len(sp.BoxA) != 0 {
-		var cell *molecule.Cell
-		switch len(sp.BoxA) {
-		case 1:
-			cell, err = molecule.NewCellAngstrom(sp.BoxA[0], sp.BoxA[0], sp.BoxA[0])
-		case 3:
-			cell, err = molecule.NewCellAngstrom(sp.BoxA[0], sp.BoxA[1], sp.BoxA[2])
-		default:
-			return nil, nil, fmt.Errorf("box: want 1 or 3 edge lengths, got %d", len(sp.BoxA))
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("box: %v", err)
-		}
-		g.Cell = cell
-	}
-	opts := fragment.Options{}
-	if sp.DimerCutA > 0 {
-		opts.DimerCutoff = sp.DimerCutA * chem.BohrPerAngstrom
-	}
-	if sp.TrimerCutA > 0 {
-		opts.TrimerCutoff = sp.TrimerCutA * chem.BohrPerAngstrom
-	}
-	f, err := fragment.ByMolecule(g, sp.AtomsPerMonomer, 1, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fragmentation: %v", err)
-	}
-	return g, f, nil
+func (sp *JobSpec) system() (*fragment.Fragmentation, error) {
+	return fragment.LoadSystem(strings.NewReader(sp.XYZ), sp.BoxA, sp.AtomsPerMonomer, sp.DimerCutA, sp.TrimerCutA)
 }
 
 // fingerprint keys the shared warm-start cache pool: jobs share a cache
@@ -193,7 +157,7 @@ func (sp *JobSpec) system() (*molecule.Geometry, *fragment.Fragmentation, error)
 // only when their cells match exactly.
 func (sp *JobSpec) fingerprint(g *molecule.Geometry) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%t|%g|%d|%g|%g|%g|%d|", sp.Potential, sp.Basis, sp.SCS, sp.RIScreen,
+	fmt.Fprintf(h, "%s|%d|%g|%g|%g|%d|", sp.eval().Fingerprint(),
 		sp.AtomsPerMonomer, sp.DimerCutA, sp.TrimerCutA, sp.SkipTolA, sp.MaxSkip)
 	if c := g.Cell; c != nil {
 		fmt.Fprintf(h, "cell=%g,%g,%g|", c.L[0], c.L[1], c.L[2])

@@ -23,15 +23,15 @@
 //     checkpointed (internal/resilience, crash-durably) every
 //     CheckpointEvery steps, so Drain parks running jobs at their next
 //     chunk boundary and a restarted server resumes every non-terminal
-//     job with no lost or duplicated steps — trajectory chunking reuses
-//     the boundary-step semantics of cmd/fragmd's runMD, so a resumed
+//     job with no lost or duplicated steps — every job runs through
+//     the same chunked driver as the CLI (internal/traj), so a resumed
 //     job reproduces the uninterrupted trajectory's energies.
 //
 // The server can also front a netcoord worker fleet (Options.
 // Coordinator): evaluations then execute in remote worker processes.
-// Because an executor snapshot owns the fleet's slots for one engine
-// run, concurrent jobs time-share the fleet at chunk granularity
-// instead of running truly concurrently.
+// Because a fleet lease serves one engine run, concurrent jobs
+// time-share the fleet at chunk granularity instead of running truly
+// concurrently.
 package serve
 
 import (
@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,11 +47,12 @@ import (
 	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
-	"github.com/fragmd/fragmd/internal/fragment"
-	"github.com/fragmd/fragmd/internal/md"
+	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/netcoord"
+	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/resilience"
 	"github.com/fragmd/fragmd/internal/sched"
+	"github.com/fragmd/fragmd/internal/traj"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
@@ -76,12 +76,12 @@ type Options struct {
 	JobWorkers int
 
 	// Coordinator, when non-nil, runs every evaluation on the connected
-	// netcoord worker fleet. FleetEval must then equal the EvalSpec the
+	// netcoord worker fleet. FleetEval must then equal the spec the
 	// coordinator was started with: workers build their evaluator from
 	// the handshake, so a job requesting different physics is rejected
 	// at admission rather than silently computed with the fleet's.
 	Coordinator *netcoord.Coordinator
-	FleetEval   netcoord.EvalSpec
+	FleetEval   potential.Spec
 	// FleetMinWorkers is the fleet size each chunk waits for (default 1).
 	FleetMinWorkers int
 
@@ -105,12 +105,6 @@ type Server struct {
 
 	ctx    context.Context // root of every job context; Close cancels
 	cancel context.CancelFunc
-
-	// fleetMu serializes engine runs over the shared worker fleet: an
-	// executor snapshot maps fleet slots to one engine's worker handles,
-	// so two concurrent engines would corrupt each other's in-flight
-	// bookkeeping. Held per chunk, so jobs interleave fairly.
-	fleetMu sync.Mutex
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -488,14 +482,9 @@ func (s *Server) Close() error {
 
 // sharedCache returns the pool cache for the job's system fingerprint,
 // creating it on first use; nil when the spec asked for no reuse.
-func (s *Server) sharedCache(j *job) *warmstart.Cache {
-	sp := &j.spec
+func (s *Server) sharedCache(sp *JobSpec, g *molecule.Geometry) *warmstart.Cache {
 	if !sp.Warm && sp.SkipTolA <= 0 {
 		return nil
-	}
-	g, _, err := sp.system()
-	if err != nil {
-		return nil // surfaces properly in execute
 	}
 	key := sp.fingerprint(g)
 	s.mu.Lock()
@@ -551,17 +540,13 @@ func (s *Server) finish(j *job, st Status, errMsg string) {
 	s.logf("serve: job %s (%s) %s", j.spec.ID, j.spec.Tenant, st)
 }
 
-// execute runs the trajectory in checkpointed chunks, mirroring
-// cmd/fragmd's runMD boundary semantics: a continuation chunk
-// re-evaluates the checkpointed geometry as its local step 0 and does
-// not re-report it, so the assembled stats reproduce an uninterrupted
-// run's. Write order per chunk is record first, checkpoint second:
-// a crash between them leaves the checkpoint behind the record, and
-// the resumed run re-reports the overlap idempotently (stats are keyed
-// by global step).
+// execute is the server's adapter over traj.Run (DESIGN.md §7): the
+// job is parked at the next chunk boundary once the server drains, its
+// record is persisted before every checkpoint, and stats are keyed by
+// global step so a resumed run re-reports any overlap idempotently.
 func (s *Server) execute(j *job) {
 	sp := &j.spec
-	g, f, err := sp.system()
+	f, err := sp.system()
 	if err != nil {
 		s.finish(j, StatusFailed, err.Error())
 		return
@@ -571,162 +556,86 @@ func (s *Server) execute(j *job) {
 		s.finish(j, StatusFailed, err.Error())
 		return
 	}
-	cache := s.sharedCache(j)
 	workers := sp.Workers
 	if workers == 0 {
 		workers = s.opts.JobWorkers
 	}
-	engOpts := sched.Options{
-		Workers: workers, Async: true, Dt: sp.DtFs * chem.AtomicTimePerFs,
-		WarmStart: sp.Warm, SkipTol: sp.SkipTolA * chem.BohrPerAngstrom, MaxSkip: sp.MaxSkip,
-		Cache: cache,
+	cfg := traj.Config{
+		Frag: f, Eval: eval, Steps: sp.Steps, TempK: sp.TempK, Seed: sp.Seed,
+		CkPath: j.ckPath, CkEvery: s.opts.CheckpointEvery,
+		Opts: sched.Options{
+			Workers: workers, Async: true, Dt: sp.DtFs * chem.AtomicTimePerFs,
+			WarmStart: sp.Warm, SkipTol: sp.SkipTolA * chem.BohrPerAngstrom, MaxSkip: sp.MaxSkip,
+			Cache: s.sharedCache(sp, f.Geom),
+		},
 	}
 	if s.opts.Coordinator != nil {
-		eval = nil // evaluations happen in the workers
-		engOpts.MaxRetries = 1
+		cfg.Eval = nil // evaluations happen in the workers
+		cfg.Opts.MaxRetries = 1
 	}
+	// A job with a checkpoint resumes from it; one without starts fresh.
+	_, statErr := os.Stat(j.ckPath)
+	cfg.Resume = !errors.Is(statErr, os.ErrNotExist)
 
-	var state *md.State
-	done := 0
-	if ck, err := resilience.Load(j.ckPath); err == nil {
-		if !ck.Matches(g) {
-			s.finish(j, StatusFailed, "checkpoint belongs to a different system")
-			return
-		}
-		if state, err = ck.State(); err != nil {
-			s.finish(j, StatusFailed, err.Error())
-			return
-		}
-		if cache != nil && cache.Len() == 0 {
-			// Re-seed the shared cache only when it is cold: live entries
-			// from concurrent jobs are at least as fresh as the
-			// checkpointed ones.
-			if err := ck.RestoreCache(cache); err != nil {
-				s.finish(j, StatusFailed, err.Error())
-				return
+	done, err := traj.Run(j.ctx, cfg, traj.Hooks{
+		Resumed: func(ck *resilience.Checkpoint) {
+			j.mu.Lock()
+			j.done = ck.StepsDone
+			if len(j.stats) > j.done {
+				j.stats = j.stats[:j.done]
 			}
-		}
-		done = ck.StepsDone
-		j.mu.Lock()
-		j.done = done
-		if len(j.stats) > done {
-			j.stats = j.stats[:done]
-		}
-		if ck.HasE0 {
-			j.e0, j.hasE0 = ck.E0, true
-		}
-		j.mu.Unlock()
-		s.logf("serve: job %s resumes at step %d/%d", sp.ID, done, sp.Steps)
-	} else if errors.Is(err, os.ErrNotExist) {
-		state = md.NewState(g)
-		state.SampleVelocities(sp.TempK, rand.New(rand.NewSource(sp.Seed)))
-	} else {
-		s.finish(j, StatusFailed, fmt.Sprintf("load checkpoint: %v", err))
-		return
-	}
-
-	for done < sp.Steps {
-		if j.ctx.Err() != nil {
-			break
-		}
-		if s.Draining() {
-			s.park(j)
-			return
-		}
-		offset := 0
-		if done > 0 {
-			offset = 1
-		}
-		chunk := sp.Steps - done + offset
-		if max := s.opts.CheckpointEvery + offset; chunk > max {
-			chunk = max
-		}
-		err := s.runChunk(j, f, eval, engOpts, state, chunk, offset, done)
-		if err != nil {
-			if j.ctx.Err() != nil {
-				break // cancelled or closed mid-chunk; sort it out below
+			j.mu.Unlock()
+			s.logf("serve: job %s resumes at step %d/%d", sp.ID, ck.StepsDone, sp.Steps)
+		},
+		BeforeChunk: func(o *sched.Options) (func(), error) {
+			if s.Draining() {
+				return nil, traj.ErrStop
 			}
-			s.finish(j, StatusFailed, err.Error())
-			return
-		}
-		done += chunk - offset
-		j.mu.Lock()
-		j.done = done
-		perr := s.persistLocked(j)
-		e0, hasE0 := j.e0, j.hasE0
-		j.mu.Unlock()
-		if perr != nil {
-			s.finish(j, StatusFailed, perr.Error())
-			return
-		}
-		ck := resilience.Snapshot(state, done, engOpts.Dt)
-		ck.TotalSteps = sp.Steps
-		ck.Seed = sp.Seed
-		ck.E0, ck.HasE0 = e0, hasE0
-		ck.AttachCache(cache)
-		if err := resilience.Save(j.ckPath, ck); err != nil {
-			s.finish(j, StatusFailed, err.Error())
-			return
-		}
-	}
-
-	if j.ctx.Err() != nil {
+			if c := s.opts.Coordinator; c != nil {
+				return c.Lease(j.ctx, s.opts.FleetMinWorkers, o)
+			}
+			return nil, nil
+		},
+		Step: func(st sched.StepStats, e0 float64) {
+			rec := StepRecord{Step: st.Step, Etot: st.Etot, Epot: st.Epot, Ekin: st.Ekin,
+				SCFIters: st.SCFIters, Skipped: st.Skipped}
+			j.mu.Lock()
+			j.e0, j.hasE0 = e0, true
+			if st.Step < len(j.stats) {
+				j.stats[st.Step] = rec
+			} else {
+				for len(j.stats) < st.Step {
+					// Unreachable by construction (steps finalize in order),
+					// but never leave a hole silently.
+					j.stats = append(j.stats, StepRecord{Step: len(j.stats)})
+				}
+				j.stats = append(j.stats, rec)
+			}
+			j.notifyLocked()
+			j.mu.Unlock()
+		},
+		AfterChunk: func(done int) error {
+			j.mu.Lock()
+			defer j.mu.Unlock()
+			j.done = done
+			return s.persistLocked(j)
+		},
+	})
+	switch {
+	case j.ctx.Err() != nil:
 		j.mu.Lock()
 		cancelled := j.cancelled
 		j.mu.Unlock()
 		if cancelled {
 			s.finish(j, StatusCancelled, "")
 		} else {
-			s.park(j) // server shutdown, not a client decision
+			s.park(j) // server shutdown mid-chunk, not a client decision
 		}
-		return
+	case err != nil:
+		s.finish(j, StatusFailed, err.Error())
+	case done < sp.Steps:
+		s.park(j) // drained at a chunk boundary
+	default:
+		s.finish(j, StatusDone, "")
 	}
-	s.finish(j, StatusDone, "")
-}
-
-// runChunk runs one engine over chunk steps, reporting global stats
-// through the job. With a fleet coordinator the chunk exclusively owns
-// an executor snapshot for its duration.
-func (s *Server) runChunk(j *job, f *fragment.Fragmentation, eval fragment.Evaluator, engOpts sched.Options,
-	state *md.State, chunk, offset, done int) error {
-	if c := s.opts.Coordinator; c != nil {
-		s.fleetMu.Lock()
-		defer s.fleetMu.Unlock()
-		if _, err := c.WaitWorkers(j.ctx, s.opts.FleetMinWorkers); err != nil {
-			return err
-		}
-		x := c.Executor()
-		engOpts.Exec = x
-		engOpts.Workers = 0 // adopt the snapshot's slot count
-		engOpts.Groups = x.Procs()
-	}
-	eng, err := sched.New(f, eval, engOpts)
-	if err != nil {
-		return err
-	}
-	_, err = eng.RunContext(j.ctx, state, chunk, func(st sched.StepStats) {
-		if st.Step < offset {
-			return // boundary step, already reported
-		}
-		global := done - offset + st.Step
-		j.mu.Lock()
-		if !j.hasE0 {
-			j.e0, j.hasE0 = st.Etot, true
-		}
-		rec := StepRecord{Step: global, Etot: st.Etot, Epot: st.Epot, Ekin: st.Ekin,
-			SCFIters: st.SCFIters, Skipped: st.Skipped}
-		if global < len(j.stats) {
-			j.stats[global] = rec
-		} else {
-			for len(j.stats) < global {
-				// Unreachable by construction (steps finalize in order),
-				// but never leave a hole silently.
-				j.stats = append(j.stats, StepRecord{Step: len(j.stats)})
-			}
-			j.stats = append(j.stats, rec)
-		}
-		j.notifyLocked()
-		j.mu.Unlock()
-	})
-	return err
 }

@@ -19,6 +19,8 @@ import (
 	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/netcoord"
+	"github.com/fragmd/fragmd/internal/potential"
+	"github.com/fragmd/fragmd/internal/resilience"
 	"github.com/fragmd/fragmd/internal/sched"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
@@ -53,7 +55,7 @@ func serialEnergies(t *testing.T, spec JobSpec) []float64 {
 	if err := spec.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	g, f, err := spec.system()
+	f, err := spec.system()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func serialEnergies(t *testing.T, spec JobSpec) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := md.NewState(g)
+	state := md.NewState(f.Geom)
 	state.SampleVelocities(spec.TempK, rand.New(rand.NewSource(spec.Seed)))
 	stats, err := eng.Run(state, spec.Steps, nil)
 	if err != nil {
@@ -280,6 +282,34 @@ func TestDrainParksJobsDurably(t *testing.T) {
 	for _, id := range ids {
 		waitTerminal(t, ts.URL, id)
 		assertTrajectory(t, fetchResult(t, ts.URL, id), ref, 1e-10)
+	}
+}
+
+// A job whose checkpoint was integrated at a different time step is
+// refused with the CLI's message (the resume validation lives in the
+// shared driver), not silently continued on a different trajectory.
+func TestResumeRejectsDtMismatch(t *testing.T) {
+	s, err := New(Options{StateDir: t.TempDir(), MaxActive: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := holdActive(s)
+	view, err := s.Submit(ljSpec(t, "t", 2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.Job(view.ID)
+	ck := resilience.Snapshot(md.NewState(molecule.WaterCluster(2)), 1, 0.25*chem.AtomicTimePerFs)
+	if err := resilience.Save(j.ckPath, ck); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	got := waitTerminal(t, ts.URL, view.ID)
+	if got.Status != StatusFailed || !strings.Contains(got.Error, "rerun with -dt 0.25") {
+		t.Fatalf("job finished %s (%q), want failed with the dt-mismatch message", got.Status, got.Error)
 	}
 }
 
@@ -518,7 +548,7 @@ func TestRejection(t *testing.T) {
 // worker process (here a goroutine) and the trajectory still matches
 // the serial reference. Mismatched physics is rejected at admission.
 func TestFleetMode(t *testing.T) {
-	fleetEval := netcoord.EvalSpec{Potential: "lj", Basis: "sto-3g"}
+	fleetEval := potential.Spec{Potential: "lj", Basis: "sto-3g"}
 	c, err := netcoord.Listen("127.0.0.1:0", netcoord.CoordinatorOptions{Eval: fleetEval})
 	if err != nil {
 		t.Fatal(err)
@@ -565,11 +595,11 @@ func TestFingerprintSeparatesBoundaryConditions(t *testing.T) {
 		if err := sp.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := sp.system()
+		f, err := sp.system()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sp.fingerprint(g)
+		return sp.fingerprint(f.Geom)
 	}
 	open := ljSpec(t, "t", 2, 1)
 	cubic := ljSpec(t, "t", 2, 1)
