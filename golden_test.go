@@ -1,8 +1,11 @@
 package fragmd_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -26,22 +29,33 @@ import (
 //	go test -run Golden -update .
 var update = flag.Bool("update", false, "rewrite golden trajectory files")
 
-// Golden-trajectory regression tests: the quickstart and urea_crystal
-// example workloads are run at reduced size and their energies
-// compared bit-for-bit against committed JSON. Values are stored as
-// shortest round-trip decimal strings (strconv 'g' −1), so string
-// equality is float64 bit equality. Any refactor that changes an
-// energy in the 16th digit shows up here; legitimate numerical changes
-// are adopted explicitly with -update.
+// Golden-trajectory regression tests: the example workloads are run at
+// reduced size and compared against committed JSON. Values are stored
+// as shortest round-trip decimal strings (strconv 'g' −1), so a golden
+// file records every bit of the run that wrote it — but the comparison
+// is by tolerance, not by bytes: structure, keys, counts and step
+// indices must match exactly, numeric leaves within
 //
-// Determinism requirements: one worker (a single completion order for
-// the gradient accumulation), auto-tuner off (its timing-based variant
-// arbitration is the one nondeterministic kernel ingredient), fixed
-// seeds. Pure-Go float64 arithmetic is IEEE-deterministic on a given
-// architecture; the committed files are amd64 (no fused-multiply-add
-// contraction in these kernels).
+//   - static energies (single points, MBE sums, dimer ΔEs, cell edges):
+//     |Δ| ≤ 1e-9 Ha;
+//   - gradients, embedding charges and trajectory energies:
+//     |Δ| ≤ 1e-8 + 1e-8·|golden|.
+//
+// The bounds sit far above what a libm or toolchain difference does to
+// these numbers (a gradient component that is analytically zero comes
+// out as −1.41e-12 on one Go release and −1.37e-12 on another, and the
+// integrator carries that to ~4e-10 Ha in a step-1 total energy) and
+// far below anything a physics change produces. Legitimate numerical
+// changes inside the bounds need no action; larger ones are adopted
+// explicitly with -update.
+//
+// The runs still pin what can be pinned: one worker (a single
+// completion order for the gradient accumulation), auto-tuner off (its
+// timing-based variant arbitration is the one nondeterministic kernel
+// ingredient), assembly microkernel off, fixed seeds. DESIGN.md §9 has
+// the full determinism contract.
 
-// fnum is a bit-exact float64 in JSON.
+// fnum is a float64 in JSON with all its bits.
 type fnum string
 
 func num(v float64) fnum { return fnum(strconv.FormatFloat(v, 'g', -1, 64)) }
@@ -90,7 +104,8 @@ func withDeterministicKernels(t *testing.T, fn func()) {
 }
 
 // compareGolden marshals got, then either rewrites the golden file
-// (-update) or diffs byte-for-byte against it.
+// (-update) or compares it with the committed one under the tolerances
+// stated at the top of this file.
 func compareGolden(t *testing.T, name string, got interface{}) {
 	t.Helper()
 	blob, err := json.MarshalIndent(got, "", "  ")
@@ -113,10 +128,123 @@ func compareGolden(t *testing.T, name string, got interface{}) {
 	if err != nil {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
-	if string(want) != string(blob) {
-		t.Errorf("energies diverged from %s — a refactor changed the numbers.\n"+
-			"If intentional, regenerate with: go test -run Golden -update .\ngot:\n%swant:\n%s",
-			path, blob, want)
+	for _, d := range diffGolden(t, blob, want) {
+		t.Errorf("%s: %s", path, d)
+	}
+	if t.Failed() {
+		t.Logf("if the change is intentional, regenerate with: go test -run Golden -update .")
+	}
+}
+
+// toleranced names the golden fields whose numeric leaves are compared
+// under the mixed 1e-8 absolute + 1e-8 relative bound; every other
+// numeric leaf is a static energy held to 1e-9 absolute.
+var toleranced = map[string]bool{
+	"trajectory":          true,
+	"gradient_ha_bohr":    true,
+	"embedding_charges_e": true,
+}
+
+// diffGolden decodes two golden documents and lists their differences:
+// keys, lengths, counts and non-numeric strings compare exactly, fnum
+// leaves by tolerance.
+func diffGolden(t *testing.T, got, want []byte) []string {
+	t.Helper()
+	decode := func(blob []byte) interface{} {
+		dec := json.NewDecoder(bytes.NewReader(blob))
+		dec.UseNumber() // counts stay exact integers
+		var v interface{}
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	var diffs []string
+	var walk func(path string, loose bool, g, w interface{})
+	walk = func(path string, loose bool, g, w interface{}) {
+		switch wv := w.(type) {
+		case map[string]interface{}:
+			gv, ok := g.(map[string]interface{})
+			if !ok || len(gv) != len(wv) {
+				diffs = append(diffs, fmt.Sprintf("%s: got %v, want an object with %d keys", path, g, len(wv)))
+				return
+			}
+			for k, wk := range wv {
+				gk, ok := gv[k]
+				if !ok {
+					diffs = append(diffs, fmt.Sprintf("%s: key %q missing", path, k))
+					continue
+				}
+				walk(path+"."+k, loose || toleranced[k], gk, wk)
+			}
+		case []interface{}:
+			gv, ok := g.([]interface{})
+			if !ok || len(gv) != len(wv) {
+				diffs = append(diffs, fmt.Sprintf("%s: got %v, want an array of %d", path, g, len(wv)))
+				return
+			}
+			for i := range wv {
+				walk(fmt.Sprintf("%s[%d]", path, i), loose, gv[i], wv[i])
+			}
+		case string:
+			gs, ok := g.(string)
+			wf, werr := strconv.ParseFloat(wv, 64)
+			gf, gerr := strconv.ParseFloat(gs, 64)
+			if !ok || werr != nil || gerr != nil {
+				if !ok || gs != wv {
+					diffs = append(diffs, fmt.Sprintf("%s: got %v, want %q", path, g, wv))
+				}
+				return
+			}
+			tol := 1e-9
+			if loose {
+				tol = 1e-8 + 1e-8*math.Abs(wf)
+			}
+			if d := math.Abs(gf - wf); !(d <= tol) {
+				diffs = append(diffs, fmt.Sprintf("%s: got %s, want %s (|Δ| = %.3g > %.3g)", path, gs, wv, d, tol))
+			}
+		default: // json.Number counts, bool, null
+			if g != w {
+				diffs = append(diffs, fmt.Sprintf("%s: got %v, want %v", path, g, w))
+			}
+		}
+	}
+	walk("$", false, decode(got), decode(want))
+	sort.Strings(diffs)
+	return diffs
+}
+
+// The comparer itself: tolerances by field, exactness everywhere else.
+func TestGoldenComparerTolerances(t *testing.T) {
+	doc := func(energy, etot, grad string, n int, key string) []byte {
+		return []byte(fmt.Sprintf(`{"system":"s","n_polymers":%d,"mbe_energy_ha":%q,
+			"dimer_deltas":[{"key":%q,"delta_e_ha":"0.5"}],
+			"gradient_ha_bohr":[%q,"0"],"trajectory":[{"etot":%q,"epot":"-1"}]}`, n, energy, key, grad, etot))
+	}
+	base := doc("-224.98679089473234", "-224.98003106180977", "-1.37e-12", 7, "0-1")
+	for _, c := range []struct {
+		name  string
+		other []byte
+		diffs int
+	}{
+		{"identical", base, 0},
+		{"static energy within 1e-9", doc("-224.98679089513234", "-224.98003106180977", "-1.37e-12", 7, "0-1"), 0},
+		{"static energy beyond 1e-9", doc("-224.98679089273234", "-224.98003106180977", "-1.37e-12", 7, "0-1"), 1},
+		{"toolchain noise in a zero gradient", doc("-224.98679089473234", "-224.98003106180977", "-1.41e-12", 7, "0-1"), 0},
+		{"gradient beyond 1e-8", doc("-224.98679089473234", "-224.98003106180977", "3e-8", 7, "0-1"), 1},
+		{"trajectory energy within 1e-8 relative", doc("-224.98679089473234", "-224.98003206180977", "-1.37e-12", 7, "0-1"), 0},
+		{"trajectory energy beyond", doc("-224.98679089473234", "-224.98004106180977", "-1.37e-12", 7, "0-1"), 1},
+		{"count differs", doc("-224.98679089473234", "-224.98003106180977", "-1.37e-12", 8, "0-1"), 1},
+		{"key differs", doc("-224.98679089473234", "-224.98003106180977", "-1.37e-12", 7, "0-2"), 1},
+		{"NaN never passes", doc("NaN", "-224.98003106180977", "-1.37e-12", 7, "0-1"), 1},
+	} {
+		if d := diffGolden(t, c.other, base); len(d) != c.diffs {
+			t.Errorf("%s: %d differences, want %d: %v", c.name, len(d), c.diffs, d)
+		}
+	}
+	short := []byte(`{"system":"s","n_polymers":7}`)
+	if d := diffGolden(t, short, base); len(d) == 0 {
+		t.Error("a document with missing keys compared equal")
 	}
 }
 
@@ -187,7 +315,7 @@ type goldenWaterBox struct {
 
 // The water_box example's workload: periodic MBE2/LJ on a 3×3×3 water
 // lattice with minimum-image boundaries and a dimer cutoff under half
-// the box edge, plus 10 steps of NVE MD, locked bit-for-bit. This is
+// the box edge, plus 10 steps of NVE MD. This is
 // the regression anchor for the whole PBC path — cell parsing, min-
 // image dimer selection through the cell list, image-shifted fragment
 // extraction, and periodic LJ forces all feed these numbers. (LJ is
@@ -250,7 +378,7 @@ type goldenEmbedded struct {
 
 // The water_embedded example's workload: EE-MBE2/RI-HF on a 4-water
 // cluster (vacuum vs embedded vs supersystem, the phase-1 charges) and
-// 3 steps of embedded NVE AIMD, locked bit-for-bit.
+// 3 steps of embedded NVE AIMD.
 func TestGoldenEmbeddedWaterTrajectory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("embedded RI-HF trajectory is slow; run without -short")
@@ -308,7 +436,7 @@ func TestGoldenEmbeddedWaterTrajectory(t *testing.T) {
 
 // The urea_crystal example's workload at regression-test size: the
 // r=3 Å sphere is the single central molecule, whose RI-MP2 energy and
-// full analytic gradient are locked bit-for-bit. (A urea *dimer*
+// full analytic gradient are locked. (A urea *dimer*
 // evaluation runs ~2 minutes in the pure-Go kernels, so the example's
 // ΔE analysis is exercised at golden precision on the water dimers
 // above instead.)

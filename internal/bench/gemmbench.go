@@ -22,9 +22,9 @@ type GemmBenchRow struct {
 	M       int     `json:"m"`       // C is m×n
 	K       int     `json:"k"`       // inner dimension
 	N       int     `json:"n"`       //
-	Kernel  string  `json:"kernel"`  // "stream-NN".."stream-TT", "packed", "packed-asm", "packed-f32"
+	Kernel  string  `json:"kernel"`  // "stream-NN".."stream-TT", "packed", "packed-asm", "packed-f32"; "blocked", "pairloop"; "eigsym", "deriv3c"
 	Seconds float64 `json:"seconds"` // best-of-reps wall time
-	GFLOPS  float64 `json:"gflops"`  // 2·m·n·k / Seconds / 1e9
+	GFLOPS  float64 `json:"gflops"`  // 2·m·n·k / Seconds / 1e9 (nominal work / Seconds / 1e9 on the non-GEMM rows)
 	Tracked bool    `json:"tracked"` // regression-gated by the CI bench job
 }
 
@@ -181,6 +181,8 @@ func RunGemmSuite(quick bool) *GemmBenchReport {
 	// End-to-end RI-MP2 fragment throughput: the blocked pair-energy
 	// loop gated against the pre-change per-(i,j) baseline.
 	rep.Rows = append(rep.Rows, runRIMP2E2ERows(quick)...)
+	// The two non-GEMM phases of a cold RI-MP2 step worth gating.
+	rep.Rows = append(rep.Rows, runStepPhaseRows()...)
 	return rep
 }
 
@@ -304,10 +306,14 @@ func GemmBench(c *Config) {
 		"shape", "m", "k", "n", "NN", "NT", "TN", "TT", "PKgo", "PKasm", "PKf32", "asm/go")
 	byShape := map[string][]GemmBenchRow{}
 	var order []string
-	var e2e []GemmBenchRow
+	var e2e, phases []GemmBenchRow
 	for _, row := range rep.Rows {
-		if row.Kernel == "blocked" || row.Kernel == "pairloop" {
+		switch row.Kernel {
+		case "blocked", "pairloop":
 			e2e = append(e2e, row)
+			continue
+		case "eigsym", "deriv3c":
+			phases = append(phases, row)
 			continue
 		}
 		if _, seen := byShape[row.Name]; !seen {
@@ -373,6 +379,16 @@ func GemmBench(c *Config) {
 		}
 		c.printf("\nShape to verify: the tiled pair-energy loop beats the per-(i,j) pair loop\n")
 		c.printf("by ≥1.5× — the macro-tile restructuring the baseline gate enforces.\n")
+	}
+
+	if len(phases) > 0 {
+		c.printf("\nNon-GEMM phases of a cold RI-MP2 step, water trimer sto-3g (best of 3)\n")
+		c.printf("%-18s %10s %12s\n", "phase", "seconds", "nominal G/s")
+		for _, row := range phases {
+			c.printf("%-18s %10.4f %12.3f\n", row.Name, row.Seconds, row.GFLOPS)
+		}
+		c.printf("\nShape to verify: EigSym of the 414×414 RI metric and one three-centre\n")
+		c.printf("derivative pass on the trimer each take about a tenth of a second.\n")
 	}
 
 	if c.BenchJSON != "" {

@@ -160,14 +160,14 @@ func TestRunGemmSuite(t *testing.T) {
 	// when a native microkernel ran) + the end-to-end RI-MP2 pair
 	// (blocked, pairloop) in quick mode.
 	engines := 6
-	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "packed-f32", "blocked", "pairloop"}
+	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "packed-f32", "blocked", "pairloop", "eigsym", "deriv3c"}
 	trackedPerShape := 3 // stream-NN, packed, packed-f32
 	if linalg.AsmEnabled() {
 		engines++
 		wantKernels = append(wantKernels, "packed-asm")
 		trackedPerShape++
 	}
-	if want := 4*engines + 2; len(rep.Rows) != want {
+	if want := 4*engines + 2 + 2; len(rep.Rows) != want {
 		t.Fatalf("want %d rows, got %d", want, len(rep.Rows))
 	}
 	kernels := map[string]bool{}
@@ -188,8 +188,8 @@ func TestRunGemmSuite(t *testing.T) {
 	}
 	// Tracked: stream-NN + every packed engine for each of the two
 	// acceptance GEMM shapes, plus the blocked engine of the
-	// end-to-end RI-MP2 row.
-	if want := 2*trackedPerShape + 1; tracked != want {
+	// end-to-end RI-MP2 row and the two step-phase rows.
+	if want := 2*trackedPerShape + 1 + 2; tracked != want {
 		t.Fatalf("want %d tracked rows, got %d", want, tracked)
 	}
 	if rep.MicroKernel == "" {

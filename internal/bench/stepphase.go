@@ -1,0 +1,61 @@
+package bench
+
+import (
+	"time"
+
+	"github.com/fragmd/fragmd/internal/basis"
+	"github.com/fragmd/fragmd/internal/integrals"
+	"github.com/fragmd/fragmd/internal/linalg"
+	"github.com/fragmd/fragmd/internal/molecule"
+)
+
+// runStepPhaseRows times the two non-GEMM phases that dominated a cold
+// RI-MP2 step before they were restructured, on the water trimer of the
+// repo benchmark (sto-3g, naux = 414), so the BENCH_gemm.json gate keeps
+// them from regressing:
+//
+//   - eigsym-aux-414: linalg.EigSym of the RI Coulomb metric (P|Q), the
+//     O(n³) core of InvSqrtSym; nominal 9n³ flops (4n³/3 reduction, the
+//     rest eigenvector accumulation).
+//   - deriv3c-water3: one integrals.ThreeCenterDeriv contracted with a
+//     dense weight tensor; nominal 9·naux·nbf² — one unit per Cartesian
+//     derivative of every (μν|P) on its three centres — so the "GFLOP/s"
+//     column is a throughput in derivative integrals, not a flop rate.
+func runStepPhaseRows() []GemmBenchRow {
+	g := molecule.WaterCluster(3)
+	bs, err := basis.Build("sto-3g", g)
+	if err != nil {
+		return nil
+	}
+	aux := basis.BuildAux(bs, g, basis.AuxOptions{})
+	best := func(fn func()) float64 {
+		var best float64
+		for r := 0; r < 3; r++ {
+			start := time.Now()
+			fn()
+			if el := time.Since(start).Seconds(); best == 0 || el < best {
+				best = el
+			}
+		}
+		return best
+	}
+
+	j2 := integrals.TwoCenter(aux)
+	secEig := best(func() { linalg.EigSym(j2) })
+
+	z := linalg.NewTensor3(aux.N, bs.N, bs.N)
+	for i := range z.Data {
+		z.Data[i] = 1e-3 * float64(1+i%97)
+	}
+	grad := make([]float64, 3*g.N())
+	secDeriv := best(func() { integrals.ThreeCenterDeriv(bs, aux, z, 1, grad) })
+
+	n := float64(aux.N)
+	nbf := float64(bs.N)
+	return []GemmBenchRow{
+		{Name: "eigsym-aux-414", M: aux.N, K: aux.N, N: aux.N, Kernel: "eigsym",
+			Seconds: secEig, GFLOPS: 9 * n * n * n / secEig / 1e9, Tracked: true},
+		{Name: "deriv3c-water3", M: bs.N, K: aux.N, N: bs.N, Kernel: "deriv3c",
+			Seconds: secDeriv, GFLOPS: 9 * n * nbf * nbf / secDeriv / 1e9, Tracked: true},
+	}
+}

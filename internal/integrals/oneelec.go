@@ -10,25 +10,34 @@ import (
 	"github.com/fragmd/fragmd/internal/molecule"
 )
 
-// parallelFor splits [0, n) across GOMAXPROCS goroutines.
-func parallelFor(n int, fn func(lo, hi int)) {
+// chunkSize is the length of the contiguous chunks parallelFor cuts
+// [0, n) into: at most GOMAXPROCS of them, 0 when n is 0.
+func chunkSize(n int) int {
 	nw := runtime.GOMAXPROCS(0)
 	if nw > n {
 		nw = n
 	}
 	if nw <= 1 {
+		return n
+	}
+	return (n + nw - 1) / nw
+}
+
+// parallelFor splits [0, n) across GOMAXPROCS goroutines.
+func parallelFor(n int, fn func(lo, hi int)) { parallelChunks(n, chunkSize(n), fn) }
+
+// parallelChunks runs fn on every chunk-long piece of [0, n), one
+// goroutine per piece.
+func parallelChunks(n, chunk int, fn func(lo, hi int)) {
+	if chunk == n {
 		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
+	for lo := 0; lo < n; lo += chunk {
+		hi := lo + chunk
 		if hi > n {
 			hi = n
-		}
-		if lo >= hi {
-			break
 		}
 		wg.Add(1)
 		go func(lo, hi int) {
@@ -47,21 +56,30 @@ func reduceGrads(n int, grad []float64, fn func(lo, hi int, buf []float64)) {
 
 // reduceGrads2 is reduceGrads over two accumulators (the bra-atom and
 // field-site gradients of the point-charge derivatives); gb may be nil.
+// Each chunk fills its own zeroed buffers, and the buffers are folded
+// into ga and gb in chunk order after the join, so the summation order —
+// and with it every bit of the result — is a function of the inputs and
+// GOMAXPROCS only, never of goroutine scheduling.
 func reduceGrads2(n int, ga, gb []float64, fn func(lo, hi int, bufA, bufB []float64)) {
-	var mu sync.Mutex
-	parallelFor(n, func(lo, hi int) {
-		bufA := make([]float64, len(ga))
-		bufB := make([]float64, len(gb))
-		fn(lo, hi, bufA, bufB)
-		mu.Lock()
-		for i, v := range bufA {
+	na, nb := len(ga), len(gb)
+	chunk := chunkSize(n)
+	if chunk == 0 {
+		return
+	}
+	bufs := make([]float64, (n+chunk-1)/chunk*(na+nb))
+	parallelChunks(n, chunk, func(lo, hi int) {
+		buf := bufs[lo/chunk*(na+nb):][:na+nb]
+		fn(lo, hi, buf[:na], buf[na:])
+	})
+	for len(bufs) > 0 {
+		for i, v := range bufs[:na] {
 			ga[i] += v
 		}
-		for i, v := range bufB {
+		for i, v := range bufs[na : na+nb] {
 			gb[i] += v
 		}
-		mu.Unlock()
-	})
+		bufs = bufs[na+nb:]
+	}
 }
 
 // upperPairs enumerates (i, j) with i ≤ j < n.
@@ -126,7 +144,7 @@ func stPair(sa, sb *basis.Shell, kind stKind, deriv bool) (val *linalg.Mat, dA [
 			pexp := a + b
 			pre := math.Pow(math.Pi/pexp, 1.5)
 			for d := 0; d < 3; d++ {
-				e[d] = newETable(imax, jmax, a, b, ab[d])
+				e[d].fill(imax, jmax, a, b, ab[d])
 			}
 			// 1D overlap factor (without the √(π/p) prefactor, folded
 			// into pre as (π/p)^{3/2} for the 3D product).
@@ -134,7 +152,7 @@ func stPair(sa, sb *basis.Shell, kind stKind, deriv bool) (val *linalg.Mat, dA [
 				if i < 0 || j < 0 {
 					return 0
 				}
-				return e[d][i][j][0]
+				return e[d].at(i, j)[0]
 			}
 			// 1D kinetic factor ⟨i| −½ d²/dx² |j⟩.
 			k1 := func(d, i, j int) float64 {
@@ -234,43 +252,23 @@ func coulombPair(sa, sb *basis.Shell, sitePos, siteQ []float64, val *linalg.Mat,
 		ab[d] = sa.Center[d] - sb.Center[d]
 	}
 	var e [3]eTable
+	var r rCube
 	for p, a := range sa.Exps {
 		for q, b := range sb.Exps {
 			pexp := a + b
 			pre := 2 * math.Pi / pexp
 			for d := 0; d < 3; d++ {
-				e[d] = newETable(imax, jmax, a, b, ab[d])
+				e[d].fill(imax, jmax, a, b, ab[d])
 			}
 			var pc [3]float64
 			for d := 0; d < 3; d++ {
 				pc[d] = (a*sa.Center[d] + b*sb.Center[d]) / pexp
 			}
 			for ci := range siteQ {
-				r := newRCube(tmax, pexp, pc[0]-sitePos[3*ci], pc[1]-sitePos[3*ci+1], pc[2]-sitePos[3*ci+2])
+				r.fill(tmax, pexp, pc[0]-sitePos[3*ci], pc[1]-sitePos[3*ci+1], pc[2]-sitePos[3*ci+2])
 				charge := -siteQ[ci]
 				contract := func(ia, jb [3]int) float64 {
-					var sum float64
-					ex := e[0][ia[0]][jb[0]]
-					for t := range ex {
-						et := ex[t]
-						if et == 0 {
-							continue
-						}
-						ey := e[1][ia[1]][jb[1]]
-						for u := range ey {
-							eu := ey[u]
-							if eu == 0 {
-								continue
-							}
-							etu := et * eu
-							ez := e[2][ia[2]][jb[2]]
-							rv := r[t][u]
-							for v := range ez {
-								sum += etu * ez[v] * rv[v]
-							}
-						}
-					}
-					return sum
+					return hermiteDot(e[0].at(ia[0], jb[0]), e[1].at(ia[1], jb[1]), e[2].at(ia[2], jb[2]), r.val, r.n)
 				}
 				for ca, A := range compA {
 					for cb, B := range compB {

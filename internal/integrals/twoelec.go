@@ -10,85 +10,170 @@ import (
 // twoERIPre is the 2π^{5/2} prefactor common to all ERI classes.
 var twoERIPre = 2 * math.Pow(math.Pi, 2.5)
 
-// hermiteSingle returns the three 1D Hermite expansion tables of a single
-// primitive Gaussian of angular momentum l and exponent a (imax may
-// exceed l for derivative raising).
-func hermiteSingle(imax int, a float64) [3]eTable {
-	t := newETable(imax, 0, a, 0, 0)
-	return [3]eTable{t, t, t}
+// cartCache holds basis.CartComponents(l) for the angular momenta the
+// kernels meet in practice, so the hot loops do not rebuild the lists.
+var cartCache = func() (c [8][][3]int) {
+	for l := range c {
+		c[l] = basis.CartComponents(l)
+	}
+	return c
+}()
+
+func cart(l int) [][3]int {
+	if l < len(cartCache) {
+		return cartCache[l]
+	}
+	return basis.CartComponents(l)
 }
 
-// contractHermite sums E^bra ⊗ E^ket against the R cube with the MD sign
-// (−1)^{t'+u'+v'} on the ket indices:
+// eriScratch is the workspace one goroutine needs to evaluate ERI blocks
+// without allocating per primitive: every parallelFor chunk owns one, and
+// its buffers grow to the largest shell combination the chunk meets.
+type eriScratch struct {
+	e, ek [3]eTable // bra and ket pair Hermite tables
+	r     rCube
+	g     []float64 // R contracted with a one-centre ket: [((t·nb+u)·nb+v)·nk + ck]
+	gw    []float64 // g contracted with one (μ,ν)'s weights over ck: [(t·nb+u)·nb+v]
+	acc   []float64 // one (μ,ν)'s values or weights over ck
+	blk   []float64 // a two-centre value block
+	w     []float64 // three-centre gradient weights of a bra shell pair: [(ca·nb+cb)·naux + P]
+	live  []bool    // per auxiliary shell: not screened out / not weightless
+}
+
+// contractKet folds the R cube with the one-centre ket shell whose
+// primitive table (MD phase included) is ek:
 //
-//	Σ_{tuv} Σ_{t'u'v'} Ebx[t]·Eby[u]·Ebz[v]·Ekx[t']·Eky[u']·Ekz[v']·(−1)^{t'+u'+v'}·R[t+t'][u+u'][v+v']
-func contractHermite(ebx, eby, ebz, ekx, eky, ekz []float64, r rCube) float64 {
+//	g[t,u,v; ck] = Σ_{t'u'v'} E_{t'}^{K_x}·E_{u'}^{K_y}·E_{v'}^{K_z}·(−1)^{t'+u'+v'}·R_{t+t',u+u',v+v'}
+//
+// for every bra Hermite index t+u+v ≤ lbra and Cartesian component K of
+// the ket. A one-centre E_t^{i0} vanishes unless t ≡ i (mod 2).
+func (sc *eriScratch) contractKet(lbra int, compK [][3]int, ek centerTable) {
+	nb, nk, n := lbra+1, len(compK), sc.r.n
+	sc.g = grow(sc.g, nb*nb*nb*nk)
+	r := sc.r.val
+	for t := 0; t <= lbra; t++ {
+		for u := 0; u <= lbra-t; u++ {
+			for v := 0; v <= lbra-t-u; v++ {
+				g := sc.g[((t*nb+u)*nb+v)*nk:][:nk]
+				for ck, K := range compK {
+					ex, ey, ez := ek.at(K[0]), ek.at(K[1]), ek.at(K[2])
+					var sum float64
+					for t2 := K[0] & 1; t2 < len(ex); t2 += 2 {
+						for u2 := K[1] & 1; u2 < len(ey); u2 += 2 {
+							etu := ex[t2] * ey[u2]
+							row := r[((t+t2)*n+u+u2)*n+v:]
+							for v2 := K[2] & 1; v2 < len(ez); v2 += 2 {
+								sum += etu * ez[v2] * row[v2]
+							}
+						}
+					}
+					g[ck] = sum
+				}
+			}
+		}
+	}
+}
+
+// hermiteDot returns Σ_{tuv} ex[t]·ey[u]·ez[v]·g[(t·nb+u)·nb+v].
+func hermiteDot(ex, ey, ez, g []float64, nb int) float64 {
 	var sum float64
-	for t := range ebx {
-		bt := ebx[t]
-		if bt == 0 {
+	for t, et := range ex {
+		if et == 0 {
 			continue
 		}
-		for u := range eby {
-			bu := eby[u]
-			if bu == 0 {
+		for u, eu := range ey {
+			if eu == 0 {
 				continue
 			}
-			btu := bt * bu
-			for v := range ebz {
-				bv := ebz[v]
-				if bv == 0 {
-					continue
-				}
-				btuv := btu * bv
-				for t2 := range ekx {
-					kt := ekx[t2]
-					if kt == 0 {
-						continue
-					}
-					if t2&1 == 1 {
-						kt = -kt
-					}
-					rt := r[t+t2]
-					for u2 := range eky {
-						ku := eky[u2]
-						if ku == 0 {
-							continue
-						}
-						if u2&1 == 1 {
-							ku = -ku
-						}
-						ktu := kt * ku
-						ru := rt[u+u2]
-						for v2 := range ekz {
-							kv := ekz[v2]
-							if kv == 0 {
-								continue
-							}
-							if v2&1 == 1 {
-								kv = -kv
-							}
-							sum += btuv * ktu * kv * ru[v+v2]
-						}
-					}
-				}
+			etu := et * eu
+			row := g[(t*nb+u)*nb:]
+			for v, ev := range ez {
+				sum += etu * ev * row[v]
 			}
 		}
 	}
 	return sum
 }
 
+// hermiteAxpy is hermiteDot over the nk interleaved cubes of sc.g:
+// acc[ck] = Σ_{tuv} ex[t]·ey[u]·ez[v]·g[((t·nb+u)·nb+v)·nk + ck].
+func (sc *eriScratch) hermiteAxpy(ex, ey, ez []float64, nb, nk int) []float64 {
+	sc.acc = grow(sc.acc, nk)
+	acc := sc.acc
+	for ck := range acc {
+		acc[ck] = 0
+	}
+	for t, et := range ex {
+		if et == 0 {
+			continue
+		}
+		for u, eu := range ey {
+			if eu == 0 {
+				continue
+			}
+			etu := et * eu
+			for v, ev := range ez {
+				e3 := etu * ev
+				g := sc.g[((t*nb+u)*nb+v)*nk:][:nk]
+				for ck, x := range g {
+					acc[ck] += e3 * x
+				}
+			}
+		}
+	}
+	return acc
+}
+
+// weightKet contracts sc.g with the weights wk over the ket components:
+// gw[t,u,v] = Σ_ck wk[ck]·g[t,u,v; ck] for t+u+v ≤ lbra.
+func (sc *eriScratch) weightKet(lbra int, wk []float64) []float64 {
+	nb, nk := lbra+1, len(wk)
+	sc.gw = grow(sc.gw, nb*nb*nb)
+	for t := 0; t <= lbra; t++ {
+		for u := 0; u <= lbra-t; u++ {
+			for v := 0; v <= lbra-t-u; v++ {
+				h := (t*nb+u)*nb + v
+				var sum float64
+				for ck, x := range sc.g[h*nk:][:nk] {
+					sum += wk[ck] * x
+				}
+				sc.gw[h] = sum
+			}
+		}
+	}
+	return sc.gw
+}
+
+// raiseLower returns the three components of the derivative of a
+// Hermite-expanded integral with respect to the centre carrying the
+// Cartesian powers I and exponent a, from ∂/∂A x^i = 2a·x^{i+1} − i·x^{i−1}:
+// val(d, i) must evaluate the integral with power i on axis d (the other
+// two axes at their own powers).
+func raiseLower(a float64, I [3]int, val func(d, i int) float64) (dv [3]float64) {
+	for d := 0; d < 3; d++ {
+		dv[d] = 2 * a * val(d, I[d]+1)
+		if I[d] > 0 {
+			dv[d] -= float64(I[d]) * val(d, I[d]-1)
+		}
+	}
+	return dv
+}
+
 // TwoCenter returns the Coulomb metric (P|Q) over the auxiliary basis.
 func TwoCenter(aux *basis.Set) *linalg.Mat {
 	m := linalg.NewMat(aux.N, aux.N)
+	bra, ket := newCenterTables(aux, 0, false), newCenterTables(aux, 0, true)
 	pairs := upperPairs(len(aux.Shells))
 	parallelFor(len(pairs), func(lo, hi int) {
+		var sc eriScratch
 		for idx := lo; idx < hi; idx++ {
-			sp, sq := &aux.Shells[pairs[idx][0]], &aux.Shells[pairs[idx][1]]
-			blk := twoCenterBlock(sp, sq, nil, 0, nil)
-			for i := 0; i < blk.Rows; i++ {
-				for j := 0; j < blk.Cols; j++ {
-					v := blk.At(i, j)
+			ip, iq := pairs[idx][0], pairs[idx][1]
+			sp, sq := &aux.Shells[ip], &aux.Shells[iq]
+			blk := sc.twoCenterBlock(aux, ip, iq, bra, ket, nil, 0, nil)
+			nq := sq.NCart()
+			for i := 0; i < sp.NCart(); i++ {
+				for j := 0; j < nq; j++ {
+					v := blk[i*nq+j]
 					m.Set(sp.Start+i, sq.Start+j, v)
 					m.Set(sq.Start+j, sp.Start+i, v)
 				}
@@ -99,73 +184,88 @@ func TwoCenter(aux *basis.Set) *linalg.Mat {
 }
 
 // TwoCenterDeriv accumulates factor·Σ_PQ ζ_PQ ∂(P|Q)/∂R into grad.
+// Every unordered shell pair on two different atoms is visited once:
+// (P|Q) depends on the two centres through their difference only, so the
+// ket-centre derivative is minus the bra one and a pair on one atom
+// contributes nothing.
 func TwoCenterDeriv(aux *basis.Set, zeta *linalg.Mat, factor float64, grad []float64) {
-	pairs := allPairs(len(aux.Shells))
+	bra, ket := newCenterTables(aux, 1, false), newCenterTables(aux, 0, true)
+	pairs := upperPairs(len(aux.Shells))
 	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
+		var sc eriScratch
 		for idx := lo; idx < hi; idx++ {
-			sp, sq := &aux.Shells[pairs[idx][0]], &aux.Shells[pairs[idx][1]]
-			twoCenterBlock(sp, sq, zeta, factor, buf)
+			ip, iq := pairs[idx][0], pairs[idx][1]
+			if aux.Shells[ip].Atom != aux.Shells[iq].Atom {
+				sc.twoCenterBlock(aux, ip, iq, bra, ket, zeta, factor, buf)
+			}
 		}
 	})
 }
 
-// twoCenterBlock computes the (P|Q) block for a shell pair. With grad
-// non-nil it instead contracts the bra-center derivative with the weight
-// (ζ_PQ + ζ_QP), accumulating on the bra atom (ordered-visit scheme).
-func twoCenterBlock(sp, sq *basis.Shell, zeta *linalg.Mat, factor float64, grad []float64) *linalg.Mat {
-	compP := basis.CartComponents(sp.L)
-	compQ := basis.CartComponents(sq.L)
+// twoCenterBlock computes the (P|Q) block of shells ip, iq of aux,
+// returned flattened as [i·nQ+j] in scratch the next call overwrites.
+// With grad non-nil it instead contracts the bra-centre derivative with
+// the weight (ζ_PQ + ζ_QP)·factor, adding it on the bra atom and
+// subtracting it on the ket atom. bra holds the unsigned one-centre
+// tables of aux (built with extra = 1 for derivatives), ket the signed.
+func (sc *eriScratch) twoCenterBlock(aux *basis.Set, ip, iq int, bra, ket *centerTables, zeta *linalg.Mat, factor float64, grad []float64) []float64 {
+	sp, sq := &aux.Shells[ip], &aux.Shells[iq]
+	compP, compQ := cart(sp.L), cart(sq.L)
+	nq := len(compQ)
 	deriv := grad != nil
-	var val *linalg.Mat
-	if !deriv {
-		val = linalg.NewMat(len(compP), len(compQ))
-	}
-	imax := sp.L
+	lbra := sp.L
 	if deriv {
-		imax++
+		lbra++
+	} else {
+		sc.blk = grow(sc.blk, len(compP)*nq)
+		for i := range sc.blk {
+			sc.blk[i] = 0
+		}
 	}
-	tmax := imax + sq.L
+	nb := lbra + 1
 	dx := sp.Center[0] - sq.Center[0]
 	dy := sp.Center[1] - sq.Center[1]
 	dz := sp.Center[2] - sq.Center[2]
 	for p, a := range sp.Exps {
-		eb := hermiteSingle(imax, a)
+		eb := bra.prim(ip, sp.L, p)
 		for q, b := range sq.Exps {
-			ek := hermiteSingle(sq.L, b)
 			alpha := a * b / (a + b)
 			pre := twoERIPre / (a * b * math.Sqrt(a+b))
-			r := newRCube(tmax, alpha, dx, dy, dz)
+			sc.r.fill(lbra+sq.L, alpha, dx, dy, dz)
+			sc.contractKet(lbra, compQ, ket.prim(iq, sq.L, q))
 			for cp, P := range compP {
-				for cq, Q := range compQ {
-					coef := sp.Coefs[cp][p] * sq.Coefs[cq][q] * pre
-					value := func(ia [3]int) float64 {
-						return contractHermite(
-							eb[0][ia[0]][0], eb[1][ia[1]][0], eb[2][ia[2]][0],
-							ek[0][Q[0]][0], ek[1][Q[1]][0], ek[2][Q[2]][0], r)
+				cf := sp.Coefs[cp][p] * pre
+				if !deriv {
+					acc := sc.hermiteAxpy(eb.at(P[0]), eb.at(P[1]), eb.at(P[2]), nb, nq)
+					for cq, v := range acc {
+						sc.blk[cp*nq+cq] += cf * sq.Coefs[cq][q] * v
 					}
-					if !deriv {
-						val.Add(cp, cq, coef*value(P))
-						continue
-					}
-					wv := (zeta.At(sp.Start+cp, sq.Start+cq) + zeta.At(sq.Start+cq, sp.Start+cp)) * factor * coef
-					if wv == 0 {
-						continue
-					}
-					for d := 0; d < 3; d++ {
-						up, down := P, P
-						up[d]++
-						down[d]--
-						dv := 2 * a * value(up)
-						if P[d] > 0 {
-							dv -= float64(P[d]) * value(down)
-						}
-						grad[3*sp.Atom+d] += wv * dv
-					}
+					continue
+				}
+				sc.acc = grow(sc.acc, nq)
+				var weighted bool
+				for cq := range sc.acc {
+					w := (zeta.At(sp.Start+cp, sq.Start+cq) + zeta.At(sq.Start+cq, sp.Start+cp)) * factor
+					sc.acc[cq] = w * sq.Coefs[cq][q]
+					weighted = weighted || w != 0
+				}
+				if !weighted {
+					continue
+				}
+				gw := sc.weightKet(lbra, sc.acc)
+				dv := raiseLower(a, P, func(d, i int) float64 {
+					e := [3][]float64{eb.at(P[0]), eb.at(P[1]), eb.at(P[2])}
+					e[d] = eb.at(i)
+					return hermiteDot(e[0], e[1], e[2], gw, nb)
+				})
+				for d := 0; d < 3; d++ {
+					grad[3*sp.Atom+d] += cf * dv[d]
+					grad[3*sq.Atom+d] -= cf * dv[d]
 				}
 			}
 		}
 	}
-	return val
+	return sc.blk
 }
 
 // ThreeCenter returns the three-center ERI tensor (μν|P) stored as
@@ -179,13 +279,15 @@ func ThreeCenter(bs, aux *basis.Set) *linalg.Tensor3 {
 // ket-side factor of the three-center bound |(μν|P)| ≤ Q_μν·Q_P.
 func SchwarzAux(aux *basis.Set) []float64 {
 	q := make([]float64, len(aux.Shells))
+	bra, ket := newCenterTables(aux, 0, false), newCenterTables(aux, 0, true)
 	parallelFor(len(aux.Shells), func(lo, hi int) {
+		var sc eriScratch
 		for i := lo; i < hi; i++ {
-			sp := &aux.Shells[i]
-			blk := twoCenterBlock(sp, sp, nil, 0, nil)
+			blk := sc.twoCenterBlock(aux, i, i, bra, ket, nil, 0, nil)
+			nc := aux.Shells[i].NCart()
 			var mx float64
-			for c := 0; c < blk.Rows; c++ {
-				if v := math.Abs(blk.At(c, c)); v > mx {
+			for c := 0; c < nc; c++ {
+				if v := math.Abs(blk[c*nc+c]); v > mx {
 					mx = v
 				}
 			}
@@ -224,27 +326,26 @@ func ThreeCenterScreened(bs, aux *basis.Set, sw *linalg.Mat, thresh float64) *li
 		}
 		pairs = kept
 	}
+	ket := newCenterTables(aux, 0, true)
 	parallelFor(len(pairs), func(lo, hi int) {
+		sc := eriScratch{live: make([]bool, len(aux.Shells))}
 		for idx := lo; idx < hi; idx++ {
 			ia, ib := pairs[idx][0], pairs[idx][1]
-			sa, sb := &bs.Shells[ia], &bs.Shells[ib]
-			var bound float64
-			if screen {
-				bound = sw.At(ia, ib)
+			for ip := range sc.live {
+				sc.live[ip] = !screen || sw.At(ia, ib)*qaux[ip] >= thresh
 			}
+			sa, sb := &bs.Shells[ia], &bs.Shells[ib]
+			sc.threeCenterPair(sa, sb, aux, ket, t, nil)
+			// The pair filled (P, μ∈a, ν∈b); mirror it into (P, ν, μ).
 			for ip := range aux.Shells {
-				if screen && bound*qaux[ip] < thresh {
+				if !sc.live[ip] {
 					continue
 				}
 				sp := &aux.Shells[ip]
-				blk := threeCenterBlock(sa, sb, sp, nil, 0, nil)
-				na, nb := sa.NCart(), sb.NCart()
-				for i := 0; i < na; i++ {
-					for j := 0; j < nb; j++ {
-						for k := 0; k < sp.NCart(); k++ {
-							v := blk[(i*nb+j)*sp.NCart()+k]
-							t.Set(sp.Start+k, sa.Start+i, sb.Start+j, v)
-							t.Set(sp.Start+k, sb.Start+j, sa.Start+i, v)
+				for P := sp.Start; P < sp.Start+sp.NCart(); P++ {
+					for mu := sa.Start; mu < sa.Start+sa.NCart(); mu++ {
+						for nu := sb.Start; nu < sb.Start+sb.NCart(); nu++ {
+							t.Set(P, nu, mu, t.At(P, mu, nu))
 						}
 					}
 				}
@@ -255,95 +356,145 @@ func ThreeCenterScreened(bs, aux *basis.Set, sw *linalg.Mat, thresh float64) *li
 }
 
 // ThreeCenterDeriv accumulates factor·Σ_Pμν Z_Pμν ∂(μν|P)/∂R into grad.
+// Every unordered bra shell pair is visited once with the weight
+// Z_Pμν + Z_Pνμ (halved on a diagonal pair, which the two orientations
+// of its own block already cover twice): both bra-centre derivatives
+// come from one R cube by the raise/lower relation, and the
+// auxiliary-centre derivative is minus their sum by translational
+// invariance.
 func ThreeCenterDeriv(bs, aux *basis.Set, z *linalg.Tensor3, factor float64, grad []float64) {
-	pairs := allPairs(len(bs.Shells))
+	ket := newCenterTables(aux, 0, true)
+	pairs := upperPairs(len(bs.Shells))
 	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
+		sc := eriScratch{live: make([]bool, len(aux.Shells))}
 		for idx := lo; idx < hi; idx++ {
-			sa, sb := &bs.Shells[pairs[idx][0]], &bs.Shells[pairs[idx][1]]
-			for ip := range aux.Shells {
-				threeCenterBlock(sa, sb, &aux.Shells[ip], z, factor, buf)
+			ia, ib := pairs[idx][0], pairs[idx][1]
+			sa, sb := &bs.Shells[ia], &bs.Shells[ib]
+			f := factor
+			if ia == ib {
+				f *= 0.5
 			}
+			sc.gatherWeights(sa, sb, aux, z, f)
+			sc.threeCenterPair(sa, sb, aux, ket, nil, buf)
 		}
 	})
 }
 
-// threeCenterBlock computes the (μν|P) block for a bra shell pair and one
-// auxiliary shell, returned flattened as [(i·nb+j)·nP+k]. With grad
-// non-nil it instead contracts the bra-left derivative with the weight
-// (Z_Pμν + Z_Pνμ), accumulating +contribution on the bra-left atom and
-// −contribution on the auxiliary atom (translational invariance supplies
-// the auxiliary-center derivative across the two ordered bra visits).
-func threeCenterBlock(sa, sb, sp *basis.Shell, z *linalg.Tensor3, factor float64, grad []float64) []float64 {
-	compA := basis.CartComponents(sa.L)
-	compB := basis.CartComponents(sb.L)
-	compP := basis.CartComponents(sp.L)
+// gatherWeights loads w[(ca·nb+cb)·naux + P] = (Z_Pμν + Z_Pνμ)·factor for
+// the bra shell pair and marks the auxiliary shells that carry any
+// non-zero weight as live, so a block the contraction would multiply by
+// exact zeros (a screened-out B block) is never integrated; an
+// all-on-one-atom triple is dropped too, its three derivatives summing
+// to zero.
+func (sc *eriScratch) gatherWeights(sa, sb *basis.Shell, aux *basis.Set, z *linalg.Tensor3, factor float64) {
+	na, nb, naux := sa.NCart(), sb.NCart(), aux.N
+	sc.w = grow(sc.w, na*nb*naux)
+	for ip := range aux.Shells {
+		sp := &aux.Shells[ip]
+		live := false
+		for P := sp.Start; P < sp.Start+sp.NCart(); P++ {
+			for ca := 0; ca < na; ca++ {
+				for cb := 0; cb < nb; cb++ {
+					w := (z.At(P, sa.Start+ca, sb.Start+cb) + z.At(P, sb.Start+cb, sa.Start+ca)) * factor
+					sc.w[(ca*nb+cb)*naux+P] = w
+					live = live || w != 0
+				}
+			}
+		}
+		sc.live[ip] = live && !(sa.Atom == sb.Atom && sp.Atom == sa.Atom)
+	}
+}
+
+// threeCenterPair evaluates what one bra shell pair contributes over
+// every live auxiliary shell. The bra Hermite tables are built once per
+// primitive pair and shared by the whole auxiliary loop. With grad nil
+// the integrals (μν|P) are accumulated into out(P, μ∈a, ν∈b); otherwise
+// the derivative integrals are contracted with the gathered weights and
+// accumulated into grad on the three atoms.
+func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, aux *basis.Set, ket *centerTables, out *linalg.Tensor3, grad []float64) {
+	compA, compB := cart(sa.L), cart(sb.L)
+	ncb := len(compB)
 	deriv := grad != nil
-	var val []float64
-	if !deriv {
-		val = make([]float64, len(compA)*len(compB)*len(compP))
-	}
-	imax := sa.L
+	extra := 0
 	if deriv {
-		imax++
+		extra = 1
 	}
-	tmax := imax + sb.L + sp.L
-	var ab [3]float64
+	lbra := sa.L + sb.L + extra
+	nb := lbra + 1
+	var ab, pab [3]float64
 	for d := 0; d < 3; d++ {
 		ab[d] = sa.Center[d] - sb.Center[d]
 	}
-	var e [3]eTable
+	e := &sc.e
 	for p, a := range sa.Exps {
 		for q, b := range sb.Exps {
 			pexp := a + b
 			for d := 0; d < 3; d++ {
-				e[d] = newETable(imax, sb.L, a, b, ab[d])
-			}
-			var pab [3]float64
-			for d := 0; d < 3; d++ {
+				e[d].fill(sa.L+extra, sb.L+extra, a, b, ab[d])
 				pab[d] = (a*sa.Center[d] + b*sb.Center[d]) / pexp
 			}
-			for pp, c := range sp.Exps {
-				ek := hermiteSingle(sp.L, c)
-				alpha := pexp * c / (pexp + c)
-				pre := twoERIPre / (pexp * c * math.Sqrt(pexp+c))
-				r := newRCube(tmax, alpha, pab[0]-sp.Center[0], pab[1]-sp.Center[1], pab[2]-sp.Center[2])
-				for ca, A := range compA {
-					for cb, B := range compB {
-						cf := sa.Coefs[ca][p] * sb.Coefs[cb][q] * pre
-						for cp, P := range compP {
-							coef := cf * sp.Coefs[cp][pp]
-							value := func(ia [3]int) float64 {
-								return contractHermite(
-									e[0][ia[0]][B[0]], e[1][ia[1]][B[1]], e[2][ia[2]][B[2]],
-									ek[0][P[0]][0], ek[1][P[1]][0], ek[2][P[2]][0], r)
-							}
+			for ip := range aux.Shells {
+				if !sc.live[ip] {
+					continue
+				}
+				sp := &aux.Shells[ip]
+				compP := cart(sp.L)
+				nk := len(compP)
+				var gA, gB [3]float64
+				for pp, c := range sp.Exps {
+					alpha := pexp * c / (pexp + c)
+					pre := twoERIPre / (pexp * c * math.Sqrt(pexp+c))
+					sc.r.fill(lbra+sp.L, alpha, pab[0]-sp.Center[0], pab[1]-sp.Center[1], pab[2]-sp.Center[2])
+					sc.contractKet(lbra, compP, ket.prim(ip, sp.L, pp))
+					for ca, A := range compA {
+						for cb, B := range compB {
+							cf := sa.Coefs[ca][p] * sb.Coefs[cb][q] * pre
+							ex, ey, ez := e[0].at(A[0], B[0]), e[1].at(A[1], B[1]), e[2].at(A[2], B[2])
 							if !deriv {
-								val[(ca*len(compB)+cb)*len(compP)+cp] += coef * value(A)
-								continue
-							}
-							wv := (z.At(sp.Start+cp, sa.Start+ca, sb.Start+cb) +
-								z.At(sp.Start+cp, sb.Start+cb, sa.Start+ca)) * factor * coef
-							if wv == 0 {
-								continue
-							}
-							for d := 0; d < 3; d++ {
-								up, down := A, A
-								up[d]++
-								down[d]--
-								dv := 2 * a * value(up)
-								if A[d] > 0 {
-									dv -= float64(A[d]) * value(down)
+								acc := sc.hermiteAxpy(ex, ey, ez, nb, nk)
+								row := out.Data[(sp.Start*out.N2+sa.Start+ca)*out.N3+sb.Start+cb:]
+								for ck, v := range acc {
+									row[ck*out.N2*out.N3] += cf * sp.Coefs[ck][pp] * v
 								}
-								grad[3*sa.Atom+d] += wv * dv
-								grad[3*sp.Atom+d] -= wv * dv
+								continue
+							}
+							sc.acc = grow(sc.acc, nk)
+							var weighted bool
+							for ck, w := range sc.w[(ca*ncb+cb)*aux.N+sp.Start:][:nk] {
+								sc.acc[ck] = w * sp.Coefs[ck][pp]
+								weighted = weighted || w != 0
+							}
+							if !weighted {
+								continue
+							}
+							gw := sc.weightKet(lbra, sc.acc)
+							dA := raiseLower(a, A, func(d, i int) float64 {
+								x := [3][]float64{ex, ey, ez}
+								x[d] = e[d].at(i, B[d])
+								return hermiteDot(x[0], x[1], x[2], gw, nb)
+							})
+							dB := raiseLower(b, B, func(d, j int) float64 {
+								x := [3][]float64{ex, ey, ez}
+								x[d] = e[d].at(A[d], j)
+								return hermiteDot(x[0], x[1], x[2], gw, nb)
+							})
+							for d := 0; d < 3; d++ {
+								gA[d] += cf * dA[d]
+								gB[d] += cf * dB[d]
 							}
 						}
+					}
+				}
+				if deriv {
+					for d := 0; d < 3; d++ {
+						grad[3*sa.Atom+d] += gA[d]
+						grad[3*sb.Atom+d] += gB[d]
+						grad[3*sp.Atom+d] -= gA[d] + gB[d]
 					}
 				}
 			}
 		}
 	}
-	return val
 }
 
 // ERIIndex addresses the flat four-center array returned by
@@ -368,10 +519,11 @@ func FourCenterAll(bs *basis.Set) []float64 {
 		}
 	}
 	parallelFor(len(quartets), func(lo, hi int) {
+		var ws eriScratch
 		for qi := lo; qi < hi; qi++ {
 			q := quartets[qi]
 			sa, sb, sc, sd := &bs.Shells[q[0]], &bs.Shells[q[1]], &bs.Shells[q[2]], &bs.Shells[q[3]]
-			blk := fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
+			blk := ws.fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
 			na, nb, nc, nd := sa.NCart(), sb.NCart(), sc.NCart(), sd.NCart()
 			for i := 0; i < na; i++ {
 				for j := 0; j < nb; j++ {
@@ -392,15 +544,63 @@ func FourCenterAll(bs *basis.Set) []float64 {
 	return out
 }
 
+// contractHermite sums E^bra ⊗ E^ket against the R cube with the MD sign
+// (−1)^{t'+u'+v'} on the ket indices:
+//
+//	Σ_{tuv} Σ_{t'u'v'} Ebx[t]·Eby[u]·Ebz[v]·Ekx[t']·Eky[u']·Ekz[v']·(−1)^{t'+u'+v'}·R[t+t'][u+u'][v+v']
+func contractHermite(ebx, eby, ebz, ekx, eky, ekz []float64, r *rCube) float64 {
+	n := r.n
+	var sum float64
+	for t, bt := range ebx {
+		if bt == 0 {
+			continue
+		}
+		for u, bu := range eby {
+			if bu == 0 {
+				continue
+			}
+			btu := bt * bu
+			for v, bv := range ebz {
+				if bv == 0 {
+					continue
+				}
+				btuv := btu * bv
+				for t2, kt := range ekx {
+					if kt == 0 {
+						continue
+					}
+					if t2&1 == 1 {
+						kt = -kt
+					}
+					for u2, ku := range eky {
+						if ku == 0 {
+							continue
+						}
+						if u2&1 == 1 {
+							ku = -ku
+						}
+						ktu := kt * ku
+						ru := r.val[((t+t2)*n+u+u2)*n+v:]
+						for v2, kv := range ekz {
+							if v2&1 == 1 {
+								kv = -kv
+							}
+							sum += btuv * ktu * kv * ru[v2]
+						}
+					}
+				}
+			}
+		}
+	}
+	return sum
+}
+
 // fourCenterBlock computes the (μν|λσ) block of a shell quartet,
 // flattened as [((i·nb+j)·nc+k)·nd+l]. With grad non-nil it contracts the
 // slot-1 (bra-left) derivative with the caller-provided weight function
 // w4(μ,ν,λ,σ) (global indices), accumulating on the bra-left atom.
-func fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, nu, la, si int) float64, factor float64, grad []float64) []float64 {
-	compA := basis.CartComponents(sa.L)
-	compB := basis.CartComponents(sb.L)
-	compC := basis.CartComponents(sc.L)
-	compD := basis.CartComponents(sd.L)
+func (ws *eriScratch) fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, nu, la, si int) float64, factor float64, grad []float64) []float64 {
+	compA, compB, compC, compD := cart(sa.L), cart(sb.L), cart(sc.L), cart(sd.L)
 	deriv := grad != nil
 	var val []float64
 	if !deriv {
@@ -416,12 +616,12 @@ func fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, nu, la, si int) fl
 		abv[d] = sa.Center[d] - sb.Center[d]
 		cdv[d] = sc.Center[d] - sd.Center[d]
 	}
-	var eb, ek [3]eTable
+	eb, ek, r := &ws.e, &ws.ek, &ws.r
 	for p1, a := range sa.Exps {
 		for p2, b := range sb.Exps {
 			pexp := a + b
 			for d := 0; d < 3; d++ {
-				eb[d] = newETable(imax, sb.L, a, b, abv[d])
+				eb[d].fill(imax, sb.L, a, b, abv[d])
 			}
 			var pab [3]float64
 			for d := 0; d < 3; d++ {
@@ -431,7 +631,7 @@ func fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, nu, la, si int) fl
 				for p4, dd := range sd.Exps {
 					qexp := c + dd
 					for d := 0; d < 3; d++ {
-						ek[d] = newETable(sc.L, sd.L, c, dd, cdv[d])
+						ek[d].fill(sc.L, sd.L, c, dd, cdv[d])
 					}
 					var pcd [3]float64
 					for d := 0; d < 3; d++ {
@@ -439,7 +639,7 @@ func fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, nu, la, si int) fl
 					}
 					alpha := pexp * qexp / (pexp + qexp)
 					pre := twoERIPre / (pexp * qexp * math.Sqrt(pexp+qexp))
-					r := newRCube(tmax, alpha, pab[0]-pcd[0], pab[1]-pcd[1], pab[2]-pcd[2])
+					r.fill(tmax, alpha, pab[0]-pcd[0], pab[1]-pcd[1], pab[2]-pcd[2])
 					for ca, A := range compA {
 						for cb, B := range compB {
 							cfab := sa.Coefs[ca][p1] * sb.Coefs[cb][p2] * pre
@@ -448,8 +648,8 @@ func fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, nu, la, si int) fl
 									coef := cfab * sc.Coefs[cc][p3] * sd.Coefs[cd][p4]
 									value := func(ia [3]int) float64 {
 										return contractHermite(
-											eb[0][ia[0]][B[0]], eb[1][ia[1]][B[1]], eb[2][ia[2]][B[2]],
-											ek[0][C[0]][D[0]], ek[1][C[1]][D[1]], ek[2][C[2]][D[2]], r)
+											eb[0].at(ia[0], B[0]), eb[1].at(ia[1], B[1]), eb[2].at(ia[2], B[2]),
+											ek[0].at(C[0], D[0]), ek[1].at(C[1], D[1]), ek[2].at(C[2], D[2]), r)
 									}
 									if !deriv {
 										val[((ca*len(compB)+cb)*len(compC)+cc)*len(compD)+cd] += coef * value(A)
@@ -487,10 +687,11 @@ func SchwarzShellPairs(bs *basis.Set) *linalg.Mat {
 	q := linalg.NewMat(nsh, nsh)
 	pairs := upperPairs(nsh)
 	parallelFor(len(pairs), func(lo, hi int) {
+		var ws eriScratch
 		for idx := lo; idx < hi; idx++ {
 			i, j := pairs[idx][0], pairs[idx][1]
 			sa, sb := &bs.Shells[i], &bs.Shells[j]
-			blk := fourCenterBlock(sa, sb, sa, sb, nil, 0, nil)
+			blk := ws.fourCenterBlock(sa, sb, sa, sb, nil, 0, nil)
 			na, nb := sa.NCart(), sb.NCart()
 			var mx float64
 			for ii := 0; ii < na; ii++ {
@@ -548,10 +749,11 @@ func FockDirect(bs *basis.Set, dmat *linalg.Mat, sw *linalg.Mat, thresh float64)
 			nw++
 			go func(lo, hi int) {
 				loc := linalg.NewMat(n, n)
+				var ws eriScratch
 				for qi := lo; qi < hi; qi++ {
 					q := quartets[qi]
 					sa, sb, sc, sd := &bs.Shells[q.a], &bs.Shells[q.b], &bs.Shells[q.c], &bs.Shells[q.d]
-					blk := fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
+					blk := ws.fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
 					na, nb, nc, nd := sa.NCart(), sb.NCart(), sc.NCart(), sd.NCart()
 					for i := 0; i < na; i++ {
 						mu := sa.Start + i
@@ -613,9 +815,10 @@ func FourCenterDerivHF(bs *basis.Set, dmat *linalg.Mat, sw *linalg.Mat, thresh, 
 		}
 	}
 	reduceGrads(len(quartets), grad, func(lo, hi int, buf []float64) {
+		var ws eriScratch
 		for qi := lo; qi < hi; qi++ {
 			q := quartets[qi]
-			fourCenterBlock(&bs.Shells[q[0]], &bs.Shells[q[1]], &bs.Shells[q[2]], &bs.Shells[q[3]],
+			ws.fourCenterBlock(&bs.Shells[q[0]], &bs.Shells[q[1]], &bs.Shells[q[2]], &bs.Shells[q[3]],
 				w4, factor, buf)
 		}
 	})

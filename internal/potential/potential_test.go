@@ -2,7 +2,9 @@ package potential
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/warmstart"
@@ -198,6 +200,24 @@ func TestSCSEnergyOnly(t *testing.T) {
 	for i := range g1 {
 		if math.Abs(g1[i]-g2[i]) > 1e-12 {
 			t.Fatal("gradient should be the plain-MP2 gradient in both cases")
+		}
+	}
+}
+
+// A NaN coordinate must come back as an error naming the first matrix
+// it poisoned, at once — not as a hundred eigensolver sweeps on a NaN
+// metric followed by an SCF that iterates to MaxIter on garbage.
+func TestNonFiniteGeometryIsRejectedFast(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		g := molecule.WaterCluster(2)
+		g.Atoms[4].Pos[1] = bad
+		start := time.Now()
+		_, _, err := (&RIMP2{}).Evaluate(g)
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("coordinate %g: Evaluate took %v, want < 1 s", bad, el)
+		}
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("coordinate %g: err = %v, want a non-finite-matrix error", bad, err)
 		}
 	}
 }

@@ -197,6 +197,19 @@ func (r *Result) CVirt() *linalg.Mat {
 	return c
 }
 
+// requireFinite rejects a matrix about to be factorised that holds a NaN
+// or an infinity — what a non-finite coordinate produces —
+// before the eigensolver and the SCF loop can spend time on it.
+func requireFinite(what string, m *linalg.Mat) error {
+	for i, v := range m.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("scf: %s has the non-finite entry %g at (%d,%d): check the geometry for NaN or infinite coordinates",
+				what, v, i/m.Cols, i%m.Cols)
+		}
+	}
+	return nil
+}
+
 // RHF runs a restricted closed-shell Hartree-Fock calculation.
 func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	opts.fill()
@@ -216,6 +229,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		res.H.AxpyMat(1, integrals.PointChargeMatrix(bs, pc))
 		res.EField = integrals.NuclearFieldEnergy(g, pc)
 	}
+	if err := requireFinite("overlap matrix S", res.S); err != nil {
+		return nil, err
+	}
 	x := linalg.InvSqrtSym(res.S, 1e-10)
 
 	var fockBuild func(d *linalg.Mat, co *linalg.Mat) *linalg.Mat
@@ -228,6 +244,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 			res.V3 = integrals.ThreeCenter(bs, res.Aux)
 		}
 		res.J2 = integrals.TwoCenter(res.Aux)
+		if err := requireFinite("RI Coulomb metric (P|Q)", res.J2); err != nil {
+			return nil, err
+		}
 		res.JInvHalf = linalg.InvSqrtSym(res.J2, 1e-10)
 		res.B = linalg.NewTensor3(res.Aux.N, bs.N, bs.N)
 		// The B-build stays exact even under Options.Precision = F32:
