@@ -97,13 +97,10 @@ func TestRunGemmBenchFlow(t *testing.T) {
 	}
 
 	// Same-machine rerun against the just-written baseline passes with
-	// a tolerance wide enough for a box the other test packages are
-	// loading at the same time (a same-run ratio has been seen to move
-	// 2.5× under `go test ./...` on 2 vCPUs); this checks the flow, the
-	// bench job checks the speed.
+	// a generous tolerance.
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-baseline", jsonPath, "-max-regress", "90", "gemm"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-baseline", jsonPath, "-max-regress", "60", "gemm"}, &out, &errOut); code != 0 {
 		t.Fatalf("baseline self-check exit %d, stderr: %s", code, errOut.String())
 	}
 

@@ -10,8 +10,9 @@ import (
 // twoERIPre is the 2π^{5/2} prefactor common to all ERI classes.
 var twoERIPre = 2 * math.Pow(math.Pi, 2.5)
 
-// cartCache holds basis.CartComponents(l) for the angular momenta the
-// kernels meet in practice, so the hot loops do not rebuild the lists.
+// cartCache holds basis.CartComponents(l) for l ≤ 7 — the basis sets in
+// the repo stop at d orbitals and f auxiliaries, and a derivative raises
+// l by one — so the hot loops do not rebuild the lists.
 var cartCache = func() (c [8][][3]int) {
 	for l := range c {
 		c[l] = basis.CartComponents(l)
@@ -19,12 +20,7 @@ var cartCache = func() (c [8][][3]int) {
 	return c
 }()
 
-func cart(l int) [][3]int {
-	if l < len(cartCache) {
-		return cartCache[l]
-	}
-	return basis.CartComponents(l)
-}
+func cart(l int) [][3]int { return cartCache[l] }
 
 // eriScratch is the workspace one goroutine needs to evaluate ERI blocks
 // without allocating per primitive: every parallelFor chunk owns one, and

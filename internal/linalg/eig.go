@@ -22,9 +22,9 @@ const maxQLIter = 30
 //
 // There is no error return: a matrix with a non-finite entry, or one
 // whose QL iteration exceeds maxQLIter on some eigenvalue, yields w and V
-// filled with NaN, in O(n²) and bounded time respectively, so a caller
-// that checks its result for finiteness cannot mistake a failure for a
-// spectrum.
+// filled with NaN, in O(n²) and bounded time respectively: a failure
+// cannot be mistaken for a spectrum, and testing w[0] for NaN detects it
+// (scf.RHF turns it into an error after every decomposition it makes).
 func EigSym(a *Mat) (w []float64, v *Mat) {
 	if a.Rows != a.Cols {
 		panic("linalg: EigSym requires a square matrix")

@@ -210,6 +210,17 @@ func requireFinite(what string, m *linalg.Mat) error {
 	return nil
 }
 
+// eigFailed turns linalg.EigSym's failure marker — a result filled with
+// NaN, which is all it returns when its QL iteration does not converge or
+// its input is not finite — into an error naming the matrix. first is the
+// spectrum, or the data of a matrix built from it.
+func eigFailed(what string, first []float64) error {
+	if len(first) > 0 && math.IsNaN(first[0]) {
+		return fmt.Errorf("scf: eigensolver failed on the %s: a non-finite entry, or the QL iteration did not converge", what)
+	}
+	return nil
+}
+
 // RHF runs a restricted closed-shell Hartree-Fock calculation.
 func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	opts.fill()
@@ -233,6 +244,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		return nil, err
 	}
 	x := linalg.InvSqrtSym(res.S, 1e-10)
+	if err := eigFailed("overlap matrix S", x.Data); err != nil {
+		return nil, err
+	}
 
 	var fockBuild func(d *linalg.Mat, co *linalg.Mat) *linalg.Mat
 	if opts.UseRI {
@@ -248,6 +262,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 			return nil, err
 		}
 		res.JInvHalf = linalg.InvSqrtSym(res.J2, 1e-10)
+		if err := eigFailed("RI Coulomb metric (P|Q)", res.JInvHalf.Data); err != nil {
+			return nil, err
+		}
 		res.B = linalg.NewTensor3(res.Aux.N, bs.N, bs.N)
 		// The B-build stays exact even under Options.Precision = F32:
 		// J^{-1/2} has large entries whenever the RI metric is
@@ -299,15 +316,20 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	// Initial guess: injected density (warm start) or core Hamiltonian.
 	var c, d, co *linalg.Mat
 	var eps []float64
+	var err error
 	if gd := opts.GuessDensity; gd != nil && gd.Rows == bs.N && gd.Cols == bs.N {
 		d = gd.Clone()
 		if gc := opts.GuessC; gc != nil && gc.Rows == bs.N && gc.Cols >= nocc {
 			co = occBlock(gc, nocc)
 		} else {
-			co = occFromDensity(d, nocc)
+			if co, err = occFromDensity(d, nocc); err != nil {
+				return nil, err
+			}
 		}
 	} else {
-		c, eps = solveFock(res.H, x)
+		if c, eps, err = solveFock(res.H, x); err != nil {
+			return nil, err
+		}
 		d = densityFromC(c, nocc)
 		co = occBlock(c, nocc)
 	}
@@ -329,7 +351,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		maxErr := errMat.MaxAbs()
 
 		f = diis.extrapolate(f, errMat)
-		c, eps = solveFock(f, x)
+		if c, eps, err = solveFock(f, x); err != nil {
+			return nil, err
+		}
 		d = densityFromC(c, nocc)
 		co = occBlock(c, nocc)
 
@@ -394,13 +418,16 @@ func (r *Result) riFock(d, co *linalg.Mat, tuner *autotune.Tuner, prec linalg.Pr
 
 // solveFock diagonalises F in the orthonormalised basis: F' = XᵀFX,
 // C = X C'. Returns MO coefficients and energies (ascending).
-func solveFock(f, x *linalg.Mat) (*linalg.Mat, []float64) {
+func solveFock(f, x *linalg.Mat) (*linalg.Mat, []float64, error) {
 	fx := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, f, x)
 	fp := linalg.MatMul(linalg.Trans, linalg.NoTrans, x, fx)
 	fp.Sym()
 	eps, cp := linalg.EigSym(fp)
+	if err := eigFailed("Fock matrix", eps); err != nil {
+		return nil, nil, err
+	}
 	c := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, x, cp)
-	return c, eps
+	return c, eps, nil
 }
 
 // densityFromC returns D = 2 Σ_i^occ C_i C_iᵀ.
@@ -425,8 +452,11 @@ func densityFromC(c *linalg.Mat, nocc int) *linalg.Mat {
 // C'_o C'_oᵀ = D/2 exactly. Any such factor builds the same Fock matrix
 // (J and K depend on D only), so the guess density alone suffices for
 // the RI exchange path.
-func occFromDensity(d *linalg.Mat, nocc int) *linalg.Mat {
+func occFromDensity(d *linalg.Mat, nocc int) (*linalg.Mat, error) {
 	w, v := linalg.EigSym(d) // ascending eigenvalues
+	if err := eigFailed("guess density", w); err != nil {
+		return nil, err
+	}
 	n := d.Rows
 	co := linalg.NewMat(n, nocc)
 	for i := 0; i < nocc; i++ {
@@ -440,7 +470,7 @@ func occFromDensity(d *linalg.Mat, nocc int) *linalg.Mat {
 			co.Set(mu, i, s*v.At(mu, col))
 		}
 	}
-	return co
+	return co, nil
 }
 
 func occBlock(c *linalg.Mat, nocc int) *linalg.Mat {

@@ -2,6 +2,7 @@ package scf
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/basis"
@@ -266,5 +267,26 @@ func TestOddElectronRejected(t *testing.T) {
 	bs, _ := basis.Build("sto-3g", g)
 	if _, err := RHF(g, bs, Options{}); err == nil {
 		t.Fatal("expected error for odd electron count")
+	}
+}
+
+// An eigensolver failure inside the SCF — here a NaN guess density, the
+// one matrix RHF diagonalises without a finiteness check of its own —
+// must come back as an error naming the matrix, not as a NaN spectrum
+// iterated to MaxIter.
+func TestEigensolverFailureIsAnError(t *testing.T) {
+	g := molecule.Water()
+	bs, _ := basis.Build("sto-3g", g)
+	bad := linalg.NewMat(bs.N, bs.N)
+	bad.Set(1, 2, math.NaN())
+	_, err := RHF(g, bs, Options{UseRI: true, GuessDensity: bad})
+	if err == nil || !strings.Contains(err.Error(), "eigensolver failed on the guess density") {
+		t.Fatalf("NaN guess density: err = %v, want an eigensolver failure naming the guess density", err)
+	}
+	if err := eigFailed("Fock matrix", []float64{math.NaN(), math.NaN()}); err == nil {
+		t.Error("an all-NaN spectrum was not reported")
+	}
+	if err := eigFailed("Fock matrix", []float64{-1, 2}); err != nil {
+		t.Errorf("a finite spectrum was reported: %v", err)
 	}
 }
