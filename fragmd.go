@@ -371,6 +371,8 @@ func GEMMFLOPs() int64 { return linalg.FLOPs() }
 // value it held.
 func ResetGEMMFLOPs() int64 { return linalg.ResetFLOPs() }
 
-// DefaultTuner is the process-wide runtime GEMM auto-tuner (§V-G).
-// Disable it (DefaultTuner.Enabled = false) for ablation studies.
+// DefaultTuner is the process-wide runtime GEMM auto-tuner (§V-G). It
+// starts disabled (GEMMs take linalg's static size-keyed dispatch);
+// set DefaultTuner.Enabled = true before the first evaluation to
+// arbitrate per shape by in-situ timing.
 var DefaultTuner = autotune.Default

@@ -106,8 +106,15 @@ func New() *Tuner {
 	return &Tuner{Enabled: true, shapes: make(map[shape]*state)}
 }
 
-// Default is the process-wide tuner used by the chemistry kernels.
-var Default = New()
+// Default is the process-wide tuner the chemistry kernels route through
+// when their options name none. It starts disabled, so production GEMMs
+// take linalg's static size-keyed dispatch: with an assembly micro-kernel
+// the packed engine wins every shape big enough for a trial to cost
+// anything (a lost trial of a 414³ product is 25 calls of the winner),
+// and a winner locked on one noisy in-situ timing made otherwise
+// identical runs differ by ±6 % in step time. Set Enabled (before the
+// first evaluation) to arbitrate per shape as the paper does.
+var Default = &Tuner{shapes: make(map[shape]*state)}
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C like linalg.Gemm, but may
 // internally transpose operands or route to the packed engine to execute

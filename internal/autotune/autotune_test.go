@@ -246,3 +246,17 @@ func TestTunerReset(t *testing.T) {
 		t.Fatal("reset must clear shapes")
 	}
 }
+
+// The process-wide tuner starts disabled: production GEMMs take the
+// static dispatch and record no arbitration state until someone opts in.
+func TestDefaultStartsDisabled(t *testing.T) {
+	if Default.Enabled {
+		t.Fatal("autotune.Default must start disabled")
+	}
+	a := linalg.Identity(4)
+	c := linalg.NewMat(4, 4)
+	Default.Gemm(linalg.NoTrans, linalg.NoTrans, 1, a, a, 0, c)
+	if c.At(2, 2) != 1 || len(Default.Snapshot()) != 0 {
+		t.Fatal("disabled Default must compute and record nothing")
+	}
+}
