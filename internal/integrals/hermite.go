@@ -58,6 +58,16 @@ func (e *eTable) fill(imax, jmax int, a, b, ab float64) {
 	}
 }
 
+// negateOdd folds the MD ket phase (−1)^t into every filled entry.
+func (e *eTable) negateOdd() {
+	for off := 0; off < len(e.data); off += e.stride {
+		row := e.data[off : off+e.stride]
+		for t := 1; t < len(row); t += 2 {
+			row[t] = -row[t]
+		}
+	}
+}
+
 // raise applies one step of the transfer recurrence
 // E_t^{n+1} = E_{t−1}^n/2p + X·E_t^n + (t+1)·E_{t+1}^n, len(dst) = len(src)+1.
 func raise(src, dst []float64, inv2p, x float64) {

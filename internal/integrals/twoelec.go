@@ -34,31 +34,48 @@ type eriScratch struct {
 	blk   []float64 // a two-centre value block
 	w     []float64 // three-centre gradient weights of a bra shell pair: [(ca·nb+cb)·naux + P]
 	live  []bool    // per auxiliary shell: not screened out / not weightless
+	kets  []ketE    // the ket components contractKet folds the R cube with
 }
 
-// contractKet folds the R cube with the one-centre ket shell whose
-// primitive table (MD phase included) is ek:
+// ketE is the three 1D Hermite tables of one ket component, the MD ket
+// phase (−1)^t folded into the entries.
+type ketE [3][]float64
+
+// centerKets lists the tables of every Cartesian component of a
+// one-centre ket shell whose signed primitive table is ek.
+func (sc *eriScratch) centerKets(comp [][3]int, ek centerTable) []ketE {
+	sc.kets = sc.kets[:0]
+	for _, K := range comp {
+		sc.kets = append(sc.kets, ketE{ek.at(K[0]), ek.at(K[1]), ek.at(K[2])})
+	}
+	return sc.kets
+}
+
+// contractKet folds the R cube with the ket components kets:
 //
 //	g[t,u,v; ck] = Σ_{t'u'v'} E_{t'}^{K_x}·E_{u'}^{K_y}·E_{v'}^{K_z}·(−1)^{t'+u'+v'}·R_{t+t',u+u',v+v'}
 //
-// for every bra Hermite index t+u+v ≤ lbra and Cartesian component K of
-// the ket. A one-centre E_t^{i0} vanishes unless t ≡ i (mod 2).
-func (sc *eriScratch) contractKet(lbra int, compK [][3]int, ek centerTable) {
-	nb, nk, n := lbra+1, len(compK), sc.r.n
+// for every bra Hermite index t+u+v ≤ lbra. step is the stride between
+// the non-zero entries of a table: 1 for a two-centre ket pair, 2 for a
+// one-centre ket, whose E_t^{i0} vanishes unless t ≡ i (mod 2) and whose
+// tables have length i+1.
+func (sc *eriScratch) contractKet(lbra int, kets []ketE, step int) {
+	nb, nk, n := lbra+1, len(kets), sc.r.n
 	sc.g = grow(sc.g, nb*nb*nb*nk)
 	r := sc.r.val
+	odd := step - 1
 	for t := 0; t <= lbra; t++ {
 		for u := 0; u <= lbra-t; u++ {
 			for v := 0; v <= lbra-t-u; v++ {
 				g := sc.g[((t*nb+u)*nb+v)*nk:][:nk]
-				for ck, K := range compK {
-					ex, ey, ez := ek.at(K[0]), ek.at(K[1]), ek.at(K[2])
+				for ck := range kets {
+					ex, ey, ez := kets[ck][0], kets[ck][1], kets[ck][2]
 					var sum float64
-					for t2 := K[0] & 1; t2 < len(ex); t2 += 2 {
-						for u2 := K[1] & 1; u2 < len(ey); u2 += 2 {
+					for t2 := (len(ex) - 1) & odd; t2 < len(ex); t2 += step {
+						for u2 := (len(ey) - 1) & odd; u2 < len(ey); u2 += step {
 							etu := ex[t2] * ey[u2]
 							row := r[((t+t2)*n+u+u2)*n+v:]
-							for v2 := K[2] & 1; v2 < len(ez); v2 += 2 {
+							for v2 := (len(ez) - 1) & odd; v2 < len(ez); v2 += step {
 								sum += etu * ez[v2] * row[v2]
 							}
 						}
@@ -228,7 +245,7 @@ func (sc *eriScratch) twoCenterBlock(aux *basis.Set, ip, iq int, bra, ket *cente
 			alpha := a * b / (a + b)
 			pre := twoERIPre / (a * b * math.Sqrt(a+b))
 			sc.r.fill(lbra+sq.L, alpha, dx, dy, dz)
-			sc.contractKet(lbra, compQ, ket.prim(iq, sq.L, q))
+			sc.contractKet(lbra, sc.centerKets(compQ, ket.prim(iq, sq.L, q)), 2)
 			for cp, P := range compP {
 				cf := sp.Coefs[cp][p] * pre
 				if !deriv {
@@ -441,7 +458,7 @@ func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, aux *basis.Set, ket *
 					alpha := pexp * c / (pexp + c)
 					pre := twoERIPre / (pexp * c * math.Sqrt(pexp+c))
 					sc.r.fill(lbra+sp.L, alpha, pab[0]-sp.Center[0], pab[1]-sp.Center[1], pab[2]-sp.Center[2])
-					sc.contractKet(lbra, compP, ket.prim(ip, sp.L, pp))
+					sc.contractKet(lbra, sc.centerKets(compP, ket.prim(ip, sp.L, pp)), 2)
 					for ca, A := range compA {
 						for cb, B := range compB {
 							cf := sa.Coefs[ca][p] * sb.Coefs[cb][q] * pre
@@ -540,73 +557,30 @@ func FourCenterAll(bs *basis.Set) []float64 {
 	return out
 }
 
-// contractHermite sums E^bra ⊗ E^ket against the R cube with the MD sign
-// (−1)^{t'+u'+v'} on the ket indices:
-//
-//	Σ_{tuv} Σ_{t'u'v'} Ebx[t]·Eby[u]·Ebz[v]·Ekx[t']·Eky[u']·Ekz[v']·(−1)^{t'+u'+v'}·R[t+t'][u+u'][v+v']
-func contractHermite(ebx, eby, ebz, ekx, eky, ekz []float64, r *rCube) float64 {
-	n := r.n
-	var sum float64
-	for t, bt := range ebx {
-		if bt == 0 {
-			continue
-		}
-		for u, bu := range eby {
-			if bu == 0 {
-				continue
-			}
-			btu := bt * bu
-			for v, bv := range ebz {
-				if bv == 0 {
-					continue
-				}
-				btuv := btu * bv
-				for t2, kt := range ekx {
-					if kt == 0 {
-						continue
-					}
-					if t2&1 == 1 {
-						kt = -kt
-					}
-					for u2, ku := range eky {
-						if ku == 0 {
-							continue
-						}
-						if u2&1 == 1 {
-							ku = -ku
-						}
-						ktu := kt * ku
-						ru := r.val[((t+t2)*n+u+u2)*n+v:]
-						for v2, kv := range ekz {
-							if v2&1 == 1 {
-								kv = -kv
-							}
-							sum += btuv * ktu * kv * ru[v2]
-						}
-					}
-				}
-			}
-		}
-	}
-	return sum
-}
-
 // fourCenterBlock computes the (μν|λσ) block of a shell quartet,
-// flattened as [((i·nb+j)·nc+k)·nd+l]. With grad non-nil it contracts the
-// slot-1 (bra-left) derivative with the caller-provided weight function
-// w4(μ,ν,λ,σ) (global indices), accumulating on the bra-left atom.
+// returned flattened as [((i·nb+j)·nc+k)·nd+l] in scratch the next call
+// overwrites. With grad non-nil it instead contracts the slot-1
+// (bra-left) derivative with the caller-provided weight function
+// w4(μ,ν,λ,σ) (global indices), accumulating on the bra-left atom. Per
+// primitive quartet the R cube is folded once with every (λ,σ) component
+// of the ket pair (contractKet), exactly as the two- and three-centre
+// kernels fold it with their one-centre kets.
 func (ws *eriScratch) fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, nu, la, si int) float64, factor float64, grad []float64) []float64 {
 	compA, compB, compC, compD := cart(sa.L), cart(sb.L), cart(sc.L), cart(sd.L)
+	ncb, ncd := len(compB), len(compD)
+	nk := len(compC) * ncd
 	deriv := grad != nil
-	var val []float64
-	if !deriv {
-		val = make([]float64, len(compA)*len(compB)*len(compC)*len(compD))
-	}
 	imax := sa.L
 	if deriv {
 		imax++
+	} else {
+		ws.blk = grow(ws.blk, len(compA)*ncb*nk)
+		for i := range ws.blk {
+			ws.blk[i] = 0
+		}
 	}
-	tmax := imax + sb.L + sc.L + sd.L
+	lbra := imax + sb.L
+	nb := lbra + 1
 	var abv, cdv [3]float64
 	for d := 0; d < 3; d++ {
 		abv[d] = sa.Center[d] - sb.Center[d]
@@ -616,56 +590,60 @@ func (ws *eriScratch) fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, n
 	for p1, a := range sa.Exps {
 		for p2, b := range sb.Exps {
 			pexp := a + b
-			for d := 0; d < 3; d++ {
-				eb[d].fill(imax, sb.L, a, b, abv[d])
-			}
 			var pab [3]float64
 			for d := 0; d < 3; d++ {
+				eb[d].fill(imax, sb.L, a, b, abv[d])
 				pab[d] = (a*sa.Center[d] + b*sb.Center[d]) / pexp
 			}
 			for p3, c := range sc.Exps {
 				for p4, dd := range sd.Exps {
 					qexp := c + dd
-					for d := 0; d < 3; d++ {
-						ek[d].fill(sc.L, sd.L, c, dd, cdv[d])
-					}
 					var pcd [3]float64
 					for d := 0; d < 3; d++ {
+						ek[d].fill(sc.L, sd.L, c, dd, cdv[d])
+						ek[d].negateOdd()
 						pcd[d] = (c*sc.Center[d] + dd*sd.Center[d]) / qexp
 					}
 					alpha := pexp * qexp / (pexp + qexp)
 					pre := twoERIPre / (pexp * qexp * math.Sqrt(pexp+qexp))
-					r.fill(tmax, alpha, pab[0]-pcd[0], pab[1]-pcd[1], pab[2]-pcd[2])
+					r.fill(lbra+sc.L+sd.L, alpha, pab[0]-pcd[0], pab[1]-pcd[1], pab[2]-pcd[2])
+					ws.kets = ws.kets[:0]
+					for _, C := range compC {
+						for _, D := range compD {
+							ws.kets = append(ws.kets, ketE{ek[0].at(C[0], D[0]), ek[1].at(C[1], D[1]), ek[2].at(C[2], D[2])})
+						}
+					}
+					ws.contractKet(lbra, ws.kets, 1)
 					for ca, A := range compA {
 						for cb, B := range compB {
-							cfab := sa.Coefs[ca][p1] * sb.Coefs[cb][p2] * pre
-							for cc, C := range compC {
-								for cd, D := range compD {
-									coef := cfab * sc.Coefs[cc][p3] * sd.Coefs[cd][p4]
-									value := func(ia [3]int) float64 {
-										return contractHermite(
-											eb[0].at(ia[0], B[0]), eb[1].at(ia[1], B[1]), eb[2].at(ia[2], B[2]),
-											ek[0].at(C[0], D[0]), ek[1].at(C[1], D[1]), ek[2].at(C[2], D[2]), r)
-									}
-									if !deriv {
-										val[((ca*len(compB)+cb)*len(compC)+cc)*len(compD)+cd] += coef * value(A)
-										continue
-									}
-									wv := w4(sa.Start+ca, sb.Start+cb, sc.Start+cc, sd.Start+cd) * factor * coef
-									if wv == 0 {
-										continue
-									}
-									for d := 0; d < 3; d++ {
-										up, down := A, A
-										up[d]++
-										down[d]--
-										dv := 2 * a * value(up)
-										if A[d] > 0 {
-											dv -= float64(A[d]) * value(down)
-										}
-										grad[3*sa.Atom+d] += wv * dv
-									}
+							cf := sa.Coefs[ca][p1] * sb.Coefs[cb][p2] * pre
+							ex, ey, ez := eb[0].at(A[0], B[0]), eb[1].at(A[1], B[1]), eb[2].at(A[2], B[2])
+							if !deriv {
+								out := ws.blk[(ca*ncb+cb)*nk:][:nk]
+								for ck, v := range ws.hermiteAxpy(ex, ey, ez, nb, nk) {
+									out[ck] += cf * sc.Coefs[ck/ncd][p3] * sd.Coefs[ck%ncd][p4] * v
 								}
+								continue
+							}
+							ws.acc = grow(ws.acc, nk)
+							var weighted bool
+							for ck := range ws.acc {
+								cc, cd := ck/ncd, ck%ncd
+								w := w4(sa.Start+ca, sb.Start+cb, sc.Start+cc, sd.Start+cd) * factor
+								ws.acc[ck] = w * sc.Coefs[cc][p3] * sd.Coefs[cd][p4]
+								weighted = weighted || w != 0
+							}
+							if !weighted {
+								continue
+							}
+							gw := ws.weightKet(lbra, ws.acc)
+							dA := raiseLower(a, A, func(d, i int) float64 {
+								x := [3][]float64{ex, ey, ez}
+								x[d] = eb[d].at(i, B[d])
+								return hermiteDot(x[0], x[1], x[2], gw, nb)
+							})
+							for d := 0; d < 3; d++ {
+								grad[3*sa.Atom+d] += cf * dA[d]
 							}
 						}
 					}
@@ -673,7 +651,7 @@ func (ws *eriScratch) fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, n
 			}
 		}
 	}
-	return val
+	return ws.blk
 }
 
 // SchwarzShellPairs returns the Cauchy–Schwarz bounds

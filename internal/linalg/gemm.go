@@ -83,8 +83,9 @@ type Kernel int
 const (
 	// KernelAuto picks between streaming and packed by a size
 	// heuristic: small problems run the streaming loops (no packing
-	// cost), larger ones the packed engine. The autotuner refines this
-	// per shape by measurement.
+	// cost), larger ones the packed engine, and a single-column product
+	// a plain matrix–vector loop. The autotuner refines this per shape
+	// by measurement.
 	KernelAuto Kernel = iota
 	// KernelStream runs the four variant streaming loops (the original
 	// engine): no operand copies, loop order chosen by variant.
@@ -212,6 +213,11 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 	}
 
 	work := int64(m) * int64(n) * int64(k)
+	if kern == KernelAuto && n == 1 {
+		// A k×1 and a 1×k operand are the same k contiguous values.
+		gemv(tA, alpha, a, b.Data, c.Data)
+		return
+	}
 	if kern == KernelAuto {
 		kern = KernelStream
 		if work > packedCrossover() {
@@ -256,6 +262,42 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// gemv computes y += alpha·op(A)·x, the matrix–vector case KernelAuto
+// keys statically: one dot product per row of A, or for Aᵀ one axpy per
+// row, both over contiguous memory. The packed engine would pad the
+// single column to a full nr-wide panel after packing all of A, and the
+// streaming loops would run an inner loop of length one. The four
+// partial sums of a dot product are a fixed function of the row length.
+func gemv(tA Transpose, alpha float64, a *Mat, x, y []float64) {
+	if tA {
+		for l, xv := range x {
+			f := alpha * xv
+			if f == 0 {
+				continue
+			}
+			for i, av := range a.Row(l) {
+				y[i] += f * av
+			}
+		}
+		return
+	}
+	for i := range y {
+		row := a.Row(i)
+		var s0, s1, s2, s3 float64
+		l := 0
+		for ; l+4 <= len(row); l += 4 {
+			s0 += row[l] * x[l]
+			s1 += row[l+1] * x[l+1]
+			s2 += row[l+2] * x[l+2]
+			s3 += row[l+3] * x[l+3]
+		}
+		for ; l < len(row); l++ {
+			s0 += row[l] * x[l]
+		}
+		y[i] += alpha * ((s0 + s1) + (s2 + s3))
+	}
 }
 
 // gemmRange dispatches rows [lo,hi) of C to the variant kernel.

@@ -177,3 +177,32 @@ func TestGemmAutoCrossover(t *testing.T) {
 		}
 	}
 }
+
+// KernelAuto runs single-column products through the matrix–vector
+// loops: every orientation, row lengths around the four-way unrolling,
+// and alpha/beta handling against the reference.
+func TestGemmAutoMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, tA := range []Transpose{NoTrans, Trans} {
+		for _, tB := range []Transpose{NoTrans, Trans} {
+			for _, k := range []int{1, 3, 4, 7, 64, 441} {
+				m := 37
+				a := randMat(rng, m, k)
+				if tA {
+					a = randMat(rng, k, m)
+				}
+				b := randMat(rng, k, 1)
+				if tB {
+					b = randMat(rng, 1, k)
+				}
+				got := randMat(rng, m, 1)
+				want := got.Clone()
+				Gemm(tA, tB, -1.5, a, b, 0.5, got)
+				refGemm(tA, tB, -1.5, a, b, 0.5, want)
+				if d := maxAbsDiff(got, want); d > 1e-12 {
+					t.Fatalf("tA=%v tB=%v k=%d: |Δ|=%g", tA, tB, k, d)
+				}
+			}
+		}
+	}
+}

@@ -62,6 +62,12 @@ func (m *Mat) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 // Row returns a view (not a copy) of row i.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// Vec returns the zero-copy (Rows·Cols)×1 column-vector view of m, the
+// operand shape of a matrix–vector product over a flattened index pair.
+func (m *Mat) Vec() *Mat {
+	return &Mat{Rows: m.Rows * m.Cols, Cols: 1, Data: m.Data}
+}
+
 // Clone returns a deep copy of m.
 func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)

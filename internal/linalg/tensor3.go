@@ -44,22 +44,24 @@ func (t *Tensor3) FlattenRows() *Mat {
 	return &Mat{Rows: t.N1 * t.N2, Cols: t.N3, Data: t.Data}
 }
 
-// TransposeBlocks returns a new N1×N3×N2 tensor with every leading-index
-// block transposed: out(p, j, i) = t(p, i, j). It is the reorder between
-// the two batched GEMMs of the AO→MO transform.
-func (t *Tensor3) TransposeBlocks() *Tensor3 {
-	out := NewTensor3(t.N1, t.N3, t.N2)
+// TransposeBlocksInto writes the N1×N3×N2 tensor with every leading-index
+// block transposed into the caller-owned out (every element is
+// overwritten): out(p, j, i) = t(p, i, j). It is the reorder between two
+// batched GEMMs over FlattenRows views, e.g. of the AO→MO transform.
+func (t *Tensor3) TransposeBlocksInto(out *Tensor3) {
+	if out.N1 != t.N1 || out.N2 != t.N3 || out.N3 != t.N2 {
+		panic("linalg: TransposeBlocksInto dimension mismatch")
+	}
+	n2, n3 := t.N2, t.N3
 	for p := 0; p < t.N1; p++ {
-		src := t.Slice(p)
-		dst := out.Slice(p)
-		for i := 0; i < t.N2; i++ {
-			row := src.Row(i)
-			for j, v := range row {
-				dst.Data[j*t.N2+i] = v
+		src := t.Data[p*n2*n3:][:n2*n3]
+		dst := out.Data[p*n2*n3:][:n2*n3]
+		for i := 0; i < n2; i++ {
+			for j, v := range src[i*n3:][:n3] {
+				dst[j*n2+i] = v
 			}
 		}
 	}
-	return out
 }
 
 // Clone returns a deep copy.

@@ -73,3 +73,31 @@ func TestQuickTensor3FlattenContraction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestTensor3TransposeBlocksInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	src := NewTensor3(3, 4, 5)
+	for i := range src.Data {
+		src.Data[i] = rng.NormFloat64()
+	}
+	dst := NewTensor3(3, 5, 4)
+	for i := range dst.Data {
+		dst.Data[i] = 99 // stale contents must be overwritten
+	}
+	src.TransposeBlocksInto(dst)
+	for p := 0; p < 3; p++ {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 5; j++ {
+				if dst.At(p, j, i) != src.At(p, i, j) {
+					t.Fatalf("dst(%d,%d,%d) = %g, want src(%d,%d,%d) = %g", p, j, i, dst.At(p, j, i), p, i, j, src.At(p, i, j))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("mismatched destination dimensions did not panic")
+		}
+	}()
+	src.TransposeBlocksInto(NewTensor3(3, 4, 5))
+}

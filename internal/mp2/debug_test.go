@@ -21,54 +21,17 @@ func TestDebugIdentities(t *testing.T) {
 	}
 	// The energy stage only materializes Qov; the gradient intermediates
 	// this test white-boxes are built on demand.
-	r.buildBov()
-	r.buildBmo()
+	ws := r.buildMOBlocks()
+	r.amplitudes()
+	r.lagrangian()
 	nocc := ref.NOcc
 	nvir := ref.NVirt()
-	naux := ref.Aux.N
 	eps := ref.Eps
-	tuner := r.opts.Tuner
 
-	// Rebuild amplitudes/gamma exactly as Gradient does.
-	tAll := make([]*linalg.Mat, nocc*nocc)
-	vij := linalg.NewMat(nvir, nvir)
-	for i := 0; i < nocc; i++ {
-		bi := r.bov.Slice(i)
-		for j := i; j < nocc; j++ {
-			tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, r.bov.Slice(j), 0, vij)
-			tij := linalg.NewMat(nvir, nvir)
-			for a := 0; a < nvir; a++ {
-				ea := eps[i] + eps[j] - eps[nocc+a]
-				for b := 0; b < nvir; b++ {
-					tij.Set(a, b, vij.At(a, b)/(ea-eps[nocc+b]))
-				}
-			}
-			tAll[i*nocc+j] = tij
-			if i != j {
-				tAll[j*nocc+i] = tij.T()
-			}
-		}
-	}
-	tilde := func(tm *linalg.Mat) *linalg.Mat {
-		tt := linalg.NewMat(nvir, nvir)
-		for a := 0; a < nvir; a++ {
-			for b := 0; b < nvir; b++ {
-				tt.Set(a, b, 2*tm.At(a, b)-tm.At(b, a))
-			}
-		}
-		return tt
-	}
-	gamma := linalg.NewTensor3(nocc, naux, nvir)
-	for i := 0; i < nocc; i++ {
-		gi := gamma.Slice(i)
-		for j := 0; j < nocc; j++ {
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, r.bov.Slice(j), tilde(tAll[i*nocc+j]), 1, gi)
-		}
-	}
 	// Identity 1: E2 = Σ_Pia γ^P_ia B^P_ia.
 	var e2check float64
 	for i := 0; i < nocc; i++ {
-		e2check += linalg.Dot(gamma.Slice(i), r.bov.Slice(i))
+		e2check += linalg.Dot(ws.gamma.Slice(i), ws.bov.Slice(i))
 	}
 	fmt.Printf("E2 = %.10f, Σγ·B = %.10f (Δ=%.2e)\n", r.Ecorr, e2check, r.Ecorr-e2check)
 	if math.Abs(e2check-r.Ecorr) > 1e-10 {
@@ -76,38 +39,10 @@ func TestDebugIdentities(t *testing.T) {
 	}
 
 	// Identity 2: Λ_{j,i} − Λ_{i,j} = 2(εi−εj)P_ij on the oo block.
-	nbf := ref.Bs.N
-	lamOcc := linalg.NewMat(nbf, nocc)
-	bpo := linalg.NewMat(nbf, nocc)
-	bpv := linalg.NewMat(nbf, nvir)
-	gp := linalg.NewMat(nocc, nvir)
-	lamVir := linalg.NewMat(nbf, nvir)
-	for p := 0; p < naux; p++ {
-		bp := r.bmo.Slice(p)
-		for q := 0; q < nbf; q++ {
-			copy(bpo.Row(q), bp.Row(q)[:nocc])
-			copy(bpv.Row(q), bp.Row(q)[nocc:])
-		}
-		for i := 0; i < nocc; i++ {
-			copy(gp.Row(i), gamma.Slice(i).Row(p))
-		}
-		tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, bpv, gp, 1, lamOcc)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 4, bpo, gp, 1, lamVir)
-	}
-	poo := linalg.NewMat(nocc, nocc)
 	for i := 0; i < nocc; i++ {
 		for j := 0; j < nocc; j++ {
-			var s float64
-			for k := 0; k < nocc; k++ {
-				s += linalg.Dot(tilde(tAll[i*nocc+k]), tAll[j*nocc+k])
-			}
-			poo.Set(i, j, -2*s)
-		}
-	}
-	for i := 0; i < nocc; i++ {
-		for j := 0; j < nocc; j++ {
-			lhs := lamOcc.At(j, i) - lamOcc.At(i, j)
-			rhs := 2 * (eps[i] - eps[j]) * poo.At(i, j)
+			lhs := ws.lamOcc.At(j, i) - ws.lamOcc.At(i, j)
+			rhs := 2 * (eps[i] - eps[j]) * ws.poo.At(i, j)
 			if math.Abs(lhs-rhs) > 1e-8 {
 				t.Errorf("Λ asym identity violated at (%d,%d): %.8f vs %.8f", i, j, lhs, rhs)
 			}
@@ -115,17 +50,10 @@ func TestDebugIdentities(t *testing.T) {
 	}
 
 	// Identity 3 (vv analogue): Λ_{b,a} − Λ_{a,b} = 2(εa−εb)P_ab.
-	pvv := linalg.NewMat(nvir, nvir)
-	for i := 0; i < nocc; i++ {
-		for j := 0; j < nocc; j++ {
-			tij := tAll[i*nocc+j]
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 2, tilde(tij), tij, 1, pvv)
-		}
-	}
 	for a := 0; a < nvir; a++ {
 		for b := 0; b < nvir; b++ {
-			lhs := lamVir.At(nocc+b, a) - lamVir.At(nocc+a, b)
-			rhs := 2 * (eps[nocc+a] - eps[nocc+b]) * pvv.At(a, b)
+			lhs := ws.lamVir.At(nocc+b, a) - ws.lamVir.At(nocc+a, b)
+			rhs := 2 * (eps[nocc+a] - eps[nocc+b]) * ws.pvv.At(a, b)
 			if math.Abs(lhs-rhs) > 1e-8 {
 				t.Errorf("Λvv asym identity violated at (%d,%d): %.8f vs %.8f", a, b, lhs, rhs)
 			}
@@ -173,4 +101,26 @@ func TestDebugH2Decomposition(t *testing.T) {
 	}
 	sum := parts["mp2-1e"][5] + parts["mp2-w"][5] + parts["mp2-sep"][5] + parts["mp2-amp"][5]
 	fmt.Printf("  parts sum = %+.9f (want FD %.9f)\n", sum, fd)
+}
+
+// The gradient folds the HF two-electron coefficients (D, D, ½) and the
+// orbital-response coupling (P̄ + Pz, D, 1) into one AddRISeparableCoeffs
+// call; the split diagnostics keep the two-call form, and the two must
+// contract to the same gradient.
+func TestDebugSeparableFold(t *testing.T) {
+	for _, g := range []*molecule.Geometry{molecule.Water(), molecule.WaterDimer(3.0)} {
+		r, err := RIMP2(runSCF(t, g, true, smallAux), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := r.gradientParts(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, folded := range parts["sep"] {
+			if d := math.Abs(parts["hf-sep"][k] + parts["mp2-sep"][k] - folded); d > 1e-12 {
+				t.Errorf("%d atoms, component %d: two-call form differs from the folded call by %.3g (> 1e-12)", g.N(), k, d)
+			}
+		}
+	}
 }

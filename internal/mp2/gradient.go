@@ -67,126 +67,43 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	naux := ref.Aux.N
 	eps := ref.Eps
 	tuner := r.opts.Tuner
-	// The gradient reuses the batched Qov from the energy stage: bov is
-	// a pure reorder of it, and the full-MO bmo is built lazily here
-	// with the same two-batched-GEMM pipeline.
-	if r.bov == nil {
-		r.buildBov()
-	}
-	if r.bmo == nil {
-		r.buildBmo()
-	}
+	ws := r.buildMOBlocks()
 
-	// ---- amplitudes, unrelaxed density blocks, gamma --------------------
-	// t_ij kept for all ordered (i,j): t_ji = t_ijᵀ.
-	tAll := make([]*linalg.Mat, nocc*nocc)
-	vij := linalg.NewMat(nvir, nvir)
-	for i := 0; i < nocc; i++ {
-		bi := r.bov.Slice(i)
-		for j := i; j < nocc; j++ {
-			tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, r.bov.Slice(j), 0, vij)
-			tij := linalg.NewMat(nvir, nvir)
-			for a := 0; a < nvir; a++ {
-				ea := eps[i] + eps[j] - eps[nocc+a]
-				for b := 0; b < nvir; b++ {
-					tij.Set(a, b, vij.At(a, b)/(ea-eps[nocc+b]))
-				}
-			}
-			tAll[i*nocc+j] = tij
-			if i != j {
-				tAll[j*nocc+i] = tij.T()
-			}
-		}
-	}
-	tildeOf := func(t *linalg.Mat) *linalg.Mat {
-		tt := linalg.NewMat(nvir, nvir)
-		for a := 0; a < nvir; a++ {
-			for b := 0; b < nvir; b++ {
-				tt.Set(a, b, 2*t.At(a, b)-t.At(b, a))
-			}
-		}
-		return tt
-	}
-
-	poo := linalg.NewMat(nocc, nocc)
-	pvv := linalg.NewMat(nvir, nvir)
-	gamma := linalg.NewTensor3(nocc, naux, nvir) // γ^P_ia arranged (i, P, a)
-	for i := 0; i < nocc; i++ {
-		gi := gamma.Slice(i)
-		for j := 0; j < nocc; j++ {
-			tij := tAll[i*nocc+j]
-			tt := tildeOf(tij)
-			// P_ij = −2 Σ_kab T̃_ikab t_jkab — accumulate at (i, j) over k=j loop index trick:
-			// here the pair (i,k=j) contributes to P with second index scanned below.
-			// γ_i += B_j · T̃_ijᵀ.
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, r.bov.Slice(j), tt, 1, gi)
-			// P_vv += 2 T̃_ijᵀ? : P_ab = 2 Σ_c T̃_ij[a,c] t_ij[b,c] → GEMM NT.
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 2, tt, tij, 1, pvv)
-		}
-	}
-	for i := 0; i < nocc; i++ {
-		for j := 0; j < nocc; j++ {
-			var s float64
-			for k := 0; k < nocc; k++ {
-				s += linalg.Dot(tildeOf(tAll[i*nocc+k]), tAll[j*nocc+k])
-			}
-			poo.Set(i, j, -2*s)
-		}
-	}
-
-	// ---- Lagrangian Λ ----------------------------------------------------
-	lamOcc := linalg.NewMat(nbf, nocc) // Λ_pi
-	lamVir := linalg.NewMat(nbf, nvir) // Λ_pa
-	bpo := linalg.NewMat(nbf, nocc)
-	bpv := linalg.NewMat(nbf, nvir)
-	gp := linalg.NewMat(nocc, nvir)
-	for p := 0; p < naux; p++ {
-		bp := r.bmo.Slice(p)
-		for q := 0; q < nbf; q++ {
-			copy(bpo.Row(q), bp.Row(q)[:nocc])
-			copy(bpv.Row(q), bp.Row(q)[nocc:])
-		}
-		for i := 0; i < nocc; i++ {
-			copy(gp.Row(i), gamma.Slice(i).Row(p))
-		}
-		// Λ_pi += 4 Σ_a B_pa γ_ia ; Λ_pa += 4 Σ_i B_pi γ_ia.
-		tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, bpv, gp, 1, lamOcc)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 4, bpo, gp, 1, lamVir)
-	}
+	r.amplitudes()
+	r.lagrangian()
+	poo, pvv, lamOcc, lamVir := ws.poo, ws.pvv, ws.lamOcc, ws.lamVir
 
 	// ---- AO response densities and the G operator ------------------------
 	co := ref.COcc()
 	cv := ref.CVirt()
-	pooAO := sandwich(tuner, co, poo, co)
-	pvvAO := sandwich(tuner, cv, pvv, cv)
-	pbar := pooAO.Clone()
-	pbar.AxpyMat(1, pvvAO)
-
-	gop := func(m *linalg.Mat) *linalg.Mat { return r.gOperator(m) }
-	gpbarMO := r.toMO(gop(pbar))
+	pbar := sandwich(tuner, co, poo, co)
+	pbar.AxpyMat(1, sandwich(tuner, cv, pvv, cv))
+	gao := linalg.NewMat(nbf, nbf)
+	r.gOperator(pbar, gao)
+	gpbarMO := r.toMO(gao)
 
 	// ---- Z-vector ---------------------------------------------------------
-	theta := linalg.NewMat(nvir, nocc)
+	theta := ws.theta
 	for a := 0; a < nvir; a++ {
 		for i := 0; i < nocc; i++ {
 			theta.Set(a, i, lamOcc.At(nocc+a, i)-lamVir.At(i, a)+4*gpbarMO.At(nocc+a, i))
 		}
 	}
-	z, err := r.solveZVector(theta, co, cv, gop)
+	z, err := r.solveZVector(theta)
 	if err != nil {
 		return nil, err
 	}
 	dz := symOV(tuner, cv, z, co) // Cv z Coᵀ + Co zᵀ Cvᵀ
-	pz := dz.Clone().Scale(-0.5)
 
 	// ---- total one-particle densities -------------------------------------
-	ptot := pbar.Clone()
-	ptot.AxpyMat(1, pz)
+	ptot := pbar // P̄ + Pz, Pz = −½ Dz
+	ptot.AxpyMat(-0.5, dz)
 	dh := ref.D.Clone() // HF density
 	dh.AxpyMat(1, ptot)
 
 	// ---- energy-weighted density W (MO, then AO) --------------------------
-	wmo := linalg.NewMat(nbf, nbf)
+	wmo := ws.wmo
+	wmo.Zero()
 	for i := 0; i < nocc; i++ {
 		// HF part: W_ij += 2 εi δij (occupation-2 convention).
 		wmo.Add(i, i, 2*eps[i])
@@ -206,7 +123,8 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 		}
 	}
 	// Fock-response couplings to occupied-occupied overlap derivatives.
-	gdzMO := r.toMO(gop(dz))
+	r.gOperator(dz, gao)
+	gdzMO := r.toMO(gao)
 	for i := 0; i < nocc; i++ {
 		for j := 0; j < nocc; j++ {
 			wmo.Add(i, j, 2*gpbarMO.At(i, j)-gdzMO.At(i, j))
@@ -232,86 +150,65 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 		integrals.NuclearFieldDeriv(ref.Geom, pc, 1, grad, r.embedGrad)
 	}
 	integrals.OverlapDeriv(ref.Bs, wao, -1, grad)
+
+	// The separable coefficients are linear in their first density at a
+	// fixed second one, so the HF two-electron term (D, D, ½) and the
+	// orbital-response coupling (P̄ + Pz, D, 1) fold into one call.
+	dsep := dh.Clone()
+	dsep.AxpyMat(-0.5, ref.D)
+	zAcc, zetaAcc := ws.zAcc, ws.zetaAcc
+	zAcc.Zero()
+	zetaAcc.Zero()
+	ref.AddRISeparableCoeffs(dsep, ref.D, 1.0, zAcc, zetaAcc)
+
+	// Amplitude skeleton: Z^{amp} = 4 (J^{-1/2} γ)^AO and
+	// ζ^{amp} = −2 Σ_ia (J^{-1/2}B)_Pia (J^{-1/2}γ)_Qia.
+	for i := 0; i < nocc; i++ {
+		gi := ws.gamma.Slice(i)
+		for p := 0; p < naux; p++ {
+			for a, v := range gi.Row(p) {
+				ws.gamAux.Data[(p*nvir+a)*nocc+i] = v
+			}
+		}
+	}
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.JInvHalf, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.JInvHalf, ws.bpvo.Flatten(), 0, ws.bT.Flatten())
+	r.ampBackTransform(co, cv, zAcc)
+	// TwoCenterDeriv contracts ζ_PQ + ζ_QP, so −2·(bT·gamTᵀ) stands for
+	// the symmetric −(bT·gamTᵀ + gamT·bTᵀ).
+	addZetaAmp := func(zeta *linalg.Mat) {
+		tuner.Gemm(linalg.NoTrans, linalg.Trans, -2, ws.bT.Flatten(), ws.gamT.Flatten(), 1, zeta)
+	}
+	addZetaAmp(zetaAcc)
+
 	if split {
 		p := newPart("mp2-1e")
 		integrals.KineticDeriv(ref.Bs, ptot, 1, p)
 		integrals.NuclearDeriv(ref.Bs, ref.Geom, ptot, 1, p)
-		pw := newPart("mp2-w")
-		wHF := ref.EnergyWeightedDensity()
 		wmp2 := wao.Clone()
-		wmp2.AxpyMat(-1, wHF)
-		integrals.OverlapDeriv(ref.Bs, wmp2, -1, pw)
-	}
+		wmp2.AxpyMat(-1, ref.EnergyWeightedDensity())
+		integrals.OverlapDeriv(ref.Bs, wmp2, -1, newPart("mp2-w"))
 
-	zAcc := linalg.NewTensor3(naux, nbf, nbf)
-	zetaAcc := linalg.NewMat(naux, naux)
-	ref.AddRISeparableCoeffs(ref.D, ref.D, 0.5, zAcc, zetaAcc) // HF two-electron
-	ref.AddRISeparableCoeffs(ptot, ref.D, 1.0, zAcc, zetaAcc)  // orbital response
-	if split {
-		z1 := linalg.NewTensor3(naux, nbf, nbf)
-		c1 := linalg.NewMat(naux, naux)
-		ref.AddRISeparableCoeffs(ptot, ref.D, 1.0, z1, c1)
-		p := newPart("mp2-sep")
-		integrals.ThreeCenterDeriv(ref.Bs, ref.Aux, z1, 1, p)
-		integrals.TwoCenterDeriv(ref.Aux, c1, 1, p)
-	}
-
-	// Amplitude skeleton: Z^{amp} = 4 (J^{-1/2} γ)^AO and
-	// ζ^{amp} = −2 Σ_ia (J^{-1/2}B)_Pia (J^{-1/2}γ)_Qia.
-	gamAux := linalg.NewMat(naux, nocc*nvir)
-	bAux := linalg.NewMat(naux, nocc*nvir)
-	for i := 0; i < nocc; i++ {
-		gi := gamma.Slice(i)
-		bi := r.bov.Slice(i)
-		for p := 0; p < naux; p++ {
-			copy(gamAux.Row(p)[i*nvir:(i+1)*nvir], gi.Row(p))
-			copy(bAux.Row(p)[i*nvir:(i+1)*nvir], bi.Row(p))
+		// One contraction class per pass. "sep" is the folded call above;
+		// "hf-sep" + "mp2-sep" is the two-call form it replaces.
+		twoElec := func(name string, fill func(z1 *linalg.Tensor3, c1 *linalg.Mat)) {
+			z1 := linalg.NewTensor3(naux, nbf, nbf)
+			c1 := linalg.NewMat(naux, naux)
+			fill(z1, c1)
+			p := newPart(name)
+			integrals.ThreeCenterDeriv(ref.Bs, ref.Aux, z1, 1, p)
+			integrals.TwoCenterDeriv(ref.Aux, c1, 1, p)
 		}
-	}
-	gamT := linalg.NewMat(naux, nocc*nvir)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.JInvHalf, gamAux, 0, gamT)
-	bT := linalg.NewMat(naux, nocc*nvir)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.JInvHalf, bAux, 0, bT)
-
-	gmo := linalg.NewMat(nocc, nvir)
-	t2 := linalg.NewMat(nocc, nbf)
-	t3 := linalg.NewMat(nbf, nbf)
-	for p := 0; p < naux; p++ {
-		for i := 0; i < nocc; i++ {
-			copy(gmo.Row(i), gamT.Row(p)[i*nvir:(i+1)*nvir])
+		sep := func(da *linalg.Mat, factor float64) func(*linalg.Tensor3, *linalg.Mat) {
+			return func(z1 *linalg.Tensor3, c1 *linalg.Mat) { ref.AddRISeparableCoeffs(da, ref.D, factor, z1, c1) }
 		}
-		// Z^{amp}_P += 4 · C_o · Γ̃_P · C_vᵀ  (AO back-transform).
-		tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, gmo, cv, 0, t2)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, co, t2, 0, t3)
-		zAcc.Slice(p).AxpyMat(4, t3)
-	}
-	zetaAmp := linalg.NewMat(naux, naux)
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, bT, gamT, 0, zetaAmp)
-	for p := 0; p < naux; p++ {
-		for q := 0; q < naux; q++ {
-			zetaAcc.Add(p, q, -(zetaAmp.At(p, q) + zetaAmp.At(q, p)))
-		}
-	}
-	if split {
-		z1 := linalg.NewTensor3(naux, nbf, nbf)
-		gmo2 := linalg.NewMat(nocc, nvir)
-		for p := 0; p < naux; p++ {
-			for i := 0; i < nocc; i++ {
-				copy(gmo2.Row(i), gamT.Row(p)[i*nvir:(i+1)*nvir])
-			}
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, gmo2, cv, 0, t2)
-			tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, co, t2, 0, t3)
-			z1.Slice(p).AxpyMat(4, t3)
-		}
-		c1 := linalg.NewMat(naux, naux)
-		for p := 0; p < naux; p++ {
-			for q := 0; q < naux; q++ {
-				c1.Add(p, q, -(zetaAmp.At(p, q) + zetaAmp.At(q, p)))
-			}
-		}
-		p := newPart("mp2-amp")
-		integrals.ThreeCenterDeriv(ref.Bs, ref.Aux, z1, 1, p)
-		integrals.TwoCenterDeriv(ref.Aux, c1, 1, p)
+		twoElec("hf-sep", sep(ref.D, 0.5))
+		twoElec("mp2-sep", sep(ptot, 1.0))
+		twoElec("sep", sep(dsep, 1.0))
+		twoElec("mp2-amp", func(z1 *linalg.Tensor3, c1 *linalg.Mat) {
+			r.ampBackTransform(co, cv, z1)
+			addZetaAmp(c1)
+		})
 	}
 
 	integrals.ThreeCenterDeriv(ref.Bs, ref.Aux, zAcc, 1, grad)
@@ -319,28 +216,144 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	return parts, nil
 }
 
-// gOperator applies the closed-shell response operator
-// G[M] = J[M] − ½K[M] in the AO basis via the resident B tensor.
-func (r *Result) gOperator(m *linalg.Mat) *linalg.Mat {
+// buildMOBlocks forms the full-MO B^P_pq = (Cᵀ B_P C) for every P with two
+// batched GEMMs over the flattened (naux·nbf) dimension and scatters it
+// into the workspace's orbital-class blocks. The blockwise transpose
+// between the GEMMs exploits B_P = B_Pᵀ: with T_P = B_P·C,
+// (T_Pᵀ·C)(q,p) = (Cᵀ B_P C)(p,q), and Cᵀ B_P C is symmetric, so the
+// second flat product lands the MO blocks directly. Only the gradient
+// needs them, so they (and the workspace) are built on its first call.
+func (r *Result) buildMOBlocks() *workspace {
+	if r.ws != nil {
+		return r.ws
+	}
 	ref := r.SCF
 	nbf := ref.Bs.N
 	naux := ref.Aux.N
+	nocc := ref.NOcc
+	nvir := ref.NVirt()
 	tuner := r.opts.Tuner
-	mvec := &linalg.Mat{Rows: nbf * nbf, Cols: 1, Data: m.Data}
-	u := linalg.NewMat(naux, 1)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.Flatten(), mvec, 0, u)
-	jvec := linalg.NewMat(nbf*nbf, 1)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.B.Flatten(), u, 0, jvec)
-	out := &linalg.Mat{Rows: nbf, Cols: nbf, Data: jvec.Data}
-	t1 := linalg.NewMat(nbf, nbf)
-	t2 := linalg.NewMat(nbf, nbf)
+	ws := newWorkspace(nbf, naux, nocc, nvir)
+
+	ta, tb := ref.Scratch3(nbf, nbf)
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), ref.C, 0, ta.FlattenRows())
+	ta.TransposeBlocksInto(tb)
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, tb.FlattenRows(), ref.C, 0, ta.FlattenRows())
 	for p := 0; p < naux; p++ {
-		bp := ref.B.Slice(p)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, bp, m, 0, t1)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, t1, bp, 0, t2)
-		out.AxpyMat(-0.5, t2)
+		for q := 0; q < nbf; q++ {
+			row := ta.Data[(p*nbf+q)*nbf:][:nbf]
+			if q < nocc {
+				copy(ws.boo.Data[(q*naux+p)*nocc:], row[:nocc])
+				copy(ws.bov.Data[(q*naux+p)*nvir:], row[nocc:])
+				continue
+			}
+			b := q - nocc
+			copy(ws.bvo.Data[(b*naux+p)*nocc:], row[:nocc])
+			copy(ws.bvv.Data[(b*naux+p)*nvir:], row[nocc:])
+			copy(ws.bpvo.Data[(p*nvir+b)*nocc:], row[:nocc])
+		}
 	}
-	return out
+	r.ws = ws
+	return ws
+}
+
+// amplitudes fills the workspace with t_ij = (ia|jb)/Δ_ijab and
+// T̃_ij = 2t_ij − t_ijᵀ for every ordered pair (t_ji = t_ijᵀ), the
+// three-index amplitude density γ and the unrelaxed blocks P_oo, P_vv.
+func (r *Result) amplitudes() {
+	ws := r.ws
+	nocc := r.SCF.NOcc
+	nvir := r.SCF.NVirt()
+	eps := r.SCF.Eps
+	tuner := r.opts.Tuner
+
+	for i := 0; i < nocc; i++ {
+		bi := ws.bov.Slice(i)
+		for j := i; j < nocc; j++ {
+			tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, ws.bov.Slice(j), 0, ws.vij)
+			tij, tji := ws.t.Slice(i*nocc+j), ws.t.Slice(j*nocc+i)
+			for a := 0; a < nvir; a++ {
+				ea := eps[i] + eps[j] - eps[nocc+a]
+				for b := 0; b < nvir; b++ {
+					tij.Set(a, b, ws.vij.At(a, b)/(ea-eps[nocc+b]))
+				}
+			}
+			ttij, ttji := ws.tt.Slice(i*nocc+j), ws.tt.Slice(j*nocc+i)
+			for a := 0; a < nvir; a++ {
+				for b := 0; b < nvir; b++ {
+					ttij.Set(a, b, 2*tij.At(a, b)-tij.At(b, a))
+				}
+			}
+			if i != j {
+				for a := 0; a < nvir; a++ {
+					for b := 0; b < nvir; b++ {
+						tji.Set(b, a, tij.At(a, b))
+						ttji.Set(b, a, ttij.At(a, b))
+					}
+				}
+			}
+		}
+	}
+
+	ws.gamma.Zero()
+	ws.pvv.Zero()
+	for i := 0; i < nocc; i++ {
+		gi := ws.gamma.Slice(i)
+		for j := 0; j < nocc; j++ {
+			tt := ws.tt.Slice(i*nocc + j)
+			// γ_i += B_j · T̃_ijᵀ.
+			tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, ws.bov.Slice(j), tt, 1, gi)
+			// P_ab += 2 Σ_c T̃_ij[a,c] t_ij[b,c].
+			tuner.Gemm(linalg.NoTrans, linalg.Trans, 2, tt, ws.t.Slice(i*nocc+j), 1, ws.pvv)
+		}
+	}
+	// P_ij = −2 Σ_kab T̃_ikab t_jkab: one product over the (k, a, b) rows.
+	byOcc := func(x *linalg.Tensor3) *linalg.Mat {
+		return &linalg.Mat{Rows: nocc, Cols: nocc * nvir * nvir, Data: x.Data}
+	}
+	tuner.Gemm(linalg.NoTrans, linalg.Trans, -2, byOcc(ws.tt), byOcc(ws.t), 0, ws.poo)
+}
+
+// lagrangian forms Λ_pi = 4 Σ_Pa B^P_pa γ^P_ia and Λ_pa = 4 Σ_Pi B^P_pi γ^P_ia,
+// one GEMM over (P, a) respectively (i, P) per orbital-class row block.
+func (r *Result) lagrangian() {
+	ws := r.ws
+	nocc := r.SCF.NOcc
+	nbf := r.SCF.Bs.N
+	tuner := r.opts.Tuner
+	g := ws.gamma
+	tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bov.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, 0, nocc))
+	tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bvv.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, nocc, nbf))
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.boo.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, 0, nocc))
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.bov.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, nocc, nbf))
+}
+
+// ampBackTransform accumulates the AO back-transform 4·C_o·Γ̃_P·C_vᵀ of
+// the J^{-1/2}-transformed amplitude density (workspace gamT, arranged
+// (P, a, i)) into z for every P: the occupied index in one flattened
+// product, a block transpose, the virtual index in a second.
+func (r *Result) ampBackTransform(co, cv *linalg.Mat, z *linalg.Tensor3) {
+	tuner := r.opts.Tuner
+	pvn, pnv := r.SCF.Scratch3(cv.Cols, cv.Rows)
+	tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, r.ws.gamT.FlattenRows(), co, 0, pvn.FlattenRows())
+	pvn.TransposeBlocksInto(pnv)
+	tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, pnv.FlattenRows(), cv, 1, z.FlattenRows())
+}
+
+// gOperator applies the closed-shell response operator
+// G[M] = J[M] − ½K[M] to a symmetric AO matrix via the resident B tensor,
+// writing out: K[M] = Σ_P B_P·M·B_P is one flattened product B·M, a
+// block transpose, and one contraction over (P, λ).
+func (r *Result) gOperator(m, out *linalg.Mat) {
+	ws := r.ws
+	b := r.SCF.B
+	tuner := r.opts.Tuner
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.Flatten(), m.Vec(), 0, ws.u)
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, b.Flatten(), ws.u, 0, out.Vec())
+	ta, tb := r.SCF.Scratch3(m.Rows, m.Cols)
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.FlattenRows(), m, 0, ta.FlattenRows())
+	ta.TransposeBlocksInto(tb)
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, -0.5, tb.FlattenRows(), b.FlattenRows(), 1, out)
 }
 
 // toMO transforms an AO matrix to the MO basis: CᵀXC.
@@ -378,55 +391,81 @@ type gemmer interface {
 	Gemm(tA, tB linalg.Transpose, alpha float64, a, b *linalg.Mat, beta float64, c *linalg.Mat)
 }
 
-// solveZVector solves A z = Θ by conjugate gradients, where the
-// Hessian-vector product is evaluated through the G operator:
-// (Az)_ai = (εa−εi) z_ai + 2 (CᵀG[Dz]C)_ai.
-func (r *Result) solveZVector(theta *linalg.Mat, co, cv *linalg.Mat, gop func(*linalg.Mat) *linalg.Mat) (*linalg.Mat, error) {
-	ref := r.SCF
-	nocc := ref.NOcc
-	nvir := ref.NVirt()
-	eps := ref.Eps
+// hessVec applies the orbital Hessian of the Z-vector equation to z
+// (nvir × nocc) directly in the MO basis,
+//
+//	(Az)_ai = (εa−εi) z_ai + Σ_bj [4(ai|bj) − (ab|ij) − (aj|ib)] z_bj,
+//
+// on the resident MO blocks of B: the Coulomb part is two matrix–vector
+// products with the (P, a, i) block, and each exchange part one product
+// with z and one contraction over (orbital, P) — four packed GEMMs, no
+// AO round trip and no permute.
+func (r *Result) hessVec(z, out *linalg.Mat) {
+	ws := r.ws
+	nocc := r.SCF.NOcc
+	eps := r.SCF.Eps
 	tuner := r.opts.Tuner
 
-	apply := func(z *linalg.Mat) *linalg.Mat {
-		dz := symOV(tuner, cv, z, co)
-		gmo := r.toMO(gop(dz))
-		out := linalg.NewMat(nvir, nocc)
-		for a := 0; a < nvir; a++ {
-			for i := 0; i < nocc; i++ {
-				out.Set(a, i, (eps[nocc+a]-eps[i])*z.At(a, i)+2*gmo.At(nocc+a, i))
+	bvo := ws.bpvo.Flatten()
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 2, bvo, z.Vec(), 0, ws.u)
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 2, bvo, ws.u, 0, out.Vec())
+	// (ab|ij) z_bj: W_j,(P,a) = Σ_b z_bj B^P_ba, then Σ_(j,P) W_(j,P),a B^P_ji.
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, z, ws.bvv.Flatten(), 0, ws.hw.Flatten())
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hw.FlattenRows(), ws.boo.FlattenRows(), 1, out)
+	// (aj|ib) z_bj: X_b,(P,a) = Σ_j z_bj B^P_ja, then Σ_(b,P) X_(b,P),a B^P_bi.
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, z, ws.bov.Flatten(), 0, ws.hx.Flatten())
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hx.FlattenRows(), ws.bvo.FlattenRows(), 1, out)
+	for a := 0; a < z.Rows; a++ {
+		zrow, orow := z.Row(a), out.Row(a)
+		for i, zv := range zrow {
+			orow[i] += (eps[nocc+a] - eps[i]) * zv
+		}
+	}
+}
+
+// solveZVector solves A z = Θ (both nvir × nocc) by conjugate gradients
+// preconditioned with the diagonal orbital-energy differences εa−εi, the
+// dominant part of the Hessian, and records the iteration count in
+// ZVecIters. The returned matrix is workspace storage.
+func (r *Result) solveZVector(theta *linalg.Mat) (*linalg.Mat, error) {
+	ws := r.ws
+	nocc := r.SCF.NOcc
+	eps := r.SCF.Eps
+	z, res, pre, dir, adir := ws.z, ws.res, ws.pre, ws.dir, ws.adir
+
+	// precondition sets pre = res/Δ and returns ⟨res, pre⟩.
+	precondition := func() float64 {
+		for a := 0; a < res.Rows; a++ {
+			rrow, prow := res.Row(a), pre.Row(a)
+			for i, v := range rrow {
+				prow[i] = v / (eps[nocc+a] - eps[i])
 			}
 		}
-		return out
+		return linalg.Dot(res, pre)
 	}
 
-	z := linalg.NewMat(nvir, nocc)
-	// Jacobi preconditioner / initial guess: z = Θ/Δ.
-	for a := 0; a < nvir; a++ {
-		for i := 0; i < nocc; i++ {
-			z.Set(a, i, theta.At(a, i)/(eps[nocc+a]-eps[i]))
-		}
-	}
-	res := theta.Clone()
-	res.AxpyMat(-1, apply(z))
-	p := res.Clone()
-	rr := linalg.Dot(res, res)
+	z.Zero()
+	r.ZVecIters = 0
 	norm0 := math.Sqrt(linalg.Dot(theta, theta))
 	if norm0 == 0 {
 		return z, nil
 	}
+	res.CopyFrom(theta)
+	rz := precondition()
+	dir.CopyFrom(pre)
 	for iter := 0; iter < r.opts.ZVecMaxIter; iter++ {
-		if math.Sqrt(rr) < r.opts.ZVecTol*math.Max(1, norm0) {
+		if math.Sqrt(linalg.Dot(res, res)) < r.opts.ZVecTol*math.Max(1, norm0) {
+			r.ZVecIters = iter
 			return z, nil
 		}
-		ap := apply(p)
-		alpha := rr / linalg.Dot(p, ap)
-		z.AxpyMat(alpha, p)
-		res.AxpyMat(-alpha, ap)
-		rrNew := linalg.Dot(res, res)
-		p.Scale(rrNew / rr)
-		p.AxpyMat(1, res)
-		rr = rrNew
+		r.hessVec(dir, adir)
+		alpha := rz / linalg.Dot(dir, adir)
+		z.AxpyMat(alpha, dir)
+		res.AxpyMat(-alpha, adir)
+		rzNew := precondition()
+		dir.Scale(rzNew / rz)
+		dir.AxpyMat(1, pre)
+		rz = rzNew
 	}
 	return nil, errors.New("mp2: Z-vector CG did not converge")
 }

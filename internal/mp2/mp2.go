@@ -81,14 +81,20 @@ type Result struct {
 	SCF  *scf.Result
 	opts Options
 
+	// ZVecIters is the number of conjugate-gradient iterations the last
+	// gradient's Z-vector solve took (0 before any gradient).
+	ZVecIters int
+
 	qov       *linalg.Tensor3 // Q^P_ia arranged (P, i, a) — the batched DF factor
-	bov       *linalg.Tensor3 // B^P_ia arranged (i, P, a), derived from qov for the gradient
-	bmo       *linalg.Tensor3 // B^P_pq full MO (P, p, q), built lazily for the gradient
+	ws        *workspace      // gradient-stage MO blocks and scratch, built lazily (workspace.go)
 	embedGrad []float64       // field-site gradient of the last Gradients call
 }
 
 // RIMP2 computes the RI-MP2 correlation energy from a converged RI-HF
 // reference. The reference must have been run with scf.Options.UseRI.
+// The transform and the gradient borrow the reference's three-index
+// scratch (scf.Result.Scratch3), so a Result and its reference serve one
+// goroutine at a time.
 func RIMP2(ref *scf.Result, opts Options) (*Result, error) {
 	opts.fill()
 	if ref.B == nil {
@@ -313,7 +319,8 @@ func PairEnergiesUnblocked(bov *linalg.Tensor3, eps []float64, nocc int, tuner *
 //	T_Pμi  = Σ_ν B_Pμν C_νi     one (naux·nbf) × nbf × nocc GEMM
 //	Q_Pia  = Σ_μ T_Pμi C_μa     one (naux·nocc) × nbf × nvir GEMM
 //
-// with a P-blockwise (μ,i) → (i,μ) transpose between the two.
+// with a P-blockwise (μ,i) → (i,μ) transpose between the two, both
+// halves on the reference's three-index scratch.
 func (r *Result) buildQov() {
 	ref := r.SCF
 	nbf := ref.Bs.N
@@ -324,50 +331,11 @@ func (r *Result) buildQov() {
 
 	co := ref.COcc()
 	cv := ref.CVirt()
-	half := linalg.NewTensor3(naux, nbf, nocc)
+	half, halfT := ref.Scratch3(nbf, nocc)
 	tuner.GemmPrec(r.opts.Precision, linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), co, 0, half.FlattenRows())
-	halfT := half.TransposeBlocks() // (P, i, μ)
+	half.TransposeBlocksInto(halfT) // (P, i, μ)
 	r.qov = linalg.NewTensor3(naux, nocc, nvir)
 	tuner.GemmPrec(r.opts.Precision, linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), cv, 0, r.qov.FlattenRows())
-}
-
-// buildBov derives the (i, P, a) arrangement the gradient's amplitude
-// loops index by occupied orbital — a pure reorder of the batched Qov,
-// no additional GEMMs.
-func (r *Result) buildBov() {
-	if r.qov == nil {
-		r.buildQov()
-	}
-	ref := r.SCF
-	nocc := ref.NOcc
-	naux := ref.Aux.N
-	nvir := ref.NVirt()
-	r.bov = linalg.NewTensor3(nocc, naux, nvir)
-	for p := 0; p < naux; p++ {
-		qp := r.qov.Slice(p)
-		for i := 0; i < nocc; i++ {
-			copy(r.bov.Slice(i).Row(p), qp.Row(i))
-		}
-	}
-}
-
-// buildBmo forms the full-MO B^P_pq = (Cᵀ B_P C) for every P with two
-// batched GEMMs over the flattened (naux·nbf) dimension. The blockwise
-// transpose between them exploits B_P = B_Pᵀ: with T_P = B_P·C,
-// (T_Pᵀ·C)(q,p) = (Cᵀ B_P C)(p,q), and Cᵀ B_P C is symmetric, so the
-// second flat product lands the MO blocks directly. Only the gradient
-// needs the full nbf × nbf MO blocks, so this is built lazily.
-func (r *Result) buildBmo() {
-	ref := r.SCF
-	nbf := ref.Bs.N
-	naux := ref.Aux.N
-	tuner := r.opts.Tuner
-
-	tmp := linalg.NewTensor3(naux, nbf, nbf)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), ref.C, 0, tmp.FlattenRows())
-	tmpT := tmp.TransposeBlocks()
-	r.bmo = linalg.NewTensor3(naux, nbf, nbf)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, tmpT.FlattenRows(), ref.C, 0, r.bmo.FlattenRows())
 }
 
 // quarticLive counts the N⁴ scratch arrays currently alive in

@@ -185,3 +185,26 @@ func TestRIMP2RequiresRIReference(t *testing.T) {
 		t.Fatal("expected error for non-RI reference")
 	}
 }
+
+// A reference without virtual orbitals (He₂/STO-3G) has no correlated
+// pairs: every gradient-stage tensor is empty along one dimension and
+// the MP2 gradient must reduce to the RI-HF one.
+func TestGradientWithoutVirtuals(t *testing.T) {
+	g := molecule.New()
+	g.AddAtom(2, 0, 0, 0)
+	g.AddAtom(2, 0, 0, 3.0)
+	ref := runSCF(t, g, true, smallAux)
+	r, err := RIMP2(ref, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Gradient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range ref.Gradient() {
+		if math.Abs(got[k]-want) > 1e-12 {
+			t.Errorf("grad[%d] = %.12f, RI-HF gradient %.12f", k, got[k], want)
+		}
+	}
+}

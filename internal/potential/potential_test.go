@@ -221,3 +221,23 @@ func TestNonFiniteGeometryIsRejectedFast(t *testing.T) {
 		}
 	}
 }
+
+// One RI-MP2 evaluation of a water dimer allocated 19 770 times while the
+// RI contractions ran one auxiliary index at a time on fresh temporaries;
+// batched on the per-evaluation workspaces it must stay under half that.
+func TestRIMP2EvaluateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three RI-MP2 dimer evaluations; the -short suite runs under the race detector, which allocates on its own")
+	}
+	g := molecule.WaterCluster(2)
+	p := &RIMP2{Basis: "sto-3g"}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, _, err := p.Evaluate(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 19770/2 {
+		t.Errorf("%.0f allocations per dimer evaluation, want ≤ %d", allocs, 19770/2)
+	}
+	t.Logf("%.0f allocations per water-dimer RIMP2.Evaluate", allocs)
+}

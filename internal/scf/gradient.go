@@ -96,66 +96,53 @@ func (r *Result) CTilde() *linalg.Tensor3 {
 //	E_sep(Da, Db) = factor · Σ_μνλσ Da_μν Db_λσ [(μν|λσ) − ½(μλ|νσ)]_RI
 //
 // such that dE_sep = Σ zAcc_Pμν (P|μν)^ξ + Σ zetaAcc_PQ (P|Q)^ξ.
-// Both densities must be symmetric. The HF energy uses (D, D) with
-// factor/2; the MP2 orbital-response coupling uses (P^relaxed, D_HF).
+// Both densities must be symmetric. The derivative integrals are
+// symmetric in μν and in PQ, so only the symmetric parts of the
+// coefficients matter and the exchange terms are accumulated
+// unsymmetrised. The HF energy uses (D, D) with factor/2; the MP2
+// orbital-response coupling uses (P^relaxed, D_HF).
 func (r *Result) AddRISeparableCoeffs(da, db *linalg.Mat, factor float64, zAcc *linalg.Tensor3, zetaAcc *linalg.Mat) {
 	nbf := r.Bs.N
 	naux := r.Aux.N
 	tuner := r.opts.Tuner
 	ct := r.CTilde()
+	ws := r.ws
 
-	// u^x_P = Σ_μν V_Pμν Dx_μν ; w^x = J^{-1} u^x.
-	uvec := func(d *linalg.Mat) *linalg.Mat {
-		dv := &linalg.Mat{Rows: nbf * nbf, Cols: 1, Data: d.Data}
-		u := linalg.NewMat(naux, 1)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), dv, 0, u)
-		return u
+	// w^x = J^{-1} u^x with u^x_P = Σ_μν V_Pμν Dx_μν.
+	coulomb := func(d, w *linalg.Mat) {
+		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), d.Vec(), 0, w)
+		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, w, 0, ws.wt)
+		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, ws.wt, 0, w)
 	}
-	applyJinv := func(u *linalg.Mat) *linalg.Mat {
-		t := linalg.NewMat(naux, 1)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, u, 0, t)
-		w := linalg.NewMat(naux, 1)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, t, 0, w)
-		return w
-	}
-	wa := applyJinv(uvec(da))
-	wb := applyJinv(uvec(db))
+	coulomb(da, ws.wa)
+	coulomb(db, ws.wb)
+	wa, wb := ws.wa.Data, ws.wb.Data
 
-	// Exchange intermediates Y_P = Da·C̃_P·Db (and the transposed pair),
-	// accumulated into zAcc; Coulomb adds w^b_P·Da + w^a_P·Db.
-	y := linalg.NewTensor3(naux, nbf, nbf)
-	tmp := linalg.NewMat(nbf, nbf)
+	// Exchange intermediates for every P in two flattened products:
+	// C̃_P·Db, block-transposed to Db·C̃_P (both factors are symmetric),
+	// times Da gives Y_Pᵀ = (Da·C̃_P·Db)ᵀ.
+	y, yT := r.Scratch3(nbf, nbf)
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ct.FlattenRows(), db, 0, y.FlattenRows())
+	y.TransposeBlocksInto(yT)
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, yT.FlattenRows(), da, 0, y.FlattenRows())
+
+	// zAcc_P += factor·(w^b_P·Da + w^a_P·Db − Y_Pᵀ): Coulomb plus the
+	// exchange coefficient −factor·(Da C̃_P Db)_μν.
 	for p := 0; p < naux; p++ {
-		cp := ct.Slice(p)
-		zp := zAcc.Slice(p)
-		yp := y.Slice(p)
-		// tmp = Da·C̃_P ; Y_P = tmp·Db.
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, da, cp, 0, tmp)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, tmp, db, 0, yp)
-		wap := wa.Data[p] * factor
-		wbp := wb.Data[p] * factor
-		for i := 0; i < nbf; i++ {
-			yrow := yp.Row(i)
-			zrow := zp.Row(i)
-			darow := da.Row(i)
-			dbrow := db.Row(i)
-			for j := 0; j < nbf; j++ {
-				// Exchange coefficient −factor·(Da C̃_P Db)_μν, written in
-				// the symmetrised form −factor·½(Y_P + Y_Pᵀ).
-				zrow[j] += wbp*darow[j] + wap*dbrow[j] -
-					0.5*factor*(yrow[j]+yp.At(j, i))
-			}
+		wap, wbp := wa[p]*factor, wb[p]*factor
+		off := p * nbf * nbf
+		zp := zAcc.Data[off : off+nbf*nbf]
+		for i, yv := range y.Data[off : off+nbf*nbf] {
+			zp[i] += wbp*da.Data[i] + wap*db.Data[i] - factor*yv
 		}
 	}
 
 	// ζ: −½(w^a w^bᵀ + w^b w^aᵀ) + ½ G, G_PQ = tr(Da C̃_P Db C̃_Q).
-	gmat := linalg.NewMat(naux, naux)
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, y.Flatten(), ct.Flatten(), 0, gmat)
+	tuner.Gemm(linalg.NoTrans, linalg.Trans, 0.5*factor, y.Flatten(), ct.Flatten(), 1, zetaAcc)
 	for p := 0; p < naux; p++ {
-		for q := 0; q < naux; q++ {
-			v := -0.5*(wa.Data[p]*wb.Data[q]+wb.Data[p]*wa.Data[q]) +
-				0.25*(gmat.At(p, q)+gmat.At(q, p))
-			zetaAcc.Add(p, q, factor*v)
+		zrow := zetaAcc.Row(p)
+		for q := range zrow {
+			zrow[q] -= 0.5 * factor * (wa[p]*wb[q] + wb[p]*wa[q])
 		}
 	}
 }

@@ -169,6 +169,7 @@ type Result struct {
 	ERI []float64
 
 	opts   Options
+	ws     *workspace      // RI scratch of the Fock builds and the gradient (workspace.go)
 	ctilde *linalg.Tensor3 // lazy J^{-1}·(Q|μν) cache (gradient.go)
 }
 
@@ -275,6 +276,7 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		// bound per-iteration work the mixed-precision path targets is
 		// the exchange build below and the MP2 transforms.
 		opts.Tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, res.JInvHalf, res.V3.Flatten(), 0, res.B.Flatten())
+		res.ws = newWorkspace(bs.N, res.Aux.N)
 		fockBuild = func(d, co *linalg.Mat) *linalg.Mat {
 			return res.riFock(d, co, opts.Tuner, opts.Precision)
 		}
@@ -380,39 +382,30 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 }
 
 // riFock builds F = h + J − ½K from the resident B tensor with GEMMs
-// (paper Eq. 8). co is the occupied coefficient block. prec applies to
-// the exchange-build GEMMs only; the Coulomb matvecs are tiny and stay
-// exact.
+// (paper Eq. 8) into the workspace's Fock buffer, which the next call
+// overwrites. co is the occupied coefficient block. prec applies to the
+// exchange-build GEMMs only; the Coulomb matvecs are tiny and stay exact.
 func (r *Result) riFock(d, co *linalg.Mat, tuner *autotune.Tuner, prec linalg.Precision) *linalg.Mat {
-	nbf := r.Bs.N
-	naux := r.Aux.N
-	nocc := co.Cols
+	ws := r.ws
+	f := ws.f
+	f.CopyFrom(r.H)
 
-	// Coulomb: u_P = Σ_μν B_Pμν D_μν ; J_μν = Σ_P B_Pμν u_P.
-	dvec := &linalg.Mat{Rows: nbf * nbf, Cols: 1, Data: d.Data}
-	u := linalg.NewMat(naux, 1)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.Flatten(), dvec, 0, u)
-	jvec := linalg.NewMat(nbf*nbf, 1)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, r.B.Flatten(), u, 0, jvec)
+	// Coulomb: u_P = Σ_μν B_Pμν D_μν ; J_μν = Σ_P B_Pμν u_P, added onto h.
+	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.Flatten(), d.Vec(), 0, ws.u)
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, r.B.Flatten(), ws.u, 1, f.Vec())
 
-	// Exchange: T_P = B_P · C_occ ; K = M Mᵀ with M_μ,(P,i) = T_P μi.
-	m := linalg.NewMat(nbf, naux*nocc)
-	tp := linalg.NewMat(nbf, nocc)
-	for p := 0; p < naux; p++ {
-		tuner.GemmPrec(prec, linalg.NoTrans, linalg.NoTrans, 1, r.B.Slice(p), co, 0, tp)
-		for mu := 0; mu < nbf; mu++ {
-			copy(m.Row(mu)[p*nocc:(p+1)*nocc], tp.Row(mu))
-		}
-	}
-	k := linalg.NewMat(nbf, nbf)
-	tuner.GemmPrec(prec, linalg.NoTrans, linalg.Trans, 1, m, m, 0, k)
+	// Exchange: T_Pμi = Σ_ν B_Pμν C_νi for every P in one flattened
+	// product, then K = Σ_Pi T_Pμi T_Pνi as YᵀY over the block-transposed
+	// rows Y_(P,i),μ — two packed GEMMs instead of naux small ones.
+	half, halfT := r.Scratch3(r.Bs.N, co.Cols)
+	tuner.GemmPrec(prec, linalg.NoTrans, linalg.NoTrans, 1, r.B.FlattenRows(), co, 0, half.FlattenRows())
+	half.TransposeBlocksInto(halfT)
+	y := halfT.FlattenRows()
+	tuner.GemmPrec(prec, linalg.Trans, linalg.NoTrans, 1, y, y, 0, ws.k)
 
-	// M Mᵀ = Σ_P B_P (C_o C_oᵀ) B_P = ½ K[D] since D = 2 C_o C_oᵀ, so the
-	// −½K[D] exchange term is −1·(M Mᵀ).
-	f := r.H.Clone()
-	for i := range f.Data {
-		f.Data[i] += jvec.Data[i] - k.Data[i]
-	}
+	// YᵀY = Σ_P B_P (C_o C_oᵀ) B_P = ½ K[D] since D = 2 C_o C_oᵀ, so the
+	// −½K[D] exchange term is −1·(YᵀY).
+	f.AxpyMat(-1, ws.k)
 	return f
 }
 
