@@ -139,6 +139,26 @@ func TestCompareGemmReportsAsmRatioGate(t *testing.T) {
 	}
 }
 
+// The metric factor is gated on its same-run speedup over EigSym of the
+// same matrix: a faster machine on which the factor fell back
+// to the eigen-route's speed clears the absolute floor and must still fail.
+func TestCompareGemmReportsMetricFactorRatioGate(t *testing.T) {
+	report := func(factorGF, eigGF float64) *GemmBenchReport {
+		return &GemmBenchReport{Schema: GemmBenchSchema, Rows: []GemmBenchRow{
+			{Name: "aux-414", M: 414, K: 414, N: 414, Kernel: "metricfactor", Seconds: 1, GFLOPS: factorGF, Tracked: true},
+			{Name: "aux-414", M: 414, K: 414, N: 414, Kernel: "eigsym", Seconds: 1, GFLOPS: eigGF},
+		}}
+	}
+	base := report(40, 5) // 8×
+	if bad := CompareGemmReports(base, report(80, 10), 25); len(bad) != 0 {
+		t.Fatalf("healthy fast machine flagged: %v", bad)
+	}
+	bad := CompareGemmReports(base, report(45, 15), 25)
+	if len(bad) != 1 || !strings.Contains(bad[0], "metricfactor/eigsym ratio regressed") {
+		t.Fatalf("want 1 metricfactor/eigsym ratio violation, got %v", bad)
+	}
+}
+
 // The real suite: structure, JSON emission and self-consistency. Slow
 // (runs actual GEMMs), so skipped under -short.
 func TestRunGemmSuite(t *testing.T) {
@@ -158,16 +178,16 @@ func TestRunGemmSuite(t *testing.T) {
 	}
 	// 4 shapes × (4 streaming + packed + packed-f32, plus packed-asm
 	// when a native microkernel ran) + the end-to-end RI-MP2 pair
-	// (blocked, pairloop) in quick mode.
+	// (blocked, pairloop) and the three step-phase rows in quick mode.
 	engines := 6
-	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "packed-f32", "blocked", "pairloop", "eigsym", "deriv3c"}
+	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "packed-f32", "blocked", "pairloop", "metricfactor", "eigsym", "deriv3c"}
 	trackedPerShape := 3 // stream-NN, packed, packed-f32
 	if linalg.AsmEnabled() {
 		engines++
 		wantKernels = append(wantKernels, "packed-asm")
 		trackedPerShape++
 	}
-	if want := 4*engines + 2 + 2; len(rep.Rows) != want {
+	if want := 4*engines + 2 + 3; len(rep.Rows) != want {
 		t.Fatalf("want %d rows, got %d", want, len(rep.Rows))
 	}
 	kernels := map[string]bool{}
@@ -188,7 +208,8 @@ func TestRunGemmSuite(t *testing.T) {
 	}
 	// Tracked: stream-NN + every packed engine for each of the two
 	// acceptance GEMM shapes, plus the blocked engine of the
-	// end-to-end RI-MP2 row and the two step-phase rows.
+	// end-to-end RI-MP2 row and two step-phase rows (metricfactor and
+	// deriv3c; eigsym is only metricfactor's same-run reference).
 	if want := 2*trackedPerShape + 1 + 2; tracked != want {
 		t.Fatalf("want %d tracked rows, got %d", want, tracked)
 	}

@@ -9,14 +9,21 @@ import (
 	"github.com/fragmd/fragmd/internal/molecule"
 )
 
-// runStepPhaseRows times the two non-GEMM phases that dominated a cold
-// RI-MP2 step before they were restructured, on the water trimer of the
-// repo benchmark (sto-3g, naux = 414), so the BENCH_gemm.json gate keeps
-// them from regressing:
+// runStepPhaseRows times the phases of a cold RI-MP2 step that are not
+// the contractions themselves, on the water trimer of the repo benchmark
+// (sto-3g, naux = 414), so the BENCH_gemm.json gate keeps them from
+// regressing. A row is named after its input and its kernel says what ran
+// on it, as on the GEMM rows; the report prints kernel-name:
 //
-//   - eigsym-aux-414: linalg.EigSym of the RI Coulomb metric (P|Q), the
-//     O(n³) core of InvSqrtSym; nominal 9n³ flops (4n³/3 reduction, the
-//     rest eigenvector accumulation).
+//   - metricfactor-aux-414: linalg.MetricFactor of the RI Coulomb metric
+//     (P|Q), the factor scf.RHF builds B with. It is gated on its speedup
+//     over the next row — same name, measured in the same run
+//     (ratioReference) — and carries the same nominal 9n³ flops so that
+//     the GFLOP/s ratio of the two rows is their time ratio.
+//   - eigsym-aux-414: linalg.EigSym of the same metric, the O(n³) core of
+//     the InvSqrtSym route MetricFactor replaced on the step path; kept,
+//     untracked, as that reference. Nominal 9n³ flops (4n³/3 reduction,
+//     the rest eigenvector accumulation).
 //   - deriv3c-water3: one integrals.ThreeCenterDeriv contracted with a
 //     dense weight tensor; nominal 9·naux·nbf² — one unit per Cartesian
 //     derivative of every (μν|P) on its three centres — so the "GFLOP/s"
@@ -42,6 +49,10 @@ func runStepPhaseRows() []GemmBenchRow {
 
 	j2 := integrals.TwoCenter(aux)
 	secEig := best(func() { linalg.EigSym(j2) })
+	secFactor := best(func() { _, _, err = linalg.MetricFactor(j2, 1e-10) })
+	if err != nil {
+		return nil
+	}
 
 	z := linalg.NewTensor3(aux.N, bs.N, bs.N)
 	for i := range z.Data {
@@ -53,9 +64,11 @@ func runStepPhaseRows() []GemmBenchRow {
 	n := float64(aux.N)
 	nbf := float64(bs.N)
 	return []GemmBenchRow{
-		{Name: "eigsym-aux-414", M: aux.N, K: aux.N, N: aux.N, Kernel: "eigsym",
-			Seconds: secEig, GFLOPS: 9 * n * n * n / secEig / 1e9, Tracked: true},
-		{Name: "deriv3c-water3", M: bs.N, K: aux.N, N: bs.N, Kernel: "deriv3c",
+		{Name: "aux-414", M: aux.N, K: aux.N, N: aux.N, Kernel: "metricfactor",
+			Seconds: secFactor, GFLOPS: 9 * n * n * n / secFactor / 1e9, Tracked: true},
+		{Name: "aux-414", M: aux.N, K: aux.N, N: aux.N, Kernel: "eigsym",
+			Seconds: secEig, GFLOPS: 9 * n * n * n / secEig / 1e9},
+		{Name: "water3", M: bs.N, K: aux.N, N: bs.N, Kernel: "deriv3c",
 			Seconds: secDeriv, GFLOPS: 9 * n * nbf * nbf / secDeriv / 1e9, Tracked: true},
 	}
 }

@@ -129,7 +129,7 @@ func TestBatchedGradientStagesMatchOracle(t *testing.T) {
 			r.gOperator(m, got)
 			checkClose(t, "G[M]", got.Data, oracleGOperator(r, m).Data)
 
-			// Back-transform of a J^{-1/2}-transformed γ.
+			// Back-transform of a Wᵀ-transformed γ.
 			for i := 0; i < nocc; i++ {
 				for p := 0; p < naux; p++ {
 					for a := 0; a < nvir; a++ {
@@ -137,7 +137,7 @@ func TestBatchedGradientStagesMatchOracle(t *testing.T) {
 					}
 				}
 			}
-			linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.JInvHalf, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
+			linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
 			zb := linalg.NewTensor3(naux, ref.Bs.N, ref.Bs.N)
 			zo := linalg.NewTensor3(naux, ref.Bs.N, ref.Bs.N)
 			r.ampBackTransform(ref.COcc(), ref.CVirt(), zb)

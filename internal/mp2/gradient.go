@@ -15,7 +15,7 @@ import (
 // appendix is based on (Weigend–Häser extended to an RI-HF reference),
 // re-derived here in the occupation-2 convention. With
 // t_ijab = (ia|jb)/Δ_ijab, T̃ = 2t − t(a↔b) and B the RI factor
-// (one J^{-1/2} absorbed):
+// (one metric factor W absorbed, WᵀW = J⁺; the paper's J^{-1/2}):
 //
 //	γ^P_ia   = Σ_jb T̃_ijab B^P_jb                       (amplitude 3-index density)
 //	P_ij     = −2 Σ_kab T̃_ikab t_jkab                   (unrelaxed occ block)
@@ -27,7 +27,7 @@ import (
 //
 // The total derivative then assembles exactly four AO contraction
 // classes (paper Eq. 10): h^ξ with D_HF + P̄ + Pz; S^ξ with the total
-// energy-weighted W; (P|μν)^ξ with Z^P (separable + 4·J^{-1/2}γ); and
+// energy-weighted W; (P|μν)^ξ with Z^P (separable + 4·Wᵀγ); and
 // (P|Q)^ξ with ζ. No four-center derivatives appear anywhere.
 //
 // Every piece above is finite-difference validated in the test suite.
@@ -161,8 +161,9 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	zetaAcc.Zero()
 	ref.AddRISeparableCoeffs(dsep, ref.D, 1.0, zAcc, zetaAcc)
 
-	// Amplitude skeleton: Z^{amp} = 4 (J^{-1/2} γ)^AO and
-	// ζ^{amp} = −2 Σ_ia (J^{-1/2}B)_Pia (J^{-1/2}γ)_Qia.
+	// Amplitude skeleton: Z^{amp} = 4 (Wᵀγ)^AO and
+	// ζ^{amp} = −2 Σ_ia (WᵀB)_Pia (Wᵀγ)_Qia: γ is a derivative with
+	// respect to B = W·V, so both take the transposed factor.
 	for i := 0; i < nocc; i++ {
 		gi := ws.gamma.Slice(i)
 		for p := 0; p < naux; p++ {
@@ -171,8 +172,8 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 			}
 		}
 	}
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.JInvHalf, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.JInvHalf, ws.bpvo.Flatten(), 0, ws.bT.Flatten())
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
+	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.bpvo.Flatten(), 0, ws.bT.Flatten())
 	r.ampBackTransform(co, cv, zAcc)
 	// TwoCenterDeriv contracts ζ_PQ + ζ_QP, so −2·(bT·gamTᵀ) stands for
 	// the symmetric −(bT·gamTᵀ + gamT·bTᵀ).
@@ -329,7 +330,7 @@ func (r *Result) lagrangian() {
 }
 
 // ampBackTransform accumulates the AO back-transform 4·C_o·Γ̃_P·C_vᵀ of
-// the J^{-1/2}-transformed amplitude density (workspace gamT, arranged
+// the Wᵀ-transformed amplitude density (workspace gamT, arranged
 // (P, a, i)) into z for every P: the occupied index in one flattened
 // product, a block transpose, the virtual index in a second.
 func (r *Result) ampBackTransform(co, cv *linalg.Mat, z *linalg.Tensor3) {

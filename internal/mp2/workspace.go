@@ -16,7 +16,7 @@ type workspace struct {
 	// arranged (row orbital, P, column orbital): flattened either way
 	// they contract over (P, orbital) in a single GEMM with no permute.
 	// bpvo is the vo block once more, arranged (P, a, i) for the products
-	// that contract over (a, i) or apply J^{-1/2} across P.
+	// that contract over (a, i) or apply the metric factor across P.
 	boo, bov, bvo, bvv *linalg.Tensor3
 	bpvo               *linalg.Tensor3
 
@@ -30,7 +30,7 @@ type workspace struct {
 	lamOcc     *linalg.Mat     // Λ_pi, nbf × nocc
 	lamVir     *linalg.Mat     // Λ_pa, nbf × nvir
 	gamAux     *linalg.Tensor3 // γ^P_ia rearranged (P, a, i)
-	gamT, bT   *linalg.Tensor3 // J^{-1/2}·γ and J^{-1/2}·B^vo, (P, a, i)
+	gamT, bT   *linalg.Tensor3 // Wᵀ·γ and Wᵀ·B^vo for W = SCF.JFactor, (P, a, i)
 	theta, wmo *linalg.Mat
 
 	// Z-vector: the two exchange intermediates of one Hessian application,

@@ -1,7 +1,9 @@
 package potential
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -240,4 +242,46 @@ func TestRIMP2EvaluateAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations per dimer evaluation, want ≤ %d", allocs, 19770/2)
 	}
 	t.Logf("%.0f allocations per water-dimer RIMP2.Evaluate", allocs)
+}
+
+// The Cholesky-route metric factor (linalg.MetricFactor) against the
+// eigen-route it replaced: testdata/eigen_route_oracle.json holds the
+// RI-MP2/sto-3g energy and gradient of molecule.WaterCluster(1..3) as
+// RIMP2.Evaluate returned them while scf.RHF still built B from
+// linalg.InvSqrtSym(J, 1e-10) (commit 3cb5c3e, go1.24, amd64). Both routes
+// project the same 1/2/4 near-null directions out of a metric of condition
+// 1e11, so they agree to the noise of those directions, not to the bit.
+func TestMetricFactorMatchesEigenRouteOracle(t *testing.T) {
+	data, err := os.ReadFile("testdata/eigen_route_oracle.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oracle []struct {
+		Waters   int       `json:"waters"`
+		EnergyHa float64   `json:"energy_ha"`
+		Gradient []float64 `json:"gradient_ha_per_bohr"`
+	}
+	if err := json.Unmarshal(data, &oracle); err != nil {
+		t.Fatal(err)
+	}
+	if len(oracle) != 3 {
+		t.Fatalf("%d oracle entries, want monomer, dimer and trimer", len(oracle))
+	}
+	for _, want := range oracle {
+		e, grad, err := (&RIMP2{Basis: "sto-3g"}).Evaluate(molecule.WaterCluster(want.Waters))
+		if err != nil {
+			t.Fatalf("%d waters: %v", want.Waters, err)
+		}
+		if d := math.Abs(e - want.EnergyHa); d > 2e-9 {
+			t.Errorf("%d waters: energy %.12f, eigen-route %.12f (|Δ| = %.2e > 2e-9 Ha)", want.Waters, e, want.EnergyHa, d)
+		}
+		if len(grad) != len(want.Gradient) {
+			t.Fatalf("%d waters: %d gradient components, oracle has %d", want.Waters, len(grad), len(want.Gradient))
+		}
+		for i, x := range grad {
+			if d := math.Abs(x - want.Gradient[i]); d > 1e-9 {
+				t.Errorf("%d waters: gradient[%d] = %.12f, eigen-route %.12f (|Δ| = %.2e > 1e-9 Ha/bohr)", want.Waters, i, x, want.Gradient[i], d)
+			}
+		}
+	}
 }

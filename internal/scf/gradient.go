@@ -80,12 +80,12 @@ func (r *Result) EnergyWeightedDensity() *linalg.Mat {
 	return w
 }
 
-// CTilde returns the tensor C̃_P = Σ_Q J^{-1}_PQ (Q|μν) (lazily built and
-// cached; geometry is immutable per Result).
+// CTilde returns the tensor C̃_P = Σ_Q J^{-1}_PQ (Q|μν) = (Wᵀ·B)_P (lazily
+// built and cached; geometry is immutable per Result).
 func (r *Result) CTilde() *linalg.Tensor3 {
 	if r.ctilde == nil {
 		r.ctilde = linalg.NewTensor3(r.Aux.N, r.Bs.N, r.Bs.N)
-		r.opts.Tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, r.B.Flatten(), 0, r.ctilde.Flatten())
+		r.opts.Tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, r.B.Flatten(), 0, r.ctilde.Flatten())
 	}
 	return r.ctilde
 }
@@ -108,11 +108,11 @@ func (r *Result) AddRISeparableCoeffs(da, db *linalg.Mat, factor float64, zAcc *
 	ct := r.CTilde()
 	ws := r.ws
 
-	// w^x = J^{-1} u^x with u^x_P = Σ_μν V_Pμν Dx_μν.
+	// w^x = J^{-1} u^x = Wᵀ·(W·u^x) with u^x_P = Σ_μν V_Pμν Dx_μν.
 	coulomb := func(d, w *linalg.Mat) {
 		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), d.Vec(), 0, w)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, w, 0, ws.wt)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, ws.wt, 0, w)
+		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JFactor, w, 0, ws.wt)
+		tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, ws.wt, 0, w)
 	}
 	coulomb(da, ws.wa)
 	coulomb(db, ws.wb)

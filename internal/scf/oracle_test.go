@@ -45,9 +45,9 @@ func oracleSeparableCoeffs(r *Result, da, db *linalg.Mat, factor float64, zAcc *
 		u := linalg.NewMat(naux, 1)
 		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), d.Vec(), 0, u)
 		t := linalg.NewMat(naux, 1)
-		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, u, 0, t)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JFactor, u, 0, t)
 		w := linalg.NewMat(naux, 1)
-		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JInvHalf, t, 0, w)
+		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, t, 0, w)
 		return w
 	}
 	wa, wb := jinvU(da), jinvU(db)

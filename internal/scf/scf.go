@@ -2,7 +2,8 @@
 // Fock-build back ends:
 //
 //   - RI-HF (paper Eq. 8): the two-electron integrals are factorised
-//     through an auxiliary basis, B^P_μν = Σ_Q (μν|Q) J^{-1/2}_QP, and
+//     through an auxiliary basis, B^P_μν = Σ_Q (μν|Q) J^{-1/2}_QP (any
+//     factor W with WᵀW = J⁻¹ serves as J^{-1/2}; see Result.JFactor), and
 //     both Coulomb and exchange matrices become short sequences of
 //     GEMMs routed through the runtime auto-tuner. No four-center
 //     integrals are computed anywhere on this path.
@@ -154,11 +155,14 @@ type Result struct {
 	H    *linalg.Mat
 
 	// RI intermediates (nil on the conventional path).
-	Aux      *basis.Set
-	V3       *linalg.Tensor3 // raw (P|μν)
-	J2       *linalg.Mat     // (P|Q)
-	JInvHalf *linalg.Mat     // J^{-1/2}
-	B        *linalg.Tensor3 // B^P_μν = Σ_Q J^{-1/2}_PQ (Q|μν)
+	Aux *basis.Set
+	V3  *linalg.Tensor3 // raw (P|μν)
+	J2  *linalg.Mat     // (P|Q)
+	// JFactor is a factor W of the metric pseudo-inverse, WᵀW = J⁺ (the
+	// near-null directions of J projected out). It is not symmetric:
+	// apply W to integrals, Wᵀ to fitted quantities.
+	JFactor *linalg.Mat
+	B       *linalg.Tensor3 // B^P_μν = Σ_Q W_PQ (Q|μν)
 
 	// Schwarz holds the shell-pair Cauchy–Schwarz bounds: always set on
 	// the conventional path, and on the RI path whenever three-center
@@ -170,7 +174,7 @@ type Result struct {
 
 	opts   Options
 	ws     *workspace      // RI scratch of the Fock builds and the gradient (workspace.go)
-	ctilde *linalg.Tensor3 // lazy J^{-1}·(Q|μν) cache (gradient.go)
+	ctilde *linalg.Tensor3 // lazy J⁺·(Q|μν) = Wᵀ·B cache (gradient.go)
 }
 
 // Opts returns the options the SCF was run with (for downstream reuse).
@@ -222,6 +226,29 @@ func eigFailed(what string, first []float64) error {
 	return nil
 }
 
+// riMetricFactor returns the factor W of the RI metric's pseudo-inverse,
+// WᵀW = J⁺, that every RI contraction goes through. Eigen-directions of J
+// under 1e-10·λmax are projected out (canonical orthogonalisation of the
+// auxiliary basis). linalg.MetricFactor does this without a full
+// eigendecomposition; a metric that is singular to working precision
+// (coincident auxiliary centres) has no Cholesky factor and takes the
+// symmetric eigen-root J^{-1/2} instead, which is as valid a W.
+func riMetricFactor(j2 *linalg.Mat) (*linalg.Mat, error) {
+	const (
+		what    = "RI Coulomb metric (P|Q)"
+		dropTol = 1e-10
+	)
+	w, _, err := linalg.MetricFactor(j2, dropTol)
+	if errors.Is(err, linalg.ErrSingular) {
+		w = linalg.InvSqrtSym(j2, dropTol)
+		return w, eigFailed(what, w.Data)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scf: factorising the %s: %w", what, err)
+	}
+	return w, nil
+}
+
 // RHF runs a restricted closed-shell Hartree-Fock calculation.
 func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	opts.fill()
@@ -262,20 +289,20 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		if err := requireFinite("RI Coulomb metric (P|Q)", res.J2); err != nil {
 			return nil, err
 		}
-		res.JInvHalf = linalg.InvSqrtSym(res.J2, 1e-10)
-		if err := eigFailed("RI Coulomb metric (P|Q)", res.JInvHalf.Data); err != nil {
+		var err error
+		if res.JFactor, err = riMetricFactor(res.J2); err != nil {
 			return nil, err
 		}
 		res.B = linalg.NewTensor3(res.Aux.N, bs.N, bs.N)
 		// The B-build stays exact even under Options.Precision = F32:
-		// J^{-1/2} has large entries whenever the RI metric is
+		// the metric factor has large entries whenever the RI metric is
 		// ill-conditioned, so float32 panel quantisation here is
 		// amplified by the metric's condition number and lands ~mHa
 		// errors in the Coulomb energy (measured on the water-trimer
 		// golden). It is also a one-time contraction — the bandwidth-
 		// bound per-iteration work the mixed-precision path targets is
 		// the exchange build below and the MP2 transforms.
-		opts.Tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, res.JInvHalf, res.V3.Flatten(), 0, res.B.Flatten())
+		opts.Tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, res.JFactor, res.V3.Flatten(), 0, res.B.Flatten())
 		res.ws = newWorkspace(bs.N, res.Aux.N)
 		fockBuild = func(d, co *linalg.Mat) *linalg.Mat {
 			return res.riFock(d, co, opts.Tuner, opts.Precision)

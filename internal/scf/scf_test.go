@@ -1,11 +1,14 @@
 package scf
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/basis"
+	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
 )
@@ -288,5 +291,83 @@ func TestEigensolverFailureIsAnError(t *testing.T) {
 	}
 	if err := eigFailed("Fock matrix", []float64{-1, 2}); err != nil {
 		t.Errorf("a finite spectrum was reported: %v", err)
+	}
+}
+
+// waterMetric returns the RI Coulomb metric (P|Q) of one water, sto-3g.
+func waterMetric(t *testing.T) *linalg.Mat {
+	t.Helper()
+	g := molecule.Water()
+	bs, err := basis.Build("sto-3g", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return integrals.TwoCenter(basis.BuildAux(bs, g, basis.AuxOptions{}))
+}
+
+// A metric with an auxiliary function entered twice is exactly
+// semidefinite: there is no Cholesky factor, and the factor must come from
+// the eigen-route, which projects the duplicate out with the near-null
+// directions.
+func TestMetricFactorFallsBackOnSingularMetric(t *testing.T) {
+	j := waterMetric(t)
+	n := j.Rows
+	const dup = 17
+	sing := linalg.NewMat(n+1, n+1)
+	src := func(i int) int {
+		if i == n {
+			return dup
+		}
+		return i
+	}
+	for p := 0; p <= n; p++ {
+		for q := 0; q <= n; q++ {
+			sing.Set(p, q, j.At(src(p), src(q)))
+		}
+	}
+	if _, _, err := linalg.MetricFactor(sing, 1e-10); !errors.Is(err, linalg.ErrSingular) {
+		t.Fatalf("MetricFactor on the duplicated metric: err = %v, want ErrSingular", err)
+	}
+	w, err := riMetricFactor(sing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(w.Data, linalg.InvSqrtSym(sing, 1e-10).Data) {
+		t.Error("the fallback factor is not InvSqrtSym of the metric")
+	}
+	// One water drops one direction; the duplicate is a second.
+	wj := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, w, sing)
+	if tr, want := linalg.MatMul(linalg.NoTrans, linalg.Trans, wj, w).Trace(), float64(n+1-2); math.Abs(tr-want) > 1e-6 {
+		t.Errorf("tr(W·J·Wᵀ) = %.9f, want %g", tr, want)
+	}
+}
+
+// A factorisation that cannot be trusted is an error naming the RI
+// metric, never a B tensor built from a wrong factor: an inverse subspace
+// iteration that runs into its cap, and a factor that is not finite.
+func TestMetricFactorFailureIsAnError(t *testing.T) {
+	// Forty eigenvalues within ±1 % of the drop threshold — a tridiagonal
+	// block under one unit eigenvalue: too many for the iteration's block,
+	// too close together to separate.
+	const n = 41
+	clustered := linalg.NewMat(n, n)
+	clustered.Set(0, 0, 1)
+	for i := 1; i < n; i++ {
+		clustered.Set(i, i, 1e-10)
+		if i > 1 {
+			clustered.Set(i, i-1, 5e-13)
+			clustered.Set(i-1, i, 5e-13)
+		}
+	}
+	_, err := riMetricFactor(clustered)
+	if !errors.Is(err, linalg.ErrNoConvergence) || !strings.HasPrefix(err.Error(), "scf: ") || !strings.Contains(err.Error(), "RI Coulomb metric") {
+		t.Errorf("clustered spectrum: err = %v, want an scf error naming the RI metric that wraps ErrNoConvergence", err)
+	}
+
+	nan := waterMetric(t)
+	nan.Set(3, 9, math.NaN())
+	nan.Set(9, 3, math.NaN())
+	if _, err := riMetricFactor(nan); err == nil || !strings.Contains(err.Error(), "RI Coulomb metric") {
+		t.Errorf("NaN entry: err = %v, want an error naming the RI metric", err)
 	}
 }
