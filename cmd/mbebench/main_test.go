@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/fragmd/fragmd/internal/bench"
 )
 
 // -list must enumerate every registered experiment, including the
@@ -96,12 +98,25 @@ func TestRunGemmBenchFlow(t *testing.T) {
 		t.Error("report has no tracked rows")
 	}
 
-	// Same-machine rerun against the just-written baseline passes with
-	// a generous tolerance.
+	// A rerun against a baseline derived from this report passes: every
+	// rate is zeroed, so no timing floor can fire and no ratio gate has a
+	// reference — the rerun is checked for its flow and its tracked rows,
+	// not for the speed of a loaded machine.
+	rep, err := bench.LoadGemmReport(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rep.Rows {
+		rep.Rows[i].GFLOPS = 0
+	}
+	basePath := dir + "/baseline.json"
+	if err := rep.WriteJSON(basePath); err != nil {
+		t.Fatal(err)
+	}
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-baseline", jsonPath, "-max-regress", "60", "gemm"}, &out, &errOut); code != 0 {
-		t.Fatalf("baseline self-check exit %d, stderr: %s", code, errOut.String())
+	if code := run([]string{"-baseline", basePath, "gemm"}, &out, &errOut); code != 0 {
+		t.Fatalf("rerun against the derived baseline: exit %d, stderr: %s", code, errOut.String())
 	}
 
 	// An impossible baseline must fail the run with exit 1.

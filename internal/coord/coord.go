@@ -27,10 +27,10 @@
 package coord
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Task is one unit of scheduled work at one time step. With
@@ -67,6 +67,11 @@ type Graph struct {
 	// Dist[pi] is the distance from polymer pi's closest monomer to the
 	// reference monomer — the paper's queue-priority key.
 	Dist []float64
+
+	// rank[pi] is polymer pi's place in the within-phase dispatch order
+	// (see Policy.less), which depends on the graph alone, so the queue
+	// compares two integers instead of distances and monomer tuples.
+	rank []int32
 }
 
 // NewGraph validates the inputs and computes the monomer→polymer
@@ -92,7 +97,34 @@ func NewGraph(nMono int, members, touch [][]int32, dist []float64) (*Graph, erro
 			g.Touching[mi] = append(g.Touching[mi], int32(pi))
 		}
 	}
+	order := make([]int32, len(members))
+	for pi := range order {
+		order[pi] = int32(pi)
+	}
+	sort.Slice(order, func(i, j int) bool { return g.before(order[i], order[j]) })
+	g.rank = make([]int32, len(order))
+	for r, pi := range order {
+		g.rank[pi] = int32(r)
+	}
 	return g, nil
+}
+
+// before orders polymers within one step and phase: distance to the
+// reference monomer, then decreasing size, then the monomer tuple.
+func (g *Graph) before(a, b int32) bool {
+	if da, db := g.Dist[a], g.Dist[b]; da != db {
+		return da < db
+	}
+	ma, mb := g.Members[a], g.Members[b]
+	if len(ma) != len(mb) {
+		return len(ma) > len(mb)
+	}
+	for k := range ma {
+		if ma[k] != mb[k] {
+			return ma[k] < mb[k]
+		}
+	}
+	return false
 }
 
 // NPoly returns the number of polymers.
@@ -281,7 +313,7 @@ func NewPolicy(g *Graph, opts Options) (*Policy, error) {
 	p.remaining = p.tasksPerStep * opts.Steps
 	p.done = make([]uint64, (p.remaining+63)/64)
 	for mi := int32(0); mi < int32(g.NMono) && p.chargeRounds > 0; mi++ {
-		heap.Push(&p.ready, Task{Poly: mi, Step: 0, Phase: 0})
+		p.ready.push(Task{Poly: mi, Step: 0, Phase: 0})
 	}
 	for pi := int32(0); pi < int32(g.NPoly()); pi++ {
 		p.tryEnqueue(pi)
@@ -316,15 +348,17 @@ func (p *Policy) Steals() int { return p.steals }
 // Done reports whether every task of every step has completed.
 func (p *Policy) Done() bool { return p.remaining == 0 }
 
-// taskIndex maps a task to its bit in the completion set (step-major:
-// the step's charge rounds first, then its polymers).
-func (p *Policy) taskIndex(t Task) int {
-	base := int(t.Step) * p.tasksPerStep
+// slot is t's index within its step: the step's charge rounds first,
+// then its polymers.
+func (p *Policy) slot(t Task) int {
 	if p.isCharge(t) {
-		return base + int(t.Phase)*p.g.NMono + int(t.Poly)
+		return int(t.Phase)*p.g.NMono + int(t.Poly)
 	}
-	return base + p.chargeRounds*p.g.NMono + int(t.Poly)
+	return p.chargeRounds*p.g.NMono + int(t.Poly)
 }
+
+// taskIndex maps a task to its bit in the completion set (step-major).
+func (p *Policy) taskIndex(t Task) int { return int(t.Step)*p.tasksPerStep + p.slot(t) }
 
 // Completed reports whether task t has already completed. Backends use
 // it to drop the payload of late duplicate completions (a speculated
@@ -341,7 +375,7 @@ func (p *Policy) Requeue(t Task) {
 	if p.Completed(t) {
 		return
 	}
-	heap.Push(&p.ready, t)
+	p.ready.push(t)
 }
 
 // GroupOf maps a worker to its group coordinator (contiguous blocks).
@@ -349,9 +383,9 @@ func (p *Policy) GroupOf(worker int) int { return worker * p.groups / p.opts.Wor
 
 // less is the total dispatch order: step, then phase (charge rounds
 // before the polymer phase), then — for charge tasks — the monomer
-// index, or — for polymers — distance to the reference monomer, then
-// decreasing polymer size, then the polymer's monomer tuple. Fully
-// deterministic and backend-independent.
+// index, or — for polymers — their rank under Graph.before (distance to
+// the reference monomer, then decreasing polymer size, then the
+// polymer's monomer tuple). Fully deterministic and backend-independent.
 func (p *Policy) less(a, b Task) bool {
 	if a.Step != b.Step {
 		return a.Step < b.Step
@@ -362,19 +396,7 @@ func (p *Policy) less(a, b Task) bool {
 	if p.isCharge(a) {
 		return a.Poly < b.Poly
 	}
-	if da, db := p.g.Dist[a.Poly], p.g.Dist[b.Poly]; da != db {
-		return da < db
-	}
-	ma, mb := p.g.Members[a.Poly], p.g.Members[b.Poly]
-	if len(ma) != len(mb) {
-		return len(ma) > len(mb)
-	}
-	for k := range ma {
-		if ma[k] != mb[k] {
-			return ma[k] < mb[k]
-		}
-	}
-	return false
+	return p.g.rank[a.Poly] < p.g.rank[b.Poly]
 }
 
 // tryEnqueue pushes every ready step of polymer pi onto the super
@@ -396,7 +418,7 @@ func (p *Policy) tryEnqueue(pi int32) {
 			// Phase barrier: step t's embedding charges are not final.
 			return
 		}
-		heap.Push(&p.ready, Task{Poly: pi, Step: t, Phase: int32(p.chargeRounds)})
+		p.ready.push(Task{Poly: pi, Step: t, Phase: int32(p.chargeRounds)})
 		p.nextStep[pi]++
 	}
 }
@@ -417,7 +439,7 @@ func (p *Policy) Next(worker int) (t Task, m DispatchMeta, ok bool) {
 				k = p.ready.Len()
 			}
 			for i := 0; i < k; i++ {
-				p.local[gid] = append(p.local[gid], heap.Pop(&p.ready).(Task))
+				p.local[gid] = append(p.local[gid], p.ready.pop())
 			}
 			m.Refill = k
 			p.batches++
@@ -444,8 +466,26 @@ func (p *Policy) Next(worker int) (t Task, m DispatchMeta, ok bool) {
 	if len(q) == 0 {
 		return Task{}, DispatchMeta{Group: gid}, false
 	}
-	p.local[gid] = q[1:]
+	if len(q) == 1 {
+		p.local[gid] = q[:0] // keep the backing array for the next refill
+	} else {
+		p.local[gid] = q[1:]
+	}
 	return q[0], m, true
+}
+
+// peek returns the task Next(worker) would return, without taking it,
+// when Next would need neither a steal nor a multi-task refill: those
+// move several tasks at once, which a hand-off must not do ahead of the
+// completions that precede them under single-task dispatch.
+func (p *Policy) peek(worker int) (Task, bool) {
+	if q := p.local[p.GroupOf(worker)]; len(q) > 0 {
+		return q[0], true
+	}
+	if p.batch == 1 && p.ready.Len() > 0 {
+		return p.ready.items[0], true
+	}
+	return Task{}, false
 }
 
 // Complete records that task t finished. A charge task counts toward
@@ -475,7 +515,7 @@ func (p *Policy) Complete(t Task, advanced func(mono, step int32)) {
 			// step, so all field-site positions exist. Launch the next
 			// round wholesale (it is a barrier, not per-monomer).
 			for mi := int32(0); mi < int32(p.g.NMono); mi++ {
-				heap.Push(&p.ready, Task{Poly: mi, Step: t.Step, Phase: next})
+				p.ready.push(Task{Poly: mi, Step: t.Step, Phase: next})
 			}
 			return
 		}
@@ -520,7 +560,7 @@ func (p *Policy) advanceMono(mi, t int32, advanced func(mono, step int32)) {
 		// round-0 (vacuum) charge task needs — later rounds and the
 		// step's polymers still wait on their barriers, preserving what
 		// asynchrony the embedding allows.
-		heap.Push(&p.ready, Task{Poly: mi, Step: t + 1, Phase: 0})
+		p.ready.push(Task{Poly: mi, Step: t + 1, Phase: 0})
 	}
 	if p.opts.Sync {
 		newMin := p.monoStep[mi]
@@ -542,19 +582,46 @@ func (p *Policy) advanceMono(mi, t int32, advanced func(mono, step int32)) {
 	}
 }
 
-// taskHeap is the super-coordinator's priority queue under Policy.less.
+// taskHeap is the super-coordinator's priority queue: a binary min-heap
+// under Policy.less, typed so that pushes and pops neither box tasks
+// nor call the ordering through an interface.
 type taskHeap struct {
 	items []Task
 	p     *Policy
 }
 
-func (h *taskHeap) Len() int           { return len(h.items) }
-func (h *taskHeap) Less(i, j int) bool { return h.p.less(h.items[i], h.items[j]) }
-func (h *taskHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *taskHeap) Push(x interface{}) { h.items = append(h.items, x.(Task)) }
-func (h *taskHeap) Pop() interface{} {
-	old := h.items
-	it := old[len(old)-1]
-	h.items = old[:len(old)-1]
-	return it
+func (h *taskHeap) Len() int { return len(h.items) }
+
+func (h *taskHeap) push(t Task) {
+	h.items = append(h.items, t)
+	for i := len(h.items) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h.p.less(h.items[i], h.items[up]) {
+			break
+		}
+		h.items[i], h.items[up] = h.items[up], h.items[i]
+		i = up
+	}
+}
+
+func (h *taskHeap) pop() Task {
+	top := h.items[0]
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.p.less(h.items[c+1], h.items[c]) {
+			c++
+		}
+		if !h.p.less(h.items[c], h.items[i]) {
+			break
+		}
+		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
+	return top
 }

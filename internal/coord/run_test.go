@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,185 @@ func TestRunEvictsDeadWorker(t *testing.T) {
 	}
 	if !p.Done() {
 		t.Error("policy not done after eviction")
+	}
+}
+
+// handoffBackend reports a fixed cost for every attempt, so RunContext
+// hands out multi-task runs from step 1 on, and delivers each sweep's
+// dispatches as one run per worker, completed in order. The victim
+// worker dies when starting its dieAt-th task: it reports that task and
+// every task behind it in the run as lost, WorkerDown on the last — or,
+// when silent, reports only the first loss and leaves RunContext to
+// reclaim the rest.
+type handoffBackend struct {
+	t             *testing.T
+	workers       int
+	victim, dieAt int
+	silent        bool
+	cost          float64
+	runs          [][]Task
+	order         []int // workers with a run this sweep, in first-dispatch order
+	started       []int
+	queue         []Completion
+	dead          bool
+	lost, longest int
+	completions   map[Task]int
+}
+
+func (b *handoffBackend) Workers() int { return b.workers }
+func (b *handoffBackend) Dispatch(w int, tk Task, _ DispatchMeta) {
+	if w == b.victim && b.dead {
+		b.t.Errorf("task %v dispatched to evicted worker %d", tk, w)
+	}
+	if len(b.runs[w]) == 0 {
+		b.order = append(b.order, w)
+	}
+	b.runs[w] = append(b.runs[w], tk)
+}
+func (b *handoffBackend) Await(context.Context) (Completion, error) {
+	for _, w := range b.order {
+		run := b.runs[w]
+		b.runs[w] = nil
+		b.longest = max(b.longest, len(run))
+		for _, tk := range run {
+			if tk.Step != run[0].Step || tk.Phase != run[0].Phase {
+				b.t.Errorf("hand-off mixes %v with %v", run[0], tk)
+			}
+		}
+		for i, tk := range run {
+			if w == b.victim && b.started[w] == b.dieAt {
+				b.dead = true
+				b.lost = len(run) - i
+				death := errors.New("worker died")
+				if b.silent {
+					b.queue = append(b.queue, Completion{Worker: w, Task: tk, Err: death, WorkerDown: true})
+					break
+				}
+				for _, l := range run[i:] {
+					b.queue = append(b.queue, Completion{Worker: w, Task: l, Err: death})
+				}
+				b.queue[len(b.queue)-1].WorkerDown = true
+				break
+			}
+			b.started[w]++
+			b.completions[tk]++
+			b.queue = append(b.queue, Completion{Worker: w, Task: tk, Seconds: b.cost})
+		}
+	}
+	b.order = b.order[:0]
+	c := b.queue[0]
+	b.queue = b.queue[1:]
+	return c, nil
+}
+
+// A worker that dies inside a multi-task hand-off is evicted once, every
+// task it still held is re-queued on the survivor — whether it reported
+// them or not — and every task completes exactly once. Hand-offs never
+// mix steps or phases and never exceed the cost quantum.
+func TestRunEvictsWorkerMidHandoff(t *testing.T) {
+	const cost = 10e-6 // 20 tasks per 200 µs hand-off
+	for _, silent := range []bool{false, true} {
+		g := chainGraph(t, 40, true) // 79 polymers per step
+		const steps = 3
+		p, err := NewPolicy(g, Options{Steps: steps, Workers: 2, MaxRetries: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Step 0 dispatches single tasks (no cost known yet), about 40 per
+		// worker; the victim's 50th start falls inside a step-1 run.
+		b := &handoffBackend{t: t, workers: 2, victim: 1, dieAt: 50, silent: silent, cost: cost,
+			runs: make([][]Task, 2), started: make([]int, 2), completions: map[Task]int{}}
+		st, err := RunContext(context.Background(), p, b, nil)
+		if err != nil {
+			t.Fatalf("silent=%t: %v", silent, err)
+		}
+		if !b.dead || b.lost < 2 {
+			t.Fatalf("silent=%t: death lost %d tasks — the test needs it inside a run with tasks behind it", silent, b.lost)
+		}
+		if st.Evicted != 1 {
+			t.Errorf("silent=%t: Evicted = %d, want 1", silent, st.Evicted)
+		}
+		if st.Retries != b.lost {
+			t.Errorf("silent=%t: Retries = %d, want the %d tasks lost with the worker", silent, st.Retries, b.lost)
+		}
+		if st.Coalesced == 0 || b.longest < 2 {
+			t.Errorf("silent=%t: no multi-task hand-off (Coalesced %d, longest %d)", silent, st.Coalesced, b.longest)
+		}
+		if quantum := handoffQuantum; float64(b.longest)*cost > quantum*(1+1e-9) {
+			t.Errorf("silent=%t: a hand-off of %d tasks exceeds the %g s quantum at %g s each", silent, b.longest, quantum, cost)
+		}
+		if !p.Done() {
+			t.Errorf("silent=%t: policy not done", silent)
+		}
+		t.Logf("silent=%t: %d tasks lost with the worker, longest hand-off %d", silent, b.lost, b.longest)
+		if len(b.completions) != steps*g.NPoly() {
+			t.Errorf("silent=%t: %d tasks completed, want %d", silent, len(b.completions), steps*g.NPoly())
+		}
+		for tk, n := range b.completions {
+			if n != 1 {
+				t.Errorf("silent=%t: task %v completed %d times", silent, tk, n)
+			}
+		}
+	}
+}
+
+// With one worker, cost-sized hand-offs pop the queue in exactly the
+// order single-task dispatch does — on random graphs, flat and batched,
+// async and sync, with and without charge phases. A hand-off must not
+// pull a multi-task refill ahead of the completions that precede it
+// under single-task dispatch; this is the test that catches it.
+func TestHandoffsKeepSingleTaskOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 3 + rng.Intn(10)
+		var members [][]int32
+		var dist []float64
+		for i := 0; i < n; i++ {
+			members = append(members, []int32{int32(i)})
+			dist = append(dist, float64(rng.Intn(5)))
+			for j := 0; j < i; j++ {
+				if rng.Float64() < 0.3 {
+					members = append(members, []int32{int32(j), int32(i)})
+					dist = append(dist, float64(rng.Intn(5)))
+				}
+			}
+		}
+		opts := Options{Steps: 4, Workers: 1, Batch: 1 + rng.Intn(6), Sync: rng.Intn(3) == 0,
+			ChargeRounds: rng.Intn(3)}
+		dispatches := func(cost float64) ([]Task, int) {
+			g, err := NewGraph(n, members, members, dist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPolicy(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := &handoffBackend{t: t, workers: 1, victim: -1, cost: cost,
+				runs: make([][]Task, 1), started: make([]int, 1), completions: map[Task]int{}}
+			var order []Task
+			rec := &BackendFuncs{NumWorkers: 1, AwaitFn: b.Await,
+				DispatchFn: func(w int, tk Task, m DispatchMeta) {
+					order = append(order, tk)
+					b.Dispatch(w, tk, m)
+				}}
+			st, err := RunContext(context.Background(), p, rec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return order, st.Coalesced
+		}
+		single, _ := dispatches(0)
+		runs, coalesced := dispatches(10e-6)
+		if coalesced == 0 {
+			t.Fatalf("trial %d %+v: no multi-task hand-off", trial, opts)
+		}
+		for i := range single {
+			if single[i] != runs[i] {
+				t.Fatalf("trial %d %+v: dispatch %d is %v with hand-offs, %v one at a time",
+					trial, opts, i, runs[i], single[i])
+			}
+		}
 	}
 }
 

@@ -364,16 +364,53 @@ func (f *Fragmentation) TouchSet(p Polymer) []int {
 //
 // Periodic geometries extract by nearest image: every member monomer is
 // rigidly shifted by the lattice vector bringing its centroid closest
-// to the first member's centroid, so a dimer straddling the box
-// boundary becomes the compact physical pair, not two distant copies.
-// Rigid lattice shifts leave all intra-fragment displacements — and
-// therefore the fragment energy and gradient — unchanged, so
-// FoldGradient needs no correction. Cut-bond outer atoms are likewise
-// min-imaged relative to their inner atom before the cap is placed.
-// With a nil Cell the position source passes through untouched.
+// to the first member's centroid (MemberImages at pos), so a dimer
+// straddling the box boundary becomes the compact physical pair, not
+// two distant copies. Rigid lattice shifts leave all intra-fragment
+// displacements — and therefore the fragment energy and gradient —
+// unchanged, so FoldGradient needs no correction. Cut-bond outer atoms
+// are likewise min-imaged relative to their inner atom before the cap
+// is placed. With a nil Cell the position source passes through
+// untouched.
 func (f *Fragmentation) ExtractAt(p Polymer, pos func(atom int) [3]float64) *Extracted {
-	if f.Geom.Cell != nil {
-		pos = f.imageShifted(p, pos)
+	return f.ExtractImaged(p, pos, f.MemberImages(p, pos))
+}
+
+// MemberImages returns the lattice vectors ExtractAt shifts the members
+// of p by at pos: images[k] brings member k+1's centroid to the nearest
+// image of the first member's. It returns nil when the geometry is open
+// or no member needs a shift.
+func (f *Fragmentation) MemberImages(p Polymer, pos func(atom int) [3]float64) [][3]float64 {
+	if f.Geom.Cell == nil {
+		return nil
+	}
+	var images [][3]float64
+	ref := f.monomerCentroidAt(p.Monomers[0], pos)
+	for k, mi := range p.Monomers[1:] {
+		c := f.monomerCentroidAt(mi, pos)
+		d := [3]float64{c[0] - ref[0], c[1] - ref[1], c[2] - ref[2]}
+		md := f.Geom.Cell.MinImage(d)
+		sh := [3]float64{md[0] - d[0], md[1] - d[1], md[2] - d[2]}
+		if sh == ([3]float64{}) {
+			continue
+		}
+		if images == nil {
+			images = make([][3]float64, len(p.Monomers)-1)
+		}
+		images[k] = sh
+	}
+	return images
+}
+
+// ExtractImaged is ExtractAt with the member images given (nil shifts
+// nothing). The engine picks them once per polymer, when it forms its
+// polymer list, so that a fragment's geometry is continuous along the
+// trajectory: picked afresh at every step, a member flips by a lattice
+// vector whenever its centroid crosses half a box from the first
+// member's — which monomers whose atoms drift apart do.
+func (f *Fragmentation) ExtractImaged(p Polymer, pos func(atom int) [3]float64, images [][3]float64) *Extracted {
+	if images != nil {
+		pos = f.imageShifted(p, pos, images)
 	}
 	inSet := map[int]bool{}
 	for _, mi := range p.Monomers {
@@ -415,34 +452,18 @@ func (f *Fragmentation) ExtractAt(p Polymer, pos func(atom int) [3]float64) *Ext
 	return ex
 }
 
-// imageShifted wraps a position source so each member monomer of p is
-// rigidly translated by the lattice vector bringing its centroid into
-// the minimum image of the first member's centroid. Monomers already in
-// the nearest image get no entry, keeping their positions bit-identical.
-func (f *Fragmentation) imageShifted(p Polymer, pos func(atom int) [3]float64) func(atom int) [3]float64 {
-	ref := f.monomerCentroidAt(p.Monomers[0], pos)
-	shift := map[int][3]float64{} // atom → lattice shift
-	for _, mi := range p.Monomers[1:] {
-		c := f.monomerCentroidAt(mi, pos)
-		d := [3]float64{c[0] - ref[0], c[1] - ref[1], c[2] - ref[2]}
-		md := f.Geom.Cell.MinImage(d)
-		sh := [3]float64{md[0] - d[0], md[1] - d[1], md[2] - d[2]}
-		if sh == ([3]float64{}) {
-			continue
-		}
-		for _, a := range f.Monomers[mi].Atoms {
-			shift[a] = sh
-		}
-	}
-	if len(shift) == 0 {
-		return pos
-	}
+// imageShifted wraps a position source so member k+1 of p is rigidly
+// translated by images[k]. Members with a zero image are passed
+// through, keeping their positions bit-identical.
+func (f *Fragmentation) imageShifted(p Polymer, pos func(atom int) [3]float64, images [][3]float64) func(atom int) [3]float64 {
 	return func(a int) [3]float64 {
 		xyz := pos(a)
-		if sh, ok := shift[a]; ok {
-			xyz[0] += sh[0]
-			xyz[1] += sh[1]
-			xyz[2] += sh[2]
+		for k, mi := range p.Monomers[1:] {
+			if sh := images[k]; mi == f.atomMonomer[a] && sh != ([3]float64{}) {
+				xyz[0] += sh[0]
+				xyz[1] += sh[1]
+				xyz[2] += sh[2]
+			}
 		}
 		return xyz
 	}

@@ -142,6 +142,60 @@ func TestExtractPeriodicImageShift(t *testing.T) {
 	}
 }
 
+// TestExtractImagedIsContinuous: a member whose atoms drift apart moves
+// its centroid across half a box from its partner's. Images picked
+// afresh at each geometry flip it by a lattice vector there, and the
+// fragment energy jumps; images picked once keep the fragment geometry,
+// and the energy, continuous.
+func TestExtractImagedIsContinuous(t *testing.T) {
+	const L = 30.0
+	g := molecule.New()
+	cell, err := molecule.NewCell(L, L, L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Cell = cell
+	w1, w2 := molecule.Water(), molecule.Water()
+	w2.Translate(6, 0, 0)
+	g.Append(w1)
+	g.Append(w2)
+	f, err := ByMolecule(g, 3, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Polymer{Monomers: []int{0, 1}}
+	images := f.MemberImages(p, func(a int) [3]float64 { return g.Atoms[a].Pos })
+	// Drag the second water's last H along x to where that water's
+	// centroid sits half a box from the first's.
+	at := func(x float64) func(int) [3]float64 {
+		return func(a int) [3]float64 {
+			pos := g.Atoms[a].Pos
+			if a == 5 {
+				pos[0] = x
+			}
+			return pos
+		}
+	}
+	cross := 3*(L/2+f.Centroid(0)[0]) - g.Atoms[3].Pos[0] - g.Atoms[4].Pos[0]
+	lo, hi := at(cross-1e-6), at(cross+1e-6)
+	if f.MemberImages(p, lo) != nil || f.MemberImages(p, hi) == nil {
+		t.Fatal("the dragged water's image does not flip at the crossing — the test is vacuous")
+	}
+	energy := func(ex *Extracted) float64 {
+		e, _, err := (&potential.LennardJones{}).Evaluate(ex.Geom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	if d := math.Abs(energy(f.ExtractAt(p, hi)) - energy(f.ExtractAt(p, lo))); d < 1e-7 {
+		t.Errorf("images picked afresh: energy moves %.3g Ha across the flip, expected a jump", d)
+	}
+	if d := math.Abs(energy(f.ExtractImaged(p, hi, images)) - energy(f.ExtractImaged(p, lo, images))); d > 1e-10 {
+		t.Errorf("images picked once: energy jumps %.3g Ha across the crossing", d)
+	}
+}
+
 // TestByMoleculeRejectsCrossBlockBonds: a covalent bond spanning two
 // "molecules" (here a block size that splits real molecules) must be a
 // descriptive error, not a silent cap.

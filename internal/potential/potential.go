@@ -255,7 +255,10 @@ func (p *LennardJones) Evaluate(g *molecule.Geometry) (float64, []float64, error
 			// (identical to the raw displacement when Cell is nil).
 			d := g.Displacement(i, j)
 			r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
-			sr6 := math.Pow(sigma/r, 6)
+			// (σ/r)⁶ in the order math.Pow multiplies it — s²·(s²)² —
+			// so the energies are bit-identical at a fraction of the cost.
+			s2 := (sigma / r) * (sigma / r)
+			sr6 := s2 * (s2 * s2)
 			sr12 := sr6 * sr6
 			energy += 4 * eps * (sr12 - sr6)
 			dEdr := 4 * eps * (-12*sr12 + 6*sr6) / r

@@ -249,7 +249,13 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 	if _, err := eng.Run(state, 1, nil); err == nil {
 		t.Fatal("all-failing run succeeded")
 	}
+	waitNoLeak(t, before)
+}
 
+// waitNoLeak fails the test unless the goroutine count falls back to
+// before within five seconds: finished runs leave no worker behind.
+func waitNoLeak(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

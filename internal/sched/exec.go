@@ -84,7 +84,8 @@ type ExecResult struct {
 // constant for the lifetime of one engine Run (slots are the dense
 // coordinator handles 0..Workers()-1; see coord.Backend). Execute must
 // not block and is only ever called for an idle slot, so at most one
-// attempt is outstanding per slot. Every Execute must eventually
+// attempt is outstanding per slot: an ExecResult reports no cost, so the
+// scheduling core never sizes a multi-task hand-off for a slot. Every Execute must eventually
 // produce exactly one ExecResult on Results() — dispatching to a dead
 // slot yields an immediate WorkerDown failure result. The Results
 // channel must be buffered for at least Workers() outstanding results

@@ -166,11 +166,17 @@ type Engine struct {
 
 	terms    *fragment.Terms
 	polymers []fragment.Polymer
-	coeff    []float64 // per polymer index
+	images   [][][3]float64 // per polymer index: member images, picked once (fragment.ExtractImaged)
+	keys     []string       // per polymer index: Polymer.Key, formatted once
+	coeff    []float64      // per polymer index
 	graph    *coord.Graph
 	refMono  int
 	cache    *warmstart.Cache // nil unless WarmStart/SkipTol configured
 	runStats coord.RunStats   // resilience events of the last Run
+
+	atomMono  []int     // atom → owning monomer
+	atomSlot  []int     // atom → index within its monomer
+	monoTouch [][]int32 // EE-MBE only: touch set of each monomer alone (its charge task)
 }
 
 // Cache returns the engine's warm-start cache (nil when incremental
@@ -193,9 +199,10 @@ type result struct {
 	grad    []float64
 	ex      *fragment.Extracted
 	err     error
-	down    bool // the worker died with this attempt
-	iters   int  // SCF iterations of this evaluation
-	skipped bool // cached energy/gradient reused, no evaluation
+	down    bool    // the worker died with this attempt
+	iters   int     // SCF iterations of this evaluation
+	skipped bool    // cached energy/gradient reused, no evaluation
+	seconds float64 // extraction + evaluation time on the worker (0 = not measured)
 
 	// EE-MBE payloads: charges of a phase-1 task (per fragment atom,
 	// caps included), or the field-site gradient + field of a phase-2
@@ -265,23 +272,35 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	e.terms = f.Terms()
 	coeffMap := e.terms.Coefficients()
 	e.polymers = e.terms.All()
+	e.images = make([][][3]float64, len(e.polymers))
+	e.keys = make([]string, len(e.polymers))
 	e.coeff = make([]float64, len(e.polymers))
 	members := make([][]int32, len(e.polymers))
 	touch := make([][]int32, len(e.polymers))
+	setup := func(a int) [3]float64 { return f.Geom.Atoms[a].Pos }
 	for pi, p := range e.polymers {
-		e.coeff[pi] = coeffMap[p.Key()]
-		ms := make([]int32, len(p.Monomers))
-		for i, m := range p.Monomers {
-			ms[i] = int32(m)
-		}
+		// Like the polymer list, each polymer's member images come from
+		// the set-up geometry and hold for every step.
+		e.images[pi] = f.MemberImages(p, setup)
+		e.keys[pi] = p.Key()
+		e.coeff[pi] = coeffMap[e.keys[pi]]
+		ms := int32s(p.Monomers)
 		sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
 		members[pi] = ms
-		ts := f.TouchSet(p)
-		t32 := make([]int32, len(ts))
-		for i, m := range ts {
-			t32[i] = int32(m)
+		touch[pi] = int32s(f.TouchSet(p))
+	}
+	e.atomMono = f.AtomMonomer()
+	e.atomSlot = make([]int, f.Geom.N())
+	for m := range f.Monomers {
+		for i, a := range f.Monomers[m].Atoms {
+			e.atomSlot[a] = i
 		}
-		touch[pi] = t32
+	}
+	if opts.Embed != nil {
+		e.monoTouch = make([][]int32, len(f.Monomers))
+		for m := range f.Monomers {
+			e.monoTouch[m] = int32s(f.TouchSet(fragment.Polymer{Monomers: []int{m}}))
+		}
 	}
 
 	// Queue priorities anchored at the reference monomer (shared policy
@@ -297,9 +316,98 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	return e, nil
 }
 
+func int32s(xs []int) []int32 {
+	out := make([]int32, len(xs))
+	for i, x := range xs {
+		out[i] = int32(x)
+	}
+	return out
+}
+
 // monoState tracks one monomer through the asynchronous trajectory.
 type monoState struct {
-	pos map[int][]float64 // step → flat positions of the monomer's atoms
+	// pos maps step → flat positions of the monomer's atoms. Each slice
+	// is created once and never written again, so workers may read it
+	// after the monomer has advanced and dropped it from the map.
+	pos map[int][]float64
+}
+
+// liveTask is one attempt handed to an in-process worker (or, through
+// the same bookkeeping, to an Executor slot).
+type liveTask struct {
+	task    coord.Task
+	field   *fragment.Field // embedding field (nil in vacuum / round 0)
+	charge  bool            // phase-1 charge task
+	attempt int
+	pos     int // first of the task's touch-set position slices in handoff.pos
+}
+
+// handoff is the message carrying one sweep's dispatches to a worker.
+// pos holds the step-t position slice of every monomer in each task's
+// touch set (Engine.taskFragment), in touch-set order, captured on the
+// coordinator at dispatch.
+type handoff struct {
+	tasks []liveTask
+	pos   [][]float64
+}
+
+// taskFragment returns the fragment a task evaluates — its polymer, or
+// for an EE-MBE charge task its monomer alone — the monomers whose
+// positions its geometry is built from, and its member images.
+func (e *Engine) taskFragment(t coord.Task, charge bool) (fragment.Polymer, []int32, [][3]float64) {
+	if charge {
+		return fragment.Polymer{Monomers: []int{int(t.Poly)}}, e.monoTouch[t.Poly], nil
+	}
+	return e.polymers[t.Poly], e.graph.Touch[t.Poly], e.images[t.Poly]
+}
+
+// extractor builds task geometries from captured position slices; each
+// goroutine that extracts owns one.
+type extractor struct {
+	e    *Engine
+	mono [][]float64 // monomer → positions, set only during one extract
+	at   func(atom int) [3]float64
+}
+
+func (e *Engine) newExtractor() *extractor {
+	x := &extractor{e: e, mono: make([][]float64, len(e.Frag.Monomers))}
+	x.at = func(a int) [3]float64 {
+		p, i := x.mono[e.atomMono[a]], 3*e.atomSlot[a]
+		return [3]float64{p[i], p[i+1], p[i+2]}
+	}
+	return x
+}
+
+// extract builds t's standalone geometry from pos, whose leading
+// entries are the positions of t's touch set.
+func (x *extractor) extract(t coord.Task, charge bool, pos [][]float64) *fragment.Extracted {
+	p, touch, images := x.e.taskFragment(t, charge)
+	for k, m := range touch {
+		x.mono[m] = pos[k]
+	}
+	ex := x.e.Frag.ExtractImaged(p, x.at, images)
+	for _, m := range touch {
+		x.mono[m] = nil
+	}
+	return ex
+}
+
+// evaluate runs one attempt on worker w: extraction from the captured
+// positions, then the evaluation its phase calls for.
+func (e *Engine) evaluate(w int, x *extractor, tw liveTask, pos [][]float64) result {
+	start := time.Now()
+	ex := x.extract(tw.task, tw.charge, pos)
+	r := result{worker: w, task: tw.task, ex: ex, field: tw.field}
+	switch {
+	case tw.charge:
+		r.charges, r.iters, r.err = e.chargeSafe(ex, tw.field)
+	case e.Opts.Embed != nil:
+		r.e, r.grad, r.fieldGrad, r.iters, r.skipped, r.err = e.evalSafeEmbedded(e.keys[tw.task.Poly], ex, tw.field)
+	default:
+		r.e, r.grad, r.iters, r.skipped, r.err = e.evalSafe(e.keys[tw.task.Poly], ex)
+	}
+	r.seconds = time.Since(start).Seconds()
+	return r
 }
 
 // evalSafe runs one polymer evaluation, converting an evaluator panic
@@ -374,23 +482,12 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 		}
 		monos[m].pos[0] = p0
 	}
-	atomMono := f.AtomMonomer()
-	atomSlot := make([]int, f.Geom.N()) // index of atom within its monomer
-	for m := range f.Monomers {
-		for i, a := range f.Monomers[m].Atoms {
-			atomSlot[a] = i
+	positionsOf := func(m, step int) []float64 {
+		p, ok := monos[m].pos[step]
+		if !ok {
+			panic(fmt.Sprintf("sched: monomer %d has no positions for step %d", m, step))
 		}
-	}
-	positionAt := func(step int) func(atom int) [3]float64 {
-		return func(atom int) [3]float64 {
-			ms := monos[atomMono[atom]]
-			p, ok := ms.pos[step]
-			if !ok {
-				panic(fmt.Sprintf("sched: monomer %d has no positions for step %d", atomMono[atom], step))
-			}
-			i := atomSlot[atom]
-			return [3]float64{p[3*i], p[3*i+1], p[3*i+2]}
-		}
+		return p
 	}
 
 	// Per-step accumulators.
@@ -449,10 +546,11 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 		snap, ok := stepPos[step]
 		if !ok {
 			snap = make([]float64, 3*f.Geom.N())
-			at := positionAt(step)
-			for a := 0; a < f.Geom.N(); a++ {
-				xyz := at(a)
-				copy(snap[3*a:], xyz[:])
+			for m := range f.Monomers {
+				p := positionsOf(m, step)
+				for i, a := range f.Monomers[m].Atoms {
+					copy(snap[3*a:3*a+3], p[3*i:3*i+3])
+				}
 			}
 			stepPos[step] = snap
 		}
@@ -471,65 +569,54 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 		return nil, fmt.Errorf("sched: %w", err)
 	}
 
-	// Task plumbing: one channel per worker (a worker only receives a
-	// task while idle, so sends never block), one shared result channel
-	// buffered for every worker to finish without a reader.
-	type liveTask struct {
-		task    coord.Task
-		ex      *fragment.Extracted
-		field   *fragment.Field // embedding field (nil in vacuum / round 0)
-		charge  bool            // phase-1 charge task
-		attempt int
-	}
+	// Task plumbing. The dispatches of one sweep collect in runs[w] and
+	// reach worker w as one hand-off when Await is next called (dirty
+	// lists the workers with one pending); the worker extracts and
+	// evaluates each task from the positions captured at dispatch and
+	// returns the run's results as one message. A worker is handed a run
+	// only while idle — every result of its previous run processed — so
+	// each worker has at most one message on either channel, and no send
+	// blocks.
 	inj := e.Opts.Injector
 	exec := e.Opts.Exec
-	// With an external executor the coordinator must be able to fold
-	// remote payloads back onto the parent system, so it remembers each
-	// slot's in-flight extraction bookkeeping (at most one attempt is
-	// outstanding per slot).
-	var pending map[int]liveTask
-	if exec != nil {
-		pending = make(map[int]liveTask, e.Opts.Workers)
-	}
-	taskCh := make([]chan liveTask, e.Opts.Workers)
-	resCh := make(chan result, e.Opts.Workers)
+	runs := make([]handoff, e.Opts.Workers)
+	var dirty []int
+	taskCh := make([]chan handoff, e.Opts.Workers)
+	resCh := make(chan []result, e.Opts.Workers)
+	var inbox []result // results of the last received run not yet awaited
 	for w := 0; w < e.Opts.Workers && exec == nil; w++ {
-		taskCh[w] = make(chan liveTask, 1)
+		taskCh[w] = make(chan handoff, 1)
 		go func(w int) {
+			x := e.newExtractor()
 			completed := 0
-			for tw := range taskCh[w] {
-				if inj.WorkerDies(w, completed) {
-					// The worker dies with the attempt it was handed;
-					// the coordinator evicts it and reclaims the task.
-					resCh <- result{worker: w, task: tw.task, ex: tw.ex,
-						err: resilience.ErrWorkerDeath, down: true}
-					return
+			for h := range taskCh[w] {
+				out := make([]result, 0, len(h.tasks))
+				for i, tw := range h.tasks {
+					if inj.WorkerDies(w, completed) {
+						// The worker dies starting this attempt: it and
+						// every attempt behind it in the run are lost, and
+						// the last report carries the death, so the
+						// coordinator evicts the worker with none of its
+						// tasks unaccounted for.
+						for _, lost := range h.tasks[i:] {
+							out = append(out, result{worker: w, task: lost.task, err: resilience.ErrWorkerDeath})
+						}
+						out[len(out)-1].down = true
+						resCh <- out
+						return
+					}
+					if inj.FailTask(tw.task.Poly, tw.task.Step, tw.attempt) {
+						out = append(out, result{worker: w, task: tw.task, err: resilience.ErrInjected})
+						continue
+					}
+					r := e.evaluate(w, x, tw, h.pos[tw.pos:])
+					if f := inj.Straggle(w, tw.task.Poly, tw.task.Step); f > 1 {
+						time.Sleep(time.Duration(r.seconds * (f - 1) * float64(time.Second)))
+					}
+					completed++
+					out = append(out, r)
 				}
-				if inj.FailTask(tw.task.Poly, tw.task.Step, tw.attempt) {
-					resCh <- result{worker: w, task: tw.task, ex: tw.ex, err: resilience.ErrInjected}
-					continue
-				}
-				start := time.Now()
-				var res result
-				if tw.charge {
-					q, iters, err := e.chargeSafe(tw.ex, tw.field)
-					res = result{worker: w, task: tw.task, ex: tw.ex, charges: q, iters: iters, err: err}
-				} else if chargeRounds > 0 {
-					key := e.polymers[tw.task.Poly].Key()
-					en, gr, fg, iters, skipped, err := e.evalSafeEmbedded(key, tw.ex, tw.field)
-					res = result{worker: w, task: tw.task, e: en, grad: gr, fieldGrad: fg,
-						field: tw.field, ex: tw.ex, err: err, iters: iters, skipped: skipped}
-				} else {
-					key := e.polymers[tw.task.Poly].Key()
-					en, gr, iters, skipped, err := e.evalSafe(key, tw.ex)
-					res = result{worker: w, task: tw.task, e: en, grad: gr, ex: tw.ex, err: err,
-						iters: iters, skipped: skipped}
-				}
-				if f := inj.Straggle(w, tw.task.Poly, tw.task.Step); f > 1 {
-					time.Sleep(time.Duration(float64(time.Since(start)) * (f - 1)))
-				}
-				completed++
-				resCh <- res
+				resCh <- out
 			}
 		}(w)
 	}
@@ -541,50 +628,69 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 		}
 	}()
 
-	// send hands one attempt to whichever execution substrate is
-	// configured: the in-process goroutine pool, or the external
-	// executor (serialising only the standalone geometry and field —
-	// the fold bookkeeping stays here in pending).
-	send := func(w int, tw liveTask) {
-		if exec == nil {
-			taskCh[w] <- tw
-			return
+	// With an external executor the coordinator extracts, ships only the
+	// standalone geometry and field, and keeps each slot's fold
+	// bookkeeping in pending until its result returns. Executors report
+	// no cost, so the scheduling core hands a slot one attempt at a time.
+	var pending map[int]result
+	var coordX *extractor
+	if exec != nil {
+		pending = make(map[int]result, e.Opts.Workers)
+		coordX = e.newExtractor()
+	}
+	flush := func() {
+		for _, w := range dirty {
+			h := runs[w]
+			runs[w] = handoff{tasks: make([]liveTask, 0, cap(h.tasks)), pos: make([][]float64, 0, cap(h.pos))}
+			if exec == nil {
+				taskCh[w] <- h
+				continue
+			}
+			if len(h.tasks) != 1 {
+				panic(fmt.Sprintf("sched: executor slot %d handed %d attempts at once", w, len(h.tasks)))
+			}
+			tw := h.tasks[0]
+			ex := coordX.extract(tw.task, tw.charge, h.pos[tw.pos:])
+			pending[w] = result{worker: w, task: tw.task, ex: ex, field: tw.field}
+			req := ExecRequest{Task: tw.task, Attempt: tw.attempt, Charge: tw.charge,
+				Embed: chargeRounds > 0, Geom: ex.Geom, Field: tw.field.PC()}
+			if !tw.charge {
+				req.Key = e.keys[tw.task.Poly]
+			}
+			exec.Execute(w, req)
 		}
-		pending[w] = tw
-		req := ExecRequest{Task: tw.task, Attempt: tw.attempt, Charge: tw.charge,
-			Embed: chargeRounds > 0, Geom: tw.ex.Geom, Field: tw.field.PC()}
-		if !tw.charge {
-			req.Key = e.polymers[tw.task.Poly].Key()
-		}
-		exec.Execute(w, req)
+		dirty = dirty[:0]
 	}
 	// recv blocks for the next attempt outcome from the configured
 	// substrate, rejoining executor results with their pending fold
 	// bookkeeping.
 	recv := func(ctx context.Context) (result, error) {
 		if exec == nil {
-			select {
-			case r := <-resCh:
-				return r, nil
-			case <-ctx.Done():
-				return result{}, ctx.Err()
+			for len(inbox) == 0 {
+				select {
+				case inbox = <-resCh:
+				case <-ctx.Done():
+					return result{}, ctx.Err()
+				}
 			}
+			r := inbox[0]
+			inbox = inbox[1:]
+			return r, nil
 		}
 		select {
 		case xr := <-exec.Results():
-			tw, ok := pending[xr.Worker]
+			r, ok := pending[xr.Worker]
 			if !ok {
 				return result{}, fmt.Errorf("sched: executor result for idle worker slot %d", xr.Worker)
 			}
-			if xr.Task != tw.task {
+			if xr.Task != r.task {
 				return result{}, fmt.Errorf("sched: executor result for task %v on slot %d running %v",
-					xr.Task, xr.Worker, tw.task)
+					xr.Task, xr.Worker, r.task)
 			}
 			delete(pending, xr.Worker)
-			return result{worker: xr.Worker, task: xr.Task, e: xr.E, grad: xr.Grad,
-				fieldGrad: xr.FieldGrad, charges: xr.Charges, iters: xr.Iters,
-				skipped: xr.Skipped, err: xr.Err, down: xr.WorkerDown,
-				ex: tw.ex, field: tw.field}, nil
+			r.e, r.grad, r.fieldGrad, r.charges = xr.E, xr.Grad, xr.FieldGrad, xr.Charges
+			r.iters, r.skipped, r.err, r.down = xr.Iters, xr.Skipped, xr.Err, xr.WorkerDown
+			return r, nil
 		case <-ctx.Done():
 			return result{}, ctx.Err()
 		}
@@ -599,23 +705,16 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			if firstDispatch[t.Step].IsZero() {
 				firstDispatch[t.Step] = time.Now()
 			}
-			if int(t.Phase) < chargeRounds {
-				// Phase-1 charge task: the monomer's capped geometry,
-				// embedded (rounds > 0) in the previous round's charges.
-				p := fragment.Polymer{Monomers: []int{int(t.Poly)}}
-				ex := f.ExtractAt(p, positionAt(int(t.Step)))
-				var fl *fragment.Field
-				if t.Phase > 0 {
-					fl = f.FieldFor(p, chargeAt(int(t.Step), int(t.Phase)-1), fieldPosAt(int(t.Step)))
-				}
-				send(w, liveTask{task: t, ex: ex, field: fl, charge: true, attempt: m.Attempt})
-				return
-			}
-			ex := f.ExtractAt(e.polymers[t.Poly], positionAt(int(t.Step)))
-			var fl *fragment.Field
-			if chargeRounds > 0 {
-				step := int(t.Step)
-				fl = f.FieldFor(e.polymers[t.Poly], chargeAt(step, chargeRounds-1), fieldPosAt(step))
+			step := int(t.Step)
+			tw := liveTask{task: t, attempt: m.Attempt, charge: int(t.Phase) < chargeRounds}
+			switch {
+			case tw.charge && t.Phase > 0:
+				// A later-round charge task sees the previous round's
+				// charges as its field.
+				p, _, _ := e.taskFragment(t, true)
+				tw.field = f.FieldFor(p, chargeAt(step, int(t.Phase)-1), fieldPosAt(step))
+			case !tw.charge && chargeRounds > 0:
+				tw.field = f.FieldFor(e.polymers[t.Poly], chargeAt(step, chargeRounds-1), fieldPosAt(step))
 				if !residualDone[step] {
 					// First polymer dispatch of the step: charges are
 					// final and every monomer has step positions, so
@@ -625,9 +724,19 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 						fieldPosAt(step), stepGrad(step))
 				}
 			}
-			send(w, liveTask{task: t, ex: ex, field: fl, attempt: m.Attempt})
+			h := &runs[w]
+			if len(h.tasks) == 0 {
+				dirty = append(dirty, w)
+			}
+			tw.pos = len(h.pos)
+			_, touch, _ := e.taskFragment(t, tw.charge)
+			for _, mi := range touch {
+				h.pos = append(h.pos, positionsOf(int(mi), step))
+			}
+			h.tasks = append(h.tasks, tw)
 		},
 		AwaitFn: func(ctx context.Context) (coord.Completion, error) {
+			flush()
 			r, err := recv(ctx)
 			if err != nil {
 				if ctx.Err() != nil {
@@ -647,15 +756,16 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				if int(r.task.Phase) < chargeRounds {
 					desc = fmt.Sprintf("charge task monomer %d round %d", r.task.Poly, r.task.Phase)
 				} else {
-					desc = fmt.Sprintf("polymer %s", e.polymers[r.task.Poly].Key())
+					desc = fmt.Sprintf("polymer %s", e.keys[r.task.Poly])
 				}
 				return coord.Completion{Worker: r.worker, Task: r.task, WorkerDown: r.down,
 					Err: fmt.Errorf("sched: %s step %d: %w", desc, r.task.Step, r.err)}, nil
 			}
+			done := coord.Completion{Worker: r.worker, Task: r.task, Seconds: r.seconds}
 			if pol.Completed(r.task) {
 				// The losing copy of a speculated task: its twin's
 				// payload is already folded in; drop this one.
-				return coord.Completion{Worker: r.worker, Task: r.task}, nil
+				return done, nil
 			}
 			t := int(r.task.Step)
 			lastResult[t] = time.Now()
@@ -681,7 +791,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 					}
 					dst[a] = v
 				}
-				return coord.Completion{Worker: r.worker, Task: r.task}, nil
+				return done, nil
 			}
 			if r.skipped {
 				skipStep[t]++
@@ -690,7 +800,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			epotStep[t] += c * r.e
 			r.ex.FoldGradient(r.grad, c, stepGrad(t))
 			r.field.FoldGradient(r.fieldGrad, c, stepGrad(t))
-			return coord.Completion{Worker: r.worker, Task: r.task}, nil
+			return done, nil
 		},
 	}
 
