@@ -390,8 +390,8 @@ func GemmBench(c *Config) {
 			c.printf("%-20s %10.4f %12.3f\n", row.Kernel+"-"+row.Name, row.Seconds, row.GFLOPS)
 		}
 		c.printf("\nShape to verify: the Cholesky-route factor of the 414×414 RI metric is\n")
-		c.printf("several times faster than EigSym of it (the eigen-route's core), which like\n")
-		c.printf("one three-centre derivative pass takes about a tenth of a second.\n")
+		c.printf("several times faster than EigSym of it (the eigen-route's core, about a tenth\n")
+		c.printf("of a second); one three-centre derivative pass takes about half that.\n")
 	}
 
 	if c.BenchJSON != "" {

@@ -62,6 +62,83 @@ func TestBoysDerivativeIdentity(t *testing.T) {
 	}
 }
 
+// boysRelErr returns the largest relative difference between boys and
+// boysSeries over out[0..m] at x.
+func boysRelErr(m int, x float64) float64 {
+	got, want := make([]float64, m+1), make([]float64, m+1)
+	boys(m, x, got)
+	boysSeries(m, x, want)
+	var worst float64
+	for k := range got {
+		worst = math.Max(worst, math.Abs(got[k]-want[k])/want[k])
+	}
+	return worst
+}
+
+// The table against the series it was generated from, in every order up
+// to the largest a kernel reaches on the dzp basis — FourCenterDerivHF's
+// (L+1)+L+L+L over d shells — at every node and midpoint of the grid,
+// at its ends and past them.
+func TestBoysTableMatchesSeries(t *testing.T) {
+	bs, err := basis.Build("dzp", molecule.Water())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmax := 4*bs.MaxL() + 1
+	xs := []float64{0, 1e-13, boysGridMax - 1e-12, boysGridMax, boysGridMax + 1e-12, 35.5, 40, 60}
+	for i := 0; i < boysNodes; i++ {
+		x := float64(i) / boysPerUnit
+		xs = append(xs, x, x+0.5/boysPerUnit)
+	}
+	var worst float64
+	for m := 0; m <= mmax; m++ {
+		for _, x := range xs {
+			rel := boysRelErr(m, x)
+			if rel > 1e-14 {
+				t.Fatalf("m=%d x=%g: relative error %.3g against the series", m, x, rel)
+			}
+			worst = math.Max(worst, rel)
+		}
+	}
+	t.Logf("m ≤ %d, %d arguments: worst relative error %.3g", mmax, len(xs), worst)
+}
+
+// FuzzBoys: any argument and order leaves boys in one piece; a finite
+// x ≥ 0 gives finite, non-negative values falling with the order, within
+// 1e-14 of the series wherever that converges. No Gaussian integral has
+// a NaN, infinite or negative argument: one gives NaN in every order —
+// never an index out of the table — so a non-finite geometry reaches the
+// SCF's non-finite guard. The seeds run with every plain go test.
+func FuzzBoys(f *testing.F) {
+	for _, x := range []float64{0, 1e-13, 0.5, 17.015625, 35, 35.1, 80, 1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1), -1e-300, -2} {
+		f.Add(x, uint8(boysMaxM))
+	}
+	f.Fuzz(func(t *testing.T, x float64, order uint8) {
+		m := int(order) % (boysMaxM + 1)
+		out := make([]float64, m+1)
+		boys(m, x, out)
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			for k, v := range out {
+				if !math.IsNaN(v) {
+					t.Fatalf("F_%d(%g) = %g, want NaN", k, x, v)
+				}
+			}
+			return
+		}
+		for k, v := range out {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || (k > 0 && v > out[k-1]) {
+				t.Fatalf("F_%d(%g) = %g (F_%d = %g)", k, x, v, k-1, out[max(k-1, 0)])
+			}
+		}
+		if x <= 60 {
+			if rel := boysRelErr(m, x); rel > 1e-14 {
+				t.Fatalf("m=%d x=%g: relative error %.3g against the series", m, x, rel)
+			}
+		}
+	})
+}
+
 // --- helper geometries/bases ---------------------------------------------
 
 // h2Basis builds the Szabo–Ostlund H2/STO-3G system: two H atoms at
