@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fragmd -in system.xyz [-mode energy|grad|md|bench] [-basis sto-3g|dzp]
-//	       [-atoms-per-monomer N] [-dimer-cut Å] [-trimer-cut Å] [-ri-screen t] [-f32]
+//	       [-atoms-per-monomer N] [-dimer-cut Å] [-trimer-cut Å] [-ri-screen t]
 //	       [-box Lx,Ly,Lz] [-pbc]
 //	       [-embed] [-embed-scc N] [-embed-tol e] [-embed-damp d]
 //	       [-steps N] [-dt fs] [-temp K] [-sync] [-workers N]
@@ -72,7 +72,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/fragmd/fragmd/internal/bench"
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/linalg"
@@ -139,7 +138,6 @@ func run(argv []string, out, errOut io.Writer) error {
 	batch := fs.Int("batch", 0, "tasks per coordinator batch transfer (0/1 = single-task dispatch)")
 	steal := fs.Bool("steal", false, "enable work stealing between group coordinators")
 	scs := fs.Bool("scs", false, "report SCS-MP2 energies")
-	f32 := fs.Bool("f32", false, "store packed GEMM panels in float32 (f64 accumulation) on the bandwidth-bound RI contractions; ~1e-7 relative energy error")
 	riScreen := fs.Float64("ri-screen", 0, "Schwarz screening threshold for three-center (μν|P) integrals (0 = default 1e-12, negative disables)")
 	embed := fs.Bool("embed", false, "electrostatically embed every MBE term in the other monomers' Mulliken charges (EE-MBE)")
 	embedSCC := fs.Int("embed-scc", 0, "self-consistent charge refinement rounds beyond the vacuum round")
@@ -188,7 +186,7 @@ func run(argv []string, out, errOut io.Writer) error {
 	}
 	printSystem(out, f)
 
-	eval, err := potential.Spec{Potential: "rimp2", Basis: *basisName, SCS: *scs, RIScreen: *riScreen, F32: *f32}.Build()
+	eval, err := potential.Spec{Potential: "rimp2", Basis: *basisName, SCS: *scs, RIScreen: *riScreen}.Build()
 	if err != nil {
 		return err
 	}
@@ -382,8 +380,8 @@ func runWarmBench(out io.Writer, f *fragment.Fragmentation, eval fragment.Evalua
 	}
 	coldOpts := engOpts
 	coldOpts.WarmStart, coldOpts.SkipTol, coldOpts.Cache = false, 0, nil
-	// Untimed throwaway step so the global GEMM auto-tuner's variant
-	// trials don't bias whichever timed run goes first.
+	// Untimed throwaway step so first-use costs (pooled pack buffers,
+	// cold caches) don't bias whichever timed run goes first.
 	if _, err := one(coldOpts, 1); err != nil {
 		return err
 	}
@@ -397,6 +395,6 @@ func runWarmBench(out io.Writer, f *fragment.Fragmentation, eval fragment.Evalua
 	if err != nil {
 		return err
 	}
-	bench.CompareDynamics(out, cold, warmRun)
+	sched.CompareDynamics(out, cold, warmRun)
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
@@ -216,16 +215,11 @@ func parseStepRows(t *testing.T, out string) map[int][3]float64 {
 
 // The restart acceptance test at the CLI level: an md run killed after
 // 2 of 4 steps and resumed from its checkpoint reproduces the
-// uninterrupted run's energies. The global GEMM auto-tuner is disabled
-// so both runs use identical kernels (its timing-based arbitration is
-// the one nondeterministic ingredient).
+// uninterrupted run's energies.
 func TestRunMDCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RI-MP2 dynamics is slow; run without -short")
 	}
-	wasEnabled := autotune.Default.Enabled
-	autotune.Default.Enabled = false
-	defer func() { autotune.Default.Enabled = wasEnabled }()
 
 	xyz := writeWaterDimerXYZ(t)
 	ck := filepath.Join(t.TempDir(), "traj.ckpt")
@@ -353,7 +347,9 @@ func TestRunResumeRejectsDtMismatch(t *testing.T) {
 
 // Periodic flags: -box attaches a cell (reported in the system line),
 // an XYZ cell= comment satisfies -pbc on its own, -pbc with no cell at
-// all is a usage error, and malformed -box values are usage errors.
+// all is a usage error, malformed -box values are usage errors, and
+// -embed under a cell is refused before any evaluation, in the serial
+// energy path and in the MD engine.
 func TestRunBoxAndPBCFlags(t *testing.T) {
 	xyz := writeWaterDimerXYZ(t)
 	var out bytes.Buffer
@@ -374,6 +370,12 @@ func TestRunBoxAndPBCFlags(t *testing.T) {
 	for _, bad := range []string{"abc", "1,2", "1,2,3,4", "0", "-5,5,5"} {
 		if err := run([]string{"-in", xyz, "-box", bad}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
 			t.Errorf("-box %q: got %v, want errUsage", bad, err)
+		}
+	}
+	for _, mode := range []string{"energy", "md"} {
+		err := run([]string{"-in", xyz, "-mode", mode, "-steps", "1", "-embed", "-box", "20"}, io.Discard, io.Discard)
+		if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "periodic cell 20 x 20 x 20 Å") {
+			t.Errorf("-mode %s -embed -box 20: got %v, want the periodic-embedding refusal", mode, err)
 		}
 	}
 

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
@@ -30,12 +29,9 @@ const argvSep = "\x1f"
 // TestMain re-execs the test binary as a real fragmd process when
 // FRAGMD_TEST_ARGV is set — the multi-process harness the distributed
 // smoke test uses, so a worker can be kill -9'd like a production
-// crash. The child disables the GEMM auto-tuner to keep kernels (and
-// float accumulation order) identical across every process of the
-// equivalence comparison.
+// crash.
 func TestMain(m *testing.M) {
 	if argv := os.Getenv("FRAGMD_TEST_ARGV"); argv != "" {
-		autotune.Default.Enabled = false
 		if err := run(strings.Split(argv, argvSep), os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -123,10 +119,6 @@ func TestCoordinateSurvivesWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process RI-MP2 dynamics is slow; run without -short")
 	}
-	wasEnabled := autotune.Default.Enabled
-	autotune.Default.Enabled = false
-	defer func() { autotune.Default.Enabled = wasEnabled }()
-
 	xyz := writeWaterXYZ(t, 3)
 	const steps = "3"
 

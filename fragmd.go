@@ -3,8 +3,8 @@
 // "Breaking the Million-Electron and 1 EFLOP/s Barriers" (SC 2024):
 // MBE3 molecular fragmentation, synergistic RI-HF + RI-MP2 analytic
 // gradients with no four-center integrals, asynchronous time-step AIMD,
-// runtime GEMM auto-tuning, and a discrete-event simulator of the
-// Frontier/Perlmutter executions.
+// the runtime GEMM auto-tuning experiment, and a discrete-event
+// simulator of the Frontier/Perlmutter executions.
 //
 // This file is the public facade: it re-exports the stable surface of
 // the internal packages through type aliases and constructors, so
@@ -46,7 +46,6 @@ import (
 	"context"
 	"math/rand"
 
-	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
 	"github.com/fragmd/fragmd/internal/fragment"
@@ -370,9 +369,3 @@ func GEMMFLOPs() int64 { return linalg.FLOPs() }
 // ResetGEMMFLOPs zeroes the global GEMM FLOP counter and returns the
 // value it held.
 func ResetGEMMFLOPs() int64 { return linalg.ResetFLOPs() }
-
-// DefaultTuner is the process-wide runtime GEMM auto-tuner (§V-G). It
-// starts disabled (GEMMs take linalg's static size-keyed dispatch);
-// set DefaultTuner.Enabled = true before the first evaluation to
-// arbitrate per shape by in-situ timing.
-var DefaultTuner = autotune.Default

@@ -14,13 +14,10 @@ import (
 	"testing"
 
 	"github.com/fragmd/fragmd"
-	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/md"
-	"github.com/fragmd/fragmd/internal/mp2"
 	"github.com/fragmd/fragmd/internal/potential"
-	"github.com/fragmd/fragmd/internal/scf"
 	"github.com/fragmd/fragmd/internal/sched"
 )
 
@@ -50,10 +47,8 @@ var update = flag.Bool("update", false, "rewrite golden trajectory files")
 // explicitly with -update.
 //
 // The runs still pin what can be pinned: one worker (a single
-// completion order for the gradient accumulation), auto-tuner off (its
-// timing-based variant arbitration is the one nondeterministic kernel
-// ingredient), assembly microkernel off, fixed seeds. DESIGN.md §9 has
-// the full determinism contract.
+// completion order for the gradient accumulation), assembly microkernel
+// off, fixed seeds. DESIGN.md §9 has the full determinism contract.
 
 // fnum is a float64 in JSON with all its bits.
 type fnum string
@@ -86,20 +81,13 @@ type goldenUrea struct {
 }
 
 // withDeterministicKernels pins the GEMM engine for the duration of a
-// golden run: auto-tuner off (timing-based variant arbitration) and
-// the assembly microkernel off — its FMA contraction changes f64
-// rounding relative to the portable kernel the goldens were recorded
-// with. The asm path is covered separately by the tolerance test
-// below.
+// golden run: the assembly microkernel off — its FMA contraction changes
+// f64 rounding relative to the portable kernel the goldens were recorded
+// with. The asm path is covered separately by the tolerance test below.
 func withDeterministicKernels(t *testing.T, fn func()) {
 	t.Helper()
-	was := autotune.Default.Enabled
-	autotune.Default.Enabled = false
 	wasAsm := linalg.SetAsmEnabled(false)
-	defer func() {
-		autotune.Default.Enabled = was
-		linalg.SetAsmEnabled(wasAsm)
-	}()
+	defer linalg.SetAsmEnabled(wasAsm)
 	fn()
 }
 
@@ -482,23 +470,15 @@ func goldenMBEEnergy(t *testing.T) float64 {
 }
 
 // quickstartMBE recomputes the quickstart MBE energy with the current
-// kernel configuration (tuner off so only the kernel choice varies).
-func quickstartMBE(t *testing.T, prec linalg.Precision) float64 {
+// kernel configuration.
+func quickstartMBE(t *testing.T) float64 {
 	t.Helper()
-	was := autotune.Default.Enabled
-	autotune.Default.Enabled = false
-	defer func() { autotune.Default.Enabled = was }()
 	sys := fragmd.WaterCluster(3)
 	frag, err := fragmd.FragmentByMolecule(sys, 3, 1, fragmd.FragmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &potential.RIMP2{
-		Basis:   "sto-3g",
-		SCFOpts: scf.Options{Precision: prec},
-		MP2Opts: mp2.Options{Precision: prec},
-	}
-	res, err := frag.Compute(eval)
+	res, err := frag.Compute(&potential.RIMP2{Basis: "sto-3g"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,26 +499,8 @@ func TestGoldenQuickstartAsmTolerance(t *testing.T) {
 	prev := linalg.SetAsmEnabled(true)
 	defer linalg.SetAsmEnabled(prev)
 	want := goldenMBEEnergy(t)
-	got := quickstartMBE(t, linalg.F64)
+	got := quickstartMBE(t)
 	if d := got - want; d > 1e-7 || d < -1e-7 {
 		t.Fatalf("asm-kernel MBE energy %.12f vs golden %.12f (|Δ|=%.3g > 1e-7 Ha)", got, want, d)
-	}
-}
-
-// The mixed-precision packed path stores operands in float32
-// (≤2⁻²⁴ per-operand perturbation, f64 accumulation); the converged
-// MBE energy must stay within the documented ~1e-7 relative envelope
-// of the exact golden (~2e-5 Ha on this ~225 Ha system; measured
-// error is ~7e-8 Ha — the B-build staying exact is what keeps the
-// metric's condition number out of the error budget).
-func TestGoldenQuickstartF32Tolerance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RI-MP2 MBE is slow; run without -short")
-	}
-	want := goldenMBEEnergy(t)
-	got := quickstartMBE(t, linalg.F32)
-	tol := 1e-7 * (-want)
-	if d := got - want; d > tol || d < -tol {
-		t.Fatalf("f32-path MBE energy %.12f vs golden %.12f (|Δ|=%.3g > %.3g Ha)", got, want, d, tol)
 	}
 }

@@ -15,6 +15,11 @@
 // between variants on MI250X (Table IV) and 12–13 % end-to-end AIMD
 // speedups from the tuner; the pure-Go engines show the same qualitative
 // spread because their cache behaviour differs per shape.
+//
+// The tuner is the §V-G experiment (mbebench table4 / autotune,
+// examples/autotune_demo), not part of the evaluation path: scf and mp2
+// call linalg.Gemm, whose static size-keyed dispatch wins every tracked
+// shape.
 package autotune
 
 import (
@@ -27,33 +32,24 @@ import (
 )
 
 // shape identifies a GEMM problem: C(m×n) = op(A)·op(B) with inner
-// dimension k, for the *logical* (already-op-applied) dimensions, plus
-// the precision the caller allows. Precision is part of the key so an
-// exact call never inherits a winner arbitrated with the reduced-
-// precision candidate in play (and vice versa).
-type shape struct {
-	m, k, n int
-	prec    linalg.Precision
-}
+// dimension k, for the *logical* (already-op-applied) dimensions.
+type shape struct{ m, k, n int }
 
-// Candidate execution strategies: the four streaming variants, the
-// packed engine, and the mixed-precision packed engine (arbitrated only
-// for calls that opted into F32).
+// Candidate execution strategies: the four streaming variants and the
+// packed engine.
 const (
 	candNN     = int(linalg.VariantNN)
 	candNT     = int(linalg.VariantNT)
 	candTN     = int(linalg.VariantTN)
 	candTT     = int(linalg.VariantTT)
 	candPacked = 4
-	candP32    = 5
 
-	// numCandidates is the arbitration arity: 4 streaming variants + 2
-	// packed engines. candP32 must stay last: exact (F64) calls
-	// arbitrate over the prefix [0, candP32).
-	numCandidates = 6
+	// numCandidates is the arbitration arity: 4 streaming variants + the
+	// packed engine.
+	numCandidates = 5
 )
 
-var candidateNames = [numCandidates]string{"NN", "NT", "TN", "TT", "PK", "P32"}
+var candidateNames = [numCandidates]string{"NN", "NT", "TN", "TT", "PK"}
 
 // CandidateName returns the display name of candidate index i
 // ("NN".."TT" for the streaming variants, "PK" for the packed engine).
@@ -76,8 +72,7 @@ type state struct {
 // Stats describes the tuning outcome for one GEMM shape.
 type Stats struct {
 	M, K, N    int
-	Prec       linalg.Precision // precision class this arbitration ran under
-	Best       int              // winning candidate index (see CandidateName)
+	Best       int // winning candidate index (see CandidateName)
 	Locked     bool
 	Seconds    [numCandidates]float64 // mean seconds per candidate (0 if untried)
 	GFLOPS     [numCandidates]float64 // 2mnk / mean seconds (0 if untried)
@@ -106,14 +101,14 @@ func New() *Tuner {
 	return &Tuner{Enabled: true, shapes: make(map[shape]*state)}
 }
 
-// Default is the process-wide tuner the chemistry kernels route through
-// when their options name none. It starts disabled, so production GEMMs
-// take linalg's static size-keyed dispatch: with an assembly micro-kernel
-// the packed engine wins every shape big enough for a trial to cost
-// anything (a lost trial of a 414³ product is 25 calls of the winner),
-// and a winner locked on one noisy in-situ timing made otherwise
-// identical runs differ by ±6 % in step time. Set Enabled (before the
-// first evaluation) to arbitrate per shape as the paper does.
+// Default is a process-wide tuner that nothing on the evaluation path
+// routes through: scf and mp2 call linalg.Gemm directly, because with an
+// assembly micro-kernel the packed engine wins every shape big enough for
+// a trial to cost anything (a lost trial of a 414³ product is 25 calls of
+// the winner), and a winner locked on one noisy in-situ timing made
+// otherwise identical runs differ by ±6 % in step time. It starts
+// disabled and records nothing; the repository benchmark still reads its
+// (empty) Snapshot.
 var Default = &Tuner{shapes: make(map[shape]*state)}
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C like linalg.Gemm, but may
@@ -121,20 +116,8 @@ var Default = &Tuner{shapes: make(map[shape]*state)}
 // the fastest strategy for this logical shape. Results are identical up
 // to floating-point rounding.
 func (t *Tuner) Gemm(tA, tB linalg.Transpose, alpha float64, a, b *linalg.Mat, beta float64, c *linalg.Mat) {
-	t.GemmPrec(linalg.F64, tA, tB, alpha, a, b, beta, c)
-}
-
-// GemmPrec is Gemm with a panel-precision request. F64 arbitrates the
-// exact candidates only. F32 admits the mixed-precision packed engine
-// as a sixth candidate — the call declares ~1e-7 relative accuracy is
-// acceptable, and the tuner decides per shape whether the halved panel
-// bandwidth actually wins (it can lose on small shapes, and on
-// architectures whose asm kernel has no f32 variant). Arbitration state
-// is keyed by (shape, precision), so exact and reduced-precision
-// traffic never share a winner.
-func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha float64, a, b *linalg.Mat, beta float64, c *linalg.Mat) {
 	if t == nil || !t.Enabled {
-		linalg.GemmPrec(prec, tA, tB, alpha, a, b, beta, c)
+		linalg.Gemm(tA, tB, alpha, a, b, beta, c)
 		return
 	}
 	m, k := a.Rows, a.Cols
@@ -145,11 +128,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	if tB {
 		n = b.Rows
 	}
-	sh := shape{m, k, n, prec}
-	lim := numCandidates // F32: all candidates
-	if prec != linalg.F32 {
-		lim = candP32 // exact call: exact candidates only
-	}
+	sh := shape{m, k, n}
 
 	t.mu.Lock()
 	st, ok := t.shapes[sh]
@@ -163,7 +142,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	} else {
 		// Pick the least-tried candidate for this call.
 		cand = candNN
-		for v := candNN; v < lim; v++ {
+		for v := candNN; v < numCandidates; v++ {
 			if st.trials[v] < st.trials[cand] {
 				cand = v
 			}
@@ -183,7 +162,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	st.trials[cand]++
 	st.total[cand] += elapsed
 	done := true
-	for v := candNN; v < lim; v++ {
+	for v := candNN; v < numCandidates; v++ {
 		if st.trials[v] < trialsPerCandidate {
 			done = false
 			break
@@ -191,7 +170,7 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 	}
 	if done && !st.locked {
 		best := candNN
-		for v := candNN; v < lim; v++ {
+		for v := candNN; v < numCandidates; v++ {
 			if st.total[v]/float64(st.trials[v]) < st.total[best]/float64(st.trials[best]) {
 				best = v
 			}
@@ -200,22 +179,6 @@ func (t *Tuner) GemmPrec(prec linalg.Precision, tA, tB linalg.Transpose, alpha f
 		st.locked = true
 	}
 	t.mu.Unlock()
-}
-
-// MatMul returns op(A)·op(B) as a fresh matrix (alpha=1, beta=0) routed
-// through the tuner, mirroring linalg.MatMul.
-func (t *Tuner) MatMul(tA, tB linalg.Transpose, a, b *linalg.Mat) *linalg.Mat {
-	m := a.Rows
-	if tA {
-		m = a.Cols
-	}
-	n := b.Cols
-	if tB {
-		n = b.Rows
-	}
-	c := linalg.NewMat(m, n)
-	t.Gemm(tA, tB, 1, a, b, 0, c)
-	return c
 }
 
 // runCandidate executes the logical product op(A)·op(B) using the
@@ -230,10 +193,6 @@ func (t *Tuner) MatMul(tA, tB linalg.Transpose, a, b *linalg.Mat) *linalg.Mat {
 func runCandidate(cand int, tA, tB linalg.Transpose, alpha float64, a, b *linalg.Mat, beta float64, c *linalg.Mat) {
 	if cand == candPacked {
 		linalg.GemmKernel(linalg.KernelPacked, tA, tB, alpha, a, b, beta, c)
-		return
-	}
-	if cand == candP32 {
-		linalg.GemmKernel(linalg.KernelPackedF32, tA, tB, alpha, a, b, beta, c)
 		return
 	}
 	v := linalg.Variant(cand)
@@ -252,13 +211,6 @@ func runCandidate(cand int, tA, tB linalg.Transpose, alpha float64, a, b *linalg
 	linalg.GemmKernel(linalg.KernelStream, fa, fb, alpha, pa, pb, beta, c)
 }
 
-// Reset clears all tuning state (shapes must be re-trialled).
-func (t *Tuner) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.shapes = make(map[shape]*state)
-}
-
 // Snapshot returns per-shape tuning statistics sorted by descending
 // problem size, for reporting (cmd/mbebench table4).
 func (t *Tuner) Snapshot() []Stats {
@@ -266,7 +218,7 @@ func (t *Tuner) Snapshot() []Stats {
 	defer t.mu.Unlock()
 	out := make([]Stats, 0, len(t.shapes))
 	for sh, st := range t.shapes {
-		s := Stats{M: sh.m, K: sh.k, N: sh.n, Prec: sh.prec, Best: st.best, Locked: st.locked}
+		s := Stats{M: sh.m, K: sh.k, N: sh.n, Best: st.best, Locked: st.locked}
 		flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
 		bestT, worstT := 0.0, 0.0
 		for v := 0; v < numCandidates; v++ {

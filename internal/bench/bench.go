@@ -125,9 +125,7 @@ func Table4(c *Config) {
 		bestName, bestRate := "", 0.0
 		for _, e := range measureGemmEngines(s.M, k, s.N, 1) {
 			rate[e.kernel] = flops / e.seconds / 1e9
-			// packed-f32 trades precision for speed; it is reported by
-			// the gemm suite but does not compete for "best" here.
-			if e.kernel != "packed-f32" && rate[e.kernel] > bestRate {
+			if rate[e.kernel] > bestRate {
 				bestName, bestRate = e.kernel, rate[e.kernel]
 			}
 		}

@@ -3,7 +3,6 @@ package bench
 import (
 	"time"
 
-	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/mp2"
 )
@@ -73,12 +72,9 @@ func rimp2PairFlops(nocc, nvir, naux int) float64 {
 
 // runRIMP2E2ERows measures the end-to-end RI-MP2 pair-energy loop —
 // tiled macro-GEMM engine vs the pre-change per-(i,j) pair loop — and
-// returns baseline-gateable rows. Each engine gets its own auto-tuner,
-// warmed by one untimed sweep so per-shape arbitration is locked before
-// timing: production reuses the process-wide tuner across thousands of
-// MD-step sweeps, so steady-state (locked) throughput is what the gate
-// tracks, and the warm-up keeps the one-shot trial noise of the five
-// candidate engines out of the measurement.
+// returns baseline-gateable rows. Each engine runs one untimed warm-up
+// sweep (pack buffers pooled, caches warm) before its best-of-reps
+// timing.
 func runRIMP2E2ERows(quick bool) []GemmBenchRow {
 	reps := 4
 	if !quick {
@@ -91,7 +87,7 @@ func runRIMP2E2ERows(quick bool) []GemmBenchRow {
 		flops := rimp2PairFlops(s.nocc, s.nvir, s.naux)
 
 		time1 := func(fn func() error) float64 {
-			if err := fn(); err != nil { // warm-up: lock the tuner
+			if err := fn(); err != nil { // warm-up
 				return 0
 			}
 			best := 0.0
@@ -107,14 +103,12 @@ func runRIMP2E2ERows(quick bool) []GemmBenchRow {
 			}
 			return best
 		}
-		blockedTuner := autotune.New()
 		secBlocked := time1(func() error {
-			_, _, err := mp2.PairEnergiesBlocked(qov, eps, s.nocc, 0, blockedTuner, linalg.F64)
+			_, _, err := mp2.PairEnergiesBlocked(qov, eps, s.nocc, 0)
 			return err
 		})
-		pairTuner := autotune.New()
 		secPair := time1(func() error {
-			_, _, err := mp2.PairEnergiesUnblocked(bov, eps, s.nocc, pairTuner)
+			_, _, err := mp2.PairEnergiesUnblocked(bov, eps, s.nocc)
 			return err
 		})
 		if secBlocked == 0 || secPair == 0 {

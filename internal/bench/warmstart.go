@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -15,38 +13,6 @@ import (
 	"github.com/fragmd/fragmd/internal/sched"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
-
-// CompareDynamics writes the cold-vs-warm per-step comparison table
-// (SCF iterations, wall clock, skips, and energy deviation per step,
-// plus totals and percent saved) for two trajectories of equal length.
-// It is shared by the mbebench warmstart experiment and fragmd's
-// -mode bench, and returns the total cold and warm SCF iteration
-// counts for further reporting.
-func CompareDynamics(w io.Writer, cold, warm []sched.StepStats) (coldIters, warmIters int) {
-	fmt.Fprintf(w, "%6s %14s %14s %12s %12s %9s %14s\n",
-		"step", "cold SCF-iter", "warm SCF-iter", "cold wall", "warm wall", "skipped", "|ΔEpot| (Ha)")
-	var coldWall, warmWall float64
-	var skipped int
-	for i := range cold {
-		coldIters += cold[i].SCFIters
-		warmIters += warm[i].SCFIters
-		skipped += warm[i].Skipped
-		coldWall += cold[i].Wall.Seconds()
-		warmWall += warm[i].Wall.Seconds()
-		fmt.Fprintf(w, "%6d %14d %14d %11.3fs %11.3fs %9d %14.2e\n",
-			cold[i].Step, cold[i].SCFIters, warm[i].SCFIters,
-			cold[i].Wall.Seconds(), warm[i].Wall.Seconds(), warm[i].Skipped,
-			math.Abs(cold[i].Epot-warm[i].Epot))
-	}
-	fmt.Fprintf(w, "totals %14d %14d %11.3fs %11.3fs %9d\n",
-		coldIters, warmIters, coldWall, warmWall, skipped)
-	if coldIters > 0 {
-		fmt.Fprintf(w, "  SCF iterations saved: %.0f%%   wall saved: %.0f%%\n",
-			100*(1-float64(warmIters)/float64(coldIters)),
-			100*(1-warmWall/math.Max(coldWall, 1e-12)))
-	}
-	return coldIters, warmIters
-}
 
 // warmDynamics runs one short AIMD trajectory and returns its per-step
 // stats. The same geometry, seed and engine options are used for every
@@ -84,10 +50,9 @@ func WarmStartAblation(c *Config) {
 	g := molecule.WaterCluster(waters)
 	base := sched.Options{Workers: 2, Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
 
-	// Untimed throwaway step: the process-global GEMM auto-tuner trials
-	// variants on first sight of each matrix shape, so whichever timed
-	// run goes first would otherwise pay the tuning overhead and bias
-	// the cold-vs-warm wall comparison.
+	// Untimed throwaway step: first-use costs (pooled pack buffers, cold
+	// caches) would otherwise land on whichever timed run goes first and
+	// bias the cold-vs-warm wall comparison.
 	if _, err := warmDynamics(g, eval, 1, base); err != nil {
 		c.printf("error: %v\n", err)
 		return
@@ -108,7 +73,7 @@ func WarmStartAblation(c *Config) {
 
 	c.printf("Warm-start ablation — (H2O)%d NVE, %s, dt=0.5 fs, %d polymers/step\n",
 		waters, label, cold[0].NPolymer)
-	coldIters, _ := CompareDynamics(c.Out, cold, warm)
+	coldIters, _ := sched.CompareDynamics(c.Out, cold, warm)
 
 	skipOpts := base
 	skipOpts.WarmStart = true

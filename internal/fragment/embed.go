@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/neighbor"
@@ -93,6 +94,23 @@ func (eo *EmbedOptions) Validate() error {
 
 // Rounds returns the total number of charge rounds (vacuum + SCC).
 func (eo EmbedOptions) Rounds() int { return 1 + eo.SCC }
+
+// CheckEmbeddable refuses electrostatic embedding of a periodic system.
+// The embedding field and the far-pair correction sum bare Coulomb terms
+// over minimum images, which truncates the lattice sum of a periodic
+// box — wrong for any polar cell, with no Ewald or damped-shifted-force
+// treatment to fall back on. Both EE-MBE entry points (ComputeEmbedded
+// and the asynchronous engine) call it before evaluating anything.
+func (f *Fragmentation) CheckEmbeddable() error {
+	c := f.Geom.Cell
+	if c == nil {
+		return nil
+	}
+	const a = chem.AngstromPerBohr
+	return fmt.Errorf("fragment: electrostatic embedding is not supported in the periodic cell %.6g x %.6g x %.6g Å: "+
+		"its point-charge field would be minimum-image-truncated Coulomb; embed an open cluster or drop the embedding",
+		c.L[0]*a, c.L[1]*a, c.L[2]*a)
+}
 
 // Field is an embedding point-charge field whose sites sit on parent
 // atoms, with the mapping needed to fold site forces back.
@@ -475,9 +493,12 @@ func (f *Fragmentation) PairResidual(s, charges []float64, pos func(atom int) [3
 // field-site gradients back onto the parent system, and the far-pair
 // residual correction removes the electrostatics the truncated
 // expansion double-counts. The evaluator must implement both
-// EmbeddedEvaluator and ChargeSource. A nil cache disables reuse, as
-// in Compute.
+// EmbeddedEvaluator and ChargeSource, and the system must be open
+// (CheckEmbeddable). A nil cache disables reuse, as in Compute.
 func (f *Fragmentation) ComputeEmbedded(eval Evaluator, cache *warmstart.Cache, eo EmbedOptions) (*Result, error) {
+	if err := f.CheckEmbeddable(); err != nil {
+		return nil, err
+	}
 	ee, ok := eval.(EmbeddedEvaluator)
 	if !ok {
 		return nil, fmt.Errorf("fragment: evaluator %T cannot evaluate embedded fragments", eval)

@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/racecheck"
@@ -234,7 +235,8 @@ func TestMonomerCharges(t *testing.T) {
 	}
 }
 
-// Invalid embed options are rejected loudly.
+// Invalid embed options, and embedding in a periodic cell (whose field
+// would be minimum-image-truncated Coulomb), are rejected loudly.
 func TestEmbedOptionsValidation(t *testing.T) {
 	g := molecule.WaterCluster(2)
 	f, err := ByMolecule(g, 3, 1, Options{})
@@ -254,6 +256,14 @@ func TestEmbedOptionsValidation(t *testing.T) {
 	// An evaluator without the embedding interfaces is refused.
 	if _, err := f.ComputeEmbedded(additiveEvaluator{c: 1}, nil, EmbedOptions{}); err == nil {
 		t.Error("non-embeddable evaluator accepted")
+	}
+	g.Cell, _ = molecule.NewCellAngstrom(20, 20, 20)
+	if f, err = ByMolecule(g, 3, 1, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.ComputeEmbedded(ljEval(), nil, EmbedOptions{})
+	if err == nil || !strings.Contains(err.Error(), "periodic cell 20 x 20 x 20 Å") {
+		t.Errorf("embedding in a periodic cell: got %v, want the cell refusal", err)
 	}
 }
 

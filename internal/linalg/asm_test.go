@@ -113,88 +113,10 @@ func TestAsmKernelMatchesPortableF64(t *testing.T) {
 	}
 }
 
-// The mixed-precision packed path is bitwise deterministic across
-// microkernels when α is a power of two (as at every chemistry call
-// site, which uses α=1): every product is f32×f32 widened to f64,
-// which is exact (24-bit × 24-bit mantissas fit in 53), so FMA and
-// mul+add accumulate identical bits, and the α·acc write-back is exact
-// when α's multiplication cannot round. For general α the kernels may
-// differ by one rounding in the write-back only. See DESIGN.md §11.
-func TestAsmF32KernelBitIdenticalToPortable(t *testing.T) {
-	if !forceAsm(t, true) {
-		t.Skip("no assembly microkernel on this machine")
-	}
-	// On architectures whose asm kernel has no f32 variant the packed
-	// f32 engine falls back to the portable kernel and the comparison
-	// is trivially bitwise — the test still pins the contract.
-	impl := activeKernel()
-	rng := rand.New(rand.NewSource(12))
-	for _, s := range edgeShapes(impl.mr, impl.nr, impl.kc) {
-		m, k, n := s[0], s[1], s[2]
-		a := randMat(rng, m, k)
-		b := randMat(rng, k, n)
-		c0 := randMat(rng, m, n)
-
-		got := c0.Clone()
-		GemmKernel(KernelPackedF32, NoTrans, NoTrans, 1, a, b, 0.5, got)
-
-		SetAsmEnabled(false)
-		want := c0.Clone()
-		GemmKernel(KernelPackedF32, NoTrans, NoTrans, 1, a, b, 0.5, want)
-		SetAsmEnabled(true)
-
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("m=%d k=%d n=%d: asm f32 %v != portable f32 %v at %d (must be bit-identical)",
-					m, k, n, got.Data[i], want.Data[i], i)
-			}
-		}
-	}
-}
-
-// Property test: the packed-f32 engine's error against the exact f64
-// result is bounded by the storage quantisation — each packed operand
-// carries at most a 2⁻²⁴ relative perturbation and the accumulation is
-// exact in f64, so per element |Δ| ≤ ~2·k·2⁻²⁴·max|a|·max|b| with a
-// comfortable safety factor. Runs whichever f32 microkernel is active.
-func TestPackedF32ErrorBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		m := 1 + rng.Intn(40)
-		k := 1 + rng.Intn(300)
-		n := 1 + rng.Intn(40)
-		scale := math.Exp(rng.Float64()*8 - 4) // ~e⁻⁴..e⁴ dynamic range
-		a := randMat(rng, m, k)
-		b := randMat(rng, k, n)
-		maxA, maxB := 0.0, 0.0
-		for i := range a.Data {
-			a.Data[i] *= scale
-			if v := math.Abs(a.Data[i]); v > maxA {
-				maxA = v
-			}
-		}
-		for i := range b.Data {
-			if v := math.Abs(b.Data[i]); v > maxB {
-				maxB = v
-			}
-		}
-		got := NewMat(m, n)
-		GemmKernel(KernelPackedF32, NoTrans, NoTrans, 1, a, b, 0, got)
-		want := NewMat(m, n)
-		GemmKernel(KernelStream, NoTrans, NoTrans, 1, a, b, 0, want)
-		tol := 4 * float64(k) * maxA * maxB * math.Pow(2, -24)
-		for i := range got.Data {
-			if d := math.Abs(got.Data[i] - want.Data[i]); d > tol {
-				t.Fatalf("trial %d m=%d k=%d n=%d: f32 error %g beyond bound %g", trial, m, k, n, d, tol)
-			}
-		}
-	}
-}
-
 // Fuzz the pack→microkernel round trip: arbitrary small shapes and
-// seeds through the packed engines must match the naive reference (f64,
-// rounding tolerance) and the portable f32 path (bitwise). Covers the
-// edge-tile scratch write-back, zero-padded panels, and both packers.
+// seeds through the packed engine must match the naive reference to
+// rounding tolerance. Covers the edge-tile scratch write-back,
+// zero-padded panels, and both packers.
 func FuzzPackKernel(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), int64(1))
 	f.Add(uint8(6), uint8(8), uint8(3), int64(2))
@@ -217,22 +139,6 @@ func FuzzPackKernel(f *testing.F) {
 		for i := range got.Data {
 			if d := math.Abs(got.Data[i] - want.Data[i]); d > tol {
 				t.Fatalf("packed vs reference: m=%d k=%d n=%d |Δ|=%g", m, k, n, d)
-			}
-		}
-
-		// α=1 for the f32 cross-kernel comparison: bit-identity is the
-		// contract only when α·acc cannot round (see DESIGN.md §11).
-		g32 := c0.Clone()
-		GemmKernel(KernelPackedF32, NoTrans, NoTrans, 1, a, b, 0.6, g32)
-		if AsmAvailable() {
-			prev := SetAsmEnabled(false)
-			p32 := c0.Clone()
-			GemmKernel(KernelPackedF32, NoTrans, NoTrans, 1, a, b, 0.6, p32)
-			SetAsmEnabled(prev)
-			for i := range g32.Data {
-				if g32.Data[i] != p32.Data[i] {
-					t.Fatalf("f32 asm/portable bit mismatch: m=%d k=%d n=%d at %d", m, k, n, i)
-				}
 			}
 		}
 	})

@@ -84,8 +84,7 @@ const (
 	// KernelAuto picks between streaming and packed by a size
 	// heuristic: small problems run the streaming loops (no packing
 	// cost), larger ones the packed engine, and a single-column product
-	// a plain matrix–vector loop. The autotuner refines this per shape
-	// by measurement.
+	// a plain matrix–vector loop.
 	KernelAuto Kernel = iota
 	// KernelStream runs the four variant streaming loops (the original
 	// engine): no operand copies, loop order chosen by variant.
@@ -95,35 +94,11 @@ const (
 	// transpose folds into the pack, so all four variants reach one
 	// micro-kernel), then an mr×nr register block sweeps kc panels.
 	KernelPacked
-	// KernelPackedF32 runs the packed engine with float32 panel storage
-	// and float64 register accumulation: the opt-in mixed-precision
-	// path. Each A/B element carries one float32 rounding (relative
-	// error ≤ 2⁻²⁴); the contraction itself stays double. See DESIGN.md
-	// §11 for the error model.
-	KernelPackedF32
 )
 
-var kernelNames = [...]string{"auto", "stream", "packed", "packed-f32"}
+var kernelNames = [...]string{"auto", "stream", "packed"}
 
 func (k Kernel) String() string { return kernelNames[k] }
-
-// Precision selects the packed-panel storage precision for callers that
-// thread the knob through higher layers (scf.Options, mp2.Options).
-type Precision int
-
-// The available panel storage precisions.
-const (
-	// F64 is full double precision everywhere (the default).
-	F64 Precision = iota
-	// F32 stores packed A/B panels in float32 with float64
-	// accumulation — roughly half the packing bandwidth at ~1e-7
-	// relative accuracy per GEMM.
-	F32
-)
-
-var precisionNames = [...]string{"f64", "f32"}
-
-func (p Precision) String() string { return precisionNames[p] }
 
 // packedThreshold is the m*n*k product above which KernelAuto prefers
 // the packed engine when only the portable micro-kernel is available:
@@ -156,31 +131,6 @@ func packedCrossover() int64 {
 // the global counter.
 func Gemm(tA, tB Transpose, alpha float64, a, b *Mat, beta float64, c *Mat) {
 	GemmKernel(KernelAuto, tA, tB, alpha, a, b, beta, c)
-}
-
-// GemmPrec is Gemm with a panel-precision request. F64 is plain Gemm.
-// F32 routes problems above the packed crossover to the mixed-precision
-// packed engine; below it the streaming loops run in full double — tiny
-// problems don't amortise packing in either precision, and keeping them
-// exact costs nothing.
-func GemmPrec(prec Precision, tA, tB Transpose, alpha float64, a, b *Mat, beta float64, c *Mat) {
-	if prec != F32 {
-		Gemm(tA, tB, alpha, a, b, beta, c)
-		return
-	}
-	m, k := a.Rows, a.Cols
-	if tA {
-		m, k = a.Cols, a.Rows
-	}
-	n := b.Cols
-	if tB {
-		n = b.Rows
-	}
-	kern := KernelStream
-	if int64(m)*int64(n)*int64(k) > packedCrossover() {
-		kern = KernelPackedF32
-	}
-	GemmKernel(kern, tA, tB, alpha, a, b, beta, c)
 }
 
 // GemmKernel is Gemm with an explicit engine choice. KernelAuto applies
@@ -226,10 +176,6 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 	}
 	if kern == KernelPacked {
 		gemmPacked(tA, tB, alpha, a, b, c)
-		return
-	}
-	if kern == KernelPackedF32 {
-		gemmPackedF32(tA, tB, alpha, a, b, c)
 		return
 	}
 

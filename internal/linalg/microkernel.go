@@ -117,65 +117,3 @@ func microKernel4x2(kc int, pa, pb []float64, alpha float64, c *Mat, i0, j0, me,
 		}
 	}
 }
-
-// microKernel4x2F32 is the mixed-precision portable kernel: identical
-// 4×2 register block and unrolling as microKernel4x2, but the packed
-// panels hold float32 elements which are widened to float64 before
-// every multiply, and the 8 accumulators are float64 throughout. Each
-// operand therefore carries one float32 rounding (relative error
-// ≤ 2⁻²⁴); the accumulation itself loses nothing beyond ordinary f64
-// summation. Kept structurally in lockstep with the f64 kernel so the
-// two stay easy to diff.
-func microKernel4x2F32(kc int, pa, pb []float32, alpha float64, c *Mat, i0, j0, me, ne int) {
-	const mr, nr = 4, 2
-	var c00, c01 float64
-	var c10, c11 float64
-	var c20, c21 float64
-	var c30, c31 float64
-
-	pa = pa[: kc*mr : kc*mr]
-	pb = pb[: kc*nr : kc*nr]
-	for len(pa) >= mr && len(pb) >= nr {
-		a0, a1 := float64(pa[0]), float64(pa[1])
-		a2, a3 := float64(pa[2]), float64(pa[3])
-		b0, b1 := float64(pb[0]), float64(pb[1])
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		pa = pa[mr:]
-		pb = pb[nr:]
-	}
-
-	if me == mr && ne == nr {
-		r0 := c.Row(i0)[j0 : j0+nr]
-		r0[0] += alpha * c00
-		r0[1] += alpha * c01
-		r1 := c.Row(i0 + 1)[j0 : j0+nr]
-		r1[0] += alpha * c10
-		r1[1] += alpha * c11
-		r2 := c.Row(i0 + 2)[j0 : j0+nr]
-		r2[0] += alpha * c20
-		r2[1] += alpha * c21
-		r3 := c.Row(i0 + 3)[j0 : j0+nr]
-		r3[0] += alpha * c30
-		r3[1] += alpha * c31
-		return
-	}
-
-	var acc [mr][nr]float64
-	acc[0] = [nr]float64{c00, c01}
-	acc[1] = [nr]float64{c10, c11}
-	acc[2] = [nr]float64{c20, c21}
-	acc[3] = [nr]float64{c30, c31}
-	for r := 0; r < me; r++ {
-		row := c.Row(i0 + r)
-		for s := 0; s < ne; s++ {
-			row[j0+s] += alpha * acc[r][s]
-		}
-	}
-}

@@ -124,7 +124,7 @@ func TestBatchedGradientStagesMatchOracle(t *testing.T) {
 
 			// A general symmetric density: the HF one plus an MO-mixing term.
 			m := ref.D.Clone()
-			m.AxpyMat(0.3, symOV(r.opts.Tuner, ref.CVirt(), testVector(ws, nocc), ref.COcc()))
+			m.AxpyMat(0.3, symOV(ref.CVirt(), testVector(ws, nocc), ref.COcc()))
 			got := linalg.NewMat(ref.Bs.N, ref.Bs.N)
 			r.gOperator(m, got)
 			checkClose(t, "G[M]", got.Data, oracleGOperator(r, m).Data)

@@ -42,12 +42,12 @@ func synthPairProblem(nocc, nvir, naux int) (qov, bov *linalg.Tensor3, eps []flo
 func TestPairEnergiesBlockedMatchesUnblocked(t *testing.T) {
 	const nocc, nvir, naux = 10, 3, 24
 	qov, bov, eps := synthPairProblem(nocc, nvir, naux)
-	refOS, refSS, err := PairEnergiesUnblocked(bov, eps, nocc, nil)
+	refOS, refSS, err := PairEnergiesUnblocked(bov, eps, nocc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jblk := range []int{0, 1, 2, 3, 5, nocc, nocc + 7} {
-		eos, ess, err := PairEnergiesBlocked(qov, eps, nocc, jblk, nil, linalg.F64)
+		eos, ess, err := PairEnergiesBlocked(qov, eps, nocc, jblk)
 		if err != nil {
 			t.Fatalf("jblk=%d: %v", jblk, err)
 		}
@@ -65,12 +65,12 @@ func TestPairEnergiesDegenerateGapError(t *testing.T) {
 	qov, bov, eps := synthPairProblem(nocc, nvir, naux)
 	eps[nocc] = eps[nocc-1] // collapse the gap
 
-	if _, _, err := PairEnergiesBlocked(qov, eps, nocc, 0, nil, linalg.F64); err == nil {
+	if _, _, err := PairEnergiesBlocked(qov, eps, nocc, 0); err == nil {
 		t.Error("blocked loop accepted a degenerate reference")
 	} else if !strings.Contains(err.Error(), "HOMO–LUMO") {
 		t.Errorf("blocked loop error not descriptive: %v", err)
 	}
-	if _, _, err := PairEnergiesUnblocked(bov, eps, nocc, nil); err == nil {
+	if _, _, err := PairEnergiesUnblocked(bov, eps, nocc); err == nil {
 		t.Error("per-pair loop accepted a degenerate reference")
 	}
 }
@@ -97,11 +97,11 @@ func TestPairEnergiesEmptySpaces(t *testing.T) {
 		qov := linalg.NewTensor3(8, c.nocc, c.nvir)
 		bov := linalg.NewTensor3(c.nocc, 8, c.nvir)
 		eps := make([]float64, c.nocc+c.nvir)
-		eos, ess, err := PairEnergiesBlocked(qov, eps, c.nocc, 0, nil, linalg.F64)
+		eos, ess, err := PairEnergiesBlocked(qov, eps, c.nocc, 0)
 		if err != nil || eos != 0 || ess != 0 {
 			t.Errorf("blocked nocc=%d nvir=%d: (%g, %g, %v), want zeros", c.nocc, c.nvir, eos, ess, err)
 		}
-		eos, ess, err = PairEnergiesUnblocked(bov, eps, c.nocc, nil)
+		eos, ess, err = PairEnergiesUnblocked(bov, eps, c.nocc)
 		if err != nil || eos != 0 || ess != 0 {
 			t.Errorf("per-pair nocc=%d nvir=%d: (%g, %g, %v), want zeros", c.nocc, c.nvir, eos, ess, err)
 		}
@@ -118,14 +118,14 @@ func TestPairEnergiesSingleOrbital(t *testing.T) {
 	}
 	de := 2*eps[0] - 2*eps[1]
 	wantOS := v * v / de
-	eos, ess, err := PairEnergiesBlocked(qov, eps, 1, 0, nil, linalg.F64)
+	eos, ess, err := PairEnergiesBlocked(qov, eps, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(eos-wantOS) > 1e-14 || math.Abs(ess) > 1e-14 {
 		t.Errorf("single orbital: got (%.16f, %.16f), want (%.16f, 0)", eos, ess, wantOS)
 	}
-	peos, pess, err := PairEnergiesUnblocked(bov, eps, 1, nil)
+	peos, pess, err := PairEnergiesUnblocked(bov, eps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,6 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	nvir := ref.NVirt()
 	naux := ref.Aux.N
 	eps := ref.Eps
-	tuner := r.opts.Tuner
 	ws := r.buildMOBlocks()
 
 	r.amplitudes()
@@ -76,8 +75,8 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	// ---- AO response densities and the G operator ------------------------
 	co := ref.COcc()
 	cv := ref.CVirt()
-	pbar := sandwich(tuner, co, poo, co)
-	pbar.AxpyMat(1, sandwich(tuner, cv, pvv, cv))
+	pbar := sandwich(co, poo, co)
+	pbar.AxpyMat(1, sandwich(cv, pvv, cv))
 	gao := linalg.NewMat(nbf, nbf)
 	r.gOperator(pbar, gao)
 	gpbarMO := r.toMO(gao)
@@ -93,7 +92,7 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	dz := symOV(tuner, cv, z, co) // Cv z Coᵀ + Co zᵀ Cvᵀ
+	dz := symOV(cv, z, co) // Cv z Coᵀ + Co zᵀ Cvᵀ
 
 	// ---- total one-particle densities -------------------------------------
 	ptot := pbar // P̄ + Pz, Pz = −½ Dz
@@ -131,7 +130,7 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 		}
 	}
 	// MO → AO back-transform: W^AO = C·W^MO·Cᵀ.
-	wao := sandwich(tuner, ref.C, wmo, ref.C)
+	wao := sandwich(ref.C, wmo, ref.C)
 
 	// ---- skeleton contractions --------------------------------------------
 	parts := map[string][]float64{}
@@ -172,13 +171,13 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 			}
 		}
 	}
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.bpvo.Flatten(), 0, ws.bT.Flatten())
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.bpvo.Flatten(), 0, ws.bT.Flatten())
 	r.ampBackTransform(co, cv, zAcc)
 	// TwoCenterDeriv contracts ζ_PQ + ζ_QP, so −2·(bT·gamTᵀ) stands for
 	// the symmetric −(bT·gamTᵀ + gamT·bTᵀ).
 	addZetaAmp := func(zeta *linalg.Mat) {
-		tuner.Gemm(linalg.NoTrans, linalg.Trans, -2, ws.bT.Flatten(), ws.gamT.Flatten(), 1, zeta)
+		linalg.Gemm(linalg.NoTrans, linalg.Trans, -2, ws.bT.Flatten(), ws.gamT.Flatten(), 1, zeta)
 	}
 	addZetaAmp(zetaAcc)
 
@@ -233,13 +232,12 @@ func (r *Result) buildMOBlocks() *workspace {
 	naux := ref.Aux.N
 	nocc := ref.NOcc
 	nvir := ref.NVirt()
-	tuner := r.opts.Tuner
 	ws := newWorkspace(nbf, naux, nocc, nvir)
 
 	ta, tb := ref.Scratch3(nbf, nbf)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), ref.C, 0, ta.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), ref.C, 0, ta.FlattenRows())
 	ta.TransposeBlocksInto(tb)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, tb.FlattenRows(), ref.C, 0, ta.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, tb.FlattenRows(), ref.C, 0, ta.FlattenRows())
 	for p := 0; p < naux; p++ {
 		for q := 0; q < nbf; q++ {
 			row := ta.Data[(p*nbf+q)*nbf:][:nbf]
@@ -266,12 +264,11 @@ func (r *Result) amplitudes() {
 	nocc := r.SCF.NOcc
 	nvir := r.SCF.NVirt()
 	eps := r.SCF.Eps
-	tuner := r.opts.Tuner
 
 	for i := 0; i < nocc; i++ {
 		bi := ws.bov.Slice(i)
 		for j := i; j < nocc; j++ {
-			tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, ws.bov.Slice(j), 0, ws.vij)
+			linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, ws.bov.Slice(j), 0, ws.vij)
 			tij, tji := ws.t.Slice(i*nocc+j), ws.t.Slice(j*nocc+i)
 			for a := 0; a < nvir; a++ {
 				ea := eps[i] + eps[j] - eps[nocc+a]
@@ -303,16 +300,16 @@ func (r *Result) amplitudes() {
 		for j := 0; j < nocc; j++ {
 			tt := ws.tt.Slice(i*nocc + j)
 			// γ_i += B_j · T̃_ijᵀ.
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, ws.bov.Slice(j), tt, 1, gi)
+			linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, ws.bov.Slice(j), tt, 1, gi)
 			// P_ab += 2 Σ_c T̃_ij[a,c] t_ij[b,c].
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 2, tt, ws.t.Slice(i*nocc+j), 1, ws.pvv)
+			linalg.Gemm(linalg.NoTrans, linalg.Trans, 2, tt, ws.t.Slice(i*nocc+j), 1, ws.pvv)
 		}
 	}
 	// P_ij = −2 Σ_kab T̃_ikab t_jkab: one product over the (k, a, b) rows.
 	byOcc := func(x *linalg.Tensor3) *linalg.Mat {
 		return &linalg.Mat{Rows: nocc, Cols: nocc * nvir * nvir, Data: x.Data}
 	}
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, -2, byOcc(ws.tt), byOcc(ws.t), 0, ws.poo)
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, -2, byOcc(ws.tt), byOcc(ws.t), 0, ws.poo)
 }
 
 // lagrangian forms Λ_pi = 4 Σ_Pa B^P_pa γ^P_ia and Λ_pa = 4 Σ_Pi B^P_pi γ^P_ia,
@@ -321,12 +318,11 @@ func (r *Result) lagrangian() {
 	ws := r.ws
 	nocc := r.SCF.NOcc
 	nbf := r.SCF.Bs.N
-	tuner := r.opts.Tuner
 	g := ws.gamma
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bov.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, 0, nocc))
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bvv.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, nocc, nbf))
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.boo.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, 0, nocc))
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.bov.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, nocc, nbf))
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bov.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, 0, nocc))
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bvv.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, nocc, nbf))
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.boo.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, 0, nocc))
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.bov.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, nocc, nbf))
 }
 
 // ampBackTransform accumulates the AO back-transform 4·C_o·Γ̃_P·C_vᵀ of
@@ -334,11 +330,10 @@ func (r *Result) lagrangian() {
 // (P, a, i)) into z for every P: the occupied index in one flattened
 // product, a block transpose, the virtual index in a second.
 func (r *Result) ampBackTransform(co, cv *linalg.Mat, z *linalg.Tensor3) {
-	tuner := r.opts.Tuner
 	pvn, pnv := r.SCF.Scratch3(cv.Cols, cv.Rows)
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, r.ws.gamT.FlattenRows(), co, 0, pvn.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, r.ws.gamT.FlattenRows(), co, 0, pvn.FlattenRows())
 	pvn.TransposeBlocksInto(pnv)
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, pnv.FlattenRows(), cv, 1, z.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, pnv.FlattenRows(), cv, 1, z.FlattenRows())
 }
 
 // gOperator applies the closed-shell response operator
@@ -348,48 +343,43 @@ func (r *Result) ampBackTransform(co, cv *linalg.Mat, z *linalg.Tensor3) {
 func (r *Result) gOperator(m, out *linalg.Mat) {
 	ws := r.ws
 	b := r.SCF.B
-	tuner := r.opts.Tuner
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.Flatten(), m.Vec(), 0, ws.u)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, b.Flatten(), ws.u, 0, out.Vec())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.Flatten(), m.Vec(), 0, ws.u)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, b.Flatten(), ws.u, 0, out.Vec())
 	ta, tb := r.SCF.Scratch3(m.Rows, m.Cols)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.FlattenRows(), m, 0, ta.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.FlattenRows(), m, 0, ta.FlattenRows())
 	ta.TransposeBlocksInto(tb)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, -0.5, tb.FlattenRows(), b.FlattenRows(), 1, out)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, -0.5, tb.FlattenRows(), b.FlattenRows(), 1, out)
 }
 
 // toMO transforms an AO matrix to the MO basis: CᵀXC.
 func (r *Result) toMO(x *linalg.Mat) *linalg.Mat {
-	return sandwichFull(r.opts.Tuner, r.SCF.C, x)
+	return sandwichFull(r.SCF.C, x)
 }
 
 // sandwich computes A·M·Bᵀ.
-func sandwich(tuner gemmer, a, m, b *linalg.Mat) *linalg.Mat {
+func sandwich(a, m, b *linalg.Mat) *linalg.Mat {
 	t := linalg.NewMat(a.Rows, m.Cols)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, a, m, 0, t)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, a, m, 0, t)
 	out := linalg.NewMat(a.Rows, b.Rows)
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, t, b, 0, out)
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, t, b, 0, out)
 	return out
 }
 
 // sandwichFull computes CᵀXC.
-func sandwichFull(tuner gemmer, c, x *linalg.Mat) *linalg.Mat {
+func sandwichFull(c, x *linalg.Mat) *linalg.Mat {
 	t := linalg.NewMat(c.Cols, x.Cols)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, c, x, 0, t)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, c, x, 0, t)
 	out := linalg.NewMat(c.Cols, c.Cols)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, t, c, 0, out)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, t, c, 0, out)
 	return out
 }
 
 // symOV builds the symmetric AO density Cv·z·Coᵀ + Co·zᵀ·Cvᵀ.
-func symOV(tuner gemmer, cv, z, co *linalg.Mat) *linalg.Mat {
-	t := sandwich(tuner, cv, z, co)
+func symOV(cv, z, co *linalg.Mat) *linalg.Mat {
+	t := sandwich(cv, z, co)
 	out := t.Clone()
 	out.AxpyMat(1, t.T())
 	return out
-}
-
-type gemmer interface {
-	Gemm(tA, tB linalg.Transpose, alpha float64, a, b *linalg.Mat, beta float64, c *linalg.Mat)
 }
 
 // hessVec applies the orbital Hessian of the Z-vector equation to z
@@ -405,17 +395,16 @@ func (r *Result) hessVec(z, out *linalg.Mat) {
 	ws := r.ws
 	nocc := r.SCF.NOcc
 	eps := r.SCF.Eps
-	tuner := r.opts.Tuner
 
 	bvo := ws.bpvo.Flatten()
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 2, bvo, z.Vec(), 0, ws.u)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 2, bvo, ws.u, 0, out.Vec())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 2, bvo, z.Vec(), 0, ws.u)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 2, bvo, ws.u, 0, out.Vec())
 	// (ab|ij) z_bj: W_j,(P,a) = Σ_b z_bj B^P_ba, then Σ_(j,P) W_(j,P),a B^P_ji.
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, z, ws.bvv.Flatten(), 0, ws.hw.Flatten())
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hw.FlattenRows(), ws.boo.FlattenRows(), 1, out)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, z, ws.bvv.Flatten(), 0, ws.hw.Flatten())
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hw.FlattenRows(), ws.boo.FlattenRows(), 1, out)
 	// (aj|ib) z_bj: X_b,(P,a) = Σ_j z_bj B^P_ja, then Σ_(b,P) X_(b,P),a B^P_bi.
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, z, ws.bov.Flatten(), 0, ws.hx.Flatten())
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hx.FlattenRows(), ws.bvo.FlattenRows(), 1, out)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, z, ws.bov.Flatten(), 0, ws.hx.Flatten())
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hx.FlattenRows(), ws.bvo.FlattenRows(), 1, out)
 	for a := 0; a < z.Rows; a++ {
 		zrow, orow := z.Row(a), out.Row(a)
 		for i, zv := range zrow {

@@ -4,8 +4,8 @@
 // baseline, and the fully analytic combined RI-HF + RI-MP2 nuclear
 // gradient (paper Eq. 10 and appendix) — the paper's innovation (ii).
 //
-// Every bottleneck is expressed as a GEMM sequence routed through the
-// runtime auto-tuner, mirroring the paper's GPU pipeline; the B tensor
+// Every bottleneck is expressed as a GEMM sequence, mirroring the
+// paper's GPU pipeline; the B tensor
 // computed during the SCF is reused, never recomputed. The AO→MO
 // transform runs as two batched GEMMs over the flattened (naux·nbf)
 // dimension producing an explicit Qov tensor, and the (i,j)-pair energy
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/scf"
 )
@@ -36,15 +35,6 @@ type Options struct {
 	// SCS applies spin-component scaling (1.2·E_OS + E_SS/3) to the
 	// reported total energy.
 	SCS bool
-	// Tuner routes GEMMs; nil uses autotune.Default.
-	Tuner *autotune.Tuner
-	// Precision selects the packed-panel storage precision for the
-	// Qov transform and the blocked pair-energy contractions — the
-	// GEMM-bound bulk of RI-MP2. linalg.F32 bounds the correlation-
-	// energy deviation near 1e-7 relative (see DESIGN.md §11); the
-	// default F64 is exact. The unblocked reference path is always
-	// exact.
-	Precision linalg.Precision
 	// PairBlock is the occupied tile width of the blocked (i,j)-pair
 	// energy loop: each GEMM contracts a (PairBlock·nvir)-square tile
 	// of pair integrals. 0 picks a width targeting macro-tile-sized
@@ -58,9 +48,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Tuner == nil {
-		o.Tuner = autotune.Default
-	}
 	if o.ZVecTol == 0 {
 		o.ZVecTol = 1e-10
 	}
@@ -112,7 +99,7 @@ func RIMP2(ref *scf.Result, opts Options) (*Result, error) {
 	r := &Result{SCF: ref, opts: opts}
 	r.buildQov()
 
-	eos, ess, err := PairEnergiesBlocked(r.qov, ref.Eps, nocc, opts.PairBlock, opts.Tuner, opts.Precision)
+	eos, ess, err := PairEnergiesBlocked(r.qov, ref.Eps, nocc, opts.PairBlock)
 	if err != nil {
 		return nil, err
 	}
@@ -175,9 +162,8 @@ func pairBlockFor(nocc, nvir int) int {
 // j < i inside diagonal tiles are skipped, off-diagonal pairs doubled);
 // jblk ≤ 0 selects an automatic tile width. A near-degenerate reference
 // (vanishing HOMO–LUMO gap) returns an error instead of silently
-// propagating ±Inf/NaN energies. prec selects the packed-panel storage
-// precision of the tile GEMMs (linalg.F64 is exact).
-func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int, tuner *autotune.Tuner, prec linalg.Precision) (eos, ess float64, err error) {
+// propagating ±Inf/NaN energies.
+func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int) (eos, ess float64, err error) {
 	naux, nvir := qov.N1, qov.N3
 	if qov.N2 != nocc {
 		return 0, 0, fmt.Errorf("mp2: Qov occupied dimension %d != nocc %d", qov.N2, nocc)
@@ -187,9 +173,6 @@ func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int, tun
 	}
 	if err := checkDenominators(eps, nocc, nvir); err != nil {
 		return 0, 0, err
-	}
-	if tuner == nil {
-		tuner = autotune.Default
 	}
 	if jblk <= 0 {
 		jblk = pairBlockFor(nocc, nvir)
@@ -233,7 +216,7 @@ func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int, tun
 			// [B_j0 … B_j1−1] (paper Eq. 9), one square macro GEMM
 			// instead of jblk² small ones.
 			v := &linalg.Mat{Rows: wi, Cols: wj, Data: vBuf[:wi*wj]}
-			tuner.GemmPrec(prec, linalg.Trans, linalg.NoTrans, 1, istrip, jstrip, 0, v)
+			linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, istrip, jstrip, 0, v)
 			for i := i0; i < i1 && i < j1; i++ {
 				iOff := (i - i0) * nvir
 				jStart := i
@@ -270,7 +253,7 @@ func PairEnergiesBlocked(qov *linalg.Tensor3, eps []float64, nocc, jblk int, tun
 // one small nvir × nvir GEMM per (i,j) pair over the (i, P, a)-arranged
 // B tensor. Retained as the correctness cross-check and the benchmark
 // baseline the blocked loop is CI-gated against.
-func PairEnergiesUnblocked(bov *linalg.Tensor3, eps []float64, nocc int, tuner *autotune.Tuner) (eos, ess float64, err error) {
+func PairEnergiesUnblocked(bov *linalg.Tensor3, eps []float64, nocc int) (eos, ess float64, err error) {
 	nvir := bov.N3
 	if bov.N1 != nocc {
 		return 0, 0, fmt.Errorf("mp2: B tensor occupied dimension %d != nocc %d", bov.N1, nocc)
@@ -281,14 +264,11 @@ func PairEnergiesUnblocked(bov *linalg.Tensor3, eps []float64, nocc int, tuner *
 	if err := checkDenominators(eps, nocc, nvir); err != nil {
 		return 0, 0, err
 	}
-	if tuner == nil {
-		tuner = autotune.Default
-	}
 	vij := linalg.NewMat(nvir, nvir)
 	for i := 0; i < nocc; i++ {
 		bi := bov.Slice(i) // naux × nvir
 		for j := i; j < nocc; j++ {
-			tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, bov.Slice(j), 0, vij)
+			linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, bov.Slice(j), 0, vij)
 			var eosP, essP float64
 			for a := 0; a < nvir; a++ {
 				ea := eps[i] + eps[j] - eps[nocc+a]
@@ -327,15 +307,14 @@ func (r *Result) buildQov() {
 	naux := ref.Aux.N
 	nocc := ref.NOcc
 	nvir := ref.NVirt()
-	tuner := r.opts.Tuner
 
 	co := ref.COcc()
 	cv := ref.CVirt()
 	half, halfT := ref.Scratch3(nbf, nocc)
-	tuner.GemmPrec(r.opts.Precision, linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), co, 0, half.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), co, 0, half.FlattenRows())
 	half.TransposeBlocksInto(halfT) // (P, i, μ)
 	r.qov = linalg.NewTensor3(naux, nocc, nvir)
-	tuner.GemmPrec(r.opts.Precision, linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), cv, 0, r.qov.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), cv, 0, r.qov.FlattenRows())
 }
 
 // quarticLive counts the N⁴ scratch arrays currently alive in

@@ -19,7 +19,7 @@ func oracleBmo(r *Result) *linalg.Tensor3 {
 	ref := r.SCF
 	bmo := linalg.NewTensor3(ref.Aux.N, ref.Bs.N, ref.Bs.N)
 	for p := 0; p < ref.Aux.N; p++ {
-		bmo.Slice(p).CopyFrom(sandwichFull(r.opts.Tuner, ref.C, ref.B.Slice(p)))
+		bmo.Slice(p).CopyFrom(sandwichFull(ref.C, ref.B.Slice(p)))
 	}
 	return bmo
 }
@@ -57,12 +57,11 @@ func tildeOf(t *linalg.Mat) *linalg.Mat {
 func oracleAmplitudes(r *Result, bov *linalg.Tensor3) oracleAmps {
 	nocc, nvir, naux := r.SCF.NOcc, r.SCF.NVirt(), r.SCF.Aux.N
 	eps := r.SCF.Eps
-	tuner := r.opts.Tuner
 	tAll := make([]*linalg.Mat, nocc*nocc)
 	vij := linalg.NewMat(nvir, nvir)
 	for i := 0; i < nocc; i++ {
 		for j := i; j < nocc; j++ {
-			tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, bov.Slice(i), bov.Slice(j), 0, vij)
+			linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, bov.Slice(i), bov.Slice(j), 0, vij)
 			tij := linalg.NewMat(nvir, nvir)
 			for a := 0; a < nvir; a++ {
 				ea := eps[i] + eps[j] - eps[nocc+a]
@@ -85,8 +84,8 @@ func oracleAmplitudes(r *Result, bov *linalg.Tensor3) oracleAmps {
 	for i := 0; i < nocc; i++ {
 		for j := 0; j < nocc; j++ {
 			tij := tAll[i*nocc+j]
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, bov.Slice(j), tildeOf(tij), 1, o.gamma.Slice(i))
-			tuner.Gemm(linalg.NoTrans, linalg.Trans, 2, tildeOf(tij), tij, 1, o.pvv)
+			linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, bov.Slice(j), tildeOf(tij), 1, o.gamma.Slice(i))
+			linalg.Gemm(linalg.NoTrans, linalg.Trans, 2, tildeOf(tij), tij, 1, o.pvv)
 			var s float64
 			for k := 0; k < nocc; k++ {
 				s += linalg.Dot(tildeOf(tAll[i*nocc+k]), tAll[j*nocc+k])
@@ -100,7 +99,6 @@ func oracleAmplitudes(r *Result, bov *linalg.Tensor3) oracleAmps {
 // oracleLagrangian accumulates Λ_pi and Λ_pa one auxiliary slice at a time.
 func oracleLagrangian(r *Result, bmo, gamma *linalg.Tensor3) (lamOcc, lamVir *linalg.Mat) {
 	nbf, nocc, nvir := r.SCF.Bs.N, r.SCF.NOcc, r.SCF.NVirt()
-	tuner := r.opts.Tuner
 	lamOcc = linalg.NewMat(nbf, nocc)
 	lamVir = linalg.NewMat(nbf, nvir)
 	bpo := linalg.NewMat(nbf, nocc)
@@ -115,8 +113,8 @@ func oracleLagrangian(r *Result, bmo, gamma *linalg.Tensor3) (lamOcc, lamVir *li
 		for i := 0; i < nocc; i++ {
 			copy(gp.Row(i), gamma.Slice(i).Row(p))
 		}
-		tuner.Gemm(linalg.NoTrans, linalg.Trans, 4, bpv, gp, 1, lamOcc)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 4, bpo, gp, 1, lamVir)
+		linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, bpv, gp, 1, lamOcc)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 4, bpo, gp, 1, lamVir)
 	}
 	return lamOcc, lamVir
 }
@@ -125,17 +123,16 @@ func oracleLagrangian(r *Result, bmo, gamma *linalg.Tensor3) (lamOcc, lamVir *li
 func oracleGOperator(r *Result, m *linalg.Mat) *linalg.Mat {
 	ref := r.SCF
 	nbf, naux := ref.Bs.N, ref.Aux.N
-	tuner := r.opts.Tuner
 	u := linalg.NewMat(naux, 1)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.Flatten(), m.Vec(), 0, u)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.Flatten(), m.Vec(), 0, u)
 	out := linalg.NewMat(nbf, nbf)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.B.Flatten(), u, 0, out.Vec())
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.B.Flatten(), u, 0, out.Vec())
 	t1 := linalg.NewMat(nbf, nbf)
 	t2 := linalg.NewMat(nbf, nbf)
 	for p := 0; p < naux; p++ {
 		bp := ref.B.Slice(p)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, bp, m, 0, t1)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, t1, bp, 0, t2)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, bp, m, 0, t1)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, t1, bp, 0, t2)
 		out.AxpyMat(-0.5, t2)
 	}
 	return out
@@ -147,7 +144,7 @@ func oracleHessVec(r *Result, z *linalg.Mat) *linalg.Mat {
 	ref := r.SCF
 	nocc, nvir := ref.NOcc, ref.NVirt()
 	eps := ref.Eps
-	dz := symOV(r.opts.Tuner, ref.CVirt(), z, ref.COcc())
+	dz := symOV(ref.CVirt(), z, ref.COcc())
 	gmo := r.toMO(oracleGOperator(r, dz))
 	out := linalg.NewMat(nvir, nocc)
 	for a := 0; a < nvir; a++ {
@@ -198,7 +195,6 @@ func oraclePlainCG(r *Result, theta *linalg.Mat) (z *linalg.Mat, iters int, err 
 func oracleBackTransform(r *Result, gamT, z *linalg.Tensor3) {
 	ref := r.SCF
 	nbf, nocc, nvir := ref.Bs.N, ref.NOcc, ref.NVirt()
-	tuner := r.opts.Tuner
 	co, cv := ref.COcc(), ref.CVirt()
 	gmo := linalg.NewMat(nocc, nvir)
 	t2 := linalg.NewMat(nocc, nbf)
@@ -209,8 +205,8 @@ func oracleBackTransform(r *Result, gamT, z *linalg.Tensor3) {
 				gmo.Set(i, a, gamT.At(p, a, i))
 			}
 		}
-		tuner.Gemm(linalg.NoTrans, linalg.Trans, 1, gmo, cv, 0, t2)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, co, t2, 0, t3)
+		linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, gmo, cv, 0, t2)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, co, t2, 0, t3)
 		z.Slice(p).AxpyMat(4, t3)
 	}
 }

@@ -88,9 +88,6 @@ func TestStatefulEvaluatorsWarmStart(t *testing.T) {
 		{"RIHF", &HF{UseRI: true}},
 		{"RIMP2", &RIMP2{}},
 	} {
-		// Separate evaluations are not bitwise identical (the runtime
-		// GEMM auto-tuner may pick different variants run to run, which
-		// reassociates floating-point sums), so compare at noise level.
 		eCold, gCold, err := tc.eval.Evaluate(g)
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,6 @@ package potential
 import (
 	"fmt"
 
-	"github.com/fragmd/fragmd/internal/linalg"
-	"github.com/fragmd/fragmd/internal/mp2"
 	"github.com/fragmd/fragmd/internal/scf"
 )
 
@@ -24,22 +22,13 @@ type Spec struct {
 	// RIScreen is the Schwarz screening threshold for three-center
 	// integrals (0 = default, negative disables; see scf.Options).
 	RIScreen float64
-	// F32 stores packed GEMM panels in float32 (f64 accumulation) on the
-	// RI-MP2 contractions; ~1e-7 relative energy error. RI-MP2 only.
-	F32 bool
 }
 
 // Build constructs the evaluator the spec describes.
 func (s Spec) Build() (Evaluator, error) {
 	switch s.Potential {
 	case "rimp2":
-		prec := linalg.F64
-		if s.F32 {
-			prec = linalg.F32
-		}
-		return &RIMP2{Basis: s.Basis, SCS: s.SCS,
-			SCFOpts: scf.Options{RIScreenThresh: s.RIScreen, Precision: prec},
-			MP2Opts: mp2.Options{Precision: prec}}, nil
+		return &RIMP2{Basis: s.Basis, SCS: s.SCS, SCFOpts: scf.Options{RIScreenThresh: s.RIScreen}}, nil
 	case "hf":
 		return &HF{Basis: s.Basis, UseRI: true}, nil
 	case "hf4c":
@@ -54,5 +43,5 @@ func (s Spec) Build() (Evaluator, error) {
 // Fingerprint is a stable textual identity of the physics: specs with
 // equal fingerprints build identical evaluators.
 func (s Spec) Fingerprint() string {
-	return fmt.Sprintf("%s|%s|%t|%g|%t", s.Potential, s.Basis, s.SCS, s.RIScreen, s.F32)
+	return fmt.Sprintf("%s|%s|%t|%g", s.Potential, s.Basis, s.SCS, s.RIScreen)
 }

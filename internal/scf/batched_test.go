@@ -56,13 +56,13 @@ func TestBatchedRIFockMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			co := r.COcc()
-			checkClose(t, "F[D]", r.riFock(r.D, co, r.opts.Tuner, linalg.F64).Data, oracleRIFock(r, r.D, co).Data)
+			checkClose(t, "F[D]", r.riFock(r.D, co).Data, oracleRIFock(r, r.D, co).Data)
 
 			for i := range co.Data {
 				co.Data[i] *= 1 + 0.01*math.Sin(float64(i))
 			}
 			d := densityFromC(co, r.NOcc)
-			checkClose(t, "F[D'] after reuse", r.riFock(d, co, r.opts.Tuner, linalg.F64).Data, oracleRIFock(r, d, co).Data)
+			checkClose(t, "F[D'] after reuse", r.riFock(d, co).Data, oracleRIFock(r, d, co).Data)
 		})
 	}
 }

@@ -37,8 +37,6 @@ func TestEmbeddedSCFAgainstVacuum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Separate runs are not bitwise identical (the timing-based GEMM
-	// auto-tuner may reassociate sums), so compare at noise level.
 	if math.Abs(empty.Energy-vac.Energy) > 1e-10 || empty.EField != 0 {
 		t.Fatalf("empty field changed the SCF: %.12f vs %.12f", empty.Energy, vac.Energy)
 	}

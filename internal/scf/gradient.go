@@ -52,7 +52,7 @@ func (r *Result) Gradients() (grad, siteGrad []float64) {
 // converged density, q_A = Z_A − Σ_{μ∈A} (D·S)_μμ — the charge model
 // of the EE-MBE embedding field (phase 1).
 func (r *Result) MullikenCharges() []float64 {
-	ds := r.opts.Tuner.MatMul(linalg.NoTrans, linalg.NoTrans, r.D, r.S)
+	ds := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, r.D, r.S)
 	q := make([]float64, r.Geom.N())
 	for i, at := range r.Geom.Atoms {
 		q[i] = float64(at.Z)
@@ -85,7 +85,7 @@ func (r *Result) EnergyWeightedDensity() *linalg.Mat {
 func (r *Result) CTilde() *linalg.Tensor3 {
 	if r.ctilde == nil {
 		r.ctilde = linalg.NewTensor3(r.Aux.N, r.Bs.N, r.Bs.N)
-		r.opts.Tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, r.B.Flatten(), 0, r.ctilde.Flatten())
+		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, r.B.Flatten(), 0, r.ctilde.Flatten())
 	}
 	return r.ctilde
 }
@@ -104,15 +104,14 @@ func (r *Result) CTilde() *linalg.Tensor3 {
 func (r *Result) AddRISeparableCoeffs(da, db *linalg.Mat, factor float64, zAcc *linalg.Tensor3, zetaAcc *linalg.Mat) {
 	nbf := r.Bs.N
 	naux := r.Aux.N
-	tuner := r.opts.Tuner
 	ct := r.CTilde()
 	ws := r.ws
 
 	// w^x = J^{-1} u^x = Wᵀ·(W·u^x) with u^x_P = Σ_μν V_Pμν Dx_μν.
 	coulomb := func(d, w *linalg.Mat) {
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), d.Vec(), 0, w)
-		tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JFactor, w, 0, ws.wt)
-		tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, ws.wt, 0, w)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), d.Vec(), 0, w)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JFactor, w, 0, ws.wt)
+		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, ws.wt, 0, w)
 	}
 	coulomb(da, ws.wa)
 	coulomb(db, ws.wb)
@@ -122,9 +121,9 @@ func (r *Result) AddRISeparableCoeffs(da, db *linalg.Mat, factor float64, zAcc *
 	// C̃_P·Db, block-transposed to Db·C̃_P (both factors are symmetric),
 	// times Da gives Y_Pᵀ = (Da·C̃_P·Db)ᵀ.
 	y, yT := r.Scratch3(nbf, nbf)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ct.FlattenRows(), db, 0, y.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ct.FlattenRows(), db, 0, y.FlattenRows())
 	y.TransposeBlocksInto(yT)
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, yT.FlattenRows(), da, 0, y.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, yT.FlattenRows(), da, 0, y.FlattenRows())
 
 	// zAcc_P += factor·(w^b_P·Da + w^a_P·Db − Y_Pᵀ): Coulomb plus the
 	// exchange coefficient −factor·(Da C̃_P Db)_μν.
@@ -138,7 +137,7 @@ func (r *Result) AddRISeparableCoeffs(da, db *linalg.Mat, factor float64, zAcc *
 	}
 
 	// ζ: −½(w^a w^bᵀ + w^b w^aᵀ) + ½ G, G_PQ = tr(Da C̃_P Db C̃_Q).
-	tuner.Gemm(linalg.NoTrans, linalg.Trans, 0.5*factor, y.Flatten(), ct.Flatten(), 1, zetaAcc)
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, 0.5*factor, y.Flatten(), ct.Flatten(), 1, zetaAcc)
 	for p := 0; p < naux; p++ {
 		zrow := zetaAcc.Row(p)
 		for q := range zrow {

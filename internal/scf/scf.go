@@ -5,8 +5,7 @@
 //     through an auxiliary basis, B^P_μν = Σ_Q (μν|Q) J^{-1/2}_QP (any
 //     factor W with WᵀW = J⁻¹ serves as J^{-1/2}; see Result.JFactor), and
 //     both Coulomb and exchange matrices become short sequences of
-//     GEMMs routed through the runtime auto-tuner. No four-center
-//     integrals are computed anywhere on this path.
+//     GEMMs. No four-center integrals are computed anywhere on this path.
 //   - Conventional direct SCF: recomputed four-center integrals with
 //     Schwarz screening — the baseline whose elimination is the paper's
 //     innovation (ii), retained for Fig. 3 and Table III comparisons.
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/fragmd/fragmd/internal/autotune"
 	"github.com/fragmd/fragmd/internal/basis"
 	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/linalg"
@@ -57,17 +55,6 @@ type Options struct {
 	// error below the threshold). 0 selects the 1e-12 default; any
 	// negative value disables screening entirely.
 	RIScreenThresh float64
-	// Tuner routes GEMMs; nil uses autotune.Default.
-	Tuner *autotune.Tuner
-	// Precision selects the packed-panel storage precision for the
-	// bandwidth-bound RI contractions (the B-tensor build and the
-	// exchange build). linalg.F32 stores packed GEMM panels in float32
-	// with float64 accumulation — each operand carries one ≤2⁻²⁴
-	// relative rounding, bounding the converged-energy deviation near
-	// 1e-7 relative (see DESIGN.md §11). The default F64 is exact.
-	// Small matvec-like GEMMs and the DIIS algebra stay full f64 either
-	// way.
-	Precision linalg.Precision
 	// GuessDensity, when non-nil and dimensioned nbf×nbf, replaces the
 	// core-Hamiltonian initial guess — the warm-start path for AIMD,
 	// where the previous step's converged density of the same fragment
@@ -111,23 +98,6 @@ func (o *Options) fill() {
 	}
 	if o.RIScreenThresh == 0 {
 		o.RIScreenThresh = 1e-12
-	}
-	if o.Tuner == nil {
-		o.Tuner = autotune.Default
-	}
-	// The mixed-precision Fock build floors the attainable DIIS residual
-	// near the float32 storage quantisation: the packed-panel rounding is
-	// deterministic but non-smooth in the density, so the error vector
-	// stalls around ~2⁻²⁴·‖F‖ no matter how many iterations run. Clamp
-	// the convergence thresholds to that noise floor rather than spinning
-	// to MaxIter and failing.
-	if o.Precision == linalg.F32 {
-		if o.ConvE < 1e-8 {
-			o.ConvE = 1e-8
-		}
-		if o.ConvErr < 1e-6 {
-			o.ConvErr = 1e-6
-		}
 	}
 }
 
@@ -294,19 +264,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 			return nil, err
 		}
 		res.B = linalg.NewTensor3(res.Aux.N, bs.N, bs.N)
-		// The B-build stays exact even under Options.Precision = F32:
-		// the metric factor has large entries whenever the RI metric is
-		// ill-conditioned, so float32 panel quantisation here is
-		// amplified by the metric's condition number and lands ~mHa
-		// errors in the Coulomb energy (measured on the water-trimer
-		// golden). It is also a one-time contraction — the bandwidth-
-		// bound per-iteration work the mixed-precision path targets is
-		// the exchange build below and the MP2 transforms.
-		opts.Tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, res.JFactor, res.V3.Flatten(), 0, res.B.Flatten())
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, res.JFactor, res.V3.Flatten(), 0, res.B.Flatten())
 		res.ws = newWorkspace(bs.N, res.Aux.N)
-		fockBuild = func(d, co *linalg.Mat) *linalg.Mat {
-			return res.riFock(d, co, opts.Tuner, opts.Precision)
-		}
+		fockBuild = res.riFock
 	} else if opts.StoredERI {
 		res.Schwarz = integrals.SchwarzShellPairs(bs)
 		eri := integrals.FourCenterAll(bs)
@@ -369,12 +329,11 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		f := fockBuild(d, co)
 		eElec := 0.5 * (linalg.Dot(d, res.H) + linalg.Dot(d, f))
 
-		// DIIS error FDS − SDF, routed through the tuner so the nbf²
-		// shapes join the per-shape engine arbitration.
-		fd := opts.Tuner.MatMul(linalg.NoTrans, linalg.NoTrans, f, d)
-		fds := opts.Tuner.MatMul(linalg.NoTrans, linalg.NoTrans, fd, res.S)
-		sd := opts.Tuner.MatMul(linalg.NoTrans, linalg.NoTrans, res.S, d)
-		sdf := opts.Tuner.MatMul(linalg.NoTrans, linalg.NoTrans, sd, f)
+		// DIIS error FDS − SDF.
+		fd := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, f, d)
+		fds := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, fd, res.S)
+		sd := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, res.S, d)
+		sdf := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, sd, f)
 		errMat := fds.Clone()
 		errMat.AxpyMat(-1, sdf)
 		maxErr := errMat.MaxAbs()
@@ -410,25 +369,24 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 
 // riFock builds F = h + J − ½K from the resident B tensor with GEMMs
 // (paper Eq. 8) into the workspace's Fock buffer, which the next call
-// overwrites. co is the occupied coefficient block. prec applies to the
-// exchange-build GEMMs only; the Coulomb matvecs are tiny and stay exact.
-func (r *Result) riFock(d, co *linalg.Mat, tuner *autotune.Tuner, prec linalg.Precision) *linalg.Mat {
+// overwrites. co is the occupied coefficient block.
+func (r *Result) riFock(d, co *linalg.Mat) *linalg.Mat {
 	ws := r.ws
 	f := ws.f
 	f.CopyFrom(r.H)
 
 	// Coulomb: u_P = Σ_μν B_Pμν D_μν ; J_μν = Σ_P B_Pμν u_P, added onto h.
-	tuner.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.Flatten(), d.Vec(), 0, ws.u)
-	tuner.Gemm(linalg.Trans, linalg.NoTrans, 1, r.B.Flatten(), ws.u, 1, f.Vec())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.Flatten(), d.Vec(), 0, ws.u)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.B.Flatten(), ws.u, 1, f.Vec())
 
 	// Exchange: T_Pμi = Σ_ν B_Pμν C_νi for every P in one flattened
 	// product, then K = Σ_Pi T_Pμi T_Pνi as YᵀY over the block-transposed
 	// rows Y_(P,i),μ — two packed GEMMs instead of naux small ones.
 	half, halfT := r.Scratch3(r.Bs.N, co.Cols)
-	tuner.GemmPrec(prec, linalg.NoTrans, linalg.NoTrans, 1, r.B.FlattenRows(), co, 0, half.FlattenRows())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.FlattenRows(), co, 0, half.FlattenRows())
 	half.TransposeBlocksInto(halfT)
 	y := halfT.FlattenRows()
-	tuner.GemmPrec(prec, linalg.Trans, linalg.NoTrans, 1, y, y, 0, ws.k)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, y, y, 0, ws.k)
 
 	// YᵀY = Σ_P B_P (C_o C_oᵀ) B_P = ½ K[D] since D = 2 C_o C_oᵀ, so the
 	// −½K[D] exchange term is −1·(YᵀY).

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/chem"
@@ -78,7 +79,7 @@ func TestEngineMatchesSerialEmbedded(t *testing.T) {
 }
 
 // An embedded engine refuses evaluators without the charge/embedding
-// interfaces and malformed embed options.
+// interfaces, malformed embed options and periodic systems.
 func TestEngineEmbedValidation(t *testing.T) {
 	g := molecule.WaterCluster(3)
 	f, err := fragment.ByMolecule(g, 3, 1, fragment.Options{MaxOrder: 2})
@@ -94,6 +95,18 @@ func TestEngineEmbedValidation(t *testing.T) {
 		Async: true, Dt: 1, Embed: &fragment.EmbedOptions{SCC: -1},
 	}); err == nil {
 		t.Error("negative SCC accepted")
+	}
+	g.Cell, _ = molecule.NewCellAngstrom(20, 20, 20)
+	if f, err = fragment.ByMolecule(g, 3, 1, fragment.Options{MaxOrder: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(f, ljEmbedEval(), Options{
+		Async: true, Dt: 1, Embed: &fragment.EmbedOptions{},
+	}); err == nil || !strings.Contains(err.Error(), "periodic cell 20 x 20 x 20 Å") {
+		t.Errorf("embedding in a periodic cell: got %v, want the cell refusal", err)
+	}
+	if _, err := New(f, ljEmbedEval(), Options{Async: true, Dt: 1}); err != nil {
+		t.Errorf("vacuum MBE in the same cell refused: %v", err)
 	}
 }
 

@@ -28,6 +28,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -97,6 +99,7 @@ type Options struct {
 	// Embed.SCCTol is ignored here (the engine's task graph is static,
 	// so all SCC rounds always run); use the serial
 	// fragment.ComputeEmbedded for tolerance-based early stopping.
+	// A periodic fragmentation is refused (fragment.CheckEmbeddable).
 	// nil = vacuum MBE.
 	Embed *fragment.EmbedOptions
 
@@ -156,6 +159,38 @@ type StepStats struct {
 	// trajectory segment (Ha) — the NVE conservation diagnostic
 	// surfaced per step so drivers can print and gate it.
 	Drift float64
+}
+
+// CompareDynamics writes the cold-vs-warm per-step comparison table
+// (SCF iterations, wall clock, skips, and energy deviation per step,
+// plus totals and percent saved) for two trajectories of equal length.
+// It is shared by the mbebench warmstart experiment and fragmd's
+// -mode bench, and returns the total cold and warm SCF iteration
+// counts for further reporting.
+func CompareDynamics(w io.Writer, cold, warm []StepStats) (coldIters, warmIters int) {
+	fmt.Fprintf(w, "%6s %14s %14s %12s %12s %9s %14s\n",
+		"step", "cold SCF-iter", "warm SCF-iter", "cold wall", "warm wall", "skipped", "|ΔEpot| (Ha)")
+	var coldWall, warmWall float64
+	var skipped int
+	for i := range cold {
+		coldIters += cold[i].SCFIters
+		warmIters += warm[i].SCFIters
+		skipped += warm[i].Skipped
+		coldWall += cold[i].Wall.Seconds()
+		warmWall += warm[i].Wall.Seconds()
+		fmt.Fprintf(w, "%6d %14d %14d %11.3fs %11.3fs %9d %14.2e\n",
+			cold[i].Step, cold[i].SCFIters, warm[i].SCFIters,
+			cold[i].Wall.Seconds(), warm[i].Wall.Seconds(), warm[i].Skipped,
+			math.Abs(cold[i].Epot-warm[i].Epot))
+	}
+	fmt.Fprintf(w, "totals %14d %14d %11.3fs %11.3fs %9d\n",
+		coldIters, warmIters, coldWall, warmWall, skipped)
+	if coldIters > 0 {
+		fmt.Fprintf(w, "  SCF iterations saved: %.0f%%   wall saved: %.0f%%\n",
+			100*(1-float64(warmIters)/float64(coldIters)),
+			100*(1-warmWall/math.Max(coldWall, 1e-12)))
+	}
+	return coldIters, warmIters
 }
 
 // Engine drives asynchronous MBE AIMD.
@@ -247,6 +282,9 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	}
 	if opts.Embed != nil {
 		if err := opts.Embed.Validate(); err != nil {
+			return nil, fmt.Errorf("sched: %w", err)
+		}
+		if err := f.CheckEmbeddable(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
 		// With an external executor the remote workers own evaluation

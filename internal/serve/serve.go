@@ -13,9 +13,8 @@
 //     submitting a handful.
 //
 //   - Shared incremental-evaluation state: jobs over the same system
-//     under the same physics share one warm-start cache (and the
-//     process-global GEMM autotuner), so a fleet of near-identical
-//     trajectories pays the cold-start cost once. Sharing is keyed so
+//     under the same physics share one warm-start cache, so a fleet of
+//     near-identical trajectories pays the cold-start cost once. Sharing is keyed so
 //     it can never relax a job's accuracy: warm starts are exact, and
 //     skip reuse only joins jobs that asked for the same tolerance.
 //
