@@ -11,7 +11,7 @@
 //	       [-embed] [-embed-scc N] [-embed-tol e] [-embed-damp d]
 //	       [-steps N] [-dt fs] [-temp K] [-sync] [-workers N]
 //	       [-groups N] [-batch N] [-steal]
-//	       [-warm] [-skip-tol Å] [-max-skip N]
+//	       [-warm]
 //	       [-checkpoint file] [-checkpoint-every N] [-resume]
 //	       [-retries N] [-speculate]
 //
@@ -37,14 +37,11 @@
 // uneven groups. The knobs change task placement only, never the
 // trajectory.
 //
-// Warm-start knobs (-warm, -skip-tol, -max-skip) enable incremental
-// evaluation across MD steps: -warm reuses each polymer's converged
-// density as the next SCF guess (exact; fewer iterations), while
-// -skip-tol > 0 additionally skips re-evaluating polymers whose atoms
-// all moved less than the tolerance since their last real evaluation
-// (approximate; -max-skip bounds the staleness). -mode bench runs the
-// same trajectory cold and warm and reports SCF-iterations-per-step
-// and wall-per-step for both.
+// Warm start (-warm) enables incremental evaluation across MD steps:
+// each polymer's converged density becomes its next SCF guess (exact;
+// fewer iterations, every polymer still evaluated every step). -mode
+// bench runs the same trajectory cold and warm and reports
+// SCF-iterations-per-step and wall-per-step for both.
 //
 // Resilience knobs (md mode; DESIGN.md §7): -checkpoint names a
 // trajectory checkpoint file, written atomically every
@@ -144,8 +141,6 @@ func run(argv []string, out, errOut io.Writer) error {
 	embedTol := fs.Float64("embed-tol", 0, "stop SCC early when max |Δq| falls below this (e); energy/grad modes only, 0 = run all rounds")
 	embedDamp := fs.Float64("embed-damp", 0.4, "SCC charge mixing q ← (1−d)·q_new + d·q_old, 0 ≤ d < 1")
 	warm := fs.Bool("warm", false, "warm-start each polymer's SCF from its previous converged density")
-	skipTol := fs.Float64("skip-tol", 0, "skip re-evaluating polymers that moved less than this (Å, 0 = off; approximate)")
-	maxSkip := fs.Int("max-skip", 0, "staleness bound: max consecutive skipped evaluations per polymer (0 = default)")
 	ckPath := fs.String("checkpoint", "", "trajectory checkpoint file (md mode)")
 	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint every N completed MD steps (0 = only at the end)")
 	resume := fs.Bool("resume", false, "resume the trajectory from -checkpoint instead of starting fresh")
@@ -201,8 +196,7 @@ func run(argv []string, out, errOut io.Writer) error {
 	engOpts := sched.Options{
 		Workers: *workers, Async: !*sync, Dt: *dt * chem.AtomicTimePerFs,
 		Groups: *groups, Batch: *batch, Steal: *steal,
-		WarmStart: *warm, SkipTol: *skipTol * chem.BohrPerAngstrom, MaxSkip: *maxSkip,
-		MaxRetries: *retries, Speculate: *speculate,
+		WarmStart: *warm, MaxRetries: *retries, Speculate: *speculate,
 	}
 	// The engine's task graph is static, so it ignores the SCC tolerance:
 	// that only applies to the serial energy/grad paths; MD runs all rounds.
@@ -314,7 +308,7 @@ func printSystem(out io.Writer, f *fragment.Fragmentation) {
 // (exit 0), the graceful half of the two-stage signal handler.
 func runMD(out io.Writer, cfg traj.Config, prep func(*sched.Options) (func(), error), drain *drainer) error {
 	header := func() {
-		fmt.Fprintf(out, "%6s %18s %14s %10s %11s %9s %8s\n", "step", "Etot (Ha)", "Epot (Ha)", "T (K)", "drift (Ha)", "SCF-iter", "skipped")
+		fmt.Fprintf(out, "%6s %18s %14s %10s %11s %9s\n", "step", "Etot (Ha)", "Epot (Ha)", "T (K)", "drift (Ha)", "SCF-iter")
 	}
 	if !cfg.Resume {
 		header()
@@ -343,8 +337,8 @@ func runMD(out io.Writer, cfg traj.Config, prep func(*sched.Options) (func(), er
 		},
 		Step: func(st sched.StepStats, _ float64) {
 			tK := 2 * st.Ekin / (3 * float64(cfg.Frag.Geom.N())) * chem.KelvinPerHartree
-			fmt.Fprintf(out, "%6d %18.8f %14.8f %10.1f %11.2e %9d %8d\n",
-				st.Step, st.Etot, st.Epot, tK, st.Drift, st.SCFIters, st.Skipped)
+			fmt.Fprintf(out, "%6d %18.8f %14.8f %10.1f %11.2e %9d\n",
+				st.Step, st.Etot, st.Epot, tK, st.Drift, st.SCFIters)
 		},
 		Checkpointed: func(done int) {
 			fmt.Fprintf(out, "checkpoint: %s (step %d/%d)\n", cfg.CkPath, done, cfg.Steps)
@@ -362,7 +356,7 @@ func runMD(out io.Writer, cfg traj.Config, prep func(*sched.Options) (func(), er
 }
 
 // runWarmBench integrates the same trajectory twice — cold and with
-// warm-started SCF (plus skip reuse when configured) — and reports
+// warm-started SCF — and reports
 // SCF-iterations-per-step and wall-per-step for both, so the speedup
 // of the incremental-evaluation subsystem is measured, not asserted.
 func runWarmBench(out io.Writer, f *fragment.Fragmentation, eval fragment.Evaluator, engOpts sched.Options, steps int, temp float64) error {
@@ -379,7 +373,7 @@ func runWarmBench(out io.Writer, f *fragment.Fragmentation, eval fragment.Evalua
 		return eng.Run(state, n, nil)
 	}
 	coldOpts := engOpts
-	coldOpts.WarmStart, coldOpts.SkipTol, coldOpts.Cache = false, 0, nil
+	coldOpts.WarmStart, coldOpts.Cache = false, nil
 	// Untimed throwaway step so first-use costs (pooled pack buffers,
 	// cold caches) don't bias whichever timed run goes first.
 	if _, err := one(coldOpts, 1); err != nil {

@@ -189,13 +189,13 @@ func TestRunValidation(t *testing.T) {
 }
 
 // parseStepRows extracts "step → (Etot, Epot, drift)" from md-mode
-// output (step, Etot, Epot, T, drift, SCF-iter, skipped).
+// output (step, Etot, Epot, T, drift, SCF-iter).
 func parseStepRows(t *testing.T, out string) map[int][3]float64 {
 	t.Helper()
 	rows := map[int][3]float64{}
 	for _, l := range strings.Split(out, "\n") {
 		f := strings.Fields(l)
-		if len(f) != 7 {
+		if len(f) != 6 {
 			continue
 		}
 		step, err := strconv.Atoi(f[0])

@@ -27,8 +27,6 @@ func runWorkerCmd(argv []string, out, errOut io.Writer) error {
 	connect := fs.String("connect", "", "coordinator address host:port (required)")
 	slots := fs.Int("slots", 1, "tasks this process evaluates concurrently")
 	warm := fs.Bool("warm", false, "warm-start each polymer's SCF from its previous converged density (worker-local cache)")
-	skipTol := fs.Float64("skip-tol", 0, "skip re-evaluating polymers that moved less than this (Å, 0 = off; approximate)")
-	maxSkip := fs.Int("max-skip", 0, "staleness bound: max consecutive skipped evaluations per polymer (0 = default)")
 	redial := fs.Duration("redial", 500*time.Millisecond, "pause between reconnect attempts after a lost coordinator (negative = exit after one session)")
 	if err := parseFlags(fs, argv); err != nil {
 		return err
@@ -42,8 +40,6 @@ func runWorkerCmd(argv []string, out, errOut io.Writer) error {
 	return netcoord.RunWorker(context.Background(), *connect, netcoord.WorkerOptions{
 		Slots:     *slots,
 		WarmStart: *warm,
-		SkipTol:   *skipTol * chem.BohrPerAngstrom,
-		MaxSkip:   *maxSkip,
 		Redial:    *redial,
 		Logf: func(format string, args ...interface{}) {
 			fmt.Fprintf(out, format+"\n", args...)

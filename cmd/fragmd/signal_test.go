@@ -121,7 +121,7 @@ func parseStepEnergies(t *testing.T, out string) map[int]float64 {
 	got := map[int]float64{}
 	for _, l := range strings.Split(out, "\n") {
 		f := strings.Fields(l)
-		if len(f) != 7 {
+		if len(f) != 6 {
 			continue
 		}
 		step, err := strconv.Atoi(f[0])

@@ -21,22 +21,11 @@
 //
 // Successive AIMD time steps move each fragment only slightly, so the
 // engine can reuse per-polymer electronic state across steps
-// (EngineOptions, package warmstart). Two knobs with distinct accuracy
-// semantics:
-//
-//   - WarmStart (exact): each polymer's converged density seeds the
-//     next SCF of the same polymer. Converged energies and forces are
-//     unchanged to within the SCF thresholds — only iteration counts
-//     and wall time drop. StepStats.SCFIters measures the effect.
-//
-//   - SkipTol + MaxSkip (approximate): a polymer whose atoms have all
-//     moved less than SkipTol (Bohr) since its last real evaluation
-//     reuses its cached energy and gradient outright; displacement is
-//     measured against the last evaluated geometry, so drift
-//     accumulates toward the tolerance rather than resetting each
-//     step, and MaxSkip bounds consecutive reuses (the staleness
-//     bound). Errors are O(SkipTol) in the forces — choose SkipTol
-//     well below the per-step displacement scale you care about.
+// (EngineOptions.WarmStart, package warmstart): each polymer's
+// converged density seeds the next SCF of the same polymer. Every
+// polymer is still evaluated at every step, and converged energies and
+// forces are unchanged to within the SCF thresholds — only iteration
+// counts and wall time drop. StepStats.SCFIters measures the effect.
 //
 // See NewWarmStartCache to carry state across engines or into the
 // serial ComputeWithCache path.
@@ -152,12 +141,10 @@ type (
 )
 
 // NewWarmStartCache creates a warm-start cache for incremental MBE
-// evaluation: skipTol is the max-atom-displacement skip tolerance in
-// Bohr (0 disables skip reuse), maxSkip the staleness bound on
-// consecutive reuses (0 selects the default). Pass it via
-// EngineOptions.Cache or Fragmentation.ComputeWithCache.
-func NewWarmStartCache(skipTol float64, maxSkip int) *WarmStartCache {
-	return warmstart.NewCache(skipTol, maxSkip)
+// evaluation. Pass it via EngineOptions.Cache or
+// Fragmentation.ComputeWithCache.
+func NewWarmStartCache() *WarmStartCache {
+	return warmstart.NewCache()
 }
 
 // NewFragmentation fragments with an explicit monomer partition

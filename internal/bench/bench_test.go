@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -117,8 +118,8 @@ func TestMaxInt(t *testing.T) {
 
 // warmDynamics drives the real engine; with the LJ surrogate it is
 // cheap enough to verify the dynamics-report plumbing: step count,
-// polymer count, and that skip reuse shows up in the stats the report
-// prints.
+// polymer count, and that a warm run of a stateless evaluator retraces
+// the cold one with every polymer evaluated.
 func TestWarmDynamicsStats(t *testing.T) {
 	g := molecule.WaterCluster(2)
 	eval := &potential.LennardJones{}
@@ -138,18 +139,16 @@ func TestWarmDynamicsStats(t *testing.T) {
 			t.Errorf("LJ cold run reported SCFIters=%d Skipped=%d", st.SCFIters, st.Skipped)
 		}
 	}
-	skipOpts := base
-	skipOpts.SkipTol = 0.5
-	stats, err = warmDynamics(g, eval, 4, skipOpts)
+	warmOpts := base
+	warmOpts.WarmStart = true
+	warm, err := warmDynamics(g, eval, 4, warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var skipped int
-	for _, st := range stats {
-		skipped += st.Skipped
-	}
-	if skipped == 0 {
-		t.Error("skip run reported no skipped evaluations")
+	for i, st := range warm {
+		if st.Skipped != 0 || math.Abs(st.Epot-stats[i].Epot) > 1e-12 {
+			t.Errorf("warm step %d: Epot %.14f (cold %.14f), Skipped=%d", i, st.Epot, stats[i].Epot, st.Skipped)
+		}
 	}
 }
 
@@ -162,7 +161,7 @@ func TestWarmStartAblationReport(t *testing.T) {
 	out := capture(WarmStartAblation)
 	for _, want := range []string{
 		"Warm-start ablation", "cold SCF-iter", "warm SCF-iter",
-		"SCF iterations saved", "Skip reuse",
+		"SCF iterations saved",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WarmStartAblation output missing %q:\n%s", want, out)

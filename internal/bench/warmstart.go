@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math"
 	"math/rand"
 
 	"github.com/fragmd/fragmd/internal/basis"
@@ -11,12 +10,11 @@ import (
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
-	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
 // warmDynamics runs one short AIMD trajectory and returns its per-step
 // stats. The same geometry, seed and engine options are used for every
-// invocation so cold/warm/skip runs differ only in the reuse policy.
+// invocation so cold and warm runs differ only in the SCF guess.
 func warmDynamics(g *molecule.Geometry, eval fragment.Evaluator, steps int, opts sched.Options) ([]sched.StepStats, error) {
 	f, err := fragment.ByMolecule(g.Clone(), 3, 1, fragment.Options{})
 	if err != nil {
@@ -36,8 +34,7 @@ func warmDynamics(g *molecule.Geometry, eval fragment.Evaluator, steps int, opts
 // every polymer, every step) and warm (each polymer's previous
 // converged density seeds its next SCF), reporting SCF iterations per
 // step and wall-clock per step for both — the speedup is measured, not
-// asserted. A third run with a skip tolerance shows the approximate
-// reuse path (evaluations avoided outright, bounded staleness).
+// asserted.
 func WarmStartAblation(c *Config) {
 	waters, steps := 2, 5
 	var eval fragment.Evaluator = &potential.HF{UseRI: true, AuxOpts: basis.AuxOptions{PerL: []int{5, 4, 3}}}
@@ -73,29 +70,7 @@ func WarmStartAblation(c *Config) {
 
 	c.printf("Warm-start ablation — (H2O)%d NVE, %s, dt=0.5 fs, %d polymers/step\n",
 		waters, label, cold[0].NPolymer)
-	coldIters, _ := sched.CompareDynamics(c.Out, cold, warm)
-
-	skipOpts := base
-	skipOpts.WarmStart = true
-	skipOpts.SkipTol = 0.02 // Bohr; generous for a demo of the skip path
-	skip, err := warmDynamics(g, eval, steps, skipOpts)
-	if err != nil {
-		c.printf("error: %v\n", err)
-		return
-	}
-	var skipped, skipIters int
-	var skipDev float64
-	for i := range skip {
-		skipped += skip[i].Skipped
-		skipIters += skip[i].SCFIters
-		if d := math.Abs(skip[i].Epot - cold[i].Epot); d > skipDev {
-			skipDev = d
-		}
-	}
-	c.printf("\nSkip reuse (tol %.3f Bohr, staleness bound %d): %d/%d evaluations skipped,\n",
-		skipOpts.SkipTol, warmstart.DefaultMaxSkip, skipped, len(skip)*skip[0].NPolymer)
-	c.printf("%d SCF iterations (vs %d cold), max |Epot − cold| = %.2e Ha (approximate path).\n",
-		skipIters, coldIters, skipDev)
+	sched.CompareDynamics(c.Out, cold, warm)
 	c.printf("\nShape to verify: warm SCF-iterations strictly below cold every step after the\n")
 	c.printf("first, with |ΔEpot| at SCF-convergence level (~1e-10 Ha) — reuse is exact.\n")
 }

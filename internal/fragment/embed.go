@@ -44,9 +44,8 @@ import (
 // EmbeddedEvaluator evaluates a standalone fragment geometry inside an
 // external point-charge field, returning additionally the gradient on
 // the field sites (charges held fixed). prev optionally warm-starts
-// the SCF; the returned state must snapshot the field
-// (warmstart.State.SnapshotField) so the cache can detect stale
-// charges. A nil field must reproduce Evaluate exactly.
+// the SCF and the returned state is the next step's guess. A nil field
+// must reproduce Evaluate exactly.
 type EmbeddedEvaluator interface {
 	Evaluator
 	EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCharges, prev *warmstart.State) (energy float64, grad, fieldGrad []float64, next *warmstart.State, err error)
@@ -364,27 +363,17 @@ func (f *Fragmentation) MonomerCharges(cs ChargeSource, eo EmbedOptions) (q []fl
 }
 
 // EvaluateEmbeddedWithCache is EvaluateWithCache for embedded polymer
-// evaluations: skip reuse additionally requires the embedding field to
-// sit inside the cache's tolerance (stale charges invalidate), and the
-// cached field-site gradient rides along with the energy/gradient.
-func EvaluateEmbeddedWithCache(eval EmbeddedEvaluator, cache *warmstart.Cache, key string, g *molecule.Geometry, field *Field) (e float64, grad, fieldGrad []float64, iters int, skipped bool, err error) {
-	pc := field.PC()
-	var fpos, fq []float64
-	if pc != nil {
-		fpos, fq = pc.Pos, pc.Q
-	}
-	if cache != nil {
-		if st, ok := cache.ReuseEmbedded(key, g, fpos, fq); ok {
-			return st.Energy, st.Grad, st.FieldGrad, 0, true, nil
-		}
-	}
+// evaluations: the polymer is evaluated in its field, warm-started from
+// the cached state, and the field-site gradient is returned alongside
+// the energy and gradient. The guess does not depend on the field.
+func EvaluateEmbeddedWithCache(eval EmbeddedEvaluator, cache *warmstart.Cache, key string, g *molecule.Geometry, field *Field) (e float64, grad, fieldGrad []float64, iters int, err error) {
 	var prev *warmstart.State
 	if cache != nil {
 		prev = cache.Guess(key, g)
 	}
-	e, grad, fieldGrad, st, err := eval.EvaluateEmbedded(g, pc, prev)
+	e, grad, fieldGrad, st, err := eval.EvaluateEmbedded(g, field.PC(), prev)
 	if err != nil {
-		return 0, nil, nil, 0, false, err
+		return 0, nil, nil, 0, err
 	}
 	if st != nil {
 		iters = st.SCFIters
@@ -392,7 +381,7 @@ func EvaluateEmbeddedWithCache(eval EmbeddedEvaluator, cache *warmstart.Cache, k
 			cache.Put(key, st)
 		}
 	}
-	return e, grad, fieldGrad, iters, false, nil
+	return e, grad, fieldGrad, iters, nil
 }
 
 // PairInclusion returns s_IJ = Σ_{P ⊇ {I,J}} coeff(P) for every
@@ -538,14 +527,11 @@ func (f *Fragmentation) ComputeEmbedded(eval Evaluator, cache *warmstart.Cache, 
 		}
 		ex := f.Extract(p)
 		fl := fa.FieldFor(p)
-		e, g, fg, iters, skipped, err := EvaluateEmbeddedWithCache(ee, cache, key, ex.Geom, fl)
+		e, g, fg, iters, err := EvaluateEmbeddedWithCache(ee, cache, key, ex.Geom, fl)
 		if err != nil {
 			return nil, fmt.Errorf("fragment: polymer %s: %w", key, err)
 		}
 		res.SCFIters += iters
-		if skipped {
-			res.Skipped++
-		}
 		res.PolymerE[key] = e
 		grads[key] = g
 		fieldGrads[key] = fg

@@ -21,56 +21,44 @@ type Evaluator interface {
 // injected as the SCF initial guess, and the returned state snapshots
 // the new converged result for the next step. Evaluate(g) must be
 // numerically equivalent to EvaluateFrom(g, nil). Evaluators with no
-// electronic state (the LJ surrogate) pass through and return a
-// minimal state carrying only energy/gradient/geometry, which still
-// supports skip reuse.
+// electronic state (the LJ surrogate) pass through and return a nil
+// state: there is nothing to warm-start.
 type StatefulEvaluator interface {
 	Evaluator
 	EvaluateFrom(g *molecule.Geometry, prev *warmstart.State) (energy float64, grad []float64, next *warmstart.State, err error)
 }
 
 // EvaluateWithCache runs one polymer evaluation through the cache:
-// skip reuse when the geometry has barely moved, warm-started stateful
-// evaluation when available, plain evaluation otherwise. It returns
-// the energy, gradient, SCF iteration count, and whether the
-// evaluation was skipped. It is shared by the serial Compute path and
-// the asynchronous scheduler (which calls it from concurrent workers —
-// the cache synchronises internally). Under straggler speculation the
-// scheduler may evaluate the same polymer key concurrently with itself
-// on the same geometry; both copies converge to equivalent states and
-// the cache keeps whichever Put lands last, so the race is benign.
-func EvaluateWithCache(eval Evaluator, cache *warmstart.Cache, key string, g *molecule.Geometry) (float64, []float64, int, bool, error) {
+// warm-started stateful evaluation when available, plain evaluation
+// otherwise. It returns the energy, gradient and SCF iteration count.
+// It is shared by the serial Compute path and the asynchronous
+// scheduler (which calls it from concurrent workers — the cache
+// synchronises internally). Under straggler speculation the scheduler
+// may evaluate the same polymer key concurrently with itself on the
+// same geometry; both copies converge to equivalent states and the
+// cache keeps whichever Put lands last, so the race is benign.
+func EvaluateWithCache(eval Evaluator, cache *warmstart.Cache, key string, g *molecule.Geometry) (float64, []float64, int, error) {
+	se, ok := eval.(StatefulEvaluator)
+	if !ok {
+		e, grad, err := eval.Evaluate(g)
+		return e, grad, 0, err
+	}
+	var prev *warmstart.State
 	if cache != nil {
-		if st, ok := cache.Reuse(key, g); ok {
-			return st.Energy, st.Grad, 0, true, nil
-		}
+		prev = cache.Guess(key, g)
 	}
-	if se, ok := eval.(StatefulEvaluator); ok {
-		var prev *warmstart.State
-		if cache != nil {
-			prev = cache.Guess(key, g)
-		}
-		e, grad, st, err := se.EvaluateFrom(g, prev)
-		if err != nil {
-			return 0, nil, 0, false, err
-		}
-		iters := 0
-		if st != nil {
-			iters = st.SCFIters
-			if cache != nil {
-				cache.Put(key, st)
-			}
-		}
-		return e, grad, iters, false, nil
-	}
-	e, grad, err := eval.Evaluate(g)
+	e, grad, st, err := se.EvaluateFrom(g, prev)
 	if err != nil {
-		return 0, nil, 0, false, err
+		return 0, nil, 0, err
 	}
-	if cache != nil {
-		cache.Put(key, warmstart.NewState(g, e, grad))
+	iters := 0
+	if st != nil {
+		iters = st.SCFIters
+		if cache != nil {
+			cache.Put(key, st)
+		}
 	}
-	return e, grad, 0, false, nil
+	return e, grad, iters, nil
 }
 
 // Terms classifies the polymers of the truncated expansion.
@@ -187,10 +175,8 @@ type Result struct {
 	DeltaTri   map[string]float64 // ΔE_IJK
 
 	// SCFIters totals the SCF iterations across polymer evaluations
-	// (0 when the evaluator is stateless); Skipped counts polymers
-	// whose cached energy/gradient were reused without re-evaluation.
+	// (0 when the evaluator is stateless).
 	SCFIters int
-	Skipped  int
 
 	// EE-MBE extras (ComputeEmbedded only; zero/nil for vacuum MBE).
 	// Charges are the phase-1 per-parent-atom embedding charges,
@@ -212,9 +198,8 @@ func (f *Fragmentation) Compute(eval Evaluator) (*Result, error) {
 
 // ComputeWithCache is Compute with incremental evaluation through a
 // warm-start cache: stateful evaluators receive each polymer's cached
-// state as their SCF initial guess, and polymers under the cache's
-// skip tolerance reuse their cached energy/gradient without
-// re-evaluation. A nil cache reproduces Compute exactly. The cache is
+// state as their SCF initial guess. A nil cache reproduces Compute
+// exactly. The cache is
 // keyed by polymer identity and may be carried across successive
 // calls on (slightly) updated geometries — the AIMD usage.
 func (f *Fragmentation) ComputeWithCache(eval Evaluator, cache *warmstart.Cache) (*Result, error) {
@@ -237,14 +222,11 @@ func (f *Fragmentation) ComputeWithCache(eval Evaluator, cache *warmstart.Cache)
 			return nil, fmt.Errorf("fragment: polymer %s enumerated twice", key)
 		}
 		ex := f.Extract(p)
-		e, g, iters, skipped, err := EvaluateWithCache(eval, cache, key, ex.Geom)
+		e, g, iters, err := EvaluateWithCache(eval, cache, key, ex.Geom)
 		if err != nil {
 			return nil, fmt.Errorf("fragment: polymer %s: %w", key, err)
 		}
 		res.SCFIters += iters
-		if skipped {
-			res.Skipped++
-		}
 		res.PolymerE[key] = e
 		grads[key] = g
 		extracts[key] = ex

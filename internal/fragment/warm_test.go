@@ -27,7 +27,7 @@ func TestComputeWithNilCacheIsCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Energy-b.Energy) > 1e-14 || a.Skipped != 0 || b.Skipped != 0 {
+	if math.Abs(a.Energy-b.Energy) > 1e-14 {
 		t.Errorf("nil-cache compute differs: %.17f vs %.17f", a.Energy, b.Energy)
 	}
 	for i := range a.Gradient {
@@ -37,89 +37,99 @@ func TestComputeWithNilCacheIsCompute(t *testing.T) {
 	}
 }
 
-// Repeated ComputeWithCache on an unchanged geometry must skip every
-// polymer (within the staleness bound) and reproduce the energy and
-// gradient exactly; once the bound is exhausted everything is
-// re-evaluated and the counters reset.
+// statefulLJ is a StatefulEvaluator fake: LJ numerics, a state that
+// carries only the atom list, and a count of evaluations and of the
+// warm-start guesses it was handed.
+type statefulLJ struct {
+	lj             potential.LennardJones
+	calls, guessed int
+}
+
+func (s *statefulLJ) Evaluate(g *molecule.Geometry) (float64, []float64, error) {
+	e, grad, _, err := s.EvaluateFrom(g, nil)
+	return e, grad, err
+}
+
+func (s *statefulLJ) EvaluateFrom(g *molecule.Geometry, prev *warmstart.State) (float64, []float64, *warmstart.State, error) {
+	s.calls++
+	if prev != nil {
+		s.guessed++
+	}
+	e, grad, err := s.lj.Evaluate(g)
+	st := &warmstart.State{}
+	st.Snapshot(g)
+	return e, grad, st, err
+}
+
+// Repeated ComputeWithCache on an unchanged geometry evaluates every
+// polymer on every pass — from the cached guess after the first — and
+// reproduces the energy and gradient exactly. The cache never skips.
 func TestComputeWithCacheSkipCycle(t *testing.T) {
 	g := molecule.WaterCluster(3)
 	f, err := ByMolecule(g, 3, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &potential.LennardJones{}
-	cache := warmstart.NewCache(0.01, 2)
+	eval := &statefulLJ{}
+	cache := warmstart.NewCache()
 
 	first, err := f.ComputeWithCache(eval, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Skipped != 0 {
-		t.Fatalf("first pass skipped %d polymers", first.Skipped)
+	if eval.calls != first.NPolymers || eval.guessed != 0 {
+		t.Fatalf("first pass: %d calls, %d guesses; want %d cold calls", eval.calls, eval.guessed, first.NPolymers)
 	}
 	if cache.Len() != first.NPolymers {
 		t.Fatalf("cache holds %d states, want %d", cache.Len(), first.NPolymers)
 	}
-	for pass := 0; pass < 2; pass++ {
+	for pass := 1; pass <= 3; pass++ {
 		res, err := f.ComputeWithCache(eval, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Skipped != first.NPolymers {
-			t.Fatalf("pass %d skipped %d of %d", pass, res.Skipped, first.NPolymers)
+		if want := (pass + 1) * first.NPolymers; eval.calls != want {
+			t.Fatalf("pass %d: %d evaluations in total, want %d", pass, eval.calls, want)
+		}
+		if want := pass * first.NPolymers; eval.guessed != want {
+			t.Fatalf("pass %d: %d warm-started evaluations, want %d", pass, eval.guessed, want)
 		}
 		if math.Abs(res.Energy-first.Energy) > 1e-14 {
-			t.Errorf("skip-reuse energy %.17f != %.17f", res.Energy, first.Energy)
+			t.Errorf("warm energy %.17f != %.17f", res.Energy, first.Energy)
 		}
 		for i := range first.Gradient {
 			if math.Abs(res.Gradient[i]-first.Gradient[i]) > 1e-14 {
-				t.Fatal("skip-reuse gradient differs beyond accumulation noise")
+				t.Fatal("warm gradient differs beyond accumulation noise")
 			}
 		}
 	}
-	// Staleness bound (2) exhausted: full re-evaluation, counter reset.
-	res, err := f.ComputeWithCache(eval, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Skipped != 0 {
-		t.Errorf("stale pass skipped %d polymers, want 0", res.Skipped)
-	}
-	res, err = f.ComputeWithCache(eval, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Skipped != first.NPolymers {
-		t.Errorf("post-reset pass skipped %d, want %d", res.Skipped, first.NPolymers)
+	if s := cache.Stats(); s.Skips != 0 {
+		t.Errorf("cache counted %d skips", s.Skips)
 	}
 }
 
-// A displaced geometry beyond the tolerance must invalidate skip reuse
-// for the moved monomer's polymers only.
+// A displaced geometry is evaluated afresh in full, warm-started from
+// the previous states, and matches a cold computation.
 func TestComputeWithCacheDisplacementInvalidation(t *testing.T) {
 	g := molecule.WaterCluster(3)
 	f, err := ByMolecule(g, 3, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &potential.LennardJones{}
-	cache := warmstart.NewCache(0.01, 100)
+	eval := &statefulLJ{}
+	cache := warmstart.NewCache()
 	if _, err := f.ComputeWithCache(eval, cache); err != nil {
 		t.Fatal(err)
 	}
-	// Move one atom of monomer 0 well past the tolerance.
+	n1 := eval.calls
 	g.Atoms[0].Pos[0] += 0.5
 	res, err := f.ComputeWithCache(eval, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Monomer 0 touches: itself, dimers 0-1, 0-2 and the trimer → 4 of
-	// the 7 polymers re-evaluate; monomers 1, 2 and dimer 1-2 skip.
-	if res.Skipped != 3 {
-		t.Errorf("skipped %d polymers after moving monomer 0, want 3", res.Skipped)
+	if eval.calls-n1 != res.NPolymers || eval.guessed != res.NPolymers {
+		t.Errorf("moved pass: %d evaluations, %d guesses; want %d of each", eval.calls-n1, eval.guessed, res.NPolymers)
 	}
-	// The reused polymers are exact, so the energy must match a fresh
-	// computation exactly for this additive test case.
 	fresh, err := f.Compute(eval)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +151,8 @@ func (c *countingEvaluator) Evaluate(g *molecule.Geometry) (float64, []float64, 
 	return c.lj.Evaluate(g)
 }
 
-// A non-stateful evaluator must still get skip reuse via the minimal
-// snapshot path.
+// A non-stateful evaluator is called for every polymer on every pass
+// and leaves nothing in the cache: there is no state worth keeping.
 func TestComputeWithCacheStatelessEvaluator(t *testing.T) {
 	g := molecule.WaterCluster(2)
 	f, err := ByMolecule(g, 3, 1, Options{})
@@ -150,7 +160,7 @@ func TestComputeWithCacheStatelessEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := &countingEvaluator{}
-	cache := warmstart.NewCache(0.01, 5)
+	cache := warmstart.NewCache()
 	if _, err := f.ComputeWithCache(ev, cache); err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +169,10 @@ func TestComputeWithCacheStatelessEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.calls != n1 {
-		t.Errorf("stateless evaluator called %d more times despite skip reuse", ev.calls-n1)
+	if ev.calls-n1 != res.NPolymers {
+		t.Errorf("stateless evaluator called %d times for %d polymers", ev.calls-n1, res.NPolymers)
 	}
-	if res.Skipped != res.NPolymers {
-		t.Errorf("skipped %d of %d", res.Skipped, res.NPolymers)
+	if cache.Len() != 0 {
+		t.Errorf("cache holds %d states for a stateless evaluator", cache.Len())
 	}
 }

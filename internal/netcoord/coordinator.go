@@ -319,7 +319,6 @@ func (c *Coordinator) deliver(p *proc, r *ResultMsg) {
 		FieldGrad: r.FieldGrad,
 		Charges:   r.Charges,
 		Iters:     r.Iters,
-		Skipped:   r.Skipped,
 	}
 	if r.Err != "" {
 		res = sched.ExecResult{Worker: att.worker, Task: r.Task,

@@ -98,14 +98,14 @@ type ResultMsg struct {
 	Slot int
 	// Task echoes the task identity for transport-level sanity checks.
 	Task coord.Task
-	// E, Grad, FieldGrad, Charges, Iters and Skipped mirror
-	// sched.ExecResult.
+	// E, Grad, FieldGrad, Charges and Iters mirror sched.ExecResult.
+	// Workers of earlier v2 builds also send a worker-local flag this
+	// struct no longer declares; gob drops it, and nothing read it.
 	E         float64
 	Grad      []float64
 	FieldGrad []float64
 	Charges   []float64
 	Iters     int
-	Skipped   bool
 	// Err is the evaluation failure, serialized as text ("" = success).
 	Err string
 }

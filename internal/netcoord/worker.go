@@ -22,12 +22,9 @@ type WorkerOptions struct {
 	Slots int
 	// WarmStart enables the worker-local warm-start cache: polymers
 	// re-dispatched to this process seed their SCF from the cached
-	// converged state. SkipTol/MaxSkip additionally enable skip reuse
-	// (see warmstart.NewCache). The cache survives redials, so a
-	// coordinator restart keeps the incremental-SCF advantage.
+	// converged state. The cache survives redials, so a coordinator
+	// restart keeps the incremental-SCF advantage.
 	WarmStart bool
-	SkipTol   float64
-	MaxSkip   int
 	// Redial is the pause between dial attempts after a failed dial or
 	// a lost connection (default 500 ms). Workers redial until the
 	// context is cancelled — that is what lets them survive coordinator
@@ -66,8 +63,8 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 		redial = 500 * time.Millisecond
 	}
 	var cache *warmstart.Cache
-	if opts.WarmStart || opts.SkipTol > 0 {
-		cache = warmstart.NewCache(opts.SkipTol, opts.MaxSkip)
+	if opts.WarmStart {
+		cache = warmstart.NewCache()
 	}
 	for {
 		err := workerSession(ctx, addr, &opts, cache)
@@ -201,19 +198,19 @@ func evaluateTask(eval fragment.Evaluator, cache *warmstart.Cache, tm *TaskMsg) 
 		if req.Field != nil {
 			fl = &fragment.Field{Charges: *req.Field}
 		}
-		e, grad, fieldGrad, iters, skipped, err := fragment.EvaluateEmbeddedWithCache(ee, cache, req.Key, req.Geom, fl)
+		e, grad, fieldGrad, iters, err := fragment.EvaluateEmbeddedWithCache(ee, cache, req.Key, req.Geom, fl)
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		res.E, res.Grad, res.FieldGrad, res.Iters, res.Skipped = e, grad, fieldGrad, iters, skipped
+		res.E, res.Grad, res.FieldGrad, res.Iters = e, grad, fieldGrad, iters
 	default:
-		e, grad, iters, skipped, err := fragment.EvaluateWithCache(eval, cache, req.Key, req.Geom)
+		e, grad, iters, err := fragment.EvaluateWithCache(eval, cache, req.Key, req.Geom)
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		res.E, res.Grad, res.Iters, res.Skipped = e, grad, iters, skipped
+		res.E, res.Grad, res.Iters = e, grad, iters
 	}
 	return res
 }

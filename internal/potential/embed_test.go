@@ -175,8 +175,8 @@ func TestEmbeddedWarmStartContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.FieldQ) != pc.N() || len(st.FieldGrad) != 3*pc.N() {
-		t.Fatalf("state did not snapshot the field: %d charges, %d grad components", len(st.FieldQ), len(st.FieldGrad))
+	if st == nil || st.D == nil || !st.Compatible(g) {
+		t.Fatal("embedded evaluation returned no usable warm-start state")
 	}
 	moved := g.Clone()
 	moved.Atoms[1].Pos[0] += 0.01

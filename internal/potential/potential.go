@@ -17,10 +17,7 @@ import (
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
-// stateFromSCF snapshots a converged SCF result as a warm-start state
-// (the energy/gradient fields are filled in by the caller). The
-// embedding field the SCF ran in (if any) is snapshotted too, so the
-// cache can detect stale charges.
+// stateFromSCF snapshots a converged SCF result as a warm-start state.
 func stateFromSCF(g *molecule.Geometry, ref *scf.Result, basisName string) *warmstart.State {
 	st := &warmstart.State{
 		D:     ref.D,
@@ -35,9 +32,6 @@ func stateFromSCF(g *molecule.Geometry, ref *scf.Result, basisName string) *warm
 		st.NAux = ref.Aux.N
 	}
 	st.Snapshot(g)
-	if pc := ref.Opts().EmbedCharges; pc.N() > 0 {
-		st.SnapshotField(pc.Pos, pc.Q)
-	}
 	return st
 }
 
@@ -109,7 +103,6 @@ func (p *RIMP2) EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCha
 		return 0, nil, nil, nil, err
 	}
 	st := stateFromSCF(g, ref, p.basisName())
-	st.Energy = r.ETotal
 	if p.EnergyOnly {
 		return r.ETotal, nil, nil, st, nil
 	}
@@ -121,8 +114,6 @@ func (p *RIMP2) EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCha
 	// SCS energies are requested the gradient still corresponds to plain
 	// MP2 (as in the paper, which reports SCS energetics but plain-MP2
 	// dynamics).
-	st.Grad = grad
-	st.FieldGrad = fieldGrad
 	return r.ETotal, grad, fieldGrad, st, nil
 }
 
@@ -189,11 +180,7 @@ func (p *HF) EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCharge
 		return 0, nil, nil, nil, err
 	}
 	grad, fieldGrad := ref.Gradients()
-	st := stateFromSCF(g, ref, name)
-	st.Energy = ref.Energy
-	st.Grad = grad
-	st.FieldGrad = fieldGrad
-	return ref.Energy, grad, fieldGrad, st, nil
+	return ref.Energy, grad, fieldGrad, stateFromSCF(g, ref, name), nil
 }
 
 // PartialCharges implements fragment.ChargeSource: Mulliken charges of
@@ -277,14 +264,10 @@ func (p *LennardJones) Evaluate(g *molecule.Geometry) (float64, []float64, error
 
 // EvaluateFrom implements fragment.StatefulEvaluator as a trivial
 // pass-through: LJ has no electronic state to warm, so prev is ignored
-// and the returned state carries only energy/gradient/geometry (enough
-// for skip reuse in the scheduler).
+// and the returned state is nil.
 func (p *LennardJones) EvaluateFrom(g *molecule.Geometry, _ *warmstart.State) (float64, []float64, *warmstart.State, error) {
 	e, grad, err := p.Evaluate(g)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return e, grad, warmstart.NewState(g, e, grad), nil
+	return e, grad, nil, err
 }
 
 // PartialCharges implements fragment.ChargeSource with the fixed
@@ -301,7 +284,7 @@ func (p *LennardJones) PartialCharges(g *molecule.Geometry, _ *integrals.PointCh
 // EvaluateEmbedded implements fragment.EmbeddedEvaluator: the LJ
 // energy plus the classical Coulomb interaction of the fragment's
 // fixed partial charges with the field, with analytic forces on both
-// atoms and field sites.
+// atoms and field sites. The returned state is nil, as in EvaluateFrom.
 func (p *LennardJones) EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCharges, _ *warmstart.State) (float64, []float64, []float64, *warmstart.State, error) {
 	e, grad, err := p.Evaluate(g)
 	if err != nil {
@@ -326,12 +309,7 @@ func (p *LennardJones) EvaluateEmbedded(g *molecule.Geometry, field *integrals.P
 			}
 		}
 	}
-	st := warmstart.NewState(g, e, grad)
-	if field.N() > 0 {
-		st.SnapshotField(field.Pos, field.Q)
-		st.FieldGrad = fieldGrad
-	}
-	return e, grad, fieldGrad, st, nil
+	return e, grad, fieldGrad, nil, nil
 }
 
 // burn spins for roughly d seconds of CPU work.

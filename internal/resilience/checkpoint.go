@@ -65,13 +65,12 @@ func (ms *MatState) mat() (*linalg.Mat, error) {
 }
 
 // WarmEntry is one polymer's checkpointed warm-start state
-// (warmstart.State with the matrices flattened for JSON).
+// (warmstart.State with the matrices flattened for JSON). Checkpoints
+// written by earlier builds also carry "pos", "energy" and "grad" keys
+// per entry; decoding ignores them.
 type WarmEntry struct {
 	Key      string    `json:"key"`
 	Zs       []int     `json:"zs"`
-	Pos      []float64 `json:"pos"`
-	Energy   float64   `json:"energy"`
-	Grad     []float64 `json:"grad,omitempty"`
 	D        *MatState `json:"d,omitempty"`
 	C        *MatState `json:"c,omitempty"`
 	Basis    string    `json:"basis,omitempty"`
@@ -165,8 +164,7 @@ func (ck *Checkpoint) AttachCache(c *warmstart.Cache) {
 	for _, k := range keys {
 		st := states[k]
 		ck.Warm = append(ck.Warm, WarmEntry{
-			Key: k, Zs: st.Zs, Pos: st.Pos, Energy: st.Energy, Grad: st.Grad,
-			D: matState(st.D), C: matState(st.C),
+			Key: k, Zs: st.Zs, D: matState(st.D), C: matState(st.C),
 			Basis: st.Basis, NBf: st.NBf, NAux: st.NAux, NOcc: st.NOcc,
 			SCFIters: st.SCFIters,
 		})
@@ -233,7 +231,7 @@ func (ck *Checkpoint) Matches(g *molecule.Geometry) bool {
 }
 
 // RestoreCache installs the checkpoint's warm states into a cache
-// (typically a fresh one configured with the run's skip tolerance).
+// (typically the resumed run's fresh one).
 func (ck *Checkpoint) RestoreCache(c *warmstart.Cache) error {
 	if c == nil || len(ck.Warm) == 0 {
 		return nil
@@ -249,8 +247,7 @@ func (ck *Checkpoint) RestoreCache(c *warmstart.Cache) error {
 			return fmt.Errorf("warm entry %s: %w", we.Key, err)
 		}
 		states[we.Key] = &warmstart.State{
-			Zs: we.Zs, Pos: we.Pos, Energy: we.Energy, Grad: we.Grad,
-			D: d, C: cm, Basis: we.Basis, NBf: we.NBf, NAux: we.NAux,
+			Zs: we.Zs, D: d, C: cm, Basis: we.Basis, NBf: we.NBf, NAux: we.NAux,
 			NOcc: we.NOcc, SCFIters: we.SCFIters,
 		}
 	}

@@ -3,6 +3,7 @@ package resilience
 import (
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -32,14 +33,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	ck.Seed = 42
 	ck.Thermostat = &ThermostatState{TargetK: 300, TauFs: 50}
 
-	cache := warmstart.NewCache(0.01, 2)
+	cache := warmstart.NewCache()
 	g := s.Geom
-	st := warmstart.NewState(g, -1.25, []float64{0.5, -0.5, 0.25})
-	st.D = linalg.NewMatFrom(2, 2, []float64{1, 2, 3, 4})
-	st.C = linalg.NewMatFrom(2, 2, []float64{5, 6, 7, 8})
-	st.Basis, st.NBf, st.NAux, st.NOcc, st.SCFIters = "sto-3g", 2, 7, 1, 9
+	st := &warmstart.State{
+		D:     linalg.NewMatFrom(2, 2, []float64{1, 2, 3, 4}),
+		C:     linalg.NewMatFrom(2, 2, []float64{5, 6, 7, 8}),
+		Basis: "sto-3g", NBf: 2, NAux: 7, NOcc: 1, SCFIters: 9,
+	}
+	st.Snapshot(g)
 	cache.Put("0-1", st)
-	cache.Put("0", warmstart.NewState(g, -0.5, nil))
+	bare := &warmstart.State{}
+	bare.Snapshot(g)
+	cache.Put("0", bare)
 	ck.AttachCache(cache)
 
 	path := filepath.Join(t.TempDir(), "traj.ckpt")
@@ -83,7 +88,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Error("Matches rejected the source geometry")
 	}
 
-	restored := warmstart.NewCache(0.01, 2)
+	restored := warmstart.NewCache()
 	if err := got.RestoreCache(restored); err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +96,71 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("restored cache has %d entries, want 2", restored.Len())
 	}
 	back := restored.Export()["0-1"]
-	if back == nil || back.Energy != -1.25 || back.SCFIters != 9 || back.Basis != "sto-3g" {
+	if back == nil || back.SCFIters != 9 || back.Basis != "sto-3g" || back.NAux != 7 || !back.Compatible(g) {
 		t.Fatalf("warm state mangled: %+v", back)
 	}
 	if back.D == nil || back.D.At(1, 0) != 3 || back.C.At(0, 1) != 6 {
 		t.Error("electronic-state matrices mangled")
 	}
-	if len(back.Grad) != 3 || back.Grad[2] != 0.25 {
-		t.Errorf("gradient mangled: %v", back.Grad)
+
+	t.Run("ParentFormat", testCheckpointParentFormat)
+}
+
+// parentCheckpoint is a checkpoint file as builds with skip reuse wrote
+// it: every warm entry also carries the geometry ("pos"), energy and
+// gradient it was computed at. The second entry's "pos" is short of
+// 3·len(zs), which the skip path would have indexed out of range on
+// its first lookup. The CRC is valid.
+func parentCheckpoint() []byte {
+	payload := `{"steps_done":3,"total_steps":6,"dt":20,` +
+		`"atomic_numbers":[8,1,1],"pos":[0,0,0,1.4,0,1.1,-1.4,0,1.1],` +
+		`"vel":[0,0,0,1e-4,0,0,-1e-4,0,0],"masses":[29156.9,1837.4,1837.4],` +
+		`"warm":[` +
+		`{"key":"0","zs":[8,1,1],"pos":[0,0,0,1.4,0,1.1,-1.4,0,1.1],"energy":-74.96,` +
+		`"grad":[0.1,0,0,-0.05,0,0,-0.05,0,0],` +
+		`"d":{"rows":2,"cols":2,"data":[1,2,3,4]},"c":{"rows":2,"cols":2,"data":[5,6,7,8]},` +
+		`"basis":"sto-3g","nbf":2,"naux":7,"nocc":1,"scf_iters":9},` +
+		`{"key":"1","zs":[8,1,1],"pos":[0,0],"energy":-0.5}]}`
+	blob, err := json.Marshal(envelope{Magic: checkpointMagic, Schema: SchemaVersion,
+		CRC32C: crc32.Checksum([]byte(payload), castagnoli), Payload: json.RawMessage(payload)})
+	if err != nil {
+		panic(err)
+	}
+	return blob
+}
+
+// A checkpoint written before the skip path was removed still loads and
+// restores every warm entry with its electronic state intact.
+func testCheckpointParentFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "parent.ckpt")
+	if err := os.WriteFile(path, parentCheckpoint(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.StepsDone != 3 || len(ck.Warm) != 2 {
+		t.Fatalf("loaded %d steps and %d warm entries, want 3 and 2", ck.StepsDone, len(ck.Warm))
+	}
+	s, err := ck.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := warmstart.NewCache()
+	if err := ck.RestoreCache(cache); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 2 {
+		t.Fatalf("restored %d entries, want 2", cache.Len())
+	}
+	st := cache.Guess("0", s.Geom)
+	if st == nil || st.D == nil || st.D.At(1, 0) != 3 || st.C == nil || st.C.At(0, 1) != 6 ||
+		st.NBf != 2 || st.NOcc != 1 {
+		t.Fatalf("warm entry 0 lost its electronic state: %+v", st)
+	}
+	if cache.Guess("1", s.Geom) == nil {
+		t.Error("warm entry 1 (short pos) not served as a guess")
 	}
 }
 

@@ -54,8 +54,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if len(data) > 4 {
 			ck.Thermostat = &ThermostatState{TargetK: float64(data[0]), TauFs: float64(data[1]) + 1}
 			ck.Warm = []WarmEntry{{
-				Key: "0-1", Zs: ck.Zs, Pos: ck.Pos, Energy: ck.Dt,
-				Grad:  fuzzFloats(data, 3*n),
+				Key: "0-1", Zs: ck.Zs,
 				D:     &MatState{Rows: 1, Cols: 2, Data: fuzzFloats(data, 2)},
 				Basis: "sto-3g", NBf: 2, NOcc: 1,
 			}}
@@ -86,6 +85,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	crc := make([]byte, 4)
 	binary.LittleEndian.PutUint32(crc, 0xdeadbeef)
 	f.Add(crc)
+	f.Add(parentCheckpoint())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "arbitrary.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -174,8 +174,8 @@ func TestNVEDriftWithEmbedding(t *testing.T) {
 }
 
 // Warm-started embedded trajectories reproduce cold embedded energies:
-// the cache key/skip machinery accounts for the field, so reuse never
-// hands back results from a stale charge environment.
+// every polymer is re-evaluated in its current field each step, so no
+// result from a stale charge environment is ever handed back.
 func TestEmbeddedWarmTrajectoryMatchesCold(t *testing.T) {
 	g := molecule.WaterCluster(4)
 	f, err := fragment.ByMolecule(g, 3, 1, fragment.Options{MaxOrder: 2})

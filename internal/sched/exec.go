@@ -64,10 +64,8 @@ type ExecResult struct {
 	// Charges holds the per-fragment-atom partial charges of a charge
 	// task.
 	Charges []float64
-	// Iters reports SCF iterations (0 for stateless evaluators);
-	// Skipped marks a worker-side skip-tolerance cache reuse.
-	Iters   int
-	Skipped bool
+	// Iters reports SCF iterations (0 for stateless evaluators).
+	Iters int
 	// Err marks the attempt as failed: the payload is invalid and the
 	// coordinator re-queues the task against the retry budget.
 	Err error

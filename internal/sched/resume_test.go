@@ -8,7 +8,6 @@ import (
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/md"
-	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/resilience"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
@@ -25,7 +24,7 @@ func TestCheckpointResumeReproducesTrajectory(t *testing.T) {
 	const total, cut = 6, 3
 	dt := 0.5 * chem.AtomicTimePerFs
 	newEngine := func(cache *warmstart.Cache) *Engine {
-		eng, err := New(f, &potential.LennardJones{}, Options{
+		eng, err := New(f, &statefulLJ{}, Options{
 			Workers: 3, Async: true, Dt: dt, WarmStart: true, Cache: cache,
 		})
 		if err != nil {
@@ -40,14 +39,14 @@ func TestCheckpointResumeReproducesTrajectory(t *testing.T) {
 	}
 
 	// Uninterrupted reference.
-	full, err := newEngine(warmstart.NewCache(0, 0)).Run(newState(), total, nil)
+	full, err := newEngine(warmstart.NewCache()).Run(newState(), total, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// "Killed" run: integrate cut steps, checkpoint, throw everything
 	// away.
-	cache := warmstart.NewCache(0, 0)
+	cache := warmstart.NewCache()
 	state := newState()
 	if _, err := newEngine(cache).Run(state, cut, nil); err != nil {
 		t.Fatal(err)
@@ -73,7 +72,7 @@ func TestCheckpointResumeReproducesTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumedCache := warmstart.NewCache(0, 0)
+	resumedCache := warmstart.NewCache()
 	if err := loaded.RestoreCache(resumedCache); err != nil {
 		t.Fatal(err)
 	}

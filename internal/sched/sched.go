@@ -72,22 +72,10 @@ type Options struct {
 	// (and wall time) drop. Requires a fragment.StatefulEvaluator to
 	// have any effect; the LJ surrogate passes through.
 	WarmStart bool
-	// SkipTol is a max-atom-displacement tolerance in Bohr: when > 0,
-	// a polymer whose atoms have all moved less than SkipTol since its
-	// last real evaluation reuses the cached energy/gradient and skips
-	// the evaluation entirely. Approximate — the reused forces lag the
-	// geometry by up to SkipTol; MaxSkip bounds the staleness. Setting
-	// SkipTol > 0 implies warm starting (the state cache exists either
-	// way).
-	SkipTol float64
-	// MaxSkip bounds consecutive skipped evaluations per polymer
-	// (default warmstart.DefaultMaxSkip when SkipTol > 0).
-	MaxSkip int
 	// Cache optionally carries a warm-start cache across Run calls or
 	// in from a serial fragment.ComputeWithCache; nil allocates one
-	// internally when WarmStart or SkipTol is set. An explicit Cache
-	// takes full precedence: its own skip tolerance and staleness
-	// bound apply, and WarmStart/SkipTol/MaxSkip here are ignored.
+	// internally when WarmStart is set. An explicit Cache implies warm
+	// starting whatever WarmStart says.
 	Cache *warmstart.Cache
 
 	// Embed engages electrostatically embedded MBE (EE-MBE): every
@@ -131,9 +119,9 @@ type Options struct {
 	// scheduling policy, integration, gradient folding, retries,
 	// eviction, speculation — stays in this engine. Workers must be 0
 	// (adopting Exec.Workers()) or equal it. Evaluation happens on the
-	// remote workers, so Eval may be nil and WarmStart/SkipTol/Cache
-	// and Injector are ignored (remote workers own their caches; see
-	// the fragmd worker flags).
+	// remote workers, so Eval may be nil and WarmStart/Cache and
+	// Injector are ignored (remote workers own their caches; see the
+	// fragmd worker flags).
 	Exec Executor
 
 	// TraceDispatch, when non-nil, observes every dispatch in order —
@@ -151,10 +139,11 @@ type StepStats struct {
 	Wall     time.Duration // first dispatch → last result of this step
 	NPolymer int
 	// SCFIters totals SCF iterations across this step's polymer and
-	// charge-task evaluations (0 for stateless evaluators); Skipped
-	// counts polymer evaluations avoided via skip reuse.
+	// charge-task evaluations (0 for stateless evaluators).
 	SCFIters int
-	Skipped  int
+	// Skipped is always 0: every polymer is evaluated at every step.
+	// The field is kept for the benchmark harness, which reads it.
+	Skipped int
 	// Drift is the total-energy drift E_tot(t) − E_tot(0) of this
 	// trajectory segment (Ha) — the NVE conservation diagnostic
 	// surfaced per step so drivers can print and gate it.
@@ -162,35 +151,32 @@ type StepStats struct {
 }
 
 // CompareDynamics writes the cold-vs-warm per-step comparison table
-// (SCF iterations, wall clock, skips, and energy deviation per step,
-// plus totals and percent saved) for two trajectories of equal length.
+// (SCF iterations, wall clock and energy deviation per step, plus
+// totals and percent saved) for two trajectories of equal length.
 // It is shared by the mbebench warmstart experiment and fragmd's
-// -mode bench, and returns the total cold and warm SCF iteration
-// counts for further reporting.
-func CompareDynamics(w io.Writer, cold, warm []StepStats) (coldIters, warmIters int) {
-	fmt.Fprintf(w, "%6s %14s %14s %12s %12s %9s %14s\n",
-		"step", "cold SCF-iter", "warm SCF-iter", "cold wall", "warm wall", "skipped", "|ΔEpot| (Ha)")
+// -mode bench.
+func CompareDynamics(w io.Writer, cold, warm []StepStats) {
+	fmt.Fprintf(w, "%6s %14s %14s %12s %12s %14s\n",
+		"step", "cold SCF-iter", "warm SCF-iter", "cold wall", "warm wall", "|ΔEpot| (Ha)")
+	var coldIters, warmIters int
 	var coldWall, warmWall float64
-	var skipped int
 	for i := range cold {
 		coldIters += cold[i].SCFIters
 		warmIters += warm[i].SCFIters
-		skipped += warm[i].Skipped
 		coldWall += cold[i].Wall.Seconds()
 		warmWall += warm[i].Wall.Seconds()
-		fmt.Fprintf(w, "%6d %14d %14d %11.3fs %11.3fs %9d %14.2e\n",
+		fmt.Fprintf(w, "%6d %14d %14d %11.3fs %11.3fs %14.2e\n",
 			cold[i].Step, cold[i].SCFIters, warm[i].SCFIters,
-			cold[i].Wall.Seconds(), warm[i].Wall.Seconds(), warm[i].Skipped,
+			cold[i].Wall.Seconds(), warm[i].Wall.Seconds(),
 			math.Abs(cold[i].Epot-warm[i].Epot))
 	}
-	fmt.Fprintf(w, "totals %14d %14d %11.3fs %11.3fs %9d\n",
-		coldIters, warmIters, coldWall, warmWall, skipped)
+	fmt.Fprintf(w, "totals %14d %14d %11.3fs %11.3fs\n",
+		coldIters, warmIters, coldWall, warmWall)
 	if coldIters > 0 {
 		fmt.Fprintf(w, "  SCF iterations saved: %.0f%%   wall saved: %.0f%%\n",
 			100*(1-float64(warmIters)/float64(coldIters)),
 			100*(1-warmWall/math.Max(coldWall, 1e-12)))
 	}
-	return coldIters, warmIters
 }
 
 // Engine drives asynchronous MBE AIMD.
@@ -206,7 +192,7 @@ type Engine struct {
 	coeff    []float64      // per polymer index
 	graph    *coord.Graph
 	refMono  int
-	cache    *warmstart.Cache // nil unless WarmStart/SkipTol configured
+	cache    *warmstart.Cache // nil unless WarmStart or Cache configured
 	runStats coord.RunStats   // resilience events of the last Run
 
 	atomMono  []int     // atom → owning monomer
@@ -215,7 +201,7 @@ type Engine struct {
 }
 
 // Cache returns the engine's warm-start cache (nil when incremental
-// evaluation is disabled), e.g. to inspect hit/skip statistics or to
+// evaluation is disabled), e.g. to inspect hit statistics or to
 // hand the warmed states to a later engine.
 func (e *Engine) Cache() *warmstart.Cache { return e.cache }
 
@@ -236,7 +222,6 @@ type result struct {
 	err     error
 	down    bool    // the worker died with this attempt
 	iters   int     // SCF iterations of this evaluation
-	skipped bool    // cached energy/gradient reused, no evaluation
 	seconds float64 // extraction + evaluation time on the worker (0 = not measured)
 
 	// EE-MBE payloads: charges of a phase-1 task (per fragment atom,
@@ -303,8 +288,8 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	if opts.Exec == nil {
 		if opts.Cache != nil {
 			e.cache = opts.Cache
-		} else if opts.WarmStart || opts.SkipTol > 0 {
-			e.cache = warmstart.NewCache(opts.SkipTol, opts.MaxSkip)
+		} else if opts.WarmStart {
+			e.cache = warmstart.NewCache()
 		}
 	}
 	e.terms = f.Terms()
@@ -440,9 +425,9 @@ func (e *Engine) evaluate(w int, x *extractor, tw liveTask, pos [][]float64) res
 	case tw.charge:
 		r.charges, r.iters, r.err = e.chargeSafe(ex, tw.field)
 	case e.Opts.Embed != nil:
-		r.e, r.grad, r.fieldGrad, r.iters, r.skipped, r.err = e.evalSafeEmbedded(e.keys[tw.task.Poly], ex, tw.field)
+		r.e, r.grad, r.fieldGrad, r.iters, r.err = e.evalSafeEmbedded(e.keys[tw.task.Poly], ex, tw.field)
 	default:
-		r.e, r.grad, r.iters, r.skipped, r.err = e.evalSafe(e.keys[tw.task.Poly], ex)
+		r.e, r.grad, r.iters, r.err = e.evalSafe(e.keys[tw.task.Poly], ex)
 	}
 	r.seconds = time.Since(start).Seconds()
 	return r
@@ -451,7 +436,7 @@ func (e *Engine) evaluate(w int, x *extractor, tw liveTask, pos [][]float64) res
 // evalSafe runs one polymer evaluation, converting an evaluator panic
 // into a failed attempt the coordinator can retry instead of a dead
 // worker goroutine that wedges the run.
-func (e *Engine) evalSafe(key string, ex *fragment.Extracted) (en float64, gr []float64, iters int, skipped bool, err error) {
+func (e *Engine) evalSafe(key string, ex *fragment.Extracted) (en float64, gr []float64, iters int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sched: evaluator panic: %v", r)
@@ -461,7 +446,7 @@ func (e *Engine) evalSafe(key string, ex *fragment.Extracted) (en float64, gr []
 }
 
 // evalSafeEmbedded is evalSafe for EE-MBE phase-2 tasks.
-func (e *Engine) evalSafeEmbedded(key string, ex *fragment.Extracted, fl *fragment.Field) (en float64, gr, fg []float64, iters int, skipped bool, err error) {
+func (e *Engine) evalSafeEmbedded(key string, ex *fragment.Extracted, fl *fragment.Field) (en float64, gr, fg []float64, iters int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sched: evaluator panic: %v", r)
@@ -533,7 +518,6 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	epotStep := make([]float64, n)
 	ekinStep := make([]float64, n)
 	scfIterStep := make([]int, n)
-	skipStep := make([]int, n)
 	firstDispatch := make([]time.Time, n)
 	lastResult := make([]time.Time, n)
 	stepGrad := func(t int) []float64 {
@@ -727,7 +711,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			}
 			delete(pending, xr.Worker)
 			r.e, r.grad, r.fieldGrad, r.charges = xr.E, xr.Grad, xr.FieldGrad, xr.Charges
-			r.iters, r.skipped, r.err, r.down = xr.Iters, xr.Skipped, xr.Err, xr.WorkerDown
+			r.iters, r.err, r.down = xr.Iters, xr.Err, xr.WorkerDown
 			return r, nil
 		case <-ctx.Done():
 			return result{}, ctx.Err()
@@ -831,9 +815,6 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				}
 				return done, nil
 			}
-			if r.skipped {
-				skipStep[t]++
-			}
 			c := e.coeff[r.task.Poly]
 			epotStep[t] += c * r.e
 			r.ex.FoldGradient(r.grad, c, stepGrad(t))
@@ -856,7 +837,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			st := StepStats{
 				Step: t, Epot: epotStep[t], Ekin: ekinStep[t],
 				Etot: epotStep[t] + ekinStep[t], NPolymer: npoly,
-				SCFIters: scfIterStep[t], Skipped: skipStep[t],
+				SCFIters: scfIterStep[t],
 			}
 			if t == 0 {
 				e0 = st.Etot

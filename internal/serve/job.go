@@ -77,12 +77,10 @@ type JobSpec struct {
 	TempK float64 `json:"temp_k,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
 
-	// Warm, SkipTolA (Å) and MaxSkip engage incremental evaluation;
-	// jobs over the same system share one warm-start cache (see the
-	// package comment's sharing semantics).
-	Warm     bool    `json:"warm,omitempty"`
-	SkipTolA float64 `json:"skip_tol,omitempty"`
-	MaxSkip  int     `json:"max_skip,omitempty"`
+	// Warm engages the exact warm-start guess; jobs over the same system
+	// share one warm-start cache (see the package comment's sharing
+	// semantics).
+	Warm bool `json:"warm,omitempty"`
 
 	// Workers caps this job's evaluation goroutines (0 = the server's
 	// per-job default), so one greedy job cannot monopolise the host.
@@ -125,8 +123,8 @@ func (sp *JobSpec) normalize() error {
 	if sp.Seed == 0 {
 		sp.Seed = 1
 	}
-	if sp.SkipTolA < 0 || sp.MaxSkip < 0 || sp.Workers < 0 {
-		return errors.New("skip_tol, max_skip and workers must not be negative")
+	if sp.Workers < 0 {
+		return errors.New("workers must not be negative")
 	}
 	if _, err := sp.eval().Build(); err != nil {
 		return fmt.Errorf("potential: %v", err)
@@ -148,17 +146,17 @@ func (sp *JobSpec) system() (*fragment.Fragmentation, error) {
 }
 
 // fingerprint keys the shared warm-start cache pool: jobs share a cache
-// exactly when they describe the same system under the same physics and
-// the same reuse tolerances, so cross-job reuse can never relax a job's
-// own accuracy contract. Polymer cache keys are monomer-index based, so
+// exactly when they describe the same system under the same physics, so
+// a shared guess is always a guess for the job's own fragments. Polymer
+// cache keys are monomer-index based, so
 // anything that changes the fragment identity must change the pool key.
 // The boundary conditions are part of the system: a periodic job never
 // shares a pool with an open-boundary one, and two periodic jobs share
 // only when their cells match exactly.
 func (sp *JobSpec) fingerprint(g *molecule.Geometry) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%g|%g|%g|%d|", sp.eval().Fingerprint(),
-		sp.AtomsPerMonomer, sp.DimerCutA, sp.TrimerCutA, sp.SkipTolA, sp.MaxSkip)
+	fmt.Fprintf(h, "%s|%d|%g|%g|", sp.eval().Fingerprint(),
+		sp.AtomsPerMonomer, sp.DimerCutA, sp.TrimerCutA)
 	if c := g.Cell; c != nil {
 		fmt.Fprintf(h, "cell=%g,%g,%g|", c.L[0], c.L[1], c.L[2])
 	} else {
@@ -179,7 +177,6 @@ type StepRecord struct {
 	Epot     float64 `json:"epot"`
 	Ekin     float64 `json:"ekin"`
 	SCFIters int     `json:"scf_iters"`
-	Skipped  int     `json:"skipped"`
 }
 
 // Record is the durable on-disk form of a job

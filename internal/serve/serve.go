@@ -14,9 +14,8 @@
 //
 //   - Shared incremental-evaluation state: jobs over the same system
 //     under the same physics share one warm-start cache, so a fleet of
-//     near-identical trajectories pays the cold-start cost once. Sharing is keyed so
-//     it can never relax a job's accuracy: warm starts are exact, and
-//     skip reuse only joins jobs that asked for the same tolerance.
+//     near-identical trajectories pays the cold-start cost once. Sharing
+//     can never relax a job's accuracy: warm starts are exact.
 //
 //   - Durable work: every job is persisted at admission and
 //     checkpointed (internal/resilience, crash-durably) every
@@ -480,9 +479,9 @@ func (s *Server) Close() error {
 }
 
 // sharedCache returns the pool cache for the job's system fingerprint,
-// creating it on first use; nil when the spec asked for no reuse.
+// creating it on first use; nil when the spec asked for no warm start.
 func (s *Server) sharedCache(sp *JobSpec, g *molecule.Geometry) *warmstart.Cache {
-	if !sp.Warm && sp.SkipTolA <= 0 {
+	if !sp.Warm {
 		return nil
 	}
 	key := sp.fingerprint(g)
@@ -490,7 +489,7 @@ func (s *Server) sharedCache(sp *JobSpec, g *molecule.Geometry) *warmstart.Cache
 	defer s.mu.Unlock()
 	c, ok := s.warmPool[key]
 	if !ok {
-		c = warmstart.NewCache(sp.SkipTolA*chem.BohrPerAngstrom, sp.MaxSkip)
+		c = warmstart.NewCache()
 		s.warmPool[key] = c
 	}
 	return c
@@ -564,8 +563,7 @@ func (s *Server) execute(j *job) {
 		CkPath: j.ckPath, CkEvery: s.opts.CheckpointEvery,
 		Opts: sched.Options{
 			Workers: workers, Async: true, Dt: sp.DtFs * chem.AtomicTimePerFs,
-			WarmStart: sp.Warm, SkipTol: sp.SkipTolA * chem.BohrPerAngstrom, MaxSkip: sp.MaxSkip,
-			Cache: s.sharedCache(sp, f.Geom),
+			WarmStart: sp.Warm, Cache: s.sharedCache(sp, f.Geom),
 		},
 	}
 	if s.opts.Coordinator != nil {
@@ -597,7 +595,7 @@ func (s *Server) execute(j *job) {
 		},
 		Step: func(st sched.StepStats, e0 float64) {
 			rec := StepRecord{Step: st.Step, Etot: st.Etot, Epot: st.Epot, Ekin: st.Ekin,
-				SCFIters: st.SCFIters, Skipped: st.Skipped}
+				SCFIters: st.SCFIters}
 			j.mu.Lock()
 			j.e0, j.hasE0 = e0, true
 			if st.Step < len(j.stats) {

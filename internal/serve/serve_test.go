@@ -22,7 +22,6 @@ import (
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/resilience"
 	"github.com/fragmd/fragmd/internal/sched"
-	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
 // waterXYZ renders an n-molecule water cluster as XYZ text, the wire
@@ -65,10 +64,7 @@ func serialEnergies(t *testing.T, spec JobSpec) []float64 {
 	}
 	opts := sched.Options{
 		Workers: 1, Async: true, Dt: spec.DtFs * chem.AtomicTimePerFs,
-		WarmStart: spec.Warm, SkipTol: spec.SkipTolA * chem.BohrPerAngstrom, MaxSkip: spec.MaxSkip,
-	}
-	if opts.WarmStart || opts.SkipTol > 0 {
-		opts.Cache = warmstart.NewCache(opts.SkipTol, opts.MaxSkip)
+		WarmStart: spec.Warm,
 	}
 	eng, err := sched.New(f, eval, opts)
 	if err != nil {

@@ -23,7 +23,7 @@ type Config struct {
 	Frag *fragment.Fragmentation // Frag.Geom is the initial geometry
 	Eval fragment.Evaluator      // nil when Opts.Exec evaluates remotely
 	// Opts configures every chunk's engine. Opts.Cache — or one made here
-	// when WarmStart/SkipTol ask for it — is shared across chunks and
+	// when WarmStart asks for it — is shared across chunks and
 	// saved in every checkpoint.
 	Opts  sched.Options
 	Steps int     // trajectory length
@@ -70,8 +70,8 @@ var ErrStop = errors.New("traj: stop at chunk boundary")
 // and does not re-report it, so the assembled trajectory reproduces an
 // uninterrupted one.
 func Run(ctx context.Context, cfg Config, h Hooks) (int, error) {
-	if cfg.Opts.Cache == nil && (cfg.Opts.WarmStart || cfg.Opts.SkipTol > 0) {
-		cfg.Opts.Cache = warmstart.NewCache(cfg.Opts.SkipTol, cfg.Opts.MaxSkip)
+	if cfg.Opts.Cache == nil && cfg.Opts.WarmStart {
+		cfg.Opts.Cache = warmstart.NewCache()
 	}
 	cache := cfg.Opts.Cache
 

@@ -1,78 +1,22 @@
 package warmstart
 
 import (
-	"math"
 	"testing"
 
+	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
 )
 
-func embeddedState(g *molecule.Geometry) *State {
-	st := NewState(g, -1.5, make([]float64, 3*g.N()))
-	st.SnapshotField([]float64{5, 0, 0, 0, 5, 0}, []float64{0.3, -0.3})
-	return st
-}
-
-func TestFieldDisplacement(t *testing.T) {
-	g := molecule.Water()
-	st := embeddedState(g)
-	if d := st.FieldDisplacement([]float64{5, 0, 0, 0, 5, 0}, []float64{0.3, -0.3}); d != 0 {
-		t.Errorf("identical field displaced by %g", d)
-	}
-	if d := st.FieldDisplacement([]float64{5, 0, 0.01, 0, 5, 0}, []float64{0.3, -0.3}); math.Abs(d-0.01) > 1e-12 {
-		t.Errorf("site move of 0.01 reported as %g", d)
-	}
-	if d := st.FieldDisplacement([]float64{5, 0, 0, 0, 5, 0}, []float64{0.3, -0.25}); math.Abs(d-0.05) > 1e-12 {
-		t.Errorf("charge drift of 0.05 reported as %g", d)
-	}
-	// Vacuum vs embedded (and any site-count mismatch) is incompatible.
-	if d := st.FieldDisplacement(nil, nil); !math.IsInf(d, 1) {
-		t.Errorf("vacuum against embedded state reported %g, want +Inf", d)
-	}
-	vac := NewState(g, -1, nil)
-	if d := vac.FieldDisplacement(nil, nil); d != 0 {
-		t.Errorf("vacuum against vacuum state reported %g, want 0", d)
-	}
-}
-
-// Stale charges must invalidate skip reuse exactly like moved atoms:
-// the cache returns the entry only while both the geometry and the
-// field sit inside the tolerance.
-func TestReuseEmbeddedFieldDrift(t *testing.T) {
-	g := molecule.Water()
-	c := NewCache(0.02, 10)
-	c.Put("p", embeddedState(g))
-
-	pos := []float64{5, 0, 0, 0, 5, 0}
-	q := []float64{0.3, -0.3}
-	if _, ok := c.ReuseEmbedded("p", g, pos, q); !ok {
-		t.Fatal("unchanged field refused reuse")
-	}
-	// Charge drift beyond the tolerance: re-evaluate.
-	if _, ok := c.ReuseEmbedded("p", g, pos, []float64{0.33, -0.3}); ok {
-		t.Fatal("reused a state whose charges drifted past the tolerance")
-	}
-	// Site displacement beyond the tolerance: re-evaluate.
-	if _, ok := c.ReuseEmbedded("p", g, []float64{5, 0, 0.05, 0, 5, 0}, q); ok {
-		t.Fatal("reused a state whose field sites moved past the tolerance")
-	}
-	// A vacuum lookup must never reuse an embedded entry.
-	if _, ok := c.Reuse("p", g); ok {
-		t.Fatal("vacuum Reuse returned an embedded state")
-	}
-	// Within tolerance on both axes: reuse.
-	if _, ok := c.ReuseEmbedded("p", g, []float64{5, 0, 0.01, 0, 5, 0}, []float64{0.31, -0.3}); !ok {
-		t.Fatal("in-tolerance field drift refused reuse")
-	}
-}
-
 // Warm-start guesses stay valid across field changes (the SCF still
-// converges to its own thresholds); only skip reuse is field-gated.
+// converges to its own thresholds): a state holds no field, and Guess
+// checks only the atom list.
 func TestGuessIgnoresField(t *testing.T) {
 	g := molecule.Water()
-	c := NewCache(0, 0)
-	c.Put("p", embeddedState(g))
-	if st := c.Guess("p", g); st == nil {
+	c := NewCache()
+	st := &State{D: linalg.NewMat(1, 1), NBf: 1, NOcc: 1}
+	st.Snapshot(g)
+	c.Put("p", st)
+	if got := c.Guess("p", g); got != st {
 		t.Fatal("guess refused for an embedded state")
 	}
 }

@@ -1,28 +1,15 @@
 // Package warmstart implements incremental MBE evaluation across AIMD
 // time steps (the paper's "reuse between steps" lever): fragments move
 // only slightly per step, so the converged SCF state of a polymer is an
-// excellent initial guess for its next evaluation, and a polymer that
-// has barely moved at all need not be re-evaluated.
+// excellent initial guess for its next evaluation.
 //
-// Two reuse levels are provided, with different accuracy semantics:
-//
-//   - Warm start (exact): Cache.Guess returns the previous converged
-//     state of a polymer; stateful evaluators inject its density as the
-//     SCF initial guess (scf.Options.GuessDensity). The SCF still
-//     iterates to the same convergence thresholds, so the converged
-//     energy and gradient are unchanged to within those thresholds —
-//     only the iteration count drops.
-//
-//   - Skip reuse (approximate): when every atom of a polymer has moved
-//     less than the cache's skip tolerance since its last *real*
-//     evaluation, Cache.Reuse hands back the cached energy/gradient and
-//     the evaluation is skipped entirely. The error is bounded by the
-//     tolerance times the local force curvature; a staleness bound
-//     (maxSkip consecutive reuses) forces a real evaluation
-//     periodically so drift cannot accumulate unchecked. Displacement
-//     is always measured against the geometry of the last real
-//     evaluation, not the previous step, so small per-step motions
-//     still invalidate the entry once they add up.
+// There is one reuse level, and it is exact: Cache.Guess returns the
+// previous converged state of a polymer; stateful evaluators inject its
+// density as the SCF initial guess (scf.Options.GuessDensity). The SCF
+// still iterates to the same convergence thresholds, so the converged
+// energy and gradient are unchanged to within those thresholds — only
+// the iteration count drops. Every polymer is evaluated at every step;
+// nothing hands back a stale energy or gradient.
 //
 // States are keyed by polymer identity (fragment.Polymer.Key) and
 // validated against the fragment's atom list and basis metadata before
@@ -31,51 +18,26 @@
 package warmstart
 
 import (
-	"math"
+	"maps"
 	"sync"
 
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
 )
 
-// State is the reusable result of one fragment evaluation: the
-// converged electronic state (for warm starting the next SCF) plus the
-// energy/gradient and the geometry they were computed at (for skip
-// reuse). D and C are nil for evaluators with no electronic state
-// (e.g. the Lennard-Jones surrogate); such states still support skip
-// reuse.
+// State is the reusable electronic state of one fragment evaluation,
+// the warm-start guess for the polymer's next SCF.
 type State struct {
-	// Zs and Pos snapshot the geometry of the evaluation: atomic
-	// numbers (identity check) and flat 3N positions in Bohr
-	// (displacement check).
-	Zs  []int
-	Pos []float64
+	// Zs are the atomic numbers of the evaluated geometry, in order —
+	// the identity check of Compatible.
+	Zs []int
 
-	// FieldPos and FieldQ snapshot the external embedding field the
-	// evaluation ran in (nil for vacuum). Skip reuse compares the field
-	// too: a cached energy is only as good as the charges it was
-	// embedded in, so stale charges must invalidate the entry exactly
-	// like moved atoms do. Charge differences are measured on the same
-	// scale as displacements (1 e ≡ 1 Bohr — both "small" on the skip
-	// tolerance scale).
-	FieldPos []float64
-	FieldQ   []float64
-
-	// Energy and Grad are the evaluation's results; Grad may be nil for
-	// energy-only evaluations. FieldGrad is the gradient on the
-	// embedding-field sites (nil for vacuum evaluations), kept so skip
-	// reuse can hand back the complete embedded force set.
-	Energy    float64
-	Grad      []float64
-	FieldGrad []float64
-
-	// Converged electronic state and fitted-basis metadata (nil/zero
-	// for stateless evaluators). D is the AO density (occupation-2
-	// convention), C the MO coefficients. Basis, NBf and NOcc are
-	// validated before the state is reused as an SCF guess; NAux (the
-	// auxiliary-basis size the state was fitted with) is diagnostic
-	// only — a density converged under a different auxiliary basis is
-	// still a valid guess.
+	// Converged electronic state and fitted-basis metadata. D is the AO
+	// density (occupation-2 convention), C the MO coefficients. Basis,
+	// NBf and NOcc are validated before the state is reused as an SCF
+	// guess; NAux (the auxiliary-basis size the state was fitted with)
+	// is diagnostic only — a density converged under a different
+	// auxiliary basis is still a valid guess.
 	D     *linalg.Mat
 	C     *linalg.Mat
 	Basis string
@@ -83,63 +45,17 @@ type State struct {
 	NAux  int
 	NOcc  int
 
-	// SCFIters is the number of SCF iterations the evaluation took
-	// (0 for stateless evaluators) — the quantity the warm start is
-	// meant to shrink.
+	// SCFIters is the number of SCF iterations the evaluation took —
+	// the quantity the warm start is meant to shrink.
 	SCFIters int
 }
 
-// NewState snapshots a stateless evaluation (no electronic state):
-// enough for skip reuse but not for SCF warm starting.
-func NewState(g *molecule.Geometry, energy float64, grad []float64) *State {
-	s := &State{Energy: energy, Grad: grad}
-	s.Snapshot(g)
-	return s
-}
-
-// Snapshot records the geometry the state was computed at.
+// Snapshot records the atom list the state was computed for.
 func (s *State) Snapshot(g *molecule.Geometry) {
 	s.Zs = make([]int, g.N())
-	s.Pos = make([]float64, 3*g.N())
 	for i, a := range g.Atoms {
 		s.Zs[i] = a.Z
-		for k := 0; k < 3; k++ {
-			s.Pos[3*i+k] = a.Pos[k]
-		}
 	}
-}
-
-// SnapshotField records the embedding field the state was computed in
-// (flat 3M site positions and M charges; both nil for vacuum). The
-// slices are copied.
-func (s *State) SnapshotField(pos, q []float64) {
-	s.FieldPos = append([]float64(nil), pos...)
-	s.FieldQ = append([]float64(nil), q...)
-}
-
-// FieldDisplacement returns the largest field mismatch between the
-// snapshot and the given field, max over per-site displacement (Bohr)
-// and per-site |Δq| (e, on the same scale). A site-count mismatch —
-// including vacuum vs embedded — returns +Inf.
-func (s *State) FieldDisplacement(pos, q []float64) float64 {
-	if len(q) != len(s.FieldQ) || len(pos) != len(s.FieldPos) {
-		return math.Inf(1)
-	}
-	var worst float64
-	for c := range q {
-		var d2 float64
-		for k := 0; k < 3; k++ {
-			dx := pos[3*c+k] - s.FieldPos[3*c+k]
-			d2 += dx * dx
-		}
-		if d := math.Sqrt(d2); d > worst {
-			worst = d
-		}
-		if dq := math.Abs(q[c] - s.FieldQ[c]); dq > worst {
-			worst = dq
-		}
-	}
-	return worst
 }
 
 // Compatible reports whether the state was computed for the same atom
@@ -156,34 +72,14 @@ func (s *State) Compatible(g *molecule.Geometry) bool {
 	return true
 }
 
-// MaxDisplacement returns the largest per-atom displacement (Bohr)
-// between the snapshot and g. It returns +Inf when the geometries are
-// incompatible.
-func (s *State) MaxDisplacement(g *molecule.Geometry) float64 {
-	if !s.Compatible(g) {
-		return math.Inf(1)
-	}
-	var worst float64
-	for i, a := range g.Atoms {
-		var d2 float64
-		for k := 0; k < 3; k++ {
-			dx := a.Pos[k] - s.Pos[3*i+k]
-			d2 += dx * dx
-		}
-		if d2 > worst {
-			worst = d2
-		}
-	}
-	return math.Sqrt(worst)
-}
-
 // Stats are cumulative cache counters.
 type Stats struct {
 	// Hits counts Guess calls that returned a usable previous state.
 	Hits int
 	// Misses counts Guess calls with no usable state.
 	Misses int
-	// Skips counts Reuse calls that skipped an evaluation.
+	// Skips is always 0: the cache never stands in for an evaluation.
+	// The field is kept for the benchmark harness, which reads it.
 	Skips int
 	// Evictions counts entries dropped for incompatibility.
 	Evictions int
@@ -193,34 +89,14 @@ type Stats struct {
 // fragment.Polymer.Key strings. It is safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]*entry
-	skipTol float64
-	maxSkip int
+	entries map[string]*State
 	stats   Stats
 }
 
-type entry struct {
-	state *State
-	skips int // consecutive skip reuses since the last real evaluation
+// NewCache creates an empty cache.
+func NewCache() *Cache {
+	return &Cache{entries: map[string]*State{}}
 }
-
-// DefaultMaxSkip bounds consecutive skip reuses when no explicit bound
-// is configured.
-const DefaultMaxSkip = 3
-
-// NewCache creates a cache. skipTol is the max-atom-displacement skip
-// tolerance in Bohr (0 disables skip reuse; warm-start guesses still
-// work). maxSkip bounds consecutive skip reuses per polymer; 0 selects
-// DefaultMaxSkip.
-func NewCache(skipTol float64, maxSkip int) *Cache {
-	if maxSkip <= 0 {
-		maxSkip = DefaultMaxSkip
-	}
-	return &Cache{entries: map[string]*entry{}, skipTol: skipTol, maxSkip: maxSkip}
-}
-
-// SkipTol returns the configured skip tolerance (Bohr).
-func (c *Cache) SkipTol() float64 { return c.skipTol }
 
 // Len returns the number of cached polymer states.
 func (c *Cache) Len() int {
@@ -242,67 +118,29 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Guess(key string, g *molecule.Geometry) *State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	en, ok := c.entries[key]
+	st, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
 		return nil
 	}
-	if !en.state.Compatible(g) {
+	if !st.Compatible(g) {
 		delete(c.entries, key)
 		c.stats.Evictions++
 		c.stats.Misses++
 		return nil
 	}
 	c.stats.Hits++
-	return en.state
+	return st
 }
 
-// Reuse decides the skip path: when the cache has a compatible state
-// for key whose atoms have all moved less than the skip tolerance
-// since the last real evaluation, and the staleness bound has not been
-// reached, it returns that state and true, counting one more skip.
-// Otherwise it returns (nil, false) and the caller must evaluate.
-// Entries recorded with an embedding field are only reusable by
-// vacuum evaluations if the field was empty (see ReuseEmbedded).
-func (c *Cache) Reuse(key string, g *molecule.Geometry) (*State, bool) {
-	return c.ReuseEmbedded(key, g, nil, nil)
-}
-
-// ReuseEmbedded is Reuse for embedded evaluations: the skip tolerance
-// additionally bounds the embedding-field drift (site displacement in
-// Bohr and charge change in e) since the last real evaluation, so
-// cached results computed in a stale charge field are re-evaluated,
-// never reused. fieldPos/fieldQ may be nil for vacuum.
-func (c *Cache) ReuseEmbedded(key string, g *molecule.Geometry, fieldPos, fieldQ []float64) (*State, bool) {
-	if c.skipTol <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	en, ok := c.entries[key]
-	if !ok || en.skips >= c.maxSkip {
-		return nil, false
-	}
-	if en.state.MaxDisplacement(g) >= c.skipTol {
-		return nil, false
-	}
-	if en.state.FieldDisplacement(fieldPos, fieldQ) >= c.skipTol {
-		return nil, false
-	}
-	en.skips++
-	c.stats.Skips++
-	return en.state, true
-}
-
-// Put stores the state of a fresh (real) evaluation for key, resetting
-// the staleness counter.
+// Put stores the state of a fresh evaluation for key.
 func (c *Cache) Put(key string, st *State) {
 	if st == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[key] = &entry{state: st}
+	c.entries[key] = st
 }
 
 // Export snapshots the cached states for checkpointing (package
@@ -311,22 +149,17 @@ func (c *Cache) Put(key string, st *State) {
 func (c *Cache) Export() map[string]*State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]*State, len(c.entries))
-	for k, en := range c.entries {
-		out[k] = en.state
-	}
-	return out
+	return maps.Clone(c.entries)
 }
 
-// Restore installs checkpointed states, marking each as fresh (zero
-// consecutive skips — the checkpoint records real evaluations).
-// Existing entries under the same keys are replaced; others are kept.
+// Restore installs checkpointed states. Existing entries under the same
+// keys are replaced; others are kept.
 func (c *Cache) Restore(states map[string]*State) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, st := range states {
 		if st != nil {
-			c.entries[k] = &entry{state: st}
+			c.entries[k] = st
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package warmstart
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -15,28 +14,29 @@ func twoAtomGeom(dz float64) *molecule.Geometry {
 	return g
 }
 
+func stateFor(g *molecule.Geometry) *State {
+	st := &State{}
+	st.Snapshot(g)
+	return st
+}
+
 func TestSnapshotCompatibility(t *testing.T) {
 	g := twoAtomGeom(0)
-	st := NewState(g, -1.5, []float64{0, 0, 0, 0, 0, 0})
+	st := stateFor(g)
 	if !st.Compatible(g) {
 		t.Fatal("state incompatible with its own geometry")
 	}
-	if d := st.MaxDisplacement(g); d != 0 {
-		t.Errorf("self displacement = %g, want 0", d)
+	// Moved atoms of the same elements stay compatible: a guess is
+	// valid for any geometry of the same atom list.
+	if !st.Compatible(twoAtomGeom(0.25)) {
+		t.Error("state incompatible with a displaced geometry")
 	}
-	moved := twoAtomGeom(0.25)
-	if d := st.MaxDisplacement(moved); math.Abs(d-0.25) > 1e-12 {
-		t.Errorf("displacement = %g, want 0.25", d)
-	}
-	// Different element → incompatible, infinite displacement.
+	// Different element → incompatible.
 	other := molecule.New()
 	other.AddAtom(6, 0, 0, 0)
 	other.AddAtom(1, 0, 0, 1.8)
 	if st.Compatible(other) {
 		t.Error("state compatible with different atoms")
-	}
-	if !math.IsInf(st.MaxDisplacement(other), 1) {
-		t.Error("incompatible displacement not +Inf")
 	}
 	// Different atom count → incompatible.
 	short := molecule.New()
@@ -47,12 +47,12 @@ func TestSnapshotCompatibility(t *testing.T) {
 }
 
 func TestCacheGuessAndEviction(t *testing.T) {
-	c := NewCache(0, 0)
+	c := NewCache()
 	g := twoAtomGeom(0)
 	if c.Guess("0", g) != nil {
 		t.Fatal("guess from empty cache")
 	}
-	st := NewState(g, -2, nil)
+	st := stateFor(g)
 	c.Put("0", st)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
@@ -76,62 +76,25 @@ func TestCacheGuessAndEviction(t *testing.T) {
 	}
 }
 
-func TestCacheReuseToleranceAndStaleness(t *testing.T) {
-	c := NewCache(0.1, 2)
-	g := twoAtomGeom(0)
-	c.Put("0", NewState(g, -2, []float64{1, 0, 0, 0, 0, 0}))
-
-	// Within tolerance: two reuses allowed, third blocked by staleness.
-	near := twoAtomGeom(0.05)
-	for i := 0; i < 2; i++ {
-		if _, ok := c.Reuse("0", near); !ok {
-			t.Fatalf("reuse %d refused within tolerance", i)
-		}
-	}
-	if _, ok := c.Reuse("0", near); ok {
-		t.Fatal("staleness bound not enforced")
-	}
-	// A fresh Put resets the staleness counter.
-	c.Put("0", NewState(near, -2.01, nil))
-	if _, ok := c.Reuse("0", near); !ok {
-		t.Fatal("reuse refused after fresh Put")
-	}
-
-	// Beyond tolerance: refused even with budget left.
-	far := twoAtomGeom(0.5)
-	if _, ok := c.Reuse("0", far); ok {
-		t.Fatal("reuse allowed beyond tolerance")
-	}
-	// Displacement is measured against the last *evaluated* geometry:
-	// repeated small steps must eventually trip the tolerance.
-	c2 := NewCache(0.1, 100)
-	c2.Put("0", NewState(twoAtomGeom(0), -2, nil))
-	steps := 0
-	for dz := 0.04; ; dz += 0.04 {
-		if _, ok := c2.Reuse("0", twoAtomGeom(dz)); !ok {
-			break
-		}
-		steps++
-	}
-	if steps != 2 { // 0.04, 0.08 reusable; 0.12 ≥ 0.1 is not
-		t.Errorf("accumulated drift allowed %d reuses, want 2", steps)
-	}
-}
-
+// The cache only ever serves guesses: however the geometry moves,
+// Stats.Skips stays 0 and the latest Put is what Guess returns.
 func TestCacheSkipDisabled(t *testing.T) {
-	c := NewCache(0, 0) // skipTol 0: skip path off, guesses still served
-	g := twoAtomGeom(0)
-	c.Put("0", NewState(g, -2, nil))
-	if _, ok := c.Reuse("0", g); ok {
-		t.Fatal("skip reuse with zero tolerance")
+	c := NewCache()
+	for i := 0; i < 4; i++ {
+		g := twoAtomGeom(0.01 * float64(i))
+		st := stateFor(g)
+		c.Put("0", st)
+		if got := c.Guess("0", g); got != st {
+			t.Fatalf("pass %d: guess did not return the latest state", i)
+		}
 	}
-	if c.Guess("0", g) == nil {
-		t.Fatal("guess unavailable with zero skip tolerance")
+	if s := c.Stats(); s.Skips != 0 || s.Hits != 4 {
+		t.Errorf("stats = %+v, want 4 hits and no skips", s)
 	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache(0.1, 3)
+	c := NewCache()
 	g := twoAtomGeom(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -140,14 +103,29 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			key := string(rune('a' + w%4))
 			for i := 0; i < 200; i++ {
-				c.Put(key, NewState(g, -2, nil))
+				c.Put(key, stateFor(g))
 				c.Guess(key, g)
-				c.Reuse(key, g)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if c.Len() != 4 {
 		t.Errorf("Len = %d, want 4", c.Len())
+	}
+}
+
+// Export hands back every entry and Restore installs them into another
+// cache, skipping nil states — the checkpoint round trip.
+func TestCacheExportRestore(t *testing.T) {
+	c := NewCache()
+	g := twoAtomGeom(0)
+	c.Put("a", stateFor(g))
+	c.Put("b", stateFor(g))
+	states := c.Export()
+	states["nil"] = nil
+	d := NewCache()
+	d.Restore(states)
+	if d.Len() != 2 || d.Guess("a", g) != states["a"] {
+		t.Errorf("restored %d entries, want 2 sharing the exported states", d.Len())
 	}
 }
