@@ -22,7 +22,7 @@ type GemmBenchRow struct {
 	M       int     `json:"m"`       // C is m×n
 	K       int     `json:"k"`       // inner dimension
 	N       int     `json:"n"`       //
-	Kernel  string  `json:"kernel"`  // "stream-NN".."stream-TT", "packed", "packed-asm"; "blocked", "pairloop"; "metricfactor", "eigsym", "deriv3c"
+	Kernel  string  `json:"kernel"`  // "stream-NN".."stream-TT", "packed", "packed-asm"; "blocked", "pairloop"; "metricfactor", "eigsym", "deriv3c", "fockdirect"
 	Seconds float64 `json:"seconds"` // best-of-reps wall time
 	GFLOPS  float64 `json:"gflops"`  // 2·m·n·k / Seconds / 1e9 (nominal work / Seconds / 1e9 on the non-GEMM rows)
 	Tracked bool    `json:"tracked"` // regression-gated by the CI bench job
@@ -276,13 +276,16 @@ func CompareGemmReports(baseline, current *GemmBenchReport, maxRegressPct float6
 // microkernel against the portable packed engine (the ratio row that
 // enforces the ≥4× acceptance bar — a regression in the asm kernel
 // shows up here even on a runner faster than the baseline machine), the
-// blocked RI-MP2 pair loop against the pre-change per-pair loop, and the
-// metric pseudo-inverse factor against the eigendecomposition it replaced.
+// blocked RI-MP2 pair loop against the pre-change per-pair loop, the
+// metric pseudo-inverse factor against the eigendecomposition it
+// replaced, and the three-centre derivative integrals against the
+// four-centre direct Fock build on the same Boys/R-cube machinery.
 var ratioReference = map[string]string{
 	"packed":       "stream-NN",
 	"packed-asm":   "packed",
 	"blocked":      "pairloop",
 	"metricfactor": "eigsym",
+	"deriv3c":      "fockdirect",
 }
 
 // GemmBench runs the GEMM/RI-MP2 microbenchmark suite, prints the
@@ -309,7 +312,7 @@ func GemmBench(c *Config) {
 		case "blocked", "pairloop":
 			e2e = append(e2e, row)
 			continue
-		case "metricfactor", "eigsym", "deriv3c":
+		case "metricfactor", "eigsym", "deriv3c", "fockdirect":
 			phases = append(phases, row)
 			continue
 		}
@@ -384,7 +387,8 @@ func GemmBench(c *Config) {
 		}
 		c.printf("\nShape to verify: the Cholesky-route factor of the 414×414 RI metric is\n")
 		c.printf("several times faster than EigSym of it (the eigen-route's core, about a tenth\n")
-		c.printf("of a second); one three-centre derivative pass takes about half that.\n")
+		c.printf("of a second); one three-centre derivative pass is faster than a direct\n")
+		c.printf("four-centre Fock build on the same trimer (both on one core).\n")
 	}
 
 	if c.BenchJSON != "" {

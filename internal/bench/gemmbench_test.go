@@ -157,6 +157,27 @@ func TestCompareGemmReportsMetricFactorRatioGate(t *testing.T) {
 	}
 }
 
+// The three-centre derivative pass is gated on its same-run speedup over
+// the direct four-centre Fock build on the same trimer: a faster machine
+// on which the derivative kernel fell back to its old speed clears the
+// absolute floor and must still fail.
+func TestCompareGemmReportsDeriv3cRatioGate(t *testing.T) {
+	report := func(derivGF, fockGF float64) *GemmBenchReport {
+		return &GemmBenchReport{Schema: GemmBenchSchema, Rows: []GemmBenchRow{
+			{Name: "water3", M: 21, K: 414, N: 21, Kernel: "deriv3c", Seconds: 1, GFLOPS: derivGF, Tracked: true},
+			{Name: "water3", M: 21, K: 414, N: 21, Kernel: "fockdirect", Seconds: 1, GFLOPS: fockGF},
+		}}
+	}
+	base := report(0.06, 0.02) // 3×
+	if bad := CompareGemmReports(base, report(0.12, 0.04), 25); len(bad) != 0 {
+		t.Fatalf("healthy fast machine flagged: %v", bad)
+	}
+	bad := CompareGemmReports(base, report(0.09, 0.06), 25)
+	if len(bad) != 1 || !strings.Contains(bad[0], "deriv3c/fockdirect ratio regressed") {
+		t.Fatalf("want 1 deriv3c/fockdirect ratio violation, got %v", bad)
+	}
+}
+
 // The real suite: structure, JSON emission and self-consistency. Slow
 // (runs actual GEMMs), so skipped under -short.
 func TestRunGemmSuite(t *testing.T) {
@@ -176,16 +197,16 @@ func TestRunGemmSuite(t *testing.T) {
 	}
 	// 4 shapes × (4 streaming + packed, plus packed-asm when a native
 	// microkernel ran) + the end-to-end RI-MP2 pair (blocked, pairloop)
-	// and the three step-phase rows in quick mode.
+	// and the four step-phase rows in quick mode.
 	engines := 5
-	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "blocked", "pairloop", "metricfactor", "eigsym", "deriv3c"}
+	wantKernels := []string{"stream-NN", "stream-NT", "stream-TN", "stream-TT", "packed", "blocked", "pairloop", "metricfactor", "eigsym", "deriv3c", "fockdirect"}
 	trackedPerShape := 2 // stream-NN, packed
 	if linalg.AsmEnabled() {
 		engines++
 		wantKernels = append(wantKernels, "packed-asm")
 		trackedPerShape++
 	}
-	if want := 4*engines + 2 + 3; len(rep.Rows) != want {
+	if want := 4*engines + 2 + 4; len(rep.Rows) != want {
 		t.Fatalf("want %d rows, got %d", want, len(rep.Rows))
 	}
 	kernels := map[string]bool{}
@@ -207,7 +228,7 @@ func TestRunGemmSuite(t *testing.T) {
 	// Tracked: stream-NN + every packed engine for each of the two
 	// acceptance GEMM shapes, plus the blocked engine of the
 	// end-to-end RI-MP2 row and two step-phase rows (metricfactor and
-	// deriv3c; eigsym is only metricfactor's same-run reference).
+	// deriv3c; eigsym and fockdirect are only their same-run references).
 	if want := 2*trackedPerShape + 1 + 2; tracked != want {
 		t.Fatalf("want %d tracked rows, got %d", want, tracked)
 	}

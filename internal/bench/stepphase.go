@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/basis"
@@ -28,6 +29,15 @@ import (
 //     dense weight tensor; nominal 9·naux·nbf² — one unit per Cartesian
 //     derivative of every (μν|P) on its three centres — so the "GFLOP/s"
 //     column is a throughput in derivative integrals, not a flop rate.
+//     It is gated on its speedup over the next row (ratioReference).
+//   - fockdirect-water3: integrals.FockDirect of a fixed density on the
+//     same trimer — the four-centre kernel on the same boys/R-cube
+//     machinery, which the run-batched auxiliary kernels do not touch —
+//     kept, untracked, as that reference, with the same nominal work so
+//     that the GFLOP/s ratio of the two rows is their time ratio. Both
+//     rows are timed at GOMAXPROCS 1: FockDirect always splits its work in
+//     two goroutines, ThreeCenterDeriv in GOMAXPROCS chunks, so on more
+//     cores their ratio would measure the core count.
 func runStepPhaseRows() []GemmBenchRow {
 	g := molecule.WaterCluster(3)
 	bs, err := basis.Build("sto-3g", g)
@@ -59,7 +69,18 @@ func runStepPhaseRows() []GemmBenchRow {
 		z.Data[i] = 1e-3 * float64(1+i%97)
 	}
 	grad := make([]float64, 3*g.N())
+	dmat := linalg.NewMat(bs.N, bs.N)
+	for i := range dmat.Data {
+		dmat.Data[i] = 1e-2 * float64(1+(i%bs.N+i/bs.N)%7)
+	}
+	sw := integrals.SchwarzShellPairs(bs)
+	procs := runtime.GOMAXPROCS(1)
 	secDeriv := best(func() { integrals.ThreeCenterDeriv(bs, aux, z, 1, grad) })
+	// One call: at ~0.8 s it needs no best-of to average out scheduling.
+	start := time.Now()
+	integrals.FockDirect(bs, dmat, sw, 1e-12)
+	secFock := time.Since(start).Seconds()
+	runtime.GOMAXPROCS(procs)
 
 	n := float64(aux.N)
 	nbf := float64(bs.N)
@@ -70,5 +91,7 @@ func runStepPhaseRows() []GemmBenchRow {
 			Seconds: secEig, GFLOPS: 9 * n * n * n / secEig / 1e9},
 		{Name: "water3", M: bs.N, K: aux.N, N: bs.N, Kernel: "deriv3c",
 			Seconds: secDeriv, GFLOPS: 9 * n * nbf * nbf / secDeriv / 1e9, Tracked: true},
+		{Name: "water3", M: bs.N, K: aux.N, N: bs.N, Kernel: "fockdirect",
+			Seconds: secFock, GFLOPS: 9 * n * nbf * nbf / secFock / 1e9},
 	}
 }

@@ -89,59 +89,42 @@ func raise(src, dst []float64, inv2p, x float64) {
 
 // centerTables holds, for every primitive of every shell of a basis, the
 // one-centre Hermite coefficients E_t^{i0} (0 ≤ t ≤ i ≤ L+extra) of a
-// single Gaussian, in one backing array built once per integral call.
-// With signed set the MD ket phase (−1)^t is folded into the entries and
-// the tables are the ket side: every primitive also gets the list of its
-// Cartesian components' tables that contractKet folds the R cube with.
+// single Gaussian, in one backing array built once per integral call —
+// the bra side of the two-centre kernels. (The ket side is folded into
+// the run coefficients of auxRuns.)
 type centerTables struct {
 	data  []float64
 	extra int
-	off   []int  // per shell: offset of its first primitive's table
-	kets  []ketE // signed only: per shell and primitive, one entry per component
-	koff  []int  // per shell: offset of its first primitive's kets
+	off   []int // per shell: offset of its first primitive's table
 }
 
-func newCenterTables(set *basis.Set, extra int, signed bool) *centerTables {
+func newCenterTables(set *basis.Set, extra int) *centerTables {
 	ct := &centerTables{extra: extra, off: make([]int, len(set.Shells))}
-	var total, nkets int
+	var total int
 	for i := range set.Shells {
 		sh := &set.Shells[i]
 		ct.off[i] = total
 		dim := sh.L + extra + 1
 		total += len(sh.Exps) * dim * dim
-		nkets += len(sh.Exps) * sh.NCart()
 	}
 	ct.data = make([]float64, total)
-	if signed {
-		ct.kets, ct.koff = make([]ketE, 0, nkets), make([]int, len(set.Shells))
-	}
 	for i := range set.Shells {
 		sh := &set.Shells[i]
 		dim := sh.L + extra + 1
-		if signed {
-			ct.koff[i] = len(ct.kets)
-		}
 		for p, a := range sh.Exps {
-			tab := ct.data[ct.off[i]+p*dim*dim:][:dim*dim]
-			tab[0] = 1
-			for l := 0; l+1 < dim; l++ {
-				raise(tab[l*dim:l*dim+l+1], tab[(l+1)*dim:(l+1)*dim+l+2], 1/(2*a), 0)
-			}
-			if !signed {
-				continue
-			}
-			for l := 0; l < dim; l++ {
-				for t := 1; t <= l; t += 2 {
-					tab[l*dim+t] = -tab[l*dim+t]
-				}
-			}
-			ek := centerTable{tab, dim}
-			for _, K := range cart(sh.L) {
-				ct.kets = append(ct.kets, ketE{ek.at(K[0]), ek.at(K[1]), ek.at(K[2])})
-			}
+			fillOneCentre(ct.data[ct.off[i]+p*dim*dim:][:dim*dim], dim, a)
 		}
 	}
 	return ct
+}
+
+// fillOneCentre fills the dim×dim table tab with E_t^{i0} of one
+// Gaussian of exponent a at tab[i·dim+t], 0 ≤ t ≤ i < dim.
+func fillOneCentre(tab []float64, dim int, a float64) {
+	tab[0] = 1
+	for l := 0; l+1 < dim; l++ {
+		raise(tab[l*dim:l*dim+l+1], tab[(l+1)*dim:(l+1)*dim+l+2], 1/(2*a), 0)
+	}
 }
 
 // prim returns the table of primitive p of shell ish, whose angular
@@ -149,12 +132,6 @@ func newCenterTables(set *basis.Set, extra int, signed bool) *centerTables {
 func (ct *centerTables) prim(ish, l, p int) centerTable {
 	dim := l + ct.extra + 1
 	return centerTable{ct.data[ct.off[ish]+p*dim*dim:][:dim*dim], dim}
-}
-
-// primKets returns the component tables of primitive p of shell ish,
-// which has nc Cartesian components, of signed tables.
-func (ct *centerTables) primKets(ish, nc, p int) []ketE {
-	return ct.kets[ct.koff[ish]+p*nc:][:nc]
 }
 
 // centerTable is one primitive's slice of a centerTables.

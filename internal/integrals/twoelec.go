@@ -28,15 +28,16 @@ func cart(l int) [][3]int { return cartCache[l] }
 type eriScratch struct {
 	e, ek [3]eTable // bra and ket pair Hermite tables
 	r     rCube
-	g     []float64 // R contracted with a one-centre ket: [((t·nb+u)·nb+v)·nk + ck]
+	g     []float64 // R folded with the ket: [((t·nb+u)·nb+v)·ncol + col] over ket components (and run members)
 	gw    []float64 // g contracted with one (μ,ν)'s weights over ck: [(t·nb+u)·nb+v]
-	acc   []float64 // one (μ,ν)'s values or weights over ck
-	blk   []float64 // a two-centre value block
+	acc   []float64 // one (μ,ν)'s values over the columns of g, or weights over ck
+	blk   []float64 // a two-centre value block, or a bra shell pair's three-centre one: [(ca·nb+cb)·naux + P]
 	w     []float64 // three-centre gradient weights of a bra shell pair: [(ca·nb+cb)·naux + P]
 	live  []bool    // per auxiliary shell: not screened out / not weightless
 	kets  []ketE    // the ket pair components contractKet folds the R cube with
 	comps []braComp // the bra component pairs of one primitive pair
 	h, s  []float64 // axisSums: the three axis sums and their two-axis intermediate
+	run   runScratch
 }
 
 // ketE is the three 1D Hermite tables of one ket component, the MD ket
@@ -154,24 +155,21 @@ func (sc *eriScratch) axisSums(e *[3][]float64, gw []float64, nb int) (h [3][]fl
 	return h
 }
 
-// contractKet folds the R cube with the ket components kets:
+// contractKet folds the R cube with the ket pair components kets:
 //
 //	g[t,u,v; ck] = Σ_{t'u'v'} E_{t'}^{K_x}·E_{u'}^{K_y}·E_{v'}^{K_z}·(−1)^{t'+u'+v'}·R_{t+t',u+u',v+v'}
 //
-// for every bra Hermite index t+u+v ≤ lbra, and returns g. step is the
-// stride between the non-zero entries of a table: 1 for a two-centre ket
-// pair, 2 for a one-centre ket, whose E_t^{i0} vanishes unless t ≡ i
-// (mod 2) and whose tables have length i+1. A lone s ket with E = 1 — an
-// auxiliary s function — folds nothing: its g is the R cube itself, whose
-// edge is then nb.
-func (sc *eriScratch) contractKet(lbra int, kets []ketE, step int) []float64 {
+// for every bra Hermite index t+u+v ≤ lbra, and returns g. A lone s ket
+// pair with E = 1 folds nothing: its g is the R cube itself, whose edge
+// is then nb. (The auxiliary kets of the two- and three-centre kernels
+// are folded a run at a time by foldRun.)
+func (sc *eriScratch) contractKet(lbra int, kets []ketE) []float64 {
 	if k := kets[0]; len(kets) == 1 && len(k[0])+len(k[1])+len(k[2]) == 3 && k[0][0]*k[1][0]*k[2][0] == 1 {
 		return sc.r.val
 	}
 	nb, nk, n := lbra+1, len(kets), sc.r.n
 	sc.g = grow(sc.g, nb*nb*nb*nk)
 	r := sc.r.val
-	odd := step - 1
 	for t := 0; t <= lbra; t++ {
 		for u := 0; u <= lbra-t; u++ {
 			for v := 0; v <= lbra-t-u; v++ {
@@ -179,12 +177,12 @@ func (sc *eriScratch) contractKet(lbra int, kets []ketE, step int) []float64 {
 				for ck := range kets {
 					ex, ey, ez := kets[ck][0], kets[ck][1], kets[ck][2]
 					var sum float64
-					for t2 := (len(ex) - 1) & odd; t2 < len(ex); t2 += step {
-						for u2 := (len(ey) - 1) & odd; u2 < len(ey); u2 += step {
-							etu := ex[t2] * ey[u2]
+					for t2, et := range ex {
+						for u2, eu := range ey {
+							etu := et * eu
 							row := r[((t+t2)*n+u+u2)*n+v:]
-							for v2 := (len(ez) - 1) & odd; v2 < len(ez); v2 += step {
-								sum += etu * ez[v2] * row[v2]
+							for v2, ev := range ez {
+								sum += etu * ev * row[v2]
 							}
 						}
 					}
@@ -272,22 +270,29 @@ func (sc *eriScratch) weightKet(lbra int, g, wk []float64) (gw []float64, scale 
 // TwoCenter returns the Coulomb metric (P|Q) over the auxiliary basis.
 func TwoCenter(aux *basis.Set) *linalg.Mat {
 	m := linalg.NewMat(aux.N, aux.N)
-	bra, ket := newCenterTables(aux, 0, false), newCenterTables(aux, 0, true)
+	ar, bra := newAuxRuns(aux), newCenterTables(aux, 0)
 	pairs := upperPairs(len(aux.Shells))
 	parallelFor(len(pairs), func(lo, hi int) {
 		var sc eriScratch
-		for idx := lo; idx < hi; idx++ {
-			ip, iq := pairs[idx][0], pairs[idx][1]
-			sp, sq := &aux.Shells[ip], &aux.Shells[iq]
-			blk := sc.twoCenterBlock(aux, ip, iq, bra, ket, nil, 0, nil)
-			nq := sq.NCart()
-			for i := 0; i < sp.NCart(); i++ {
-				for j := 0; j < nq; j++ {
-					v := blk[i*nq+j]
-					m.Set(sp.Start+i, sq.Start+j, v)
-					m.Set(sq.Start+j, sp.Start+i, v)
+		sc.reserveRuns(ar, aux.MaxL(), false)
+		for idx := lo; idx < hi; {
+			ip, end := pairs[idx][0], sc.gatherSegment(ar, pairs, idx, hi)
+			sp := &aux.Shells[ip]
+			bt := &sc.run.batches[0]
+			blk := sc.twoCenterRun(ar, ip, bt, bra, nil, 0, nil)
+			np := sp.NCart()
+			for iq := pairs[idx][1]; iq <= pairs[end-1][1]; iq++ {
+				sq := &aux.Shells[iq]
+				nq := sq.NCart()
+				for i := 0; i < np; i++ {
+					for j, v := range blk[i*nq:][:nq] {
+						m.Set(sp.Start+i, sq.Start+j, v)
+						m.Set(sq.Start+j, sp.Start+i, v)
+					}
 				}
+				blk = blk[np*nq:]
 			}
+			idx = end
 		}
 	})
 	return m
@@ -299,84 +304,147 @@ func TwoCenter(aux *basis.Set) *linalg.Mat {
 // ket-centre derivative is minus the bra one and a pair on one atom
 // contributes nothing.
 func TwoCenterDeriv(aux *basis.Set, zeta *linalg.Mat, factor float64, grad []float64) {
-	bra, ket := newCenterTables(aux, 1, false), newCenterTables(aux, 0, true)
+	ar, bra := newAuxRuns(aux), newCenterTables(aux, 1)
 	pairs := upperPairs(len(aux.Shells))
 	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
 		var sc eriScratch
-		for idx := lo; idx < hi; idx++ {
-			ip, iq := pairs[idx][0], pairs[idx][1]
-			if aux.Shells[ip].Atom != aux.Shells[iq].Atom {
-				sc.twoCenterBlock(aux, ip, iq, bra, ket, zeta, factor, buf)
+		sc.reserveRuns(ar, aux.MaxL()+1, true)
+		for idx := lo; idx < hi; {
+			ip, end := pairs[idx][0], sc.gatherSegment(ar, pairs, idx, hi)
+			if bt := &sc.run.batches[0]; aux.Shells[ip].Atom != bt.atom {
+				sc.twoCenterRun(ar, ip, bt, bra, zeta, factor, buf)
 			}
+			idx = end
 		}
 	})
 }
 
-// twoCenterBlock computes the (P|Q) block of shells ip, iq of aux,
-// returned flattened as [i·nQ+j] in scratch the next call overwrites.
-// With grad non-nil it instead contracts the bra-centre derivative with
-// the weight (ζ_PQ + ζ_QP)·factor, adding it on the bra atom and
-// subtracting it on the ket atom. bra holds the unsigned one-centre
-// tables of aux (built with extra = 1 for derivatives), ket the signed.
-func (sc *eriScratch) twoCenterBlock(aux *basis.Set, ip, iq int, bra, ket *centerTables, zeta *linalg.Mat, factor float64, grad []float64) []float64 {
-	sp, sq := &aux.Shells[ip], &aux.Shells[iq]
-	compP, compQ := cart(sp.L), cart(sq.L)
-	nq := len(compQ)
+// gatherSegment gathers, as the one batch of sc.run, the ket shells of
+// the longest stretch of pairs[idx:hi] — one chunk's share of
+// upperPairs — that has one bra shell and whose ket shells lie in one
+// run, and returns the index one past it.
+func (sc *eriScratch) gatherSegment(ar *auxRuns, pairs [][2]int, idx, hi int) int {
+	ip, run := pairs[idx][0], ar.runOf[pairs[idx][1]]
+	end := idx + 1
+	for end < hi && pairs[end][0] == ip && ar.runOf[pairs[end][1]] == run {
+		end++
+	}
+	sc.run.reset()
+	sc.run.gather(ar, pairs[idx][1], pairs[end-1][1]+1, nil)
+	return end
+}
+
+// twoCenterRun computes the (P|Q) blocks of bra shell ip of aux against
+// the ket shells of batch bt — consecutive shells of one run — returned
+// as [((s−s0)·nP + i)·nQ + j] for ket shell s in scratch the next call
+// overwrites. With grad non-nil it instead contracts the bra-centre
+// derivative with the weights (ζ_PQ + ζ_QP)·factor, adding it on the bra
+// atom and subtracting it on the ket atom, in the order of a visit of
+// one ket shell, bra primitive, ket primitive and bra component at a
+// time. bra holds the unsigned one-centre tables of aux (built with
+// extra = 1 for derivatives).
+func (sc *eriScratch) twoCenterRun(ar *auxRuns, ip int, bt *runBatch, bra *centerTables, zeta *linalg.Mat, factor float64, grad []float64) []float64 {
+	aux, rs := ar.set, &sc.run
+	sp := &aux.Shells[ip]
+	compP := cart(sp.L)
+	np, nq, K := len(compP), len(cart(bt.l)), bt.hi-bt.lo
+	members, prims, cc := rs.shell[bt.lo:bt.hi], rs.prim[bt.lo:bt.hi], rs.cc[bt.cc:][:nq*K]
+	s0 := members[0]
 	deriv := grad != nil
 	lbra := sp.L
 	if deriv {
 		lbra++
+		n := len(sp.Exps) * K * np
+		rs.x, rs.on = grow(rs.x, 3*n), grow(rs.on, n)
+		rs.wk, rs.dv = grow(rs.wk, nq*K), grow(rs.dv, 4*K)
 	} else {
-		sc.blk = grow(sc.blk, len(compP)*nq)
-		for i := range sc.blk {
-			sc.blk[i] = 0
-		}
+		sc.blk = grow(sc.blk, (members[K-1]-s0+1)*np*nq)
+		clear(sc.blk)
 	}
 	nb := lbra + 1
-	dx := sp.Center[0] - sq.Center[0]
-	dy := sp.Center[1] - sq.Center[1]
-	dz := sp.Center[2] - sq.Center[2]
+	dx := sp.Center[0] - bt.center[0]
+	dy := sp.Center[1] - bt.center[1]
+	dz := sp.Center[2] - bt.center[2]
+	alpha, pre := rs.alpha[:K], rs.pre[:K]
 	for p, a := range sp.Exps {
 		eb := bra.prim(ip, sp.L, p)
-		for q, b := range sq.Exps {
-			alpha := a * b / (a + b)
-			pre := twoERIPre / (a * b * math.Sqrt(a+b))
-			sc.r.fill(lbra+sq.L, alpha, dx, dy, dz)
-			g := sc.contractKet(lbra, ket.primKets(iq, nq, q), 2)
-			for cp, P := range compP {
-				cf := sp.Coefs[cp][p] * pre
-				bc := braComp{e: [3][]float64{eb.at(P[0]), eb.at(P[1]), eb.at(P[2])}}
-				if !deriv {
-					acc := sc.hermiteAxpy(g, bc.e[0], bc.e[1], bc.e[2], nb, nq)
-					for cq, v := range acc {
-						sc.blk[cp*nq+cq] += cf * sq.Coefs[cq][q] * v
+		for k, s := range members {
+			b := aux.Shells[s].Exps[prims[k]]
+			alpha[k] = a * b / (a + b)
+			pre[k] = twoERIPre / (a * b * math.Sqrt(a+b))
+		}
+		rs.r.fill(lbra+bt.l, alpha, dx, dy, dz)
+		g := sc.foldRun(lbra, bt)
+		for cp, P := range compP {
+			bc := braComp{e: [3][]float64{eb.at(P[0]), eb.at(P[1]), eb.at(P[2])}}
+			if !deriv {
+				acc := sc.hermiteAxpy(g, bc.e[0], bc.e[1], bc.e[2], nb, nq*K)
+				for k, s := range members {
+					cf := sp.Coefs[cp][p] * pre[k]
+					blk := sc.blk[((s-s0)*np+cp)*nq:][:nq]
+					for cq := range blk {
+						blk[cq] += cf * cc[cq*K+k] * acc[cq*K+k]
 					}
-					continue
 				}
-				sc.acc = grow(sc.acc, nq)
+				continue
+			}
+			for k, s := range members {
+				Q := aux.Shells[s].Start
 				var weighted bool
-				for cq := range sc.acc {
-					w := (zeta.At(sp.Start+cp, sq.Start+cq) + zeta.At(sq.Start+cq, sp.Start+cp)) * factor
-					sc.acc[cq] = w * sq.Coefs[cq][q]
+				for cq := 0; cq < nq; cq++ {
+					w := (zeta.At(sp.Start+cp, Q+cq) + zeta.At(Q+cq, sp.Start+cp)) * factor
+					rs.wk[cq*K+k] = w * cc[cq*K+k]
 					weighted = weighted || w != 0
 				}
-				if !weighted {
-					continue
-				}
-				for d, i := range P {
-					bc.up[0][d], bc.n[0][d] = eb.at(i+1), float64(i)
-					if i > 0 {
-						bc.dn[0][d] = eb.at(i - 1)
-					}
-				}
-				gw, scale := sc.weightKet(lbra, g, sc.acc)
-				h := sc.axisSums(&bc.e, gw, nb)
-				dv := bc.deriv(0, a, &h)
-				for d := 0; d < 3; d++ {
-					grad[3*sp.Atom+d] += cf * scale * dv[d]
-					grad[3*sq.Atom+d] -= cf * scale * dv[d]
+				rs.on[(p*K+k)*np+cp] = weighted
+			}
+			for d, i := range P {
+				bc.up[0][d], bc.n[0][d] = eb.at(i+1), float64(i)
+				if i > 0 {
+					bc.dn[0][d] = eb.at(i - 1)
 				}
 			}
+			gw := g
+			if nq > 1 {
+				gw = rs.weightRun(lbra, nq, g, rs.wk[:nq*K])
+			}
+			h := rs.axisSumsRun(&bc.e, gw, nb, K)
+			dv := rs.dv[:3*K]
+			bc.derivRun(0, a, &h, dv, rs.dv[3*K:4*K])
+			for k := range members {
+				cf, scale := sp.Coefs[cp][p]*pre[k], 1.0
+				if nq == 1 {
+					scale = rs.wk[k]
+				}
+				x := rs.x[((p*K+k)*np+cp)*3:][:3]
+				for d := range x {
+					x[d] = cf * scale * dv[d*K+k]
+				}
+			}
+		}
+	}
+	if deriv {
+		for k0 := 0; k0 < K; {
+			k1 := k0 + 1
+			for k1 < K && members[k1] == members[k0] {
+				k1++
+			}
+			atQ := 3 * aux.Shells[members[k0]].Atom
+			for p := range sp.Exps {
+				for k := k0; k < k1; k++ {
+					for cp := 0; cp < np; cp++ {
+						i := (p*K+k)*np + cp
+						if !rs.on[i] {
+							continue
+						}
+						for d, x := range rs.x[3*i:][:3] {
+							grad[3*sp.Atom+d] += x
+							grad[atQ+d] -= x
+						}
+					}
+				}
+			}
+			k0 = k1
 		}
 	}
 	return sc.blk
@@ -393,11 +461,14 @@ func ThreeCenter(bs, aux *basis.Set) *linalg.Tensor3 {
 // ket-side factor of the three-center bound |(μν|P)| ≤ Q_μν·Q_P.
 func SchwarzAux(aux *basis.Set) []float64 {
 	q := make([]float64, len(aux.Shells))
-	bra, ket := newCenterTables(aux, 0, false), newCenterTables(aux, 0, true)
+	ar, bra := newAuxRuns(aux), newCenterTables(aux, 0)
 	parallelFor(len(aux.Shells), func(lo, hi int) {
 		var sc eriScratch
+		sc.reserveRuns(ar, aux.MaxL(), false)
 		for i := lo; i < hi; i++ {
-			blk := sc.twoCenterBlock(aux, i, i, bra, ket, nil, 0, nil)
+			sc.run.reset()
+			sc.run.gather(ar, i, i+1, nil)
+			blk := sc.twoCenterRun(ar, i, &sc.run.batches[0], bra, nil, 0, nil)
 			nc := aux.Shells[i].NCart()
 			var mx float64
 			for c := 0; c < nc; c++ {
@@ -473,16 +544,18 @@ func ThreeCenterScreened(bs, aux *basis.Set, sw *linalg.Mat, thresh float64) *li
 		}
 		pairs = kept
 	}
-	ket := newCenterTables(aux, 0, true)
+	ar := newAuxRuns(aux)
 	parallelFor(len(pairs), func(lo, hi int) {
-		sc := eriScratch{live: make([]bool, len(aux.Shells))}
+		nc := len(cart(bs.MaxL()))
+		sc := eriScratch{live: make([]bool, len(aux.Shells)), blk: make([]float64, nc*nc*aux.N)}
+		sc.reserveRuns(ar, 2*bs.MaxL(), false)
 		for idx := lo; idx < hi; idx++ {
 			ia, ib := pairs[idx][0], pairs[idx][1]
 			for ip := range sc.live {
 				sc.live[ip] = !screen || sw.At(ia, ib)*qaux[ip] >= thresh
 			}
 			sa, sb := &bs.Shells[ia], &bs.Shells[ib]
-			sc.threeCenterPair(sa, sb, aux, ket, t, nil)
+			sc.threeCenterPair(sa, sb, ar, t, nil)
 			// The pair filled (P, μ∈a, ν∈b); mirror it into (P, ν, μ).
 			na, nb := sa.NCart(), sb.NCart()
 			for ip := range aux.Shells {
@@ -512,10 +585,11 @@ func ThreeCenterScreened(bs, aux *basis.Set, sw *linalg.Mat, thresh float64) *li
 // auxiliary-centre derivative is minus their sum by translational
 // invariance.
 func ThreeCenterDeriv(bs, aux *basis.Set, z *linalg.Tensor3, factor float64, grad []float64) {
-	ket := newCenterTables(aux, 0, true)
+	ar := newAuxRuns(aux)
 	pairs := upperPairs(len(bs.Shells))
 	reduceGrads(len(pairs), grad, func(lo, hi int, buf []float64) {
 		sc := eriScratch{live: make([]bool, len(aux.Shells))}
+		sc.reserveRuns(ar, 2*bs.MaxL()+1, true)
 		for idx := lo; idx < hi; idx++ {
 			ia, ib := pairs[idx][0], pairs[idx][1]
 			sa, sb := &bs.Shells[ia], &bs.Shells[ib]
@@ -524,7 +598,7 @@ func ThreeCenterDeriv(bs, aux *basis.Set, z *linalg.Tensor3, factor float64, gra
 				f *= 0.5
 			}
 			sc.gatherWeights(sa, sb, aux, z, f)
-			sc.threeCenterPair(sa, sb, aux, ket, nil, buf)
+			sc.threeCenterPair(sa, sb, ar, nil, buf)
 		}
 	})
 }
@@ -555,13 +629,16 @@ func (sc *eriScratch) gatherWeights(sa, sb *basis.Shell, aux *basis.Set, z *lina
 }
 
 // threeCenterPair evaluates what one bra shell pair contributes over
-// every live auxiliary shell. A primitive pair under primPairThresh is
-// skipped; for every other one the bra Hermite tables are built, and
-// resolved per component pair (braComps), once for the whole auxiliary
-// loop. With grad nil the integrals (μν|P) are accumulated into
-// out(P, μ∈a, ν∈b); otherwise the derivative integrals are contracted
-// with the gathered weights and accumulated into grad on the three atoms.
-func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, aux *basis.Set, ket *centerTables, out *linalg.Tensor3, grad []float64) {
+// every live auxiliary shell, one run at a time: the runs of ar are
+// compacted to their live shells once, up front. A primitive pair under
+// primPairThresh is skipped; for every other one the bra Hermite tables
+// are built, and resolved per component pair (braComps), once for the
+// whole auxiliary loop. With grad nil the integrals (μν|P) are
+// accumulated into out(P, μ∈a, ν∈b); otherwise the derivative integrals
+// are contracted with the gathered weights and accumulated into grad on
+// the three atoms (derivRunPair).
+func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, ar *auxRuns, out *linalg.Tensor3, grad []float64) {
+	aux, rs := ar.set, &sc.run
 	ncb := sb.NCart()
 	deriv := grad != nil
 	extra := 0
@@ -576,6 +653,24 @@ func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, aux *basis.Set, ket *
 		ab[d] = sa.Center[d] - sb.Center[d]
 		ab2 += ab[d] * ab[d]
 	}
+	rs.reset()
+	for _, run := range ar.runs {
+		rs.gather(ar, run[0], run[1], sc.live)
+	}
+	if deriv {
+		sc.stackWeights(sa.NCart()*ncb, aux)
+	} else {
+		// The values accumulate in sc.blk, each element starting from
+		// zero as out's does, and are stored once (storePair).
+		nc := sa.NCart() * ncb
+		sc.blk = grow(sc.blk, nc*aux.N)
+		for _, s := range rs.shell {
+			sp := &aux.Shells[s]
+			for i := 0; i < nc; i++ {
+				clear(sc.blk[i*aux.N+sp.Start:][:sp.NCart()])
+			}
+		}
+	}
 	e := &sc.e
 	for p, a := range sa.Exps {
 		for q, b := range sb.Exps {
@@ -588,58 +683,149 @@ func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, aux *basis.Set, ket *
 				pab[d] = (a*sa.Center[d] + b*sb.Center[d]) / pexp
 			}
 			comps := sc.braComps(sa, sb, p, q, deriv, deriv)
-			for ip := range aux.Shells {
-				if !sc.live[ip] {
+			for ib := range rs.batches {
+				bt := &rs.batches[ib]
+				K := bt.hi - bt.lo
+				members, prims := rs.shell[bt.lo:bt.hi], rs.prim[bt.lo:bt.hi]
+				alpha, pre := rs.alpha[:K], rs.pre[:K]
+				for k, s := range members {
+					c := aux.Shells[s].Exps[prims[k]]
+					alpha[k] = pexp * c / (pexp + c)
+					pre[k] = twoERIPre / (pexp * c * math.Sqrt(pexp+c))
+				}
+				rs.r.fill(lbra+bt.l, alpha, pab[0]-bt.center[0], pab[1]-bt.center[1], pab[2]-bt.center[2])
+				g := sc.foldRun(lbra, bt)
+				if deriv {
+					sc.derivRunPair(sa, sb, a, b, bt, g, lbra, aux, grad)
 					continue
 				}
-				sp := &aux.Shells[ip]
-				nk := sp.NCart()
-				var gA, gB [3]float64
-				for pp, c := range sp.Exps {
-					alpha := pexp * c / (pexp + c)
-					pre := twoERIPre / (pexp * c * math.Sqrt(pexp+c))
-					sc.r.fill(lbra+sp.L, alpha, pab[0]-sp.Center[0], pab[1]-sp.Center[1], pab[2]-sp.Center[2])
-					g := sc.contractKet(lbra, ket.primKets(ip, nk, pp), 2)
-					for i := range comps {
-						bc := &comps[i]
-						cf := bc.cf * pre
-						if !deriv {
-							ca, cb := i/ncb, i%ncb
-							acc := sc.hermiteAxpy(g, bc.e[0], bc.e[1], bc.e[2], nb, nk)
-							row := out.Data[(sp.Start*out.N2+sa.Start+ca)*out.N3+sb.Start+cb:]
-							for ck, v := range acc {
-								row[ck*out.N2*out.N3] += cf * sp.Coefs[ck][pp] * v
-							}
-							continue
+				nk := len(cart(bt.l))
+				cc := rs.cc[bt.cc:][:nk*K]
+				for i := range comps {
+					bc := &comps[i]
+					acc := sc.hermiteAxpy(g, bc.e[0], bc.e[1], bc.e[2], nb, nk*K)
+					row := sc.blk[i*aux.N:]
+					for k, s := range members {
+						cf := bc.cf * pre[k]
+						for ck, P := 0, aux.Shells[s].Start; ck < nk; ck, P = ck+1, P+1 {
+							row[P] += cf * cc[ck*K+k] * acc[ck*K+k]
 						}
-						sc.acc = grow(sc.acc, nk)
-						var weighted bool
-						for ck, w := range sc.w[i*aux.N+sp.Start:][:nk] {
-							sc.acc[ck] = w * sp.Coefs[ck][pp]
-							weighted = weighted || w != 0
-						}
-						if !weighted {
-							continue
-						}
-						gw, scale := sc.weightKet(lbra, g, sc.acc)
-						h := sc.axisSums(&bc.e, gw, nb)
-						dA, dB := bc.deriv(0, a, &h), bc.deriv(1, b, &h)
-						cf *= scale
-						for d := 0; d < 3; d++ {
-							gA[d] += cf * dA[d]
-							gB[d] += cf * dB[d]
-						}
-					}
-				}
-				if deriv {
-					for d := 0; d < 3; d++ {
-						grad[3*sa.Atom+d] += gA[d]
-						grad[3*sb.Atom+d] += gB[d]
-						grad[3*sp.Atom+d] -= gA[d] + gB[d]
 					}
 				}
 			}
 		}
+	}
+	if !deriv {
+		sc.storePair(sa, sb, aux, out)
+	}
+}
+
+// storePair copies the value block of the bra shell pair, accumulated in
+// sc.blk at [(ca·nb+cb)·naux + P] for the gathered shells, into
+// out(P, μ∈a, ν∈b).
+func (sc *eriScratch) storePair(sa, sb *basis.Shell, aux *basis.Set, out *linalg.Tensor3) {
+	na, ncb := sa.NCart(), sb.NCart()
+	for k, s := range sc.run.shell {
+		if k > 0 && sc.run.shell[k-1] == s {
+			continue
+		}
+		sp := &aux.Shells[s]
+		for P := sp.Start; P < sp.Start+sp.NCart(); P++ {
+			slab := out.Data[P*out.N2*out.N3:]
+			for ca := 0; ca < na; ca++ {
+				row := slab[(sa.Start+ca)*out.N3+sb.Start:][:ncb]
+				for cb := range row {
+					row[cb] = sc.blk[(ca*ncb+cb)*aux.N+P]
+				}
+			}
+		}
+	}
+}
+
+// stackWeights stacks the gathered weights of the bra shell pair's nc
+// component pairs like the contraction coefficients, once for all its
+// primitive pairs: member k of a batch gets rs.wk[i·ncc + cc + ck·K + k]
+// = w_{i,P}·c_P for its component ck, P = its function, and rs.on[i·nm +
+// lo + k] tells whether any of its w_{i,P} is non-zero.
+func (sc *eriScratch) stackWeights(nc int, aux *basis.Set) {
+	rs := &sc.run
+	ncc, nm := len(rs.cc), len(rs.shell)
+	rs.wk, rs.on = grow(rs.wk, nc*ncc), grow(rs.on, nc*nm)
+	for i := 0; i < nc; i++ {
+		w := sc.w[i*aux.N:]
+		for _, bt := range rs.batches {
+			K, nk := bt.hi-bt.lo, len(cart(bt.l))
+			cc, wk := rs.cc[bt.cc:][:nk*K], rs.wk[i*ncc+bt.cc:][:nk*K]
+			for k, s := range rs.shell[bt.lo:bt.hi] {
+				var weighted bool
+				for ck, P := 0, aux.Shells[s].Start; ck < nk; ck, P = ck+1, P+1 {
+					wk[ck*K+k] = w[P] * cc[ck*K+k]
+					weighted = weighted || w[P] != 0
+				}
+				rs.on[i*nm+bt.lo+k] = weighted
+			}
+		}
+	}
+}
+
+// derivRunPair contracts the derivative integrals of the current bra
+// primitive pair (exponents a, b; component pairs sc.comps) against the
+// members of batch bt, folded cubes g, with the gathered weights. Every
+// (member, component pair) is evaluated over the stacked columns; then
+// the contributions are added member by member, component pair by
+// component pair — the order of a visit of one auxiliary primitive at a
+// time — and flushed into grad on the three atoms after each auxiliary
+// shell, in shell order.
+func (sc *eriScratch) derivRunPair(sa, sb *basis.Shell, a, b float64, bt *runBatch, g []float64, lbra int, aux *basis.Set, grad []float64) {
+	rs, comps := &sc.run, sc.comps
+	K, nk, nc := bt.hi-bt.lo, len(cart(bt.l)), len(sc.comps)
+	members, ncc, nm := rs.shell[bt.lo:bt.hi], len(rs.cc), len(rs.shell)
+	rs.x, rs.dv = grow(rs.x, 6*K*nc), grow(rs.dv, 7*K)
+	dA, dB, tmp := rs.dv[:3*K], rs.dv[3*K:6*K], rs.dv[6*K:7*K]
+	for i := range comps {
+		bc := &comps[i]
+		wk := rs.wk[i*ncc+bt.cc:][:nk*K]
+		gw := g
+		if nk > 1 {
+			gw = rs.weightRun(lbra, nk, g, wk)
+		}
+		h := rs.axisSumsRun(&bc.e, gw, lbra+1, K)
+		bc.derivRun(0, a, &h, dA, tmp)
+		bc.derivRun(1, b, &h, dB, tmp)
+		for k := range members {
+			cf := bc.cf * rs.pre[k]
+			if nk == 1 {
+				cf *= wk[k]
+			}
+			x := rs.x[(k*nc+i)*6:][:6]
+			for d := 0; d < 3; d++ {
+				x[d] = cf * dA[d*K+k]
+				x[3+d] = cf * dB[d*K+k]
+			}
+		}
+	}
+	var gA, gB [3]float64
+	for k, s := range members {
+		for i := 0; i < nc; i++ {
+			if !rs.on[i*nm+bt.lo+k] {
+				continue
+			}
+			x := rs.x[(k*nc+i)*6:][:6]
+			for d := 0; d < 3; d++ {
+				gA[d] += x[d]
+				gB[d] += x[3+d]
+			}
+		}
+		if k+1 < K && members[k+1] == s {
+			continue
+		}
+		atP := 3 * aux.Shells[s].Atom
+		for d := 0; d < 3; d++ {
+			grad[3*sa.Atom+d] += gA[d]
+			grad[3*sb.Atom+d] += gB[d]
+			grad[atP+d] -= gA[d] + gB[d]
+		}
+		gA, gB = [3]float64{}, [3]float64{}
 	}
 }
 
@@ -747,7 +933,7 @@ func (ws *eriScratch) fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, n
 							ws.kets = append(ws.kets, ketE{ek[0].at(C[0], D[0]), ek[1].at(C[1], D[1]), ek[2].at(C[2], D[2])})
 						}
 					}
-					g := ws.contractKet(lbra, ws.kets, 1)
+					g := ws.contractKet(lbra, ws.kets)
 					for i := range comps {
 						bc := &comps[i]
 						cf := bc.cf * pre
