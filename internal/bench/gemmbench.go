@@ -53,13 +53,17 @@ type gemmBenchShape struct {
 }
 
 // gemmBenchShapes returns the suite. Quick sizes are the CI (-short)
-// set; full adds paper-scale shapes. The tracked shapes are the
-// acceptance pair: the square GEMM bound and a tall-skinny RI-MP2
-// contraction (virt×aux×virt, k ≫ m, n — Table IV's regime).
+// set; full adds paper-scale shapes. The tracked shapes are the square
+// GEMM bound, a tall-skinny RI-MP2 contraction (virt×aux×virt, k ≫ m,
+// n — Table IV's regime) and a flattened RI product, the water trimer's
+// B·C_occ (naux·nbf × nbf)·(nbf × nocc): its name reads m×n×k, C is
+// 8694×15 over an inner dimension of 21, where the engine reads A in
+// place instead of packing it.
 func gemmBenchShapes(quick bool) []gemmBenchShape {
 	shapes := []gemmBenchShape{
 		{"square-256", 256, 256, 256, true},
 		{"rimp2-tall-64", 64, 8192, 64, true},
+		{"ri-flat-8694x15x21", 8694, 21, 15, true},
 		{"panel-128", 128, 1024, 128, false},
 		{"small-24", 24, 24, 24, false},
 	}
@@ -302,7 +306,7 @@ func GemmBench(c *Config) {
 	c.printf("gemm microkernel: %s (cpu features: %s)\n\n", rep.MicroKernel, feats)
 	c.printf("GEMM engine microbenchmarks (GFLOP/s, best of reps; PKgo = packed engine\n")
 	c.printf("on the portable microkernel, PKasm = native assembly)\n")
-	c.printf("%-16s %6s %7s %6s  %8s %8s %8s %8s %8s %8s  %9s\n",
+	c.printf("%-18s %6s %7s %6s  %8s %8s %8s %8s %8s %8s  %9s\n",
 		"shape", "m", "k", "n", "NN", "NT", "TN", "TT", "PKgo", "PKasm", "asm/go")
 	byShape := map[string][]GemmBenchRow{}
 	var order []string
@@ -346,7 +350,7 @@ func GemmBench(c *Config) {
 		if packed > 0 {
 			asmRatio = packedAsm / packed
 		}
-		c.printf("%-16s %6d %7d %6d  %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f  %8.2fx\n",
+		c.printf("%-18s %6d %7d %6d  %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f  %8.2fx\n",
 			name, m, k, n, stream[0], stream[1], stream[2], stream[3],
 			packed, packedAsm, asmRatio)
 	}

@@ -195,7 +195,7 @@ func TestRunGemmSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 shapes × (4 streaming + packed, plus packed-asm when a native
+	// 5 shapes × (4 streaming + packed, plus packed-asm when a native
 	// microkernel ran) + the end-to-end RI-MP2 pair (blocked, pairloop)
 	// and the four step-phase rows in quick mode.
 	engines := 5
@@ -206,7 +206,7 @@ func TestRunGemmSuite(t *testing.T) {
 		wantKernels = append(wantKernels, "packed-asm")
 		trackedPerShape++
 	}
-	if want := 4*engines + 2 + 4; len(rep.Rows) != want {
+	if want := 5*engines + 2 + 4; len(rep.Rows) != want {
 		t.Fatalf("want %d rows, got %d", want, len(rep.Rows))
 	}
 	kernels := map[string]bool{}
@@ -225,11 +225,11 @@ func TestRunGemmSuite(t *testing.T) {
 			t.Fatalf("kernel %s missing from report", k)
 		}
 	}
-	// Tracked: stream-NN + every packed engine for each of the two
-	// acceptance GEMM shapes, plus the blocked engine of the
+	// Tracked: stream-NN + every packed engine for each of the three
+	// tracked GEMM shapes, plus the blocked engine of the
 	// end-to-end RI-MP2 row and two step-phase rows (metricfactor and
 	// deriv3c; eigsym and fockdirect are only their same-run references).
-	if want := 2*trackedPerShape + 1 + 2; tracked != want {
+	if want := 3*trackedPerShape + 1 + 2; tracked != want {
 		t.Fatalf("want %d tracked rows, got %d", want, tracked)
 	}
 	if rep.MicroKernel == "" {

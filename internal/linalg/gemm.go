@@ -151,31 +151,38 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 	if c.Rows != m || c.Cols != n {
 		panic("linalg: Gemm output dimension mismatch")
 	}
-	flopCount.Add(2 * int64(m) * int64(n) * int64(k))
-
-	if beta == 0 {
-		c.Zero()
-	} else if beta != 1 {
-		c.Scale(beta)
-	}
-	if m == 0 || n == 0 || k == 0 || alpha == 0 {
-		return
-	}
-
 	work := int64(m) * int64(n) * int64(k)
-	if kern == KernelAuto && n == 1 {
-		// A k×1 and a 1×k operand are the same k contiguous values.
-		gemv(tA, alpha, a, b.Data, c.Data)
-		return
-	}
-	if kern == KernelAuto {
+	flopCount.Add(2 * work)
+
+	matvec := kern == KernelAuto && n == 1
+	if kern == KernelAuto && !matvec {
 		kern = KernelStream
 		if work > packedCrossover() {
 			kern = KernelPacked
 		}
 	}
+	// β = 0 reaches the packed engine as a store on each tile's first
+	// k-panel (gemmPacked); every other path clears C first.
+	store := beta == 0 && kern == KernelPacked && work != 0 && alpha != 0
+	switch {
+	case beta == 0:
+		if !store {
+			c.Zero()
+		}
+	case beta != 1:
+		c.Scale(beta)
+	}
+	if work == 0 || alpha == 0 {
+		return
+	}
+
+	if matvec {
+		// A k×1 and a 1×k operand are the same k contiguous values.
+		gemv(tA, alpha, a, b.Data, c.Data)
+		return
+	}
 	if kern == KernelPacked {
-		gemmPacked(tA, tB, alpha, a, b, c)
+		gemmPacked(tA, tB, alpha, a, b, c, store)
 		return
 	}
 

@@ -13,15 +13,27 @@ import (
 // compute the full mr×nr tile and mask only the write-back.
 type microKernel func(kc int, pa, pb []float64, alpha float64, c *Mat, i0, j0, me, ne int)
 
+// stridedKernel is a microKernel that reads its operands where they
+// lie: element (r, l) of the A micro-panel is pa[r*rsA+l*csA] and row l
+// of the B micro-panel is the nr contiguous values at pb[l*csB:]. A
+// packed pair is the case rsA = 1, csA = mr, csB = nr. With store set
+// it overwrites C[i0:i0+me, j0:j0+ne] with alpha·Ap·Bp instead of
+// adding to it, bit for bit what accumulating onto a cleared C gives —
+// the β = 0 case, so gemmPacked need not clear C first.
+type stridedKernel func(kc int, pa []float64, rsA, csA int, pb []float64, csB int, alpha float64, store bool, c *Mat, i0, j0, me, ne int)
+
 // kernelImpl bundles one micro-kernel implementation with the register
 // block shape its packed panels are laid out for and the cache-blocking
 // parameters tuned to it. mc must be a multiple of mr and nc a multiple
-// of nr so macro-tiles decompose into whole micro-panels.
+// of nr so macro-tiles decompose into whole micro-panels. Exactly one
+// of kern and strided is set; strided is the capability that lets
+// gemmPacked skip packing and clearing C.
 type kernelImpl struct {
 	name       string // reported by MicroKernelName and the benchmarks
 	mr, nr     int    // register block: mr rows × nr columns of C
 	mc, kc, nc int    // macro-tile blocking (rows of A, inner panel, cols of B)
 	kern       microKernel
+	strided    stridedKernel
 }
 
 // goKernel is the portable pure-Go implementation: a 4×2 register block
