@@ -100,7 +100,8 @@ type (
 	// Fragmentation partitions a system into monomers and enumerates
 	// dimer/trimer corrections under distance cutoffs.
 	Fragmentation = fragment.Fragmentation
-	// FragmentOptions sets cutoffs (Bohr), MBE order and H-cap geometry.
+	// FragmentOptions sets cutoffs (Bohr) and the MBE order; bond
+	// detection and the 1.09 Å H-cap length are fixed.
 	FragmentOptions = fragment.Options
 	// Evaluator computes a fragment's energy and gradient.
 	Evaluator = fragment.Evaluator
@@ -183,7 +184,8 @@ type (
 	MDState = md.State
 	// StepStats reports one asynchronous-engine time step.
 	StepStats = sched.StepStats
-	// EngineOptions configures the asynchronous AIMD engine.
+	// EngineOptions configures the asynchronous AIMD engine. A run's
+	// deadline is the context passed to Engine.RunContext.
 	EngineOptions = sched.Options
 	// Engine is the asynchronous time-step AIMD driver (paper §V-F).
 	Engine = sched.Engine
@@ -297,8 +299,8 @@ type (
 	// Coordinator listens for worker processes and snapshots the live
 	// fleet into per-run executors (Coordinator.Executor).
 	Coordinator = netcoord.Coordinator
-	// CoordinatorOptions configures listening, the evaluator spec the
-	// workers must build, and heartbeat/eviction timing.
+	// CoordinatorOptions configures the evaluator spec the workers must
+	// build, the heartbeat interval (silence past 5× evicts) and logging.
 	CoordinatorOptions = netcoord.CoordinatorOptions
 	// WorkerOptions configures one worker process: slot count,
 	// warm-start cache, and the redial policy.

@@ -65,10 +65,6 @@ type Options struct {
 	TrimerCutoff float64
 	// MaxOrder is 2 for MBE2, 3 for MBE3 (default 3).
 	MaxOrder int
-	// BondScale scales covalent radii for bond detection (default 1.25).
-	BondScale float64
-	// CapDistance is the H-cap bond length in Bohr (default: 1.09 Å).
-	CapDistance float64
 	// FieldCutoff truncates the EE-MBE embedding field at a centroid
 	// distance in Bohr: only monomers within FieldCutoff of a polymer
 	// member contribute point-charge sites, and the far-pair residual is
@@ -83,15 +79,16 @@ type Options struct {
 	Brute bool
 }
 
+const (
+	// bondScale scales covalent radii for bond detection.
+	bondScale = 1.25
+	// capDistance is the H-cap bond length in Bohr (1.09 Å).
+	capDistance = 1.09 * chem.BohrPerAngstrom
+)
+
 func (o *Options) fill() {
 	if o.MaxOrder == 0 {
 		o.MaxOrder = 3
-	}
-	if o.BondScale == 0 {
-		o.BondScale = 1.25
-	}
-	if o.CapDistance == 0 {
-		o.CapDistance = 1.09 * chem.BohrPerAngstrom
 	}
 	// 0 means no cutoff — see the Options.DimerCutoff doc, the single
 	// home of that convention. Negative values never reach here (New
@@ -127,7 +124,7 @@ func New(g *molecule.Geometry, monomers [][]int, opts Options) (*Fragmentation, 
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range g.Bonds(f.Opts.BondScale) {
+	for _, b := range g.Bonds(bondScale) {
 		if f.atomMonomer[b[0]] != f.atomMonomer[b[1]] {
 			f.cutBonds = append(f.cutBonds, b)
 		}
@@ -183,15 +180,20 @@ func newPartition(g *molecule.Geometry, monomers [][]int, opts Options) (*Fragme
 // error rather than silently severed and H-capped. The proof of
 // closure also means no monomer boundary can cut a bond, so the
 // per-fragmentation cut-bond scan of New is skipped entirely.
+// atomsPerMol or molsPerMonomer below 1 is an error.
 func ByMolecule(g *molecule.Geometry, atomsPerMol, molsPerMonomer int, opts Options) (*Fragmentation, error) {
+	// These two messages carry no package prefix: LoadSystem passes
+	// them to the CLI and the job API as "fragmentation: …".
+	if atomsPerMol < 1 {
+		return nil, fmt.Errorf("atoms per monomer must be at least 1, got %d", atomsPerMol)
+	}
+	if molsPerMonomer < 1 {
+		return nil, fmt.Errorf("molecules per monomer must be at least 1, got %d", molsPerMonomer)
+	}
 	if g.N()%atomsPerMol != 0 {
 		return nil, fmt.Errorf("fragment: %d atoms not divisible by %d", g.N(), atomsPerMol)
 	}
-	scale := opts.BondScale
-	if scale == 0 {
-		scale = 1.25
-	}
-	for _, b := range g.Bonds(scale) {
+	for _, b := range g.Bonds(bondScale) {
 		if b[0]/atomsPerMol != b[1]/atomsPerMol {
 			return nil, fmt.Errorf(
 				"fragment: atoms %d and %d are covalently bonded but lie in different molecule blocks (%d and %d of %d atoms); ByMolecule requires whole molecules per block — check the builder's atom order or use New with an explicit partition",
@@ -311,7 +313,6 @@ type Extracted struct {
 	ParentAtom []int
 	Caps       []Cap
 
-	capDist        float64
 	outerPositions map[Cap][3]float64 // cut-bond outer atom snapshots
 }
 
@@ -418,7 +419,7 @@ func (f *Fragmentation) ExtractImaged(p Polymer, pos func(atom int) [3]float64, 
 			inSet[a] = true
 		}
 	}
-	ex := &Extracted{Geom: molecule.New(), capDist: f.Opts.CapDistance}
+	ex := &Extracted{Geom: molecule.New()}
 	var atoms []int
 	for _, mi := range p.Monomers {
 		atoms = append(atoms, f.Monomers[mi].Atoms...)
@@ -446,7 +447,7 @@ func (f *Fragmentation) ExtractImaged(p Polymer, pos func(atom int) [3]float64, 
 		}
 		in, out := pos(inner), f.nearestImageOf(pos(outer), pos(inner))
 		ex.outerPositions[cap] = out
-		capXYZ := capPosition(in, out, f.Opts.CapDistance)
+		capXYZ := capPosition(in, out, capDistance)
 		ex.Geom.AddAtom(1, capXYZ[0], capXYZ[1], capXYZ[2])
 	}
 	return ex
@@ -544,7 +545,7 @@ func (ex *Extracted) FoldGradient(fragGrad []float64, factor float64, parentGrad
 			norm += u[k] * u[k]
 		}
 		norm = math.Sqrt(norm)
-		d := ex.capDist
+		d := capDistance
 		// ∂C_k/∂out_l = d/|u| (δ_kl − û_k û_l); ∂C_k/∂in_l = δ_kl − ∂C_k/∂out_l.
 		for l := 0; l < 3; l++ {
 			var gOut float64

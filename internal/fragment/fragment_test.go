@@ -2,7 +2,9 @@ package fragment
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/potential"
@@ -224,5 +226,45 @@ func TestByMoleculeValidation(t *testing.T) {
 	}
 	if _, err := New(g, [][]int{{0, 0, 1, 2, 3, 4, 5}}, Options{}); err == nil {
 		t.Error("expected error for duplicate atom")
+	}
+}
+
+// Block sizes below 1 are errors, not an integer divide by zero (0
+// atoms per molecule) or a loop that never advances and appends empty
+// monomers until memory runs out (≤ 0 molecules per monomer). Each case
+// runs under a deadline so a regression fails instead of hanging. The
+// atoms-per-monomer message reaches the CLI and the job API through
+// LoadSystem unchanged.
+func TestByMoleculeRejectsEmptyBlocks(t *testing.T) {
+	g := molecule.WaterCluster(2)
+	var xyz strings.Builder
+	if err := g.WriteXYZ(&xyz); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		atomsPerMol, molsPerMonomer int
+		want                        string
+	}{
+		{0, 1, "atoms per monomer must be at least 1, got 0"},
+		{3, 0, "molecules per monomer must be at least 1, got 0"},
+		{3, -1, "molecules per monomer must be at least 1, got -1"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := ByMolecule(g, tc.atomsPerMol, tc.molsPerMonomer, Options{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("ByMolecule(%d, %d): error %v, want %q", tc.atomsPerMol, tc.molsPerMonomer, err, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ByMolecule(%d, %d) still running after 5 s", tc.atomsPerMol, tc.molsPerMonomer)
+		}
+	}
+	_, err := LoadSystem(strings.NewReader(xyz.String()), nil, 0, 0, 0)
+	if want := "fragmentation: atoms per monomer must be at least 1, got 0"; err == nil || err.Error() != want {
+		t.Errorf("LoadSystem with 0 atoms per monomer: error %v, want %q", err, want)
 	}
 }

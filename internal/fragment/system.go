@@ -37,9 +37,6 @@ func LoadSystem(xyz io.Reader, boxA []float64, atomsPerMonomer int, dimerCutA, t
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBox, err)
 	}
-	if atomsPerMonomer < 1 {
-		return nil, fmt.Errorf("fragmentation: atoms per monomer must be at least 1, got %d", atomsPerMonomer)
-	}
 	opts := Options{}
 	if dimerCutA > 0 {
 		opts.DimerCutoff = dimerCutA * chem.BohrPerAngstrom

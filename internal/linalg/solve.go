@@ -139,37 +139,6 @@ func invertLower(l *Mat, scratch []float64) {
 	}
 }
 
-// SolveSPD solves A·x = b for symmetric positive-definite A via Cholesky.
-// b is a matrix of one or more right-hand-side columns.
-func SolveSPD(a, b *Mat) (*Mat, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	nrhs := b.Cols
-	x := b.Clone()
-	// Forward substitution L·y = b.
-	for c := 0; c < nrhs; c++ {
-		for i := 0; i < n; i++ {
-			s := x.Data[i*nrhs+c]
-			for k := 0; k < i; k++ {
-				s -= l.Data[i*n+k] * x.Data[k*nrhs+c]
-			}
-			x.Data[i*nrhs+c] = s / l.Data[i*n+i]
-		}
-		// Back substitution Lᵀ·x = y.
-		for i := n - 1; i >= 0; i-- {
-			s := x.Data[i*nrhs+c]
-			for k := i + 1; k < n; k++ {
-				s -= l.Data[k*n+i] * x.Data[k*nrhs+c]
-			}
-			x.Data[i*nrhs+c] = s / l.Data[i*n+i]
-		}
-	}
-	return x, nil
-}
-
 // LU holds a row-pivoted LU factorisation P·A = L·U packed in a single
 // matrix (unit lower triangle implicit).
 type LU struct {
@@ -260,9 +229,4 @@ func Solve(a, b *Mat) (*Mat, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Inverse returns A^{-1} via LU.
-func Inverse(a *Mat) (*Mat, error) {
-	return Solve(a, Identity(a.Rows))
 }

@@ -31,23 +31,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestSolveSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 15
-	m := randMat(rng, n, n)
-	a := MatMul(NoTrans, Trans, m, m)
-	for i := 0; i < n; i++ {
-		a.Add(i, i, float64(n))
-	}
-	x0 := randMat(rng, n, 3)
-	b := MatMul(NoTrans, NoTrans, a, x0)
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matsClose(t, x, x0, 1e-8)
-}
-
 func TestLUSolveRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,6 +57,7 @@ func TestLUSolveRoundTrip(t *testing.T) {
 	}
 }
 
+// Solving against the identity returns the inverse.
 func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 9
@@ -81,7 +65,7 @@ func TestInverse(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Add(i, i, 4)
 	}
-	inv, err := Inverse(a)
+	inv, err := Solve(a, Identity(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,19 +228,6 @@ func UreaCrystalSphere(radius float64) *Geometry {
 	return crystalSphere(Urea(), 5.565, 5.565, 4.684, radius)
 }
 
-// UreaCluster returns a spherical urea lattice section with at least n
-// molecules (smallest radius achieving the count).
-func UreaCluster(n int) *Geometry {
-	r := 4.0
-	for {
-		g := UreaCrystalSphere(r)
-		if g.N() >= n*8 {
-			return g
-		}
-		r *= 1.2
-	}
-}
-
 // Paracetamol returns one paracetamol molecule, C₈H₉NO₂ (20 atoms,
 // 80 electrons): benzene ring, para hydroxyl, acetamide arm.
 func Paracetamol() *Geometry {
@@ -283,19 +270,6 @@ func Paracetamol() *Geometry {
 // workload is an 80-molecule, 36 Å-diameter dense sphere (§VII-B).
 func ParacetamolSphere(radius float64) *Geometry {
 	return crystalSphere(Paracetamol(), 7.1, 7.1, 7.1, radius)
-}
-
-// ParacetamolCluster returns a spherical paracetamol lattice section
-// with at least n molecules.
-func ParacetamolCluster(n int) *Geometry {
-	r := 6.0
-	for {
-		g := ParacetamolSphere(r)
-		if g.N() >= n*20 {
-			return g
-		}
-		r *= 1.2
-	}
 }
 
 // crystalSphere tiles template on a lattice with two alternately rotated

@@ -56,9 +56,6 @@ func (c *Cell) Clone() *Cell {
 	return &d
 }
 
-// Volume returns the box volume in Bohr³.
-func (c *Cell) Volume() float64 { return c.L[0] * c.L[1] * c.L[2] }
-
 // MinImage folds a displacement vector into the primary image, each
 // component into (−L/2, L/2]. Nil-safe: a nil cell returns d unchanged.
 func (c *Cell) MinImage(d [3]float64) [3]float64 {

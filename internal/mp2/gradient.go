@@ -443,8 +443,8 @@ func (r *Result) solveZVector(theta *linalg.Mat) (*linalg.Mat, error) {
 	res.CopyFrom(theta)
 	rz := precondition()
 	dir.CopyFrom(pre)
-	for iter := 0; iter < r.opts.ZVecMaxIter; iter++ {
-		if math.Sqrt(linalg.Dot(res, res)) < r.opts.ZVecTol*math.Max(1, norm0) {
+	for iter := 0; iter < zvecMaxIter; iter++ {
+		if math.Sqrt(linalg.Dot(res, res)) < zvecTol*math.Max(1, norm0) {
 			r.ZVecIters = iter
 			return z, nil
 		}

@@ -30,30 +30,19 @@ import (
 // so the energy routines return a descriptive error instead.
 const DegenGapTol = 1e-8
 
+const (
+	// zvecTol is the conjugate-gradient residual threshold for the
+	// Z-vector equation, relative to max(1, ‖Θ‖).
+	zvecTol = 1e-10
+	// zvecMaxIter bounds the Z-vector CG iterations.
+	zvecMaxIter = 200
+)
+
 // Options configures an MP2 calculation.
 type Options struct {
 	// SCS applies spin-component scaling (1.2·E_OS + E_SS/3) to the
 	// reported total energy.
 	SCS bool
-	// PairBlock is the occupied tile width of the blocked (i,j)-pair
-	// energy loop: each GEMM contracts a (PairBlock·nvir)-square tile
-	// of pair integrals. 0 picks a width targeting macro-tile-sized
-	// products (see pairBlockFor).
-	PairBlock int
-	// ZVecTol is the conjugate-gradient residual threshold for the
-	// Z-vector equation (default 1e-10).
-	ZVecTol float64
-	// ZVecMaxIter bounds the Z-vector CG iterations (default 200).
-	ZVecMaxIter int
-}
-
-func (o *Options) fill() {
-	if o.ZVecTol == 0 {
-		o.ZVecTol = 1e-10
-	}
-	if o.ZVecMaxIter == 0 {
-		o.ZVecMaxIter = 200
-	}
 }
 
 // Result holds the MP2 energy decomposition and retains what the
@@ -65,8 +54,7 @@ type Result struct {
 	ESCS    float64 // SCS-MP2 correlation energy
 	ETotal  float64 // reference + correlation (SCS if Options.SCS)
 
-	SCF  *scf.Result
-	opts Options
+	SCF *scf.Result
 
 	// ZVecIters is the number of conjugate-gradient iterations the last
 	// gradient's Z-vector solve took (0 before any gradient).
@@ -83,7 +71,6 @@ type Result struct {
 // scratch (scf.Result.Scratch3), so a Result and its reference serve one
 // goroutine at a time.
 func RIMP2(ref *scf.Result, opts Options) (*Result, error) {
-	opts.fill()
 	if ref.B == nil {
 		return nil, errors.New("mp2: reference SCF has no RI intermediates (run with UseRI)")
 	}
@@ -94,12 +81,12 @@ func RIMP2(ref *scf.Result, opts Options) (*Result, error) {
 	nvir := ref.NVirt()
 	if nocc == 0 || nvir == 0 {
 		// No correlated pairs: the MP2 correction vanishes identically.
-		return &Result{SCF: ref, ETotal: ref.Energy, opts: opts}, nil
+		return &Result{SCF: ref, ETotal: ref.Energy}, nil
 	}
-	r := &Result{SCF: ref, opts: opts}
+	r := &Result{SCF: ref}
 	r.buildQov()
 
-	eos, ess, err := PairEnergiesBlocked(r.qov, ref.Eps, nocc, opts.PairBlock)
+	eos, ess, err := PairEnergiesBlocked(r.qov, ref.Eps, nocc, pairBlockFor(nocc, nvir))
 	if err != nil {
 		return nil, err
 	}

@@ -174,8 +174,8 @@ func oraclePlainCG(r *Result, theta *linalg.Mat) (z *linalg.Mat, iters int, err 
 	if norm0 == 0 {
 		return z, 0, nil
 	}
-	for iter := 0; iter < r.opts.ZVecMaxIter; iter++ {
-		if math.Sqrt(rr) < r.opts.ZVecTol*math.Max(1, norm0) {
+	for iter := 0; iter < zvecMaxIter; iter++ {
+		if math.Sqrt(rr) < zvecTol*math.Max(1, norm0) {
 			return z, iter, nil
 		}
 		ap := oracleHessVec(r, p)

@@ -14,17 +14,20 @@ import (
 	"github.com/fragmd/fragmd/internal/sched"
 )
 
+// heartbeatMisses is how many heartbeat intervals a connection may stay
+// silent before its process is declared dead.
+const heartbeatMisses = 5
+
 // CoordinatorOptions configures a listening coordinator.
 type CoordinatorOptions struct {
 	// Eval is the evaluator specification shipped to every worker in
 	// the Welcome message.
 	Eval potential.Spec
-	// Heartbeat is the ping interval (default DefaultHeartbeat);
-	// HeartbeatTimeout is how long a connection may stay silent before
-	// the process is declared dead (default 5×Heartbeat). Any inbound
-	// frame counts as liveness, not just pongs.
-	Heartbeat        time.Duration
-	HeartbeatTimeout time.Duration
+	// Heartbeat is the ping interval (default DefaultHeartbeat). A
+	// connection silent for five intervals (heartbeatMisses) is
+	// declared dead; any inbound frame counts as liveness, not just
+	// pongs.
+	Heartbeat time.Duration
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...interface{})
 }
@@ -80,9 +83,6 @@ func Listen(addr string, opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = DefaultHeartbeat
 	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = 5 * opts.Heartbeat
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -103,6 +103,10 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 		c.opts.Logf(format, args...)
 	}
 }
+
+// silence is how long a connection may stay silent before its process
+// is declared dead; it is also the read and write deadline of one frame.
+func (c *Coordinator) silence() time.Duration { return heartbeatMisses * c.opts.Heartbeat }
 
 // Addr returns the listener's address — the value workers dial, and
 // what tests parse when listening on ":0".
@@ -181,7 +185,7 @@ func (c *Coordinator) register(conn net.Conn) {
 	// A connection that cannot even accept a deadline is already dying;
 	// proceeding without one would leave the handshake read unbounded,
 	// wedging this goroutine on a half-open peer forever.
-	if err := conn.SetReadDeadline(time.Now().Add(c.opts.HeartbeatTimeout)); err != nil {
+	if err := conn.SetReadDeadline(time.Now().Add(c.silence())); err != nil {
 		c.logf("netcoord: dropped %s: handshake read deadline: %v", conn.RemoteAddr(), err)
 		conn.Close()
 		return
@@ -214,7 +218,7 @@ func (c *Coordinator) register(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if err := conn.SetWriteDeadline(time.Now().Add(c.opts.HeartbeatTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(c.silence())); err != nil {
 		c.logf("netcoord: dropped %s: welcome write deadline: %v", conn.RemoteAddr(), err)
 		conn.Close()
 		return
@@ -266,7 +270,7 @@ func (c *Coordinator) register(conn net.Conn) {
 func (p *proc) send(f *frame) error {
 	p.encMu.Lock()
 	defer p.encMu.Unlock()
-	if err := p.conn.SetWriteDeadline(time.Now().Add(p.c.opts.HeartbeatTimeout)); err != nil {
+	if err := p.conn.SetWriteDeadline(time.Now().Add(p.c.silence())); err != nil {
 		return fmt.Errorf("set write deadline: %w", err)
 	}
 	return p.enc.Encode(f)
@@ -344,7 +348,7 @@ func (c *Coordinator) heartbeat(p *proc) {
 		p.mu.Lock()
 		silent := time.Since(p.lastSeen)
 		p.mu.Unlock()
-		if silent > c.opts.HeartbeatTimeout {
+		if silent > c.silence() {
 			c.declareDead(p, fmt.Errorf("heartbeat timeout: silent for %s", silent.Round(time.Millisecond)))
 			return
 		}

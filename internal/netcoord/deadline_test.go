@@ -35,7 +35,7 @@ func (c *deadlineFailConn) SetWriteDeadline(time.Time) error { return c.err }
 func newFakeProc(t *testing.T, conn net.Conn) (*Coordinator, *proc) {
 	t.Helper()
 	c := &Coordinator{
-		opts:   CoordinatorOptions{Heartbeat: 50 * time.Millisecond, HeartbeatTimeout: 250 * time.Millisecond, Logf: t.Logf},
+		opts:   CoordinatorOptions{Heartbeat: 50 * time.Millisecond, Logf: t.Logf},
 		procs:  map[int64]*proc{},
 		joinCh: make(chan struct{}),
 	}

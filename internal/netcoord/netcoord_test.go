@@ -249,14 +249,16 @@ func TestSeveredConnectionEvictsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := c.Executor()
-	opts := sched.Options{Exec: x, Groups: x.Procs(), MaxRetries: 3, Timeout: 30 * time.Second}
+	opts := sched.Options{Exec: x, Groups: x.Procs(), MaxRetries: 3}
 	opts.Dt, opts.Async = dt, true
 	eng, err := sched.New(f, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	netState := newState(f, seed)
-	netStats, err := eng.Run(netState, steps, nil)
+	runCtx, cancelRun := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancelRun()
+	netStats, err := eng.RunContext(runCtx, netState, steps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

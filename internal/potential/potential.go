@@ -193,19 +193,22 @@ func (p *HF) PartialCharges(g *molecule.Geometry, field *integrals.PointCharges)
 	return ref.MullikenCharges(), ref.Iters, nil
 }
 
+const (
+	// ljEpsilon is the LennardJones well depth in Hartree.
+	ljEpsilon = 2e-4
+	// ljSigmaScale multiplies the covalent-radius-derived sigma
+	// (σ_ij = ljSigmaScale·(r_i + r_j)).
+	ljSigmaScale = 0.7
+)
+
 // LennardJones is a pairwise 12-6 surrogate potential with element-
 // dependent radii. It is *not* chemically accurate; it exists so the MD
 // integrator, the MBE assembly and the asynchronous scheduler can be
-// exercised on thousands of atoms in tests and demos. The default sigma
+// exercised on thousands of atoms in tests and demos. Its sigma
 // sits *below* covalent bond lengths so that intramolecular pairs live
 // on the soft attractive branch rather than the r⁻¹² wall, keeping
 // short NVE test trajectories numerically tame.
 type LennardJones struct {
-	// Epsilon is the well depth in Hartree (default 2e-4).
-	Epsilon float64
-	// SigmaScale multiplies the covalent-radius-derived sigma
-	// (default 0.7).
-	SigmaScale float64
 	// Delay optionally burns CPU per call to emulate expensive fragments
 	// in scheduler tests (seconds).
 	Delay float64
@@ -222,21 +225,13 @@ type LennardJones struct {
 
 // Evaluate implements fragment.Evaluator.
 func (p *LennardJones) Evaluate(g *molecule.Geometry) (float64, []float64, error) {
-	eps := p.Epsilon
-	if eps == 0 {
-		eps = 2e-4
-	}
-	ss := p.SigmaScale
-	if ss == 0 {
-		ss = 0.7
-	}
 	var energy float64
 	grad := make([]float64, 3*g.N())
 	for i := 0; i < g.N(); i++ {
 		ri := chem.CovalentRadius(g.Atoms[i].Z)
 		for j := i + 1; j < g.N(); j++ {
 			rj := chem.CovalentRadius(g.Atoms[j].Z)
-			sigma := ss * (ri + rj)
+			sigma := ljSigmaScale * (ri + rj)
 			// Minimum-image displacement on periodic geometries, so
 			// energy and forces stay consistent across the boundary
 			// (identical to the raw displacement when Cell is nil).
@@ -247,8 +242,8 @@ func (p *LennardJones) Evaluate(g *molecule.Geometry) (float64, []float64, error
 			s2 := (sigma / r) * (sigma / r)
 			sr6 := s2 * (s2 * s2)
 			sr12 := sr6 * sr6
-			energy += 4 * eps * (sr12 - sr6)
-			dEdr := 4 * eps * (-12*sr12 + 6*sr6) / r
+			energy += 4 * ljEpsilon * (sr12 - sr6)
+			dEdr := 4 * ljEpsilon * (-12*sr12 + 6*sr6) / r
 			for k := 0; k < 3; k++ {
 				u := d[k] / r
 				grad[3*i+k] += dEdr * u

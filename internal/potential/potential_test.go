@@ -202,7 +202,7 @@ func TestSCSEnergyOnly(t *testing.T) {
 
 // A NaN coordinate must come back as an error naming the first matrix
 // it poisoned, at once — not as a hundred eigensolver sweeps on a NaN
-// metric followed by an SCF that iterates to MaxIter on garbage. "At
+// metric followed by an SCF that iterates to its cap on garbage. "At
 // once" is a work bound, not a wall-clock one: the rejection comes
 // before the first GEMM, so the FLOP counter must not move, while the
 // clean dimer's evaluation moves it by ~2e8.

@@ -43,7 +43,7 @@ func (r *Result) Gradients() (grad, siteGrad []float64) {
 		integrals.ThreeCenterDeriv(r.Bs, r.Aux, z, 1, grad)
 		integrals.TwoCenterDeriv(r.Aux, zeta, 1, grad)
 	} else {
-		integrals.FourCenterDerivHF(r.Bs, r.D, r.Schwarz, r.opts.SchwarzThresh, 1, grad)
+		integrals.FourCenterDerivHF(r.Bs, r.D, r.Schwarz, schwarzThresh, 1, grad)
 	}
 	return grad, siteGrad
 }

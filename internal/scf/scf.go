@@ -36,18 +36,11 @@ type Options struct {
 	StoredERI bool
 	// AuxOpts controls auxiliary basis generation for the RI path.
 	AuxOpts basis.AuxOptions
-	// MaxIter bounds the SCF iterations (default 128).
-	MaxIter int
 	// ConvE is the energy convergence threshold (default 1e-10 Ha).
 	ConvE float64
 	// ConvErr is the threshold on the max |FDS−SDF| element
 	// (default 1e-8).
 	ConvErr float64
-	// DIISLen is the DIIS history length (default 8).
-	DIISLen int
-	// SchwarzThresh screens shell quartets on the conventional path
-	// (default 1e-12).
-	SchwarzThresh float64
 	// RIScreenThresh is the Cauchy–Schwarz threshold for three-center
 	// (μν|P) generation on the RI path: bra shell pairs whose bound
 	// Q_μν·Q_P falls below it are skipped, so distant-pair integral
@@ -80,21 +73,21 @@ type Options struct {
 	EmbedCharges *integrals.PointCharges
 }
 
+const (
+	// maxIter bounds the SCF iterations.
+	maxIter = 128
+	// diisLen is the DIIS history length.
+	diisLen = 8
+	// schwarzThresh screens shell quartets on the conventional path.
+	schwarzThresh = 1e-12
+)
+
 func (o *Options) fill() {
-	if o.MaxIter == 0 {
-		o.MaxIter = 128
-	}
 	if o.ConvE == 0 {
 		o.ConvE = 1e-10
 	}
 	if o.ConvErr == 0 {
 		o.ConvErr = 1e-8
-	}
-	if o.DIISLen == 0 {
-		o.DIISLen = 8
-	}
-	if o.SchwarzThresh == 0 {
-		o.SchwarzThresh = 1e-12
 	}
 	if o.RIScreenThresh == 0 {
 		o.RIScreenThresh = 1e-12
@@ -295,7 +288,7 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	} else {
 		res.Schwarz = integrals.SchwarzShellPairs(bs)
 		fockBuild = func(d, co *linalg.Mat) *linalg.Mat {
-			g2 := integrals.FockDirect(bs, d, res.Schwarz, opts.SchwarzThresh)
+			g2 := integrals.FockDirect(bs, d, res.Schwarz, schwarzThresh)
 			f := res.H.Clone()
 			f.AxpyMat(1, g2)
 			return f
@@ -323,9 +316,9 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		co = occBlock(c, nocc)
 	}
 
-	diis := newDIIS(opts.DIISLen)
+	diis := newDIIS(diisLen)
 	var ePrev float64
-	for iter := 1; iter <= opts.MaxIter; iter++ {
+	for iter := 1; iter <= maxIter; iter++ {
 		f := fockBuild(d, co)
 		eElec := 0.5 * (linalg.Dot(d, res.H) + linalg.Dot(d, f))
 
@@ -358,7 +351,7 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 		ePrev = eElec
 	}
 	res.Converged = false
-	res.Iters = opts.MaxIter
+	res.Iters = maxIter
 	res.C = c
 	res.Eps = eps
 	res.D = d

@@ -276,7 +276,7 @@ func TestOddElectronRejected(t *testing.T) {
 // An eigensolver failure inside the SCF — here a NaN guess density, the
 // one matrix RHF diagonalises without a finiteness check of its own —
 // must come back as an error naming the matrix, not as a NaN spectrum
-// iterated to MaxIter.
+// iterated to maxIter.
 func TestEigensolverFailureIsAnError(t *testing.T) {
 	g := molecule.Water()
 	bs, _ := basis.Build("sto-3g", g)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -188,21 +189,24 @@ func TestChaosRetryBudgetZeroIsFatal(t *testing.T) {
 }
 
 // The barrier-wedge fix, live half: an evaluator that never returns no
-// longer hangs Run forever — Options.Timeout aborts with a clear error.
+// longer hangs the run forever — a context deadline aborts it with a
+// clear error.
 func TestChaosTimeoutUnwedgesHungEvaluator(t *testing.T) {
 	f := chaosSystem(t)
 	hang := &hangEval{release: make(chan struct{})}
 	defer close(hang.release) // let the stuck workers drain at test end
 	eng, err := New(f, hang, Options{
-		Workers: 2, Async: true, Dt: 0.5 * chem.AtomicTimePerFs, Timeout: 100 * time.Millisecond,
+		Workers: 2, Async: true, Dt: 0.5 * chem.AtomicTimePerFs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	state := md.NewState(f.Geom.Clone())
 	done := make(chan error, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
 	go func() {
-		_, err := eng.Run(state, 1, nil)
+		_, err := eng.RunContext(ctx, state, 1, nil)
 		done <- err
 	}()
 	select {

@@ -51,9 +51,11 @@ type Options struct {
 	Async bool
 	// Dt is the time step in atomic units.
 	Dt float64
-	// RefMonomer is the reference monomer for queue ordering; −1 picks
-	// the monomer farthest from the system centroid (the paper chooses
-	// "an arbitrary fragment towards an extremity").
+	// RefMonomer is the reference monomer for queue ordering. The zero
+	// value, which every production caller passes, anchors monomer 0;
+	// −1 picks the monomer farthest from the system centroid (the paper
+	// chooses "an arbitrary fragment towards an extremity"), which is
+	// what cluster.NewWorkload always uses.
 	RefMonomer int
 
 	// Groups is the number of group coordinators between the
@@ -101,10 +103,6 @@ type Options struct {
 	// defence; the losing copy's result is dropped, so energies are
 	// unchanged.
 	Speculate bool
-	// Timeout bounds a whole Run call: when > 0 and the deadline
-	// passes, Run returns a clear error instead of wedging on a worker
-	// that never reports (the barrier-wedge fix).
-	Timeout time.Duration
 	// Injector, when non-nil, injects seeded deterministic failures —
 	// task-level failures, worker deaths, slow-worker stragglers — for
 	// chaos testing. See internal/resilience. Ignored when Exec is set
@@ -481,9 +479,9 @@ func (e *Engine) Run(state *md.State, n int, obs func(StepStats)) ([]StepStats, 
 // RunContext is Run under a caller-owned context: cancelling ctx aborts
 // the run between monomer advances with ctx's error, leaving state
 // mid-trajectory (callers that need a consistent snapshot should resume
-// from their last checkpoint, not from the abandoned state). Options.
-// Timeout, when set, still applies — as a child of ctx, so whichever
-// deadline lands first wins.
+// from their last checkpoint, not from the abandoned state). A deadline
+// on ctx bounds the whole run: a worker that never reports ends it with
+// a "run abandoned" error instead of wedging it (the barrier-wedge fix).
 func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs func(StepStats)) ([]StepStats, error) {
 	if n <= 0 {
 		return nil, errors.New("sched: need at least one step")
@@ -912,11 +910,6 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 		finalize()
 	}
 
-	if e.Opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.Opts.Timeout)
-		defer cancel()
-	}
 	runStats, err := coord.RunContext(ctx, pol, backend, integrate)
 	e.runStats = runStats
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -83,7 +84,8 @@ type JobSpec struct {
 	Warm bool `json:"warm,omitempty"`
 
 	// Workers caps this job's evaluation goroutines (0 = the server's
-	// per-job default), so one greedy job cannot monopolise the host.
+	// per-job default), so one greedy job cannot monopolise the host;
+	// at most runtime.GOMAXPROCS(0), checked at submit.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -125,6 +127,9 @@ func (sp *JobSpec) normalize() error {
 	}
 	if sp.Workers < 0 {
 		return errors.New("workers must not be negative")
+	}
+	if most := runtime.GOMAXPROCS(0); sp.Workers > most {
+		return fmt.Errorf("workers must be at most %d (the server's GOMAXPROCS), got %d", most, sp.Workers)
 	}
 	if _, err := sp.eval().Build(); err != nil {
 		return fmt.Errorf("potential: %v", err)

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -537,6 +538,47 @@ func TestRejection(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// A job's worker count is bounded by the host: one tenant asking for a
+// billion workers is a 400 naming the bound, not a billion goroutines.
+// The bound itself is admitted and runs.
+func TestWorkersAboveGOMAXPROCSRejected(t *testing.T) {
+	s, err := New(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	most := runtime.GOMAXPROCS(0)
+	for _, workers := range []int{most + 1, 1_000_000_000} {
+		spec := ljSpec(t, "greedy", 2, 1)
+		spec.Workers = workers
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr apiError
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("workers %d: status %d, want 400", workers, resp.StatusCode)
+		}
+		if want := fmt.Sprintf("at most %d", most); !strings.Contains(apiErr.Error, want) {
+			t.Errorf("workers %d: error %q does not name the bound (%q)", workers, apiErr.Error, want)
+		}
+	}
+	spec := ljSpec(t, "greedy", 2, 1)
+	spec.Workers = most
+	if view := waitTerminal(t, ts.URL, postJob(t, ts.URL, spec)); view.Status != StatusDone {
+		t.Errorf("workers = GOMAXPROCS: job ended %s (%s), want done", view.Status, view.Error)
 	}
 }
 
