@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -32,6 +34,71 @@ func TestWorkloadEnumeration(t *testing.T) {
 			}
 		}
 	}
+
+	// The cell list selects exactly the polymers a direct scan of the
+	// centroids selects.
+	for name, w := range map[string]*Workload{"urea": w, "fibril": FibrilWorkload(2, 5, 10, 8)} {
+		if got, want := sortedPolymers(w.Polymers), scanPolymers(w); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cell list enumerated %d polymers, direct scan %d", name, len(got), len(want))
+		}
+	}
+	// A non-positive trimer cutoff means no trimers.
+	if _, m2, m3 := UreaWorkload(300, 1, 6.0, 0).CountByOrder(); m2 == 0 || m3 != 0 {
+		t.Errorf("trimerCut 0: %d dimers, %d trimers; want some dimers and no trimers", m2, m3)
+	}
+}
+
+// scanPolymers enumerates w's polymers by the O(N³) direct scan of the
+// monomer centroids, in lexicographic order within each order.
+func scanPolymers(w *Workload) []Polymer {
+	c := func(i int) [3]float64 { return w.Monomers[i].Centroid }
+	n := len(w.Monomers)
+	var out []Polymer
+	for i := 0; i < n; i++ {
+		out = append(out, Polymer{M: [3]int32{int32(i)}, Order: 1})
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if dist3(c(i), c(j)) <= w.DimerCut {
+				out = append(out, Polymer{M: [3]int32{int32(i), int32(j)}, Order: 2})
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if dist3(c(i), c(j)) > w.TrimerCut {
+				continue
+			}
+			for k := j + 1; k < n; k++ {
+				if dist3(c(i), c(k)) <= w.TrimerCut && dist3(c(j), c(k)) <= w.TrimerCut {
+					out = append(out, Polymer{M: [3]int32{int32(i), int32(j), int32(k)}, Order: 3})
+				}
+			}
+		}
+	}
+	return sortedPolymers(out)
+}
+
+// sortedPolymers returns a copy of ps ordered by (order, members).
+func sortedPolymers(ps []Polymer) []Polymer {
+	out := append([]Polymer(nil), ps...)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Order != out[b].Order {
+			return out[a].Order < out[b].Order
+		}
+		for k := 0; k < 3; k++ {
+			if out[a].M[k] != out[b].M[k] {
+				return out[a].M[k] < out[b].M[k]
+			}
+		}
+		return false
+	})
+	return out
+}
+
+func dist3(a, b [3]float64) float64 {
+	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
+	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
 // The paper's 63,854-molecule system yields >2.8 M polymers at 15.3 Å

@@ -20,8 +20,6 @@
 // before they run a live trajectory.
 package cluster
 
-import "math"
-
 // Machine models one HPC system.
 type Machine struct {
 	Name        string
@@ -162,10 +160,4 @@ func (m Machine) Seconds(nbf, nocc, naux int) (secs, flops float64) {
 	flops = RIMP2GradientFLOPs(nbf, nocc, naux)
 	rate := m.PeakTF * 1e12 * m.Efficiency(nbf)
 	return flops / rate, flops
-}
-
-// dist3 is a small vector helper shared by the workload builders.
-func dist3(a, b [3]float64) float64 {
-	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }

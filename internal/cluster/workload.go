@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/fragmd/fragmd/internal/coord"
+	"github.com/fragmd/fragmd/internal/neighbor"
 )
 
 // MonomerSpec describes one monomer of a simulated workload: where it
@@ -50,80 +51,28 @@ func (w *Workload) Graph() *coord.Graph { return w.graph }
 func (w *Workload) RefMono() int { return w.refMono }
 
 // NewWorkload enumerates monomers, dimers within dimerCut and trimers
-// whose three pairwise centroid distances are within trimerCut, using a
-// cell-list neighbour search (the full 2M-electron workloads have >10⁴
-// monomers and >10⁶ polymers).
+// whose three pairwise centroid distances are within trimerCut through
+// the shared cell list (internal/neighbor; the full 2M-electron
+// workloads have >10⁴ monomers and >10⁶ polymers). A trimerCut ≤ 0
+// means no trimers.
 func NewWorkload(monomers []MonomerSpec, dimerCut, trimerCut float64) *Workload {
 	w := &Workload{Monomers: monomers, DimerCut: dimerCut, TrimerCut: trimerCut}
-	n := len(monomers)
-
-	// Cell list over the larger cutoff.
-	cell := math.Max(dimerCut, trimerCut)
-	if cell <= 0 {
-		cell = 1
-	}
-	grid := map[[3]int][]int32{}
-	key := func(c [3]float64) [3]int {
-		return [3]int{int(math.Floor(c[0] / cell)), int(math.Floor(c[1] / cell)), int(math.Floor(c[2] / cell))}
-	}
+	centroids := make([][3]float64, len(monomers))
 	for i, m := range monomers {
-		k := key(m.Centroid)
-		grid[k] = append(grid[k], int32(i))
-	}
-	neighbors := func(i int, cutoff float64) []int32 {
-		var out []int32
-		k := key(monomers[i].Centroid)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dz := -1; dz <= 1; dz++ {
-					for _, j := range grid[[3]int{k[0] + dx, k[1] + dy, k[2] + dz}] {
-						if int(j) == i {
-							continue
-						}
-						if dist3(monomers[i].Centroid, monomers[j].Centroid) <= cutoff {
-							out = append(out, j)
-						}
-					}
-				}
-			}
-		}
-		return out
-	}
-
-	// Monomers.
-	for i := 0; i < n; i++ {
+		centroids[i] = m.Centroid
 		w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i)}, Order: 1})
 	}
-	// Dimers.
-	trimerNbrs := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		for _, j := range neighbors(i, dimerCut) {
-			if int32(i) < j {
-				w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i), j}, Order: 2})
-			}
-		}
-		nb := neighbors(i, trimerCut)
-		trimerNbrs[i] = nb
+	nb := neighbor.New(centroids)
+	nb.Pairs(dimerCut, func(i, j int) bool {
+		w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i), int32(j)}, Order: 2})
+		return true
+	})
+	if trimerCut > 0 {
+		nb.Triples(trimerCut, func(i, j, k int) bool {
+			w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i), int32(j), int32(k)}, Order: 3})
+			return true
+		})
 	}
-	// Trimers: for each pair (i, j) within trimerCut, common neighbours
-	// k > j of both.
-	for i := 0; i < n; i++ {
-		inI := map[int32]bool{}
-		for _, x := range trimerNbrs[i] {
-			inI[x] = true
-		}
-		for _, j := range trimerNbrs[i] {
-			if int32(i) >= j {
-				continue
-			}
-			for _, k := range trimerNbrs[j] {
-				if k > j && inI[k] {
-					w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i), j, k}, Order: 3})
-				}
-			}
-		}
-	}
-
 	w.buildDependencies()
 	return w
 }

@@ -366,12 +366,12 @@ func (f *Fragmentation) MonomerCharges(cs ChargeSource, eo EmbedOptions) (q []fl
 // evaluations: the polymer is evaluated in its field, warm-started from
 // the cached state, and the field-site gradient is returned alongside
 // the energy and gradient. The guess does not depend on the field.
-func EvaluateEmbeddedWithCache(eval EmbeddedEvaluator, cache *warmstart.Cache, key string, g *molecule.Geometry, field *Field) (e float64, grad, fieldGrad []float64, iters int, err error) {
+func EvaluateEmbeddedWithCache(eval EmbeddedEvaluator, cache *warmstart.Cache, key string, g *molecule.Geometry, field *integrals.PointCharges) (e float64, grad, fieldGrad []float64, iters int, err error) {
 	var prev *warmstart.State
 	if cache != nil {
 		prev = cache.Guess(key, g)
 	}
-	e, grad, fieldGrad, st, err := eval.EvaluateEmbedded(g, field.PC(), prev)
+	e, grad, fieldGrad, st, err := eval.EvaluateEmbedded(g, field, prev)
 	if err != nil {
 		return 0, nil, nil, 0, err
 	}
@@ -527,7 +527,7 @@ func (f *Fragmentation) ComputeEmbedded(eval Evaluator, cache *warmstart.Cache, 
 		}
 		ex := f.Extract(p)
 		fl := fa.FieldFor(p)
-		e, g, fg, iters, err := EvaluateEmbeddedWithCache(ee, cache, key, ex.Geom, fl)
+		e, g, fg, iters, err := EvaluateEmbeddedWithCache(ee, cache, key, ex.Geom, fl.PC())
 		if err != nil {
 			return nil, fmt.Errorf("fragment: polymer %s: %w", key, err)
 		}

@@ -18,6 +18,12 @@ import (
 // silent before its process is declared dead.
 const heartbeatMisses = 5
 
+// maxSlots bounds the slot count one Hello may register, far above the
+// cores one process can use: the coordinator sizes per-slot state and
+// its results channel from that number, so an unbounded count from the
+// network would exhaust its memory.
+const maxSlots = 1024
+
 // CoordinatorOptions configures a listening coordinator.
 type CoordinatorOptions struct {
 	// Eval is the evaluator specification shipped to every worker in
@@ -202,8 +208,8 @@ func (c *Coordinator) register(conn net.Conn) {
 			return fmt.Sprintf("bad magic %q", h.Magic)
 		case h.Version != ProtocolVersion:
 			return fmt.Sprintf("protocol version %d, coordinator speaks %d", h.Version, ProtocolVersion)
-		case h.Slots < 1:
-			return fmt.Sprintf("invalid slot count %d", h.Slots)
+		case h.Slots < 1 || h.Slots > maxSlots:
+			return fmt.Sprintf("invalid slot count %d (want 1 to %d)", h.Slots, maxSlots)
 		default:
 			return ""
 		}

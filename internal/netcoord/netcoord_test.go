@@ -271,6 +271,58 @@ func TestSeveredConnectionEvictsAndRecovers(t *testing.T) {
 	assertTrajectoriesMatch(t, localState, netState, localStats, netStats)
 }
 
+// panicOnce panics on its first evaluation and evaluates LJ after.
+type panicOnce struct {
+	lj    potential.LennardJones
+	fired atomic.Bool
+}
+
+func (p *panicOnce) Evaluate(g *molecule.Geometry) (float64, []float64, error) {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("chaos: injected evaluator panic")
+	}
+	return p.lj.Evaluate(g)
+}
+
+// An evaluator panic on a remote worker is a failed attempt the
+// coordinator retries, as it is in the in-process pool: the worker
+// stays connected and the trajectory matches a clean local run.
+func TestChaosRemoteEvaluatorPanicRetried(t *testing.T) {
+	checkGoroutines(t)
+	const steps, seed = 2, 7
+	f := waterFrag(t, 4)
+	localState, localStats := runTrajectory(t, f, &potential.LennardJones{},
+		sched.Options{Workers: 2}, seed, steps)
+
+	c := startCoordinator(t, CoordinatorOptions{Eval: potential.Spec{Potential: "lj"}})
+	eval := &panicOnce{}
+	startWorker(t, c.Addr(), WorkerOptions{Slots: 2, Eval: eval})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.WaitWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	x := c.Executor()
+	opts := sched.Options{Exec: x, Groups: x.Procs(), MaxRetries: 1}
+	opts.Dt, opts.Async = dt, true
+	eng, err := sched.New(f, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netState := newState(f, seed)
+	netStats, err := eng.RunContext(ctx, netState, steps, nil)
+	if err != nil {
+		t.Fatalf("run died on a recoverable remote panic: %v", err)
+	}
+	if !eval.fired.Load() {
+		t.Fatal("panic never fired")
+	}
+	if rs := eng.RunStats(); rs.Retries < 1 {
+		t.Errorf("RunStats.Retries = %d, want ≥ 1 (the panicked attempt)", rs.Retries)
+	}
+	assertTrajectoriesMatch(t, localState, netState, localStats, netStats)
+}
+
 // A coordinator restart must not strand the fleet: redialling workers
 // reattach to the new listener on the same address, and a trajectory
 // chunked across the restart matches the same chunking run locally —
@@ -362,6 +414,7 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 		{"version-mismatch", Hello{Magic: Magic, Version: ProtocolVersion + 1, Slots: 1}},
 		{"bad-magic", Hello{Magic: "not-fragmd", Version: ProtocolVersion, Slots: 1}},
 		{"zero-slots", Hello{Magic: Magic, Version: ProtocolVersion, Slots: 0}},
+		{"huge-slots", Hello{Magic: Magic, Version: ProtocolVersion, Slots: 1 << 30}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

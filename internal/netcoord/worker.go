@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/fragmd/fragmd/internal/fragment"
+	"github.com/fragmd/fragmd/internal/sched"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
@@ -159,58 +160,15 @@ func workerSession(ctx context.Context, addr string, opts *WorkerOptions, cache 
 	}
 }
 
-// evaluateTask executes one attempt with the same semantics as the
-// live engine's in-process workers: panic recovery turns evaluator
-// panics into failed attempts, charge tasks derive partial charges,
-// embedded runs route polymers through the embedded-evaluation path
-// even with an empty field so remote results match local ones exactly.
-func evaluateTask(eval fragment.Evaluator, cache *warmstart.Cache, tm *TaskMsg) (res *ResultMsg) {
-	res = &ResultMsg{Slot: tm.Slot, Task: tm.Req.Task}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Err = fmt.Sprintf("netcoord: evaluator panic: %v", r)
-		}
-	}()
-	req := &tm.Req
-	switch {
-	case req.Charge:
-		cs, ok := eval.(fragment.ChargeSource)
-		if !ok {
-			res.Err = fmt.Sprintf("netcoord: evaluator %T cannot derive monomer charges", eval)
-			return res
-		}
-		q, iters, err := cs.PartialCharges(req.Geom, req.Field)
-		if err == nil && len(q) != req.Geom.N() {
-			err = fmt.Errorf("netcoord: charge source returned %d values for %d atoms", len(q), req.Geom.N())
-		}
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Charges, res.Iters = q, iters
-	case req.Embed:
-		ee, ok := eval.(fragment.EmbeddedEvaluator)
-		if !ok {
-			res.Err = fmt.Sprintf("netcoord: evaluator %T cannot evaluate embedded fragments", eval)
-			return res
-		}
-		var fl *fragment.Field
-		if req.Field != nil {
-			fl = &fragment.Field{Charges: *req.Field}
-		}
-		e, grad, fieldGrad, iters, err := fragment.EvaluateEmbeddedWithCache(ee, cache, req.Key, req.Geom, fl)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.E, res.Grad, res.FieldGrad, res.Iters = e, grad, fieldGrad, iters
-	default:
-		e, grad, iters, err := fragment.EvaluateWithCache(eval, cache, req.Key, req.Geom)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.E, res.Grad, res.Iters = e, grad, iters
+// evaluateTask runs one attempt through sched.Attempt, the function
+// the engine's in-process workers run, and packs its outcome into the
+// wire message.
+func evaluateTask(eval fragment.Evaluator, cache *warmstart.Cache, tm *TaskMsg) *ResultMsg {
+	xr := sched.Attempt(eval, cache, tm.Req)
+	res := &ResultMsg{Slot: tm.Slot, Task: xr.Task, E: xr.E, Grad: xr.Grad,
+		FieldGrad: xr.FieldGrad, Charges: xr.Charges, Iters: xr.Iters}
+	if xr.Err != nil {
+		res.Err = xr.Err.Error()
 	}
 	return res
 }

@@ -1,9 +1,13 @@
 package sched
 
 import (
+	"fmt"
+
 	"github.com/fragmd/fragmd/internal/coord"
+	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
 // This file defines the engine's external-execution seam: with
@@ -18,10 +22,15 @@ import (
 // optional point-charge field); everything needed to fold results back
 // onto the parent system (fragment.Extracted cap bookkeeping,
 // fragment.Field parent maps) stays on the coordinator.
+//
+// Both substrates build the same ExecRequest and run it through
+// Attempt: the engine's in-process workers call it directly, a remote
+// worker calls it on the decoded request and only packs the wire
+// message. What one attempt does is therefore written once.
 
-// ExecRequest is one dispatched attempt handed to an Executor. All
-// fields are serialisable with encoding/gob — the request is exactly
-// what crosses the wire to a remote worker.
+// ExecRequest is one dispatched attempt, run by Attempt in process or
+// handed to an Executor. All fields are serialisable with encoding/gob
+// — the request is exactly what crosses the wire to a remote worker.
 type ExecRequest struct {
 	// Task identifies the attempt's (polymer|monomer, step, phase).
 	Task coord.Task
@@ -32,9 +41,8 @@ type ExecRequest struct {
 	// charges of the (monomer) geometry instead of energy/gradient.
 	Charge bool
 	// Embed marks that the run is an EE-MBE trajectory: polymer
-	// evaluations must go through the embedded-evaluation path even
-	// when Field is nil, so remote results match the local engine
-	// bit-for-bit.
+	// evaluations go through the embedded-evaluation path even when
+	// Field is nil.
 	Embed bool
 	// Key is the polymer's canonical cache key ("" for charge tasks);
 	// remote workers use it for their local warm-start caches.
@@ -73,6 +81,45 @@ type ExecResult struct {
 	// (connection lost, heartbeat deadline missed, process killed); the
 	// coordinator evicts the slot and reclaims the task.
 	WorkerDown bool
+}
+
+// Attempt runs one dispatched attempt on eval, warm-starting polymer
+// evaluations from cache (nil disables warm starts): a charge task
+// derives the fragment's partial charges, an embedded run evaluates the
+// polymer in its field (even an empty one, so every polymer of an
+// EE-MBE run takes the same path), a vacuum run evaluates it plainly.
+// An evaluator panic becomes a failed attempt the coordinator retries,
+// instead of a dead worker that wedges the run. Attempt leaves Worker
+// and WorkerDown to the caller.
+func Attempt(eval fragment.Evaluator, cache *warmstart.Cache, req ExecRequest) (res ExecResult) {
+	res.Task = req.Task
+	defer func() {
+		if r := recover(); r != nil {
+			res = ExecResult{Task: req.Task, Err: fmt.Errorf("evaluator panic: %v", r)}
+		}
+	}()
+	switch {
+	case req.Charge:
+		cs, ok := eval.(fragment.ChargeSource)
+		if !ok {
+			res.Err = fmt.Errorf("evaluator %T cannot derive monomer charges", eval)
+			return res
+		}
+		res.Charges, res.Iters, res.Err = cs.PartialCharges(req.Geom, req.Field)
+		if res.Err == nil && len(res.Charges) != req.Geom.N() {
+			res.Err = fmt.Errorf("charge source returned %d values for %d atoms", len(res.Charges), req.Geom.N())
+		}
+	case req.Embed:
+		ee, ok := eval.(fragment.EmbeddedEvaluator)
+		if !ok {
+			res.Err = fmt.Errorf("evaluator %T cannot evaluate embedded fragments", eval)
+			return res
+		}
+		res.E, res.Grad, res.FieldGrad, res.Iters, res.Err = fragment.EvaluateEmbeddedWithCache(ee, cache, req.Key, req.Geom, req.Field)
+	default:
+		res.E, res.Grad, res.Iters, res.Err = fragment.EvaluateWithCache(eval, cache, req.Key, req.Geom)
+	}
+	return res
 }
 
 // Executor evaluates dispatched attempts outside the engine's own

@@ -211,23 +211,13 @@ func (e *Engine) Graph() *coord.Graph { return e.graph }
 // speculative dispatches, dropped duplicates — of the most recent Run.
 func (e *Engine) RunStats() coord.RunStats { return e.runStats }
 
+// result is one attempt's outcome on the coordinator: the ExecResult
+// plus the fold bookkeeping that never leaves it.
 type result struct {
-	worker  int
-	task    coord.Task
-	e       float64
-	grad    []float64
+	ExecResult
 	ex      *fragment.Extracted
-	err     error
-	down    bool    // the worker died with this attempt
-	iters   int     // SCF iterations of this evaluation
-	seconds float64 // extraction + evaluation time on the worker (0 = not measured)
-
-	// EE-MBE payloads: charges of a phase-1 task (per fragment atom,
-	// caps included), or the field-site gradient + field of a phase-2
-	// polymer evaluation.
-	charges   []float64
-	fieldGrad []float64
-	field     *fragment.Field
+	field   *fragment.Field // EE-MBE phase-2 field the field-site gradient folds through
+	seconds float64         // extraction + evaluation time on the worker (0 = not measured)
 }
 
 // New creates an engine and precomputes the polymer lists, dependency
@@ -414,57 +404,25 @@ func (x *extractor) extract(t coord.Task, charge bool, pos [][]float64) *fragmen
 }
 
 // evaluate runs one attempt on worker w: extraction from the captured
-// positions, then the evaluation its phase calls for.
+// positions, then Attempt on the engine's evaluator.
 func (e *Engine) evaluate(w int, x *extractor, tw liveTask, pos [][]float64) result {
 	start := time.Now()
 	ex := x.extract(tw.task, tw.charge, pos)
-	r := result{worker: w, task: tw.task, ex: ex, field: tw.field}
-	switch {
-	case tw.charge:
-		r.charges, r.iters, r.err = e.chargeSafe(ex, tw.field)
-	case e.Opts.Embed != nil:
-		r.e, r.grad, r.fieldGrad, r.iters, r.err = e.evalSafeEmbedded(e.keys[tw.task.Poly], ex, tw.field)
-	default:
-		r.e, r.grad, r.iters, r.err = e.evalSafe(e.keys[tw.task.Poly], ex)
-	}
+	r := result{ExecResult: Attempt(e.Eval, e.cache, e.request(tw, ex)), ex: ex, field: tw.field}
+	r.Worker = w
 	r.seconds = time.Since(start).Seconds()
 	return r
 }
 
-// evalSafe runs one polymer evaluation, converting an evaluator panic
-// into a failed attempt the coordinator can retry instead of a dead
-// worker goroutine that wedges the run.
-func (e *Engine) evalSafe(key string, ex *fragment.Extracted) (en float64, gr []float64, iters int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: evaluator panic: %v", r)
-		}
-	}()
-	return fragment.EvaluateWithCache(e.Eval, e.cache, key, ex.Geom)
-}
-
-// evalSafeEmbedded is evalSafe for EE-MBE phase-2 tasks.
-func (e *Engine) evalSafeEmbedded(key string, ex *fragment.Extracted, fl *fragment.Field) (en float64, gr, fg []float64, iters int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: evaluator panic: %v", r)
-		}
-	}()
-	return fragment.EvaluateEmbeddedWithCache(e.Eval.(fragment.EmbeddedEvaluator), e.cache, key, ex.Geom, fl)
-}
-
-// chargeSafe runs one EE-MBE phase-1 charge task.
-func (e *Engine) chargeSafe(ex *fragment.Extracted, fl *fragment.Field) (q []float64, iters int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: charge-source panic: %v", r)
-		}
-	}()
-	q, iters, err = e.Eval.(fragment.ChargeSource).PartialCharges(ex.Geom, fl.PC())
-	if err == nil && len(q) != ex.Geom.N() {
-		err = fmt.Errorf("sched: charge source returned %d values for %d atoms", len(q), ex.Geom.N())
+// request builds the ExecRequest of attempt tw on its extracted
+// fragment, the same for in-process workers and an Executor.
+func (e *Engine) request(tw liveTask, ex *fragment.Extracted) ExecRequest {
+	req := ExecRequest{Task: tw.task, Attempt: tw.attempt, Charge: tw.charge,
+		Embed: e.Opts.Embed != nil, Geom: ex.Geom, Field: tw.field.PC()}
+	if !tw.charge {
+		req.Key = e.keys[tw.task.Poly]
 	}
-	return q, iters, err
+	return req
 }
 
 // Run integrates n time steps (n force evaluations per monomer) starting
@@ -619,14 +577,14 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 						// coordinator evicts the worker with none of its
 						// tasks unaccounted for.
 						for _, lost := range h.tasks[i:] {
-							out = append(out, result{worker: w, task: lost.task, err: resilience.ErrWorkerDeath})
+							out = append(out, result{ExecResult: ExecResult{Worker: w, Task: lost.task, Err: resilience.ErrWorkerDeath}})
 						}
-						out[len(out)-1].down = true
+						out[len(out)-1].WorkerDown = true
 						resCh <- out
 						return
 					}
 					if inj.FailTask(tw.task.Poly, tw.task.Step, tw.attempt) {
-						out = append(out, result{worker: w, task: tw.task, err: resilience.ErrInjected})
+						out = append(out, result{ExecResult: ExecResult{Worker: w, Task: tw.task, Err: resilience.ErrInjected}})
 						continue
 					}
 					r := e.evaluate(w, x, tw, h.pos[tw.pos:])
@@ -671,13 +629,8 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			}
 			tw := h.tasks[0]
 			ex := coordX.extract(tw.task, tw.charge, h.pos[tw.pos:])
-			pending[w] = result{worker: w, task: tw.task, ex: ex, field: tw.field}
-			req := ExecRequest{Task: tw.task, Attempt: tw.attempt, Charge: tw.charge,
-				Embed: chargeRounds > 0, Geom: ex.Geom, Field: tw.field.PC()}
-			if !tw.charge {
-				req.Key = e.keys[tw.task.Poly]
-			}
-			exec.Execute(w, req)
+			pending[w] = result{ExecResult: ExecResult{Task: tw.task}, ex: ex, field: tw.field}
+			exec.Execute(w, e.request(tw, ex))
 		}
 		dirty = dirty[:0]
 	}
@@ -703,13 +656,12 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			if !ok {
 				return result{}, fmt.Errorf("sched: executor result for idle worker slot %d", xr.Worker)
 			}
-			if xr.Task != r.task {
+			if xr.Task != r.Task {
 				return result{}, fmt.Errorf("sched: executor result for task %v on slot %d running %v",
-					xr.Task, xr.Worker, r.task)
+					xr.Task, xr.Worker, r.Task)
 			}
 			delete(pending, xr.Worker)
-			r.e, r.grad, r.fieldGrad, r.charges = xr.E, xr.Grad, xr.FieldGrad, xr.Charges
-			r.iters, r.err, r.down = xr.Iters, xr.Err, xr.WorkerDown
+			r.ExecResult = xr
 			return r, nil
 		case <-ctx.Done():
 			return result{}, ctx.Err()
@@ -767,44 +719,44 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				}
 				return coord.Completion{}, err
 			}
-			if r.err != nil {
+			if r.Err != nil {
 				// A failed attempt, not a failed run: the coordinator
 				// retries it against the budget or aborts with this
 				// error attached. Charge tasks carry a monomer index in
 				// Poly, not a polymer index — name them accordingly.
 				var desc string
-				if int(r.task.Phase) < chargeRounds {
-					desc = fmt.Sprintf("charge task monomer %d round %d", r.task.Poly, r.task.Phase)
+				if int(r.Task.Phase) < chargeRounds {
+					desc = fmt.Sprintf("charge task monomer %d round %d", r.Task.Poly, r.Task.Phase)
 				} else {
-					desc = fmt.Sprintf("polymer %s", e.keys[r.task.Poly])
+					desc = fmt.Sprintf("polymer %s", e.keys[r.Task.Poly])
 				}
-				return coord.Completion{Worker: r.worker, Task: r.task, WorkerDown: r.down,
-					Err: fmt.Errorf("sched: %s step %d: %w", desc, r.task.Step, r.err)}, nil
+				return coord.Completion{Worker: r.Worker, Task: r.Task, WorkerDown: r.WorkerDown,
+					Err: fmt.Errorf("sched: %s step %d: %w", desc, r.Task.Step, r.Err)}, nil
 			}
-			done := coord.Completion{Worker: r.worker, Task: r.task, Seconds: r.seconds}
-			if pol.Completed(r.task) {
+			done := coord.Completion{Worker: r.Worker, Task: r.Task, Seconds: r.seconds}
+			if pol.Completed(r.Task) {
 				// The losing copy of a speculated task: its twin's
 				// payload is already folded in; drop this one.
 				return done, nil
 			}
-			t := int(r.task.Step)
+			t := int(r.Task.Step)
 			lastResult[t] = time.Now()
-			scfIterStep[t] += r.iters
-			if r.charges != nil {
+			scfIterStep[t] += r.Iters
+			if r.Charges != nil {
 				// Phase-1 payload: fold the fragment's charges (caps
 				// onto inner atoms) into this round's parent array,
 				// damping against the previous round (the serial
 				// MonomerCharges recipe, barrier-safe because every
 				// write touches only this monomer's atoms).
-				round := int(r.task.Phase)
+				round := int(r.Task.Phase)
 				buf := make([]float64, f.Geom.N())
-				r.ex.FoldCharges(r.charges, buf)
+				r.ex.FoldCharges(r.Charges, buf)
 				dst := chargeAt(t, round)
 				damp := 0.0
 				if round > 0 {
 					damp = e.Opts.Embed.Damping
 				}
-				for _, a := range f.Monomers[r.task.Poly].Atoms {
+				for _, a := range f.Monomers[r.Task.Poly].Atoms {
 					v := buf[a]
 					if damp > 0 {
 						v = (1-damp)*v + damp*chargeQ[t][round-1][a]
@@ -813,10 +765,10 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				}
 				return done, nil
 			}
-			c := e.coeff[r.task.Poly]
-			epotStep[t] += c * r.e
-			r.ex.FoldGradient(r.grad, c, stepGrad(t))
-			r.field.FoldGradient(r.fieldGrad, c, stepGrad(t))
+			c := e.coeff[r.Task.Poly]
+			epotStep[t] += c * r.E
+			r.ex.FoldGradient(r.Grad, c, stepGrad(t))
+			r.field.FoldGradient(r.FieldGrad, c, stepGrad(t))
 			return done, nil
 		},
 	}
