@@ -37,7 +37,7 @@ func docFlagRow(f *flag.Flag) string {
 	return fmt.Sprintf("| `-%s` | %s | %s |", f.Name, def, usage)
 }
 
-// parseDocSection returns flag name → documented default cell for the
+// parseDocSection returns flag name → documented table row for the
 // table under the given "## header" section of docs/CLI.md.
 func parseDocSection(t *testing.T, path, header string) map[string]string {
 	t.Helper()
@@ -45,7 +45,7 @@ func parseDocSection(t *testing.T, path, header string) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := regexp.MustCompile("^\\|\\s*`-([^`]+)`\\s*\\|([^|]*)\\|")
+	row := regexp.MustCompile("^\\|\\s*`-([^`]+)`\\s*\\|")
 	flags := map[string]string{}
 	inSection := false
 	for _, ln := range strings.Split(string(data), "\n") {
@@ -57,7 +57,7 @@ func parseDocSection(t *testing.T, path, header string) map[string]string {
 			continue
 		}
 		if m := row.FindStringSubmatch(ln); m != nil {
-			flags[m[1]] = strings.TrimSpace(m[2])
+			flags[m[1]] = strings.TrimSpace(ln)
 		}
 	}
 	if len(flags) == 0 {
@@ -67,23 +67,20 @@ func parseDocSection(t *testing.T, path, header string) map[string]string {
 }
 
 // checkDocSection cross-checks one CLI surface against its docs/CLI.md
-// table: every registered flag must be documented with the right
-// default, and every documented flag must exist.
+// table: every registered flag must be documented by its canonical row
+// (name, default and help text), and every documented flag must exist.
 func checkDocSection(t *testing.T, path, header string, fs *flag.FlagSet) {
 	t.Helper()
 	doc := parseDocSection(t, path, header)
 	fs.VisitAll(func(f *flag.Flag) {
-		def, ok := doc[f.Name]
+		got, ok := doc[f.Name]
+		want := docFlagRow(f)
 		if !ok {
-			t.Errorf("docs/CLI.md %q table is missing -%s; add:\n%s", header, f.Name, docFlagRow(f))
+			t.Errorf("docs/CLI.md %q table is missing -%s; add:\n%s", header, f.Name, want)
 			return
 		}
-		want := ""
-		if f.DefValue != "" {
-			want = "`" + f.DefValue + "`"
-		}
-		if def != want {
-			t.Errorf("docs/CLI.md %q documents -%s default as %q, flag says %q", header, f.Name, def, want)
+		if got != want {
+			t.Errorf("docs/CLI.md %q documents -%s as\n%s\nthe flag says\n%s", header, f.Name, got, want)
 		}
 		delete(doc, f.Name)
 	})
@@ -93,8 +90,8 @@ func checkDocSection(t *testing.T, path, header string, fs *flag.FlagSet) {
 }
 
 // TestCLIDocMatchesFlags pins docs/CLI.md to the real flag sets via
-// flag.VisitAll: adding, removing, or re-defaulting any fragmd flag
-// without updating the manual fails here.
+// flag.VisitAll: adding, removing, re-defaulting or re-wording any
+// fragmd flag without updating the manual fails here.
 func TestCLIDocMatchesFlags(t *testing.T) {
 	const doc = "../../docs/CLI.md"
 	for _, c := range []struct {

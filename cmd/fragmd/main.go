@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -72,8 +71,6 @@ import (
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/linalg"
-	"github.com/fragmd/fragmd/internal/md"
-	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/resilience"
 	"github.com/fragmd/fragmd/internal/sched"
 	"github.com/fragmd/fragmd/internal/traj"
@@ -118,46 +115,15 @@ func run(argv []string, out, errOut io.Writer) error {
 	}
 	fs := flag.NewFlagSet("fragmd", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	in := fs.String("in", "", "input XYZ file (required)")
+	t := newTrajFlags(fs)
 	mode := fs.String("mode", "energy", "energy | grad | md | bench")
-	basisName := fs.String("basis", "sto-3g", "orbital basis: sto-3g | dzp")
-	apm := fs.Int("atoms-per-monomer", 3, "atoms per monomer for fragmentation")
-	dimerCut := fs.Float64("dimer-cut", 0, "dimer centroid cutoff in Å (0 = none)")
-	trimerCut := fs.Float64("trimer-cut", 0, "trimer centroid cutoff in Å (0 = none)")
 	box := fs.String("box", "", "periodic cell edge lengths in Å, \"L\" (cubic) or \"Lx,Ly,Lz\"; overrides any cell= comment in the XYZ")
 	pbc := fs.Bool("pbc", false, "require periodic boundaries: error unless a cell comes from -box or the XYZ's cell= comment")
-	steps := fs.Int("steps", 10, "MD steps")
-	dt := fs.Float64("dt", 0.5, "MD time step in fs")
-	temp := fs.Float64("temp", 150, "initial temperature in K")
-	sync := fs.Bool("sync", false, "use synchronous time steps")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	groups := fs.Int("groups", 0, "group coordinators between the scheduler and the workers (0/1 = flat)")
-	batch := fs.Int("batch", 0, "tasks per coordinator batch transfer (0/1 = single-task dispatch)")
-	steal := fs.Bool("steal", false, "enable work stealing between group coordinators")
-	scs := fs.Bool("scs", false, "report SCS-MP2 energies")
-	riScreen := fs.Float64("ri-screen", 0, "Schwarz screening threshold for three-center (μν|P) integrals (0 = default 1e-12, negative disables)")
-	embed := fs.Bool("embed", false, "electrostatically embed every MBE term in the other monomers' Mulliken charges (EE-MBE)")
-	embedSCC := fs.Int("embed-scc", 0, "self-consistent charge refinement rounds beyond the vacuum round")
-	embedTol := fs.Float64("embed-tol", 0, "stop SCC early when max |Δq| falls below this (e); energy/grad modes only, 0 = run all rounds")
-	embedDamp := fs.Float64("embed-damp", 0.4, "SCC charge mixing q ← (1−d)·q_new + d·q_old, 0 ≤ d < 1")
-	warm := fs.Bool("warm", false, "warm-start each polymer's SCF from its previous converged density")
-	ckPath := fs.String("checkpoint", "", "trajectory checkpoint file (md mode)")
-	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint every N completed MD steps (0 = only at the end)")
-	resume := fs.Bool("resume", false, "resume the trajectory from -checkpoint instead of starting fresh")
-	retries := fs.Int("retries", 0, "per-task failure retry budget (0 = failures are fatal)")
-	speculate := fs.Bool("speculate", false, "re-dispatch straggling tasks to idle workers (first copy wins)")
-	if err := parseFlags(fs, argv); err != nil {
+	fs.IntVar(&t.workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.Float64Var(&t.embedTol, "embed-tol", 0, "stop SCC early when max |Δq| falls below this (e); energy/grad modes only, 0 = run all rounds")
+	fs.BoolVar(&t.warm, "warm", false, "warm-start each polymer's SCF from its previous converged density")
+	if err := t.parse(fs, argv); err != nil {
 		return err
-	}
-
-	if *in == "" {
-		return usage(fs, "fragmd: -in is required")
-	}
-	if (*resume || *ckEvery > 0) && *ckPath == "" {
-		return usage(fs, "fragmd: -resume and -checkpoint-every need -checkpoint")
-	}
-	if *ckEvery < 0 {
-		return usage(fs, "fragmd: -checkpoint-every must not be negative")
 	}
 	var boxA []float64
 	if *box != "" {
@@ -169,52 +135,31 @@ func run(argv []string, out, errOut io.Writer) error {
 			boxA = append(boxA, v)
 		}
 	}
-	f, err := loadSystem(*in, boxA, *apm, *dimerCut, *trimerCut)
-	if errors.Is(err, fragment.ErrBox) {
-		return usage(fs, "fragmd: -%v", err) // err reads "box: …"
-	}
+	f, err := t.load(fs, out, boxA, *pbc)
 	if err != nil {
 		return err
 	}
-	if *pbc && f.Geom.Cell == nil {
-		return usage(fs, "fragmd: -pbc needs a cell: pass -box or use an XYZ with a cell= comment")
-	}
-	printSystem(out, f)
 
-	eval, err := potential.Spec{Potential: "rimp2", Basis: *basisName, SCS: *scs, RIScreen: *riScreen}.Build()
+	eval, err := t.spec("rimp2").Build()
 	if err != nil {
 		return err
 	}
-	var embedOpts *fragment.EmbedOptions
-	if *embed {
-		embedOpts = &fragment.EmbedOptions{SCC: *embedSCC, SCCTol: *embedTol, Damping: *embedDamp}
-		if err := embedOpts.Validate(); err != nil {
-			fmt.Fprintf(errOut, "fragmd: %v\n", err)
-			return errUsage
-		}
-	}
-	engOpts := sched.Options{
-		Workers: *workers, Async: !*sync, Dt: *dt * chem.AtomicTimePerFs,
-		Groups: *groups, Batch: *batch, Steal: *steal,
-		WarmStart: *warm, MaxRetries: *retries, Speculate: *speculate,
-	}
-	// The engine's task graph is static, so it ignores the SCC tolerance:
-	// that only applies to the serial energy/grad paths; MD runs all rounds.
-	engOpts.Embed = embedOpts
+	cfg := t.config(f, eval)
 	linalg.ResetFLOPs()
 
 	switch *mode {
 	case "energy", "grad":
 		var res *fragment.Result
-		if embedOpts != nil {
-			res, err = f.ComputeEmbedded(eval, nil, *embedOpts)
+		embed := cfg.Opts.Embed
+		if embed != nil {
+			res, err = f.ComputeEmbedded(eval, nil, *embed)
 		} else {
 			res, err = f.Compute(eval)
 		}
 		if err != nil {
 			return err
 		}
-		if embedOpts != nil {
+		if embed != nil {
 			fmt.Fprintf(out, "EE-MBE3/RI-MP2 energy: %.10f Ha (SCC rounds %d, far-pair residual %.3e Ha)\n",
 				res.Energy, res.SCCRounds, res.EPairResidual)
 		} else {
@@ -230,8 +175,6 @@ func run(argv []string, out, errOut io.Writer) error {
 	case "md":
 		drain, stop := armSignals(errOut)
 		defer stop()
-		cfg := traj.Config{Frag: f, Eval: eval, Opts: engOpts, Steps: *steps, TempK: *temp, Seed: 1,
-			CkPath: *ckPath, CkEvery: *ckEvery, Resume: *resume}
 		if err := runMD(out, cfg, nil, drain); err != nil {
 			return err
 		}
@@ -243,7 +186,7 @@ func run(argv []string, out, errOut io.Writer) error {
 			feats = "none"
 		}
 		fmt.Fprintf(out, "gemm microkernel: %s (cpu features: %s)\n", linalg.MicroKernelName(), feats)
-		if err := runWarmBench(out, f, eval, engOpts, *steps, *temp); err != nil {
+		if err := sched.ColdWarm(out, f, eval, cfg.Opts, t.steps, t.temp, 1); err != nil {
 			return err
 		}
 	default:
@@ -273,31 +216,6 @@ func usage(fs *flag.FlagSet, format string, args ...interface{}) error {
 	fmt.Fprintf(fs.Output(), format+"\n", args...)
 	fs.Usage()
 	return errUsage
-}
-
-// loadSystem reads and fragments the XYZ file at path (flag units, Å).
-func loadSystem(path string, boxA []float64, apm int, dimerCut, trimerCut float64) (*fragment.Fragmentation, error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer file.Close()
-	return fragment.LoadSystem(file, boxA, apm, dimerCut, trimerCut)
-}
-
-// printSystem writes the system and fragmentation summary lines.
-func printSystem(out io.Writer, f *fragment.Fragmentation) {
-	g := f.Geom
-	if c := g.Cell; c != nil {
-		fmt.Fprintf(out, "system: %d atoms, %d electrons, periodic cell %g x %g x %g Å\n",
-			g.N(), g.NumElectrons(),
-			c.L[0]*chem.AngstromPerBohr, c.L[1]*chem.AngstromPerBohr, c.L[2]*chem.AngstromPerBohr)
-	} else {
-		fmt.Fprintf(out, "system: %d atoms, %d electrons\n", g.N(), g.NumElectrons())
-	}
-	terms := f.Terms()
-	fmt.Fprintf(out, "fragmentation: %d monomers, %d dimers, %d trimers\n",
-		len(terms.Monomers), len(terms.Dimers), len(terms.Trimers))
 }
 
 // runMD is the CLI adapter over traj.Run (DESIGN.md §7): it prints the
@@ -352,43 +270,5 @@ func runMD(out io.Writer, cfg traj.Config, prep func(*sched.Options) (func(), er
 	} else if done < cfg.Steps {
 		fmt.Fprintf(out, "drained at step %d/%d; resume with -resume -checkpoint %s\n", done, cfg.Steps, cfg.CkPath)
 	}
-	return nil
-}
-
-// runWarmBench integrates the same trajectory twice — cold and with
-// warm-started SCF — and reports
-// SCF-iterations-per-step and wall-per-step for both, so the speedup
-// of the incremental-evaluation subsystem is measured, not asserted.
-func runWarmBench(out io.Writer, f *fragment.Fragmentation, eval fragment.Evaluator, engOpts sched.Options, steps int, temp float64) error {
-	// The engine reads the fragmentation read-only (positions advance
-	// inside the state's cloned geometry), so both runs can share f and
-	// start from identical initial conditions.
-	one := func(opts sched.Options, n int) ([]sched.StepStats, error) {
-		eng, err := sched.New(f, eval, opts)
-		if err != nil {
-			return nil, err
-		}
-		state := md.NewState(f.Geom.Clone())
-		state.SampleVelocities(temp, rand.New(rand.NewSource(1)))
-		return eng.Run(state, n, nil)
-	}
-	coldOpts := engOpts
-	coldOpts.WarmStart, coldOpts.Cache = false, nil
-	// Untimed throwaway step so first-use costs (pooled pack buffers,
-	// cold caches) don't bias whichever timed run goes first.
-	if _, err := one(coldOpts, 1); err != nil {
-		return err
-	}
-	cold, err := one(coldOpts, steps)
-	if err != nil {
-		return err
-	}
-	warmOpts := engOpts
-	warmOpts.WarmStart = true
-	warmRun, err := one(warmOpts, steps)
-	if err != nil {
-		return err
-	}
-	sched.CompareDynamics(out, cold, warmRun)
 	return nil
 }

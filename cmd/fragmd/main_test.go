@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/md"
@@ -136,6 +137,23 @@ func TestRunEmbedFlagValidation(t *testing.T) {
 	} {
 		if err := run(args, io.Discard, io.Discard); !errors.Is(err, errUsage) {
 			t.Errorf("args %v: got %v, want usage error", args, err)
+		}
+	}
+}
+
+// The trajectory checks serve's job spec also makes: a run must
+// integrate at least one step, with a positive finite time step, from a
+// non-negative finite temperature.
+func TestRunTrajectoryFlagValidation(t *testing.T) {
+	xyz := writeWaterDimerXYZ(t)
+	for _, bad := range [][]string{
+		{"-steps", "0"}, {"-steps", "-3"},
+		{"-temp", "-50"}, {"-temp", "NaN"},
+		{"-dt", "0"}, {"-dt", "NaN"},
+	} {
+		args := append([]string{"-in", xyz, "-mode", "md"}, bad...)
+		if err := run(args, io.Discard, io.Discard); !errors.Is(err, errUsage) {
+			t.Errorf("args %v: got %v, want usage error", bad, err)
 		}
 	}
 }
@@ -389,6 +407,25 @@ func TestRunBoxAndPBCFlags(t *testing.T) {
 	if err := os.WriteFile(boxPath, b.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// coordinate refuses the same embedding before it listens, so the
+	// refusal cannot wait on a fleet that never connects.
+	var coordOut syncBuffer
+	refused := make(chan error, 1)
+	go func() {
+		refused <- run([]string{"coordinate", "-listen", "127.0.0.1:0", "-in", boxPath, "-embed", "-steps", "1"}, &coordOut, io.Discard)
+	}()
+	select {
+	case err := <-refused:
+		if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "periodic cell") {
+			t.Errorf("coordinate -embed on a periodic XYZ: got %v, want the periodic-embedding refusal", err)
+		}
+		if strings.Contains(coordOut.String(), "listening") {
+			t.Errorf("coordinate listened before refusing:\n%s", coordOut.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("coordinate -embed on a periodic XYZ is waiting for workers instead of refusing:\n%s", coordOut.String())
+	}
+
 	out.Reset()
 	if err := run([]string{"-in", boxPath, "-mode", "energy", "-pbc"}, &out, io.Discard); err != nil {
 		t.Fatal(err)

@@ -233,6 +233,12 @@ func TestNetSubcommandValidation(t *testing.T) {
 		{"coordinate", "-in", "x.xyz", "-min-workers", "0"},
 		{"coordinate", "-in", "x.xyz", "-potential", "dft"},
 		{"coordinate", "-in", "x.xyz", "-resume"}, // -resume needs -checkpoint
+		{"coordinate", "-in", "x.xyz", "-steps", "0"},
+		{"coordinate", "-in", "x.xyz", "-steps", "-3"},
+		{"coordinate", "-in", "x.xyz", "-temp", "-50"},
+		{"coordinate", "-in", "x.xyz", "-temp", "NaN"},
+		{"coordinate", "-in", "x.xyz", "-dt", "0"},
+		{"coordinate", "-in", "x.xyz", "-dt", "NaN"},
 	}
 	for _, argv := range cases {
 		if err := run(argv, io.Discard, io.Discard); !errors.Is(err, errUsage) {

@@ -67,7 +67,7 @@ func runServe(argv []string, out, errOut io.Writer) error {
 		}
 		defer c.Close()
 		fmt.Fprintf(out, "fleet coordinator listening on %s\n", c.Addr())
-		opts.Coordinator, opts.FleetEval = c, spec
+		opts.Coordinator = c
 	}
 	s, err := serve.New(opts)
 	if err != nil {
@@ -89,7 +89,7 @@ func runServe(argv []string, out, errOut io.Writer) error {
 	drain, stop := armSignals(errOut)
 	defer stop()
 	go func() {
-		<-drain.requested
+		<-drain.requested.Done()
 		if err := s.Drain(context.Background()); err != nil {
 			fmt.Fprintf(errOut, "fragmd serve: %v\n", err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -17,10 +18,11 @@ import (
 // drainer carries the stop-at-next-boundary request from the signal
 // handler to the run loops. runMD polls it between trajectory chunks —
 // the checkpoint cadence, so "drained" always means "checkpointed" —
-// and fragmd serve waits on requested.
+// fragmd serve waits on requested, and coordinate's fleet lease waits
+// under it, so a drain also ends that wait.
 type drainer struct {
 	flag      atomic.Bool
-	requested chan struct{} // closed by the first signal
+	requested context.Context // canceled by the first signal
 }
 
 // drained reports whether a graceful stop was requested. Nil receivers
@@ -40,7 +42,8 @@ func armSignals(errOut io.Writer) (*drainer, func()) {
 // a parameter, the seam tests use to observe the hard-exit path
 // without dying.
 func armSignalsExit(errOut io.Writer, exit func(code int)) (*drainer, func()) {
-	d := &drainer{requested: make(chan struct{})}
+	requested, cancel := context.WithCancel(context.Background())
+	d := &drainer{requested: requested}
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
@@ -50,7 +53,7 @@ func armSignalsExit(errOut io.Writer, exit func(code int)) (*drainer, func()) {
 			case sig := <-ch:
 				if d.flag.CompareAndSwap(false, true) {
 					fmt.Fprintf(errOut, "fragmd: %v: draining — finishing the current chunk and checkpointing (signal again to exit now)\n", sig)
-					close(d.requested)
+					cancel()
 					continue
 				}
 				fmt.Fprintf(errOut, "fragmd: %v: exiting immediately\n", sig)

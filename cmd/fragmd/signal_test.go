@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -112,6 +114,50 @@ func TestRunMDDrainWithoutCheckpointWarns(t *testing.T) {
 	}
 	if want := "no -checkpoint: remaining steps are not resumable"; !strings.Contains(out.String(), want) {
 		t.Fatalf("output missing %q:\n%s", want, out.String())
+	}
+}
+
+// A drain requested while coordinate waits for its fleet must end the
+// wait: the run stops at step 0 and exits 0 instead of blocking until a
+// second signal. The coordinator runs as a real process so the signal
+// takes the production path.
+func TestRunMDDrainWhileWaitingForFleet(t *testing.T) {
+	xyz := filepath.Join(t.TempDir(), "dimer.xyz")
+	var b bytes.Buffer
+	if err := molecule.WaterCluster(2).WriteXYZ(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(xyz, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "FRAGMD_TEST_ARGV="+strings.Join(
+		[]string{"coordinate", "-listen", "127.0.0.1:0", "-potential", "lj", "-in", xyz, "-steps", "3"}, argvSep))
+	var out syncBuffer
+	cmd.Stdout, cmd.Stderr = &out, io.Discard
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	t.Cleanup(func() { cmd.Process.Kill() })
+
+	// Signals are armed before the listener, so once it is up an
+	// interrupt is a drain request, not a kill.
+	waitOutput(t, &out, `coordinator listening on`, 30*time.Second)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("drained coordinator exited with %v, want status 0:\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("drain did not end the wait for the fleet:\n%s", out.String())
+	}
+	if want := "drained at step 0/3"; !strings.Contains(out.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, out.String())
 	}
 }
 

@@ -3,16 +3,11 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"testing"
 
-	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
-	"github.com/fragmd/fragmd/internal/molecule"
-	"github.com/fragmd/fragmd/internal/potential"
-	"github.com/fragmd/fragmd/internal/sched"
 )
 
 func capture(fn func(*Config)) string {
@@ -113,42 +108,6 @@ func TestGlycineWorkloadTopology(t *testing.T) {
 func TestMaxInt(t *testing.T) {
 	if maxInt(2, 3) != 3 || maxInt(3, 2) != 3 || maxInt(-1, -2) != -1 {
 		t.Error("maxInt broken")
-	}
-}
-
-// warmDynamics drives the real engine; with the LJ surrogate it is
-// cheap enough to verify the dynamics-report plumbing: step count,
-// polymer count, and that a warm run of a stateless evaluator retraces
-// the cold one with every polymer evaluated.
-func TestWarmDynamicsStats(t *testing.T) {
-	g := molecule.WaterCluster(2)
-	eval := &potential.LennardJones{}
-	base := sched.Options{Workers: 2, Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
-	stats, err := warmDynamics(g, eval, 4, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 4 {
-		t.Fatalf("got %d steps, want 4", len(stats))
-	}
-	if stats[0].NPolymer != 3 { // 2 monomers + 1 dimer
-		t.Errorf("NPolymer = %d, want 3", stats[0].NPolymer)
-	}
-	for _, st := range stats {
-		if st.SCFIters != 0 || st.Skipped != 0 {
-			t.Errorf("LJ cold run reported SCFIters=%d Skipped=%d", st.SCFIters, st.Skipped)
-		}
-	}
-	warmOpts := base
-	warmOpts.WarmStart = true
-	warm, err := warmDynamics(g, eval, 4, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range warm {
-		if st.Skipped != 0 || math.Abs(st.Epot-stats[i].Epot) > 1e-12 {
-			t.Errorf("warm step %d: Epot %.14f (cold %.14f), Skipped=%d", i, st.Epot, stats[i].Epot, st.Skipped)
-		}
 	}
 }
 

@@ -128,8 +128,8 @@ type VelocityVerlet struct {
 // place. The observer, if non-nil, fires once per step with full-step
 // velocities.
 func (vv *VelocityVerlet) Run(s *State, n int, obs Observer) error {
-	if vv.Dt <= 0 {
-		return errors.New("md: time step must be positive")
+	if !(vv.Dt > 0) || math.IsInf(vv.Dt, 1) {
+		return errors.New("md: time step must be positive and finite")
 	}
 	dt := vv.Dt
 	epot, grad, err := vv.Provider.Forces(s.Geom)

@@ -98,9 +98,11 @@ func TestDriftRemovalAndTemperature(t *testing.T) {
 }
 
 func TestTimeStepValidation(t *testing.T) {
-	vv := &VelocityVerlet{Dt: 0, Provider: ljProvider()}
-	if err := vv.Run(NewState(molecule.Water()), 5, nil); err == nil {
-		t.Fatal("expected error for zero time step")
+	for _, dt := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		vv := &VelocityVerlet{Dt: dt, Provider: ljProvider()}
+		if err := vv.Run(NewState(molecule.Water()), 5, nil); err == nil {
+			t.Errorf("expected error for time step %g", dt)
+		}
 	}
 }
 

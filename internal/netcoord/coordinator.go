@@ -417,7 +417,9 @@ type Executor struct {
 // Lease reserves the fleet for one engine run: it waits for the
 // previous lease's release and for at least min worker processes, then
 // points o at a fresh snapshot — Exec is set, Workers adopts its slot
-// count, and Groups, when unset, becomes one group per worker process.
+// count, Groups, when unset, becomes one group per worker process, and
+// a zero MaxRetries becomes 1, because a dead worker's reclaimed
+// attempts are charged to the retry budget.
 // Leases are exclusive because a snapshot maps fleet slots to one
 // engine's worker handles: two concurrent engines would corrupt each
 // other's in-flight bookkeeping. Call release when the run ends.
@@ -438,8 +440,15 @@ func (c *Coordinator) Lease(ctx context.Context, min int, o *sched.Options) (rel
 	if o.Groups == 0 {
 		o.Groups = x.Procs()
 	}
+	if o.MaxRetries == 0 {
+		o.MaxRetries = 1
+	}
 	return release, nil
 }
+
+// Eval returns the evaluator specification the coordinator ships to
+// its workers: the physics every run on the fleet computes.
+func (c *Coordinator) Eval() potential.Spec { return c.opts.Eval }
 
 // Executor snapshots the live fleet. Call WaitWorkers first; a
 // snapshot with zero slots cannot run an engine.
@@ -471,8 +480,8 @@ func (x *Executor) Procs() int { return len(x.procs) }
 
 // Execute ships the attempt to the slot's worker process. A dead
 // process (or a send failure, which kills it) surfaces as a WorkerDown
-// result through the usual eviction path; the engine run must budget
-// retries for those re-queues (Options.MaxRetries ≥ 1).
+// result through the usual eviction path; Lease budgets retries for
+// those re-queues (Options.MaxRetries ≥ 1).
 func (x *Executor) Execute(w int, req sched.ExecRequest) {
 	p := x.slotProc[w]
 	slot := x.slotLocal[w]

@@ -513,3 +513,35 @@ func TestExecuteOnDeadSlotSynthesizesEviction(t *testing.T) {
 		t.Fatal("no synthetic result for dead-slot dispatch")
 	}
 }
+
+// Lease adapts a run's options to the fleet: the snapshot executes,
+// one group per worker process when unset, and a zero retry budget
+// becomes 1 because a dead worker's reclaimed attempts are charged to
+// it. Budgets and groups the caller set are kept. Eval reports the
+// physics the fleet was started with.
+func TestLeaseAdaptsOptionsToFleet(t *testing.T) {
+	spec := potential.Spec{Potential: "lj", Basis: "sto-3g"}
+	c := startCoordinator(t, CoordinatorOptions{Eval: spec})
+	if c.Eval() != spec {
+		t.Errorf("Eval() = %+v, want %+v", c.Eval(), spec)
+	}
+	startWorker(t, c.Addr(), WorkerOptions{Slots: 2, Redial: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, tc := range []struct{ in, want sched.Options }{
+		{sched.Options{Workers: 4}, sched.Options{Groups: 1, MaxRetries: 1}},
+		{sched.Options{Groups: 2, MaxRetries: 3}, sched.Options{Groups: 2, MaxRetries: 3}},
+	} {
+		o := tc.in
+		release, err := c.Lease(ctx, 1, &o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Exec == nil || o.Exec.Workers() != 2 || o.Workers != 0 ||
+			o.Groups != tc.want.Groups || o.MaxRetries != tc.want.MaxRetries {
+			t.Errorf("Lease(%+v) left Exec %v, Workers %d, Groups %d, MaxRetries %d; want a 2-slot Exec, 0, %d, %d",
+				tc.in, o.Exec, o.Workers, o.Groups, o.MaxRetries, tc.want.Groups, tc.want.MaxRetries)
+		}
+		release()
+	}
+}

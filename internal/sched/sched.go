@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"runtime"
 	"sort"
 	"time"
@@ -148,12 +149,34 @@ type StepStats struct {
 	Drift float64
 }
 
-// CompareDynamics writes the cold-vs-warm per-step comparison table
-// (SCF iterations, wall clock and energy deviation per step, plus
-// totals and percent saved) for two trajectories of equal length.
-// It is shared by the mbebench warmstart experiment and fragmd's
-// -mode bench.
-func CompareDynamics(w io.Writer, cold, warm []StepStats) {
+// ColdWarm runs the same trajectory of f cold and warm-started, from
+// velocities sampled at tempK from seed, after an untimed cold step
+// that absorbs first-use costs (pooled pack buffers, cold caches), and
+// writes the per-step SCF iterations, wall clock and |ΔEpot|, with
+// totals and percent saved, to w. opts' WarmStart and Cache are set per
+// run. It backs fragmd -mode bench and mbebench warmstart.
+func ColdWarm(w io.Writer, f *fragment.Fragmentation, eval fragment.Evaluator, opts Options, steps int, tempK float64, seed int64) error {
+	run := func(warm bool, n int) ([]StepStats, error) {
+		opts.WarmStart, opts.Cache = warm, nil
+		eng, err := New(f, eval, opts)
+		if err != nil {
+			return nil, err
+		}
+		state := md.NewState(f.Geom.Clone())
+		state.SampleVelocities(tempK, rand.New(rand.NewSource(seed)))
+		return eng.Run(state, n, nil)
+	}
+	if _, err := run(false, 1); err != nil {
+		return err
+	}
+	cold, err := run(false, steps)
+	if err != nil {
+		return err
+	}
+	warm, err := run(true, steps)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "%6s %14s %14s %12s %12s %14s\n",
 		"step", "cold SCF-iter", "warm SCF-iter", "cold wall", "warm wall", "|ΔEpot| (Ha)")
 	var coldIters, warmIters int
@@ -175,6 +198,7 @@ func CompareDynamics(w io.Writer, cold, warm []StepStats) {
 			100*(1-float64(warmIters)/float64(coldIters)),
 			100*(1-warmWall/math.Max(coldWall, 1e-12)))
 	}
+	return nil
 }
 
 // Engine drives asynchronous MBE AIMD.
@@ -250,8 +274,8 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Dt <= 0 {
-		return nil, errors.New("sched: time step must be positive")
+	if !(opts.Dt > 0) || math.IsInf(opts.Dt, 1) {
+		return nil, errors.New("sched: time step must be positive and finite")
 	}
 	if opts.Embed != nil {
 		if err := opts.Embed.Validate(); err != nil {

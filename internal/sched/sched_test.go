@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"io"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/chem"
@@ -283,6 +286,11 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := New(f, lj, Options{}); err == nil {
 		t.Fatal("expected error for missing dt")
 	}
+	for _, dt := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := New(f, lj, Options{Dt: dt}); err == nil {
+			t.Errorf("expected error for time step %g", dt)
+		}
+	}
 	if _, err := New(f, lj, Options{Dt: 1, Workers: -1}); err == nil {
 		t.Fatal("expected error for negative workers")
 	}
@@ -301,5 +309,41 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := eng.Run(md.NewState(f.Geom.Clone()), 0, nil); err == nil {
 		t.Fatal("expected error for zero steps")
+	}
+}
+
+// ColdWarm on the LJ surrogate checks the experiment's plumbing: one
+// table row per step, no SCF iterations from a stateless evaluator, and
+// a warm run that retraces the cold one exactly.
+func TestColdWarm(t *testing.T) {
+	f := ljFrag(t, 2, fragment.Options{})
+	opts := Options{Workers: 2, Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
+	var out strings.Builder
+	if err := ColdWarm(&out, f, &potential.LennardJones{}, opts, 4, 120, 17); err != nil {
+		t.Fatal(err)
+	}
+	var steps []int
+	for _, l := range strings.Split(out.String(), "\n") {
+		fs := strings.Fields(l)
+		if len(fs) != 6 {
+			continue
+		}
+		step, err := strconv.Atoi(fs[0])
+		if err != nil {
+			continue
+		}
+		steps = append(steps, step)
+		if fs[1] != "0" || fs[2] != "0" {
+			t.Errorf("step %d: SCF iterations cold %s warm %s, want 0 for LJ", step, fs[1], fs[2])
+		}
+		if d, err := strconv.ParseFloat(fs[5], 64); err != nil || d != 0 {
+			t.Errorf("step %d: |ΔEpot| %s, want 0", step, fs[5])
+		}
+	}
+	if len(steps) != 4 || steps[0] != 0 || steps[3] != 3 {
+		t.Fatalf("table rows for steps %v, want 0..3:\n%s", steps, out.String())
+	}
+	if err := ColdWarm(io.Discard, f, &potential.LennardJones{}, Options{}, 4, 120, 17); err == nil {
+		t.Error("ColdWarm accepted a zero time step")
 	}
 }

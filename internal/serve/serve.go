@@ -47,7 +47,6 @@ import (
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/netcoord"
-	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/resilience"
 	"github.com/fragmd/fragmd/internal/sched"
 	"github.com/fragmd/fragmd/internal/traj"
@@ -74,12 +73,11 @@ type Options struct {
 	JobWorkers int
 
 	// Coordinator, when non-nil, runs every evaluation on the connected
-	// netcoord worker fleet. FleetEval must then equal the spec the
-	// coordinator was started with: workers build their evaluator from
-	// the handshake, so a job requesting different physics is rejected
-	// at admission rather than silently computed with the fleet's.
+	// netcoord worker fleet. Workers build their evaluator from the
+	// handshake, so a job requesting physics other than the
+	// coordinator's Eval is rejected at admission rather than silently
+	// computed with the fleet's.
 	Coordinator *netcoord.Coordinator
-	FleetEval   potential.Spec
 	// FleetMinWorkers is the fleet size each chunk waits for (default 1).
 	FleetMinWorkers int
 
@@ -258,9 +256,9 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	if err := spec.normalize(); err != nil {
 		return JobView{}, fmt.Errorf("serve: invalid job: %w", err)
 	}
-	if s.opts.Coordinator != nil && spec.eval() != s.opts.FleetEval {
+	if c := s.opts.Coordinator; c != nil && spec.eval() != c.Eval() {
 		return JobView{}, fmt.Errorf("serve: invalid job: this server fronts a %s/%s worker fleet; the job's potential/basis/scs/ri_screen must match",
-			s.opts.FleetEval.Potential, s.opts.FleetEval.Basis)
+			c.Eval().Potential, c.Eval().Basis)
 	}
 	s.mu.Lock()
 	if s.draining || s.closed {
@@ -565,10 +563,6 @@ func (s *Server) execute(j *job) {
 			Workers: workers, Async: true, Dt: sp.DtFs * chem.AtomicTimePerFs,
 			WarmStart: sp.Warm, Cache: s.sharedCache(sp, f.Geom),
 		},
-	}
-	if s.opts.Coordinator != nil {
-		cfg.Eval = nil // evaluations happen in the workers
-		cfg.Opts.MaxRetries = 1
 	}
 	// A job with a checkpoint resumes from it; one without starts fresh.
 	_, statErr := os.Stat(j.ckPath)

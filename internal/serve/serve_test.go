@@ -598,7 +598,7 @@ func TestFleetMode(t *testing.T) {
 
 	s, err := New(Options{
 		StateDir: t.TempDir(), CheckpointEvery: 2,
-		Coordinator: c, FleetEval: fleetEval,
+		Coordinator: c,
 	})
 	if err != nil {
 		t.Fatal(err)
