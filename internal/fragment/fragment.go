@@ -17,6 +17,7 @@ package fragment
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/fragmd/fragmd/internal/chem"
@@ -309,11 +310,134 @@ type Cap struct {
 type Extracted struct {
 	Geom *molecule.Geometry
 	// ParentAtom[i] is the parent-system atom for fragment atom i
-	// (the inner/real atoms; caps are appended after them).
+	// (the inner/real atoms; caps are appended after them). ParentAtom
+	// and Caps are the template's slices, shared by every extraction of
+	// the polymer: read-only.
 	ParentAtom []int
 	Caps       []Cap
 
-	outerPositions map[Cap][3]float64 // cut-bond outer atom snapshots
+	capInner []int        // fragment index of each cap's inner atom (the template's)
+	outer    [][3]float64 // outer atom position of each cap, parallel to Caps
+}
+
+// Template is the static topology of one polymer's extraction: its
+// atoms in fragment order, their member images and its caps. It is
+// built once (NewTemplate) and then turns any position source into the
+// polymer's geometry (Extract), so the per-task work is a copy of
+// positions. A Template is read-only after NewTemplate and safe to
+// share between goroutines.
+type Template struct {
+	parent   []int      // sorted parent atoms
+	z        []int      // atomic number of each parent atom
+	shifts   []imageRun // runs of fragment atoms with a nonzero member image
+	caps     []Cap      // cut bonds leaving the polymer, in f.cutBonds order
+	capInner []int      // fragment index of each cap's inner atom
+	cell     *molecule.Cell
+}
+
+// imageRun is a run of consecutive fragment atoms [lo, hi) of one
+// member, rigidly shifted by that member's image.
+type imageRun struct {
+	lo, hi int
+	shift  [3]float64
+}
+
+// NewTemplate builds the extraction template of p with the given member
+// images (MemberImages; nil shifts nothing). The engine builds one per
+// polymer when it forms its polymer list, with the images of the set-up
+// geometry, so that a fragment's geometry is continuous along the
+// trajectory: picked afresh at every step, a member flips by a lattice
+// vector whenever its centroid crosses half a box from the first
+// member's — which monomers whose atoms drift apart do.
+func (f *Fragmentation) NewTemplate(p Polymer, images [][3]float64) *Template {
+	t := f.template(p, images)
+	return &t
+}
+
+// template is NewTemplate by value: inlined, NewTemplate lets a one-off
+// extraction (ExtractAt) keep its template off the heap.
+func (f *Fragmentation) template(p Polymer, images [][3]float64) Template {
+	n := 0
+	for _, mi := range p.Monomers {
+		n += len(f.Monomers[mi].Atoms)
+	}
+	buf := make([]int, 2*n)
+	t := Template{parent: buf[:0:n], z: buf[n:], cell: f.Geom.Cell}
+	for _, mi := range p.Monomers {
+		t.parent = append(t.parent, f.Monomers[mi].Atoms...)
+	}
+	sort.Ints(t.parent)
+	for i, a := range t.parent {
+		t.z[i] = f.Geom.Atoms[a].Z
+	}
+	member := func(a int) int { // index in p.Monomers of a's monomer, or -1
+		return slices.Index(p.Monomers, f.atomMonomer[a])
+	}
+	for lo := 0; images != nil && lo < n; {
+		hi := lo + 1
+		for hi < n && f.atomMonomer[t.parent[hi]] == f.atomMonomer[t.parent[lo]] {
+			hi++
+		}
+		// A zero image is skipped, not added, so positions stay
+		// bit-identical (a −0.0 coordinate keeps its sign).
+		if k := member(t.parent[lo]); k > 0 && images[k-1] != ([3]float64{}) {
+			t.shifts = append(t.shifts, imageRun{lo: lo, hi: hi, shift: images[k-1]})
+		}
+		lo = hi
+	}
+	for _, b := range f.cutBonds {
+		var inner, outer int
+		switch in0, in1 := member(b[0]) >= 0, member(b[1]) >= 0; {
+		case in0 && !in1:
+			inner, outer = b[0], b[1]
+		case in1 && !in0:
+			inner, outer = b[1], b[0]
+		default:
+			continue // bond fully inside or fully outside
+		}
+		t.caps = append(t.caps, Cap{Inner: inner, Outer: outer})
+		t.capInner = append(t.capInner, sort.SearchInts(t.parent, inner))
+	}
+	return t
+}
+
+// Extract builds the polymer's standalone geometry at pos: the member
+// atoms, each member rigidly shifted by its image, then one hydrogen
+// cap per cut bond, placed towards the outer atom's nearest image to
+// its (shifted) inner atom. Rigid lattice shifts leave all
+// intra-fragment displacements — and therefore the fragment energy and
+// gradient — unchanged, so FoldGradient needs no correction.
+func (t *Template) Extract(pos func(atom int) [3]float64) *Extracted {
+	n := len(t.parent)
+	atoms := make([]molecule.Atom, n+len(t.caps))
+	for i, a := range t.parent {
+		atoms[i] = molecule.Atom{Z: t.z[i], Pos: pos(a)}
+	}
+	for _, r := range t.shifts {
+		for i := r.lo; i < r.hi; i++ {
+			xyz := &atoms[i].Pos
+			xyz[0] += r.shift[0]
+			xyz[1] += r.shift[1]
+			xyz[2] += r.shift[2]
+		}
+	}
+	// The Extracted and its Geometry share one allocation.
+	x := &struct {
+		ex Extracted
+		g  molecule.Geometry
+	}{g: molecule.Geometry{Atoms: atoms}}
+	ex := &x.ex
+	*ex = Extracted{Geom: &x.g, ParentAtom: t.parent, Caps: t.caps, capInner: t.capInner}
+	if len(t.caps) > 0 {
+		ex.outer = make([][3]float64, len(t.caps))
+	}
+	for ci, c := range t.caps {
+		in := atoms[t.capInner[ci]].Pos
+		out := nearestImage(t.cell, pos(c.Outer), in)
+		ex.outer[ci] = out
+		atoms[n+ci] = molecule.Atom{Z: 1, Pos: capPosition(in, out, capDistance)}
+	}
+	return ex
 }
 
 // Extract builds the standalone geometry of a polymer: the union of its
@@ -328,30 +452,9 @@ func (f *Fragmentation) Extract(p Polymer) *Extracted {
 // of cut bonds (whose positions define the H-caps). This is the
 // dependency set of the asynchronous time-step scheme (§V-F).
 func (f *Fragmentation) TouchSet(p Polymer) []int {
-	inSet := map[int]bool{}
-	for _, mi := range p.Monomers {
-		inSet[mi] = true
-	}
 	out := append([]int(nil), p.Monomers...)
-	memberAtom := map[int]bool{}
-	for _, mi := range p.Monomers {
-		for _, a := range f.Monomers[mi].Atoms {
-			memberAtom[a] = true
-		}
-	}
-	for _, b := range f.cutBonds {
-		var outer int
-		switch {
-		case memberAtom[b[0]] && !memberAtom[b[1]]:
-			outer = b[1]
-		case memberAtom[b[1]] && !memberAtom[b[0]]:
-			outer = b[0]
-		default:
-			continue
-		}
-		om := f.atomMonomer[outer]
-		if !inSet[om] {
-			inSet[om] = true
+	for _, c := range f.template(p, nil).caps {
+		if om := f.atomMonomer[c.Outer]; !slices.Contains(out, om) {
 			out = append(out, om)
 		}
 	}
@@ -359,22 +462,19 @@ func (f *Fragmentation) TouchSet(p Polymer) []int {
 	return out
 }
 
-// ExtractAt is Extract with an explicit position source, used by the
-// asynchronous scheduler to build a polymer's geometry from per-monomer
-// position histories at a specific time step.
+// ExtractAt is Extract with an explicit position source: one extraction
+// through a template built for it. Callers that extract one polymer
+// repeatedly (the scheduler) keep its Template instead.
 //
 // Periodic geometries extract by nearest image: every member monomer is
 // rigidly shifted by the lattice vector bringing its centroid closest
 // to the first member's centroid (MemberImages at pos), so a dimer
 // straddling the box boundary becomes the compact physical pair, not
-// two distant copies. Rigid lattice shifts leave all intra-fragment
-// displacements — and therefore the fragment energy and gradient —
-// unchanged, so FoldGradient needs no correction. Cut-bond outer atoms
-// are likewise min-imaged relative to their inner atom before the cap
-// is placed. With a nil Cell the position source passes through
-// untouched.
+// two distant copies. Cut-bond outer atoms are likewise min-imaged
+// relative to their inner atom before the cap is placed. With a nil
+// Cell the position source passes through untouched.
 func (f *Fragmentation) ExtractAt(p Polymer, pos func(atom int) [3]float64) *Extracted {
-	return f.ExtractImaged(p, pos, f.MemberImages(p, pos))
+	return f.NewTemplate(p, f.MemberImages(p, pos)).Extract(pos)
 }
 
 // MemberImages returns the lattice vectors ExtractAt shifts the members
@@ -403,73 +503,6 @@ func (f *Fragmentation) MemberImages(p Polymer, pos func(atom int) [3]float64) [
 	return images
 }
 
-// ExtractImaged is ExtractAt with the member images given (nil shifts
-// nothing). The engine picks them once per polymer, when it forms its
-// polymer list, so that a fragment's geometry is continuous along the
-// trajectory: picked afresh at every step, a member flips by a lattice
-// vector whenever its centroid crosses half a box from the first
-// member's — which monomers whose atoms drift apart do.
-func (f *Fragmentation) ExtractImaged(p Polymer, pos func(atom int) [3]float64, images [][3]float64) *Extracted {
-	if images != nil {
-		pos = f.imageShifted(p, pos, images)
-	}
-	inSet := map[int]bool{}
-	for _, mi := range p.Monomers {
-		for _, a := range f.Monomers[mi].Atoms {
-			inSet[a] = true
-		}
-	}
-	ex := &Extracted{Geom: molecule.New()}
-	var atoms []int
-	for _, mi := range p.Monomers {
-		atoms = append(atoms, f.Monomers[mi].Atoms...)
-	}
-	sort.Ints(atoms)
-	for _, a := range atoms {
-		xyz := pos(a)
-		ex.Geom.AddAtom(f.Geom.Atoms[a].Z, xyz[0], xyz[1], xyz[2])
-		ex.ParentAtom = append(ex.ParentAtom, a)
-	}
-	for _, b := range f.cutBonds {
-		var inner, outer int
-		switch {
-		case inSet[b[0]] && !inSet[b[1]]:
-			inner, outer = b[0], b[1]
-		case inSet[b[1]] && !inSet[b[0]]:
-			inner, outer = b[1], b[0]
-		default:
-			continue // bond fully inside or fully outside
-		}
-		cap := Cap{Inner: inner, Outer: outer}
-		ex.Caps = append(ex.Caps, cap)
-		if ex.outerPositions == nil {
-			ex.outerPositions = map[Cap][3]float64{}
-		}
-		in, out := pos(inner), f.nearestImageOf(pos(outer), pos(inner))
-		ex.outerPositions[cap] = out
-		capXYZ := capPosition(in, out, capDistance)
-		ex.Geom.AddAtom(1, capXYZ[0], capXYZ[1], capXYZ[2])
-	}
-	return ex
-}
-
-// imageShifted wraps a position source so member k+1 of p is rigidly
-// translated by images[k]. Members with a zero image are passed
-// through, keeping their positions bit-identical.
-func (f *Fragmentation) imageShifted(p Polymer, pos func(atom int) [3]float64, images [][3]float64) func(atom int) [3]float64 {
-	return func(a int) [3]float64 {
-		xyz := pos(a)
-		for k, mi := range p.Monomers[1:] {
-			if sh := images[k]; mi == f.atomMonomer[a] && sh != ([3]float64{}) {
-				xyz[0] += sh[0]
-				xyz[1] += sh[1]
-				xyz[2] += sh[2]
-			}
-		}
-		return xyz
-	}
-}
-
 // monomerCentroidAt computes one monomer's centroid from a position
 // source, mirroring Geometry.CentroidOf arithmetic.
 func (f *Fragmentation) monomerCentroidAt(mi int, pos func(atom int) [3]float64) [3]float64 {
@@ -494,10 +527,15 @@ func (f *Fragmentation) monomerCentroidAt(mi int, pos func(atom int) [3]float64)
 // nearestImageOf returns the periodic image of q closest to ref (q
 // itself when the geometry is open).
 func (f *Fragmentation) nearestImageOf(q, ref [3]float64) [3]float64 {
-	if f.Geom.Cell == nil {
+	return nearestImage(f.Geom.Cell, q, ref)
+}
+
+// nearestImage is nearestImageOf in cell (nil = open).
+func nearestImage(cell *molecule.Cell, q, ref [3]float64) [3]float64 {
+	if cell == nil {
 		return q
 	}
-	d := f.Geom.Cell.MinImage([3]float64{q[0] - ref[0], q[1] - ref[1], q[2] - ref[2]})
+	d := cell.MinImage([3]float64{q[0] - ref[0], q[1] - ref[1], q[2] - ref[2]})
 	return [3]float64{ref[0] + d[0], ref[1] + d[1], ref[2] + d[2]}
 }
 
@@ -536,8 +574,8 @@ func (ex *Extracted) FoldGradient(fragGrad []float64, factor float64, parentGrad
 	}
 	for ci, cap := range ex.Caps {
 		gi := 3 * (nReal + ci)
-		inner := ex.innerPos(cap)
-		outer := ex.outerPos(cap)
+		inner := ex.Geom.Atoms[ex.capInner[ci]].Pos
+		outer := ex.outer[ci]
 		var u [3]float64
 		var norm float64
 		for k := 0; k < 3; k++ {
@@ -565,29 +603,4 @@ func delta(a, b int) float64 {
 		return 1
 	}
 	return 0
-}
-
-// innerPos/outerPos read the parent positions backing a cap. The parent
-// geometry is reachable through the stored positions at extraction time;
-// Extracted keeps its own copies inside Geom for the inner atom, so the
-// cap Jacobian is evaluated from the fragment's snapshot.
-func (ex *Extracted) innerPos(c Cap) [3]float64 { return ex.posOfParent(c.Inner) }
-
-func (ex *Extracted) posOfParent(parent int) [3]float64 {
-	for i, pa := range ex.ParentAtom {
-		if pa == parent {
-			return ex.Geom.Atoms[i].Pos
-		}
-	}
-	panic("fragment: cap parent atom not in fragment")
-}
-
-// outerPos reconstructs the outer-atom position from the cap placement:
-// C = in + d·(out−in)/|out−in| does not retain |out−in|, so Extracted
-// stores the outer position explicitly at extraction time.
-func (ex *Extracted) outerPos(c Cap) [3]float64 {
-	if ex.outerPositions == nil {
-		panic("fragment: outer positions not recorded")
-	}
-	return ex.outerPositions[c]
 }

@@ -142,12 +142,12 @@ func TestExtractPeriodicImageShift(t *testing.T) {
 	}
 }
 
-// TestExtractImagedIsContinuous: a member whose atoms drift apart moves
+// TestTemplateImagesAreContinuous: a member whose atoms drift apart moves
 // its centroid across half a box from its partner's. Images picked
 // afresh at each geometry flip it by a lattice vector there, and the
 // fragment energy jumps; images picked once keep the fragment geometry,
 // and the energy, continuous.
-func TestExtractImagedIsContinuous(t *testing.T) {
+func TestTemplateImagesAreContinuous(t *testing.T) {
 	const L = 30.0
 	g := molecule.New()
 	cell, err := molecule.NewCell(L, L, L)
@@ -164,7 +164,7 @@ func TestExtractImagedIsContinuous(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Polymer{Monomers: []int{0, 1}}
-	images := f.MemberImages(p, func(a int) [3]float64 { return g.Atoms[a].Pos })
+	tpl := f.NewTemplate(p, f.MemberImages(p, func(a int) [3]float64 { return g.Atoms[a].Pos }))
 	// Drag the second water's last H along x to where that water's
 	// centroid sits half a box from the first's.
 	at := func(x float64) func(int) [3]float64 {
@@ -191,7 +191,7 @@ func TestExtractImagedIsContinuous(t *testing.T) {
 	if d := math.Abs(energy(f.ExtractAt(p, hi)) - energy(f.ExtractAt(p, lo))); d < 1e-7 {
 		t.Errorf("images picked afresh: energy moves %.3g Ha across the flip, expected a jump", d)
 	}
-	if d := math.Abs(energy(f.ExtractImaged(p, hi, images)) - energy(f.ExtractImaged(p, lo, images))); d > 1e-10 {
+	if d := math.Abs(energy(tpl.Extract(hi)) - energy(tpl.Extract(lo))); d > 1e-10 {
 		t.Errorf("images picked once: energy jumps %.3g Ha across the crossing", d)
 	}
 }

@@ -207,19 +207,20 @@ type Engine struct {
 	Eval fragment.Evaluator
 	Opts Options
 
-	terms    *fragment.Terms
-	polymers []fragment.Polymer
-	images   [][][3]float64 // per polymer index: member images, picked once (fragment.ExtractImaged)
-	keys     []string       // per polymer index: Polymer.Key, formatted once
-	coeff    []float64      // per polymer index
-	graph    *coord.Graph
-	refMono  int
-	cache    *warmstart.Cache // nil unless WarmStart or Cache configured
-	runStats coord.RunStats   // resilience events of the last Run
+	terms     *fragment.Terms
+	polymers  []fragment.Polymer
+	templates []*fragment.Template // per polymer index: extraction template, built once
+	keys      []string             // per polymer index: Polymer.Key, formatted once
+	coeff     []float64            // per polymer index
+	graph     *coord.Graph
+	refMono   int
+	cache     *warmstart.Cache // nil unless WarmStart or Cache configured
+	runStats  coord.RunStats   // resilience events of the last Run
 
-	atomMono  []int     // atom → owning monomer
-	atomSlot  []int     // atom → index within its monomer
-	monoTouch [][]int32 // EE-MBE only: touch set of each monomer alone (its charge task)
+	atomMono  []int                // atom → owning monomer
+	atomSlot  []int                // atom → index within its monomer
+	monoTouch [][]int32            // EE-MBE only: touch set of each monomer alone (its charge task)
+	monoTpl   []*fragment.Template // EE-MBE only: template of each monomer alone (its charge task)
 }
 
 // Cache returns the engine's warm-start cache (nil when incremental
@@ -307,7 +308,7 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	e.terms = f.Terms()
 	coeffMap := e.terms.Coefficients()
 	e.polymers = e.terms.All()
-	e.images = make([][][3]float64, len(e.polymers))
+	e.templates = make([]*fragment.Template, len(e.polymers))
 	e.keys = make([]string, len(e.polymers))
 	e.coeff = make([]float64, len(e.polymers))
 	members := make([][]int32, len(e.polymers))
@@ -316,7 +317,7 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	for pi, p := range e.polymers {
 		// Like the polymer list, each polymer's member images come from
 		// the set-up geometry and hold for every step.
-		e.images[pi] = f.MemberImages(p, setup)
+		e.templates[pi] = f.NewTemplate(p, f.MemberImages(p, setup))
 		e.keys[pi] = p.Key()
 		e.coeff[pi] = coeffMap[e.keys[pi]]
 		ms := int32s(p.Monomers)
@@ -333,8 +334,11 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 	}
 	if opts.Embed != nil {
 		e.monoTouch = make([][]int32, len(f.Monomers))
+		e.monoTpl = make([]*fragment.Template, len(f.Monomers))
 		for m := range f.Monomers {
-			e.monoTouch[m] = int32s(f.TouchSet(fragment.Polymer{Monomers: []int{m}}))
+			p := fragment.Polymer{Monomers: []int{m}}
+			e.monoTouch[m] = int32s(f.TouchSet(p))
+			e.monoTpl[m] = f.NewTemplate(p, nil)
 		}
 	}
 
@@ -386,14 +390,15 @@ type handoff struct {
 	pos   [][]float64
 }
 
-// taskFragment returns the fragment a task evaluates — its polymer, or
-// for an EE-MBE charge task its monomer alone — the monomers whose
-// positions its geometry is built from, and its member images.
-func (e *Engine) taskFragment(t coord.Task, charge bool) (fragment.Polymer, []int32, [][3]float64) {
+// taskFragment returns, for the fragment a task evaluates — its
+// polymer, or for an EE-MBE charge task its monomer alone — the
+// monomers whose positions its geometry is built from and its
+// extraction template.
+func (e *Engine) taskFragment(t coord.Task, charge bool) ([]int32, *fragment.Template) {
 	if charge {
-		return fragment.Polymer{Monomers: []int{int(t.Poly)}}, e.monoTouch[t.Poly], nil
+		return e.monoTouch[t.Poly], e.monoTpl[t.Poly]
 	}
-	return e.polymers[t.Poly], e.graph.Touch[t.Poly], e.images[t.Poly]
+	return e.graph.Touch[t.Poly], e.templates[t.Poly]
 }
 
 // extractor builds task geometries from captured position slices; each
@@ -416,11 +421,11 @@ func (e *Engine) newExtractor() *extractor {
 // extract builds t's standalone geometry from pos, whose leading
 // entries are the positions of t's touch set.
 func (x *extractor) extract(t coord.Task, charge bool, pos [][]float64) *fragment.Extracted {
-	p, touch, images := x.e.taskFragment(t, charge)
+	touch, tpl := x.e.taskFragment(t, charge)
 	for k, m := range touch {
 		x.mono[m] = pos[k]
 	}
-	ex := x.e.Frag.ExtractImaged(p, x.at, images)
+	ex := tpl.Extract(x.at)
 	for _, m := range touch {
 		x.mono[m] = nil
 	}
@@ -707,7 +712,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			case tw.charge && t.Phase > 0:
 				// A later-round charge task sees the previous round's
 				// charges as its field.
-				p, _, _ := e.taskFragment(t, true)
+				p := fragment.Polymer{Monomers: []int{int(t.Poly)}}
 				tw.field = f.FieldFor(p, chargeAt(step, int(t.Phase)-1), fieldPosAt(step))
 			case !tw.charge && chargeRounds > 0:
 				tw.field = f.FieldFor(e.polymers[t.Poly], chargeAt(step, chargeRounds-1), fieldPosAt(step))
@@ -725,7 +730,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				dirty = append(dirty, w)
 			}
 			tw.pos = len(h.pos)
-			_, touch, _ := e.taskFragment(t, tw.charge)
+			touch, _ := e.taskFragment(t, tw.charge)
 			for _, mi := range touch {
 				h.pos = append(h.pos, positionsOf(int(mi), step))
 			}
@@ -832,16 +837,18 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	// wrapper below streams every step the advance finalized.
 	integrateMono := func(mi, step int32) {
 		m, t := int(mi), int(step)
+		g := stepGrad(t)
 		monoAdvanced[t]++
 		if monoAdvanced[t] == nm {
 			// Every polymer of step t has completed (that is why every
-			// monomer advanced), so the step's charge field is dead.
+			// monomer advanced), so the step's charge field is dead, and
+			// so is its gradient once this last monomer's kick reads g.
 			delete(chargeQ, t)
 			delete(stepPos, t)
+			delete(gradStep, t)
 		}
 		ms := monos[m]
 		atoms := f.Monomers[m].Atoms
-		g := stepGrad(t)
 		// Second half-kick completes v(t); at t=0 velocities are v(0).
 		if t > 0 {
 			for _, a := range atoms {
