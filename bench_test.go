@@ -1,9 +1,10 @@
 package fragmd_test
 
-// Benchmarks regenerating the paper's tables and figures (one benchmark
-// per experiment; see DESIGN.md §4 for the index). Run with
+// Benchmarks regenerating the paper's tables and figures: one
+// sub-benchmark per entry of bench.Experiments (DESIGN.md §4). Run with
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Experiments -benchmem
+//	go test -bench=Experiments/fig8
 //
 // Full paper-size configurations: cmd/mbebench -full <experiment>.
 
@@ -14,29 +15,19 @@ import (
 	"github.com/fragmd/fragmd/internal/bench"
 )
 
-func runExperiment(b *testing.B, fn func(*bench.Config)) {
-	b.Helper()
+func BenchmarkExperiments(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-experiment benchmarks are slow; run without -short")
 	}
-	cfg := &bench.Config{Quick: true, Out: io.Discard}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn(cfg)
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := &bench.Config{Quick: true, Out: io.Discard}
+				e.Run(cfg)
+				if len(cfg.Failures) > 0 {
+					b.Fatalf("%s failed: %v", e.Name, cfg.Failures)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable1Attributes(b *testing.B)     { runExperiment(b, bench.Table1) }
-func BenchmarkTable2Landscape(b *testing.B)      { runExperiment(b, bench.Fig1Table2) }
-func BenchmarkTable3GlycineLatency(b *testing.B) { runExperiment(b, bench.Table3) }
-func BenchmarkFig3RIHFSpeedup(b *testing.B)      { runExperiment(b, bench.Fig3) }
-func BenchmarkTable4GemmVariants(b *testing.B)   { runExperiment(b, bench.Table4) }
-func BenchmarkGemmEngines(b *testing.B)          { runExperiment(b, bench.GemmBench) }
-func BenchmarkAutotuneAblation(b *testing.B)     { runExperiment(b, bench.AutotuneAblation) }
-func BenchmarkFig5Contributions(b *testing.B)    { runExperiment(b, bench.Fig5) }
-func BenchmarkFig6Conservation(b *testing.B)     { runExperiment(b, bench.Fig6) }
-func BenchmarkAsyncVsSync(b *testing.B)          { runExperiment(b, bench.AsyncAblation) }
-func BenchmarkWarmStartAblation(b *testing.B)    { runExperiment(b, bench.WarmStartAblation) }
-func BenchmarkFig7StrongScaling(b *testing.B)    { runExperiment(b, bench.Fig7) }
-func BenchmarkFig8WeakScaling(b *testing.B)      { runExperiment(b, bench.Fig8) }
-func BenchmarkTable5Records(b *testing.B)        { runExperiment(b, bench.Table5) }

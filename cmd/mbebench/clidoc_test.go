@@ -5,15 +5,21 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/fragmd/fragmd/internal/bench"
 )
 
 // TestCLIDocMatchesFlags pins the mbebench table in docs/CLI.md to the
-// real flag set via flag.VisitAll: adding, removing, or re-defaulting
-// a flag without updating the manual fails here. (The fragmd sections
-// are checked by the sibling test in cmd/fragmd.)
+// real flag set via flag.VisitAll, row for row, help text included:
+// adding, removing, re-defaulting or re-describing a flag without
+// updating the manual fails here. (The fragmd sections are checked by
+// the sibling test in cmd/fragmd.)
 func TestCLIDocMatchesFlags(t *testing.T) {
 	var fs *flag.FlagSet
 	testHookFlagSet = func(got *flag.FlagSet) { fs = got }
@@ -27,7 +33,7 @@ func TestCLIDocMatchesFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := regexp.MustCompile("^\\|\\s*`-([^`]+)`\\s*\\|([^|]*)\\|")
+	name := regexp.MustCompile("^\\| `-([^`]+)` \\|")
 	doc := map[string]string{}
 	inSection := false
 	for _, ln := range strings.Split(string(data), "\n") {
@@ -35,10 +41,8 @@ func TestCLIDocMatchesFlags(t *testing.T) {
 			inSection = strings.TrimSpace(strings.TrimPrefix(ln, "## ")) == "mbebench"
 			continue
 		}
-		if inSection {
-			if m := row.FindStringSubmatch(ln); m != nil {
-				doc[m[1]] = strings.TrimSpace(m[2])
-			}
+		if m := name.FindStringSubmatch(ln); inSection && m != nil {
+			doc[m[1]] = strings.TrimSpace(ln)
 		}
 	}
 	if len(doc) == 0 {
@@ -46,27 +50,53 @@ func TestCLIDocMatchesFlags(t *testing.T) {
 	}
 
 	fs.VisitAll(func(f *flag.Flag) {
-		def, ok := doc[f.Name]
+		def := ""
+		if f.DefValue != "" {
+			def = "`" + f.DefValue + "`"
+		}
+		want := fmt.Sprintf("| `-%s` | %s | %s |", f.Name, def, strings.ReplaceAll(f.Usage, "|", `\|`))
+		got, ok := doc[f.Name]
 		if !ok {
-			usage := strings.ReplaceAll(f.Usage, "|", `\|`)
-			want := ""
-			if f.DefValue != "" {
-				want = "`" + f.DefValue + "`"
-			}
-			t.Errorf("docs/CLI.md mbebench table is missing -%s; add:\n%s",
-				f.Name, fmt.Sprintf("| `-%s` | %s | %s |", f.Name, want, usage))
+			t.Errorf("docs/CLI.md mbebench table is missing -%s; add:\n%s", f.Name, want)
 			return
 		}
-		want := ""
-		if f.DefValue != "" {
-			want = "`" + f.DefValue + "`"
-		}
-		if def != want {
-			t.Errorf("docs/CLI.md documents mbebench -%s default as %q, flag says %q", f.Name, def, want)
+		if got != want {
+			t.Errorf("docs/CLI.md documents mbebench -%s as\n%s\nthe flag says\n%s", f.Name, got, want)
 		}
 		delete(doc, f.Name)
 	})
 	for name := range doc {
 		t.Errorf("docs/CLI.md documents mbebench -%s, which the binary does not define", name)
+	}
+}
+
+// TestDesignIndexMatchesRegistry pins the DESIGN.md §4 experiment table
+// to bench.Experiments: one row per experiment, in registry order, with
+// its alias and its function.
+func TestDesignIndexMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("^\\| `([^`]+)`(?: / `([^`]+)`)? \\|[^|]*\\| `bench\\.(\\w+)` \\|$")
+	var doc []string
+	inSection := false
+	for _, ln := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(ln, "## ") {
+			inSection = strings.HasPrefix(ln, "## §4 ")
+			continue
+		}
+		if m := row.FindStringSubmatch(ln); inSection && m != nil {
+			doc = append(doc, m[1]+" "+m[2]+" "+m[3])
+		}
+	}
+	var reg []string
+	for _, e := range bench.Experiments {
+		fn := runtime.FuncForPC(reflect.ValueOf(e.Run).Pointer()).Name()
+		reg = append(reg, e.Name+" "+e.Alias+" "+fn[strings.LastIndex(fn, ".")+1:])
+	}
+	if !slices.Equal(doc, reg) {
+		t.Errorf("DESIGN.md §4 lists (experiment alias function)\n  %s\nbench.Experiments registers\n  %s",
+			strings.Join(doc, "\n  "), strings.Join(reg, "\n  "))
 	}
 }

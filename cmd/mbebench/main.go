@@ -2,14 +2,11 @@
 //
 // Usage:
 //
-//	mbebench [-full] <experiment>...
+//	mbebench [-full] <experiment>... | all
 //	mbebench -list
 //
-// Experiments: table1 fig1 table2 table3 fig3 table4 gemm autotune fig5
-// fig6 async warmstart embed hier resilience netcoord neighbor serve
-// fig7 fig8 table5 all
-//
-// By default workloads are shrunk to development-box scale; -full runs
+// -list prints the experiments (bench.Experiments, DESIGN.md §4). By
+// default workloads are shrunk to development-box scale; -full runs
 // the paper-size configurations (the exascale experiments remain
 // discrete-event simulations — see DESIGN.md §2).
 //
@@ -20,34 +17,16 @@
 // substitutes ±10 % jitter when -jitter is 0 (its work-stealing path
 // needs load imbalance to exist) and prints the value it used.
 //
-// The resilience experiment sweeps simulated per-worker node MTBF
-// against throughput, recovered attempts, lost work and restart
-// downtime (DESIGN.md §7); every run must still complete every time
-// step.
+// Three experiments write a machine-readable report and gate it: gemm
+// (GFLOP/s and same-run speedups, DESIGN.md §5), neighbor (the fitted
+// O(N) exponent, absolute ceiling 1.2, and the cell-vs-brute speedup,
+// §13) and serve (latency, jobs/sec, fairness and drain integrity,
+// §12). -bench-json writes the report (conventionally BENCH_gemm.json,
+// BENCH_neighbor.json, BENCH_serve.json), -baseline gates it against a
+// committed one and -max-regress sets the tolerance in percent.
 //
-// The gemm experiment additionally honours -bench-json (write the
-// machine-readable GFLOP/s report, conventionally BENCH_gemm.json),
-// -baseline (gate tracked shapes against a committed report) and
-// -max-regress (allowed GFLOP/s drop in percent, default 25); a gated
-// regression makes the process exit 1. This is the CI bench job
-// (see DESIGN.md §5).
-//
-// The neighbor experiment sweeps cell-list polymer enumeration and
-// EE-MBE field setup over growing periodic water boxes, fits the
-// log-log scaling exponent, and fails when it exceeds 1.2 — the O(N)
-// acceptance gate for the fragmentation path's neighbor search. It
-// honours the same -bench-json/-baseline/-max-regress trio
-// (conventionally BENCH_neighbor.json); the baseline gate compares the
-// fitted exponent and the same-run cell-vs-brute speedup, both of which
-// survive machine changes.
-//
-// The serve experiment load-tests the multi-tenant trajectory server
-// (DESIGN.md §12) over localhost HTTP and honours the same trio:
-// -bench-json writes BENCH_serve.json (latency percentiles, jobs/sec,
-// fairness, drain-audit counters), -baseline gates p50/p99/jobs-per-
-// second against a committed report, and -max-regress sets the
-// tolerance. Fairness (≤ 2× across tenants) and drain integrity (zero
-// lost or duplicated steps) are absolute gates applied every run.
+// An experiment error or a gate violation makes the process exit 1; a
+// usage error exits 2. CI runs the three gates.
 package main
 
 import (
@@ -60,33 +39,6 @@ import (
 
 	"github.com/fragmd/fragmd/internal/bench"
 )
-
-var experiments = []struct {
-	name string
-	fn   func(*bench.Config)
-	desc string
-}{
-	{"table1", bench.Table1, "performance-attribute summary"},
-	{"fig1", bench.Fig1Table2, "accuracy-vs-size landscape (also: table2)"},
-	{"table3", bench.Table3, "Gly_n single-time-step latency vs conventional"},
-	{"fig3", bench.Fig3, "RI-HF vs conventional-HF gradient ablation"},
-	{"table4", bench.Table4, "DGEMM variant performance on RI-MP2 shapes"},
-	{"gemm", bench.GemmBench, "GEMM engine microbenchmarks (BENCH_gemm.json)"},
-	{"autotune", bench.AutotuneAblation, "runtime GEMM auto-tuning speedup (§V-G)"},
-	{"fig5", bench.Fig5, "dimer/trimer contribution decay and cutoffs"},
-	{"fig6", bench.Fig6, "NVE energy conservation with async time steps"},
-	{"async", bench.AsyncAblation, "async vs sync time-step latency (§VII-A)"},
-	{"warmstart", bench.WarmStartAblation, "cold vs warm-start SCF iterations and wall per AIMD step"},
-	{"embed", bench.Embed, "EE-MBE accuracy vs supersystem + two-phase scheduling cost (§8)"},
-	{"hier", bench.Hier, "hierarchical group coordinators vs flat scheduler (§VII)"},
-	{"resilience", bench.Resilience, "failure injection: throughput and lost work vs node MTBF"},
-	{"netcoord", bench.NetCoord, "network backend A/B oracle: live localhost TCP vs simulation"},
-	{"neighbor", bench.NeighborBench, "cell-list O(N) scaling sweep + exponent gate (BENCH_neighbor.json)"},
-	{"serve", bench.ServeBench, "trajectory-server load test: latency/fairness/drain (BENCH_serve.json)"},
-	{"fig7", bench.Fig7, "strong scaling on Perlmutter/Frontier models"},
-	{"fig8", bench.Fig8, "weak scaling at 4 polymers/GCD"},
-	{"table5", bench.Table5, "record runs: million-electron urea, 2BEG latency"},
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -102,9 +54,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	full := fs.Bool("full", false, "run paper-size configurations")
 	list := fs.Bool("list", false, "list experiments")
-	benchJSON := fs.String("bench-json", "", "write the gemm/serve machine-readable report to this path")
-	baseline := fs.String("baseline", "", "gate the gemm/serve report against this committed baseline")
-	maxRegress := fs.Float64("max-regress", 25, "allowed regression vs baseline (GFLOP/s, latency, jobs/sec), percent")
+	benchJSON := fs.String("bench-json", "", "write the gemm/neighbor/serve machine-readable report to this path")
+	baseline := fs.String("baseline", "", "gate the gemm/neighbor/serve report against this committed baseline")
+	maxRegress := fs.Float64("max-regress", 25, "allowed regression vs baseline (GFLOP/s, speedups, neighbor exponent, latency, jobs/sec), percent")
 	seed := fs.Int64("seed", 0, "cluster-simulator RNG seed for reproducible fig7/fig8/table5/hier runs (0 = default)")
 	jitter := fs.Float64("jitter", 0, "simulated task-runtime noise, fraction in [0,1) (0 = deterministic model; hier substitutes 0.1)")
 	if testHookFlagSet != nil {
@@ -118,15 +70,32 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, e := range experiments {
-			fmt.Fprintf(stdout, "  %-10s %s\n", e.name, e.desc)
+		for _, e := range bench.Experiments {
+			fmt.Fprintf(stdout, "  %-10s %s\n", e.Name, e.Desc)
 		}
 		return 0
+	}
+	if !(*jitter >= 0 && *jitter < 1) {
+		fmt.Fprintf(stderr, "-jitter %g outside [0, 1)\n", *jitter)
+		return 2
 	}
 	args := fs.Args()
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "usage: mbebench [-full] <experiment>|all ... (-list to enumerate)")
 		return 2
+	}
+	var todo []bench.Experiment
+	for _, name := range args {
+		if name == "all" {
+			todo = append(todo, bench.Experiments...)
+			continue
+		}
+		e, ok := bench.Lookup(name)
+		if !ok {
+			fmt.Fprintf(stderr, "unknown experiment %q (-list to enumerate)\n", name)
+			return 2
+		}
+		todo = append(todo, e)
 	}
 	cfg := &bench.Config{
 		Quick:         !*full,
@@ -137,29 +106,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Seed:          *seed,
 		Jitter:        *jitter,
 	}
-	runOne := func(name string) bool {
-		for _, e := range experiments {
-			if e.name == name || (name == "table2" && e.name == "fig1") {
-				start := time.Now()
-				fmt.Fprintf(stdout, "==== %s ====\n", e.name)
-				e.fn(cfg)
-				fmt.Fprintf(stdout, "---- %s done in %.1fs ----\n\n", e.name, time.Since(start).Seconds())
-				return true
-			}
-		}
-		return false
-	}
-	for _, name := range args {
-		if name == "all" {
-			for _, e := range experiments {
-				runOne(e.name)
-			}
-			continue
-		}
-		if !runOne(name) {
-			fmt.Fprintf(stderr, "unknown experiment %q (-list to enumerate)\n", name)
-			return 2
-		}
+	for _, e := range todo {
+		start := time.Now()
+		fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
+		e.Run(cfg)
+		fmt.Fprintf(stdout, "---- %s done in %.1fs ----\n\n", e.Name, time.Since(start).Seconds())
 	}
 	if len(cfg.Failures) > 0 {
 		for _, f := range cfg.Failures {

@@ -9,21 +9,17 @@ import (
 	"github.com/fragmd/fragmd/internal/bench"
 )
 
-// -list must enumerate every registered experiment, including the
-// warm-start ablation, and exit 0.
+// -list must enumerate every registered experiment and exit 0.
 func TestRunList(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
 	s := out.String()
-	for _, e := range experiments {
-		if !strings.Contains(s, e.name) {
-			t.Errorf("-list missing experiment %q", e.name)
+	for _, e := range bench.Experiments {
+		if !strings.Contains(s, e.Name) {
+			t.Errorf("-list missing experiment %q", e.Name)
 		}
-	}
-	if !strings.Contains(s, "warmstart") {
-		t.Error("-list missing the warmstart experiment")
 	}
 }
 
@@ -52,7 +48,8 @@ func TestRunTable2Alias(t *testing.T) {
 	}
 }
 
-// Bad usage paths: no args and unknown experiments exit 2; -h exits 0.
+// Bad usage paths: no args, unknown experiments and -jitter outside
+// [0, 1) exit 2; -h exits 0.
 func TestRunUsageErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run(nil, &out, &errOut); code != 2 {
@@ -70,6 +67,15 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "unknown experiment") {
 		t.Error("missing unknown-experiment diagnostic")
+	}
+	for _, j := range []string{"2", "-0.1", "1", "NaN"} {
+		errOut.Reset()
+		if code := run([]string{"-jitter", j, "fig8"}, &out, &errOut); code != 2 {
+			t.Errorf("-jitter %s exit code %d, want 2", j, code)
+		}
+		if !strings.Contains(errOut.String(), "outside [0, 1)") {
+			t.Errorf("-jitter %s: missing range diagnostic, stderr: %s", j, errOut.String())
+		}
 	}
 }
 
@@ -102,15 +108,15 @@ func TestRunGemmBenchFlow(t *testing.T) {
 	// rate is zeroed, so no timing floor can fire and no ratio gate has a
 	// reference — the rerun is checked for its flow and its tracked rows,
 	// not for the speed of a loaded machine.
-	rep, err := bench.LoadGemmReport(jsonPath)
-	if err != nil {
+	rep := &bench.GemmBenchReport{}
+	if err := bench.LoadReport(jsonPath, bench.GemmBenchSchema, rep); err != nil {
 		t.Fatal(err)
 	}
 	for i := range rep.Rows {
 		rep.Rows[i].GFLOPS = 0
 	}
 	basePath := dir + "/baseline.json"
-	if err := rep.WriteJSON(basePath); err != nil {
+	if err := bench.WriteReport(basePath, rep); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()

@@ -10,10 +10,16 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/autotune"
+	"github.com/fragmd/fragmd/internal/chem"
+	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/linalg"
+	"github.com/fragmd/fragmd/internal/md"
+	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/sched"
 )
 
 // Config controls experiment sizes.
@@ -23,16 +29,19 @@ type Config struct {
 	Quick bool
 	Out   io.Writer
 
-	// BenchJSON, when non-empty, is where GemmBench writes its
-	// machine-readable report (conventionally BENCH_gemm.json).
+	// BenchJSON, when non-empty, is where the gemm, neighbor and serve
+	// experiments write their machine-readable report (conventionally
+	// BENCH_gemm.json, BENCH_neighbor.json, BENCH_serve.json).
 	BenchJSON string
-	// Baseline, when non-empty, is a committed report to gate against:
-	// tracked shapes whose GFLOP/s fall more than MaxRegressPct below
-	// it are recorded as Failures.
+	// Baseline, when non-empty, is a committed report of the same
+	// experiment to gate against (CompareGemmReports,
+	// CompareNeighborReports, CompareServeReports); every violation is
+	// recorded in Failures.
 	Baseline string
-	// MaxRegressPct is the allowed relative GFLOP/s drop versus the
-	// baseline, in percent. 0 really means zero tolerance — the
-	// cmd/mbebench flag layer owns the 25 % default.
+	// MaxRegressPct is the allowed regression versus the baseline, in
+	// percent: GFLOP/s and same-run speedups down, the neighbor
+	// exponent up, latency up, jobs/sec down. 0 really means zero
+	// tolerance — the cmd/mbebench flag layer owns the 25 % default.
 	MaxRegressPct float64
 
 	// Seed seeds the cluster simulator's RNG for the simulated
@@ -42,8 +51,9 @@ type Config struct {
 	// Jitter adds uniform ±Jitter relative noise to simulated task
 	// runtimes (0 = the deterministic cost model).
 	Jitter float64
-	// Failures collects regression and I/O problems for the caller to
-	// turn into a non-zero exit (cmd/mbebench does).
+	// Failures collects experiment errors, gate violations and report
+	// I/O problems for the caller to turn into a non-zero exit
+	// (cmd/mbebench does).
 	Failures []string
 }
 
@@ -55,6 +65,87 @@ func (c *Config) printf(format string, args ...interface{}) {
 func (c *Config) fail(msg string) {
 	c.Failures = append(c.Failures, msg)
 	c.printf("FAIL: %s\n", msg)
+}
+
+// Experiment is one entry of the experiment index (DESIGN.md §4).
+type Experiment struct {
+	Name  string
+	Alias string // a second name that selects it, "" for none
+	Run   func(*Config)
+	Desc  string
+}
+
+// Experiments is the experiment index in the order `mbebench all` runs
+// it. cmd/mbebench, the root package's BenchmarkExperiments and the
+// DESIGN.md §4 check all read this one list.
+var Experiments = []Experiment{
+	{"table1", "", Table1, "performance-attribute summary"},
+	{"fig1", "table2", Fig1Table2, "accuracy-vs-size landscape (also: table2)"},
+	{"table3", "", Table3, "Gly_n single-time-step latency vs conventional"},
+	{"fig3", "", Fig3, "RI-HF vs conventional-HF gradient ablation"},
+	{"table4", "", Table4, "DGEMM variant performance on RI-MP2 shapes"},
+	{"gemm", "", GemmBench, "GEMM engine microbenchmarks (BENCH_gemm.json)"},
+	{"autotune", "", AutotuneAblation, "runtime GEMM auto-tuning speedup (§V-G)"},
+	{"fig5", "", Fig5, "dimer/trimer contribution decay and cutoffs"},
+	{"fig6", "", Fig6, "NVE energy conservation with async time steps"},
+	{"async", "", AsyncAblation, "async vs sync time-step latency (§VII-A)"},
+	{"embed", "", Embed, "EE-MBE accuracy vs supersystem + two-phase scheduling cost (§8)"},
+	{"hier", "", Hier, "hierarchical group coordinators vs flat scheduler (§VII)"},
+	{"resilience", "", Resilience, "failure injection: throughput and lost work vs node MTBF"},
+	{"netcoord", "", NetCoord, "network backend A/B oracle: live localhost TCP vs simulation"},
+	{"neighbor", "", NeighborBench, "cell-list O(N) scaling sweep + exponent gate (BENCH_neighbor.json)"},
+	{"serve", "", ServeBench, "trajectory-server load test: latency/fairness/drain (BENCH_serve.json)"},
+	{"fig7", "", Fig7, "strong scaling on Perlmutter/Frontier models"},
+	{"fig8", "", Fig8, "weak scaling at 4 polymers/GCD"},
+	{"table5", "", Table5, "record runs: million-electron urea, 2BEG latency"},
+}
+
+// Lookup returns the experiment registered under name or as its alias.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.Name == name || e.Alias == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// bestOf returns the fastest of reps timed calls of fn, in seconds.
+func bestOf(reps int, fn func()) float64 {
+	best := 0.0
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		fn()
+		if el := time.Since(start).Seconds(); r == 0 || el < best {
+			best = el
+		}
+	}
+	return best
+}
+
+// fibril fragments the strands × residues β-fibril analogue under the
+// 22 Å dimer and 9 Å trimer cutoffs of the paper's protein runs.
+func fibril(strands, residues int) (*fragment.Fragmentation, error) {
+	g, monomers := molecule.BetaFibril(strands, residues)
+	return fragment.New(g, monomers, fragment.Options{
+		DimerCutoff:  22 * chem.BohrPerAngstrom,
+		TrimerCutoff: 9 * chem.BohrPerAngstrom,
+	})
+}
+
+// trajectory integrates steps NVE steps of f under eval and opts from
+// velocities sampled at tempK with seed. The wall time covers the run
+// only, not engine set-up.
+func trajectory(f *fragment.Fragmentation, eval fragment.Evaluator, opts sched.Options, steps int, tempK float64, seed int64) ([]sched.StepStats, float64, error) {
+	eng, err := sched.New(f, eval, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	state := md.NewState(f.Geom.Clone())
+	state.SampleVelocities(tempK, rand.New(rand.NewSource(seed)))
+	start := time.Now()
+	stats, err := eng.Run(state, steps, nil)
+	return stats, time.Since(start).Seconds(), err
 }
 
 // Table1 prints the performance-attribute summary (paper Table I),

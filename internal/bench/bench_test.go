@@ -105,29 +105,14 @@ func TestGlycineWorkloadTopology(t *testing.T) {
 	}
 }
 
-func TestMaxInt(t *testing.T) {
-	if maxInt(2, 3) != 3 || maxInt(3, 2) != 3 || maxInt(-1, -2) != -1 {
-		t.Error("maxInt broken")
-	}
-}
-
-// The full warm-start ablation runs real RI-HF SCF; keep it out of
-// -short but assert the report's shape when it does run.
-func TestWarmStartAblationReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RI-HF dynamics ablation is slow; run without -short")
-	}
-	out := capture(WarmStartAblation)
-	for _, want := range []string{
-		"Warm-start ablation", "cold SCF-iter", "warm SCF-iter",
-		"SCF iterations saved",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WarmStartAblation output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "error:") {
-		t.Errorf("WarmStartAblation reported an error:\n%s", out)
+// An experiment error is a recorded failure, which mbebench turns into
+// exit 1: the cluster simulator refuses jitter outside [0, 1).
+func TestFig8JitterOutOfRangeFails(t *testing.T) {
+	var buf bytes.Buffer
+	c := &Config{Quick: true, Out: &buf, Jitter: 2}
+	Fig8(c)
+	if len(c.Failures) != 1 || !strings.HasPrefix(c.Failures[0], "fig8: ") || !strings.Contains(c.Failures[0], "jitter") {
+		t.Fatalf("failures %q, want one fig8 jitter error:\n%s", c.Failures, buf.String())
 	}
 }
 

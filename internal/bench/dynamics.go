@@ -1,22 +1,18 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
 	"math"
-	"math/rand"
-	"time"
 
 	"github.com/fragmd/fragmd/internal/basis"
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
 	"github.com/fragmd/fragmd/internal/fragment"
-	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
 )
-
-func timeNow() time.Time            { return time.Now() }
-func timeSince(t time.Time) float64 { return time.Since(t).Seconds() }
 
 // Fig5 reproduces the dimer/trimer energy-contribution analysis (paper
 // Fig. 5): |ΔE| against centroid separation for a protein-fibril
@@ -34,13 +30,13 @@ func Fig5(c *Config) {
 	g, monomers := molecule.BetaFibril(strands, residues)
 	f, err := fragment.New(g, monomers, opts)
 	if err != nil {
-		c.printf("error: %v\n", err)
+		c.fail("fig5: " + err.Error())
 		return
 	}
 	// Energy-only: the cutoff scan needs ΔE values, not forces.
 	res, err := f.Compute(&potential.RIMP2{Basis: "sto-3g", AuxOpts: auxOpts, EnergyOnly: true})
 	if err != nil {
-		c.printf("error: %v\n", err)
+		c.fail("fig5: " + err.Error())
 		return
 	}
 	c.printf("Fig. 5 — MBE energy contributions vs centroid distance (β-fibril analogue,\n")
@@ -67,50 +63,32 @@ func Fig6(c *Config) {
 	var eval fragment.Evaluator
 	var steps int
 	var dtFs float64
+	var err error
 	if c.Quick {
 		// Real MBE3/RI-MP2 dynamics on a small water cluster.
-		g := molecule.WaterCluster(3)
-		var err error
-		f, err = fragment.ByMolecule(g, 3, 1, fragment.Options{})
-		if err != nil {
-			c.printf("error: %v\n", err)
-			return
-		}
+		f, err = fragment.ByMolecule(molecule.WaterCluster(3), 3, 1, fragment.Options{})
 		eval = &potential.RIMP2{Basis: "sto-3g", AuxOpts: glyAuxOpts}
 		steps, dtFs = 6, 0.5
 	} else {
 		// Longer trajectory on the 6PQ5-analogue with the surrogate
 		// potential (full QC would take days on a dev box).
-		g, monomers := molecule.BetaFibril(6, 6)
-		var err error
-		f, err = fragment.New(g, monomers, fragment.Options{
-			DimerCutoff:  22 * chem.BohrPerAngstrom,
-			TrimerCutoff: 9 * chem.BohrPerAngstrom,
-		})
-		if err != nil {
-			c.printf("error: %v\n", err)
-			return
-		}
+		f, err = fibril(6, 6)
 		eval = &potential.LennardJones{}
 		steps, dtFs = 200, 1.0
 	}
-	eng, err := sched.New(f, eval, sched.Options{Workers: 2, Async: true, Dt: dtFs * chem.AtomicTimePerFs})
 	if err != nil {
-		c.printf("error: %v\n", err)
+		c.fail("fig6: " + err.Error())
 		return
 	}
-	state := md.NewState(f.Geom.Clone())
-	state.SampleVelocities(150, rand.New(rand.NewSource(42)))
 	c.printf("Fig. 6 — NVE total energy with asynchronous time steps (%d atoms, dt=%.2f fs)\n",
 		f.Geom.N(), dtFs)
 	c.printf("%6s %18s %14s %14s\n", "step", "Etot (Ha)", "Ekin (Ha)", "drift (µHa)")
-	var e0 float64
-	stats, err := eng.Run(state, steps, nil)
+	stats, _, err := trajectory(f, eval, sched.Options{Workers: 2, Async: true, Dt: dtFs * chem.AtomicTimePerFs}, steps, 150, 42)
 	if err != nil {
-		c.printf("error: %v\n", err)
+		c.fail("fig6: " + err.Error())
 		return
 	}
-	var maxDrift float64
+	var e0, maxDrift float64
 	for i, st := range stats {
 		if i == 0 {
 			e0 = st.Etot
@@ -119,18 +97,11 @@ func Fig6(c *Config) {
 		if math.Abs(drift) > maxDrift {
 			maxDrift = math.Abs(drift)
 		}
-		if i%maxInt(1, steps/12) == 0 || i == steps-1 {
+		if i%max(1, steps/12) == 0 || i == steps-1 {
 			c.printf("%6d %18.8f %14.8f %14.2f\n", st.Step, st.Etot, st.Ekin, drift)
 		}
 	}
 	c.printf("\nShape to verify: bounded fluctuation, no secular drift (max |ΔE| = %.2f µHa).\n", maxDrift)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AsyncAblation measures async vs synchronous time stepping with the
@@ -139,13 +110,9 @@ func maxInt(a, b int) int {
 func AsyncAblation(c *Config) {
 	// In-process: surrogate potential with per-fragment compute delay to
 	// emulate heterogeneous fragment costs on limited cores.
-	g, monomers := molecule.BetaFibril(3, 4)
-	f, err := fragment.New(g, monomers, fragment.Options{
-		DimerCutoff:  22 * chem.BohrPerAngstrom,
-		TrimerCutoff: 9 * chem.BohrPerAngstrom,
-	})
+	f, err := fibril(3, 4)
 	if err != nil {
-		c.printf("error: %v\n", err)
+		c.fail("async: " + err.Error())
 		return
 	}
 	delay := 0.01
@@ -153,25 +120,20 @@ func AsyncAblation(c *Config) {
 		delay = 0.03
 	}
 	eval := &potential.LennardJones{Delay: delay}
-	run := func(async bool) float64 {
-		eng, err := sched.New(f, eval, sched.Options{Workers: 4, Async: async, Dt: 0.5 * chem.AtomicTimePerFs})
-		if err != nil {
-			return math.NaN()
-		}
-		state := md.NewState(f.Geom.Clone())
-		state.SampleVelocities(100, rand.New(rand.NewSource(7)))
-		start := timeNow()
-		if _, err := eng.Run(state, 4, nil); err != nil {
-			return math.NaN()
-		}
-		// Total makespan: per-step spans overlap under async and would
-		// double-count.
-		return timeSince(start)
+	// Total makespan: per-step spans overlap under async and would
+	// double-count.
+	run := func(async bool) (float64, error) {
+		_, wall, err := trajectory(f, eval, sched.Options{Workers: 4, Async: async, Dt: 0.5 * chem.AtomicTimePerFs}, 4, 100, 7)
+		return wall, err
 	}
-	tSync := run(false)
-	tAsync := run(true)
+	tSync, errSync := run(false)
+	tAsync, errAsync := run(true)
+	if err := errors.Join(errSync, errAsync); err != nil {
+		c.fail("async: " + err.Error())
+		return
+	}
 	c.printf("§VII-A — asynchronous vs synchronous time steps\n\n")
-	c.printf("In-process engine (β-fibril analogue, %d monomers, 4 workers):\n", len(monomers))
+	c.printf("In-process engine (β-fibril analogue, %d monomers, 4 workers):\n", len(f.Monomers))
 	c.printf("  sync:  %7.2f s   async: %7.2f s   gain: %+5.1f%%\n",
 		tSync, tAsync, 100*(tSync/tAsync-1))
 	c.printf("  (on a few-core host the async gain is bounded by real CPU capacity;\n")
@@ -193,12 +155,12 @@ func AsyncAblation(c *Config) {
 	for _, cs := range cases {
 		a, err := cluster.Simulate(cs.w, cs.m, cluster.Options{Nodes: cs.nodes, Steps: 5, Async: true, Seed: c.Seed, Jitter: c.Jitter})
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail(fmt.Sprintf("async: %s: %v", cs.name, err))
 			continue
 		}
 		s, err := cluster.Simulate(cs.w, cs.m, cluster.Options{Nodes: cs.nodes, Steps: 5, Async: false, Seed: c.Seed, Jitter: c.Jitter})
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail(fmt.Sprintf("async: %s: %v", cs.name, err))
 			continue
 		}
 		c.printf("  %-38s async %6.2f s/step, sync %6.2f s/step, gain %+5.1f%% (paper: +%.0f%%)\n",

@@ -6,7 +6,6 @@ import (
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/fragment"
-	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
@@ -98,20 +97,15 @@ func Embed(c *Config) {
 		{"embedded", &fragment.EmbedOptions{}},
 		{"embedded+scc", &fragment.EmbedOptions{SCC: 1, Damping: 0.3}},
 	} {
-		eng, err := sched.New(f, lj, sched.Options{
+		// Started at rest: 0 K samples zero velocities.
+		_, wall, err := trajectory(f, lj, sched.Options{
 			Async: true, Dt: 0.5 * chem.AtomicTimePerFs, Embed: mode.embed,
-		})
+		}, steps, 0, 0)
 		if err != nil {
 			c.fail("embed: " + err.Error())
 			return
 		}
-		state := md.NewState(f.Geom.Clone())
-		start := time.Now()
-		if _, err := eng.Run(state, steps, nil); err != nil {
-			c.fail("embed: " + err.Error())
-			return
-		}
-		perStep := time.Since(start).Seconds() / float64(steps)
+		perStep := wall / float64(steps)
 		if mode.embed == nil {
 			vacuumPerStep = perStep
 			c.printf("  %-14s %11.3fs %14s\n", mode.name, perStep, "—")

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"github.com/fragmd/fragmd/internal/linalg"
 )
@@ -31,17 +28,13 @@ type GemmBenchRow struct {
 // GemmBenchReport is the machine-readable output of the GEMM
 // microbenchmark suite — the perf trajectory's unit of record.
 type GemmBenchReport struct {
-	Schema string `json:"schema"`
-	GoOS   string `json:"goos"`
-	GoArch string `json:"goarch"`
-	NumCPU int    `json:"numcpu"`
+	ReportHeader
 	// CPUFeatures and MicroKernel record the detected SIMD feature set
 	// and the microkernel the packed-asm rows ran on ("" / "go-4x2"
 	// when no assembly kernel exists for this machine) so a report is
 	// interpretable without knowing which runner produced it.
 	CPUFeatures string         `json:"cpu_features"`
 	MicroKernel string         `json:"microkernel"`
-	Quick       bool           `json:"quick"`
 	Rows        []GemmBenchRow `json:"rows"`
 }
 
@@ -76,20 +69,6 @@ func gemmBenchShapes(quick bool) []gemmBenchShape {
 	return shapes
 }
 
-// timeGemm returns the best-of-reps seconds for one engine on one shape.
-func timeGemm(kern linalg.Kernel, tA, tB linalg.Transpose, a, b, c *linalg.Mat, reps int) float64 {
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		linalg.GemmKernel(kern, tA, tB, 1, a, b, 0, c)
-		el := time.Since(start).Seconds()
-		if best == 0 || el < best {
-			best = el
-		}
-	}
-	return best
-}
-
 // engineSecs is one engine's best-of-reps time on a shape.
 type engineSecs struct {
 	kernel  string
@@ -116,6 +95,9 @@ func measureGemmEngines(m, k, n, reps int) []engineSecs {
 		b.Data[i] = 1e-3 * float64(i%89)
 	}
 	c := linalg.NewMat(m, n)
+	timeGemm := func(kern linalg.Kernel, tA, tB linalg.Transpose, a, b *linalg.Mat) float64 {
+		return bestOf(reps, func() { linalg.GemmKernel(kern, tA, tB, 1, a, b, 0, c) })
+	}
 	out := make([]engineSecs, 0, 6)
 	for v := 0; v < 4; v++ {
 		tA := v == 2 || v == 3
@@ -129,16 +111,16 @@ func measureGemmEngines(m, k, n, reps int) []engineSecs {
 		}
 		out = append(out, engineSecs{
 			"stream-" + linalg.Variant(v).String(),
-			timeGemm(linalg.KernelStream, linalg.Transpose(tA), linalg.Transpose(tB), pa, pb, c, reps),
+			timeGemm(linalg.KernelStream, linalg.Transpose(tA), linalg.Transpose(tB), pa, pb),
 		})
 	}
 	prev := linalg.SetAsmEnabled(false)
 	out = append(out, engineSecs{"packed",
-		timeGemm(linalg.KernelPacked, linalg.NoTrans, linalg.NoTrans, a, b, c, reps)})
+		timeGemm(linalg.KernelPacked, linalg.NoTrans, linalg.NoTrans, a, b)})
 	linalg.SetAsmEnabled(prev)
 	if prev && linalg.AsmAvailable() {
 		out = append(out, engineSecs{"packed-asm",
-			timeGemm(linalg.KernelPacked, linalg.NoTrans, linalg.NoTrans, a, b, c, reps)})
+			timeGemm(linalg.KernelPacked, linalg.NoTrans, linalg.NoTrans, a, b)})
 	}
 	return out
 }
@@ -146,16 +128,13 @@ func measureGemmEngines(m, k, n, reps int) []engineSecs {
 // RunGemmSuite executes the GEMM microbenchmark suite and returns the
 // report. For every shape it measures the four streaming variants (each
 // fed pre-transposed operands, so only kernel time is on the clock, as
-// in Table4) and the packed engine.
-func RunGemmSuite(quick bool) *GemmBenchReport {
+// in Table4) and the packed engine. An error names the rows it cost;
+// the report holds every row that was measured.
+func RunGemmSuite(quick bool) (*GemmBenchReport, error) {
 	rep := &GemmBenchReport{
-		Schema:      GemmBenchSchema,
-		GoOS:        runtime.GOOS,
-		GoArch:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		CPUFeatures: linalg.CPUFeatures(),
-		MicroKernel: linalg.MicroKernelName(),
-		Quick:       quick,
+		ReportHeader: newHeader(GemmBenchSchema, quick),
+		CPUFeatures:  linalg.CPUFeatures(),
+		MicroKernel:  linalg.MicroKernelName(),
 	}
 	reps := 3
 	if !quick {
@@ -181,35 +160,11 @@ func RunGemmSuite(quick bool) *GemmBenchReport {
 	}
 	// End-to-end RI-MP2 fragment throughput: the blocked pair-energy
 	// loop gated against the pre-change per-(i,j) baseline.
-	rep.Rows = append(rep.Rows, runRIMP2E2ERows(quick)...)
+	e2e, errE2E := runRIMP2E2ERows(quick)
 	// The two non-GEMM phases of a cold RI-MP2 step worth gating.
-	rep.Rows = append(rep.Rows, runStepPhaseRows()...)
-	return rep
-}
-
-// WriteJSON writes the report to path.
-func (r *GemmBenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadGemmReport reads a report written by WriteJSON.
-func LoadGemmReport(path string) (*GemmBenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r GemmBenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != GemmBenchSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, GemmBenchSchema)
-	}
-	return &r, nil
+	phases, errPhases := runStepPhaseRows()
+	rep.Rows = append(append(rep.Rows, e2e...), phases...)
+	return rep, errors.Join(errE2E, errPhases)
 }
 
 // CompareGemmReports checks current against baseline with two gates:
@@ -298,7 +253,10 @@ var ratioReference = map[string]string{
 // baseline when one is supplied. Regressions are recorded on the Config
 // for the caller to turn into a non-zero exit.
 func GemmBench(c *Config) {
-	rep := RunGemmSuite(c.Quick)
+	rep, err := RunGemmSuite(c.Quick)
+	if err != nil {
+		c.fail("gemm: " + err.Error())
+	}
 	feats := rep.CPUFeatures
 	if feats == "" {
 		feats = "none"
@@ -395,32 +353,5 @@ func GemmBench(c *Config) {
 		c.printf("four-centre Fock build on the same trimer (both on one core).\n")
 	}
 
-	if c.BenchJSON != "" {
-		if err := rep.WriteJSON(c.BenchJSON); err != nil {
-			c.fail(fmt.Sprintf("write %s: %v", c.BenchJSON, err))
-		} else {
-			c.printf("\nwrote %s (%d rows)\n", c.BenchJSON, len(rep.Rows))
-		}
-	}
-	if c.Baseline != "" {
-		base, err := LoadGemmReport(c.Baseline)
-		if err != nil {
-			c.fail(fmt.Sprintf("load baseline: %v", err))
-			return
-		}
-		if base.GoArch != rep.GoArch || base.GoOS != rep.GoOS || base.NumCPU != rep.NumCPU {
-			c.printf("note: baseline machine (%s/%s, %d cpu) differs from this one (%s/%s, %d cpu);\n"+
-				"      absolute GFLOP/s floors are weak across machine classes — the\n"+
-				"      packed/stream-NN ratio gate is the portable signal.\n",
-				base.GoOS, base.GoArch, base.NumCPU, rep.GoOS, rep.GoArch, rep.NumCPU)
-		}
-		viol := CompareGemmReports(base, rep, c.MaxRegressPct)
-		if len(viol) == 0 {
-			c.printf("baseline %s: all tracked shapes within %.0f%% — OK\n", c.Baseline, c.MaxRegressPct)
-			return
-		}
-		for _, v := range viol {
-			c.fail(v)
-		}
-	}
+	publish(c, rep, CompareGemmReports)
 }

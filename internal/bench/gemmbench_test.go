@@ -11,40 +11,12 @@ import (
 
 func syntheticReport(gflops float64) *GemmBenchReport {
 	return &GemmBenchReport{
-		Schema: GemmBenchSchema,
-		GoOS:   "linux", GoArch: "amd64", NumCPU: 1, Quick: true,
+		ReportHeader: ReportHeader{Schema: GemmBenchSchema, GoOS: "linux", GoArch: "amd64", NumCPU: 1, Quick: true},
 		Rows: []GemmBenchRow{
 			{Name: "square-256", M: 256, K: 256, N: 256, Kernel: "packed", Seconds: 1, GFLOPS: gflops, Tracked: true},
 			{Name: "square-256", M: 256, K: 256, N: 256, Kernel: "stream-NN", Seconds: 1, GFLOPS: gflops / 2, Tracked: true},
 			{Name: "small-24", M: 24, K: 24, N: 24, Kernel: "packed", Seconds: 1, GFLOPS: 1, Tracked: false},
 		},
-	}
-}
-
-func TestGemmReportRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_gemm.json")
-	rep := syntheticReport(8)
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadGemmReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != len(rep.Rows) || got.Rows[0].GFLOPS != 8 || !got.Rows[0].Tracked {
-		t.Fatalf("round trip mangled report: %+v", got.Rows)
-	}
-}
-
-func TestLoadGemmReportRejectsBadSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	rep := syntheticReport(8)
-	rep.Schema = "something-else/v9"
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadGemmReport(path); err == nil {
-		t.Fatal("expected schema mismatch error")
 	}
 }
 
@@ -111,9 +83,8 @@ func TestCompareGemmReportsRatioGate(t *testing.T) {
 // the portable one, even when absolute GFLOP/s floors are cleared.
 func asmSyntheticReport(goGF, asmGF float64) *GemmBenchReport {
 	return &GemmBenchReport{
-		Schema: GemmBenchSchema,
-		GoOS:   "linux", GoArch: "amd64", NumCPU: 1, Quick: true,
-		CPUFeatures: "avx fma avx2", MicroKernel: "avx2-6x8",
+		ReportHeader: ReportHeader{Schema: GemmBenchSchema, GoOS: "linux", GoArch: "amd64", NumCPU: 1, Quick: true},
+		CPUFeatures:  "avx fma avx2", MicroKernel: "avx2-6x8",
 		Rows: []GemmBenchRow{
 			{Name: "square-256", M: 256, K: 256, N: 256, Kernel: "packed", Seconds: 1, GFLOPS: goGF, Tracked: true},
 			{Name: "square-256", M: 256, K: 256, N: 256, Kernel: "packed-asm", Seconds: 1, GFLOPS: asmGF, Tracked: true},
@@ -142,7 +113,7 @@ func TestCompareGemmReportsAsmRatioGate(t *testing.T) {
 // to the eigen-route's speed clears the absolute floor and must still fail.
 func TestCompareGemmReportsMetricFactorRatioGate(t *testing.T) {
 	report := func(factorGF, eigGF float64) *GemmBenchReport {
-		return &GemmBenchReport{Schema: GemmBenchSchema, Rows: []GemmBenchRow{
+		return &GemmBenchReport{ReportHeader: ReportHeader{Schema: GemmBenchSchema}, Rows: []GemmBenchRow{
 			{Name: "aux-414", M: 414, K: 414, N: 414, Kernel: "metricfactor", Seconds: 1, GFLOPS: factorGF, Tracked: true},
 			{Name: "aux-414", M: 414, K: 414, N: 414, Kernel: "eigsym", Seconds: 1, GFLOPS: eigGF},
 		}}
@@ -163,7 +134,7 @@ func TestCompareGemmReportsMetricFactorRatioGate(t *testing.T) {
 // absolute floor and must still fail.
 func TestCompareGemmReportsDeriv3cRatioGate(t *testing.T) {
 	report := func(derivGF, fockGF float64) *GemmBenchReport {
-		return &GemmBenchReport{Schema: GemmBenchSchema, Rows: []GemmBenchRow{
+		return &GemmBenchReport{ReportHeader: ReportHeader{Schema: GemmBenchSchema}, Rows: []GemmBenchRow{
 			{Name: "water3", M: 21, K: 414, N: 21, Kernel: "deriv3c", Seconds: 1, GFLOPS: derivGF, Tracked: true},
 			{Name: "water3", M: 21, K: 414, N: 21, Kernel: "fockdirect", Seconds: 1, GFLOPS: fockGF},
 		}}
@@ -191,8 +162,8 @@ func TestRunGemmSuite(t *testing.T) {
 	if len(c.Failures) != 0 {
 		t.Fatalf("unexpected failures: %v", c.Failures)
 	}
-	rep, err := LoadGemmReport(path)
-	if err != nil {
+	rep := &GemmBenchReport{}
+	if err := LoadReport(path, GemmBenchSchema, rep); err != nil {
 		t.Fatal(err)
 	}
 	// 5 shapes × (4 streaming + packed, plus packed-asm when a native
@@ -249,7 +220,7 @@ func TestRunGemmSuite(t *testing.T) {
 		rep.Rows[i].GFLOPS = 0
 	}
 	basePath := filepath.Join(t.TempDir(), "baseline.json")
-	if err := rep.WriteJSON(basePath); err != nil {
+	if err := WriteReport(basePath, rep); err != nil {
 		t.Fatal(err)
 	}
 	var out2 bytes.Buffer

@@ -1,14 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
-	"github.com/fragmd/fragmd/internal/fragment"
-	"github.com/fragmd/fragmd/internal/md"
-	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
 )
@@ -69,7 +66,7 @@ func Hier(c *Config) {
 			Seed: c.Seed, Jitter: jitter,
 		})
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail(fmt.Sprintf("hier: %s: %v", r.name, err))
 			return
 		}
 		if flat == nil {
@@ -98,13 +95,9 @@ func Hier(c *Config) {
 	}
 
 	// --- live in-process backend: same knobs, physics unchanged -------
-	g, monomers := molecule.BetaFibril(3, 4)
-	f, err := fragment.New(g, monomers, fragment.Options{
-		DimerCutoff:  22 * chem.BohrPerAngstrom,
-		TrimerCutoff: 9 * chem.BohrPerAngstrom,
-	})
+	f, err := fibril(3, 4)
 	if err != nil {
-		c.printf("error: %v\n", err)
+		c.fail("hier: " + err.Error())
 		return
 	}
 	delay := 0.004
@@ -112,33 +105,24 @@ func Hier(c *Config) {
 		delay = 0.02
 	}
 	eval := &potential.LennardJones{Delay: delay}
-	steps := 3
-	run := func(groups, batch int, steal bool) ([]sched.StepStats, float64, error) {
-		eng, err := sched.New(f, eval, sched.Options{
+	run := func(r cfgRow) ([]sched.StepStats, float64, error) {
+		return trajectory(f, eval, sched.Options{
 			Workers: 4, Async: true, Dt: 0.5 * chem.AtomicTimePerFs,
-			Groups: groups, Batch: batch, Steal: steal,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		state := md.NewState(f.Geom.Clone())
-		state.SampleVelocities(100, rand.New(rand.NewSource(7)))
-		start := timeNow()
-		stats, err := eng.Run(state, steps, nil)
-		return stats, timeSince(start), err
+			Groups: r.groups, Batch: r.batch, Steal: r.steal,
+		}, 3, 100, 7)
 	}
-	c.printf("\nLive in-process engine (β-fibril analogue, %d monomers, 4 workers):\n", len(monomers))
-	flatStats, flatWall, err := run(0, 0, false)
+	c.printf("\nLive in-process engine (β-fibril analogue, %d monomers, 4 workers):\n", len(f.Monomers))
+	flatStats, flatWall, err := run(rows[0])
 	if err != nil {
-		c.printf("error: %v\n", err)
+		c.fail("hier: live flat: " + err.Error())
 		return
 	}
 	c.printf("%10s %10s %16s\n", "config", "s/run", "max|ΔEtot| vs flat")
 	c.printf("%10s %10.2f %16s\n", "flat", flatWall, "—")
 	for _, r := range rows[1:] {
-		stats, wall, err := run(r.groups, r.batch, r.steal)
+		stats, wall, err := run(r)
 		if err != nil {
-			c.printf("error: %v\n", err)
+			c.fail(fmt.Sprintf("hier: live %s: %v", r.name, err))
 			return
 		}
 		var maxDev float64

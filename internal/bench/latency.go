@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/basis"
@@ -56,7 +57,7 @@ func Table3(c *Config) {
 			start := time.Now()
 			bs, err := basis.Build("sto-3g", g)
 			if err != nil {
-				c.printf("  error: %v\n", err)
+				c.fail("table3: " + err.Error())
 				return
 			}
 			ref, err := scf.RHF(g, bs, scf.Options{StoredERI: true})
@@ -69,12 +70,12 @@ func Table3(c *Config) {
 		// MBE3/RI-MP2 path (full analytic gradient on every polymer).
 		f, err := glyFragmentation(n)
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail("table3: " + err.Error())
 			return
 		}
 		start := time.Now()
 		if _, err := f.Compute(&potential.RIMP2{Basis: "sto-3g", AuxOpts: glyAuxOpts}); err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail("table3: " + err.Error())
 			return
 		}
 		tMBE := time.Since(start).Seconds()
@@ -105,7 +106,7 @@ func Table3(c *Config) {
 		w := glycineWorkload(n)
 		r, err := cluster.Simulate(w, m, cluster.Options{Nodes: 1, Steps: 2, Async: true})
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail(fmt.Sprintf("table3: Gly%d simulation: %v", n, err))
 			return
 		}
 		c.printf("  Gly%-3d %6.2f s/step  (paper EXESS 4xA100: 2.7 / 4.4 / 6.4 s)\n", n, r.AvgStep)
@@ -148,7 +149,7 @@ func Fig3(c *Config) {
 		g, _ := molecule.Polyglycine(n)
 		bs, err := basis.Build("sto-3g", g)
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail("fig3: " + err.Error())
 			return
 		}
 		// Conventional-HF reference + conventional MP2 with the full

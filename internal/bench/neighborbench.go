@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
-	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/fragment"
@@ -37,11 +33,7 @@ type NeighborBenchRow struct {
 // NeighborBenchReport is the machine-readable output of the neighbor
 // scaling sweep — the O(N) acceptance artifact for the cell-list path.
 type NeighborBenchReport struct {
-	Schema string `json:"schema"`
-	GoOS   string `json:"goos"`
-	GoArch string `json:"goarch"`
-	NumCPU int    `json:"numcpu"`
-	Quick  bool   `json:"quick"`
+	ReportHeader
 	// Exponent is the log-log least-squares slope of the total
 	// (enumeration + field setup) cell-list wall time versus monomer
 	// count. O(N) enumeration means ≈ 1; the absolute gate is
@@ -72,20 +64,6 @@ func neighborBenchSizes(quick bool) []int {
 	return []int{4, 5, 6, 8, 10, 12}
 }
 
-// timeNeighbor returns the best-of-reps seconds of fn.
-func timeNeighbor(reps int, fn func()) float64 {
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		fn()
-		el := time.Since(start).Seconds()
-		if best == 0 || el < best {
-			best = el
-		}
-	}
-	return best
-}
-
 // neighborOpts is the sweep's fragmentation configuration: periodic
 // water boxes under chemically sensible finite cutoffs, so enumeration
 // and field setup are the cell-list O(N) regime the gate certifies.
@@ -101,13 +79,7 @@ func neighborOpts(brute bool) fragment.Options {
 // RunNeighborSuite executes the neighbor scaling sweep and returns the
 // report.
 func RunNeighborSuite(quick bool) *NeighborBenchReport {
-	rep := &NeighborBenchReport{
-		Schema: NeighborBenchSchema,
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Quick:  quick,
-	}
+	rep := &NeighborBenchReport{ReportHeader: newHeader(NeighborBenchSchema, quick)}
 	reps := 3
 	var ns, ts []float64 // monomer counts and cell-list totals for the fit
 	for _, n := range neighborBenchSizes(quick) {
@@ -121,7 +93,7 @@ func RunNeighborSuite(quick bool) *NeighborBenchReport {
 		if err != nil {
 			panic(err) // builders are deterministic; this cannot fail
 		}
-		row.EnumSeconds = timeNeighbor(reps, func() { f.Terms() })
+		row.EnumSeconds = bestOf(reps, func() { f.Terms() })
 
 		// Field setup: one assembler pass (centroids + cell list) plus
 		// the truncated field of every monomer — the per-step cost the
@@ -135,7 +107,7 @@ func RunNeighborSuite(quick bool) *NeighborBenchReport {
 			}
 		}
 		pos := func(a int) [3]float64 { return g.Atoms[a].Pos }
-		row.FieldSeconds = timeNeighbor(reps, func() {
+		row.FieldSeconds = bestOf(reps, func() {
 			fa := f.NewFieldAssembler(charges, pos)
 			for mi := range f.Monomers {
 				fa.FieldFor(fragment.Polymer{Monomers: []int{mi}})
@@ -147,7 +119,7 @@ func RunNeighborSuite(quick bool) *NeighborBenchReport {
 			if err != nil {
 				panic(err)
 			}
-			row.BruteEnumSeconds = timeNeighbor(reps, func() { fb.Terms() })
+			row.BruteEnumSeconds = bestOf(reps, func() { fb.Terms() })
 			if row.EnumSeconds > 0 {
 				rep.Speedup = row.BruteEnumSeconds / row.EnumSeconds
 			}
@@ -178,31 +150,6 @@ func fitLogLogSlope(xs, ys []float64) float64 {
 	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }
 
-// WriteJSON writes the report to path.
-func (r *NeighborBenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadNeighborReport reads a report written by WriteJSON.
-func LoadNeighborReport(path string) (*NeighborBenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r NeighborBenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != NeighborBenchSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, NeighborBenchSchema)
-	}
-	return &r, nil
-}
-
 // CompareNeighborReports gates current against baseline on the two
 // machine-portable signals: the fitted scaling exponent must not exceed
 // the baseline's by more than maxRegressPct percent (catching a slow
@@ -230,9 +177,8 @@ func CompareNeighborReports(baseline, current *NeighborBenchReport, maxRegressPc
 }
 
 // NeighborBench runs the cell-list scaling sweep, prints the wall-time
-// table with the fitted exponent, applies the absolute O(N) gate, writes
-// BENCH_neighbor.json when configured, and gates against a committed
-// baseline when one is supplied.
+// table with the fitted exponent, applies the absolute O(N) gate, and
+// publishes the report (BENCH_neighbor.json, baseline gate).
 func NeighborBench(c *Config) {
 	rep := RunNeighborSuite(c.Quick)
 	c.printf("Cell-list neighbor enumeration scaling (periodic water boxes;\n")
@@ -258,26 +204,5 @@ func NeighborBench(c *Config) {
 		c.fail(fmt.Sprintf("neighbor enumeration scaling exponent %.3f exceeds %.1f — the cell-list path has gone super-linear",
 			rep.Exponent, NeighborMaxExponent))
 	}
-	if c.BenchJSON != "" {
-		if err := rep.WriteJSON(c.BenchJSON); err != nil {
-			c.fail(fmt.Sprintf("write %s: %v", c.BenchJSON, err))
-		} else {
-			c.printf("\nwrote %s (%d rows)\n", c.BenchJSON, len(rep.Rows))
-		}
-	}
-	if c.Baseline != "" {
-		base, err := LoadNeighborReport(c.Baseline)
-		if err != nil {
-			c.fail(fmt.Sprintf("load baseline: %v", err))
-			return
-		}
-		viol := CompareNeighborReports(base, rep, c.MaxRegressPct)
-		if len(viol) == 0 {
-			c.printf("baseline %s: exponent and speedup within %.0f%% — OK\n", c.Baseline, c.MaxRegressPct)
-			return
-		}
-		for _, v := range viol {
-			c.fail(v)
-		}
-	}
+	publish(c, rep, CompareNeighborReports)
 }

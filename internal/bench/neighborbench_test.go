@@ -2,39 +2,14 @@ package bench
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 )
 
 func syntheticNeighborReport(exponent, speedup float64) *NeighborBenchReport {
 	return &NeighborBenchReport{
-		Schema: NeighborBenchSchema, Exponent: exponent, Speedup: speedup,
+		ReportHeader: ReportHeader{Schema: NeighborBenchSchema}, Exponent: exponent, Speedup: speedup,
 		Rows: []NeighborBenchRow{{Name: "water-3x3x3", Monomers: 27, Atoms: 81,
 			EnumSeconds: 1e-4, FieldSeconds: 2e-4, BruteEnumSeconds: 3e-4}},
-	}
-}
-
-func TestNeighborReportRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_neighbor.json")
-	rep := syntheticNeighborReport(1.05, 4)
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadNeighborReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Exponent != 1.05 || got.Speedup != 4 || len(got.Rows) != 1 || got.Rows[0].Monomers != 27 {
-		t.Fatalf("round trip mangled report: %+v", got)
-	}
-
-	rep.Schema = "something-else/v9"
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := rep.WriteJSON(bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadNeighborReport(bad); err == nil {
-		t.Fatal("expected schema mismatch error")
 	}
 }
 

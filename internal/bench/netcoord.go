@@ -2,14 +2,12 @@ package bench
 
 import (
 	"context"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
 	"github.com/fragmd/fragmd/internal/fragment"
-	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/netcoord"
 	"github.com/fragmd/fragmd/internal/potential"
@@ -96,19 +94,11 @@ func NetCoord(c *Config) {
 		return
 	}
 	defer release()
-	eng, err := sched.New(f, nil, opts)
+	_, wall, err := trajectory(f, nil, opts, steps, 150, 1)
 	if err != nil {
 		c.fail("netcoord: " + err.Error())
 		return
 	}
-	state := md.NewState(f.Geom.Clone())
-	state.SampleVelocities(150, rand.New(rand.NewSource(1)))
-	start := time.Now()
-	if _, err := eng.Run(state, steps, nil); err != nil {
-		c.fail("netcoord: " + err.Error())
-		return
-	}
-	wall := time.Since(start).Seconds()
 	tasks := nPoly * steps
 	measured := float64(tasks) / wall
 

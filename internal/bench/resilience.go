@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/fragmd/fragmd/internal/cluster"
@@ -30,7 +31,7 @@ func Resilience(c *Config) {
 		Nodes: nodes, Steps: steps, Async: true, Seed: c.Seed, Jitter: c.Jitter,
 	})
 	if err != nil {
-		c.printf("  error: %v\n", err)
+		c.fail("resilience: " + err.Error())
 		return
 	}
 	// Restart downtime scaled to this workload's horizon (a real node
@@ -62,7 +63,7 @@ func Resilience(c *Config) {
 			MTBF: r.mtbf, FailPermanent: r.permanent, MaxRetries: 100,
 		})
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail(fmt.Sprintf("resilience: %s: %v", r.name, err))
 			return
 		}
 		c.printf("%14s %10.2f %12.0f %10d %9.3f %9.3f %8d %7.2fx\n",

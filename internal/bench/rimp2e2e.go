@@ -1,7 +1,8 @@
 package bench
 
 import (
-	"time"
+	"errors"
+	"fmt"
 
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/mp2"
@@ -74,8 +75,8 @@ func rimp2PairFlops(nocc, nvir, naux int) float64 {
 // tiled macro-GEMM engine vs the pre-change per-(i,j) pair loop — and
 // returns baseline-gateable rows. Each engine runs one untimed warm-up
 // sweep (pack buffers pooled, caches warm) before its best-of-reps
-// timing.
-func runRIMP2E2ERows(quick bool) []GemmBenchRow {
+// timing. A shape whose loop fails is left out and named in the error.
+func runRIMP2E2ERows(quick bool) ([]GemmBenchRow, error) {
 	reps := 4
 	if !quick {
 		reps = 2
@@ -86,33 +87,15 @@ func runRIMP2E2ERows(quick bool) []GemmBenchRow {
 		bov := bovFromQov(qov)
 		flops := rimp2PairFlops(s.nocc, s.nvir, s.naux)
 
-		time1 := func(fn func() error) float64 {
-			if err := fn(); err != nil { // warm-up
-				return 0
-			}
-			best := 0.0
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				if err := fn(); err != nil {
-					return 0
-				}
-				el := time.Since(start).Seconds()
-				if best == 0 || el < best {
-					best = el
-				}
-			}
-			return best
-		}
-		secBlocked := time1(func() error {
-			_, _, err := mp2.PairEnergiesBlocked(qov, eps, s.nocc, 0)
-			return err
-		})
-		secPair := time1(func() error {
-			_, _, err := mp2.PairEnergiesUnblocked(bov, eps, s.nocc)
-			return err
-		})
-		if secBlocked == 0 || secPair == 0 {
-			continue
+		var errBlocked, errPair error
+		blocked := func() { _, _, errBlocked = mp2.PairEnergiesBlocked(qov, eps, s.nocc, 0) }
+		pairloop := func() { _, _, errPair = mp2.PairEnergiesUnblocked(bov, eps, s.nocc) }
+		blocked() // warm-up
+		secBlocked := bestOf(reps, blocked)
+		pairloop() // warm-up
+		secPair := bestOf(reps, pairloop)
+		if err := errors.Join(errBlocked, errPair); err != nil {
+			return rows, fmt.Errorf("%s: %w", s.name, err)
 		}
 		rows = append(rows,
 			GemmBenchRow{
@@ -128,5 +111,5 @@ func runRIMP2E2ERows(quick bool) []GemmBenchRow {
 				Tracked: false,
 			})
 	}
-	return rows
+	return rows, nil
 }

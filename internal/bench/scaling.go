@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"github.com/fragmd/fragmd/internal/cluster"
 )
 
@@ -41,7 +43,7 @@ func runScaling(c *Config, w *cluster.Workload, m cluster.Machine, nodes []int, 
 	for _, n := range nodes {
 		r, err := cluster.Simulate(w, m, cluster.Options{Nodes: n, Steps: 3, Async: true, Seed: c.Seed, Jitter: c.Jitter})
 		if err != nil {
-			c.printf("  error at %d nodes: %v\n", n, err)
+			c.fail(fmt.Sprintf("fig7: %s at %d nodes: %v", m.Name, n, err))
 			return
 		}
 		if base == nil {
@@ -72,7 +74,7 @@ func Fig8(c *Config) {
 		w := cluster.UreaWorkloadPolymerTarget(4*gcds, 4, 15.3, 15.3)
 		r, err := cluster.Simulate(w, m, cluster.Options{Nodes: n, Steps: 3, Async: true, Seed: c.Seed, Jitter: c.Jitter})
 		if err != nil {
-			c.printf("  error at %d nodes: %v\n", n, err)
+			c.fail(fmt.Sprintf("fig8: %d nodes: %v", n, err))
 			return
 		}
 		if base == nil {
@@ -110,7 +112,7 @@ func Table5(c *Config) {
 		w := cluster.UreaWorkload(s.mols, 4, 15.3, 15.3)
 		r, err := cluster.Simulate(w, m, cluster.Options{Nodes: s.nodes, Steps: 3, Async: true, Seed: c.Seed, Jitter: c.Jitter})
 		if err != nil {
-			c.printf("  error: %v\n", err)
+			c.fail(fmt.Sprintf("table5: urea %d molecules: %v", s.mols, err))
 			continue
 		}
 		c.printf("Urea %d molecules (%d electrons) on %d Frontier nodes:\n", s.mols, w.Electrons(), s.nodes)
@@ -123,7 +125,7 @@ func Table5(c *Config) {
 	w2beg := cluster.FibrilWorkload(4, 53, 20, 12)
 	r, err := cluster.Simulate(w2beg, cluster.Perlmutter(), cluster.Options{Nodes: 1024, Steps: 5, Async: true, Seed: c.Seed, Jitter: c.Jitter})
 	if err != nil {
-		c.printf("  error: %v\n", err)
+		c.fail("table5: 2BEG analogue: " + err.Error())
 		return
 	}
 	c.printf("2BEG analogue (%d atoms-scale workload) on 1,024 Perlmutter nodes:\n", 1496)

@@ -27,11 +27,7 @@ const ServeBenchSchema = "fragmd-bench-serve/v1"
 // the CI serve job gates against, the way BENCH_gemm.json gates the
 // kernels.
 type ServeBenchReport struct {
-	Schema string `json:"schema"`
-	GoOS   string `json:"goos"`
-	GoArch string `json:"goarch"`
-	NumCPU int    `json:"numcpu"`
-	Quick  bool   `json:"quick"`
+	ReportHeader
 
 	// Load-phase shape: Jobs small LJ trajectories of StepsPerJob steps
 	// spread round-robin over Tenants tenants, MaxActive running at once.
@@ -60,31 +56,6 @@ type ServeBenchReport struct {
 	DrainResumed     int `json:"drain_resumed"`
 	DrainLost        int `json:"drain_lost"`
 	DrainDuplicated  int `json:"drain_duplicated"`
-}
-
-// WriteJSON writes the report to path.
-func (r *ServeBenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadServeReport reads a report written by WriteJSON.
-func LoadServeReport(path string) (*ServeBenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r ServeBenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != ServeBenchSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, ServeBenchSchema)
-	}
-	return &r, nil
 }
 
 // CompareServeReports checks current against baseline: tracked service
@@ -445,22 +416,16 @@ func serveBenchDrain(c *Config, rep *ServeBenchReport) error {
 // over real HTTP (DESIGN.md §12): a burst of small concurrent jobs
 // across tenants measuring latency, throughput and scheduling
 // fairness, then a drain/restart cycle auditing that interrupted work
-// is neither lost nor duplicated. Writes BENCH_serve.json when
-// configured and gates against a committed baseline when one is
-// supplied.
+// is neither lost nor duplicated. Publishes the report
+// (BENCH_serve.json, baseline gate).
 func ServeBench(c *Config) {
 	rep := &ServeBenchReport{
-		Schema: ServeBenchSchema,
-		GoOS:   runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Quick: c.Quick,
-		Jobs:  1000, Tenants: 4, StepsPerJob: 2,
-		MaxActive: runtime.NumCPU(),
+		ReportHeader: newHeader(ServeBenchSchema, c.Quick),
+		Jobs:         1000, Tenants: 4, StepsPerJob: 2,
+		MaxActive: max(runtime.NumCPU(), 4),
 	}
 	if !c.Quick {
 		rep.Jobs, rep.StepsPerJob = 2000, 3
-	}
-	if rep.MaxActive < 4 {
-		rep.MaxActive = 4
 	}
 
 	c.printf("Trajectory-server load test (DESIGN.md §12): %d LJ jobs × %d steps,\n", rep.Jobs, rep.StepsPerJob)
@@ -492,31 +457,5 @@ func ServeBench(c *Config) {
 	c.printf("queues bounded), per-tenant completions stay within 2× of each other, and\n")
 	c.printf("the drain cycle preserves every admitted step exactly once.\n")
 
-	if c.BenchJSON != "" {
-		if err := rep.WriteJSON(c.BenchJSON); err != nil {
-			c.fail(fmt.Sprintf("write %s: %v", c.BenchJSON, err))
-		} else {
-			c.printf("\nwrote %s\n", c.BenchJSON)
-		}
-	}
-	if c.Baseline != "" {
-		base, err := LoadServeReport(c.Baseline)
-		if err != nil {
-			c.fail(fmt.Sprintf("load baseline: %v", err))
-			return
-		}
-		if base.NumCPU != rep.NumCPU || base.GoOS != rep.GoOS || base.GoArch != rep.GoArch {
-			c.printf("note: baseline machine (%s/%s, %d cpu) differs from this one (%s/%s, %d cpu);\n"+
-				"      absolute latency/throughput gates are weak across machine classes.\n",
-				base.GoOS, base.GoArch, base.NumCPU, rep.GoOS, rep.GoArch, rep.NumCPU)
-		}
-		viol := CompareServeReports(base, rep, c.MaxRegressPct)
-		if len(viol) == 0 {
-			c.printf("baseline %s: service numbers within %.0f%% — OK\n", c.Baseline, c.MaxRegressPct)
-			return
-		}
-		for _, v := range viol {
-			c.fail(v)
-		}
-	}
+	publish(c, rep, CompareServeReports)
 }

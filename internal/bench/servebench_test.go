@@ -1,46 +1,17 @@
 package bench
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func serveReport() *ServeBenchReport {
 	return &ServeBenchReport{
-		Schema: ServeBenchSchema,
-		GoOS:   "linux", GoArch: "amd64", NumCPU: 4,
-		Jobs: 1000, Tenants: 4, StepsPerJob: 2, MaxActive: 4,
+		ReportHeader: ReportHeader{Schema: ServeBenchSchema, GoOS: "linux", GoArch: "amd64", NumCPU: 4},
+		Jobs:         1000, Tenants: 4, StepsPerJob: 2, MaxActive: 4,
 		WallSeconds: 3.2, JobsPerSec: 312.5,
 		P50Ms: 2900, P99Ms: 3100, FairnessRatio: 1.05,
 		DrainInterrupted: 25, DrainResumed: 25,
-	}
-}
-
-func TestServeReportRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "serve.json")
-	rep := serveReport()
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadServeReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *rep {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rep)
-	}
-}
-
-func TestLoadServeReportRejectsBadSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "serve.json")
-	rep := serveReport()
-	rep.Schema = "fragmd-bench-serve/v0"
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadServeReport(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("stale schema accepted: %v", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
-	"time"
 
 	"github.com/fragmd/fragmd/internal/basis"
 	"github.com/fragmd/fragmd/internal/integrals"
@@ -40,30 +40,19 @@ import (
 //     rows are timed at GOMAXPROCS 1: FockDirect always splits its work in
 //     two goroutines, ThreeCenterDeriv in GOMAXPROCS chunks, so on more
 //     cores their ratio would measure the core count.
-func runStepPhaseRows() []GemmBenchRow {
+func runStepPhaseRows() ([]GemmBenchRow, error) {
 	g := molecule.WaterCluster(3)
 	bs, err := basis.Build("sto-3g", g)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("step phases: %w", err)
 	}
 	aux := basis.BuildAux(bs, g, basis.AuxOptions{})
-	best := func(fn func()) float64 {
-		var best float64
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			fn()
-			if el := time.Since(start).Seconds(); best == 0 || el < best {
-				best = el
-			}
-		}
-		return best
-	}
 
 	j2 := integrals.TwoCenter(aux)
-	secEig := best(func() { linalg.EigSym(j2) })
-	secFactor := best(func() { _, _, err = linalg.MetricFactor(j2, 1e-10) })
+	secEig := bestOf(3, func() { linalg.EigSym(j2) })
+	secFactor := bestOf(3, func() { _, _, err = linalg.MetricFactor(j2, 1e-10) })
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("step phases: metric factor: %w", err)
 	}
 
 	z := linalg.NewTensor3(aux.N, bs.N, bs.N)
@@ -77,11 +66,9 @@ func runStepPhaseRows() []GemmBenchRow {
 	}
 	sw := integrals.SchwarzShellPairs(bs)
 	procs := runtime.GOMAXPROCS(1)
-	secDeriv := best(func() { integrals.ThreeCenterDeriv(bs, aux, z, 1, grad) })
+	secDeriv := bestOf(3, func() { integrals.ThreeCenterDeriv(bs, aux, z, 1, grad) })
 	// One call: at ~0.8 s it needs no best-of to average out scheduling.
-	start := time.Now()
-	integrals.FockDirect(bs, dmat, sw, 1e-12)
-	secFock := time.Since(start).Seconds()
+	secFock := bestOf(1, func() { integrals.FockDirect(bs, dmat, sw, 1e-12) })
 	runtime.GOMAXPROCS(procs)
 
 	n := float64(aux.N)
@@ -95,5 +82,5 @@ func runStepPhaseRows() []GemmBenchRow {
 			Seconds: secDeriv, GFLOPS: 9 * n * nbf * nbf / secDeriv / 1e9, Tracked: true},
 		{Name: "water3", M: bs.N, K: aux.N, N: bs.N, Kernel: "fockdirect",
 			Seconds: secFock, GFLOPS: 9 * n * nbf * nbf / secFock / 1e9},
-	}
+	}, nil
 }

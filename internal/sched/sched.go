@@ -154,7 +154,7 @@ type StepStats struct {
 // that absorbs first-use costs (pooled pack buffers, cold caches), and
 // writes the per-step SCF iterations, wall clock and |ΔEpot|, with
 // totals and percent saved, to w. opts' WarmStart and Cache are set per
-// run. It backs fragmd -mode bench and mbebench warmstart.
+// run. It backs fragmd -mode bench.
 func ColdWarm(w io.Writer, f *fragment.Fragmentation, eval fragment.Evaluator, opts Options, steps int, tempK float64, seed int64) error {
 	run := func(warm bool, n int) ([]StepStats, error) {
 		opts.WarmStart, opts.Cache = warm, nil
