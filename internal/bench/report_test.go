@@ -7,40 +7,60 @@ import (
 	"testing"
 )
 
-// Every report type survives WriteReport → LoadReport unchanged, and
-// LoadReport refuses a report whose schema is not the wanted one.
-func TestReportRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name, schema string
-		rep          Report
-	}{
-		{"gemm", GemmBenchSchema, syntheticReport(8)},
-		{"neighbor", NeighborBenchSchema, syntheticNeighborReport(1.05, 4)},
-		{"serve", ServeBenchSchema, serveReport()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			empty := func() Report { return reflect.New(reflect.TypeOf(tc.rep).Elem()).Interface().(Report) }
-			path := filepath.Join(t.TempDir(), "report.json")
-			if err := WriteReport(path, tc.rep); err != nil {
-				t.Fatal(err)
-			}
-			got := empty()
-			if err := LoadReport(path, tc.schema, got); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, tc.rep) {
-				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tc.rep)
-			}
+func TestGemmReportRoundTrip(t *testing.T) {
+	checkRoundTrip(t, GemmBenchSchema, syntheticReport(8))
+}
 
-			tc.rep.header().Schema = "something-else/v9"
-			if err := WriteReport(path, tc.rep); err != nil {
-				t.Fatal(err)
-			}
-			if err := LoadReport(path, tc.schema, empty()); err == nil || !strings.Contains(err.Error(), "schema") {
-				t.Fatalf("stale schema accepted: %v", err)
-			}
-		})
+func TestLoadGemmReportRejectsBadSchema(t *testing.T) {
+	checkRejectsBadSchema(t, GemmBenchSchema, syntheticReport(8))
+}
+
+func TestNeighborReportRoundTrip(t *testing.T) {
+	checkRoundTrip(t, NeighborBenchSchema, syntheticNeighborReport(1.05, 4))
+	checkRejectsBadSchema(t, NeighborBenchSchema, syntheticNeighborReport(1.05, 4))
+}
+
+func TestServeReportRoundTrip(t *testing.T) {
+	checkRoundTrip(t, ServeBenchSchema, serveReport())
+}
+
+func TestLoadServeReportRejectsBadSchema(t *testing.T) {
+	checkRejectsBadSchema(t, ServeBenchSchema, serveReport())
+}
+
+// checkRoundTrip asserts rep survives WriteReport → LoadReport unchanged.
+func checkRoundTrip(t *testing.T, schema string, rep Report) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := WriteReport(path, rep); err != nil {
+		t.Fatal(err)
 	}
+	got := emptyLike(rep)
+	if err := LoadReport(path, schema, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rep) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rep)
+	}
+}
+
+// checkRejectsBadSchema asserts LoadReport refuses rep once its schema is
+// not the wanted one, naming the schema in the error.
+func checkRejectsBadSchema(t *testing.T, schema string, rep Report) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad.json")
+	rep.header().Schema = "something-else/v9"
+	if err := WriteReport(path, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadReport(path, schema, emptyLike(rep)); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("stale schema accepted: %v", err)
+	}
+}
+
+// emptyLike returns a new zero report of rep's concrete type.
+func emptyLike(rep Report) Report {
+	return reflect.New(reflect.TypeOf(rep).Elem()).Interface().(Report)
 }
 
 // The committed baselines load under their schema, carry their machine
