@@ -271,8 +271,7 @@ func TestRunMDCheckpointResume(t *testing.T) {
 	if len(killedRows) != 2 {
 		t.Fatalf("killed run reported %d steps, want 2", len(killedRows))
 	}
-	// The resumed run reports exactly the missing steps (the duplicated
-	// boundary step is not re-reported).
+	// The resumed run reports exactly the missing steps.
 	if _, ok := resumedRows[1]; ok {
 		t.Error("resumed run re-reported an already-completed step")
 	}

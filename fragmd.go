@@ -180,7 +180,9 @@ func NewLennardJonesPotential() Evaluator { return &potential.LennardJones{} }
 
 // MD types.
 type (
-	// MDState holds positions, velocities and masses in atomic units.
+	// MDState holds positions, velocities and masses in atomic units,
+	// and after an engine run the forces at its positions, from which
+	// the next run on it continues.
 	MDState = md.State
 	// StepStats reports one asynchronous-engine time step.
 	StepStats = sched.StepStats

@@ -34,6 +34,38 @@ type State struct {
 	Geom   *molecule.Geometry
 	Vel    [][3]float64
 	Masses []float64 // mₑ
+	// Forces, when non-nil, holds the potential energy and gradient the
+	// last force evaluation found. Only the asynchronous engine (which
+	// leaves its final step's here and continues the next run from them)
+	// and the checkpoint loader write it; it is state, not a setting.
+	Forces *Forces
+}
+
+// Forces is a potential energy and nuclear gradient together with the
+// positions they were evaluated at.
+type Forces struct {
+	Epot float64
+	Grad []float64 // 3N, Ha/Bohr
+	At   []float64 // 3N positions, Bohr
+}
+
+// ForcesHere returns s.Forces when they were evaluated at s's current
+// positions — At equal to them bit for bit and every length 3N — and
+// nil otherwise, so forces left behind by a run never outlive a move.
+func (s *State) ForcesHere() *Forces {
+	f := s.Forces
+	n := 3 * s.Geom.N()
+	if f == nil || len(f.Grad) != n || len(f.At) != n {
+		return nil
+	}
+	for i, a := range s.Geom.Atoms {
+		for k := 0; k < 3; k++ {
+			if math.Float64bits(a.Pos[k]) != math.Float64bits(f.At[3*i+k]) {
+				return nil
+			}
+		}
+	}
+	return f
 }
 
 // NewState builds a state with zero velocities and standard atomic
@@ -51,6 +83,9 @@ func (s *State) Clone() *State {
 	c := &State{Geom: s.Geom.Clone()}
 	c.Vel = append([][3]float64(nil), s.Vel...)
 	c.Masses = append([]float64(nil), s.Masses...)
+	if f := s.Forces; f != nil {
+		c.Forces = &Forces{Epot: f.Epot, Grad: append([]float64(nil), f.Grad...), At: append([]float64(nil), f.At...)}
+	}
 	return c
 }
 

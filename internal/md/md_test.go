@@ -124,3 +124,33 @@ func TestEnergyConservationDegradesWithTimestep(t *testing.T) {
 		t.Errorf("RMS fluctuation should grow with dt: %.3e (0.25fs) vs %.3e (4fs)", small, large)
 	}
 }
+
+// Forces count only where they were taken: ForcesHere returns them at
+// the exact positions of At and nowhere else, and a clone's forces are
+// its own.
+func TestForcesHere(t *testing.T) {
+	s := NewState(molecule.Water())
+	if s.ForcesHere() != nil {
+		t.Fatal("a new state has forces")
+	}
+	at := make([]float64, 0, 9)
+	for _, a := range s.Geom.Atoms {
+		at = append(at, a.Pos[:]...)
+	}
+	s.Forces = &Forces{Epot: -1, Grad: make([]float64, 9), At: at}
+	if s.ForcesHere() != s.Forces {
+		t.Fatal("forces at the current positions not returned")
+	}
+	c := s.Clone()
+	c.Forces.Grad[0], c.Forces.At[0] = 7, 7
+	if s.Forces.Grad[0] == 7 || s.Forces.At[0] == 7 {
+		t.Error("Clone shares the forces' slices")
+	}
+	if c.ForcesHere() != nil {
+		t.Error("forces taken elsewhere returned")
+	}
+	s.Geom.Atoms[1].Pos[2] = math.Nextafter(s.Geom.Atoms[1].Pos[2], 1)
+	if s.ForcesHere() != nil {
+		t.Error("forces returned after a one-ulp move")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,8 +21,11 @@ import (
 // rejects newer ones with a clear error.
 //
 // History: v1 — initial layout; v2 — adds the optional periodic cell
-// (absent in v1 payloads, which decode as open-boundary).
-const SchemaVersion = 2
+// (absent in v1 payloads, which decode as open-boundary); v3 — adds the
+// energy and gradient at the saved positions, so a resumed run continues
+// from them (v1 and v2 payloads decode without them, and the resumed run
+// evaluates its boundary step once to supply them).
+const SchemaVersion = 3
 
 // checkpointMagic identifies a fragmd checkpoint envelope.
 const checkpointMagic = "fragmd-checkpoint"
@@ -81,15 +85,15 @@ type WarmEntry struct {
 }
 
 // Checkpoint is a schema-versioned snapshot of a trajectory: the MD
-// state (positions, velocities, masses, atomic numbers), the
+// state (positions, velocities, masses, atomic numbers, forces), the
 // integration/RNG metadata needed to continue the run, and optionally
 // the warm-start cache so the resumed run keeps its incremental-SCF
 // advantage.
 type Checkpoint struct {
 	// StepsDone counts completed force evaluations: the state sits at
-	// trajectory step StepsDone−1, fully integrated. A resumed engine
-	// re-evaluates forces at that geometry as its local step 0 (the
-	// same boundary semantics as chaining two Engine.Run calls), so
+	// trajectory step StepsDone−1, fully integrated, with that step's
+	// energy and gradient in Epot and Grad. A resumed engine continues
+	// from them, so its local step 0 is global step StepsDone and
 	// energies reproduce the uninterrupted trajectory.
 	StepsDone int `json:"steps_done"`
 	// TotalSteps is the intended trajectory length (0 = open-ended);
@@ -118,6 +122,10 @@ type Checkpoint struct {
 	// Cell holds the orthorhombic box edge lengths in Bohr for a
 	// periodic trajectory (empty = open boundaries; schema ≥ 2).
 	Cell []float64 `json:"cell,omitempty"`
+	// Epot and Grad (3N, Ha/Bohr) are the potential energy and gradient
+	// at Pos (schema ≥ 3; empty Grad = not recorded).
+	Epot float64   `json:"epot,omitempty"`
+	Grad []float64 `json:"grad,omitempty"`
 
 	Thermostat *ThermostatState `json:"thermostat,omitempty"`
 	Warm       []WarmEntry      `json:"warm,omitempty"`
@@ -145,6 +153,9 @@ func Snapshot(state *md.State, stepsDone int, dt float64) *Checkpoint {
 	if c := state.Geom.Cell; c != nil {
 		ck.Cell = []float64{c.L[0], c.L[1], c.L[2]}
 	}
+	if f := state.ForcesHere(); f != nil {
+		ck.Epot, ck.Grad = f.Epot, append([]float64(nil), f.Grad...)
+	}
 	return ck
 }
 
@@ -171,12 +182,28 @@ func (ck *Checkpoint) AttachCache(c *warmstart.Cache) {
 	}
 }
 
-// State rebuilds the MD state the checkpoint was taken from.
+// State rebuilds the MD state the checkpoint was taken from, with its
+// forces when the checkpoint recorded them. Absent masses default to
+// the standard ones; present masses, or a gradient, of the wrong length
+// are corruption.
 func (ck *Checkpoint) State() (*md.State, error) {
 	n := len(ck.Zs)
 	if n == 0 || len(ck.Pos) != 3*n || len(ck.Vel) != 3*n {
 		return nil, fmt.Errorf("%w: %d atoms with %d positions, %d velocities",
 			ErrCorrupt, n, len(ck.Pos), len(ck.Vel))
+	}
+	if ck.Masses != nil && len(ck.Masses) != n {
+		return nil, fmt.Errorf("%w: %d atoms with %d masses", ErrCorrupt, n, len(ck.Masses))
+	}
+	if ck.Grad != nil {
+		if len(ck.Grad) != 3*n {
+			return nil, fmt.Errorf("%w: %d atoms with %d gradient components", ErrCorrupt, n, len(ck.Grad))
+		}
+		for _, v := range append([]float64{ck.Epot}, ck.Grad...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("%w: non-finite energy or gradient", ErrCorrupt)
+			}
+		}
 	}
 	g := molecule.New()
 	for i, z := range ck.Zs {
@@ -198,8 +225,12 @@ func (ck *Checkpoint) State() (*md.State, error) {
 			s.Vel[i][k] = ck.Vel[3*i+k]
 		}
 	}
-	if len(ck.Masses) == n {
+	if ck.Masses != nil {
 		copy(s.Masses, ck.Masses)
+	}
+	if ck.Grad != nil {
+		s.Forces = &md.Forces{Epot: ck.Epot, Grad: append([]float64(nil), ck.Grad...),
+			At: append([]float64(nil), ck.Pos...)}
 	}
 	return s, nil
 }

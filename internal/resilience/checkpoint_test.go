@@ -323,7 +323,10 @@ func TestCheckpointSaveAtomicOverwrite(t *testing.T) {
 	}
 }
 
-// State() validates dimensions instead of panicking on corrupt data.
+// State() validates dimensions instead of panicking on corrupt data:
+// absent masses take the documented default, but masses or a gradient
+// that are present with the wrong length, or a non-finite force entry,
+// are corruption, never silently replaced or dropped.
 func TestCheckpointStateValidation(t *testing.T) {
 	ck := &Checkpoint{Zs: []int{1, 8}, Pos: make([]float64, 6), Vel: make([]float64, 3)}
 	if _, err := ck.State(); !errors.Is(err, ErrCorrupt) {
@@ -331,6 +334,69 @@ func TestCheckpointStateValidation(t *testing.T) {
 	}
 	if (&Checkpoint{}).Matches(molecule.Water()) {
 		t.Error("empty checkpoint matched a real geometry")
+	}
+	water := func() *Checkpoint {
+		return &Checkpoint{Zs: []int{8, 1, 1}, Pos: make([]float64, 9), Vel: make([]float64, 9)}
+	}
+	s, err := water().State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if std := md.NewState(s.Geom).Masses; s.Masses[0] != std[0] || s.Masses[2] != std[2] || s.Forces != nil {
+		t.Errorf("no masses or forces recorded: masses %v (standard %v), forces %v", s.Masses, std, s.Forces)
+	}
+	for name, mangle := range map[string]func(*Checkpoint){
+		"2 masses for 3 atoms": func(ck *Checkpoint) { ck.Masses = []float64{1, 2} },
+		"empty masses":         func(ck *Checkpoint) { ck.Masses = []float64{} },
+		"short gradient":       func(ck *Checkpoint) { ck.Grad = make([]float64, 8) },
+		"empty gradient":       func(ck *Checkpoint) { ck.Grad = []float64{} },
+		"NaN gradient":         func(ck *Checkpoint) { ck.Grad = make([]float64, 9); ck.Grad[3] = math.NaN() },
+		"infinite energy":      func(ck *Checkpoint) { ck.Grad, ck.Epot = make([]float64, 9), math.Inf(-1) },
+	} {
+		ck := water()
+		mangle(ck)
+		if s, err := ck.State(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got state %v, error %v; want ErrCorrupt", name, s, err)
+		}
+	}
+}
+
+// Schema 3 carries the forces at the saved positions: Snapshot records
+// them only when they were taken there, and State restores them as
+// forces at the restored positions.
+func TestCheckpointCarriesForces(t *testing.T) {
+	s := testState(t)
+	n := 3 * s.Geom.N()
+	at := make([]float64, 0, n)
+	for _, a := range s.Geom.Atoms {
+		at = append(at, a.Pos[:]...)
+	}
+	grad := make([]float64, n)
+	for i := range grad {
+		grad[i] = float64(i) - 0.25
+	}
+	s.Forces = &md.Forces{Epot: -152.5, Grad: grad, At: at}
+	path := filepath.Join(t.TempDir(), "traj.ckpt")
+	if err := Save(path, Snapshot(s, 4, 20.0)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := got.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := rs.ForcesHere()
+	if f == nil || f.Epot != -152.5 || len(f.Grad) != n || f.Grad[n-1] != grad[n-1] {
+		t.Fatalf("restored forces %+v, want the saved ones at the restored positions", rs.Forces)
+	}
+
+	moved := s.Clone()
+	moved.Geom.Atoms[0].Pos[1] += 0.5
+	if ck := Snapshot(moved, 4, 20.0); ck.Grad != nil {
+		t.Error("forces taken at other positions were recorded")
 	}
 }
 

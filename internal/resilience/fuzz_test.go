@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -47,6 +49,8 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			Pos:        fuzzFloats(data, 3*n),
 			Vel:        fuzzFloats(append(data, 7), 3*n),
 			Masses:     fuzzFloats(append(data, 13), n),
+			Epot:       fuzzFloats(append(data, 17), 1)[0],
+			Grad:       fuzzFloats(append(data, 19), 3*n),
 		}
 		for i := range ck.Zs {
 			ck.Zs[i] = i%10 + 1
@@ -70,8 +74,12 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(ck, got) {
 			t.Fatalf("round trip not identity:\nsaved  %+v\nloaded %+v", ck, got)
 		}
-		if _, err := got.State(); err != nil {
+		s, err := got.State()
+		if err != nil {
 			t.Fatalf("state rebuild: %v", err)
+		}
+		if s.ForcesHere() == nil {
+			t.Fatal("state rebuilt without the recorded forces")
 		}
 	})
 }
@@ -86,6 +94,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	binary.LittleEndian.PutUint32(crc, 0xdeadbeef)
 	f.Add(crc)
 	f.Add(parentCheckpoint())
+	f.Add(schema3Checkpoint())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "arbitrary.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -96,4 +105,18 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatal("nil checkpoint with nil error")
 		}
 	})
+}
+
+// schema3Checkpoint is a valid schema-3 checkpoint file with forces.
+func schema3Checkpoint() []byte {
+	payload := `{"steps_done":2,"total_steps":4,"dt":20,` +
+		`"atomic_numbers":[8,1,1],"pos":[0,0,0,1.4,0,1.1,-1.4,0,1.1],` +
+		`"vel":[0,0,0,1e-4,0,0,-1e-4,0,0],"masses":[29156.9,1837.4,1837.4],` +
+		`"epot":-74.96,"grad":[0.1,0,0,-0.05,0,0,-0.05,0,0]}`
+	blob, err := json.Marshal(envelope{Magic: checkpointMagic, Schema: 3,
+		CRC32C: crc32.Checksum([]byte(payload), castagnoli), Payload: json.RawMessage(payload)})
+	if err != nil {
+		panic(err)
+	}
+	return blob
 }

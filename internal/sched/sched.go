@@ -207,6 +207,14 @@ type Engine struct {
 	Eval fragment.Evaluator
 	Opts Options
 
+	*topology
+	cache    *warmstart.Cache // nil unless WarmStart or Cache configured
+	runStats coord.RunStats   // resilience events of the last Run
+}
+
+// topology is what an engine precomputes from the fragmentation alone:
+// read-only during a run, so engines made by With share it.
+type topology struct {
 	terms     *fragment.Terms
 	polymers  []fragment.Polymer
 	templates []*fragment.Template // per polymer index: extraction template, built once
@@ -214,8 +222,6 @@ type Engine struct {
 	coeff     []float64            // per polymer index
 	graph     *coord.Graph
 	refMono   int
-	cache     *warmstart.Cache // nil unless WarmStart or Cache configured
-	runStats  coord.RunStats   // resilience events of the last Run
 
 	atomMono  []int                // atom → owning monomer
 	atomSlot  []int                // atom → index within its monomer
@@ -249,6 +255,25 @@ type result struct {
 // sets and queue priorities from the initial geometry (the paper's
 // "pre-formed list" strategy for large systems).
 func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Engine, error) {
+	e, err := (&Engine{Frag: f, Eval: eval, Opts: opts}).With(opts)
+	if err != nil {
+		return nil, err
+	}
+	if e.topology, err = newTopology(f, e.Opts); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// With returns an engine for opts that shares e's topology — polymers,
+// extraction templates, keys, coefficients, touch sets and task graph —
+// so a chunked trajectory builds it once and gives each chunk its own
+// options. opts is validated as New validates it, and may not change
+// what the topology was built from: Embed on or off, or RefMonomer.
+func (e *Engine) With(opts Options) (*Engine, error) {
+	if (opts.Embed != nil) != (e.Opts.Embed != nil) || opts.RefMonomer != e.Opts.RefMonomer {
+		return nil, errors.New("sched: options change the engine topology (Embed on/off or RefMonomer); build a new engine")
+	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("sched: worker count %d must not be negative", opts.Workers)
 	}
@@ -282,30 +307,35 @@ func New(f *fragment.Fragmentation, eval fragment.Evaluator, opts Options) (*Eng
 		if err := opts.Embed.Validate(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
-		if err := f.CheckEmbeddable(); err != nil {
+		if err := e.Frag.CheckEmbeddable(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
 		// With an external executor the remote workers own evaluation
 		// (their evaluators are checked worker-side); locally the
 		// evaluator must support the embedded primitives.
 		if opts.Exec == nil {
-			if _, ok := eval.(fragment.EmbeddedEvaluator); !ok {
-				return nil, fmt.Errorf("sched: evaluator %T cannot evaluate embedded fragments", eval)
+			if _, ok := e.Eval.(fragment.EmbeddedEvaluator); !ok {
+				return nil, fmt.Errorf("sched: evaluator %T cannot evaluate embedded fragments", e.Eval)
 			}
-			if _, ok := eval.(fragment.ChargeSource); !ok {
-				return nil, fmt.Errorf("sched: evaluator %T cannot derive monomer charges", eval)
+			if _, ok := e.Eval.(fragment.ChargeSource); !ok {
+				return nil, fmt.Errorf("sched: evaluator %T cannot derive monomer charges", e.Eval)
 			}
 		}
 	}
-	e := &Engine{Frag: f, Eval: eval, Opts: opts}
+	c := &Engine{Frag: e.Frag, Eval: e.Eval, Opts: opts, topology: e.topology}
 	if opts.Exec == nil {
 		if opts.Cache != nil {
-			e.cache = opts.Cache
+			c.cache = opts.Cache
 		} else if opts.WarmStart {
-			e.cache = warmstart.NewCache()
+			c.cache = warmstart.NewCache()
 		}
 	}
-	e.terms = f.Terms()
+	return c, nil
+}
+
+// newTopology builds f's engine topology for the validated opts.
+func newTopology(f *fragment.Fragmentation, opts Options) (*topology, error) {
+	e := &topology{terms: f.Terms()}
 	coeffMap := e.terms.Coefficients()
 	e.polymers = e.terms.All()
 	e.templates = make([]*fragment.Template, len(e.polymers))
@@ -454,11 +484,18 @@ func (e *Engine) request(tw liveTask, ex *fragment.Extracted) ExecRequest {
 	return req
 }
 
-// Run integrates n time steps (n force evaluations per monomer) starting
-// from state. The observer fires once per completed step with assembled
-// energies, streamed in step order the moment each step finalizes —
-// during the run, not after it — so drivers can report live progress.
-// The state is mutated to the final step. Returns per-step statistics.
+// Run makes n force evaluations per polymer, one per local step, and
+// integrates through them. From a state without forces at its positions
+// (md.State.ForcesHere is nil) local step 0 is the state itself,
+// evaluated. From a state that has them — left by the previous run, or
+// by a checkpoint — the run continues: it kicks and drifts from those
+// forces first, so local step 0 is the step after the state's, and a
+// trajectory cut into runs evaluates each step once. The observer fires
+// once per completed step with assembled energies, streamed in step
+// order the moment each step finalizes — during the run, not after it —
+// so drivers can report live progress. On success the state holds the
+// final step's positions, velocities and forces. Returns per-step
+// statistics.
 func (e *Engine) Run(state *md.State, n int, obs func(StepStats)) ([]StepStats, error) {
 	return e.RunContext(context.Background(), state, n, obs)
 }
@@ -478,6 +515,12 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	npoly := len(e.polymers)
 	dt := e.Opts.Dt
 
+	// Forces carried at the state's positions start the run with the
+	// first half-kick and drift integrateMono makes after a step — the
+	// same expressions, so a trajectory cut here keeps its bits. A failed
+	// run leaves the state without forces.
+	carried := state.ForcesHere()
+	state.Forces = nil
 	monos := make([]*monoState, nm)
 	for m := range monos {
 		monos[m] = &monoState{pos: map[int][]float64{}}
@@ -486,6 +529,10 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 		for i, a := range atoms {
 			for k := 0; k < 3; k++ {
 				p0[3*i+k] = state.Geom.Atoms[a].Pos[k]
+				if carried != nil {
+					state.Vel[a][k] -= carried.Grad[3*a+k] / (2 * state.Masses[a]) * dt
+					p0[3*i+k] = p0[3*i+k] + state.Vel[a][k]*dt
+				}
 			}
 		}
 		monos[m].pos[0] = p0
@@ -843,14 +890,18 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			// Every polymer of step t has completed (that is why every
 			// monomer advanced), so the step's charge field is dead, and
 			// so is its gradient once this last monomer's kick reads g.
+			// The final step's gradient is kept: it becomes state.Forces.
 			delete(chargeQ, t)
 			delete(stepPos, t)
-			delete(gradStep, t)
+			if t < n-1 {
+				delete(gradStep, t)
+			}
 		}
 		ms := monos[m]
 		atoms := f.Monomers[m].Atoms
-		// Second half-kick completes v(t); at t=0 velocities are v(0).
-		if t > 0 {
+		// Second half-kick completes v(t); velocities are already v(0) at
+		// local step 0 unless the run continued from carried forces.
+		if t > 0 || carried != nil {
 			for _, a := range atoms {
 				for k := 0; k < 3; k++ {
 					state.Vel[a][k] -= g[3*a+k] / (2 * state.Masses[a]) * dt
@@ -901,5 +952,10 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	if nextFinal != n {
 		return nil, fmt.Errorf("sched: run completed with only %d of %d steps finalized", nextFinal, n)
 	}
+	at := make([]float64, 3*f.Geom.N())
+	for i, a := range state.Geom.Atoms {
+		copy(at[3*i:3*i+3], a.Pos[:])
+	}
+	state.Forces = &md.Forces{Epot: epotStep[n-1], Grad: gradStep[n-1], At: at}
 	return stats, nil
 }

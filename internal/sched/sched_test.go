@@ -347,6 +347,57 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// With gives an engine its own options over its receiver's topology:
+// the task graph is the same object, the options are validated like
+// New's, a change to what the topology was built from is refused, and
+// the derived engine runs exactly as one built from scratch.
+func TestWithSharesTopology(t *testing.T) {
+	f := ljFrag(t, 3, fragment.Options{})
+	lj := &potential.LennardJones{}
+	eng, err := New(f, lj, Options{Workers: 1, Dt: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 2, Async: true, Dt: dtFs * chem.AtomicTimePerFs}
+	w, err := eng.With(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Graph() != eng.Graph() {
+		t.Error("With rebuilt the task graph instead of sharing it")
+	}
+	if w.Opts.Workers != 2 || w.Opts.Dt != opts.Dt || eng.Opts.Workers != 1 {
+		t.Errorf("options: derived %+v, receiver %+v", w.Opts, eng.Opts)
+	}
+	for name, bad := range map[string]Options{
+		"embed on":      {Dt: 1, Embed: &fragment.EmbedOptions{}},
+		"ref monomer":   {Dt: 1, RefMonomer: -1},
+		"negative work": {Dt: 1, Workers: -1},
+		"no time step":  {},
+	} {
+		if _, err := eng.With(bad); err == nil {
+			t.Errorf("%s: With accepted %+v", name, bad)
+		}
+	}
+	fresh, err := New(f, lj, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(newLJState(f, 4), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.Run(newLJState(f, 4), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Abs(got[i].Etot-want[i].Etot) > 1e-10 {
+			t.Errorf("step %d: Etot %.12f through With, %.12f from New", i, got[i].Etot, want[i].Etot)
+		}
+	}
+}
+
 // ColdWarm on the LJ surrogate checks the experiment's plumbing: one
 // table row per step, no SCF iterations from a stateless evaluator, and
 // a warm run that retraces the cold one exactly.

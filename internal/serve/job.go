@@ -175,7 +175,8 @@ func (sp *JobSpec) fingerprint(g *molecule.Geometry) string {
 
 // StepRecord is one completed MD step of a job — the serve-side
 // projection of sched.StepStats, keyed by the global step index so
-// re-evaluated resume boundaries overwrite idempotently.
+// steps run again after a crash between a record write and its
+// checkpoint overwrite idempotently.
 type StepRecord struct {
 	Step     int     `json:"step"`
 	Etot     float64 `json:"etot"`

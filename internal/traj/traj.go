@@ -42,7 +42,7 @@ type Config struct {
 type Hooks struct {
 	// Resumed fires once after the checkpoint was loaded and validated.
 	Resumed func(ck *resilience.Checkpoint)
-	// BeforeChunk runs before each chunk's engine is built and may
+	// BeforeChunk runs before each chunk's engine is made and may
 	// rewrite that chunk's copy of the options (the fleet lease); a
 	// non-nil release is called when the chunk's engine run ends, however
 	// it ends. Returning ErrStop is the drain poll.
@@ -65,10 +65,9 @@ var ErrStop = errors.New("traj: stop at chunk boundary")
 
 // Run integrates the trajectory in checkpointed chunks and returns the
 // number of completed steps: cfg.Steps on success, fewer (with a nil
-// error) when BeforeChunk stopped the run. A continuation chunk
-// re-evaluates forces at the checkpointed geometry as its local step 0
-// and does not re-report it, so the assembled trajectory reproduces an
-// uninterrupted one.
+// error) when BeforeChunk stopped the run. Chunks share one engine
+// topology and continue from the forces left in the state, so each
+// evaluates only its new steps.
 func Run(ctx context.Context, cfg Config, h Hooks) (int, error) {
 	if cfg.Opts.Cache == nil && cfg.Opts.WarmStart {
 		cfg.Opts.Cache = warmstart.NewCache()
@@ -113,37 +112,37 @@ func Run(ctx context.Context, cfg Config, h Hooks) (int, error) {
 		state.SampleVelocities(cfg.TempK, rand.New(rand.NewSource(cfg.Seed)))
 	}
 
+	var eng *sched.Engine // the first chunk's; later chunks share its topology
 	for done < cfg.Steps {
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
 		opts := cfg.Opts
 		var release func()
+		var err error
 		if h.BeforeChunk != nil {
-			var err error
 			if release, err = h.BeforeChunk(&opts); errors.Is(err, ErrStop) {
 				return done, nil
 			} else if err != nil {
 				return done, err
 			}
 		}
-		// A continuation chunk re-runs the boundary step as its local
-		// step 0 (offset 1); chunk length covers CkEvery new steps.
-		offset := 0
-		if done > 0 {
-			offset = 1
+		chunk := cfg.Steps - done
+		if cfg.CkEvery > 0 && chunk > cfg.CkEvery {
+			chunk = cfg.CkEvery
 		}
-		chunk := cfg.Steps - done + offset
-		if cfg.CkEvery > 0 && chunk > cfg.CkEvery+offset {
-			chunk = cfg.CkEvery + offset
+		if eng == nil {
+			eng, err = sched.New(cfg.Frag, cfg.Eval, opts)
+		} else {
+			eng, err = eng.With(opts)
 		}
-		eng, err := sched.New(cfg.Frag, cfg.Eval, opts)
+		if err == nil && done > 0 && state.Forces == nil {
+			// A schema-1 or -2 checkpoint has no forces: one unreported round supplies them.
+			_, err = eng.RunContext(ctx, state, 1, nil)
+		}
 		if err == nil {
 			_, err = eng.RunContext(ctx, state, chunk, func(st sched.StepStats) {
-				if st.Step < offset {
-					return // boundary step, already reported by the previous chunk
-				}
-				st.Step += done - offset
+				st.Step += done
 				if !haveE0 {
 					e0, haveE0 = st.Etot, true
 				}
@@ -159,7 +158,7 @@ func Run(ctx context.Context, cfg Config, h Hooks) (int, error) {
 		if err != nil {
 			return done, err
 		}
-		done += chunk - offset
+		done += chunk
 		if h.AfterChunk != nil {
 			if err := h.AfterChunk(done); err != nil {
 				return done, err
