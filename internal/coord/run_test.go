@@ -126,7 +126,9 @@ func TestRunEvictsDeadWorker(t *testing.T) {
 // worker dies when starting its dieAt-th task: it reports that task and
 // every task behind it in the run as lost, WorkerDown on the last — or,
 // when silent, reports only the first loss and leaves RunContext to
-// reclaim the rest.
+// reclaim the rest. A dead worker reports nothing after its death: a
+// run handed to it before the death is reported is reclaimed, and
+// counts as lost.
 type handoffBackend struct {
 	t             *testing.T
 	workers       int
@@ -137,14 +139,14 @@ type handoffBackend struct {
 	order         []int // workers with a run this sweep, in first-dispatch order
 	started       []int
 	queue         []Completion
-	dead          bool
+	dead, evicted bool // the victim died; its death was reported
 	lost, longest int
 	completions   map[Task]int
 }
 
 func (b *handoffBackend) Workers() int { return b.workers }
 func (b *handoffBackend) Dispatch(w int, tk Task, _ DispatchMeta) {
-	if w == b.victim && b.dead {
+	if w == b.victim && b.evicted {
 		b.t.Errorf("task %v dispatched to evicted worker %d", tk, w)
 	}
 	if len(b.runs[w]) == 0 {
@@ -162,10 +164,14 @@ func (b *handoffBackend) Await(context.Context) (Completion, error) {
 				b.t.Errorf("hand-off mixes %v with %v", run[0], tk)
 			}
 		}
+		if w == b.victim && b.dead {
+			b.lost += len(run) // never reported: RunContext reclaims it
+			continue
+		}
 		for i, tk := range run {
 			if w == b.victim && b.started[w] == b.dieAt {
 				b.dead = true
-				b.lost = len(run) - i
+				b.lost += len(run) - i
 				death := errors.New("worker died")
 				if b.silent {
 					b.queue = append(b.queue, Completion{Worker: w, Task: tk, Err: death, WorkerDown: true})
@@ -185,6 +191,7 @@ func (b *handoffBackend) Await(context.Context) (Completion, error) {
 	b.order = b.order[:0]
 	c := b.queue[0]
 	b.queue = b.queue[1:]
+	b.evicted = b.evicted || c.WorkerDown
 	return c, nil
 }
 

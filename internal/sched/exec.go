@@ -129,12 +129,13 @@ func Attempt(eval fragment.Evaluator, cache *warmstart.Cache, req ExecRequest) (
 // constant for the lifetime of one engine Run (slots are the dense
 // coordinator handles 0..Workers()-1; see coord.Backend). Execute must
 // not block and is only ever called for an idle slot, so at most one
-// attempt is outstanding per slot: an ExecResult reports no cost, so the
-// scheduling core never sizes a multi-task hand-off for a slot. Every Execute must eventually
-// produce exactly one ExecResult on Results() — dispatching to a dead
-// slot yields an immediate WorkerDown failure result. The Results
-// channel must be buffered for at least Workers() outstanding results
-// so executors never block delivering.
+// attempt is outstanding per slot: an ExecResult reports no cost, so
+// the scheduling core neither sizes a multi-task hand-off for a slot
+// nor hands it a second run while one is in flight. Every Execute must
+// eventually produce exactly one ExecResult on Results() — dispatching
+// to a dead slot yields an immediate WorkerDown failure result. The
+// Results channel must be buffered for at least Workers() outstanding
+// results so executors never block delivering.
 type Executor interface {
 	// Workers returns the fixed number of worker slots.
 	Workers() int

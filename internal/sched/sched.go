@@ -393,12 +393,15 @@ func int32s(xs []int) []int32 {
 	return out
 }
 
-// monoState tracks one monomer through the asynchronous trajectory.
+// monoState tracks one monomer through the asynchronous trajectory: pos
+// holds the flat positions of its atoms at step. One step is all the
+// coordinator needs — a polymer of step t is dispatched only while every
+// monomer it touches sits at t, and such a monomer cannot advance until
+// that polymer completes. Each slice is created once and never written
+// again, so workers may read it after the monomer has advanced past it.
 type monoState struct {
-	// pos maps step → flat positions of the monomer's atoms. Each slice
-	// is created once and never written again, so workers may read it
-	// after the monomer has advanced and dropped it from the map.
-	pos map[int][]float64
+	step int
+	pos  []float64
 }
 
 // liveTask is one attempt handed to an in-process worker (or, through
@@ -411,13 +414,16 @@ type liveTask struct {
 	pos     int // first of the task's touch-set position slices in handoff.pos
 }
 
-// handoff is the message carrying one sweep's dispatches to a worker.
-// pos holds the step-t position slice of every monomer in each task's
-// touch set (Engine.taskFragment), in touch-set order, captured on the
-// coordinator at dispatch.
+// handoff is the message carrying one run to a worker and its results
+// back. pos holds the step-t position slice of every monomer in each
+// task's touch set (Engine.taskFragment), in touch-set order, captured
+// on the coordinator at dispatch; out holds the run's results in task
+// order. The coordinator reuses a message for the worker's later runs
+// once it has awaited the last result.
 type handoff struct {
 	tasks []liveTask
 	pos   [][]float64
+	out   []result
 }
 
 // taskFragment returns, for the fragment a task evaluates — its
@@ -521,9 +527,8 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	// run leaves the state without forces.
 	carried := state.ForcesHere()
 	state.Forces = nil
-	monos := make([]*monoState, nm)
+	monos := make([]monoState, nm)
 	for m := range monos {
-		monos[m] = &monoState{pos: map[int][]float64{}}
 		atoms := f.Monomers[m].Atoms
 		p0 := make([]float64, 3*len(atoms))
 		for i, a := range atoms {
@@ -535,30 +540,28 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				}
 			}
 		}
-		monos[m].pos[0] = p0
+		monos[m].pos = p0
 	}
 	positionsOf := func(m, step int) []float64 {
-		p, ok := monos[m].pos[step]
-		if !ok {
+		if monos[m].step != step {
 			panic(fmt.Sprintf("sched: monomer %d has no positions for step %d", m, step))
 		}
-		return p
+		return monos[m].pos
 	}
 
-	// Per-step accumulators.
-	gradStep := map[int][]float64{}
+	// Per-step accumulators, indexed by step; an entry is nil until first
+	// used and again once the step is done with it.
+	gradStep := make([][]float64, n)
 	epotStep := make([]float64, n)
 	ekinStep := make([]float64, n)
 	scfIterStep := make([]int, n)
 	firstDispatch := make([]time.Time, n)
 	lastResult := make([]time.Time, n)
 	stepGrad := func(t int) []float64 {
-		g, ok := gradStep[t]
-		if !ok {
-			g = make([]float64, 3*f.Geom.N())
-			gradStep[t] = g
+		if gradStep[t] == nil {
+			gradStep[t] = make([]float64, 3*f.Geom.N())
 		}
-		return g
+		return gradStep[t]
 	}
 
 	// EE-MBE: rounds of per-monomer charge tasks precede each step's
@@ -568,17 +571,16 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	if e.Opts.Embed != nil {
 		chargeRounds = e.Opts.Embed.Rounds()
 	}
-	chargeQ := map[int][][]float64{}
+	chargeQ := make([][][]float64, n)
 	chargeAt := func(step, round int) []float64 {
-		rs, ok := chargeQ[step]
-		if !ok {
-			rs = make([][]float64, chargeRounds)
+		if chargeQ[step] == nil {
+			rs := make([][]float64, chargeRounds)
 			for r := range rs {
 				rs[r] = make([]float64, f.Geom.N())
 			}
 			chargeQ[step] = rs
 		}
-		return rs[round]
+		return chargeQ[step][round]
 	}
 	monoAdvanced := make([]int, n)  // monomers past step t (chargeQ pruning)
 	residualDone := make([]bool, n) // far-pair correction folded per step
@@ -588,17 +590,17 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	}
 	// Embedding fields read *every* monomer's step-t positions — unlike
 	// vacuum extraction, which only reads a polymer's touch set — so
-	// they cannot go through the pruned per-monomer histories: a
-	// monomer that advanced early drops its step-t positions while
+	// they cannot go through the per-monomer positions: a monomer that
+	// advanced early has replaced its step-t positions while
 	// unrelated polymers of step t are still dispatching. Instead, the
 	// whole step's positions are snapshotted once at the charge
 	// barrier: the first consumer runs strictly after round 0 of the
 	// step completes (every monomer at step t, nothing advanced past
-	// it), which is exactly when all histories are guaranteed live.
-	stepPos := map[int][]float64{}
+	// it), which is exactly when every monomer holds step t.
+	stepPos := make([][]float64, n)
 	fieldPosAt := func(step int) func(atom int) [3]float64 {
-		snap, ok := stepPos[step]
-		if !ok {
+		snap := stepPos[step]
+		if snap == nil {
 			snap = make([]float64, 3*f.Geom.N())
 			for m := range f.Monomers {
 				p := positionsOf(m, step)
@@ -627,40 +629,43 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	// reach worker w as one hand-off when Await is next called (dirty
 	// lists the workers with one pending); the worker extracts and
 	// evaluates each task from the positions captured at dispatch and
-	// returns the run's results as one message. A worker is handed a run
-	// only while idle — every result of its previous run processed — so
-	// each worker has at most one message on either channel, and no send
-	// blocks.
+	// returns the run's results in the same message. A worker holds at
+	// most two runs (coord.RunContext), so each worker has at most two
+	// messages on either channel, and no send blocks. A message goes on
+	// its worker's free list once its last result has been awaited and
+	// carries the worker's later runs; a dead worker's messages are
+	// dropped.
 	inj := e.Opts.Injector
 	exec := e.Opts.Exec
-	runs := make([]handoff, e.Opts.Workers)
+	runs := make([]*handoff, e.Opts.Workers)
+	free := make([][]*handoff, e.Opts.Workers)
 	var dirty []int
-	taskCh := make([]chan handoff, e.Opts.Workers)
-	resCh := make(chan []result, e.Opts.Workers)
-	var inbox []result // results of the last received run not yet awaited
+	taskCh := make([]chan *handoff, e.Opts.Workers)
+	resCh := make(chan *handoff, 2*e.Opts.Workers)
+	var inbox *handoff // the message whose results are being awaited
+	var next int       // its next result
 	for w := 0; w < e.Opts.Workers && exec == nil; w++ {
-		taskCh[w] = make(chan handoff, 1)
+		taskCh[w] = make(chan *handoff, 2)
 		go func(w int) {
 			x := e.newExtractor()
 			completed := 0
 			for h := range taskCh[w] {
-				out := make([]result, 0, len(h.tasks))
 				for i, tw := range h.tasks {
 					if inj.WorkerDies(w, completed) {
 						// The worker dies starting this attempt: it and
 						// every attempt behind it in the run are lost, and
 						// the last report carries the death, so the
-						// coordinator evicts the worker with none of its
-						// tasks unaccounted for.
+						// coordinator evicts the worker and reclaims any
+						// run still queued for it.
 						for _, lost := range h.tasks[i:] {
-							out = append(out, result{ExecResult: ExecResult{Worker: w, Task: lost.task, Err: resilience.ErrWorkerDeath}})
+							h.out = append(h.out, result{ExecResult: ExecResult{Worker: w, Task: lost.task, Err: resilience.ErrWorkerDeath}})
 						}
-						out[len(out)-1].WorkerDown = true
-						resCh <- out
+						h.out[len(h.out)-1].WorkerDown = true
+						resCh <- h
 						return
 					}
 					if inj.FailTask(tw.task.Poly, tw.task.Step, tw.attempt) {
-						out = append(out, result{ExecResult: ExecResult{Worker: w, Task: tw.task, Err: resilience.ErrInjected}})
+						h.out = append(h.out, result{ExecResult: ExecResult{Worker: w, Task: tw.task, Err: resilience.ErrInjected}})
 						continue
 					}
 					r := e.evaluate(w, x, tw, h.pos[tw.pos:])
@@ -668,9 +673,9 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 						time.Sleep(time.Duration(r.seconds * (f - 1) * float64(time.Second)))
 					}
 					completed++
-					out = append(out, r)
+					h.out = append(h.out, r)
 				}
-				resCh <- out
+				resCh <- h
 			}
 		}(w)
 	}
@@ -681,6 +686,11 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			}
 		}
 	}()
+	// recycle empties h for worker w's next run.
+	recycle := func(w int, h *handoff) {
+		h.tasks, h.pos, h.out = h.tasks[:0], h.pos[:0], h.out[:0]
+		free[w] = append(free[w], h)
+	}
 
 	// With an external executor the coordinator extracts, ships only the
 	// standalone geometry and field, and keeps each slot's fold
@@ -695,7 +705,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	flush := func() {
 		for _, w := range dirty {
 			h := runs[w]
-			runs[w] = handoff{tasks: make([]liveTask, 0, cap(h.tasks)), pos: make([][]float64, 0, cap(h.pos))}
+			runs[w] = nil
 			if exec == nil {
 				taskCh[w] <- h
 				continue
@@ -707,6 +717,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			ex := coordX.extract(tw.task, tw.charge, h.pos[tw.pos:])
 			pending[w] = result{ExecResult: ExecResult{Task: tw.task}, ex: ex, field: tw.field}
 			exec.Execute(w, e.request(tw, ex))
+			recycle(w, h)
 		}
 		dirty = dirty[:0]
 	}
@@ -715,15 +726,22 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	// bookkeeping.
 	recv := func(ctx context.Context) (result, error) {
 		if exec == nil {
-			for len(inbox) == 0 {
+			for inbox == nil {
 				select {
 				case inbox = <-resCh:
+					next = 0
 				case <-ctx.Done():
 					return result{}, ctx.Err()
 				}
 			}
-			r := inbox[0]
-			inbox = inbox[1:]
+			r := inbox.out[next]
+			next++
+			if next == len(inbox.out) {
+				if !r.WorkerDown {
+					recycle(r.Worker, inbox)
+				}
+				inbox = nil
+			}
 			return r, nil
 		}
 		select {
@@ -772,8 +790,14 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 						fieldPosAt(step), stepGrad(step))
 				}
 			}
-			h := &runs[w]
-			if len(h.tasks) == 0 {
+			h := runs[w]
+			if h == nil {
+				if k := len(free[w]); k > 0 {
+					h, free[w] = free[w][k-1], free[w][:k-1]
+				} else {
+					h = &handoff{}
+				}
+				runs[w] = h
 				dirty = append(dirty, w)
 			}
 			tw.pos = len(h.pos)
@@ -891,13 +915,12 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			// monomer advanced), so the step's charge field is dead, and
 			// so is its gradient once this last monomer's kick reads g.
 			// The final step's gradient is kept: it becomes state.Forces.
-			delete(chargeQ, t)
-			delete(stepPos, t)
+			chargeQ[t], stepPos[t] = nil, nil
 			if t < n-1 {
-				delete(gradStep, t)
+				gradStep[t] = nil
 			}
 		}
-		ms := monos[m]
+		ms := &monos[m]
 		atoms := f.Monomers[m].Atoms
 		// Second half-kick completes v(t); velocities are already v(0) at
 		// local step 0 unless the run continued from carried forces.
@@ -917,7 +940,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 
 		if t == n-1 {
 			// Final step: write positions back, no further drift.
-			p := ms.pos[t]
+			p := ms.pos
 			for i, a := range atoms {
 				for k := 0; k < 3; k++ {
 					state.Geom.Atoms[a].Pos[k] = p[3*i+k]
@@ -926,7 +949,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			return
 		}
 		// First half-kick + drift to t+1.
-		p := ms.pos[t]
+		p := ms.pos
 		pNew := make([]float64, len(p))
 		for i, a := range atoms {
 			for k := 0; k < 3; k++ {
@@ -934,10 +957,9 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				pNew[3*i+k] = p[3*i+k] + state.Vel[a][k]*dt
 			}
 		}
-		ms.pos[t+1] = pNew
 		// Every polymer reading this monomer's step-t positions has
-		// completed (that is why it advanced), so prune the history.
-		delete(ms.pos, t)
+		// completed (that is why it advanced), so replace them.
+		ms.step, ms.pos = t+1, pNew
 	}
 	integrate := func(mi, step int32) {
 		integrateMono(mi, step)
