@@ -19,11 +19,8 @@ type NeighborBenchRow struct {
 	Monomers int    `json:"monomers"`
 	Atoms    int    `json:"atoms"`
 	// EnumSeconds is the cell-list Terms() wall time (monomer/dimer/
-	// trimer enumeration under cutoffs); FieldSeconds the cell-list
-	// EE-MBE field setup (one FieldAssembler plus FieldFor over every
-	// monomer). Best of reps.
-	EnumSeconds  float64 `json:"enum_seconds"`
-	FieldSeconds float64 `json:"field_seconds"`
+	// trimer enumeration under cutoffs), best of reps.
+	EnumSeconds float64 `json:"enum_seconds"`
 	// BruteEnumSeconds is the same Terms() through the O(N²)/O(N³)
 	// direct-scan oracle, measured only up to bruteCap monomers
 	// (0 = skipped at this size).
@@ -34,10 +31,10 @@ type NeighborBenchRow struct {
 // scaling sweep — the O(N) acceptance artifact for the cell-list path.
 type NeighborBenchReport struct {
 	ReportHeader
-	// Exponent is the log-log least-squares slope of the total
-	// (enumeration + field setup) cell-list wall time versus monomer
-	// count. O(N) enumeration means ≈ 1; the absolute gate is
-	// NeighborMaxExponent, applied on every run.
+	// Exponent is the log-log least-squares slope of the cell-list
+	// enumeration wall time (EnumSeconds) versus monomer count. O(N)
+	// enumeration means ≈ 1; the absolute gate is NeighborMaxExponent,
+	// applied on every run.
 	Exponent float64 `json:"exponent"`
 	// Speedup is cell-list vs brute total enumeration time at the
 	// largest size the brute oracle was measured on — a same-run ratio,
@@ -66,12 +63,11 @@ func neighborBenchSizes(quick bool) []int {
 
 // neighborOpts is the sweep's fragmentation configuration: periodic
 // water boxes under chemically sensible finite cutoffs, so enumeration
-// and field setup are the cell-list O(N) regime the gate certifies.
+// is the cell-list O(N) regime the gate certifies.
 func neighborOpts(brute bool) fragment.Options {
 	return fragment.Options{
 		DimerCutoff:  6 * chem.BohrPerAngstrom,
 		TrimerCutoff: 4 * chem.BohrPerAngstrom,
-		FieldCutoff:  8 * chem.BohrPerAngstrom,
 		Brute:        brute,
 	}
 }
@@ -81,7 +77,7 @@ func neighborOpts(brute bool) fragment.Options {
 func RunNeighborSuite(quick bool) *NeighborBenchReport {
 	rep := &NeighborBenchReport{ReportHeader: newHeader(NeighborBenchSchema, quick)}
 	reps := 3
-	var ns, ts []float64 // monomer counts and cell-list totals for the fit
+	var ns, ts []float64 // monomer counts and cell-list times for the fit
 	for _, n := range neighborBenchSizes(quick) {
 		g := molecule.WaterBox(n, n, n, 1)
 		row := NeighborBenchRow{
@@ -94,26 +90,6 @@ func RunNeighborSuite(quick bool) *NeighborBenchReport {
 			panic(err) // builders are deterministic; this cannot fail
 		}
 		row.EnumSeconds = bestOf(reps, func() { f.Terms() })
-
-		// Field setup: one assembler pass (centroids + cell list) plus
-		// the truncated field of every monomer — the per-step cost the
-		// EE-MBE SCC rounds pay.
-		charges := make([]float64, g.N())
-		for i := range charges {
-			if g.Atoms[i].Z == 8 {
-				charges[i] = -0.8
-			} else {
-				charges[i] = 0.4
-			}
-		}
-		pos := func(a int) [3]float64 { return g.Atoms[a].Pos }
-		row.FieldSeconds = bestOf(reps, func() {
-			fa := f.NewFieldAssembler(charges, pos)
-			for mi := range f.Monomers {
-				fa.FieldFor(fragment.Polymer{Monomers: []int{mi}})
-			}
-		})
-
 		if row.Monomers <= bruteCap {
 			fb, err := fragment.ByMolecule(g, 3, 1, neighborOpts(true))
 			if err != nil {
@@ -125,7 +101,7 @@ func RunNeighborSuite(quick bool) *NeighborBenchReport {
 			}
 		}
 		ns = append(ns, float64(row.Monomers))
-		ts = append(ts, row.EnumSeconds+row.FieldSeconds)
+		ts = append(ts, row.EnumSeconds)
 		rep.Rows = append(rep.Rows, row)
 	}
 	rep.Exponent = fitLogLogSlope(ns, ts)
@@ -182,21 +158,21 @@ func CompareNeighborReports(baseline, current *NeighborBenchReport, maxRegressPc
 func NeighborBench(c *Config) {
 	rep := RunNeighborSuite(c.Quick)
 	c.printf("Cell-list neighbor enumeration scaling (periodic water boxes;\n")
-	c.printf("dimer cut 6 Å, trimer cut 4 Å, field cut 8 Å; best of reps)\n")
-	c.printf("%-14s %9s %7s  %11s %11s %11s %9s\n",
-		"box", "monomers", "atoms", "enum (s)", "field (s)", "brute (s)", "speedup")
+	c.printf("dimer cut 6 Å, trimer cut 4 Å; best of reps)\n")
+	c.printf("%-14s %9s %7s  %11s %11s %9s\n",
+		"box", "monomers", "atoms", "enum (s)", "brute (s)", "speedup")
 	for _, row := range rep.Rows {
 		brute, speed := "-", "-"
 		if row.BruteEnumSeconds > 0 {
 			brute = fmt.Sprintf("%11.5f", row.BruteEnumSeconds)
 			speed = fmt.Sprintf("%8.2fx", row.BruteEnumSeconds/row.EnumSeconds)
 		}
-		c.printf("%-14s %9d %7d  %11.5f %11.5f %11s %9s\n",
-			row.Name, row.Monomers, row.Atoms, row.EnumSeconds, row.FieldSeconds, brute, speed)
+		c.printf("%-14s %9d %7d  %11.5f %11s %9s\n",
+			row.Name, row.Monomers, row.Atoms, row.EnumSeconds, brute, speed)
 	}
 	c.printf("\nfitted exponent: t ∝ N^%.3f (gate: ≤ %.1f; O(N) cell list ≈ 1, quadratic scan = 2)\n",
 		rep.Exponent, NeighborMaxExponent)
-	c.printf("\nShape to verify: cell-list enumeration + field setup grow ~linearly in\n")
+	c.printf("\nShape to verify: cell-list enumeration grows ~linearly in\n")
 	c.printf("monomer count while the brute oracle pulls away quadratically — the\n")
 	c.printf("re-regression this gate exists to catch.\n")
 

@@ -9,7 +9,7 @@ func syntheticNeighborReport(exponent, speedup float64) *NeighborBenchReport {
 	return &NeighborBenchReport{
 		ReportHeader: ReportHeader{Schema: NeighborBenchSchema}, Exponent: exponent, Speedup: speedup,
 		Rows: []NeighborBenchRow{{Name: "water-3x3x3", Monomers: 27, Atoms: 81,
-			EnumSeconds: 1e-4, FieldSeconds: 2e-4, BruteEnumSeconds: 3e-4}},
+			EnumSeconds: 1e-4, BruteEnumSeconds: 3e-4}},
 	}
 }
 
@@ -65,7 +65,7 @@ func TestRunNeighborSuiteQuick(t *testing.T) {
 		t.Fatalf("sweep has %d sizes, want ≥ 3", len(rep.Rows))
 	}
 	for _, row := range rep.Rows {
-		if row.EnumSeconds <= 0 || row.FieldSeconds <= 0 {
+		if row.EnumSeconds <= 0 {
 			t.Errorf("%s: non-positive timing %+v", row.Name, row)
 		}
 	}

@@ -3,12 +3,10 @@ package fragment
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/molecule"
-	"github.com/fragmd/fragmd/internal/neighbor"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
@@ -95,11 +93,12 @@ func (eo *EmbedOptions) Validate() error {
 func (eo EmbedOptions) Rounds() int { return 1 + eo.SCC }
 
 // CheckEmbeddable refuses electrostatic embedding of a periodic system.
-// The embedding field and the far-pair correction sum bare Coulomb terms
-// over minimum images, which truncates the lattice sum of a periodic
-// box — wrong for any polar cell, with no Ewald or damped-shifted-force
-// treatment to fall back on. Both EE-MBE entry points (ComputeEmbedded
-// and the asynchronous engine) call it before evaluating anything.
+// The embedding field and the far-pair correction are bare Coulomb sums
+// over one image of each atom, which truncates the lattice sum of a
+// periodic box — wrong for any polar cell, with no Ewald or
+// damped-shifted-force treatment to fall back on. Both EE-MBE entry
+// points (ComputeEmbedded and the asynchronous engine) call it before
+// evaluating anything.
 func (f *Fragmentation) CheckEmbeddable() error {
 	c := f.Geom.Cell
 	if c == nil {
@@ -143,32 +142,15 @@ func (fl *Field) FoldGradient(fieldGrad []float64, factor float64, parentGrad []
 }
 
 // FieldFor builds the embedding field of polymer p from per-parent-atom
-// charges: a site on every atom outside p's monomers, except the
-// cap-partner (outer) atoms of p's cut bonds — those atoms are
-// represented by the H-caps already, and a point charge on top of a cap
-// hydrogen would double-count the severed bond. Zero-charge sites are
-// dropped. pos supplies atom positions (the scheduler's per-step
-// histories, or the current geometry).
-//
-// Under a finite Opts.FieldCutoff only monomers whose centroid lies
-// within the cutoff of some member monomer's centroid contribute sites
-// (minimum-image distances when periodic). For repeated assembly over
-// one position snapshot, NewFieldAssembler amortises the centroid pass
-// and the cell list across polymers; this entry point recomputes them,
-// which the asynchronous scheduler needs anyway because every polymer
-// evaluates at its own time step. Periodic field sites are emitted at
-// the nearest image relative to the first member monomer's centroid,
-// matching the image convention of ExtractAt.
+// charges: a site on every atom outside p's monomers, in atom-index
+// order, except the cap-partner (outer) atoms of p's cut bonds — those
+// atoms are represented by the H-caps already, and a point charge on top
+// of a cap hydrogen would double-count the severed bond. Zero-charge
+// sites are dropped. pos supplies atom positions (the scheduler's
+// per-step histories, or the current geometry). The field is never
+// truncated: a distance cutoff would make the embedded surface jump
+// whenever a monomer crossed it.
 func (f *Fragmentation) FieldFor(p Polymer, charges []float64, pos func(atom int) [3]float64) *Field {
-	if math.IsInf(f.Opts.FieldCutoff, 1) && f.Geom.Cell == nil {
-		return f.fieldFull(p, charges, pos)
-	}
-	return f.fieldLocal(p, charges, pos, f.centroidsAt(pos), nil)
-}
-
-// fieldFull is the untruncated open-boundary field: every non-excluded
-// atom in index order — the exact pre-cutoff code path.
-func (f *Fragmentation) fieldFull(p Polymer, charges []float64, pos func(atom int) [3]float64) *Field {
 	exclude := f.fieldExclusion(p)
 	fl := &Field{}
 	for a := 0; a < f.Geom.N(); a++ {
@@ -203,92 +185,6 @@ func (f *Fragmentation) fieldExclusion(p Polymer) map[int]bool {
 	return exclude
 }
 
-// fieldLocal builds the cutoff-local (and/or periodic) field. A monomer
-// contributes sites when its centroid lies within FieldCutoff of any
-// member monomer's centroid; src, when non-nil, answers those queries
-// through the cell list, otherwise a direct scan decides with the exact
-// same squared-distance arithmetic, so both paths agree bitwise. Sites
-// are emitted in atom-index order to match fieldFull.
-func (f *Fragmentation) fieldLocal(p Polymer, charges []float64, pos func(atom int) [3]float64, cents [][3]float64, src neighbor.Source) *Field {
-	n := len(f.Monomers)
-	rc := f.Opts.FieldCutoff
-	include := make([]bool, n)
-	if math.IsInf(rc, 1) {
-		for i := range include {
-			include[i] = true
-		}
-	} else if src != nil {
-		for _, mi := range p.Monomers {
-			src.Near(cents[mi], rc, func(j int) bool {
-				include[j] = true
-				return true
-			})
-		}
-	} else {
-		rc2 := rc * rc
-		for _, mi := range p.Monomers {
-			for j := 0; j < n; j++ {
-				if !include[j] && f.centroidDistSq(cents[mi], cents[j]) <= rc2 {
-					include[j] = true
-				}
-			}
-		}
-	}
-	exclude := f.fieldExclusion(p)
-	var atoms []int
-	for j := 0; j < n; j++ {
-		if include[j] {
-			atoms = append(atoms, f.Monomers[j].Atoms...)
-		}
-	}
-	sort.Ints(atoms)
-	ref := f.monomerCentroidAt(p.Monomers[0], pos)
-	fl := &Field{}
-	for _, a := range atoms {
-		if exclude[a] || charges[a] == 0 {
-			continue
-		}
-		xyz := f.nearestImageOf(pos(a), ref)
-		fl.Charges.Pos = append(fl.Charges.Pos, xyz[0], xyz[1], xyz[2])
-		fl.Charges.Q = append(fl.Charges.Q, charges[a])
-		fl.Parent = append(fl.Parent, a)
-	}
-	return fl
-}
-
-// FieldAssembler amortises EE-MBE field construction across the
-// polymers of one pass: monomer centroids and the cell list over them
-// are built once per (charges, positions) snapshot instead of per
-// polymer. The serial driver and the scaling bench use it; results are
-// bitwise identical to per-polymer FieldFor calls.
-type FieldAssembler struct {
-	f       *Fragmentation
-	charges []float64
-	pos     func(atom int) [3]float64
-	cents   [][3]float64
-	src     neighbor.Source
-}
-
-// NewFieldAssembler prepares field assembly over one position/charge
-// snapshot.
-func (f *Fragmentation) NewFieldAssembler(charges []float64, pos func(atom int) [3]float64) *FieldAssembler {
-	fa := &FieldAssembler{f: f, charges: charges, pos: pos}
-	if !math.IsInf(f.Opts.FieldCutoff, 1) || f.Geom.Cell != nil {
-		fa.cents = f.centroidsAt(pos)
-		fa.src = f.centroidSource(fa.cents)
-	}
-	return fa
-}
-
-// FieldFor builds polymer p's embedding field from the shared pass
-// state.
-func (fa *FieldAssembler) FieldFor(p Polymer) *Field {
-	if fa.src == nil {
-		return fa.f.fieldFull(p, fa.charges, fa.pos)
-	}
-	return fa.f.fieldLocal(p, fa.charges, fa.pos, fa.cents, fa.src)
-}
-
 // FoldCharges maps a capped fragment's per-atom charges back onto the
 // parent system: real atoms map through ParentAtom, and each H-cap's
 // charge is added to its inner bond atom (so every monomer's folded
@@ -318,16 +214,12 @@ func (f *Fragmentation) MonomerCharges(cs ChargeSource, eo EmbedOptions) (q []fl
 	pos := func(a int) [3]float64 { return f.Geom.Atoms[a].Pos }
 	for round := 0; round < eo.Rounds(); round++ {
 		qNew := make([]float64, n)
-		var fa *FieldAssembler
-		if round > 0 {
-			fa = f.NewFieldAssembler(q, pos)
-		}
 		for mi := range f.Monomers {
 			p := Polymer{Monomers: []int{mi}}
 			ex := f.Extract(p)
 			var field *integrals.PointCharges
-			if fa != nil {
-				field = fa.FieldFor(p).PC()
+			if round > 0 {
+				field = f.FieldFor(p, q, pos).PC()
 			}
 			fq, it, err := cs.PartialCharges(ex.Geom, field)
 			if err != nil {
@@ -423,56 +315,40 @@ func pairInclusion(nMono int, all []Polymer, coeff map[string]float64) []float64
 // coefficient-weighted embedded sum); its analytic gradient
 // accumulates into grad when non-nil. With full polymer coverage (no
 // cutoffs) every s_IJ is 1 and the correction vanishes identically.
-// Under a finite Opts.FieldCutoff the correction is restricted to
-// pairs within the cutoff (centroid distance, enumerated through the
-// cell list): monomers beyond it contribute no field sites, so there
-// is no double-counted interaction to remove — beyond-cutoff
-// electrostatics is simply neglected, the documented truncation. On a
-// periodic geometry each pair interacts through its minimum image.
+// Every pair is visited: the field is never truncated, so no far pair
+// escapes the double count.
 func (f *Fragmentation) PairResidual(s, charges []float64, pos func(atom int) [3]float64, grad []float64) float64 {
 	n := len(f.Monomers)
 	var corr float64
-	pair := func(i, j int) {
-		w := 1 - s[i*n+j]
-		if math.Abs(w) < 1e-12 {
-			return
-		}
-		for _, a := range f.Monomers[i].Atoms {
-			qa := charges[a]
-			if qa == 0 {
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			w := 1 - s[i*n+j]
+			if math.Abs(w) < 1e-12 {
 				continue
 			}
-			pa := pos(a)
-			for _, b := range f.Monomers[j].Atoms {
-				qb := charges[b]
-				if qb == 0 {
+			for _, a := range f.Monomers[i].Atoms {
+				qa := charges[a]
+				if qa == 0 {
 					continue
 				}
-				pb := f.nearestImageOf(pos(b), pa)
-				e, dA := integrals.CoulombPairTerm(pa, pb, qa, qb)
-				corr -= w * e
-				if grad != nil {
-					for k := 0; k < 3; k++ {
-						grad[3*a+k] -= w * dA[k]
-						grad[3*b+k] += w * dA[k]
+				pa := pos(a)
+				for _, b := range f.Monomers[j].Atoms {
+					qb := charges[b]
+					if qb == 0 {
+						continue
+					}
+					e, dA := integrals.CoulombPairTerm(pa, pos(b), qa, qb)
+					corr -= w * e
+					if grad != nil {
+						for k := 0; k < 3; k++ {
+							grad[3*a+k] -= w * dA[k]
+							grad[3*b+k] += w * dA[k]
+						}
 					}
 				}
 			}
 		}
 	}
-	if math.IsInf(f.Opts.FieldCutoff, 1) {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				pair(i, j)
-			}
-		}
-		return corr
-	}
-	cents := f.centroidsAt(pos)
-	f.centroidSource(cents).Pairs(f.Opts.FieldCutoff, func(i, j int) bool {
-		pair(i, j)
-		return true
-	})
 	return corr
 }
 
@@ -515,7 +391,6 @@ func (f *Fragmentation) ComputeEmbedded(eval Evaluator, cache *warmstart.Cache, 
 		SCFIters:   chargeIters,
 	}
 	pos := func(a int) [3]float64 { return f.Geom.Atoms[a].Pos }
-	fa := f.NewFieldAssembler(charges, pos)
 	grads := map[string][]float64{}
 	fieldGrads := map[string][]float64{}
 	extracts := map[string]*Extracted{}
@@ -526,7 +401,7 @@ func (f *Fragmentation) ComputeEmbedded(eval Evaluator, cache *warmstart.Cache, 
 			return nil, fmt.Errorf("fragment: polymer %s enumerated twice", key)
 		}
 		ex := f.Extract(p)
-		fl := fa.FieldFor(p)
+		fl := f.FieldFor(p, charges, pos)
 		e, g, fg, iters, err := EvaluateEmbeddedWithCache(ee, cache, key, ex.Geom, fl.PC())
 		if err != nil {
 			return nil, fmt.Errorf("fragment: polymer %s: %w", key, err)

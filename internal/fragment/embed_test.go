@@ -277,4 +277,26 @@ func TestNegativeCutoffRejected(t *testing.T) {
 	if _, err := ByMolecule(g, 3, 1, Options{TrimerCutoff: -0.5}); err == nil {
 		t.Error("negative trimer cutoff accepted")
 	}
+	// NaN fails every comparison, so a "< 0" check would let it through
+	// and drop every dimer.
+	if _, err := ByMolecule(g, 3, 1, Options{DimerCutoff: math.NaN()}); err == nil {
+		t.Error("NaN dimer cutoff accepted")
+	}
+	if _, err := ByMolecule(g, 3, 1, Options{TrimerCutoff: math.NaN()}); err == nil {
+		t.Error("NaN trimer cutoff accepted")
+	}
+	if _, err := ByMolecule(g, 3, 1, Options{DimerCutoff: math.Inf(1), TrimerCutoff: math.Inf(1)}); err != nil {
+		t.Errorf("+Inf cutoffs rejected: %v", err)
+	}
+	// LoadSystem (the CLI and serve loader) rejects them too, in Å,
+	// instead of reading them as "no cutoff".
+	var xyz strings.Builder
+	if err := g.WriteXYZ(&xyz); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]float64{{math.NaN(), 0}, {-1, 0}, {0, math.NaN()}, {0, -1}} {
+		if _, err := LoadSystem(strings.NewReader(xyz.String()), nil, 3, c[0], c[1]); err == nil {
+			t.Errorf("LoadSystem(dimer %g, trimer %g Å) accepted", c[0], c[1])
+		}
+	}
 }

@@ -60,23 +60,17 @@ type Options struct {
 	//
 	// The zero value means *no cutoff* (+Inf) — this is the one place
 	// that convention is defined; every consumer goes through fill().
-	// Negative cutoffs are invalid and rejected by New with an error
-	// (they would silently produce an expansion with no dimers at all).
+	// Negative and NaN cutoffs are invalid and rejected by New with an
+	// error (they would silently produce an expansion with no dimers at
+	// all); +Inf is valid and means no cutoff.
 	DimerCutoff  float64
 	TrimerCutoff float64
 	// MaxOrder is 2 for MBE2, 3 for MBE3 (default 3).
 	MaxOrder int
-	// FieldCutoff truncates the EE-MBE embedding field at a centroid
-	// distance in Bohr: only monomers within FieldCutoff of a polymer
-	// member contribute point-charge sites, and the far-pair residual is
-	// restricted to pairs inside the same radius. The zero value means
-	// no truncation (+Inf) — every external monomer contributes, the
-	// exact pre-cutoff behaviour. Negative values are rejected by New.
-	FieldCutoff float64
 	// Brute forces the O(N²)/O(N³) direct-scan neighbor oracle instead
-	// of the cell list for polymer enumeration and field assembly. The
-	// two must agree exactly (equivalence-tested); Brute exists for A/B
-	// checks and as the reference in the scaling bench.
+	// of the cell list for polymer enumeration. The two must agree
+	// exactly (equivalence-tested); Brute exists for A/B checks and as
+	// the reference in the scaling bench.
 	Brute bool
 }
 
@@ -99,9 +93,6 @@ func (o *Options) fill() {
 	}
 	if o.TrimerCutoff == 0 {
 		o.TrimerCutoff = math.Inf(1)
-	}
-	if o.FieldCutoff == 0 {
-		o.FieldCutoff = math.Inf(1)
 	}
 }
 
@@ -138,9 +129,9 @@ func New(g *molecule.Geometry, monomers [][]int, opts Options) (*Fragmentation, 
 // (which detects cut bonds) and ByMolecule (which has proven the
 // partition bond-closed, so the scan would find nothing).
 func newPartition(g *molecule.Geometry, monomers [][]int, opts Options) (*Fragmentation, error) {
-	if opts.DimerCutoff < 0 || opts.TrimerCutoff < 0 || opts.FieldCutoff < 0 {
-		return nil, fmt.Errorf("fragment: negative cutoff (dimer %g, trimer %g, field %g Bohr); use 0 for no cutoff",
-			opts.DimerCutoff, opts.TrimerCutoff, opts.FieldCutoff)
+	if !(opts.DimerCutoff >= 0) || !(opts.TrimerCutoff >= 0) {
+		return nil, fmt.Errorf("fragment: negative or NaN cutoff (dimer %g, trimer %g Bohr); use 0 for no cutoff",
+			opts.DimerCutoff, opts.TrimerCutoff)
 	}
 	opts.fill()
 	f := &Fragmentation{Geom: g, Opts: opts}
@@ -233,14 +224,9 @@ func (f *Fragmentation) MonomerDist(i, j int) float64 {
 // per-call recomputation (MonomerDist was called O(nm²)–O(nm³) times
 // per Terms pass, each call walking both monomers' atoms). The slice is
 // pass-local, so a geometry step can never leave a stale cache behind.
+// The arithmetic mirrors Geometry.CentroidOf term for term so both
+// paths agree bitwise.
 func (f *Fragmentation) centroids() [][3]float64 {
-	return f.centroidsAt(func(a int) [3]float64 { return f.Geom.Atoms[a].Pos })
-}
-
-// centroidsAt is centroids with an explicit position source (the
-// scheduler's per-step histories). The arithmetic mirrors
-// Geometry.CentroidOf term for term so both paths agree bitwise.
-func (f *Fragmentation) centroidsAt(pos func(atom int) [3]float64) [][3]float64 {
 	out := make([][3]float64, len(f.Monomers))
 	for mi, m := range f.Monomers {
 		if len(m.Atoms) == 0 {
@@ -248,7 +234,7 @@ func (f *Fragmentation) centroidsAt(pos func(atom int) [3]float64) [][3]float64 
 		}
 		var c [3]float64
 		for _, a := range m.Atoms {
-			p := pos(a)
+			p := f.Geom.Atoms[a].Pos
 			for k := 0; k < 3; k++ {
 				c[k] += p[k]
 			}
@@ -278,16 +264,6 @@ func (f *Fragmentation) centroidSource(cents [][3]float64) neighbor.Source {
 		return neighbor.NewPeriodic(cents, *box)
 	}
 	return neighbor.New(cents)
-}
-
-// centroidDistSq is the squared centroid distance with the same
-// arithmetic as the neighbor package (minimum image per component,
-// then the k-ascending sum of squares), so cutoff decisions made here
-// and inside a neighbor.Source agree bitwise.
-func (f *Fragmentation) centroidDistSq(a, b [3]float64) float64 {
-	d := [3]float64{a[0] - b[0], a[1] - b[1], a[2] - b[2]}
-	d = f.Geom.Cell.MinImage(d)
-	return d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 }
 
 // Polymers enumerates every polymer requiring evaluation under the
@@ -524,13 +500,8 @@ func (f *Fragmentation) monomerCentroidAt(mi int, pos func(atom int) [3]float64)
 	return c
 }
 
-// nearestImageOf returns the periodic image of q closest to ref (q
-// itself when the geometry is open).
-func (f *Fragmentation) nearestImageOf(q, ref [3]float64) [3]float64 {
-	return nearestImage(f.Geom.Cell, q, ref)
-}
-
-// nearestImage is nearestImageOf in cell (nil = open).
+// nearestImage returns the periodic image of q in cell closest to ref
+// (q itself when cell is nil, the open geometry).
 func nearestImage(cell *molecule.Cell, q, ref [3]float64) [3]float64 {
 	if cell == nil {
 		return q

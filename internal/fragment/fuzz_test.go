@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -32,6 +33,7 @@ func FuzzMBECoefficients(f *testing.F) {
 	f.Add(uint8(1), 0.0, 0.0, uint8(2))
 	f.Add(uint8(7), -5.0, 1e300, uint8(3))
 	f.Add(uint8(4), 7.5, 7.5, uint8(200))
+	f.Add(uint8(2), math.NaN(), 9.0, uint8(2))
 	f.Fuzz(func(t *testing.T, nRaw uint8, dimerCut, trimerCut float64, orderRaw uint8) {
 		strands := int(nRaw)%2 + 1
 		residues := int(nRaw/2)%3 + 2
@@ -41,11 +43,11 @@ func FuzzMBECoefficients(f *testing.F) {
 			TrimerCutoff: trimerCut,
 			MaxOrder:     2 + int(orderRaw)%2,
 		})
-		if dimerCut < 0 || trimerCut < 0 {
-			// Negative cutoffs are invalid input, not a degenerate
-			// expansion: New must reject them loudly.
+		if !(dimerCut >= 0) || !(trimerCut >= 0) {
+			// Negative and NaN cutoffs are invalid input, not a
+			// degenerate expansion: New must reject them loudly.
 			if err == nil {
-				t.Fatalf("negative cutoffs (%g/%g) accepted", dimerCut, trimerCut)
+				t.Fatalf("negative or NaN cutoffs (%g/%g) accepted", dimerCut, trimerCut)
 			}
 			return
 		}

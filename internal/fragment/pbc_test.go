@@ -220,87 +220,9 @@ func TestByMoleculeRejectsCrossBlockBonds(t *testing.T) {
 	}
 }
 
-// TestFieldCutoffInfMatchesFull: with the default (no) field cutoff the
-// assembler and the legacy full scan build identical fields.
-func TestFieldCutoffInfMatchesFull(t *testing.T) {
-	g := molecule.WaterCluster(8)
-	f, err := ByMolecule(g, 3, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	charges := make([]float64, g.N())
-	for i := range charges {
-		charges[i] = 0.1 * float64(i%5-2)
-	}
-	pos := func(a int) [3]float64 { return g.Atoms[a].Pos }
-	fa := f.NewFieldAssembler(charges, pos)
-	for mi := range f.Monomers {
-		p := Polymer{Monomers: []int{mi}}
-		a, b := fa.FieldFor(p), f.FieldFor(p, charges, pos)
-		if len(a.Parent) != len(b.Parent) {
-			t.Fatalf("monomer %d: assembler %d sites, direct %d", mi, len(a.Parent), len(b.Parent))
-		}
-		for s := range a.Parent {
-			if a.Parent[s] != b.Parent[s] || a.Charges.Q[s] != b.Charges.Q[s] {
-				t.Fatalf("monomer %d site %d differs", mi, s)
-			}
-			for k := 0; k < 3; k++ {
-				if a.Charges.Pos[3*s+k] != b.Charges.Pos[3*s+k] {
-					t.Fatalf("monomer %d site %d position differs", mi, s)
-				}
-			}
-		}
-	}
-}
-
-// TestFieldCutoffLocalises: a finite field cutoff keeps only nearby
-// monomers' sites, and the assembler agrees with per-polymer FieldFor.
-func TestFieldCutoffLocalises(t *testing.T) {
-	g := molecule.WaterCluster(27)
-	const rc = 5 * chem.BohrPerAngstrom
-	f, err := ByMolecule(g, 3, 1, Options{FieldCutoff: rc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	charges := make([]float64, g.N())
-	for i := range charges {
-		charges[i] = 0.05 + 0.001*float64(i)
-	}
-	pos := func(a int) [3]float64 { return g.Atoms[a].Pos }
-	fa := f.NewFieldAssembler(charges, pos)
-	anyTruncated := false
-	for mi := range f.Monomers {
-		p := Polymer{Monomers: []int{mi}}
-		got := fa.FieldFor(p)
-		direct := f.FieldFor(p, charges, pos)
-		if len(got.Parent) != len(direct.Parent) {
-			t.Fatalf("monomer %d: assembler %d sites, direct %d", mi, len(got.Parent), len(direct.Parent))
-		}
-		for s := range got.Parent {
-			if got.Parent[s] != direct.Parent[s] {
-				t.Fatalf("monomer %d site %d: assembler atom %d, direct %d", mi, s, got.Parent[s], direct.Parent[s])
-			}
-		}
-		if len(got.Parent) < g.N()-3 {
-			anyTruncated = true
-		}
-		// Every included site's monomer must be within the cutoff.
-		for _, pa := range got.Parent {
-			am := f.atomMonomer[pa]
-			if d := f.MonomerDist(mi, am); d > rc+1e-9 {
-				t.Fatalf("monomer %d includes site of monomer %d at %g Bohr (cutoff %g)", mi, am, d, rc)
-			}
-		}
-	}
-	if !anyTruncated {
-		t.Fatal("field cutoff truncated nothing on a 27-molecule cluster")
-	}
-}
-
 // TestPairResidualCutoffConsistency: with no dimer/trimer cutoffs every
-// s_IJ is 1 and the residual vanishes regardless of the field cutoff;
-// with cutoffs, the truncated residual must equal the full residual
-// restricted to in-range pairs.
+// s_IJ is 1 and the residual vanishes; with a dimer cutoff the far
+// pairs leave a non-zero residual.
 func TestPairResidualCutoffConsistency(t *testing.T) {
 	g := molecule.WaterCluster(12)
 	charges := make([]float64, g.N())
@@ -320,17 +242,8 @@ func TestPairResidualCutoffConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rFull := cut.PairResidual(cut.PairInclusion(), charges, pos, nil)
-	if rFull == 0 {
+	if r := cut.PairResidual(cut.PairInclusion(), charges, pos, nil); r == 0 {
 		t.Fatal("truncated expansion residual unexpectedly zero")
-	}
-	// A field cutoff beyond every pair distance reproduces the full sum.
-	wide, err := ByMolecule(g, 3, 1, Options{DimerCutoff: dimerCut, MaxOrder: 2, FieldCutoff: 1e4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := wide.PairResidual(wide.PairInclusion(), charges, pos, nil); math.Abs(r-rFull) > 1e-12 {
-		t.Fatalf("wide field cutoff residual %g, full %g", r, rFull)
 	}
 }
 

@@ -19,7 +19,8 @@ var ErrBox = errors.New("box")
 // of the CLI flags and the job JSON. boxA requests periodic boundaries —
 // one edge length (cubic) or three, Å — overriding any cell= comment in
 // the XYZ; empty keeps the XYZ's cell, or open boundaries if it has
-// none. dimerCutA and trimerCutA are centroid cutoffs in Å (≤ 0 = none).
+// none. dimerCutA and trimerCutA are centroid cutoffs in Å (0 = none;
+// negative or NaN is an error).
 func LoadSystem(xyz io.Reader, boxA []float64, atomsPerMonomer int, dimerCutA, trimerCutA float64) (*Fragmentation, error) {
 	g, err := molecule.ParseXYZ(xyz)
 	if err != nil {
@@ -37,14 +38,13 @@ func LoadSystem(xyz io.Reader, boxA []float64, atomsPerMonomer int, dimerCutA, t
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBox, err)
 	}
-	opts := Options{}
-	if dimerCutA > 0 {
-		opts.DimerCutoff = dimerCutA * chem.BohrPerAngstrom
+	if !(dimerCutA >= 0) || !(trimerCutA >= 0) {
+		return nil, fmt.Errorf("cutoffs must be ≥ 0 Å (0 = none), got dimer %g, trimer %g", dimerCutA, trimerCutA)
 	}
-	if trimerCutA > 0 {
-		opts.TrimerCutoff = trimerCutA * chem.BohrPerAngstrom
-	}
-	f, err := ByMolecule(g, atomsPerMonomer, 1, opts)
+	f, err := ByMolecule(g, atomsPerMonomer, 1, Options{
+		DimerCutoff:  dimerCutA * chem.BohrPerAngstrom,
+		TrimerCutoff: trimerCutA * chem.BohrPerAngstrom,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fragmentation: %w", err)
 	}

@@ -60,7 +60,7 @@ func (f *Fragmentation) oracleExtractImaged(p Polymer, pos func(atom int) [3]flo
 		if ex.outerPositions == nil {
 			ex.outerPositions = map[Cap][3]float64{}
 		}
-		in, out := pos(inner), f.nearestImageOf(pos(outer), pos(inner))
+		in, out := pos(inner), nearestImage(f.Geom.Cell, pos(outer), pos(inner))
 		ex.outerPositions[cap] = out
 		capXYZ := capPosition(in, out, capDistance)
 		ex.Geom.AddAtom(1, capXYZ[0], capXYZ[1], capXYZ[2])

@@ -61,6 +61,33 @@ func TestH2MP2ClosedForm(t *testing.T) {
 	}
 }
 
+// The conventional path against published numbers: Crawford's STO-3G
+// water (Bohr; CrawfordGroup ProgrammingProjects #3 and #4). The
+// references are E_nuc, the converged RHF energy and the MP2
+// correlation energy those projects list; a wrong integral, basis
+// coefficient or MP2 denominator moves them far beyond 1e-10.
+func TestCrawfordWaterAnchors(t *testing.T) {
+	g := molecule.New()
+	g.AddAtom(8, 0, -0.143225816552, 0)
+	g.AddAtom(1, 1.638036840407, 1.136548822547, 0)
+	g.AddAtom(1, -1.638036840407, 1.136548822547, 0)
+	const tol = 1e-10
+	if got, want := g.NuclearRepulsion(), 8.002367061810450; math.Abs(got-want) > tol {
+		t.Errorf("E_nuc = %.15f, want %.15f", got, want)
+	}
+	ref := runSCF(t, g, false, basis.AuxOptions{})
+	if want := -74.942079928192; math.Abs(ref.Energy-want) > tol {
+		t.Errorf("E_SCF = %.12f, want %.12f", ref.Energy, want)
+	}
+	e2, err := ConventionalMP2(ref, integrals.FourCenterAll(ref.Bs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := -0.049149636120; math.Abs(e2-want) > tol {
+		t.Errorf("E_corr(MP2) = %.12f, want %.12f", e2, want)
+	}
+}
+
 func TestRIMP2MatchesConventional(t *testing.T) {
 	g := molecule.Water()
 	conv := runSCF(t, g, false, basis.AuxOptions{})

@@ -30,7 +30,7 @@ func (s Spec) Build() (Evaluator, error) {
 	case "rimp2":
 		return &RIMP2{Basis: s.Basis, SCS: s.SCS, SCFOpts: scf.Options{RIScreenThresh: s.RIScreen}}, nil
 	case "hf":
-		return &HF{Basis: s.Basis, UseRI: true}, nil
+		return &HF{Basis: s.Basis, UseRI: true, SCFOpts: scf.Options{RIScreenThresh: s.RIScreen}}, nil
 	case "hf4c":
 		return &HF{Basis: s.Basis}, nil
 	case "lj":

@@ -20,6 +20,8 @@ func TestSpecBuildMatchesHandBuiltEvaluators(t *testing.T) {
 		{Spec{Potential: "rimp2", Basis: "sto-3g", RIScreen: -1},
 			&RIMP2{Basis: "sto-3g", SCFOpts: scf.Options{RIScreenThresh: -1}}},
 		{Spec{Potential: "hf", Basis: "sto-3g"}, &HF{Basis: "sto-3g", UseRI: true}},
+		{Spec{Potential: "hf", Basis: "sto-3g", RIScreen: 1e-9},
+			&HF{Basis: "sto-3g", UseRI: true, SCFOpts: scf.Options{RIScreenThresh: 1e-9}}},
 		{Spec{Potential: "hf4c", Basis: "sto-3g"}, &HF{Basis: "sto-3g"}},
 		{Spec{Potential: "lj"}, &LennardJones{}},
 	}

@@ -519,6 +519,7 @@ func TestRejection(t *testing.T) {
 		{Tenant: "t", XYZ: waterXYZ(t, 1), Steps: 3, DtFs: -0.5},              // bad dt
 		{Tenant: "t", XYZ: waterXYZ(t, 1), Steps: 3, BoxA: []float64{10, 10}}, // wrong edge count
 		{Tenant: "t", XYZ: waterXYZ(t, 1), Steps: 3, BoxA: []float64{-10}},    // non-positive edge
+		{Tenant: "t", XYZ: waterXYZ(t, 1), Steps: 3, DimerCutA: -1},           // negative cutoff
 	}
 	for i, spec := range bad {
 		body, _ := json.Marshal(spec)
