@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("MBE3/RI-MP2 energy:     %.10f Ha  (%d polymers)\n", res.Energy, res.NPolymers)
+	fmt.Printf("MBE3/RI-MP2 energy:     %.10f Ha  (%d polymers)\n", res.Energy, len(res.Terms.All()))
 
 	eSuper, _, err := eval.Evaluate(sys)
 	if err != nil {

@@ -109,7 +109,10 @@ type (
 	// across evaluations (warm starting); the built-in potentials all
 	// implement it.
 	StatefulEvaluator = fragment.StatefulEvaluator
-	// MBEResult is an assembled energy/gradient with ΔE bookkeeping.
+	// MBEResult is an assembled energy/gradient with ΔE bookkeeping:
+	// its Terms is the MBE term graph it was assembled over, PolymerE
+	// holds one raw energy per Terms.All() index, and DeltaDimer and
+	// DeltaTri are aligned with Terms.Dimers and Terms.Trimers.
 	MBEResult = fragment.Result
 	// WarmStartCache holds per-polymer electronic states across AIMD
 	// steps (see the package comment's warm-start section).

@@ -260,18 +260,15 @@ func TestGoldenQuickstartTrajectory(t *testing.T) {
 		}
 		g := goldenQuickstart{
 			System:      "water cluster n=3, MBE3/RI-MP2/STO-3G",
-			NPolymers:   res.NPolymers,
+			NPolymers:   len(res.Terms.All()),
 			MBEEnergy:   num(res.Energy),
 			Supersystem: num(eSuper),
 		}
-		keys := make([]string, 0, len(res.DeltaDimer))
-		for k := range res.DeltaDimer {
-			keys = append(keys, k)
+		for i, d := range res.Terms.Dimers {
+			g.Dimers = append(g.Dimers, goldenContribution{Key: d.Key(), DeltaE: num(res.DeltaDimer[i])})
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g.Dimers = append(g.Dimers, goldenContribution{Key: k, DeltaE: num(res.DeltaDimer[k])})
-		}
+		// Sorted by key, as the file was written.
+		sort.Slice(g.Dimers, func(a, b int) bool { return g.Dimers[a].Key < g.Dimers[b].Key })
 
 		eng, err := sched.New(frag, eval, sched.Options{
 			Workers: 1, Async: true, Dt: 0.5 * chem.AtomicTimePerFs,
@@ -393,7 +390,7 @@ func TestGoldenEmbeddedWaterTrajectory(t *testing.T) {
 		}
 		g := goldenEmbedded{
 			System:       "water cluster n=4, EE-MBE2/RI-HF/STO-3G",
-			NPolymers:    emb.NPolymers,
+			NPolymers:    len(emb.Terms.All()),
 			VacuumMBE2:   num(vac.Energy),
 			EmbeddedMBE2: num(emb.Energy),
 			Supersystem:  num(super),

@@ -86,7 +86,7 @@ func Embed(c *Config) {
 	}
 	lj := &potential.LennardJones{Charges: map[int]float64{1: 0.2, 8: -0.4}, Delay: 2e-4}
 	c.printf("EE-MBE scheduling cost: %d waters, %d polymers, %d steps (LJ surrogate)\n",
-		nWaters, len(f.Polymers()), steps)
+		nWaters, len(f.Terms().All()), steps)
 	c.printf("  %-14s %12s %14s\n", "mode", "wall/step", "vs vacuum")
 	var vacuumPerStep float64
 	for _, mode := range []struct {

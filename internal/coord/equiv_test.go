@@ -55,9 +55,9 @@ func TestLiveAndSimulatedBackendsDispatchIdentically(t *testing.T) {
 		})
 	}
 	w := cluster.NewWorkload(specs, dimerCut, trimerCut)
-	if len(w.Polymers) != len(f.Polymers()) {
+	if len(w.Polymers) != len(f.Terms().All()) {
 		t.Fatalf("enumerations disagree: simulator %d polymers, fragmentation %d",
-			len(w.Polymers), len(f.Polymers()))
+			len(w.Polymers), len(f.Terms().All()))
 	}
 	testMachine := cluster.Machine{
 		Name: "equiv", Nodes: 1, GCDsPerNode: 1, PeakTF: 1,

@@ -276,41 +276,11 @@ func EvaluateEmbeddedWithCache(eval EmbeddedEvaluator, cache *warmstart.Cache, k
 	return e, grad, fieldGrad, iters, nil
 }
 
-// PairInclusion returns s_IJ = Σ_{P ⊇ {I,J}} coeff(P) for every
-// monomer pair, keyed [I*n+J] with I < J. s_IJ = 1 marks a pair fully
-// treated by the expansion; the residual 1 − s_IJ is the weight of the
-// surviving (double-counted) embedding interaction. The result depends
-// only on the enumeration, so both the serial driver and the
-// asynchronous engine compute it once per fragmentation.
-func (f *Fragmentation) PairInclusion() []float64 {
-	terms := f.Terms()
-	return pairInclusion(len(f.Monomers), terms.All(), terms.Coefficients())
-}
-
-func pairInclusion(nMono int, all []Polymer, coeff map[string]float64) []float64 {
-	s := make([]float64, nMono*nMono)
-	for _, p := range all {
-		c := coeff[p.Key()]
-		if c == 0 {
-			continue
-		}
-		for x := 0; x < len(p.Monomers); x++ {
-			for y := x + 1; y < len(p.Monomers); y++ {
-				i, j := p.Monomers[x], p.Monomers[y]
-				if i > j {
-					i, j = j, i
-				}
-				s[i*nMono+j] += c
-			}
-		}
-	}
-	return s
-}
-
 // PairResidual computes the double-counted far-pair electrostatics
 // correction: for every monomer pair with s_IJ ≠ 1 (s from
-// PairInclusion), −(1 − s_IJ)·E_qq(I,J), the classical charge–charge
-// interaction of the pair's embedding charges at the given positions.
+// Terms.PairInclusion), −(1 − s_IJ)·E_qq(I,J), the classical
+// charge–charge interaction of the pair's embedding charges at the
+// given positions.
 // The returned energy is the total correction (to *add* to the
 // coefficient-weighted embedded sum); its analytic gradient
 // accumulates into grad when non-nil. With full polymer coverage (no
@@ -377,82 +347,17 @@ func (f *Fragmentation) ComputeEmbedded(eval Evaluator, cache *warmstart.Cache, 
 		return nil, err
 	}
 
-	terms := f.Terms()
-	coeff := terms.Coefficients()
-	all := terms.All()
-	res := &Result{
-		Gradient:   make([]float64, 3*f.Geom.N()),
-		NPolymers:  len(all),
-		PolymerE:   map[string]float64{},
-		DeltaDimer: map[string]float64{},
-		DeltaTri:   map[string]float64{},
-		Charges:    charges,
-		SCCRounds:  rounds,
-		SCFIters:   chargeIters,
-	}
 	pos := func(a int) [3]float64 { return f.Geom.Atoms[a].Pos }
-	grads := map[string][]float64{}
-	fieldGrads := map[string][]float64{}
-	extracts := map[string]*Extracted{}
-	fields := map[string]*Field{}
-	for _, p := range all {
-		key := p.Key()
-		if _, done := res.PolymerE[key]; done {
-			return nil, fmt.Errorf("fragment: polymer %s enumerated twice", key)
-		}
-		ex := f.Extract(p)
-		fl := f.FieldFor(p, charges, pos)
-		e, g, fg, iters, err := EvaluateEmbeddedWithCache(ee, cache, key, ex.Geom, fl.PC())
-		if err != nil {
-			return nil, fmt.Errorf("fragment: polymer %s: %w", key, err)
-		}
-		res.SCFIters += iters
-		res.PolymerE[key] = e
-		grads[key] = g
-		fieldGrads[key] = fg
-		extracts[key] = ex
-		fields[key] = fl
+	res, err := f.assemble(&Result{Charges: charges, SCCRounds: rounds, SCFIters: chargeIters},
+		func(key string, p Polymer, g *molecule.Geometry) (float64, []float64, *Field, []float64, int, error) {
+			fl := f.FieldFor(p, charges, pos)
+			e, grad, fg, iters, err := EvaluateEmbeddedWithCache(ee, cache, key, g, fl.PC())
+			return e, grad, fl, fg, iters, err
+		})
+	if err != nil {
+		return nil, err
 	}
-
-	// Deterministic assembly order — see ComputeWithCache: the goldens
-	// compare bit-for-bit, so never iterate a map here.
-	allGrads := true
-	for _, p := range all {
-		key := p.Key()
-		c := coeff[key]
-		if c == 0 {
-			continue
-		}
-		res.Energy += c * res.PolymerE[key]
-		if grads[key] == nil {
-			allGrads = false // energy-only evaluator
-			continue
-		}
-		extracts[key].FoldGradient(grads[key], c, res.Gradient)
-		fields[key].FoldGradient(fieldGrads[key], c, res.Gradient)
-	}
-	if !allGrads {
-		res.Gradient = nil
-	}
-
-	s := pairInclusion(len(f.Monomers), all, coeff)
-	res.EPairResidual = f.PairResidual(s, charges, pos, res.Gradient)
+	res.EPairResidual = f.PairResidual(res.Terms.PairInclusion(), charges, pos, res.Gradient)
 	res.Energy += res.EPairResidual
-
-	// ΔE bookkeeping (embedded deltas: field terms of the pair cancel).
-	mKey := func(i int) string { return Polymer{Monomers: []int{i}}.Key() }
-	for _, d := range terms.Dimers {
-		res.DeltaDimer[d.Key()] = res.PolymerE[d.Key()] -
-			res.PolymerE[mKey(d.Monomers[0])] - res.PolymerE[mKey(d.Monomers[1])]
-	}
-	for _, tr := range terms.Trimers {
-		i, j, k := tr.Monomers[0], tr.Monomers[1], tr.Monomers[2]
-		delta := res.PolymerE[tr.Key()]
-		for _, d := range [][2]int{{i, j}, {i, k}, {j, k}} {
-			delta -= res.PolymerE[Polymer{Monomers: []int{d[0], d[1]}}.Key()]
-		}
-		delta += res.PolymerE[mKey(i)] + res.PolymerE[mKey(j)] + res.PolymerE[mKey(k)]
-		res.DeltaTri[tr.Key()] = delta
-	}
 	return res, nil
 }

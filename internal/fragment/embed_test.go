@@ -171,8 +171,7 @@ func TestPairInclusion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		terms := f.Terms()
-		s := pairInclusion(len(f.Monomers), terms.All(), terms.Coefficients())
+		s := f.Terms().PairInclusion()
 		n := len(f.Monomers)
 		sawPartial := false
 		for i := 0; i < n; i++ {

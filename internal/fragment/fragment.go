@@ -211,19 +211,11 @@ func (f *Fragmentation) Centroid(mi int) [3]float64 {
 	return f.Geom.CentroidOf(f.Monomers[mi].Atoms)
 }
 
-// MonomerDist returns the centroid distance between two monomers (Bohr)
-// — the minimum-image distance when the geometry is periodic. It
-// recomputes both centroids; enumeration passes (Terms, Contributions)
-// cache centroids once per pass instead of calling this per pair.
-func (f *Fragmentation) MonomerDist(i, j int) float64 {
-	return f.Geom.DistBetween(f.Centroid(i), f.Centroid(j))
-}
-
 // centroids computes every monomer centroid at the current geometry in
-// one pass — the per-enumeration cache that replaces the former
-// per-call recomputation (MonomerDist was called O(nm²)–O(nm³) times
-// per Terms pass, each call walking both monomers' atoms). The slice is
-// pass-local, so a geometry step can never leave a stale cache behind.
+// one pass — the per-enumeration cache of Terms and Contributions, which
+// would otherwise walk both monomers' atoms once per pair (O(nm²)–O(nm³)
+// centroid computations per pass). The slice is pass-local, so a
+// geometry step can never leave a stale cache behind.
 // The arithmetic mirrors Geometry.CentroidOf term for term so both
 // paths agree bitwise.
 func (f *Fragmentation) centroids() [][3]float64 {
@@ -264,13 +256,6 @@ func (f *Fragmentation) centroidSource(cents [][3]float64) neighbor.Source {
 		return neighbor.NewPeriodic(cents, *box)
 	}
 	return neighbor.New(cents)
-}
-
-// Polymers enumerates every polymer requiring evaluation under the
-// configured cutoffs (monomers, dimers — including those needed only as
-// trimer constituents — and trimers). See Terms for the classified form.
-func (f *Fragmentation) Polymers() []Polymer {
-	return f.Terms().All()
 }
 
 // Cap describes one hydrogen cap: a hydrogen placed along the cut bond

@@ -99,12 +99,12 @@ func TestCutoffEnumeration(t *testing.T) {
 	// loose full expansion, Σ_p coeff_p = 1 means the supersystem count:
 	// n − n(n−1)/2·... easier invariant: every monomer's net coefficient
 	// in the exact 3-monomer case is checked by TestMBE3Exact.)
-	coeff := tight.Coefficients()
-	for _, d := range tight.ExtraDimers {
+	nd := len(tight.Monomers) + len(tight.Dimers)
+	for x, d := range tight.ExtraDimers {
 		// Extra dimers enter only through trimer corrections: their
 		// coefficient must be strictly negative (−#containing trimers).
-		if coeff[d.Key()] >= 0 {
-			t.Errorf("extra dimer %s coefficient %v should be negative", d.Key(), coeff[d.Key()])
+		if c := tight.Coeff(nd + x); c >= 0 {
+			t.Errorf("extra dimer %s coefficient %v should be negative", d.Key(), c)
 		}
 	}
 }
@@ -181,6 +181,71 @@ func TestMBEGradientSumRule(t *testing.T) {
 		}
 		if math.Abs(s) > 1e-10 {
 			t.Errorf("net MBE force along %d = %.2e", d, s)
+		}
+	}
+}
+
+// Contributions at equal distance keep the enumeration order (dimers,
+// then trimers), so the Fig. 5 listing is the same on every call, and
+// each Dist is the polymer's largest centroid distance. Four waters on
+// a whole-Bohr square with dyadic atom coordinates make exact ties:
+// every side dimer at 6 Bohr, and the diagonal dimers and every trimer
+// at 6√2. Alternate waters are mirrored in z, so tied dimers carry
+// different ΔE and any reordering shows.
+func TestContributionsStableOrder(t *testing.T) {
+	g := molecule.New()
+	for i, off := range [][2]float64{{0, 0}, {6, 0}, {0, 6}, {6, 6}} {
+		z := 0.25
+		if i == 1 || i == 2 {
+			z = -z
+		}
+		g.AddAtom(8, off[0], off[1], 0)
+		g.AddAtom(1, off[0]+1.5, off[1]+0.5, z)
+		g.AddAtom(1, off[0]+0.5, off[1]+1.5, -z)
+	}
+	f, err := ByMolecule(g, 3, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Compute(&potential.LennardJones{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := func(i, j int) float64 { return f.Geom.DistBetween(f.Centroid(i), f.Centroid(j)) }
+	var want []Contribution
+	for x, d := range res.Terms.Dimers {
+		want = append(want, Contribution{Order: 2, Dist: dist(d.Monomers[0], d.Monomers[1]), DeltaE: res.DeltaDimer[x]})
+	}
+	for x, tr := range res.Terms.Trimers {
+		m := tr.Monomers
+		want = append(want, Contribution{Order: 3, Dist: max(dist(m[0], m[1]), dist(m[0], m[2]), dist(m[1], m[2])), DeltaE: res.DeltaTri[x]})
+	}
+	ties := 0
+	for i := range want {
+		for j := range i {
+			if want[i].Dist == want[j].Dist {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("geometry has no exact distance ties")
+	}
+	// Insertion sort: stable by construction.
+	for i := 1; i < len(want); i++ {
+		for j := i; j > 0 && want[j].Dist < want[j-1].Dist; j-- {
+			want[j], want[j-1] = want[j-1], want[j]
+		}
+	}
+	for call := 0; call < 20; call++ {
+		got := f.Contributions(res)
+		if len(got) != len(want) {
+			t.Fatalf("call %d: %d contributions, want %d", call, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("call %d: contribution %d = %+v, want %+v", call, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -234,7 +234,7 @@ func TestPairResidualCutoffConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := full.PairResidual(full.PairInclusion(), charges, pos, nil); r != 0 {
+	if r := full.PairResidual(full.Terms().PairInclusion(), charges, pos, nil); r != 0 {
 		t.Fatalf("complete expansion must have zero residual, got %g", r)
 	}
 	const dimerCut = 7 * chem.BohrPerAngstrom
@@ -242,7 +242,7 @@ func TestPairResidualCutoffConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := cut.PairResidual(cut.PairInclusion(), charges, pos, nil); r == 0 {
+	if r := cut.PairResidual(cut.Terms().PairInclusion(), charges, pos, nil); r == 0 {
 		t.Fatal("truncated expansion residual unexpectedly zero")
 	}
 }
@@ -256,7 +256,7 @@ func BenchmarkTermsCentroidCached(b *testing.B) {
 
 // BenchmarkTermsBruteRecompute measures the same enumeration with the
 // pre-fix shape: brute-force pair scans whose distances recompute both
-// centroids per call via MonomerDist.
+// centroids per pair.
 func BenchmarkTermsBruteRecompute(b *testing.B) {
 	benchTerms(b, true)
 }
@@ -264,7 +264,7 @@ func BenchmarkTermsBruteRecompute(b *testing.B) {
 func benchTerms(b *testing.B, recompute bool) {
 	// MBE2 on 512 monomers, so both variants measure the same dimer
 	// enumeration; the trimer pass benefits even more (it was O(nm³)
-	// MonomerDist calls).
+	// centroid recomputations).
 	g := molecule.WaterBox(8, 8, 8, 1) // 512 monomers
 	const cut = 6 * chem.BohrPerAngstrom
 	f, err := ByMolecule(g, 3, 1, Options{DimerCutoff: cut, MaxOrder: 2})
@@ -279,13 +279,13 @@ func benchTerms(b *testing.B, recompute bool) {
 			}
 			continue
 		}
-		// The old code path: O(nm²) MonomerDist calls, each recomputing
-		// both centroids from their atoms.
+		// The old code path: O(nm²) centroid distances, each
+		// recomputing both centroids from their atoms.
 		nm := len(f.Monomers)
 		count := 0
 		for i := 0; i < nm; i++ {
 			for j := i + 1; j < nm; j++ {
-				if f.MonomerDist(i, j) <= cut {
+				if f.Geom.DistBetween(f.Centroid(i), f.Centroid(j)) <= cut {
 					count++
 				}
 			}

@@ -14,7 +14,7 @@ import (
 // gradient. For cap-free fragmentations the MBE identity then demands
 // E_MBE == c·N_total for *any* cutoffs and any MBE order: every ΔE_IJ
 // and ΔE_IJK vanishes identically, so the coefficient algebra
-// (Terms/Coefficients) is exercised end to end.
+// (Terms.Coeff) is exercised end to end.
 type additiveEvaluator struct{ c float64 }
 
 func (a additiveEvaluator) Evaluate(g *molecule.Geometry) (float64, []float64, error) {
@@ -63,14 +63,13 @@ func TestQuickCoefficientAtomBalance(t *testing.T) {
 			return false
 		}
 		terms := frag.Terms()
-		coeff := terms.Coefficients()
 		var total float64
-		for _, p := range terms.All() {
+		for i, p := range terms.All() {
 			atoms := 0
 			for _, mi := range p.Monomers {
 				atoms += len(frag.Monomers[mi].Atoms)
 			}
-			total += coeff[p.Key()] * float64(atoms)
+			total += terms.Coeff(i) * float64(atoms)
 		}
 		return math.Abs(total-float64(g.N())) < 1e-9
 	}
@@ -181,7 +180,7 @@ func TestQuickTouchSetContainsMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range frag.Polymers() {
+	for _, p := range frag.Terms().All() {
 		ts := frag.TouchSet(p)
 		for i := 1; i < len(ts); i++ {
 			if ts[i] <= ts[i-1] {

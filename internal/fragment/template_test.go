@@ -198,7 +198,7 @@ func TestTemplateMatchesOracle(t *testing.T) {
 		}
 		pos := jittered(g, 1)
 		twoCaps := false
-		for _, p := range f.Polymers() {
+		for _, p := range f.Terms().All() {
 			checkTemplateMatchesOracle(t, f, p, pos, nil, rng)
 			twoCaps = twoCaps || len(f.Extract(p).Caps) == 2
 		}
@@ -237,7 +237,7 @@ func TestTemplateMatchesOracle(t *testing.T) {
 		setup := func(a int) [3]float64 { return g.Atoms[a].Pos }
 		pos := jittered(g, 3)
 		imaged := 0
-		for _, p := range f.Polymers() {
+		for _, p := range f.Terms().All() {
 			images := f.MemberImages(p, setup)
 			if images != nil {
 				imaged++

@@ -77,21 +77,22 @@ func TestComputeWithCacheSkipCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eval.calls != first.NPolymers || eval.guessed != 0 {
-		t.Fatalf("first pass: %d calls, %d guesses; want %d cold calls", eval.calls, eval.guessed, first.NPolymers)
+	npoly := len(first.Terms.All())
+	if eval.calls != npoly || eval.guessed != 0 {
+		t.Fatalf("first pass: %d calls, %d guesses; want %d cold calls", eval.calls, eval.guessed, npoly)
 	}
-	if cache.Len() != first.NPolymers {
-		t.Fatalf("cache holds %d states, want %d", cache.Len(), first.NPolymers)
+	if cache.Len() != npoly {
+		t.Fatalf("cache holds %d states, want %d", cache.Len(), npoly)
 	}
 	for pass := 1; pass <= 3; pass++ {
 		res, err := f.ComputeWithCache(eval, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (pass + 1) * first.NPolymers; eval.calls != want {
+		if want := (pass + 1) * npoly; eval.calls != want {
 			t.Fatalf("pass %d: %d evaluations in total, want %d", pass, eval.calls, want)
 		}
-		if want := pass * first.NPolymers; eval.guessed != want {
+		if want := pass * npoly; eval.guessed != want {
 			t.Fatalf("pass %d: %d warm-started evaluations, want %d", pass, eval.guessed, want)
 		}
 		if math.Abs(res.Energy-first.Energy) > 1e-14 {
@@ -127,8 +128,8 @@ func TestComputeWithCacheDisplacementInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eval.calls-n1 != res.NPolymers || eval.guessed != res.NPolymers {
-		t.Errorf("moved pass: %d evaluations, %d guesses; want %d of each", eval.calls-n1, eval.guessed, res.NPolymers)
+	if npoly := len(res.Terms.All()); eval.calls-n1 != npoly || eval.guessed != npoly {
+		t.Errorf("moved pass: %d evaluations, %d guesses; want %d of each", eval.calls-n1, eval.guessed, npoly)
 	}
 	fresh, err := f.Compute(eval)
 	if err != nil {
@@ -169,8 +170,8 @@ func TestComputeWithCacheStatelessEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.calls-n1 != res.NPolymers {
-		t.Errorf("stateless evaluator called %d times for %d polymers", ev.calls-n1, res.NPolymers)
+	if npoly := len(res.Terms.All()); ev.calls-n1 != npoly {
+		t.Errorf("stateless evaluator called %d times for %d polymers", ev.calls-n1, npoly)
 	}
 	if cache.Len() != 0 {
 		t.Errorf("cache holds %d states for a stateless evaluator", cache.Len())

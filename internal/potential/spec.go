@@ -40,8 +40,26 @@ func (s Spec) Build() (Evaluator, error) {
 	}
 }
 
-// Fingerprint is a stable textual identity of the physics: specs with
-// equal fingerprints build identical evaluators.
+// Canonical returns s with every field Build does not read for s's
+// potential zeroed: Basis, SCS and RIScreen under "lj", SCS and
+// RIScreen under "hf4c", SCS under "hf". Specs with equal canonical
+// forms build identical evaluators, so the canonical form is what
+// physics comparisons (Fingerprint, serve's fleet admission) compare.
+func (s Spec) Canonical() Spec {
+	switch s.Potential {
+	case "lj":
+		return Spec{Potential: s.Potential}
+	case "hf4c":
+		return Spec{Potential: s.Potential, Basis: s.Basis}
+	case "hf":
+		s.SCS = false
+	}
+	return s
+}
+
+// Fingerprint is a stable textual identity of the physics: specs build
+// identical evaluators exactly when their fingerprints are equal.
 func (s Spec) Fingerprint() string {
+	s = s.Canonical()
 	return fmt.Sprintf("%s|%s|%t|%g", s.Potential, s.Basis, s.SCS, s.RIScreen)
 }

@@ -215,11 +215,10 @@ type Engine struct {
 // topology is what an engine precomputes from the fragmentation alone:
 // read-only during a run, so engines made by With share it.
 type topology struct {
-	terms     *fragment.Terms
-	polymers  []fragment.Polymer
+	terms     *fragment.Terms      // the MBE term graph; polymer index = Terms index
+	polymers  []fragment.Polymer   // terms.All()
 	templates []*fragment.Template // per polymer index: extraction template, built once
 	keys      []string             // per polymer index: Polymer.Key, formatted once
-	coeff     []float64            // per polymer index
 	graph     *coord.Graph
 	refMono   int
 
@@ -227,6 +226,7 @@ type topology struct {
 	atomSlot  []int                // atom → index within its monomer
 	monoTouch [][]int32            // EE-MBE only: touch set of each monomer alone (its charge task)
 	monoTpl   []*fragment.Template // EE-MBE only: template of each monomer alone (its charge task)
+	sPair     []float64            // EE-MBE only: pair-inclusion weights (terms.PairInclusion)
 }
 
 // Cache returns the engine's warm-start cache (nil when incremental
@@ -336,11 +336,9 @@ func (e *Engine) With(opts Options) (*Engine, error) {
 // newTopology builds f's engine topology for the validated opts.
 func newTopology(f *fragment.Fragmentation, opts Options) (*topology, error) {
 	e := &topology{terms: f.Terms()}
-	coeffMap := e.terms.Coefficients()
 	e.polymers = e.terms.All()
 	e.templates = make([]*fragment.Template, len(e.polymers))
 	e.keys = make([]string, len(e.polymers))
-	e.coeff = make([]float64, len(e.polymers))
 	members := make([][]int32, len(e.polymers))
 	touch := make([][]int32, len(e.polymers))
 	setup := func(a int) [3]float64 { return f.Geom.Atoms[a].Pos }
@@ -349,7 +347,6 @@ func newTopology(f *fragment.Fragmentation, opts Options) (*topology, error) {
 		// the set-up geometry and hold for every step.
 		e.templates[pi] = f.NewTemplate(p, f.MemberImages(p, setup))
 		e.keys[pi] = p.Key()
-		e.coeff[pi] = coeffMap[e.keys[pi]]
 		ms := int32s(p.Monomers)
 		sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
 		members[pi] = ms
@@ -370,6 +367,7 @@ func newTopology(f *fragment.Fragmentation, opts Options) (*topology, error) {
 			e.monoTouch[m] = int32s(f.TouchSet(p))
 			e.monoTpl[m] = f.NewTemplate(p, nil)
 		}
+		e.sPair = e.terms.PairInclusion()
 	}
 
 	// Queue priorities anchored at the reference monomer (shared policy
@@ -584,10 +582,6 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	}
 	monoAdvanced := make([]int, n)  // monomers past step t (chargeQ pruning)
 	residualDone := make([]bool, n) // far-pair correction folded per step
-	var sPair []float64             // pair-inclusion weights (static)
-	if chargeRounds > 0 {
-		sPair = f.PairInclusion()
-	}
 	// Embedding fields read *every* monomer's step-t positions — unlike
 	// vacuum extraction, which only reads a polymer's touch set — so
 	// they cannot go through the per-monomer positions: a monomer that
@@ -786,7 +780,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 					// final and every monomer has step positions, so
 					// fold in the far-pair residual correction once.
 					residualDone[step] = true
-					epotStep[step] += f.PairResidual(sPair, chargeAt(step, chargeRounds-1),
+					epotStep[step] += f.PairResidual(e.sPair, chargeAt(step, chargeRounds-1),
 						fieldPosAt(step), stepGrad(step))
 				}
 			}
@@ -865,7 +859,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				}
 				return done, nil
 			}
-			c := e.coeff[r.Task.Poly]
+			c := e.terms.Coeff(int(r.Task.Poly))
 			epotStep[t] += c * r.E
 			r.ex.FoldGradient(r.Grad, c, stepGrad(t))
 			r.field.FoldGradient(r.FieldGrad, c, stepGrad(t))

@@ -256,7 +256,7 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	if err := spec.normalize(); err != nil {
 		return JobView{}, fmt.Errorf("serve: invalid job: %w", err)
 	}
-	if c := s.opts.Coordinator; c != nil && spec.eval() != c.Eval() {
+	if c := s.opts.Coordinator; c != nil && spec.eval().Canonical() != c.Eval().Canonical() {
 		return JobView{}, fmt.Errorf("serve: invalid job: this server fronts a %s/%s worker fleet; the job's potential/basis/scs/ri_screen must match",
 			c.Eval().Potential, c.Eval().Basis)
 	}

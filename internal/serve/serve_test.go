@@ -612,10 +612,16 @@ func TestFleetMode(t *testing.T) {
 		t.Fatal("job with non-fleet potential admitted")
 	}
 
+	// Fields the LJ surrogate never reads do not make a job's physics
+	// differ from the fleet's.
+	ignored := ljSpec(t, "c", 2, 4)
+	ignored.Basis, ignored.SCS, ignored.RIScreen = "dzp", true, 1e-9
+
 	ref := serialEnergies(t, ljSpec(t, "ref", 2, 4))
 	ids := []string{
 		postJob(t, ts.URL, ljSpec(t, "a", 2, 4)),
 		postJob(t, ts.URL, ljSpec(t, "b", 2, 4)),
+		postJob(t, ts.URL, ignored),
 	}
 	for _, id := range ids {
 		waitTerminal(t, ts.URL, id)
