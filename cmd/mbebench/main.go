@@ -17,16 +17,19 @@
 // substitutes ±10 % jitter when -jitter is 0 (its work-stealing path
 // needs load imbalance to exist) and prints the value it used.
 //
-// Three experiments write a machine-readable report and gate it: gemm
-// (GFLOP/s and same-run speedups, DESIGN.md §5), neighbor (the fitted
-// O(N) exponent, absolute ceiling 1.2, and the cell-vs-brute speedup,
-// §13) and serve (latency, jobs/sec, fairness and drain integrity,
-// §12). -bench-json writes the report (conventionally BENCH_gemm.json,
+// Four experiments write a machine-readable report and gate it: gemm
+// (GFLOP/s and same-run speedups, DESIGN.md §5), evalcost (GEMM flops,
+// SCF and Z-vector iterations, dropped metric directions and allocation
+// of cold RI-MP2 gradients, §5), neighbor (the fitted O(N) exponent,
+// absolute ceiling 1.2, and the cell-vs-brute speedup, §13) and serve
+// (latency, jobs/sec, fairness and drain integrity, §12). -bench-json
+// writes the report (conventionally BENCH_gemm.json, BENCH_eval.json,
 // BENCH_neighbor.json, BENCH_serve.json), -baseline gates it against a
-// committed one and -max-regress sets the tolerance in percent.
+// committed one and -max-regress sets the tolerance in percent (evalcost
+// gates counts and does not read it).
 //
 // An experiment error or a gate violation makes the process exit 1; a
-// usage error exits 2. CI runs the three gates.
+// usage error exits 2. CI runs the four gates.
 package main
 
 import (
@@ -54,9 +57,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	full := fs.Bool("full", false, "run paper-size configurations")
 	list := fs.Bool("list", false, "list experiments")
-	benchJSON := fs.String("bench-json", "", "write the gemm/neighbor/serve machine-readable report to this path")
-	baseline := fs.String("baseline", "", "gate the gemm/neighbor/serve report against this committed baseline")
-	maxRegress := fs.Float64("max-regress", 25, "allowed regression vs baseline (GFLOP/s, speedups, neighbor exponent, latency, jobs/sec), percent")
+	benchJSON := fs.String("bench-json", "", "write the gemm/evalcost/neighbor/serve machine-readable report to this path")
+	baseline := fs.String("baseline", "", "gate the gemm/evalcost/neighbor/serve report against this committed baseline")
+	maxRegress := fs.Float64("max-regress", 25, "allowed regression vs baseline (GFLOP/s, speedups, neighbor exponent, latency, jobs/sec; evalcost gates counts), percent")
 	seed := fs.Int64("seed", 0, "cluster-simulator RNG seed for reproducible fig7/fig8/table5/hier runs (0 = default)")
 	jitter := fs.Float64("jitter", 0, "simulated task-runtime noise, fraction in [0,1) (0 = deterministic model; hier substitutes 0.1)")
 	if testHookFlagSet != nil {

@@ -29,14 +29,15 @@ type Config struct {
 	Quick bool
 	Out   io.Writer
 
-	// BenchJSON, when non-empty, is where the gemm, neighbor and serve
-	// experiments write their machine-readable report (conventionally
-	// BENCH_gemm.json, BENCH_neighbor.json, BENCH_serve.json).
+	// BenchJSON, when non-empty, is where the gemm, evalcost, neighbor
+	// and serve experiments write their machine-readable report
+	// (conventionally BENCH_gemm.json, BENCH_eval.json,
+	// BENCH_neighbor.json, BENCH_serve.json).
 	BenchJSON string
 	// Baseline, when non-empty, is a committed report of the same
 	// experiment to gate against (CompareGemmReports,
-	// CompareNeighborReports, CompareServeReports); every violation is
-	// recorded in Failures.
+	// CompareEvalCostReports, CompareNeighborReports,
+	// CompareServeReports); every violation is recorded in Failures.
 	Baseline string
 	// MaxRegressPct is the allowed regression versus the baseline, in
 	// percent: GFLOP/s and same-run speedups down, the neighbor
@@ -85,6 +86,7 @@ var Experiments = []Experiment{
 	{"fig3", "", Fig3, "RI-HF vs conventional-HF gradient ablation"},
 	{"table4", "", Table4, "DGEMM variant performance on RI-MP2 shapes"},
 	{"gemm", "", GemmBench, "GEMM engine microbenchmarks (BENCH_gemm.json)"},
+	{"evalcost", "", EvalCost, "cold RI-MP2 gradient cost in portable counts + count gate (BENCH_eval.json)"},
 	{"autotune", "", AutotuneAblation, "runtime GEMM auto-tuning speedup (§V-G)"},
 	{"fig5", "", Fig5, "dimer/trimer contribution decay and cutoffs"},
 	{"fig6", "", Fig6, "NVE energy conservation with async time steps"},

@@ -27,7 +27,7 @@ func newHeader(schema string, quick bool) ReportHeader {
 func (h *ReportHeader) header() *ReportHeader { return h }
 
 // Report is a machine-readable report: GemmBenchReport,
-// NeighborBenchReport or ServeBenchReport.
+// EvalCostReport, NeighborBenchReport or ServeBenchReport.
 type Report interface{ header() *ReportHeader }
 
 // WriteReport writes r to path as indented JSON.

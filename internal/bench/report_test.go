@@ -68,6 +68,7 @@ func emptyLike(rep Report) Report {
 func TestCommittedBaselinesLoad(t *testing.T) {
 	selfGate(t, "BENCH_baseline.json", GemmBenchSchema, CompareGemmReports)
 	selfGate(t, "BENCH_neighbor_baseline.json", NeighborBenchSchema, CompareNeighborReports)
+	selfGate(t, "BENCH_eval_baseline.json", EvalCostSchema, CompareEvalCostReports)
 	selfGate(t, "BENCH_serve_baseline.json", ServeBenchSchema, CompareServeReports)
 }
 

@@ -17,15 +17,18 @@ import (
 	"github.com/fragmd/fragmd/internal/molecule"
 )
 
-// coulombFixture is the recording of the four-centre and point-charge
-// kernels that testdata/coulomb_kernels.json holds: one SHA-256 of the
-// Float64bits of every output, keyed "case, GOMAXPROCS n: kernel".
+// coulombFixture is the recording of the integral kernels that
+// testdata/coulomb_kernels.json holds: one SHA-256 of the Float64bits of
+// every output, keyed "case, GOMAXPROCS n: kernel". The kernels that take
+// the auxiliary basis are keyed "RI kernel".
 const coulombFixture = "testdata/coulomb_kernels.json"
 
-// coulombDigests evaluates every four-centre and point-charge kernel on
-// the sto-3g water dimer and a dzp water monomer (d shells) with a fixed
-// random density, weight matrix and a four-site field, at GOMAXPROCS 1
-// and 4, and digests each output.
+// coulombDigests evaluates every four-centre and point-charge kernel, and
+// every other kernel that splits its work across goroutines (one-electron,
+// two- and three-centre), on the sto-3g water dimer and a dzp water
+// monomer (d shells) with a fixed random density, weight matrices and
+// tensor and a four-site field, at GOMAXPROCS 1, 3 and 4, and digests
+// each output. GOMAXPROCS 3 cuts uneven chunks.
 func coulombDigests(t *testing.T) map[string]string {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -48,7 +51,10 @@ func coulombDigests(t *testing.T) map[string]string {
 		rng := rand.New(rand.NewSource(29))
 		dmat := randWeight(rng, bs.N).Sym()
 		w := randWeight(rng, bs.N)
-		for _, procs := range []int{1, 4} {
+		aux := basis.BuildAux(bs, c.g, basis.AuxOptions{})
+		zeta := randWeight(rng, aux.N)
+		z := randTensor(rng, aux.N, bs.N, bs.N)
+		for _, procs := range []int{1, 3, 4} {
 			runtime.GOMAXPROCS(procs)
 			put := func(kernel string, v []float64) {
 				h := sha256.New()
@@ -76,6 +82,23 @@ func coulombDigests(t *testing.T) map[string]string {
 			PointChargeDeriv(bs, field, w, -1.1, ga, gs)
 			put("PointChargeDeriv bra share", ga)
 			put("PointChargeDeriv site share", gs)
+
+			put("Overlap", Overlap(bs).Data)
+			put("Kinetic", Kinetic(bs).Data)
+			gs1, gt1 := grad(), grad()
+			OverlapDeriv(bs, w, 0.6, gs1)
+			put("OverlapDeriv", gs1)
+			KineticDeriv(bs, w, -0.9, gt1)
+			put("KineticDeriv", gt1)
+			put("RI TwoCenter", TwoCenter(aux).Data)
+			g2 := grad()
+			TwoCenterDeriv(aux, zeta, -1.3, g2)
+			put("RI TwoCenterDeriv", g2)
+			put("RI SchwarzAux", SchwarzAux(aux))
+			put("RI ThreeCenterScreened", ThreeCenterScreened(bs, aux, sw, 1e-12).Data)
+			g3 := grad()
+			ThreeCenterDeriv(bs, aux, z, 0.7, g3)
+			put("RI ThreeCenterDeriv", g3)
 		}
 	}
 	return out
@@ -86,7 +109,10 @@ func coulombDigests(t *testing.T) map[string]string {
 // auxiliary kernels, at one member. Each output element keeps the
 // operands and summation order of the dedicated single-primitive kernels
 // they ran on before, so every output is bit-identical to the recording
-// made with those.
+// made with those. The other digests pin each kernel's split of its work:
+// the chunks and the order their partial gradients are folded in are a
+// function of the shapes and GOMAXPROCS only, so no change to which
+// goroutine runs a chunk may move a bit.
 func TestCoulombKernelsMatchRecording(t *testing.T) {
 	raw, err := os.ReadFile(coulombFixture)
 	if err != nil {

@@ -113,7 +113,12 @@ func TestGemmPackedMatchesReferenceProperty(t *testing.T) {
 
 // The packed engine's parallel tile-grid path must agree with the
 // serial reference regardless of worker count. Run with -race this also
-// proves the tile tasks write disjoint C elements.
+// proves the tile tasks write disjoint C elements. Both engines' splits
+// — packed tiles and stream row ranges, every orientation, above
+// parallelThreshold — must moreover give the same bits at GOMAXPROCS 1,
+// 3 and 4 (3 splits the stream rows unevenly): the partition is a
+// function of the shape and GOMAXPROCS, and no C element depends on
+// which goroutine computed it.
 func TestGemmPackedParallelMatchesSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4) // force the multi-worker path even on 1-CPU boxes
 	defer runtime.GOMAXPROCS(prev)
@@ -133,6 +138,40 @@ func TestGemmPackedParallelMatchesSerial(t *testing.T) {
 	refGemm(NoTrans, NoTrans, 1, a, b, 0, want)
 	if d := maxAbsDiff(got, want); d > 1e-12 {
 		t.Fatalf("parallel packed vs reference: |Δ|=%g", d)
+	}
+
+	for _, c := range []struct {
+		kern    Kernel
+		m, k, n int
+	}{
+		{KernelStream, 101, 103, 97},
+		{KernelPacked, impl.mc + 7, 40, impl.nc + 3},
+	} {
+		if int64(c.m)*int64(c.k)*int64(c.n) <= parallelThreshold {
+			t.Fatalf("%v %dx%dx%d does not cross parallelThreshold", c.kern, c.m, c.k, c.n)
+		}
+		for _, tA := range []Transpose{NoTrans, Trans} {
+			for _, tB := range []Transpose{NoTrans, Trans} {
+				a, b := operands(rng, c.m, c.n, c.k, tA, tB)
+				c0 := randMat(rng, c.m, c.n)
+				var first *Mat
+				for _, procs := range []int{1, 3, 4} {
+					runtime.GOMAXPROCS(procs)
+					got := c0.Clone()
+					GemmKernel(c.kern, tA, tB, 0.75, a, b, 0.5, got)
+					if first == nil {
+						first = got
+						continue
+					}
+					for i := range got.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(first.Data[i]) {
+							t.Fatalf("%v tA=%v tB=%v: C[%d] = %v at GOMAXPROCS %d, %v at 1",
+								c.kern, tA, tB, i, got.Data[i], procs, first.Data[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
