@@ -84,7 +84,7 @@ func publish[R any, P interface {
 	}
 	viol := compare(base, rep, c.MaxRegressPct)
 	if len(viol) == 0 {
-		c.printf("baseline %s: every gated number within %.0f%% — OK\n", c.Baseline, c.MaxRegressPct)
+		c.printf("baseline %s: every gated number within its bound — OK\n", c.Baseline)
 	}
 	for _, v := range viol {
 		c.fail(v)

@@ -37,9 +37,10 @@ import (
 //     fold, the member gather and the stacked bra step — kept,
 //     untracked, as that reference, with the same nominal work so
 //     that the GFLOP/s ratio of the two rows is their time ratio. Both
-//     rows are timed at GOMAXPROCS 1: FockDirect always splits its work in
-//     two goroutines, ThreeCenterDeriv in GOMAXPROCS chunks, so on more
-//     cores their ratio would measure the core count.
+//     rows are timed at GOMAXPROCS 1: FockDirect splits its quartets in
+//     two halves, ThreeCenterDeriv its shell pairs in GOMAXPROCS chunks,
+//     each run on up to GOMAXPROCS goroutines (linalg.Parallel), so on
+//     more cores their ratio would measure the core count.
 func runStepPhaseRows() ([]GemmBenchRow, error) {
 	g := molecule.WaterCluster(3)
 	bs, err := basis.Build("sto-3g", g)

@@ -2,8 +2,6 @@ package integrals
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"github.com/fragmd/fragmd/internal/basis"
 	"github.com/fragmd/fragmd/internal/linalg"
@@ -11,44 +9,17 @@ import (
 )
 
 // chunkSize is the length of the contiguous chunks parallelFor cuts
-// [0, n) into: at most GOMAXPROCS of them, 0 when n is 0.
+// [0, n) into: at most linalg.Procs() of them, 0 when n is 0.
 func chunkSize(n int) int {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > n {
-		nw = n
-	}
-	if nw <= 1 {
-		return n
-	}
+	nw := max(min(linalg.Procs(), n), 1)
 	return (n + nw - 1) / nw
 }
 
-// parallelFor splits [0, n) across GOMAXPROCS goroutines.
-func parallelFor(n int, fn func(lo, hi int)) { parallelChunks(n, chunkSize(n), fn) }
+// parallelFor runs fn on the chunkSize(n)-long pieces of [0, n) through
+// linalg.Parallel.
+func parallelFor(n int, fn func(lo, hi int)) { linalg.Parallel(n, chunkSize(n), linalg.Procs(), fn) }
 
-// parallelChunks runs fn on every chunk-long piece of [0, n), one
-// goroutine per piece.
-func parallelChunks(n, chunk int, fn func(lo, hi int)) {
-	if chunk == n {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// reduceGrads runs fn on per-worker gradient buffers and sums them into
+// reduceGrads runs fn on per-chunk gradient buffers and sums them into
 // grad. n is the loop bound passed through to parallelFor.
 func reduceGrads(n int, grad []float64, fn func(lo, hi int, buf []float64)) {
 	reduceGrads2(n, grad, nil, func(lo, hi int, buf, _ []float64) { fn(lo, hi, buf) })
@@ -67,7 +38,7 @@ func reduceGrads2(n int, ga, gb []float64, fn func(lo, hi int, bufA, bufB []floa
 		return
 	}
 	bufs := make([]float64, (n+chunk-1)/chunk*(na+nb))
-	parallelChunks(n, chunk, func(lo, hi int) {
+	linalg.Parallel(n, chunk, linalg.Procs(), func(lo, hi int) {
 		buf := bufs[lo/chunk*(na+nb):][:na+nb]
 		fn(lo, hi, buf[:na], buf[na:])
 	})

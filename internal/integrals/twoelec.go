@@ -925,53 +925,40 @@ func FockDirect(bs *basis.Set, dmat *linalg.Mat, sw *linalg.Mat, thresh float64)
 			}
 		}
 	}
-	var g *linalg.Mat
-	{
-		results := make(chan *linalg.Mat, 8)
-		nw := 0
-		chunk := (len(quartets) + 1) / 2
-		if chunk == 0 {
-			chunk = 1
-		}
-		for lo := 0; lo < len(quartets); lo += chunk {
-			hi := lo + chunk
-			if hi > len(quartets) {
-				hi = len(quartets)
-			}
-			nw++
-			go func(lo, hi int) {
-				loc := linalg.NewMat(n, n)
-				var ws eriScratch
-				for qi := lo; qi < hi; qi++ {
-					q := quartets[qi]
-					sa, sb, sc, sd := &bs.Shells[q.a], &bs.Shells[q.b], &bs.Shells[q.c], &bs.Shells[q.d]
-					blk := ws.fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
-					na, nb, nc, nd := sa.NCart(), sb.NCart(), sc.NCart(), sd.NCart()
-					for i := 0; i < na; i++ {
-						mu := sa.Start + i
-						for j := 0; j < nb; j++ {
-							nu := sb.Start + j
-							for k := 0; k < nc; k++ {
-								la := sc.Start + k
-								for l := 0; l < nd; l++ {
-									si := sd.Start + l
-									v := blk[((i*nb+j)*nc+k)*nd+l]
-									// Coulomb: J_μν += D_λσ (μν|λσ)
-									loc.Add(mu, nu, dmat.At(la, si)*v)
-									// Exchange: K_μλ += D_νσ (μν|λσ); G −= ½K
-									loc.Add(mu, la, -0.5*dmat.At(nu, si)*v)
-								}
-							}
+	// Two halves, each accumulated into its own matrix and folded in
+	// order: with two partials the sum is the same in either order.
+	chunk := max((len(quartets)+1)/2, 1)
+	parts := make([]*linalg.Mat, (len(quartets)+chunk-1)/chunk)
+	linalg.Parallel(len(quartets), chunk, linalg.Procs(), func(lo, hi int) {
+		loc := linalg.NewMat(n, n)
+		var ws eriScratch
+		for _, q := range quartets[lo:hi] {
+			sa, sb, sc, sd := &bs.Shells[q.a], &bs.Shells[q.b], &bs.Shells[q.c], &bs.Shells[q.d]
+			blk := ws.fourCenterBlock(sa, sb, sc, sd, nil, 0, nil)
+			na, nb, nc, nd := sa.NCart(), sb.NCart(), sc.NCart(), sd.NCart()
+			for i := 0; i < na; i++ {
+				mu := sa.Start + i
+				for j := 0; j < nb; j++ {
+					nu := sb.Start + j
+					for k := 0; k < nc; k++ {
+						la := sc.Start + k
+						for l := 0; l < nd; l++ {
+							si := sd.Start + l
+							v := blk[((i*nb+j)*nc+k)*nd+l]
+							// Coulomb: J_μν += D_λσ (μν|λσ)
+							loc.Add(mu, nu, dmat.At(la, si)*v)
+							// Exchange: K_μλ += D_νσ (μν|λσ); G −= ½K
+							loc.Add(mu, la, -0.5*dmat.At(nu, si)*v)
 						}
 					}
 				}
-				results <- loc
-			}(lo, hi)
+			}
 		}
-		g = linalg.NewMat(n, n)
-		for w := 0; w < nw; w++ {
-			g.AxpyMat(1, <-results)
-		}
+		parts[lo/chunk] = loc
+	})
+	g := linalg.NewMat(n, n)
+	for _, p := range parts {
+		g.AxpyMat(1, p)
 	}
 	return g
 }

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Transpose selects whether a GEMM operand is used as-is or transposed.
 type Transpose bool
@@ -69,7 +65,7 @@ func FLOPs() int64 { return flopCount.Load() }
 func ResetFLOPs() int64 { return flopCount.Swap(0) }
 
 // parallelThreshold is the m*n*k product above which Gemm fans work out
-// across goroutines.
+// across goroutines (Parallel).
 const parallelThreshold = 1 << 17
 
 // Kernel selects the execution engine for a GEMM call.
@@ -182,35 +178,17 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 		return
 	}
 
+	// Above parallelThreshold (only KernelStream gets here with that
+	// much work) the rows are split into min(Procs, m) equal ranges.
 	nw := 1
 	if work > parallelThreshold {
-		nw = runtime.GOMAXPROCS(0)
-		if nw > m {
-			nw = m
-		}
+		nw = min(Procs(), m)
 	}
 	if nw <= 1 {
 		gemmRange(tA, tB, alpha, a, b, c, 0, m)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (m + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRange(tA, tB, alpha, a, b, c, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	Parallel(m, (m+nw-1)/nw, nw, func(lo, hi int) { gemmRange(tA, tB, alpha, a, b, c, lo, hi) })
 }
 
 // gemv computes y += alpha·op(A)·x, the matrix–vector case KernelAuto

@@ -1,10 +1,5 @@
 package linalg
 
-import (
-	"runtime"
-	"sync"
-)
-
 // inPlaceSpan bounds the skinny regime, in micro-panels of the other
 // operand: a strided kernel reads A in place when B spans at most this
 // many nr-wide panels (n ≤ 64 on the 6×8 kernel), and B in place when A
@@ -86,7 +81,7 @@ func gemmPacked(tA, tB Transpose, alpha float64, a, b, c *Mat, store bool) {
 	nIC := (m + impl.mc - 1) / impl.mc
 	nJC := (n + impl.nc - 1) / impl.nc
 
-	task := func(tile int) {
+	task := func(tile, _ int) {
 		ic, jc := tile/nJC, tile%nJC
 		i0 := ic * impl.mc
 		mc := m - i0
@@ -113,7 +108,13 @@ func gemmPacked(tA, tB Transpose, alpha float64, a, b, c *Mat, store bool) {
 		}
 		packPool.Put(buf)
 	}
-	runTiles(nIC*nJC, int64(m)*int64(n)*int64(k), task)
+	// Tiles own disjoint C elements; above parallelThreshold up to Procs
+	// goroutines pull them in turn, as they free up.
+	nw := 1
+	if int64(m)*int64(n)*int64(k) > parallelThreshold {
+		nw = Procs()
+	}
+	Parallel(nIC*nJC, 1, nw, task)
 }
 
 // panels locates the micro-panels of one operand's k-panel within a
@@ -202,43 +203,4 @@ func sweepTile(impl *kernelImpl, av, bv *panels, kc int, alpha float64, store bo
 			}
 		}
 	}
-}
-
-// runTiles executes the tile tasks, fanning out across GOMAXPROCS
-// workers when the problem is large enough to amortise goroutine
-// startup (same threshold as the streaming engine).
-func runTiles(tiles int, work int64, task func(int)) {
-	nw := 1
-	if work > parallelThreshold {
-		nw = runtime.GOMAXPROCS(0)
-		if nw > tiles {
-			nw = tiles
-		}
-	}
-	if nw <= 1 {
-		for t := 0; t < tiles; t++ {
-			task(t)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next sync.Mutex
-	cursor := 0
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				t := cursor
-				cursor++
-				next.Unlock()
-				if t >= tiles {
-					return
-				}
-				task(t)
-			}
-		}()
-	}
-	wg.Wait()
 }

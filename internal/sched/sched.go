@@ -466,15 +466,15 @@ func (x *extractor) extract(t coord.Task, charge bool, pos [][]float64) *fragmen
 	return ex
 }
 
-// evaluate runs one attempt on worker w: extraction from the captured
-// positions, then Attempt on the engine's evaluator.
-func (e *Engine) evaluate(w int, x *extractor, tw liveTask, pos [][]float64) result {
+// evaluate runs one attempt on worker w into r, a zero result in its
+// hand-off message: extraction from the captured positions, then Attempt
+// on the engine's evaluator.
+func (e *Engine) evaluate(r *result, w int, x *extractor, tw liveTask, pos [][]float64) {
 	start := time.Now()
-	ex := x.extract(tw.task, tw.charge, pos)
-	r := result{ExecResult: Attempt(e.Eval, e.cache, e.request(tw, ex)), ex: ex, field: tw.field}
+	r.ex, r.field = x.extract(tw.task, tw.charge, pos), tw.field
+	r.ExecResult = Attempt(e.Eval, e.cache, e.request(tw, r.ex))
 	r.Worker = w
 	r.seconds = time.Since(start).Seconds()
-	return r
 }
 
 // request builds the ExecRequest of attempt tw on its extracted
@@ -554,7 +554,6 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	ekinStep := make([]float64, n)
 	scfIterStep := make([]int, n)
 	firstDispatch := make([]time.Time, n)
-	lastResult := make([]time.Time, n)
 	stepGrad := func(t int) []float64 {
 		if gradStep[t] == nil {
 			gradStep[t] = make([]float64, 3*f.Geom.N())
@@ -662,12 +661,13 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 						h.out = append(h.out, result{ExecResult: ExecResult{Worker: w, Task: tw.task, Err: resilience.ErrInjected}})
 						continue
 					}
-					r := e.evaluate(w, x, tw, h.pos[tw.pos:])
+					h.out = append(h.out, result{})
+					r := &h.out[len(h.out)-1]
+					e.evaluate(r, w, x, tw, h.pos[tw.pos:])
 					if f := inj.Straggle(w, tw.task.Poly, tw.task.Step); f > 1 {
 						time.Sleep(time.Duration(r.seconds * (f - 1) * float64(time.Second)))
 					}
 					completed++
-					h.out = append(h.out, r)
 				}
 				resCh <- h
 			}
@@ -717,18 +717,23 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	}
 	// recv blocks for the next attempt outcome from the configured
 	// substrate, rejoining executor results with their pending fold
-	// bookkeeping.
-	recv := func(ctx context.Context) (result, error) {
+	// bookkeeping. An in-process result is not copied: recv returns a
+	// pointer into inbox.out. That is safe while AwaitFn uses it, even
+	// once the message is recycled: recycling only truncates the slices,
+	// and nothing appends to a recycled message's out before the next
+	// flush hands it to a worker, which happens in a later AwaitFn call.
+	var execRes result // the executor result recv returned last
+	recv := func(ctx context.Context) (*result, error) {
 		if exec == nil {
 			for inbox == nil {
 				select {
 				case inbox = <-resCh:
 					next = 0
 				case <-ctx.Done():
-					return result{}, ctx.Err()
+					return nil, ctx.Err()
 				}
 			}
-			r := inbox.out[next]
+			r := &inbox.out[next]
 			next++
 			if next == len(inbox.out) {
 				if !r.WorkerDown {
@@ -742,17 +747,18 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 		case xr := <-exec.Results():
 			r, ok := pending[xr.Worker]
 			if !ok {
-				return result{}, fmt.Errorf("sched: executor result for idle worker slot %d", xr.Worker)
+				return nil, fmt.Errorf("sched: executor result for idle worker slot %d", xr.Worker)
 			}
 			if xr.Task != r.Task {
-				return result{}, fmt.Errorf("sched: executor result for task %v on slot %d running %v",
+				return nil, fmt.Errorf("sched: executor result for task %v on slot %d running %v",
 					xr.Task, xr.Worker, r.Task)
 			}
 			delete(pending, xr.Worker)
 			r.ExecResult = xr
-			return r, nil
+			execRes = r
+			return &execRes, nil
 		case <-ctx.Done():
-			return result{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 
@@ -834,7 +840,6 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				return done, nil
 			}
 			t := int(r.Task.Step)
-			lastResult[t] = time.Now()
 			scfIterStep[t] += r.Iters
 			if r.Charges != nil {
 				// Phase-1 payload: fold the fragment's charges (caps
@@ -887,8 +892,11 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				e0 = st.Etot
 			}
 			st.Drift = st.Etot - e0
-			if !firstDispatch[t].IsZero() && !lastResult[t].IsZero() {
-				st.Wall = lastResult[t].Sub(firstDispatch[t])
+			// A step finalizes inside the Completion of its last result:
+			// every monomer is itself a polymer of the step and advances
+			// only once the last polymer touching it has completed.
+			if !firstDispatch[t].IsZero() {
+				st.Wall = time.Since(firstDispatch[t])
 			}
 			stats = append(stats, st)
 			if obs != nil {
