@@ -21,7 +21,7 @@
 // (GFLOP/s and same-run speedups, DESIGN.md §5), evalcost (GEMM flops,
 // SCF and Z-vector iterations, dropped metric directions and allocation
 // of cold RI-MP2 gradients, §5), neighbor (the fitted O(N) exponent,
-// absolute ceiling 1.2, and the cell-vs-brute speedup, §13) and serve
+// absolute ceiling 1.2, §13) and serve
 // (latency, jobs/sec, fairness and drain integrity, §12). -bench-json
 // writes the report (conventionally BENCH_gemm.json, BENCH_eval.json,
 // BENCH_neighbor.json, BENCH_serve.json), -baseline gates it against a

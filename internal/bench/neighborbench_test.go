@@ -5,32 +5,27 @@ import (
 	"testing"
 )
 
-func syntheticNeighborReport(exponent, speedup float64) *NeighborBenchReport {
+func syntheticNeighborReport(exponent float64) *NeighborBenchReport {
 	return &NeighborBenchReport{
-		ReportHeader: ReportHeader{Schema: NeighborBenchSchema}, Exponent: exponent, Speedup: speedup,
-		Rows: []NeighborBenchRow{{Name: "water-3x3x3", Monomers: 27, Atoms: 81,
-			EnumSeconds: 1e-4, BruteEnumSeconds: 3e-4}},
+		ReportHeader: ReportHeader{Schema: NeighborBenchSchema}, Exponent: exponent,
+		Rows: []NeighborBenchRow{{Name: "water-3x3x3", Monomers: 27, Atoms: 81, EnumSeconds: 1e-4}},
 	}
 }
 
 func TestCompareNeighborReports(t *testing.T) {
-	base := syntheticNeighborReport(1.0, 4)
+	base := syntheticNeighborReport(1.0)
 
 	// Identical run: clean.
-	if bad := CompareNeighborReports(base, syntheticNeighborReport(1.0, 4), 25); len(bad) != 0 {
+	if bad := CompareNeighborReports(base, syntheticNeighborReport(1.0), 25); len(bad) != 0 {
 		t.Fatalf("unexpected regressions: %v", bad)
 	}
-	// Within tolerance: exponent +20 %, speedup −20 %.
-	if bad := CompareNeighborReports(base, syntheticNeighborReport(1.2, 3.2), 25); len(bad) != 0 {
+	// Within tolerance: exponent +20 %.
+	if bad := CompareNeighborReports(base, syntheticNeighborReport(1.2), 25); len(bad) != 0 {
 		t.Fatalf("within-tolerance drift flagged: %v", bad)
 	}
 	// Exponent blown past the ceiling (quadratic re-regression).
-	if bad := CompareNeighborReports(base, syntheticNeighborReport(2.0, 4), 25); len(bad) != 1 {
+	if bad := CompareNeighborReports(base, syntheticNeighborReport(2.0), 25); len(bad) != 1 {
 		t.Fatalf("exponent regression not flagged: %v", bad)
-	}
-	// Speedup collapsed below the floor.
-	if bad := CompareNeighborReports(base, syntheticNeighborReport(1.0, 1.5), 25); len(bad) != 1 {
-		t.Fatalf("speedup regression not flagged: %v", bad)
 	}
 }
 
@@ -52,8 +47,8 @@ func TestFitLogLogSlope(t *testing.T) {
 }
 
 // The real sweep, shrunk: the smallest two quick sizes must produce a
-// sane report — positive times, a fitted exponent far below quadratic,
-// and a measured brute speedup. This is the O(N) acceptance test's
+// sane report — positive times and a fitted exponent far below
+// quadratic. This is the O(N) acceptance test's
 // in-process form; CI additionally runs the full quick sweep through
 // cmd/mbebench with the committed baseline.
 func TestRunNeighborSuiteQuick(t *testing.T) {
@@ -71,8 +66,5 @@ func TestRunNeighborSuiteQuick(t *testing.T) {
 	}
 	if rep.Exponent <= 0 || rep.Exponent > 1.8 {
 		t.Errorf("fitted exponent %.3f is not plausibly sub-quadratic", rep.Exponent)
-	}
-	if rep.Speedup <= 0 {
-		t.Error("no cell-vs-brute speedup measured")
 	}
 }

@@ -16,8 +16,8 @@ func TestLoadGemmReportRejectsBadSchema(t *testing.T) {
 }
 
 func TestNeighborReportRoundTrip(t *testing.T) {
-	checkRoundTrip(t, NeighborBenchSchema, syntheticNeighborReport(1.05, 4))
-	checkRejectsBadSchema(t, NeighborBenchSchema, syntheticNeighborReport(1.05, 4))
+	checkRoundTrip(t, NeighborBenchSchema, syntheticNeighborReport(1.05))
+	checkRejectsBadSchema(t, NeighborBenchSchema, syntheticNeighborReport(1.05))
 }
 
 func TestServeReportRoundTrip(t *testing.T) {

@@ -67,11 +67,6 @@ type Options struct {
 	TrimerCutoff float64
 	// MaxOrder is 2 for MBE2, 3 for MBE3 (default 3).
 	MaxOrder int
-	// Brute forces the O(N²)/O(N³) direct-scan neighbor oracle instead
-	// of the cell list for polymer enumeration. The two must agree
-	// exactly (equivalence-tested); Brute exists for A/B checks and as
-	// the reference in the scaling bench.
-	Brute bool
 }
 
 const (
@@ -240,20 +235,11 @@ func (f *Fragmentation) centroids() [][3]float64 {
 	return out
 }
 
-// centroidSource returns the neighbor enumerator over monomer
-// centroids: the O(N) cell list, or the direct-scan oracle under
-// Opts.Brute, both minimum-image aware when the geometry is periodic.
+// centroidSource returns the O(N) cell list over monomer centroids,
+// minimum-image aware when the geometry is periodic.
 func (f *Fragmentation) centroidSource(cents [][3]float64) neighbor.Source {
-	var box *[3]float64
 	if f.Geom.Cell != nil {
-		l := f.Geom.Cell.L
-		box = &l
-	}
-	if f.Opts.Brute {
-		return neighbor.NewBrute(cents, box)
-	}
-	if box != nil {
-		return neighbor.NewPeriodic(cents, *box)
+		return neighbor.NewPeriodic(cents, f.Geom.Cell.L)
 	}
 	return neighbor.New(cents)
 }

@@ -138,10 +138,9 @@ func (t *Terms) PairInclusion() []float64 {
 // cutoffs (centroid distances, paper §V-B; minimum-image when the
 // geometry is periodic) and builds their term graph. Monomer centroids
 // are computed once for the whole pass and enumeration runs through the
-// cell list (or the brute oracle under Opts.Brute — both yield
-// identical lists in identical order), so the cost is O(nm) for bounded
-// density rather than the former O(nm³) of per-pair centroid
-// recomputation.
+// cell list, which yields the brute-force oracle's lists in its order
+// (equivalence-tested), so the cost is O(nm) for bounded density rather
+// than the former O(nm³) of per-pair centroid recomputation.
 func (f *Fragmentation) Terms() *Terms {
 	n := len(f.Monomers)
 	t := &Terms{}

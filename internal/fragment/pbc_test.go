@@ -1,12 +1,15 @@
 package fragment
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/neighbor"
 	"github.com/fragmd/fragmd/internal/potential"
 )
 
@@ -29,8 +32,49 @@ func termsEqual(t *testing.T, name string, got, want []Polymer) {
 	}
 }
 
-// TestTermsCellListMatchesBrute pins the cell-list enumeration to the
-// brute oracle across open/periodic systems and cutoff regimes,
+// bruteTerms enumerates f's truncated MBE lists with the direct-scan
+// oracle over f.Centroid, minimum-image in the cell's box: dimers and
+// trimers in the oracle's order, extra dimers the lexicographically
+// sorted trimer pairs that are not dimers.
+func bruteTerms(f *Fragmentation) (dimers, trimers, extra []Polymer) {
+	cents := make([][3]float64, len(f.Monomers))
+	for m := range cents {
+		cents[m] = f.Centroid(m)
+	}
+	var box *[3]float64
+	if f.Geom.Cell != nil {
+		l := f.Geom.Cell.L
+		box = &l
+	}
+	src := neighbor.NewBrute(cents, box)
+	isDimer := map[[2]int]bool{}
+	src.Pairs(f.Opts.DimerCutoff, func(i, j int) bool {
+		isDimer[[2]int{i, j}] = true
+		dimers = append(dimers, Polymer{Monomers: []int{i, j}})
+		return true
+	})
+	var pairs [][2]int
+	src.Triples(f.Opts.TrimerCutoff, func(i, j, k int) bool {
+		trimers = append(trimers, Polymer{Monomers: []int{i, j, k}})
+		for _, d := range [][2]int{{i, j}, {i, k}, {j, k}} {
+			if !isDimer[d] {
+				isDimer[d] = true
+				pairs = append(pairs, d)
+			}
+		}
+		return true
+	})
+	slices.SortFunc(pairs, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, d := range pairs {
+		extra = append(extra, Polymer{Monomers: []int{d[0], d[1]}})
+	}
+	return dimers, trimers, extra
+}
+
+// TestTermsCellListMatchesBrute pins the cell-list enumeration of Terms
+// to the brute oracle across open/periodic systems and cutoff regimes,
 // including cutoffs past the box length (brute fallback inside the
 // list) and the Inf default.
 func TestTermsCellListMatchesBrute(t *testing.T) {
@@ -50,19 +94,15 @@ func TestTermsCellListMatchesBrute(t *testing.T) {
 			if math.IsInf(cut, 1) {
 				opts.TrimerCutoff = cut
 			}
-			fCell, err := ByMolecule(sys.g, sys.apm, 1, opts)
+			f, err := ByMolecule(sys.g, sys.apm, 1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Brute = true
-			fBrute, err := ByMolecule(sys.g, sys.apm, 1, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc, tb := fCell.Terms(), fBrute.Terms()
-			termsEqual(t, sys.name+" dimers", tc.Dimers, tb.Dimers)
-			termsEqual(t, sys.name+" trimers", tc.Trimers, tb.Trimers)
-			termsEqual(t, sys.name+" extra", tc.ExtraDimers, tb.ExtraDimers)
+			tc := f.Terms()
+			dimers, trimers, extra := bruteTerms(f)
+			termsEqual(t, sys.name+" dimers", tc.Dimers, dimers)
+			termsEqual(t, sys.name+" trimers", tc.Trimers, trimers)
+			termsEqual(t, sys.name+" extra", tc.ExtraDimers, extra)
 		}
 	}
 }

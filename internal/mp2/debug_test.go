@@ -61,7 +61,11 @@ func TestDebugIdentities(t *testing.T) {
 	}
 }
 
-// Compare the MP2-only analytic gradient against FD of Ecorr on H2.
+// The MP2-only analytic gradient, Gradient() − SCF.Gradient(), against a
+// central difference of Ecorr on H2 along the bond. The gap measured
+// 1.08e-11; the bound leaves ~100× for FD truncation and SCF convergence
+// noise, far below any contraction class (dropping the amplitude ζ term
+// alone moves the component by 0.025).
 func TestDebugH2Decomposition(t *testing.T) {
 	g := molecule.New()
 	g.AddAtom(1, 0, 0, 0)
@@ -87,40 +91,16 @@ func TestDebugH2Decomposition(t *testing.T) {
 	fd := (ecorr(gp) - ecorr(gm)) / (2 * h)
 
 	ref := runSCF(t, g, true, smallAux)
-	r, _ := RIMP2(ref, Options{})
-	parts, err := r.gradientParts(true)
+	r, err := RIMP2(ref, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf := ref.Gradient()
-	total := parts["total"]
-	fmt.Printf("dE2/dz2: FD = %.9f, analytic = %.9f (Δ=%.2e)\n",
-		fd, total[5]-hf[5], total[5]-hf[5]-fd)
-	for _, k := range []string{"mp2-1e", "mp2-w", "mp2-sep", "mp2-amp"} {
-		fmt.Printf("  %-8s z2 = %+.9f\n", k, parts[k][5])
+	total, err := r.Gradient()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum := parts["mp2-1e"][5] + parts["mp2-w"][5] + parts["mp2-sep"][5] + parts["mp2-amp"][5]
-	fmt.Printf("  parts sum = %+.9f (want FD %.9f)\n", sum, fd)
-}
-
-// The gradient folds the HF two-electron coefficients (D, D, ½) and the
-// orbital-response coupling (P̄ + Pz, D, 1) into one AddRISeparableCoeffs
-// call; the split diagnostics keep the two-call form, and the two must
-// contract to the same gradient.
-func TestDebugSeparableFold(t *testing.T) {
-	for _, g := range []*molecule.Geometry{molecule.Water(), molecule.WaterDimer(3.0)} {
-		r, err := RIMP2(runSCF(t, g, true, smallAux), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := r.gradientParts(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, folded := range parts["sep"] {
-			if d := math.Abs(parts["hf-sep"][k] + parts["mp2-sep"][k] - folded); d > 1e-12 {
-				t.Errorf("%d atoms, component %d: two-call form differs from the folded call by %.3g (> 1e-12)", g.N(), k, d)
-			}
-		}
+	analytic := total[5] - ref.Gradient()[5]
+	if d := math.Abs(analytic - fd); !(d <= 1e-9) {
+		t.Errorf("dE2/dz2: analytic %.12f vs FD %.12f differ by %.3g (> 1e-9)", analytic, fd, d)
 	}
 }

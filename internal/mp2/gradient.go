@@ -32,11 +32,8 @@ import (
 //
 // Every piece above is finite-difference validated in the test suite.
 func (r *Result) Gradient() ([]float64, error) {
-	parts, err := r.gradientParts(false)
-	if err != nil {
-		return nil, err
-	}
-	return parts["total"], nil
+	grad, _, err := r.Gradients()
+	return grad, err
 }
 
 // Gradients returns the analytic nuclear gradient plus, when the
@@ -45,21 +42,9 @@ func (r *Result) Gradient() ([]float64, error) {
 // derivative exactly like any one-electron operator: contracted with
 // the relaxed density D_HF + P̄ + Pz, holding the charge values fixed.
 func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
-	parts, err := r.gradientParts(false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parts["total"], r.embedGrad, nil
-}
-
-// gradientParts computes the gradient; with split=true the two-electron
-// contraction classes are evaluated in separate passes and returned under
-// individual keys (diagnostics), otherwise a single accumulated pass is
-// used and only "total" is returned.
-func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	ref := r.SCF
 	if ref.B == nil {
-		return nil, errors.New("mp2: gradient requires RI intermediates")
+		return nil, nil, errors.New("mp2: gradient requires RI intermediates")
 	}
 	nbf := ref.Bs.N
 	nocc := ref.NOcc
@@ -90,7 +75,7 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	}
 	z, err := r.solveZVector(theta)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dz := symOV(cv, z, co) // Cv z Coᵀ + Co zᵀ Cvᵀ
 
@@ -133,13 +118,7 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	wao := sandwich(ref.C, wmo, ref.C)
 
 	// ---- skeleton contractions --------------------------------------------
-	parts := map[string][]float64{}
-	newPart := func(name string) []float64 {
-		p := make([]float64, 3*ref.Geom.N())
-		parts[name] = p
-		return p
-	}
-	grad := newPart("total")
+	grad = make([]float64, 3*ref.Geom.N())
 	copy(grad, ref.Geom.NuclearRepulsionGradient())
 	integrals.KineticDeriv(ref.Bs, dh, 1, grad)
 	integrals.NuclearDeriv(ref.Bs, ref.Geom, dh, 1, grad)
@@ -176,44 +155,11 @@ func (r *Result) gradientParts(split bool) (map[string][]float64, error) {
 	r.ampBackTransform(co, cv, zAcc)
 	// TwoCenterDeriv contracts ζ_PQ + ζ_QP, so −2·(bT·gamTᵀ) stands for
 	// the symmetric −(bT·gamTᵀ + gamT·bTᵀ).
-	addZetaAmp := func(zeta *linalg.Mat) {
-		linalg.Gemm(linalg.NoTrans, linalg.Trans, -2, ws.bT.Flatten(), ws.gamT.Flatten(), 1, zeta)
-	}
-	addZetaAmp(zetaAcc)
-
-	if split {
-		p := newPart("mp2-1e")
-		integrals.KineticDeriv(ref.Bs, ptot, 1, p)
-		integrals.NuclearDeriv(ref.Bs, ref.Geom, ptot, 1, p)
-		wmp2 := wao.Clone()
-		wmp2.AxpyMat(-1, ref.EnergyWeightedDensity())
-		integrals.OverlapDeriv(ref.Bs, wmp2, -1, newPart("mp2-w"))
-
-		// One contraction class per pass. "sep" is the folded call above;
-		// "hf-sep" + "mp2-sep" is the two-call form it replaces.
-		twoElec := func(name string, fill func(z1 *linalg.Tensor3, c1 *linalg.Mat)) {
-			z1 := linalg.NewTensor3(naux, nbf, nbf)
-			c1 := linalg.NewMat(naux, naux)
-			fill(z1, c1)
-			p := newPart(name)
-			integrals.ThreeCenterDeriv(ref.Bs, ref.Aux, z1, 1, p)
-			integrals.TwoCenterDeriv(ref.Aux, c1, 1, p)
-		}
-		sep := func(da *linalg.Mat, factor float64) func(*linalg.Tensor3, *linalg.Mat) {
-			return func(z1 *linalg.Tensor3, c1 *linalg.Mat) { ref.AddRISeparableCoeffs(da, ref.D, factor, z1, c1) }
-		}
-		twoElec("hf-sep", sep(ref.D, 0.5))
-		twoElec("mp2-sep", sep(ptot, 1.0))
-		twoElec("sep", sep(dsep, 1.0))
-		twoElec("mp2-amp", func(z1 *linalg.Tensor3, c1 *linalg.Mat) {
-			r.ampBackTransform(co, cv, z1)
-			addZetaAmp(c1)
-		})
-	}
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, -2, ws.bT.Flatten(), ws.gamT.Flatten(), 1, zetaAcc)
 
 	integrals.ThreeCenterDeriv(ref.Bs, ref.Aux, zAcc, 1, grad)
 	integrals.TwoCenterDeriv(ref.Aux, zetaAcc, 1, grad)
-	return parts, nil
+	return grad, r.embedGrad, nil
 }
 
 // buildMOBlocks forms the full-MO B^P_pq = (Cᵀ B_P C) for every P with two

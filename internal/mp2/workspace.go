@@ -3,7 +3,7 @@ package mp2
 import "github.com/fragmd/fragmd/internal/linalg"
 
 // workspace is the gradient-stage scratch of one Result, sized once from
-// (nbf, naux, nocc, nvir) and reused by every routine of gradientParts
+// (nbf, naux, nocc, nvir) and reused by every routine of Gradients
 // and every iteration of the Z-vector solve, so none of them allocates
 // per call. It also keeps the MO-basis B tensor resident, split by
 // orbital class. The AO-sized three-index scratch (naux·nbf² per slab)

@@ -83,16 +83,7 @@ func (p *RIMP2) EvaluateFrom(g *molecule.Geometry, prev *warmstart.State) (float
 // the analytic forces on the field sites ride along. A nil field
 // reproduces the vacuum evaluation exactly.
 func (p *RIMP2) EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCharges, prev *warmstart.State) (float64, []float64, []float64, *warmstart.State, error) {
-	bs, err := basis.Build(p.basisName(), g)
-	if err != nil {
-		return 0, nil, nil, nil, err
-	}
-	opts := p.SCFOpts
-	opts.UseRI = true
-	opts.AuxOpts = p.AuxOpts
-	opts.EmbedCharges = field
-	applyGuess(&opts, prev, g, p.basisName(), bs.N)
-	ref, err := scf.RHF(g, bs, opts)
+	ref, name, err := p.hf().run(g, field, prev)
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
@@ -102,7 +93,7 @@ func (p *RIMP2) EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCha
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
-	st := stateFromSCF(g, ref, p.basisName())
+	st := stateFromSCF(g, ref, name)
 	if p.EnergyOnly {
 		return r.ETotal, nil, nil, st, nil
 	}
@@ -121,15 +112,12 @@ func (p *RIMP2) EvaluateEmbedded(g *molecule.Geometry, field *integrals.PointCha
 // the RI-HF reference (the MP2 correction does not relax the density
 // used for embedding charges — phase 1 needs the reference SCF only).
 func (p *RIMP2) PartialCharges(g *molecule.Geometry, field *integrals.PointCharges) ([]float64, int, error) {
-	hf := &HF{Basis: p.basisName(), UseRI: true, AuxOpts: p.AuxOpts, SCFOpts: p.SCFOpts}
-	return hf.PartialCharges(g, field)
+	return p.hf().PartialCharges(g, field)
 }
 
-func (p *RIMP2) basisName() string {
-	if p.Basis == "" {
-		return "sto-3g"
-	}
-	return p.Basis
+// hf is the RI-HF reference potential whose SCF driver RIMP2 shares.
+func (p *RIMP2) hf() *HF {
+	return &HF{Basis: p.Basis, UseRI: true, AuxOpts: p.AuxOpts, SCFOpts: p.SCFOpts}
 }
 
 // HF evaluates the Hartree-Fock energy and analytic gradient, with or

@@ -105,6 +105,51 @@ func TestBatchedSeparableCoeffsMatchOracle(t *testing.T) {
 	}
 }
 
+// The separable coefficients are linear in their first density at a fixed
+// second one: the MP2 gradient relies on this to fold the HF term
+// (D, D, ½) and the orbital-response coupling (X, D, 1) into one call
+// (½D + X, D, 1). Checked elementwise on the raw accumulators, for a
+// fixed symmetric X, relative to the largest entry: the exchange and
+// Coulomb products cancel, so rounding reaches ~1e-12 of it (1.2e-11
+// on the monomer's ζ, whose largest entry is 11.5).
+func TestSeparableCoeffsLinearInFirstDensity(t *testing.T) {
+	for _, c := range batchedCases()[:2] {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := c.eval()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nbf, naux := r.Bs.N, r.Aux.N
+			x := linalg.NewMat(nbf, nbf)
+			for i := 0; i < nbf; i++ {
+				for j := 0; j < nbf; j++ {
+					x.Set(i, j, 0.1*math.Sin(1+float64(i+j)+0.3*float64(i*j)))
+				}
+			}
+			z2, zeta2 := linalg.NewTensor3(naux, nbf, nbf), linalg.NewMat(naux, naux)
+			r.AddRISeparableCoeffs(r.D, r.D, 0.5, z2, zeta2)
+			r.AddRISeparableCoeffs(x, r.D, 1, z2, zeta2)
+			folded := x.Clone()
+			folded.AxpyMat(0.5, r.D)
+			z1, zeta1 := linalg.NewTensor3(naux, nbf, nbf), linalg.NewMat(naux, naux)
+			r.AddRISeparableCoeffs(folded, r.D, 1, z1, zeta1)
+			for _, acc := range []struct {
+				name            string
+				twoCall, folded []float64
+			}{{"zAcc", z2.Data, z1.Data}, {"zetaAcc", zeta2.Data, zeta1.Data}} {
+				var mx, scale float64
+				for i, v := range acc.twoCall {
+					mx = math.Max(mx, math.Abs(v-acc.folded[i]))
+					scale = math.Max(scale, math.Abs(acc.folded[i]))
+				}
+				if !(mx <= 5e-12*scale) {
+					t.Errorf("%s: two-call form differs from the folded call by %.3g (> 5e-12 × max|entry| = %.3g)", acc.name, mx, 5e-12*scale)
+				}
+			}
+		})
+	}
+}
+
 // Two SCF + gradient evaluations on two goroutines own two workspaces:
 // under -race this finds any scratch shared between Results, and the
 // gradients must equal the ones computed one at a time.
