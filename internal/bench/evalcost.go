@@ -27,10 +27,6 @@ const EvalCostSchema = "fragmd-bench-evalcost/v1"
 // not), so it gets a fixed allowance instead of equality.
 const evalMBSlack = 0.10
 
-// metricDropTol is the relative eigenvalue threshold under which the RI
-// metric's directions are projected out, as scf.RHF factors it.
-const metricDropTol = 1e-10
-
 // EvalCostRow is what one cold RI-MP2 evaluation costs in counts that do
 // not depend on the machine: GEMM flops, SCF and Z-vector iterations,
 // dropped RI metric directions and megabytes allocated, all from one pass
@@ -98,7 +94,7 @@ func (ec *evalCounter) Evaluate(g *molecule.Geometry) (float64, []float64, error
 func (ec *evalCounter) dropped() (int, error) {
 	n := 0
 	for _, j2 := range ec.metrics {
-		_, d, err := linalg.MetricFactor(j2, metricDropTol)
+		_, d, err := linalg.MetricFactor(j2, scf.MetricDropTol)
 		if err != nil {
 			return 0, err
 		}
@@ -191,7 +187,9 @@ func RunEvalCost(quick bool) (*EvalCostReport, error) {
 // GEMM flops, SCF and Z-vector iterations and dropped directions must be
 // equal, and allocated megabytes at most evalMBSlack above the
 // baseline's. Seconds are not compared, and neither is maxRegressPct
-// used: every gated number is a count, the same on every host.
+// used: every gated number is a count, the same on every host. A count
+// that fell fails too, worded as a gain to record in a regenerated
+// baseline; one that rose is worded as a regression.
 func CompareEvalCostReports(baseline, current *EvalCostReport, _ float64) []string {
 	cur := make(map[string]EvalCostRow, len(current.Rows))
 	for _, r := range current.Rows {
@@ -213,8 +211,13 @@ func CompareEvalCostReports(baseline, current *EvalCostReport, _ float64) []stri
 			{"Z-vector iterations", int64(r.ZVecIters), int64(b.ZVecIters)},
 			{"dropped metric directions", int64(r.Dropped), int64(b.Dropped)},
 		} {
-			if q.got != q.want {
-				bad = append(bad, fmt.Sprintf("evalcost row %s: %s %d, baseline %d", b.Name, q.what, q.got, q.want))
+			switch {
+			case q.got < q.want:
+				bad = append(bad, fmt.Sprintf("evalcost row %s: %s fell %d → %d (−%.1f %%): regenerate BENCH_eval_baseline.json and quote this diff",
+					b.Name, q.what, q.want, q.got, 100*float64(q.want-q.got)/float64(q.want)))
+			case q.got > q.want:
+				bad = append(bad, fmt.Sprintf("evalcost row %s: %s regressed %d → %d (+%d over the baseline)",
+					b.Name, q.what, q.want, q.got, q.got-q.want))
 			}
 		}
 		if ceil := b.AllocMB * (1 + evalMBSlack); r.AllocMB > ceil {

@@ -8,6 +8,7 @@ import (
 	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/scf"
 )
 
 // runStepPhaseRows times the phases of a cold RI-MP2 step that are not
@@ -51,7 +52,7 @@ func runStepPhaseRows() ([]GemmBenchRow, error) {
 
 	j2 := integrals.TwoCenter(aux)
 	secEig := bestOf(3, func() { linalg.EigSym(j2) })
-	secFactor := bestOf(3, func() { _, _, err = linalg.MetricFactor(j2, 1e-10) })
+	secFactor := bestOf(3, func() { _, _, err = linalg.MetricFactor(j2, scf.MetricDropTol) })
 	if err != nil {
 		return nil, fmt.Errorf("step phases: metric factor: %w", err)
 	}

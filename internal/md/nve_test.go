@@ -18,9 +18,25 @@ import (
 // velocity-Verlet integrator and returns the max |E(t) − E(0)|.
 func nveMaxDrift(t *testing.T, prov md.ForceProvider, g *molecule.Geometry, dtFs float64, steps int, tempK float64, seed int64) float64 {
 	t.Helper()
+	drift, _ := nveDriftAndJump(t, prov, g, dtFs, steps, tempK, seed)
+	return drift
+}
+
+// nveDriftAndJump is nveMaxDrift that also returns the largest
+// step-to-step change max |E(t) − E(t−1)|.
+func nveDriftAndJump(t *testing.T, prov md.ForceProvider, g *molecule.Geometry, dtFs float64, steps int, tempK float64, seed int64) (drift, jump float64) {
+	t.Helper()
 	state := md.NewState(g.Clone())
 	state.SampleVelocities(tempK, rand.New(rand.NewSource(seed)))
-	obs, get := md.NewConservationTracker()
+	track, get := md.NewConservationTracker()
+	prev := math.NaN()
+	obs := func(si md.StepInfo) {
+		track(si)
+		if !math.IsNaN(prev) {
+			jump = math.Max(jump, math.Abs(si.Etot-prev))
+		}
+		prev = si.Etot
+	}
 	vv := &md.VelocityVerlet{Dt: dtFs * chem.AtomicTimePerFs, Provider: prov}
 	if err := vv.Run(state, steps, obs); err != nil {
 		t.Fatal(err)
@@ -29,7 +45,7 @@ func nveMaxDrift(t *testing.T, prov md.ForceProvider, g *molecule.Geometry, dtFs
 	if st.N != steps {
 		t.Fatalf("tracker saw %d steps, want %d", st.N, steps)
 	}
-	return st.MaxDrift
+	return st.MaxDrift, jump
 }
 
 // Full-length LJ NVE: the drift envelope must be bounded and shrink
@@ -141,6 +157,42 @@ func TestNVEConservationHFEmbeddedSmoke(t *testing.T) {
 		t.Fatalf("drift not O(dt²): %.3e at dt vs %.3e at dt/2 (ratio %.2f)", d1, d2, d1/d2)
 	}
 	t.Logf("embedded HF NVE smoke: %d steps, drift %.3e vs %.3e at dt/2, ratio %.2f", steps, d1, d2, d1/d2)
+}
+
+// dzp RI-MP2 NVE on an unfragmented water dimer: the trust anchor for
+// the RI-MP2 gradient at the basis the dzp cost rows run. The dzp
+// auxiliary metric drops directions (21 on this dimer), so a gradient
+// that is not the derivative of the energy — an inconsistent coefficient
+// or a discontinuous RI surface — shows here as dt-independent drift
+// instead of the ~4× shrink at dt/2, or as a step-to-step jump past the
+// bound. Measured at 16 steps of 0.25 fs (150 K, seed 3): drift 1.07e-5
+// vs 2.82e-6 at dt/2 (ratio 3.8), largest step-to-step |ΔEtot| 3.5e-6 Ha
+// at 0.25 fs. The dzp RI energy itself moves by ~1e-6 Ha under 1e-14
+// Bohr displacements (the near-singular metric), so the jump bound is
+// twice that measured value, not a tolerance on bits.
+func TestNVEConservationRIMP2DZP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dzp RI-MP2 trajectory; runs in the full suite")
+	}
+	if racecheck.Enabled {
+		t.Skip("pure-numerical suite; adds no race coverage and is slow under -race")
+	}
+	const steps = 16
+	prov := md.ForceFunc((&potential.RIMP2{Basis: "dzp"}).Evaluate)
+	g := molecule.WaterDimer(2.98)
+	d1, j1 := nveDriftAndJump(t, prov, g, 0.25, steps, 150, 3)
+	d2, j2 := nveDriftAndJump(t, prov, g, 0.125, 2*steps, 150, 3)
+	t.Logf("dzp RI-MP2 NVE: %d steps, drift %.3e vs %.3e at dt/2 (ratio %.2f), max |ΔEtot| per step %.3e vs %.3e",
+		steps, d1, d2, d1/d2, j1, j2)
+	if d1 > 5e-5 {
+		t.Fatalf("dzp RI-MP2 NVE drift %.3e Ha over %d steps exceeds 5e-5", d1, steps)
+	}
+	if d2 <= 0 || d1/d2 < 2.5 {
+		t.Fatalf("drift not O(dt²): %.3e at dt vs %.3e at dt/2 (ratio %.2f)", d1, d2, d1/d2)
+	}
+	if j1 > 7e-6 {
+		t.Fatalf("step-to-step |ΔEtot| %.3e Ha at 0.25 fs exceeds 7e-6", j1)
+	}
 }
 
 // Sanity on the tracker itself.

@@ -129,15 +129,15 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 	}
 	integrals.OverlapDeriv(ref.Bs, wao, -1, grad)
 
-	// The separable coefficients are linear in their first density at a
-	// fixed second one, so the HF two-electron term (D, D, ½) and the
-	// orbital-response coupling (P̄ + Pz, D, 1) fold into one call.
+	// The separable coefficients are linear in their density, so the HF
+	// two-electron term (D, ½) and the orbital-response coupling
+	// (P̄ + Pz, 1) fold into one call.
 	dsep := dh.Clone()
 	dsep.AxpyMat(-0.5, ref.D)
 	zAcc, zetaAcc := ws.zAcc, ws.zetaAcc
 	zAcc.Zero()
 	zetaAcc.Zero()
-	ref.AddRISeparableCoeffs(dsep, ref.D, 1.0, zAcc, zetaAcc)
+	ref.AddRISeparableCoeffs(dsep, 1.0, zAcc, zetaAcc)
 
 	// Amplitude skeleton: Z^{amp} = 4 (Wᵀγ)^AO and
 	// ζ^{amp} = −2 Σ_ia (WᵀB)_Pia (Wᵀγ)_Qia: γ is a derivative with

@@ -13,20 +13,25 @@ import (
 
 type batchedCase struct {
 	name  string
+	basis string
 	geom  *molecule.Geometry
 	field *integrals.PointCharges
 }
 
+// batchedCases are sto-3g water (nbf 7, nocc 5) with and without a field,
+// its dimer, and dzp water (nbf 25, nocc 5), where the occupied-block
+// exchange intermediates fill only part of each scratch slab.
 func batchedCases() []batchedCase {
 	return []batchedCase{
-		{"monomer", molecule.Water(), nil},
-		{"dimer", molecule.WaterDimer(3.0), nil},
-		{"embedded", molecule.Water(), embedField()},
+		{"monomer", "sto-3g", molecule.Water(), nil},
+		{"dimer", "sto-3g", molecule.WaterDimer(3.0), nil},
+		{"embedded", "sto-3g", molecule.Water(), embedField()},
+		{"dzp-monomer", "dzp", molecule.Water(), nil},
 	}
 }
 
 func (c batchedCase) eval() (*Result, error) {
-	bs, err := basis.Build("sto-3g", c.geom)
+	bs, err := basis.Build(c.basis, c.geom)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +81,7 @@ func symPart(data []float64, n int) []float64 {
 }
 
 // The flattened separable coefficients against the per-slice loop, for
-// the HF pair (D, D) and for a general symmetric first density, called
+// the HF density and for a general symmetric first density, called
 // twice on one Result so the second call runs on used scratch. The
 // batched routine leaves the exchange terms unsymmetrised; the derivative
 // integrals see only the symmetric parts, which is what must agree.
@@ -96,7 +101,7 @@ func TestBatchedSeparableCoeffsMatchOracle(t *testing.T) {
 			}{{r.D, 0.5}, {da, 1.0}} {
 				zb, cb := linalg.NewTensor3(naux, nbf, nbf), linalg.NewMat(naux, naux)
 				zo, co := linalg.NewTensor3(naux, nbf, nbf), linalg.NewMat(naux, naux)
-				r.AddRISeparableCoeffs(pair.da, r.D, pair.factor, zb, cb)
+				r.AddRISeparableCoeffs(pair.da, pair.factor, zb, cb)
 				oracleSeparableCoeffs(r, pair.da, r.D, pair.factor, zo, co)
 				checkClose(t, "Z_Pμν", symPart(zb.Data, nbf), zo.Data)
 				checkClose(t, "ζ_PQ", symPart(cb.Data, naux), co.Data)
@@ -105,13 +110,13 @@ func TestBatchedSeparableCoeffsMatchOracle(t *testing.T) {
 	}
 }
 
-// The separable coefficients are linear in their first density at a fixed
-// second one: the MP2 gradient relies on this to fold the HF term
-// (D, D, ½) and the orbital-response coupling (X, D, 1) into one call
-// (½D + X, D, 1). Checked elementwise on the raw accumulators, for a
-// fixed symmetric X, relative to the largest entry: the exchange and
-// Coulomb products cancel, so rounding reaches ~1e-12 of it (1.2e-11
-// on the monomer's ζ, whose largest entry is 11.5).
+// The separable coefficients are linear in their density: the MP2
+// gradient relies on this to fold the HF term (D, ½) and the
+// orbital-response coupling (X, 1) into one call (½D + X, 1). Checked
+// elementwise on the raw accumulators, for a fixed symmetric X, relative
+// to the largest entry: the exchange and Coulomb products cancel, so
+// rounding reaches ~1e-12 of it (1.2e-11 on the monomer's ζ, whose
+// largest entry is 11.5).
 func TestSeparableCoeffsLinearInFirstDensity(t *testing.T) {
 	for _, c := range batchedCases()[:2] {
 		t.Run(c.name, func(t *testing.T) {
@@ -127,12 +132,12 @@ func TestSeparableCoeffsLinearInFirstDensity(t *testing.T) {
 				}
 			}
 			z2, zeta2 := linalg.NewTensor3(naux, nbf, nbf), linalg.NewMat(naux, naux)
-			r.AddRISeparableCoeffs(r.D, r.D, 0.5, z2, zeta2)
-			r.AddRISeparableCoeffs(x, r.D, 1, z2, zeta2)
+			r.AddRISeparableCoeffs(r.D, 0.5, z2, zeta2)
+			r.AddRISeparableCoeffs(x, 1, z2, zeta2)
 			folded := x.Clone()
 			folded.AxpyMat(0.5, r.D)
 			z1, zeta1 := linalg.NewTensor3(naux, nbf, nbf), linalg.NewMat(naux, naux)
-			r.AddRISeparableCoeffs(folded, r.D, 1, z1, zeta1)
+			r.AddRISeparableCoeffs(folded, 1, z1, zeta1)
 			for _, acc := range []struct {
 				name            string
 				twoCall, folded []float64

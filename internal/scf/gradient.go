@@ -39,7 +39,7 @@ func (r *Result) Gradients() (grad, siteGrad []float64) {
 	if r.B != nil {
 		z := linalg.NewTensor3(r.Aux.N, r.Bs.N, r.Bs.N)
 		zeta := linalg.NewMat(r.Aux.N, r.Aux.N)
-		r.AddRISeparableCoeffs(r.D, r.D, 0.5, z, zeta)
+		r.AddRISeparableCoeffs(r.D, 0.5, z, zeta)
 		integrals.ThreeCenterDeriv(r.Bs, r.Aux, z, 1, grad)
 		integrals.TwoCenterDeriv(r.Aux, zeta, 1, grad)
 	} else {
@@ -80,31 +80,20 @@ func (r *Result) EnergyWeightedDensity() *linalg.Mat {
 	return w
 }
 
-// CTilde returns the tensor C̃_P = Σ_Q J^{-1}_PQ (Q|μν) = (Wᵀ·B)_P (lazily
-// built and cached; geometry is immutable per Result).
-func (r *Result) CTilde() *linalg.Tensor3 {
-	if r.ctilde == nil {
-		r.ctilde = linalg.NewTensor3(r.Aux.N, r.Bs.N, r.Bs.N)
-		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, r.B.Flatten(), 0, r.ctilde.Flatten())
-	}
-	return r.ctilde
-}
-
 // AddRISeparableCoeffs accumulates into (zAcc, zetaAcc) the derivative
 // coefficients of the RI-factorised separable two-electron energy
 //
-//	E_sep(Da, Db) = factor · Σ_μνλσ Da_μν Db_λσ [(μν|λσ) − ½(μλ|νσ)]_RI
+//	E_sep(Da) = factor · Σ_μνλσ Da_μν D_λσ [(μν|λσ) − ½(μλ|νσ)]_RI
 //
-// such that dE_sep = Σ zAcc_Pμν (P|μν)^ξ + Σ zetaAcc_PQ (P|Q)^ξ.
-// Both densities must be symmetric. The derivative integrals are
-// symmetric in μν and in PQ, so only the symmetric parts of the
+// such that dE_sep = Σ zAcc_Pμν (P|μν)^ξ + Σ zetaAcc_PQ (P|Q)^ξ, with D
+// the converged density. Da must be symmetric. The derivative integrals
+// are symmetric in μν and in PQ, so only the symmetric parts of the
 // coefficients matter and the exchange terms are accumulated
-// unsymmetrised. The HF energy uses (D, D) with factor/2; the MP2
-// orbital-response coupling uses (P^relaxed, D_HF).
-func (r *Result) AddRISeparableCoeffs(da, db *linalg.Mat, factor float64, zAcc *linalg.Tensor3, zetaAcc *linalg.Mat) {
-	nbf := r.Bs.N
-	naux := r.Aux.N
-	ct := r.CTilde()
+// unsymmetrised. The HF energy uses Da = D with factor/2; the MP2
+// gradient folds its orbital-response coupling into the same call.
+func (r *Result) AddRISeparableCoeffs(da *linalg.Mat, factor float64, zAcc *linalg.Tensor3, zetaAcc *linalg.Mat) {
+	nbf, naux, nocc := r.Bs.N, r.Aux.N, r.NOcc
+	co := r.COcc()
 	ws := r.ws
 
 	// w^x = J^{-1} u^x = Wᵀ·(W·u^x) with u^x_P = Σ_μν V_Pμν Dx_μν.
@@ -114,30 +103,36 @@ func (r *Result) AddRISeparableCoeffs(da, db *linalg.Mat, factor float64, zAcc *
 		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, ws.wt, 0, w)
 	}
 	coulomb(da, ws.wa)
-	coulomb(db, ws.wb)
+	coulomb(r.D, ws.wb)
 	wa, wb := ws.wa.Data, ws.wb.Data
 
-	// Exchange intermediates for every P in two flattened products:
-	// C̃_P·Db, block-transposed to Db·C̃_P (both factors are symmetric),
-	// times Da gives Y_Pᵀ = (Da·C̃_P·Db)ᵀ.
-	y, yT := r.Scratch3(nbf, nbf)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ct.FlattenRows(), db, 0, y.FlattenRows())
-	y.TransposeBlocksInto(yT)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, yT.FlattenRows(), da, 0, y.FlattenRows())
+	// Exchange through the occupied block, D = 2·C_o·C_oᵀ, with
+	// C̃_P = (Wᵀ·B)_P never formed: X_P = B_P·C_o as in riFock,
+	// H_P = C̃_P·C_o = (Wᵀ·X)_P, and M_P = Da·H_P by block-transposing H
+	// (Da is symmetric), multiplying flat by Da and transposing back.
+	x, xT := r.Scratch3(nbf, nocc)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.FlattenRows(), co, 0, x.FlattenRows())
+	h := linalg.NewTensor3(naux, nbf, nocc)
+	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, x.Flatten(), 0, h.Flatten())
+	h.TransposeBlocksInto(xT)
+	mT, m := r.Scratch3(nocc, nbf)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, xT.FlattenRows(), da, 0, mT.FlattenRows())
+	mT.TransposeBlocksInto(m)
 
-	// zAcc_P += factor·(w^b_P·Da + w^a_P·Db − Y_Pᵀ): Coulomb plus the
-	// exchange coefficient −factor·(Da C̃_P Db)_μν.
+	// zAcc_P += factor·(w^b_P·Da + w^a_P·D) − 2·factor·M_P·C_oᵀ: Coulomb
+	// plus the exchange coefficient −factor·(Da C̃_P D)_μν.
 	for p := 0; p < naux; p++ {
 		wap, wbp := wa[p]*factor, wb[p]*factor
 		off := p * nbf * nbf
 		zp := zAcc.Data[off : off+nbf*nbf]
-		for i, yv := range y.Data[off : off+nbf*nbf] {
-			zp[i] += wbp*da.Data[i] + wap*db.Data[i] - factor*yv
+		for i := range zp {
+			zp[i] += wbp*da.Data[i] + wap*r.D.Data[i]
 		}
 	}
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, -2*factor, m.FlattenRows(), co, 1, zAcc.FlattenRows())
 
-	// ζ: −½(w^a w^bᵀ + w^b w^aᵀ) + ½ G, G_PQ = tr(Da C̃_P Db C̃_Q).
-	linalg.Gemm(linalg.NoTrans, linalg.Trans, 0.5*factor, y.Flatten(), ct.Flatten(), 1, zetaAcc)
+	// ζ: −½(w^a w^bᵀ + w^b w^aᵀ) + ½ G, G_PQ = tr(Da C̃_P D C̃_Q) = 2·Σ M_P·H_Q.
+	linalg.Gemm(linalg.NoTrans, linalg.Trans, factor, m.Flatten(), h.Flatten(), 1, zetaAcc)
 	for p := 0; p < naux; p++ {
 		zrow := zetaAcc.Row(p)
 		for q := range zrow {

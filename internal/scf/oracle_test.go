@@ -35,11 +35,18 @@ func oracleRIFock(r *Result, d, co *linalg.Mat) *linalg.Mat {
 	return f
 }
 
-// oracleSeparableCoeffs is AddRISeparableCoeffs with Y_P = Da·C̃_P·Db
-// formed slice by slice.
+// oracleSeparableCoeffs is AddRISeparableCoeffs for a general second
+// density Db, with C̃_P = Σ_Q W_QP B_Q and Y_P = Da·C̃_P·Db formed slice
+// by slice.
 func oracleSeparableCoeffs(r *Result, da, db *linalg.Mat, factor float64, zAcc *linalg.Tensor3, zetaAcc *linalg.Mat) {
 	nbf, naux := r.Bs.N, r.Aux.N
-	ct := r.CTilde()
+	ct := linalg.NewTensor3(naux, nbf, nbf)
+	for p := 0; p < naux; p++ {
+		cp := ct.Slice(p)
+		for q := 0; q < naux; q++ {
+			cp.AxpyMat(r.JFactor.At(q, p), r.B.Slice(q))
+		}
+	}
 
 	jinvU := func(d *linalg.Mat) *linalg.Mat {
 		u := linalg.NewMat(naux, 1)

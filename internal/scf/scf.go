@@ -135,9 +135,8 @@ type Result struct {
 	// set (reused by the conventional-MP2 baseline).
 	ERI []float64
 
-	opts   Options
-	ws     *workspace      // RI scratch of the Fock builds and the gradient (workspace.go)
-	ctilde *linalg.Tensor3 // lazy J⁺·(Q|μν) = Wᵀ·B cache (gradient.go)
+	opts Options
+	ws   *workspace // RI scratch of the Fock builds and the gradient (workspace.go)
 }
 
 // Opts returns the options the SCF was run with (for downstream reuse).
@@ -189,21 +188,22 @@ func eigFailed(what string, first []float64) error {
 	return nil
 }
 
+// MetricDropTol is the relative eigenvalue threshold under which the RI
+// metric's directions are projected out: eigen-directions of J under
+// MetricDropTol·λmax (canonical orthogonalisation of the auxiliary basis).
+const MetricDropTol = 1e-10
+
 // riMetricFactor returns the factor W of the RI metric's pseudo-inverse,
-// WᵀW = J⁺, that every RI contraction goes through. Eigen-directions of J
-// under 1e-10·λmax are projected out (canonical orthogonalisation of the
-// auxiliary basis). linalg.MetricFactor does this without a full
-// eigendecomposition; a metric that is singular to working precision
+// WᵀW = J⁺, that every RI contraction goes through, with the directions
+// under MetricDropTol projected out. linalg.MetricFactor does this without
+// a full eigendecomposition; a metric that is singular to working precision
 // (coincident auxiliary centres) has no Cholesky factor and takes the
 // symmetric eigen-root J^{-1/2} instead, which is as valid a W.
 func riMetricFactor(j2 *linalg.Mat) (*linalg.Mat, error) {
-	const (
-		what    = "RI Coulomb metric (P|Q)"
-		dropTol = 1e-10
-	)
-	w, _, err := linalg.MetricFactor(j2, dropTol)
+	const what = "RI Coulomb metric (P|Q)"
+	w, _, err := linalg.MetricFactor(j2, MetricDropTol)
 	if errors.Is(err, linalg.ErrSingular) {
-		w = linalg.InvSqrtSym(j2, dropTol)
+		w = linalg.InvSqrtSym(j2, MetricDropTol)
 		return w, eigFailed(what, w.Data)
 	}
 	if err != nil {
