@@ -35,7 +35,8 @@ import (
 //     same trimer — the four-centre kernel, which shares the Boys table
 //     and the R-cube recursion (rRun.fill, at one member) with deriv3c,
 //     so the ratio isolates what deriv3c alone runs: the stacked ket
-//     fold, the member gather and the stacked bra step — kept,
+//     fold, the member gather, the weighting into one Hermite cube per
+//     auxiliary atom and the bra step on those cubes — kept,
 //     untracked, as that reference, with the same nominal work so
 //     that the GFLOP/s ratio of the two rows is their time ratio. Both
 //     rows are timed at GOMAXPROCS 1: FockDirect splits its quartets in

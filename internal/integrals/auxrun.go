@@ -12,12 +12,18 @@ import "github.com/fragmd/fragmd/internal/basis"
 // are built in one downward recursion with the member index innermost
 // (rRun), folded with the run's stacked one-centre ket tables in one
 // pass (foldRun), and the bra Hermite → Cartesian step runs over the
-// stacked columns: hermiteAxpy over nk·K columns in value mode,
-// weightRun, axisSumsRun and dotRun in derivative mode.
+// stacked columns: hermiteAxpy over nk·K columns in value mode. In
+// derivative mode weightRun contracts the nk·K columns with the weights
+// into one Hermite cube per bra component pair, summed over the runs of
+// an auxiliary atom, and axisSumsRun and dotRun take the bra step once
+// per cube.
 //
-// Every stacked loop runs over the independent member index and keeps
-// each output element's operands and summation order, so the run-batched
-// kernels are bit-identical to evaluating one member at a time.
+// In value mode every stacked loop runs over the independent member
+// index and keeps each output element's operands and summation order,
+// so the values are bit-identical to evaluating one member at a time.
+// The two derivative kernels (ThreeCenterDeriv, TwoCenterDeriv) sum over
+// members, runs and components first, and are held to 1e-12 of the
+// largest gradient component of that visit instead.
 //
 // They are the package's only R-cube recursion and bra Hermite step: the
 // four-centre kernels (fourCenterBlock) and the nuclear and point-charge
@@ -143,10 +149,9 @@ type runScratch struct {
 	kc, cc      []float64 // stacked ket fold and contraction coefficients of the batches
 	alpha, pre  []float64 // per member of the current batch
 	off         []int     // R offsets of the current fold pattern
-	wk, gw      []float64 // derivative mode: member weights, weighted cubes
+	wk          []float64 // derivative mode: stacked member weights
+	gw, cube    []float64 // weighted cubes: one (four-centre), summed (two-, three-centre)
 	h, s, dv    []float64 // axisSumsRun sums, derivatives
-	x           []float64 // derivative contributions awaiting the ordered fold
-	on          []bool    // whether each contribution is weighted
 }
 
 // reserveRuns sizes the run buffers of sc — the derivative ones only
@@ -173,9 +178,9 @@ func (sc *eriScratch) reserveRuns(ar *auxRuns, lbra int, deriv bool) {
 	rs.off = make([]int, nt)
 	sc.g, sc.acc = make([]float64, nb*nb*nb*ncol), make([]float64, ncol)
 	if deriv {
-		rs.wk, rs.gw = make([]float64, ncol), make([]float64, nb*nb*nb*maxK)
-		rs.h, rs.s = make([]float64, 3*(nb+1)*maxK), make([]float64, (nb+1)*(nb+1)*maxK)
-		rs.dv = make([]float64, 7*maxK)
+		rs.wk = make([]float64, ncol)
+		rs.h, rs.s = make([]float64, 3*(nb+1)), make([]float64, (nb+1)*(nb+1))
+		rs.dv = make([]float64, 7)
 	}
 }
 
@@ -232,10 +237,11 @@ type rRun struct {
 // t+u+v ≤ tmax, of every exponent α_k of alphas at one Δ = P − C: one
 // downward recursion over levels m = tmax … 0 of the stacked cubes (level
 // m needs only t+u+v ≤ tmax−m), each member with its own Boys seeds
-// R^m_{000} = (−2α_k)^m·F_m(α_k|Δ|²). For fixed (t, u) the entries over v
-// are contiguous, so each step of the recursion off the v axis is one
-// loop over (lim−t−u+1)·K elements.
-func (r *rRun) fill(tmax int, alphas []float64, dx, dy, dz float64) {
+// R^m_{000} = (−2α_k)^m·F_m(α_k|Δ|²) — times scales[k] with scales
+// non-nil, which scales member k's whole cube. For fixed (t, u) the
+// entries over v are contiguous, so each step of the recursion off the v
+// axis is one loop over (lim−t−u+1)·K elements.
+func (r *rRun) fill(tmax int, alphas, scales []float64, dx, dy, dz float64) {
 	n, K := tmax+1, len(alphas)
 	r.n = n
 	f := r.f[:n]
@@ -246,6 +252,9 @@ func (r *rRun) fill(tmax int, alphas []float64, dx, dy, dz float64) {
 	for k, alpha := range alphas {
 		boys(tmax, alpha*r2, f)
 		pw := 1.0
+		if scales != nil {
+			pw = scales[k]
+		}
 		for m, fm := range f {
 			r.seed[m*K+k] = fm * pw
 			pw *= -2 * alpha
@@ -350,32 +359,56 @@ func (sc *eriScratch) foldRun(lbra int, bt *runBatch) []float64 {
 	return sc.g
 }
 
-// weightRun contracts the folded cubes g with the member weights wk over
-// the nk ket components, gw[h·K+k] = Σ_ck wk[ck·K+k]·g[(h·nk+ck)·K+k] for
-// t+u+v ≤ lbra, each sum from zero in ck order. (A lone component is
-// not passed through here: its weight scales the result instead.)
-func (rs *runScratch) weightRun(lbra, nk int, g, wk []float64) []float64 {
-	nb, K := lbra+1, len(wk)/nk
-	rs.gw = grow(rs.gw, nb*nb*nb*K)
-	for t := 0; t <= lbra; t++ {
-		for u := 0; u <= lbra-t; u++ {
-			for v := 0; v <= lbra-t-u; v++ {
-				h := (t*nb+u)*nb + v
-				dst, src := rs.gw[h*K:][:K], g[h*nk*K:][:len(wk)]
-				// One register sum per member, striding over ck: at few
-				// members per component (d and f runs, K = 1) that beats
-				// accumulating the K members of each ck in place.
-				for k := range dst {
-					var sum float64
-					for j := k; j < len(src); j += K {
-						sum += wk[j] * src[j]
-					}
-					dst[k] = sum
+// simplexH lists, per bra Hermite degree lbra, the cube indices
+// (t·nb+u)·nb+v, nb = lbra+1, of t+u+v ≤ lbra in (t, u, v) order.
+var simplexH = func() (s [2*len(cartCache) + 1][]int) {
+	for l := range s {
+		nb := l + 1
+		for t := 0; t <= l; t++ {
+			for u := 0; u <= l-t; u++ {
+				for v := 0; v <= l-t-u; v++ {
+					s[l] = append(s[l], (t*nb+u)*nb+v)
 				}
 			}
 		}
 	}
-	return rs.gw
+	return s
+}()
+
+// weightRun adds the folded cubes g, contracted over their n stacked
+// columns with each of the nw weight rows w[i·ws:][:n], to the cubes
+// dst[i·nb³:]: dst_i[h] += Σ_j w_i[j]·g[h·n + j] for t+u+v ≤ lbra, each
+// sum from zero in j order. Four entries h share each pass over a row
+// as four independent sums: one sum at a time waits on its own adds,
+// and this is the derivative kernels' largest loop.
+func weightRun(lbra int, g []float64, n int, w []float64, ws, nw int, dst []float64) {
+	n3, hs := (lbra+1)*(lbra+1)*(lbra+1), simplexH[lbra]
+	for i := 0; i < nw; i++ {
+		wi, di := w[i*ws:][:n], dst[i*n3:][:n3]
+		q := 0
+		for ; q+4 <= len(hs); q += 4 {
+			h0, h1, h2, h3 := hs[q], hs[q+1], hs[q+2], hs[q+3]
+			x0, x1, x2, x3 := g[h0*n:][:n], g[h1*n:][:n], g[h2*n:][:n], g[h3*n:][:n]
+			var s0, s1, s2, s3 float64
+			for j, wj := range wi {
+				s0 += wj * x0[j]
+				s1 += wj * x1[j]
+				s2 += wj * x2[j]
+				s3 += wj * x3[j]
+			}
+			di[h0] += s0
+			di[h1] += s1
+			di[h2] += s2
+			di[h3] += s3
+		}
+		for _, h := range hs[q:] {
+			var sum float64
+			for j, x := range g[h*n:][:n] {
+				sum += wi[j] * x
+			}
+			di[h] += sum
+		}
+	}
 }
 
 // dotRun is a 1D dot for every member at once: dst[k] = Σ_i x[i]·y[i·K+k]

@@ -434,46 +434,73 @@ func TestNuclearDerivFD(t *testing.T) {
 	gradsClose(t, "nuclear", grad, fdGrad(g, energy, 1e-5), 1e-6)
 }
 
+// fdAuxCases are the auxiliary sets the two- and three-centre FD checks
+// run on: sto-3g water with s/p auxiliaries; dzp water with the default
+// set — d bra shells against d and f runs, where the auxiliary atom's
+// term comes from the bra's translation derivative rather than from the
+// raise/lower pairs alone; and that set contracted to two-primitive
+// shells, several members of one shell in a run.
+func fdAuxCases() []struct {
+	name, orb string
+	aux       func(bs *basis.Set, g *molecule.Geometry) *basis.Set
+} {
+	type kase = struct {
+		name, orb string
+		aux       func(bs *basis.Set, g *molecule.Geometry) *basis.Set
+	}
+	return []kase{
+		{"sto-3g, s/p aux", "sto-3g", func(bs *basis.Set, g *molecule.Geometry) *basis.Set {
+			return basis.BuildAux(bs, g, basis.AuxOptions{PerL: []int{3, 2}, MaxL: 1})
+		}},
+		{"dzp, default aux", "dzp", func(bs *basis.Set, g *molecule.Geometry) *basis.Set {
+			return basis.BuildAux(bs, g, basis.AuxOptions{})
+		}},
+		{"dzp, contracted aux", "dzp", func(bs *basis.Set, g *molecule.Geometry) *basis.Set {
+			return contracted(basis.BuildAux(bs, g, basis.AuxOptions{}))
+		}},
+	}
+}
+
 func TestTwoCenterDerivFD(t *testing.T) {
 	g := molecule.Water()
-	bs, _ := basis.Build("sto-3g", g)
-	auxOpts := basis.AuxOptions{PerL: []int{3, 2}, MaxL: 1}
-	aux := basis.BuildAux(bs, g, auxOpts)
-	rng := rand.New(rand.NewSource(14))
-	zeta := randWeight(rng, aux.N)
-	energy := func(gg *molecule.Geometry) float64 {
-		b2, _ := basis.Build("sto-3g", gg)
-		a2 := basis.BuildAux(b2, gg, auxOpts)
-		return linalg.Dot(zeta, TwoCenter(a2))
+	for i, c := range fdAuxCases() {
+		bs, _ := basis.Build(c.orb, g)
+		aux := c.aux(bs, g)
+		rng := rand.New(rand.NewSource(14 + 100*int64(i)))
+		zeta := randWeight(rng, aux.N)
+		energy := func(gg *molecule.Geometry) float64 {
+			b2, _ := basis.Build(c.orb, gg)
+			return linalg.Dot(zeta, TwoCenter(c.aux(b2, gg)))
+		}
+		grad := make([]float64, 3*g.N())
+		TwoCenterDeriv(aux, zeta, 1, grad)
+		gradsClose(t, "twocenter, "+c.name, grad, fdGrad(g, energy, 1e-5), 1e-6)
 	}
-	grad := make([]float64, 3*g.N())
-	TwoCenterDeriv(aux, zeta, 1, grad)
-	gradsClose(t, "twocenter", grad, fdGrad(g, energy, 1e-5), 1e-6)
 }
 
 func TestThreeCenterDerivFD(t *testing.T) {
 	g := molecule.Water()
-	bs, _ := basis.Build("sto-3g", g)
-	auxOpts := basis.AuxOptions{PerL: []int{3, 2}, MaxL: 1}
-	aux := basis.BuildAux(bs, g, auxOpts)
-	rng := rand.New(rand.NewSource(15))
-	z := linalg.NewTensor3(aux.N, bs.N, bs.N)
-	for i := range z.Data {
-		z.Data[i] = rng.NormFloat64()
-	}
-	energy := func(gg *molecule.Geometry) float64 {
-		b2, _ := basis.Build("sto-3g", gg)
-		a2 := basis.BuildAux(b2, gg, auxOpts)
-		t3 := ThreeCenter(b2, a2)
-		var s float64
-		for i, v := range t3.Data {
-			s += z.Data[i] * v
+	for i, c := range fdAuxCases() {
+		bs, _ := basis.Build(c.orb, g)
+		aux := c.aux(bs, g)
+		rng := rand.New(rand.NewSource(15 + 100*int64(i)))
+		z := linalg.NewTensor3(aux.N, bs.N, bs.N)
+		for i := range z.Data {
+			z.Data[i] = rng.NormFloat64()
 		}
-		return s
+		energy := func(gg *molecule.Geometry) float64 {
+			b2, _ := basis.Build(c.orb, gg)
+			t3 := ThreeCenter(b2, c.aux(b2, gg))
+			var s float64
+			for i, v := range t3.Data {
+				s += z.Data[i] * v
+			}
+			return s
+		}
+		grad := make([]float64, 3*g.N())
+		ThreeCenterDeriv(bs, aux, z, 1, grad)
+		gradsClose(t, "threecenter, "+c.name, grad, fdGrad(g, energy, 1e-5), 1e-6)
 	}
-	grad := make([]float64, 3*g.N())
-	ThreeCenterDeriv(bs, aux, z, 1, grad)
-	gradsClose(t, "threecenter", grad, fdGrad(g, energy, 1e-5), 1e-6)
 }
 
 func TestFourCenterDerivHFFD(t *testing.T) {

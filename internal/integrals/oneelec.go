@@ -239,7 +239,7 @@ func (sc *eriScratch) coulombPair(sa, sb *basis.Shell, sitePos, siteQ, val []flo
 			}
 			alpha := [1]float64{pexp}
 			for ci := range siteQ {
-				sc.run.r.fill(tmax, alpha[:], pc[0]-sitePos[3*ci], pc[1]-sitePos[3*ci+1], pc[2]-sitePos[3*ci+2])
+				sc.run.r.fill(tmax, alpha[:], nil, pc[0]-sitePos[3*ci], pc[1]-sitePos[3*ci+1], pc[2]-sitePos[3*ci+2])
 				charge := -siteQ[ci]
 				for ca, A := range compA {
 					for cb, B := range compB {

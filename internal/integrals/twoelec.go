@@ -196,7 +196,13 @@ func TwoCenter(aux *basis.Set) *linalg.Mat {
 // Every unordered shell pair on two different atoms is visited once:
 // (P|Q) depends on the two centres through their difference only, so the
 // ket-centre derivative is minus the bra one and a pair on one atom
-// contributes nothing.
+// contributes nothing. The weighted cubes of one bra shell against the
+// ket shells of one atom are summed first (twoCenterRun), and their
+// derivative is taken once (twoCenterTerms). Unlike the values, the sum
+// is not in the order of a visit of one primitive pair at a time: the
+// result agrees with that visit to rounding (~1e-14 of the largest
+// component on water clusters), not bit for bit, and repeats bit for bit
+// at a fixed GOMAXPROCS.
 func TwoCenterDeriv(aux *basis.Set, zeta *linalg.Mat, factor float64, grad []float64) {
 	ar, bra := newAuxRuns(aux), newCenterTables(aux, 1)
 	pairs := upperPairs(len(aux.Shells))
@@ -207,6 +213,9 @@ func TwoCenterDeriv(aux *basis.Set, zeta *linalg.Mat, factor float64, grad []flo
 			ip, end := pairs[idx][0], sc.gatherSegment(ar, pairs, idx, hi)
 			if bt := &sc.run.batches[0]; aux.Shells[ip].Atom != bt.atom {
 				sc.twoCenterRun(ar, ip, bt, bra, zeta, factor, buf)
+				if end == hi || pairs[end][0] != ip || aux.Shells[pairs[end][1]].Atom != bt.atom {
+					sc.twoCenterTerms(aux, ip, bt.atom, bra, buf)
+				}
 			}
 			idx = end
 		}
@@ -231,12 +240,12 @@ func (sc *eriScratch) gatherSegment(ar *auxRuns, pairs [][2]int, idx, hi int) in
 // twoCenterRun computes the (P|Q) blocks of bra shell ip of aux against
 // the ket shells of batch bt — consecutive shells of one run — returned
 // as [((s−s0)·nP + i)·nQ + j] for ket shell s in scratch the next call
-// overwrites. With grad non-nil it instead contracts the bra-centre
-// derivative with the weights (ζ_PQ + ζ_QP)·factor, adding it on the bra
-// atom and subtracting it on the ket atom, in the order of a visit of
-// one ket shell, bra primitive, ket primitive and bra component at a
-// time. bra holds the unsigned one-centre tables of aux (built with
-// extra = 1 for derivatives).
+// overwrites. With grad non-nil it instead adds, per bra primitive p and
+// component cp, the folded cubes — each member's scaled by its prefactor
+// through its Boys seeds — contracted with the weights (ζ_PQ +
+// ζ_QP)·factor into the cube sc.run.cube[(p·nP + cp)·nb³:], for
+// twoCenterTerms. bra holds the unsigned one-centre tables of aux (built
+// with extra = 1 for derivatives).
 func (sc *eriScratch) twoCenterRun(ar *auxRuns, ip int, bt *runBatch, bra *centerTables, zeta *linalg.Mat, factor float64, grad []float64) []float64 {
 	aux, rs := ar.set, &sc.run
 	sp := &aux.Shells[ip]
@@ -248,9 +257,18 @@ func (sc *eriScratch) twoCenterRun(ar *auxRuns, ip int, bt *runBatch, bra *cente
 	lbra := sp.L
 	if deriv {
 		lbra++
-		n := len(sp.Exps) * K * np
-		rs.x, rs.on = grow(rs.x, 3*n), grow(rs.on, n)
-		rs.wk, rs.dv = grow(rs.wk, nq*K), grow(rs.dv, 4*K)
+		// All zero between twoCenterTerms calls.
+		rs.cube = grow(rs.cube, len(sp.Exps)*np*(lbra+1)*(lbra+1)*(lbra+1))
+		rs.wk = grow(rs.wk, np*nq*K)
+		for cp := 0; cp < np; cp++ {
+			for k, s := range members {
+				Q := aux.Shells[s].Start
+				for cq := 0; cq < nq; cq++ {
+					w := (zeta.At(sp.Start+cp, Q+cq) + zeta.At(Q+cq, sp.Start+cp)) * factor
+					rs.wk[(cp*nq+cq)*K+k] = w * cc[cq*K+k]
+				}
+			}
+		}
 	} else {
 		sc.blk = grow(sc.blk, (members[K-1]-s0+1)*np*nq)
 		clear(sc.blk)
@@ -259,7 +277,10 @@ func (sc *eriScratch) twoCenterRun(ar *auxRuns, ip int, bt *runBatch, bra *cente
 	dx := sp.Center[0] - bt.center[0]
 	dy := sp.Center[1] - bt.center[1]
 	dz := sp.Center[2] - bt.center[2]
-	alpha, pre := rs.alpha[:K], rs.pre[:K]
+	alpha, pre, scales := rs.alpha[:K], rs.pre[:K], []float64(nil)
+	if deriv {
+		scales = pre
+	}
 	for p, a := range sp.Exps {
 		eb := bra.prim(ip, sp.L, p)
 		for k, s := range members {
@@ -267,81 +288,53 @@ func (sc *eriScratch) twoCenterRun(ar *auxRuns, ip int, bt *runBatch, bra *cente
 			alpha[k] = a * b / (a + b)
 			pre[k] = twoERIPre / (a * b * math.Sqrt(a+b))
 		}
-		rs.r.fill(lbra+bt.l, alpha, dx, dy, dz)
+		rs.r.fill(lbra+bt.l, alpha, scales, dx, dy, dz)
 		g := sc.foldRun(lbra, bt)
+		if deriv {
+			weightRun(lbra, g, nq*K, rs.wk, nq*K, np, rs.cube[p*np*nb*nb*nb:])
+			continue
+		}
+		for cp, P := range compP {
+			acc := sc.hermiteAxpy(g, eb.at(P[0]), eb.at(P[1]), eb.at(P[2]), nb, nq*K)
+			for k, s := range members {
+				cf := sp.Coefs[cp][p] * pre[k]
+				blk := sc.blk[((s-s0)*np+cp)*nq:][:nq]
+				for cq := range blk {
+					blk[cq] += cf * cc[cq*K+k] * acc[cq*K+k]
+				}
+			}
+		}
+	}
+	return sc.blk
+}
+
+// twoCenterTerms takes the bra-centre derivative of the cubes twoCenterRun
+// summed for bra shell ip against ket atom atom, adds it on the bra atom
+// and subtracts it on the ket atom, and clears the cubes.
+func (sc *eriScratch) twoCenterTerms(aux *basis.Set, ip, atom int, bra *centerTables, grad []float64) {
+	rs, sp := &sc.run, &aux.Shells[ip]
+	compP, nb := cart(sp.L), sp.L+2
+	n3 := nb * nb * nb
+	for p, a := range sp.Exps {
+		eb := bra.prim(ip, sp.L, p)
 		for cp, P := range compP {
 			bc := braComp{e: [3][]float64{eb.at(P[0]), eb.at(P[1]), eb.at(P[2])}}
-			if !deriv {
-				acc := sc.hermiteAxpy(g, bc.e[0], bc.e[1], bc.e[2], nb, nq*K)
-				for k, s := range members {
-					cf := sp.Coefs[cp][p] * pre[k]
-					blk := sc.blk[((s-s0)*np+cp)*nq:][:nq]
-					for cq := range blk {
-						blk[cq] += cf * cc[cq*K+k] * acc[cq*K+k]
-					}
-				}
-				continue
-			}
-			for k, s := range members {
-				Q := aux.Shells[s].Start
-				var weighted bool
-				for cq := 0; cq < nq; cq++ {
-					w := (zeta.At(sp.Start+cp, Q+cq) + zeta.At(Q+cq, sp.Start+cp)) * factor
-					rs.wk[cq*K+k] = w * cc[cq*K+k]
-					weighted = weighted || w != 0
-				}
-				rs.on[(p*K+k)*np+cp] = weighted
-			}
 			for d, i := range P {
 				bc.up[0][d], bc.n[0][d] = eb.at(i+1), float64(i)
 				if i > 0 {
 					bc.dn[0][d] = eb.at(i - 1)
 				}
 			}
-			gw := g
-			if nq > 1 {
-				gw = rs.weightRun(lbra, nq, g, rs.wk[:nq*K])
+			g := rs.cube[(p*len(compP)+cp)*n3:][:n3]
+			h := rs.axisSumsRun(&bc.e, g, nb, 1)
+			bc.derivRun(0, a, &h, rs.dv[:3], rs.dv[3:4])
+			for d, v := range rs.dv[:3] {
+				grad[3*sp.Atom+d] += sp.Coefs[cp][p] * v
+				grad[3*atom+d] -= sp.Coefs[cp][p] * v
 			}
-			h := rs.axisSumsRun(&bc.e, gw, nb, K)
-			dv := rs.dv[:3*K]
-			bc.derivRun(0, a, &h, dv, rs.dv[3*K:4*K])
-			for k := range members {
-				cf, scale := sp.Coefs[cp][p]*pre[k], 1.0
-				if nq == 1 {
-					scale = rs.wk[k]
-				}
-				x := rs.x[((p*K+k)*np+cp)*3:][:3]
-				for d := range x {
-					x[d] = cf * scale * dv[d*K+k]
-				}
-			}
+			clear(g)
 		}
 	}
-	if deriv {
-		for k0 := 0; k0 < K; {
-			k1 := k0 + 1
-			for k1 < K && members[k1] == members[k0] {
-				k1++
-			}
-			atQ := 3 * aux.Shells[members[k0]].Atom
-			for p := range sp.Exps {
-				for k := k0; k < k1; k++ {
-					for cp := 0; cp < np; cp++ {
-						i := (p*K+k)*np + cp
-						if !rs.on[i] {
-							continue
-						}
-						for d, x := range rs.x[3*i:][:3] {
-							grad[3*sp.Atom+d] += x
-							grad[atQ+d] -= x
-						}
-					}
-				}
-			}
-			k0 = k1
-		}
-	}
-	return sc.blk
 }
 
 // ThreeCenter returns the three-center ERI tensor (μν|P) stored as
@@ -474,10 +467,15 @@ func ThreeCenterScreened(bs, aux *basis.Set, sw *linalg.Mat, thresh float64) *li
 // ThreeCenterDeriv accumulates factor·Σ_Pμν Z_Pμν ∂(μν|P)/∂R into grad.
 // Every unordered bra shell pair is visited once with the weight
 // Z_Pμν + Z_Pνμ (halved on a diagonal pair, which the two orientations
-// of its own block already cover twice): both bra-centre derivatives
-// come from one R cube by the raise/lower relation, and the
-// auxiliary-centre derivative is minus their sum by translational
-// invariance.
+// of its own block already cover twice). Per primitive pair and
+// component pair the weighted cubes of each auxiliary atom are summed
+// first: the atom's derivative is minus the bra's translation derivative
+// of its cube by translational invariance, and both bra-centre
+// derivatives come from the sum over the atoms by the raise/lower
+// relation. That order is not the one of a visit of one auxiliary
+// primitive at a time: the result agrees with that visit to rounding
+// (~1e-14 of the largest component on water clusters), not bit for bit,
+// and repeats bit for bit at a fixed GOMAXPROCS.
 func ThreeCenterDeriv(bs, aux *basis.Set, z *linalg.Tensor3, factor float64, grad []float64) {
 	ar := newAuxRuns(aux)
 	pairs := upperPairs(len(bs.Shells))
@@ -528,9 +526,13 @@ func (sc *eriScratch) gatherWeights(sa, sb *basis.Shell, aux *basis.Set, z *lina
 // primPairThresh is skipped; for every other one the bra Hermite tables
 // are built, and resolved per component pair (braComps), once for the
 // whole auxiliary loop. With grad nil the integrals (μν|P) are
-// accumulated into out(P, μ∈a, ν∈b); otherwise the derivative integrals
-// are contracted with the gathered weights and accumulated into grad on
-// the three atoms (derivRunPair).
+// accumulated into out(P, μ∈a, ν∈b). Otherwise each run's folded cubes,
+// each member's scaled by its prefactor through its Boys seeds, are
+// contracted with the gathered weights, over all members and ket
+// components, into one Hermite cube per component pair (weightRun),
+// summed over the runs of an auxiliary atom: at its last run the atom
+// takes minus the bra's translation derivative (auxAtomTerm), and after
+// the last run both bra centres take theirs from the sum over the atoms.
 func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, ar *auxRuns, out *linalg.Tensor3, grad []float64) {
 	aux, rs := ar.set, &sc.run
 	ncb := sb.NCart()
@@ -551,12 +553,17 @@ func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, ar *auxRuns, out *lin
 	for _, run := range ar.runs {
 		rs.gather(ar, run[0], run[1], sc.live)
 	}
+	if len(rs.batches) == 0 {
+		return
+	}
+	nc, n3 := sa.NCart()*ncb, nb*nb*nb
 	if deriv {
-		sc.stackWeights(sa.NCart()*ncb, aux)
+		sc.stackWeights(nc, aux)
+		// nc atom cubes, then nc totals; all zero between calls.
+		rs.cube = grow(rs.cube, 2*nc*n3)
 	} else {
 		// The values accumulate in sc.blk, each element starting from
 		// zero as out's does, and are stored once (storePair).
-		nc := sa.NCart() * ncb
 		sc.blk = grow(sc.blk, nc*aux.N)
 		for _, s := range rs.shell {
 			sp := &aux.Shells[s]
@@ -581,19 +588,25 @@ func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, ar *auxRuns, out *lin
 				bt := &rs.batches[ib]
 				K := bt.hi - bt.lo
 				members, prims := rs.shell[bt.lo:bt.hi], rs.prim[bt.lo:bt.hi]
-				alpha, pre := rs.alpha[:K], rs.pre[:K]
+				alpha, pre, scales := rs.alpha[:K], rs.pre[:K], []float64(nil)
 				for k, s := range members {
 					c := aux.Shells[s].Exps[prims[k]]
 					alpha[k] = pexp * c / (pexp + c)
 					pre[k] = twoERIPre / (pexp * c * math.Sqrt(pexp+c))
 				}
-				rs.r.fill(lbra+bt.l, alpha, pab[0]-bt.center[0], pab[1]-bt.center[1], pab[2]-bt.center[2])
-				g := sc.foldRun(lbra, bt)
 				if deriv {
-					sc.derivRunPair(sa, sb, a, b, bt, g, lbra, aux, grad)
+					scales = pre
+				}
+				rs.r.fill(lbra+bt.l, alpha, scales, pab[0]-bt.center[0], pab[1]-bt.center[1], pab[2]-bt.center[2])
+				g := sc.foldRun(lbra, bt)
+				nk := len(cart(bt.l))
+				if deriv {
+					weightRun(lbra, g, nk*K, rs.wk[bt.cc:], len(rs.cc), nc, rs.cube)
+					if ib+1 == len(rs.batches) || rs.batches[ib+1].atom != bt.atom {
+						sc.auxAtomTerm(bt.atom, nb, grad)
+					}
 					continue
 				}
-				nk := len(cart(bt.l))
 				cc := rs.cc[bt.cc:][:nk*K]
 				for i := range comps {
 					bc := &comps[i]
@@ -607,10 +620,47 @@ func (sc *eriScratch) threeCenterPair(sa, sb *basis.Shell, ar *auxRuns, out *lin
 					}
 				}
 			}
+			if !deriv {
+				continue
+			}
+			dA, dB := rs.dv[:3], rs.dv[3:6]
+			for i := range comps {
+				bc, tot := &comps[i], rs.cube[(nc+i)*n3:][:n3]
+				h := rs.axisSumsRun(&bc.e, tot, nb, 1)
+				bc.derivRun(0, a, &h, dA, rs.dv[6:7])
+				bc.derivRun(1, b, &h, dB, rs.dv[6:7])
+				for d := 0; d < 3; d++ {
+					grad[3*sa.Atom+d] += bc.cf * dA[d]
+					grad[3*sb.Atom+d] += bc.cf * dB[d]
+				}
+				clear(tot)
+			}
 		}
 	}
 	if !deriv {
 		sc.storePair(sa, sb, aux, out)
+	}
+}
+
+// auxAtomTerm adds to auxiliary atom atom the derivative, with respect
+// to its centre, of the atom cubes in sc.run.cube (its runs, summed):
+// minus the bra's translation derivative, whose Hermite shift h → h+e_d
+// is dot(e[d], h[d][1:]) over axisSumsRun's one-longer sums. It then
+// moves each atom cube into its component pair's total.
+func (sc *eriScratch) auxAtomTerm(atom, nb int, grad []float64) {
+	rs, nc, n3 := &sc.run, len(sc.comps), nb*nb*nb
+	for i := range sc.comps {
+		bc, g := &sc.comps[i], rs.cube[i*n3:][:n3]
+		h := rs.axisSumsRun(&bc.e, g, nb, 1)
+		for d := 0; d < 3; d++ {
+			dotRun(rs.dv[:1], bc.e[d], h[d][1:])
+			grad[3*atom+d] -= bc.cf * rs.dv[0]
+		}
+		tot := rs.cube[(nc+i)*n3:][:n3]
+		for j, v := range g {
+			tot[j] += v
+		}
+		clear(g)
 	}
 }
 
@@ -639,87 +689,22 @@ func (sc *eriScratch) storePair(sa, sb *basis.Shell, aux *basis.Set, out *linalg
 // stackWeights stacks the gathered weights of the bra shell pair's nc
 // component pairs like the contraction coefficients, once for all its
 // primitive pairs: member k of a batch gets rs.wk[i·ncc + cc + ck·K + k]
-// = w_{i,P}·c_P for its component ck, P = its function, and rs.on[i·nm +
-// lo + k] tells whether any of its w_{i,P} is non-zero.
+// = w_{i,P}·c_P for its component ck, P = its function.
 func (sc *eriScratch) stackWeights(nc int, aux *basis.Set) {
 	rs := &sc.run
-	ncc, nm := len(rs.cc), len(rs.shell)
-	rs.wk, rs.on = grow(rs.wk, nc*ncc), grow(rs.on, nc*nm)
+	ncc := len(rs.cc)
+	rs.wk = grow(rs.wk, nc*ncc)
 	for i := 0; i < nc; i++ {
 		w := sc.w[i*aux.N:]
 		for _, bt := range rs.batches {
 			K, nk := bt.hi-bt.lo, len(cart(bt.l))
 			cc, wk := rs.cc[bt.cc:][:nk*K], rs.wk[i*ncc+bt.cc:][:nk*K]
 			for k, s := range rs.shell[bt.lo:bt.hi] {
-				var weighted bool
 				for ck, P := 0, aux.Shells[s].Start; ck < nk; ck, P = ck+1, P+1 {
 					wk[ck*K+k] = w[P] * cc[ck*K+k]
-					weighted = weighted || w[P] != 0
 				}
-				rs.on[i*nm+bt.lo+k] = weighted
 			}
 		}
-	}
-}
-
-// derivRunPair contracts the derivative integrals of the current bra
-// primitive pair (exponents a, b; component pairs sc.comps) against the
-// members of batch bt, folded cubes g, with the gathered weights. Every
-// (member, component pair) is evaluated over the stacked columns; then
-// the contributions are added member by member, component pair by
-// component pair — the order of a visit of one auxiliary primitive at a
-// time — and flushed into grad on the three atoms after each auxiliary
-// shell, in shell order.
-func (sc *eriScratch) derivRunPair(sa, sb *basis.Shell, a, b float64, bt *runBatch, g []float64, lbra int, aux *basis.Set, grad []float64) {
-	rs, comps := &sc.run, sc.comps
-	K, nk, nc := bt.hi-bt.lo, len(cart(bt.l)), len(sc.comps)
-	members, ncc, nm := rs.shell[bt.lo:bt.hi], len(rs.cc), len(rs.shell)
-	rs.x, rs.dv = grow(rs.x, 6*K*nc), grow(rs.dv, 7*K)
-	dA, dB, tmp := rs.dv[:3*K], rs.dv[3*K:6*K], rs.dv[6*K:7*K]
-	for i := range comps {
-		bc := &comps[i]
-		wk := rs.wk[i*ncc+bt.cc:][:nk*K]
-		gw := g
-		if nk > 1 {
-			gw = rs.weightRun(lbra, nk, g, wk)
-		}
-		h := rs.axisSumsRun(&bc.e, gw, lbra+1, K)
-		bc.derivRun(0, a, &h, dA, tmp)
-		bc.derivRun(1, b, &h, dB, tmp)
-		for k := range members {
-			cf := bc.cf * rs.pre[k]
-			if nk == 1 {
-				cf *= wk[k]
-			}
-			x := rs.x[(k*nc+i)*6:][:6]
-			for d := 0; d < 3; d++ {
-				x[d] = cf * dA[d*K+k]
-				x[3+d] = cf * dB[d*K+k]
-			}
-		}
-	}
-	var gA, gB [3]float64
-	for k, s := range members {
-		for i := 0; i < nc; i++ {
-			if !rs.on[i*nm+bt.lo+k] {
-				continue
-			}
-			x := rs.x[(k*nc+i)*6:][:6]
-			for d := 0; d < 3; d++ {
-				gA[d] += x[d]
-				gB[d] += x[3+d]
-			}
-		}
-		if k+1 < K && members[k+1] == s {
-			continue
-		}
-		atP := 3 * aux.Shells[s].Atom
-		for d := 0; d < 3; d++ {
-			grad[3*sa.Atom+d] += gA[d]
-			grad[3*sb.Atom+d] += gB[d]
-			grad[atP+d] -= gA[d] + gB[d]
-		}
-		gA, gB = [3]float64{}, [3]float64{}
 	}
 }
 
@@ -820,7 +805,7 @@ func (ws *eriScratch) fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, n
 					}
 					alpha := [1]float64{pexp * qexp / (pexp + qexp)}
 					pre := twoERIPre / (pexp * qexp * math.Sqrt(pexp+qexp))
-					rs.r.fill(lbra+sc.L+sd.L, alpha[:], pab[0]-pcd[0], pab[1]-pcd[1], pab[2]-pcd[2])
+					rs.r.fill(lbra+sc.L+sd.L, alpha[:], nil, pab[0]-pcd[0], pab[1]-pcd[1], pab[2]-pcd[2])
 					ws.kets = ws.kets[:0]
 					for _, C := range compC {
 						for _, D := range compD {
@@ -850,11 +835,13 @@ func (ws *eriScratch) fourCenterBlock(sa, sb, sc, sd *basis.Shell, w4 func(mu, n
 						if !weighted {
 							continue
 						}
-						// A lone ket component is weighted after the dots,
-						// as derivRunPair weights a lone auxiliary one.
+						// A lone ket component is weighted after the dots.
 						gw := g
 						if nk > 1 {
-							gw = rs.weightRun(lbra, nk, g, rs.wk)
+							rs.gw = grow(rs.gw, nb*nb*nb)
+							clear(rs.gw)
+							weightRun(lbra, g, nk, rs.wk, nk, 1, rs.gw)
+							gw = rs.gw
 						} else {
 							cf *= rs.wk[0]
 						}

@@ -162,3 +162,43 @@ func BenchmarkRunLJBox(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/evals, "ns/polymer")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/evals, "B/polymer")
 }
+
+// sched.New's topology — polymers, templates, keys, touch sets and task
+// graph — is linear in the polymer count: the heap it retains per
+// polymer on the 16³ water box (about 64 k polymers) is at most 10 %
+// above that on the 8³ box (about 8 k), both with the ljbox8-dispatch
+// cutoffs. Both measured about 465 B per polymer.
+func TestTopologyBytesPerPolymerFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 16³ box enumerates 64 k polymers")
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	perPolymer := func(edge int) float64 {
+		f, err := fragment.ByMolecule(molecule.WaterBox(edge, edge, edge, 1), 3, 1, fragment.Options{
+			MaxOrder: 3, DimerCutoff: 10, TrimerCutoff: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := heap()
+		eng, err := New(f, &potential.LennardJones{}, Options{Workers: 2, Async: true, Dt: 0.5 * chem.AtomicTimePerFs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := int64(heap()) - int64(before)
+		n := len(eng.polymers)
+		runtime.KeepAlive(eng)
+		per := float64(retained) / float64(n)
+		t.Logf("%d³ box: %d polymers, %.0f B retained per polymer", edge, n, per)
+		return per
+	}
+	small, large := perPolymer(8), perPolymer(16)
+	if large > 1.10*small {
+		t.Errorf("sched.New retains %.0f B per polymer on the 16³ box, %.0f B on the 8³: want ≤ 1.10×", large, small)
+	}
+}
