@@ -39,7 +39,7 @@
 //
 // Warm start (-warm) enables incremental evaluation across MD steps:
 // each polymer's converged density becomes its next SCF guess (exact;
-// fewer iterations, every polymer still evaluated every step). -mode
+// fewer iterations, every task still evaluated every step). -mode
 // bench runs the same trajectory cold and warm and reports
 // SCF-iterations-per-step and wall-per-step for both.
 //

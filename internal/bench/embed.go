@@ -85,8 +85,14 @@ func Embed(c *Config) {
 		return
 	}
 	lj := &potential.LennardJones{Charges: map[int]float64{1: 0.2, 8: -0.4}, Delay: 2e-4}
-	c.printf("EE-MBE scheduling cost: %d waters, %d polymers, %d steps (LJ surrogate)\n",
-		nWaters, len(f.Terms().All()), steps)
+	opts := sched.Options{Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
+	eng, err := sched.New(f, lj, opts)
+	if err != nil {
+		c.fail("embed: " + err.Error())
+		return
+	}
+	c.printf("EE-MBE scheduling cost: %d waters, %d polymers (%d with a non-zero coefficient, dispatched), %d steps (LJ surrogate)\n",
+		nWaters, len(f.Terms().All()), eng.Graph().NPoly(), steps)
 	c.printf("  %-14s %12s %14s\n", "mode", "wall/step", "vs vacuum")
 	var vacuumPerStep float64
 	for _, mode := range []struct {
@@ -98,9 +104,8 @@ func Embed(c *Config) {
 		{"embedded+scc", &fragment.EmbedOptions{SCC: 1, Damping: 0.3}},
 	} {
 		// Started at rest: 0 K samples zero velocities.
-		_, wall, err := trajectory(f, lj, sched.Options{
-			Async: true, Dt: 0.5 * chem.AtomicTimePerFs, Embed: mode.embed,
-		}, steps, 0, 0)
+		opts.Embed = mode.embed
+		_, wall, err := trajectory(f, lj, opts, steps, 0, 0)
 		if err != nil {
 			c.fail("embed: " + err.Error())
 			return

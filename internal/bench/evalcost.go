@@ -53,7 +53,7 @@ type EvalCostReport struct {
 // potential.RIMP2 without a warm-start guess — and totals their SCF and
 // Z-vector iterations, keeping each RI metric so the dropped directions
 // can be counted after the measurement. It is a fragment.Evaluator, so
-// the engine row runs it on every polymer, concurrently.
+// the engine row runs it on every task of the step, concurrently.
 type evalCounter struct {
 	basis string
 
@@ -113,7 +113,9 @@ type evalCase struct {
 // evalCases are the rows: one cold RI-MP2 gradient of the dzp water
 // monomer, dimer and trimer and of the sto-3g trimer of the repository
 // benchmark, and one cold MBE3 engine step of the dzp trimer on two
-// workers (three monomers, three dimers, one trimer).
+// workers. Of its seven polymers only the trimer has a non-zero MBE
+// coefficient, so the step evaluates the trimer alone and the row's
+// counts equal dzp-water3's.
 func evalCases() []evalCase {
 	gradient := func(n int) func(*evalCounter) error {
 		return func(ec *evalCounter) error {

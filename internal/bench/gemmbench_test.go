@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -146,6 +147,47 @@ func TestCompareGemmReportsDeriv3cRatioGate(t *testing.T) {
 	bad := CompareGemmReports(base, report(0.09, 0.06), 25)
 	if len(bad) != 1 || !strings.Contains(bad[0], "deriv3c/fockdirect ratio regressed") {
 		t.Fatalf("want 1 deriv3c/fockdirect ratio violation, got %v", bad)
+	}
+}
+
+// The deriv3c/fockdirect ratio is the median of per-pair speedups: one
+// pair caught in a slow phase of the machine moves one ratio, not the
+// gate's number, and the inputs keep their order.
+func TestMedianPairRatio(t *testing.T) {
+	deriv := []float64{0.030, 0.031, 0.090, 0.029, 0.030} // pair 2: deriv3c slowed 3×
+	fock := []float64{1.20, 1.24, 1.20, 1.16, 3.00}       // pair 4: fockdirect slowed 2.5×
+	if got := medianPairRatio(fock, deriv); math.Abs(got-40) > 1e-12 {
+		t.Errorf("median pair ratio %.6f, want 40 (pairs 40, 40, 13.3, 40, 100)", got)
+	}
+	if deriv[2] != 0.090 || fock[4] != 3.00 {
+		t.Error("medianPairRatio reordered its inputs")
+	}
+	if got := median([]float64{3, 1, 4, 2}); got != 2.5 {
+		t.Errorf("median of an even count %.3f, want the mean of the middle two, 2.5", got)
+	}
+	if got := median([]float64{5}); got != 5 {
+		t.Errorf("median of one value %.3f, want 5", got)
+	}
+}
+
+// A row with a paired Ratio is gated on it, not on the ratio of the two
+// rows' GFLOP/s — which, when the rows' medians come from different
+// pairs, can say something else — and the baseline without one keeps its
+// GFLOP/s ratio, so the floor is the same as before pairing.
+func TestCompareGemmReportsPairedRatio(t *testing.T) {
+	row := func(derivGF, fockGF, ratio float64) *GemmBenchReport {
+		return &GemmBenchReport{ReportHeader: ReportHeader{Schema: GemmBenchSchema}, Rows: []GemmBenchRow{
+			{Name: "water3", Kernel: "deriv3c", Seconds: 1, GFLOPS: derivGF, Tracked: true, Ratio: ratio},
+			{Name: "water3", Kernel: "fockdirect", Seconds: 1, GFLOPS: fockGF},
+		}}
+	}
+	base := row(0.06, 0.02, 0) // 3×, floor 2.25× at 25 %
+	if bad := CompareGemmReports(base, row(0.06, 0.04, 2.9), 25); len(bad) != 0 {
+		t.Fatalf("paired ratio 2.9× above the floor flagged: %v", bad)
+	}
+	bad := CompareGemmReports(base, row(0.06, 0.01, 2.0), 25)
+	if len(bad) != 1 || !strings.Contains(bad[0], "ratio regressed: 2.00x < floor 2.25x") {
+		t.Fatalf("want the paired 2.00× ratio flagged against the 2.25× floor, got %v", bad)
 	}
 }
 

@@ -94,12 +94,17 @@ func NetCoord(c *Config) {
 		return
 	}
 	defer release()
-	_, wall, err := trajectory(f, nil, opts, steps, 150, 1)
+	stats, wall, err := trajectory(f, nil, opts, steps, 150, 1)
 	if err != nil {
 		c.fail("netcoord: " + err.Error())
 		return
 	}
-	tasks := nPoly * steps
+	// The engine dispatches the polymers of its task graph — those with a
+	// non-zero MBE coefficient — every step.
+	tasks := 0
+	for _, st := range stats {
+		tasks += st.NPolymer
+	}
 	measured := float64(tasks) / wall
 
 	// Simulated half: the same workload under the same policy on a
@@ -138,8 +143,8 @@ func NetCoord(c *Config) {
 	}
 
 	c.printf("Network backend A/B oracle — live localhost TCP vs calibrated simulation\n")
-	c.printf("  workload              %d waters, %d polymers (sim enumerated %d), %d steps\n",
-		waters, nPoly, len(w.Polymers), steps)
+	c.printf("  workload              %d waters, %d polymers (sim enumerated %d), %d tasks per step (sim %d), %d steps\n",
+		waters, nPoly, len(w.Polymers), stats[0].NPolymer, res.NPolymers, steps)
 	c.printf("  fleet                 %d worker processes × %d slots, monomer task %s\n",
 		procs, slots, perMonomer)
 	c.printf("  live evaluations      %d (%d dispatched tasks) in %.2f s\n",
@@ -151,6 +156,9 @@ func NetCoord(c *Config) {
 	c.printf("  predicted/measured    %8.2f×\n", ratio)
 	if len(w.Polymers) != nPoly {
 		c.fail("netcoord: simulated workload enumerates a different polymer set than the live fragmentation")
+	}
+	if res.NPolymers*steps != tasks {
+		c.fail("netcoord: simulated workload keeps a different task set than the live engine")
 	}
 	// The simulator knows nothing about gob encoding, kernel scheduling
 	// of sleeping goroutines, or localhost RTTs, so the gate is a

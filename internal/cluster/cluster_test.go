@@ -263,10 +263,9 @@ func TestFibrilBondedDependencies(t *testing.T) {
 	// Interior residues must have two bonded neighbours feeding their
 	// touch sets.
 	found := false
-	for pi, p := range w.Polymers {
+	for pi, p := range w.Tasks() {
 		if p.Order == 1 && len(w.Graph().Touch[pi]) >= 3 {
 			found = true
-			_ = p
 			break
 		}
 	}

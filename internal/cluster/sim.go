@@ -85,7 +85,7 @@ type Result struct {
 	TotalFLOPs   float64
 	PFLOPS       float64 // sustained TotalFLOPs / Makespan
 	PeakFraction float64 // PFLOPS / machine sustained peak at this node count
-	NPolymers    int
+	NPolymers    int     // tasks per step: the polymers with a non-zero MBE coefficient (Workload.Tasks)
 
 	// Coordination diagnostics of the hierarchical scheduler.
 	CoordBusy  float64 // seconds the serialised super-coordinator was occupied
@@ -157,7 +157,7 @@ func Simulate(w *Workload, m Machine, opt Options) (*Result, error) {
 		return nil, errors.New("cluster: MTBF failures need a positive MaxRetries budget")
 	}
 	nWorkers := opt.Nodes * m.GCDsPerNode
-	nPoly := len(w.Polymers)
+	nPoly := len(w.Tasks())
 
 	pol, err := coord.NewPolicy(w.Graph(), coord.Options{
 		Steps: opt.Steps, Workers: nWorkers, Sync: !opt.Async,
@@ -173,7 +173,7 @@ func Simulate(w *Workload, m Machine, opt Options) (*Result, error) {
 	// Per-polymer cost (static workload: same every step).
 	secs := make([]float64, nPoly)
 	flops := make([]float64, nPoly)
-	for pi, p := range w.Polymers {
+	for pi, p := range w.Tasks() {
 		nbf, nocc, naux := w.Size(p)
 		secs[pi], flops[pi] = m.Seconds(nbf, nocc, naux)
 	}

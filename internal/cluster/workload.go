@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/neighbor"
@@ -33,18 +35,25 @@ func (p Polymer) members() []int32 { return p.M[:p.Order] }
 // the cutoffs, and the dependency metadata the simulator needs.
 type Workload struct {
 	Monomers  []MonomerSpec
-	Polymers  []Polymer
-	DimerCut  float64 // Å
-	TrimerCut float64 // Å
+	Polymers  []Polymer // the whole enumeration: monomers, dimers, then trimers
+	DimerCut  float64   // Å
+	TrimerCut float64   // Å
 
-	graph   *coord.Graph // shared scheduling task graph (internal/coord)
+	tasks   []Polymer    // the polymers whose MBE coefficient is non-zero, in Polymers order
+	graph   *coord.Graph // shared scheduling task graph (internal/coord), one node per task
 	refMono int
 }
 
 // Graph returns the workload's scheduling task graph in the shared
-// internal/coord representation: per-polymer members, dependency touch
+// internal/coord representation: per-task members, dependency touch
 // sets (members ∪ bonded neighbours) and queue priorities.
 func (w *Workload) Graph() *coord.Graph { return w.graph }
+
+// Tasks returns the polymers the simulator evaluates every step, indexed
+// like Graph: those of Polymers whose MBE coefficient
+// (coord.Coefficients) is non-zero — the set the live engine dispatches.
+// The slice is the workload's own; callers must not modify it.
+func (w *Workload) Tasks() []Polymer { return w.tasks }
 
 // RefMono returns the reference monomer the queue priorities are
 // anchored to (the monomer farthest from the system centroid).
@@ -54,36 +63,85 @@ func (w *Workload) RefMono() int { return w.refMono }
 // whose three pairwise centroid distances are within trimerCut through
 // the shared cell list (internal/neighbor; the full 2M-electron
 // workloads have >10⁴ monomers and >10⁶ polymers). A trimerCut ≤ 0
-// means no trimers.
+// means no trimers. When trimerCut exceeds dimerCut, a trimer's dimers
+// outside the dimer cutoff follow the dimers in lexicographic order, as
+// fragment.Terms' extra dimers do: evaluated for the trimer's ΔE, no
+// term of their own.
 func NewWorkload(monomers []MonomerSpec, dimerCut, trimerCut float64) *Workload {
 	w := &Workload{Monomers: monomers, DimerCut: dimerCut, TrimerCut: trimerCut}
-	centroids := make([][3]float64, len(monomers))
+	n := len(monomers)
+	centroids := make([][3]float64, n)
 	for i, m := range monomers {
 		centroids[i] = m.Centroid
 		w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i)}, Order: 1})
 	}
 	nb := neighbor.New(centroids)
+	var dimers [][2]int32 // lexicographic, as neighbor yields them
 	nb.Pairs(dimerCut, func(i, j int) bool {
-		w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i), int32(j)}, Order: 2})
+		dimers = append(dimers, [2]int32{int32(i), int32(j)})
 		return true
 	})
+	var trimers [][3]int32
 	if trimerCut > 0 {
 		nb.Triples(trimerCut, func(i, j, k int) bool {
-			w.Polymers = append(w.Polymers, Polymer{M: [3]int32{int32(i), int32(j), int32(k)}, Order: 3})
+			trimers = append(trimers, [3]int32{int32(i), int32(j), int32(k)})
 			return true
 		})
+	}
+	sub := func(tr [3]int32) [3][2]int32 {
+		return [3][2]int32{{tr[0], tr[1]}, {tr[0], tr[2]}, {tr[1], tr[2]}}
+	}
+	comparePair := func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
+	termDimers := len(dimers)
+	// find returns d's position in dimers: the in-cutoff dimers and the
+	// extra ones are each sorted.
+	find := func(d [2]int32) (int, bool) {
+		if i, ok := slices.BinarySearchFunc(dimers[:termDimers], d, comparePair); ok {
+			return i, true
+		}
+		i, ok := slices.BinarySearchFunc(dimers[termDimers:], d, comparePair)
+		return termDimers + i, ok
+	}
+	var extra [][2]int32
+	for _, tr := range trimers {
+		for _, d := range sub(tr) {
+			if _, ok := find(d); !ok {
+				extra = append(extra, d)
+			}
+		}
+	}
+	slices.SortFunc(extra, comparePair)
+	dimers = append(dimers, slices.Compact(extra)...)
+	triDimers := make([][3]int32, len(trimers))
+	for x, tr := range trimers {
+		for k, d := range sub(tr) {
+			i, _ := find(d)
+			triDimers[x][k] = int32(n + i)
+		}
+	}
+	for _, d := range dimers {
+		w.Polymers = append(w.Polymers, Polymer{M: [3]int32{d[0], d[1]}, Order: 2})
+	}
+	for _, tr := range trimers {
+		w.Polymers = append(w.Polymers, Polymer{M: tr, Order: 3})
+	}
+	coeff := coord.Coefficients(n, dimers, termDimers, trimers, triDimers)
+	for pi, p := range w.Polymers {
+		if coeff[pi] != 0 {
+			w.tasks = append(w.tasks, p)
+		}
 	}
 	w.buildDependencies()
 	return w
 }
 
-// buildDependencies computes touch sets, queue priorities and the
-// reference monomer, assembling the shared internal/coord task graph.
+// buildDependencies computes the tasks' touch sets, queue priorities and
+// the reference monomer, assembling the shared internal/coord task graph.
 func (w *Workload) buildDependencies() {
 	n := len(w.Monomers)
-	members := make([][]int32, len(w.Polymers))
-	touch := make([][]int32, len(w.Polymers))
-	for pi, p := range w.Polymers {
+	members := make([][]int32, len(w.tasks))
+	touch := make([][]int32, len(w.tasks))
+	for pi, p := range w.tasks {
 		members[pi] = p.members()
 		seen := map[int32]bool{}
 		var t []int32

@@ -75,7 +75,12 @@ type Graph struct {
 }
 
 // NewGraph validates the inputs and computes the monomer→polymer
-// reverse index.
+// reverse index. Every monomer must be touched by some polymer: a
+// monomer advances when the last polymer touching it completes, so an
+// untouched one would never advance and would stall every polymer it
+// belongs to at the next step. Dropping the zero-coefficient polymers
+// of an MBE enumeration (Coefficients) always leaves one, because the
+// coefficients of the polymers containing a monomer sum to 1.
 func NewGraph(nMono int, members, touch [][]int32, dist []float64) (*Graph, error) {
 	if len(members) != len(touch) || len(members) != len(dist) {
 		return nil, fmt.Errorf("coord: %d members, %d touch sets, %d priorities — lengths must match",
@@ -95,6 +100,11 @@ func NewGraph(nMono int, members, touch [][]int32, dist []float64) (*Graph, erro
 				return nil, fmt.Errorf("coord: polymer %d touches monomer %d outside 0..%d", pi, mi, nMono-1)
 			}
 			g.Touching[mi] = append(g.Touching[mi], int32(pi))
+		}
+	}
+	for mi, ps := range g.Touching {
+		if len(ps) == 0 {
+			return nil, fmt.Errorf("coord: monomer %d is touched by no polymer and could never advance", mi)
 		}
 	}
 	order := make([]int32, len(members))
@@ -125,6 +135,43 @@ func (g *Graph) before(a, b int32) bool {
 		}
 	}
 	return false
+}
+
+// Coefficients applies the truncated many-body expansion's counting
+// rule to an enumeration laid out in index order: nMono monomers (index
+// m is monomer m), then dimers, then trimers. Every term of the
+// expansion — each monomer, each of the first termDimers dimers (those
+// within the dimer cutoff) and each trimer — counts +1 on itself, −1 on
+// each of its sub-polymers one order down and +1 on each two orders
+// down; the dimers past termDimers are sub-dimers of trimers only and
+// are no term of their own. dimers[x] holds dimer x's monomers,
+// trimers[x] trimer x's, and triDimers[x] the indices of trimer x's
+// three sub-dimers in the full index. E_MBE = Σ_i c_i·E_i. Each c_i is
+// a sum of ±1, so it is exact in any order, and the coefficients of the
+// polymers containing one monomer sum to exactly 1. A polymer whose
+// coefficient is 0 contributes nothing to the energy or the gradient,
+// and both backends build their task graph from the others only.
+func Coefficients(nMono int, dimers [][2]int32, termDimers int, trimers, triDimers [][3]int32) []float64 {
+	c := make([]float64, nMono+len(dimers)+len(trimers))
+	for m := 0; m < nMono; m++ {
+		c[m] = 1
+	}
+	for x, d := range dimers[:termDimers] {
+		c[nMono+x]++
+		c[d[0]]--
+		c[d[1]]--
+	}
+	t0 := nMono + len(dimers)
+	for x, tr := range trimers {
+		c[t0+x]++
+		for _, d := range triDimers[x] {
+			c[d]--
+		}
+		for _, m := range tr {
+			c[m]++
+		}
+	}
+	return c
 }
 
 // NPoly returns the number of polymers.

@@ -2,6 +2,8 @@ package coord
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -280,6 +282,34 @@ func TestGroupOf(t *testing.T) {
 	}
 }
 
+// The counting rule on the small expansions whose coefficients are known
+// by hand: three monomers under MBE3 and two under MBE2 leave only the
+// full system, and a trimer whose dimer 0–2 lies outside the dimer
+// cutoff gives that extra dimer −1 and keeps monomers 0 and 2.
+func TestCoefficients(t *testing.T) {
+	pairs := [][2]int32{{0, 1}, {0, 2}, {1, 2}}
+	tri := [][3]int32{{0, 1, 2}}
+	for _, tc := range []struct {
+		name      string
+		nMono     int
+		dimers    [][2]int32
+		term      int
+		trimers   [][3]int32
+		triDimers [][3]int32
+		want      []float64
+	}{
+		{"mbe3-three", 3, pairs, 3, tri, [][3]int32{{3, 4, 5}}, []float64{0, 0, 0, 0, 0, 0, 1}},
+		{"mbe2-two", 2, pairs[:1], 1, nil, nil, []float64{0, 0, 1}},
+		{"extra-dimer", 3, [][2]int32{{0, 1}, {1, 2}, {0, 2}}, 2, tri, [][3]int32{{3, 5, 4}},
+			[]float64{1, 0, 1, 0, 0, -1, 1}},
+	} {
+		got := Coefficients(tc.nMono, tc.dimers, tc.term, tc.trimers, tc.triDimers)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: coefficients %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestPolicyValidation(t *testing.T) {
 	g := chainGraph(t, 2, false)
 	if _, err := NewPolicy(g, Options{Steps: 0, Workers: 1}); err == nil {
@@ -302,6 +332,12 @@ func TestPolicyValidation(t *testing.T) {
 	}
 	if _, err := NewGraph(1, [][]int32{{}}, [][]int32{{0}}, []float64{0}); err == nil {
 		t.Error("expected empty-polymer error")
+	}
+	// Monomer 1 is in no touch set, so it could never advance and every
+	// polymer containing it would wait forever.
+	if _, err := NewGraph(3, [][]int32{{0}, {2}}, [][]int32{{0}, {2}}, []float64{0, 1}); err == nil ||
+		!strings.Contains(err.Error(), "monomer 1 is touched by no polymer") {
+		t.Errorf("expected untouched-monomer error, got %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package coord_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/chem"
@@ -141,5 +142,53 @@ func TestLiveAndSimulatedBackendsDispatchIdentically(t *testing.T) {
 		}
 		t.Logf("%s: %d dispatches identical across backends (%d live ones behind another in a hand-off)",
 			cfg.name, len(live), eng.RunStats().Coalesced)
+	}
+}
+
+// Both backends apply one counting rule (coord.Coefficients) to their
+// own enumeration and drop the same zero-coefficient polymers, with the
+// trimer cutoff below the dimer cutoff and above it (where a trimer's
+// far dimer is evaluated but is no term of its own).
+func TestBackendsDropTheSameZeroCoefficientPolymers(t *testing.T) {
+	g := molecule.WaterCluster(7)
+	for _, cut := range [][2]float64{{12, 9}, {6, 8}} {
+		f, err := fragment.ByMolecule(g, 3, 1, fragment.Options{DimerCutoff: cut[0], TrimerCutoff: cut[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var specs []cluster.MonomerSpec
+		for mi := range f.Monomers {
+			specs = append(specs, cluster.MonomerSpec{Centroid: f.Centroid(mi), Atoms: 3, NBf: 13, NOcc: 5, NAux: 42})
+		}
+		w := cluster.NewWorkload(specs, cut[0], cut[1])
+		terms := f.Terms()
+		var live, liveTasks []string
+		for i, p := range terms.All() {
+			live = append(live, fmt.Sprint(p.Monomers))
+			if terms.Coeff(i) != 0 {
+				liveTasks = append(liveTasks, fmt.Sprint(p.Monomers))
+			}
+		}
+		name := func(ps []cluster.Polymer) []string {
+			var out []string
+			for _, p := range ps {
+				ms := make([]int, p.Order)
+				for k := range ms {
+					ms[k] = int(p.M[k])
+				}
+				out = append(out, fmt.Sprint(ms))
+			}
+			return out
+		}
+		if sim := name(w.Polymers); !slices.Equal(sim, live) {
+			t.Errorf("cutoffs %v: simulator enumerates %d polymers, fragmentation %d", cut, len(sim), len(live))
+		}
+		if sim := name(w.Tasks()); !slices.Equal(sim, liveTasks) {
+			t.Errorf("cutoffs %v: simulator keeps %d tasks, fragmentation %d", cut, len(sim), len(liveTasks))
+		}
+		if len(liveTasks) == len(live) {
+			t.Errorf("cutoffs %v: no polymer has coefficient 0 — the comparison covers no pruning", cut)
+		}
+		t.Logf("cutoffs %v: %d of %d polymers are tasks in both backends", cut, len(liveTasks), len(live))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
@@ -86,8 +87,10 @@ type Terms struct {
 	triDimers [][3]int  // per trimer: indices of its dimers IJ, IK, JK
 }
 
-// All returns every polymer requiring evaluation, in index order:
-// monomers, dimers (included + extra), then trimers. The slice is the
+// All returns every polymer of the expansion, in index order:
+// monomers, dimers (included + extra), then trimers, those whose
+// coefficient is 0 included (the engine never evaluates them; the
+// serial assembly does, for the ΔE bookkeeping). The slice is the
 // graph's own; callers must not modify it.
 func (t *Terms) All() []Polymer { return t.all }
 
@@ -95,8 +98,11 @@ func (t *Terms) All() []Polymer { return t.all }
 // E_MBE = Σ_i Coeff(i)·E_i. Monomers start at 1 and are decremented by
 // their dimer and incremented by their trimer memberships; dimers in
 // cutoff get +1 and −1 per containing trimer; extra dimers get −1 per
-// containing trimer only; trimers get +1. Every coefficient is a sum of
-// ±1, so it is exact whatever the order of the sum.
+// containing trimer only; trimers get +1 — coord.Coefficients, the rule
+// the cluster simulator applies to its own enumeration. Every
+// coefficient is a sum of ±1, so it is exact whatever the order of the
+// sum, and it is often exactly 0 (for three monomers under MBE3, every
+// monomer and dimer): such a polymer is no task of the engine.
 func (t *Terms) Coeff(i int) float64 { return t.coeff[i] }
 
 // Coefficients returns Coeff keyed by Polymer.Key, the key that also
@@ -186,25 +192,18 @@ func (f *Fragmentation) Terms() *Terms {
 	t.all = append(t.all, t.Dimers...)
 	t.all = append(t.all, t.ExtraDimers...)
 	t.all = append(t.all, t.Trimers...)
-	t.coeff = make([]float64, len(t.all))
-	for m := range t.Monomers {
-		t.coeff[m] = 1
+	dimers := make([][2]int32, 0, len(t.Dimers)+len(t.ExtraDimers))
+	for _, d := range t.all[n : n+len(t.Dimers)+len(t.ExtraDimers)] {
+		dimers = append(dimers, [2]int32{int32(d.Monomers[0]), int32(d.Monomers[1])})
 	}
-	for x, d := range t.Dimers {
-		t.coeff[n+x]++
-		t.coeff[d.Monomers[0]]--
-		t.coeff[d.Monomers[1]]--
-	}
-	t0 := len(t.all) - len(t.Trimers)
+	trimers := make([][3]int32, len(t.Trimers))
+	triDimers := make([][3]int32, len(t.Trimers))
 	for x, tr := range t.Trimers {
-		t.coeff[t0+x]++
-		for _, d := range t.triDimers[x] {
-			t.coeff[d]--
-		}
-		for _, m := range tr.Monomers {
-			t.coeff[m]++
+		for k := range 3 {
+			trimers[x][k], triDimers[x][k] = int32(tr.Monomers[k]), int32(t.triDimers[x][k])
 		}
 	}
+	t.coeff = coord.Coefficients(n, dimers, len(t.Dimers), trimers, triDimers)
 	return t
 }
 
@@ -254,12 +253,13 @@ func (f *Fragmentation) ComputeWithCache(eval Evaluator, cache *warmstart.Cache)
 
 // assemble is the serial assembly of ComputeWithCache and
 // ComputeEmbedded. It evaluates every polymer of f.Terms() in index
-// order through evaluate, which returns the polymer's energy, fragment
-// gradient, embedding field (nil in vacuum), field-site gradient and
-// SCF iterations. Each result is folded with its coefficient as it
-// arrives, and the ΔE bookkeeping is filled at the end. res carries
-// whatever the caller set before the call (embedding charges, phase-1
-// SCF iterations).
+// order through evaluate — zero-coefficient ones too, because
+// DeltaDimer and DeltaTri read their energies — which returns the
+// polymer's energy, fragment gradient, embedding field (nil in vacuum),
+// field-site gradient and SCF iterations. Each result is folded with
+// its coefficient as it arrives, and the ΔE bookkeeping is filled at
+// the end. res carries whatever the caller set before the call
+// (embedding charges, phase-1 SCF iterations).
 func (f *Fragmentation) assemble(res *Result, evaluate func(key string, p Polymer, g *molecule.Geometry) (e float64, grad []float64, fl *Field, fieldGrad []float64, iters int, err error)) (*Result, error) {
 	terms := f.Terms()
 	all := terms.All()

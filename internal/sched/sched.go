@@ -84,8 +84,8 @@ type Options struct {
 	// Embed engages electrostatically embedded MBE (EE-MBE): every
 	// step first derives monomer charges (1 + Embed.SCC rounds of
 	// per-monomer charge tasks — a real barrier in the task graph),
-	// then evaluates every polymer in the resulting field, with field
-	// forces folded back onto the parent atoms. Requires the evaluator
+	// then evaluates every task's polymer in the resulting field, with
+	// field forces folded back onto the parent atoms. Requires the evaluator
 	// to implement fragment.EmbeddedEvaluator and fragment.ChargeSource.
 	// Embed.SCCTol is ignored here (the engine's task graph is static,
 	// so all SCC rounds always run); use the serial
@@ -136,11 +136,11 @@ type StepStats struct {
 	Ekin     float64
 	Etot     float64
 	Wall     time.Duration // first dispatch → last result of this step
-	NPolymer int
+	NPolymer int           // tasks per step: the polymers whose MBE coefficient is non-zero
 	// SCFIters totals SCF iterations across this step's polymer and
 	// charge-task evaluations (0 for stateless evaluators).
 	SCFIters int
-	// Skipped is always 0: every polymer is evaluated at every step.
+	// Skipped is always 0: every task is evaluated at every step.
 	// The field is kept for the benchmark harness, which reads it.
 	Skipped int
 	// Drift is the total-energy drift E_tot(t) − E_tot(0) of this
@@ -213,12 +213,16 @@ type Engine struct {
 }
 
 // topology is what an engine precomputes from the fragmentation alone:
-// read-only during a run, so engines made by With share it.
+// read-only during a run, so engines made by With share it. Its tasks
+// are the polymers of the MBE term graph whose coefficient is non-zero,
+// in Terms index order; a task index (coord.Task.Poly) is a position in
+// polymers, and term maps it back to the Terms index.
 type topology struct {
-	terms     *fragment.Terms      // the MBE term graph; polymer index = Terms index
-	polymers  []fragment.Polymer   // terms.All()
-	templates []*fragment.Template // per polymer index: extraction template, built once
-	keys      []string             // per polymer index: Polymer.Key, formatted once
+	terms     *fragment.Terms      // the MBE term graph
+	term      []int                // per task: its polymer's Terms index (non-zero Coeff)
+	polymers  []fragment.Polymer   // per task: its polymer
+	templates []*fragment.Template // per task: extraction template, built once
+	keys      []string             // per task: Polymer.Key, formatted once
 	graph     *coord.Graph
 	refMono   int
 
@@ -333,10 +337,18 @@ func (e *Engine) With(opts Options) (*Engine, error) {
 	return c, nil
 }
 
-// newTopology builds f's engine topology for the validated opts.
+// newTopology builds f's engine topology for the validated opts. A
+// polymer whose MBE coefficient is 0 would only ever add ±0 to the
+// energy and the gradient, so it is no task: it is never extracted,
+// evaluated or waited for.
 func newTopology(f *fragment.Fragmentation, opts Options) (*topology, error) {
 	e := &topology{terms: f.Terms()}
-	e.polymers = e.terms.All()
+	for i, p := range e.terms.All() {
+		if e.terms.Coeff(i) != 0 {
+			e.term = append(e.term, i)
+			e.polymers = append(e.polymers, p)
+		}
+	}
 	e.templates = make([]*fragment.Template, len(e.polymers))
 	e.keys = make([]string, len(e.polymers))
 	members := make([][]int32, len(e.polymers))
@@ -864,7 +876,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 				}
 				return done, nil
 			}
-			c := e.terms.Coeff(int(r.Task.Poly))
+			c := e.terms.Coeff(e.term[r.Task.Poly])
 			epotStep[t] += c * r.E
 			r.ex.FoldGradient(r.Grad, c, stepGrad(t))
 			r.field.FoldGradient(r.FieldGrad, c, stepGrad(t))
@@ -893,8 +905,9 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 			}
 			st.Drift = st.Etot - e0
 			// A step finalizes inside the Completion of its last result:
-			// every monomer is itself a polymer of the step and advances
-			// only once the last polymer touching it has completed.
+			// every monomer is touched by some task of the step
+			// (coord.NewGraph checks it) and advances only once the last
+			// task touching it has completed.
 			if !firstDispatch[t].IsZero() {
 				st.Wall = time.Since(firstDispatch[t])
 			}

@@ -2,11 +2,13 @@ package sched
 
 import (
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/fragmd/fragmd/internal/chem"
@@ -56,6 +58,93 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 	}
 	if math.Abs(stats[0].Epot-ref.Energy) > 1e-10 {
 		t.Errorf("step-0 Epot %.12f != serial MBE %.12f", stats[0].Epot, ref.Energy)
+	}
+}
+
+// countingEval counts the evaluations it passes on, by atom count.
+type countingEval struct {
+	fragment.Evaluator
+	mu    sync.Mutex
+	calls map[int]int
+}
+
+func (c *countingEval) Evaluate(g *molecule.Geometry) (float64, []float64, error) {
+	c.mu.Lock()
+	c.calls[g.N()]++
+	c.mu.Unlock()
+	return c.Evaluator.Evaluate(g)
+}
+
+// A polymer whose MBE coefficient is 0 is no task: on two waters under
+// MBE2 and three under MBE3 the engine evaluates the full system alone,
+// dispatches exactly the non-zero-coefficient polymers, and still gives
+// the serial reference's energy and forces, which evaluates them all.
+func TestEngineDispatchesOnlyNonZeroCoefficients(t *testing.T) {
+	for _, tc := range []struct {
+		nWater, order, polymers int
+	}{{2, 2, 3}, {3, 3, 7}} {
+		f := ljFrag(t, tc.nWater, fragment.Options{MaxOrder: tc.order})
+		lj := &potential.LennardJones{Charges: map[int]float64{1: 0.2, 8: -0.4}}
+		ref, err := f.Compute(lj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{}
+		for i, p := range ref.Terms.All() {
+			if ref.Terms.Coeff(i) != 0 {
+				want[p.Key()] = true
+			}
+		}
+		if len(want) != 1 || len(ref.Terms.All()) != tc.polymers {
+			t.Fatalf("%d waters: %d of %d polymers have a non-zero coefficient, want the full system alone",
+				tc.nWater, len(want), len(ref.Terms.All()))
+		}
+		ev := &countingEval{Evaluator: lj, calls: map[int]int{}}
+		got := map[string]bool{}
+		var eng *Engine
+		eng, err = New(f, ev, Options{Workers: 2, Async: true, Dt: dtFs * chem.AtomicTimePerFs,
+			TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) { got[eng.polymers[tk.Poly].Key()] = true },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := newLJState(f, 1)
+		if _, err := eng.Run(state, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%d waters: dispatched %v, want the non-zero-coefficient set %v", tc.nWater, got, want)
+		}
+		if n := 3 * tc.nWater; len(ev.calls) != 1 || ev.calls[n] != 1 {
+			t.Errorf("%d waters: evaluations by atom count %v, want one of %d atoms", tc.nWater, ev.calls, n)
+		}
+		if d := math.Abs(state.Forces.Epot - ref.Energy); d > 1e-10 {
+			t.Errorf("%d waters: Epot %.12f, serial MBE %.12f", tc.nWater, state.Forces.Epot, ref.Energy)
+		}
+		for i, g := range ref.Gradient {
+			if d := math.Abs(state.Forces.Grad[i] - g); d > 1e-10 {
+				t.Fatalf("%d waters: gradient component %d %.12e, serial %.12e", tc.nWater, i, state.Forces.Grad[i], g)
+			}
+		}
+	}
+}
+
+// On the benchmark's ljbox8 geometry — 512 periodic waters, MBE3 at
+// 10 and 8 Bohr — 336 of the 7 941 polymers have coefficient 0, so a
+// step is 7 605 tasks.
+func TestLJBox8TasksPerStep(t *testing.T) {
+	f, err := fragment.ByMolecule(molecule.WaterBox(8, 8, 8, 1), 3, 1, fragment.Options{
+		MaxOrder: 3, DimerCutoff: 10, TrimerCutoff: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(f, &potential.LennardJones{}, Options{Dt: dtFs * chem.AtomicTimePerFs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, all := eng.Graph().NPoly(), len(eng.terms.All()); got != 7605 || all != 7941 {
+		t.Errorf("%d tasks of %d polymers per step, want 7605 of 7941", got, all)
 	}
 }
 

@@ -32,6 +32,18 @@ func ljConfig(t *testing.T, steps int) Config {
 	}
 }
 
+// tasksPerStep is the number of polymers the engine evaluates per step
+// of cfg: its task graph holds the polymers whose MBE coefficient is
+// non-zero.
+func tasksPerStep(t *testing.T, cfg Config) int {
+	t.Helper()
+	eng, err := sched.New(cfg.Frag, cfg.Eval, cfg.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Graph().NPoly()
+}
+
 // countingEval counts the evaluations it passes on.
 type countingEval struct {
 	fragment.Evaluator
@@ -89,7 +101,7 @@ func TestRunChunkingIsInvisible(t *testing.T) {
 					}
 					cfg := ljConfig(t, steps)
 					cfg.CkPath, cfg.CkEvery, cfg.Resume = ckPath, ckEvery, calls > 0
-					cfg.Eval, npoly = ev, len(cfg.Frag.Terms().All())
+					cfg.Eval, npoly = ev, tasksPerStep(t, cfg)
 					chunks := 0
 					var err error
 					done, err = Run(context.Background(), cfg, Hooks{
@@ -166,6 +178,7 @@ func TestRunResumesSchema2Checkpoint(t *testing.T) {
 	cfg.CkPath, cfg.Resume = ckPath, true
 	ev := &countingEval{Evaluator: &potential.LennardJones{}}
 	cfg.Eval = ev
+	npoly := tasksPerStep(t, cfg)
 	var resumedAt int
 	var got []sched.StepStats
 	done, err := Run(context.Background(), cfg, Hooks{
@@ -183,7 +196,6 @@ func TestRunResumesSchema2Checkpoint(t *testing.T) {
 	if resumedAt != 3 {
 		t.Fatalf("resumed at step %d, want 3", resumedAt)
 	}
-	npoly := len(cfg.Frag.Terms().All())
 	if got, want := ev.n.Load(), int64((steps-resumedAt+1)*npoly); got != want {
 		t.Errorf("%d polymer evaluations, want %d (the %d new steps and one boundary round)",
 			got, want, steps-resumedAt)
