@@ -328,7 +328,7 @@ func TestThreeCenterMatchesFourCenterLimit(t *testing.T) {
 	// RI reconstruction: (μν|λσ)_RI = Σ_PQ (μν|P) J⁻¹_PQ (Q|λσ) should
 	// approximate the exact integrals.
 	j := TwoCenter(aux)
-	jinv12 := linalg.InvSqrtSym(j, 1e-10)
+	jinv12, _ := linalg.InvSqrtSym(j, 1e-10)
 	b := linalg.NewTensor3(aux.N, bs.N, bs.N)
 	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, jinv12, t3.Flatten(), 0, b.Flatten())
 	eri := FourCenterAll(bs)

@@ -263,10 +263,11 @@ func tridiagQL(n int, vt, d, e []float64) bool {
 // computed through the eigendecomposition (the J^{-1/2}_PQ of paper
 // Eq. 6). Eigenvalues below dropTol·max(w) are discarded (canonical
 // orthogonalisation), which also guards near-linear-dependent auxiliary
-// basis sets.
-func InvSqrtSym(a *Mat, dropTol float64) *Mat {
+// basis sets; the second result is their number.
+func InvSqrtSym(a *Mat, dropTol float64) (*Mat, int) {
 	w, v := EigSym(a)
 	n := a.Rows
+	dropped := 0
 	wmax := 0.0
 	for _, x := range w {
 		if x > wmax {
@@ -276,12 +277,13 @@ func InvSqrtSym(a *Mat, dropTol float64) *Mat {
 	half := NewMat(n, n)
 	for j := 0; j < n; j++ {
 		if w[j] <= dropTol*wmax || w[j] <= 0 {
-			continue // drop the near-null direction
+			dropped++ // the near-null direction
+			continue
 		}
 		s := 1 / math.Sqrt(w[j])
 		for i := 0; i < n; i++ {
 			half.Data[i*n+j] = v.Data[i*n+j] * s
 		}
 	}
-	return MatMul(NoTrans, Trans, half, v)
+	return MatMul(NoTrans, Trans, half, v), dropped
 }

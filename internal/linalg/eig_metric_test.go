@@ -54,7 +54,10 @@ func TestInvSqrtSymDropsOnWaterMetrics(t *testing.T) {
 		if dropped != wantDropped {
 			t.Errorf("%d waters: %d eigenvalues under 1e-10·max, want %d", n, dropped, wantDropped)
 		}
-		x := linalg.InvSqrtSym(j, 1e-10)
+		x, xDropped := linalg.InvSqrtSym(j, 1e-10)
+		if xDropped != wantDropped {
+			t.Errorf("%d waters: InvSqrtSym dropped %d directions, want %d", n, xDropped, wantDropped)
+		}
 		xj := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, x, j)
 		retained := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, xj, x).Trace()
 		if want := float64(j.Rows - wantDropped); math.Abs(retained-want) > 1e-6 {
@@ -82,7 +85,7 @@ func TestMetricFactorOnWaterMetrics(t *testing.T) {
 		if want := float64(j.Rows - wantDropped); math.Abs(retained-want) > 1e-6 {
 			t.Errorf("%d waters: tr(W·J·Wᵀ) = %.9f, want %g", n, retained, want)
 		}
-		x := linalg.InvSqrtSym(j, 1e-10)
+		x, _ := linalg.InvSqrtSym(j, 1e-10)
 		pinv := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, x, x)
 		diff := linalg.MatMul(linalg.Trans, linalg.NoTrans, w, w)
 		diff.AxpyMat(-1, pinv)

@@ -222,7 +222,7 @@ func TestInvSqrtSym(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Add(i, i, float64(n))
 		}
-		x := InvSqrtSym(a, 1e-12)
+		x, _ := InvSqrtSym(a, 1e-12)
 		// x·a·x == I
 		xa := MatMul(NoTrans, NoTrans, x, a)
 		xax := MatMul(NoTrans, NoTrans, xa, x)
@@ -239,7 +239,10 @@ func TestInvSqrtSymDropsNullSpace(t *testing.T) {
 	// Rank-1 2x2 matrix; the null direction must be projected out,
 	// not blow up.
 	a := NewMatFrom(2, 2, []float64{1, 1, 1, 1})
-	x := InvSqrtSym(a, 1e-10)
+	x, dropped := InvSqrtSym(a, 1e-10)
+	if dropped != 1 {
+		t.Errorf("dropped %d directions, want 1", dropped)
+	}
 	for _, v := range x.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("InvSqrtSym produced non-finite values on singular input")

@@ -43,7 +43,7 @@ func (r *Result) Gradient() ([]float64, error) {
 // the relaxed density D_HF + P̄ + Pz, holding the charge values fixed.
 func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 	ref := r.SCF
-	if ref.B == nil {
+	if ref.DF == nil {
 		return nil, nil, errors.New("mp2: gradient requires RI intermediates")
 	}
 	nbf := ref.Bs.N
@@ -63,7 +63,7 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 	pbar := sandwich(co, poo, co)
 	pbar.AxpyMat(1, sandwich(cv, pvv, cv))
 	gao := linalg.NewMat(nbf, nbf)
-	r.gOperator(pbar, gao)
+	ref.GOperator(pbar, gao)
 	gpbarMO := r.toMO(gao)
 
 	// ---- Z-vector ---------------------------------------------------------
@@ -107,7 +107,7 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 		}
 	}
 	// Fock-response couplings to occupied-occupied overlap derivatives.
-	r.gOperator(dz, gao)
+	ref.GOperator(dz, gao)
 	gdzMO := r.toMO(gao)
 	for i := 0; i < nocc; i++ {
 		for j := 0; j < nocc; j++ {
@@ -150,8 +150,8 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 			}
 		}
 	}
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.gamAux.Flatten(), 0, ws.gamT.Flatten())
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, ref.JFactor, ws.bpvo.Flatten(), 0, ws.bT.Flatten())
+	ref.ApplyWT(ws.gamAux, ws.gamT)
+	ref.ApplyWT(ws.bpvo, ws.bT)
 	r.ampBackTransform(co, cv, zAcc)
 	// TwoCenterDeriv contracts ζ_PQ + ζ_QP, so −2·(bT·gamTᵀ) stands for
 	// the symmetric −(bT·gamTᵀ + gamT·bTᵀ).
@@ -180,9 +180,7 @@ func (r *Result) buildMOBlocks() *workspace {
 	nvir := ref.NVirt()
 	ws := newWorkspace(nbf, naux, nocc, nvir)
 
-	ta, tb := ref.Scratch3(nbf, nbf)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), ref.C, 0, ta.FlattenRows())
-	ta.TransposeBlocksInto(tb)
+	ta, tb := ref.Half(ref.C)
 	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, tb.FlattenRows(), ref.C, 0, ta.FlattenRows())
 	for p := 0; p < naux; p++ {
 		for q := 0; q < nbf; q++ {
@@ -280,21 +278,6 @@ func (r *Result) ampBackTransform(co, cv *linalg.Mat, z *linalg.Tensor3) {
 	linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, r.ws.gamT.FlattenRows(), co, 0, pvn.FlattenRows())
 	pvn.TransposeBlocksInto(pnv)
 	linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, pnv.FlattenRows(), cv, 1, z.FlattenRows())
-}
-
-// gOperator applies the closed-shell response operator
-// G[M] = J[M] − ½K[M] to a symmetric AO matrix via the resident B tensor,
-// writing out: K[M] = Σ_P B_P·M·B_P is one flattened product B·M, a
-// block transpose, and one contraction over (P, λ).
-func (r *Result) gOperator(m, out *linalg.Mat) {
-	ws := r.ws
-	b := r.SCF.B
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.Flatten(), m.Vec(), 0, ws.u)
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, b.Flatten(), ws.u, 0, out.Vec())
-	ta, tb := r.SCF.Scratch3(m.Rows, m.Cols)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, b.FlattenRows(), m, 0, ta.FlattenRows())
-	ta.TransposeBlocksInto(tb)
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, -0.5, tb.FlattenRows(), b.FlattenRows(), 1, out)
 }
 
 // toMO transforms an AO matrix to the MO basis: CᵀXC.

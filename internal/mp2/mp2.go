@@ -68,10 +68,10 @@ type Result struct {
 // RIMP2 computes the RI-MP2 correlation energy from a converged RI-HF
 // reference. The reference must have been run with scf.Options.UseRI.
 // The transform and the gradient borrow the reference's three-index
-// scratch (scf.Result.Scratch3), so a Result and its reference serve one
+// scratch (scf.DF.Scratch3), so a Result and its reference serve one
 // goroutine at a time.
 func RIMP2(ref *scf.Result, opts Options) (*Result, error) {
-	if ref.B == nil {
+	if ref.DF == nil {
 		return nil, errors.New("mp2: reference SCF has no RI intermediates (run with UseRI)")
 	}
 	if !ref.Converged {
@@ -286,22 +286,13 @@ func PairEnergiesUnblocked(bov *linalg.Tensor3, eps []float64, nocc int) (eos, e
 //	T_Pμi  = Σ_ν B_Pμν C_νi     one (naux·nbf) × nbf × nocc GEMM
 //	Q_Pia  = Σ_μ T_Pμi C_μa     one (naux·nocc) × nbf × nvir GEMM
 //
-// with a P-blockwise (μ,i) → (i,μ) transpose between the two, both
-// halves on the reference's three-index scratch.
+// with a P-blockwise (μ,i) → (i,μ) transpose between the two (the
+// reference's scf.DF.Half).
 func (r *Result) buildQov() {
 	ref := r.SCF
-	nbf := ref.Bs.N
-	naux := ref.Aux.N
-	nocc := ref.NOcc
-	nvir := ref.NVirt()
-
-	co := ref.COcc()
-	cv := ref.CVirt()
-	half, halfT := ref.Scratch3(nbf, nocc)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, ref.B.FlattenRows(), co, 0, half.FlattenRows())
-	half.TransposeBlocksInto(halfT) // (P, i, μ)
-	r.qov = linalg.NewTensor3(naux, nocc, nvir)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), cv, 0, r.qov.FlattenRows())
+	_, halfT := ref.Half(ref.COcc()) // (P, i, μ)
+	r.qov = linalg.NewTensor3(ref.Aux.N, ref.NOcc, ref.NVirt())
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), ref.CVirt(), 0, r.qov.FlattenRows())
 }
 
 // quarticLive counts the N⁴ scratch arrays currently alive in

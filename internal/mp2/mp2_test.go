@@ -27,6 +27,18 @@ func runSCF(t *testing.T, g *molecule.Geometry, useRI bool, aux basis.AuxOptions
 	return res
 }
 
+// A conventional reference (scf.Result.DF nil) has no B to transform:
+// both RI entry points must say so instead of dereferencing it.
+func TestConventionalReferenceIsRefused(t *testing.T) {
+	ref := runSCF(t, molecule.Water(), false, basis.AuxOptions{})
+	if _, err := RIMP2(ref, Options{}); err == nil {
+		t.Error("RIMP2 accepted a reference without RI intermediates")
+	}
+	if _, _, err := (&Result{SCF: ref}).Gradients(); err == nil {
+		t.Error("Gradients accepted a reference without RI intermediates")
+	}
+}
+
 // H2/STO-3G is small enough for a pencil-and-paper MP2 check: one
 // occupied, one virtual orbital, E2 = (ov|ov)²/(2ε_o − 2ε_v).
 func TestH2MP2ClosedForm(t *testing.T) {

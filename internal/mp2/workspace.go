@@ -7,8 +7,8 @@ import "github.com/fragmd/fragmd/internal/linalg"
 // and every iteration of the Z-vector solve, so none of them allocates
 // per call. It also keeps the MO-basis B tensor resident, split by
 // orbital class. The AO-sized three-index scratch (naux·nbf² per slab)
-// is not here: the reference SCF Result already owns two such slabs and
-// lends them through Scratch3. A workspace belongs to one Result; Results
+// is not here: the reference's scf.DF owns two such slabs and lends them
+// through Scratch3. A workspace belongs to one Result; Results
 // are not safe for concurrent use, and concurrent evaluations each own
 // their Result.
 type workspace struct {
@@ -20,7 +20,7 @@ type workspace struct {
 	boo, bov, bvo, bvv *linalg.Tensor3
 	bpvo               *linalg.Tensor3
 
-	u *linalg.Mat // Coulomb vector Σ B^P·M of gOperator and hessVec, naux × 1
+	u *linalg.Mat // Coulomb vector Σ B^P·z of hessVec, naux × 1
 
 	// Amplitudes t_ij and T̃_ij = 2t_ij − t_ijᵀ, block i·nocc+j of nvir × nvir.
 	t, tt      *linalg.Tensor3
@@ -30,7 +30,7 @@ type workspace struct {
 	lamOcc     *linalg.Mat     // Λ_pi, nbf × nocc
 	lamVir     *linalg.Mat     // Λ_pa, nbf × nvir
 	gamAux     *linalg.Tensor3 // γ^P_ia rearranged (P, a, i)
-	gamT, bT   *linalg.Tensor3 // Wᵀ·γ and Wᵀ·B^vo for W = SCF.JFactor, (P, a, i)
+	gamT, bT   *linalg.Tensor3 // Wᵀ·γ and Wᵀ·B^vo (scf.DF.ApplyWT), (P, a, i)
 	theta, wmo *linalg.Mat
 
 	// Z-vector: the two exchange intermediates of one Hessian application,

@@ -28,7 +28,7 @@ func stateFromSCF(g *molecule.Geometry, ref *scf.Result, basisName string) *warm
 
 		SCFIters: ref.Iters,
 	}
-	if ref.Aux != nil {
+	if ref.DF != nil {
 		st.NAux = ref.Aux.N
 	}
 	st.Snapshot(g)

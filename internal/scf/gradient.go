@@ -36,7 +36,7 @@ func (r *Result) Gradients() (grad, siteGrad []float64) {
 	w := r.EnergyWeightedDensity()
 	integrals.OverlapDeriv(r.Bs, w, -1, grad)
 
-	if r.B != nil {
+	if r.DF != nil {
 		z := linalg.NewTensor3(r.Aux.N, r.Bs.N, r.Bs.N)
 		zeta := linalg.NewMat(r.Aux.N, r.Aux.N)
 		r.AddRISeparableCoeffs(r.D, 0.5, z, zeta)
@@ -94,28 +94,22 @@ func (r *Result) EnergyWeightedDensity() *linalg.Mat {
 func (r *Result) AddRISeparableCoeffs(da *linalg.Mat, factor float64, zAcc *linalg.Tensor3, zetaAcc *linalg.Mat) {
 	nbf, naux, nocc := r.Bs.N, r.Aux.N, r.NOcc
 	co := r.COcc()
-	ws := r.ws
+	df := r.DF
 
-	// w^x = J^{-1} u^x = Wᵀ·(W·u^x) with u^x_P = Σ_μν V_Pμν Dx_μν.
-	coulomb := func(d, w *linalg.Mat) {
-		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), d.Vec(), 0, w)
-		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JFactor, w, 0, ws.wt)
-		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, ws.wt, 0, w)
-	}
-	coulomb(da, ws.wa)
-	coulomb(r.D, ws.wb)
-	wa, wb := ws.wa.Data, ws.wb.Data
+	// w^x = J^{-1} u^x with u^x_P = Σ_μν V_Pμν Dx_μν.
+	df.Fit(da, df.wa)
+	df.Fit(r.D, df.wb)
+	wa, wb := df.wa.Data, df.wb.Data
 
 	// Exchange through the occupied block, D = 2·C_o·C_oᵀ, with
-	// C̃_P = (Wᵀ·B)_P never formed: X_P = B_P·C_o as in riFock,
+	// C̃_P = (Wᵀ·B)_P never formed: X_P = B_P·C_o as in the Fock build,
 	// H_P = C̃_P·C_o = (Wᵀ·X)_P, and M_P = Da·H_P by block-transposing H
 	// (Da is symmetric), multiplying flat by Da and transposing back.
-	x, xT := r.Scratch3(nbf, nocc)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.FlattenRows(), co, 0, x.FlattenRows())
+	x, xT := df.half(co)
 	h := linalg.NewTensor3(naux, nbf, nocc)
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, x.Flatten(), 0, h.Flatten())
+	df.ApplyWT(x, h)
 	h.TransposeBlocksInto(xT)
-	mT, m := r.Scratch3(nocc, nbf)
+	mT, m := df.Scratch3(nocc, nbf)
 	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, xT.FlattenRows(), da, 0, mT.FlattenRows())
 	mT.TransposeBlocksInto(m)
 

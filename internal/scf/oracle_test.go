@@ -44,17 +44,17 @@ func oracleSeparableCoeffs(r *Result, da, db *linalg.Mat, factor float64, zAcc *
 	for p := 0; p < naux; p++ {
 		cp := ct.Slice(p)
 		for q := 0; q < naux; q++ {
-			cp.AxpyMat(r.JFactor.At(q, p), r.B.Slice(q))
+			cp.AxpyMat(r.w.At(q, p), r.B.Slice(q))
 		}
 	}
 
 	jinvU := func(d *linalg.Mat) *linalg.Mat {
 		u := linalg.NewMat(naux, 1)
-		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.V3.Flatten(), d.Vec(), 0, u)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.v3.Flatten(), d.Vec(), 0, u)
 		t := linalg.NewMat(naux, 1)
-		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.JFactor, u, 0, t)
+		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.w, u, 0, t)
 		w := linalg.NewMat(naux, 1)
-		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.JFactor, t, 0, w)
+		linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.w, t, 0, w)
 		return w
 	}
 	wa, wb := jinvU(da), jinvU(db)

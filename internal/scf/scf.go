@@ -3,7 +3,7 @@
 //
 //   - RI-HF (paper Eq. 8): the two-electron integrals are factorised
 //     through an auxiliary basis, B^P_μν = Σ_Q (μν|Q) J^{-1/2}_QP (any
-//     factor W with WᵀW = J⁻¹ serves as J^{-1/2}; see Result.JFactor), and
+//     factor W with WᵀW = J⁻¹ serves as J^{-1/2}; see DF, df.go), and
 //     both Coulomb and exchange matrices become short sequences of
 //     GEMMs. No four-center integrals are computed anywhere on this path.
 //   - Conventional direct SCF: recomputed four-center integrals with
@@ -117,15 +117,9 @@ type Result struct {
 	S    *linalg.Mat
 	H    *linalg.Mat
 
-	// RI intermediates (nil on the conventional path).
-	Aux *basis.Set
-	V3  *linalg.Tensor3 // raw (P|μν)
-	J2  *linalg.Mat     // (P|Q)
-	// JFactor is a factor W of the metric pseudo-inverse, WᵀW = J⁺ (the
-	// near-null directions of J projected out). It is not symmetric:
-	// apply W to integrals, Wᵀ to fitted quantities.
-	JFactor *linalg.Mat
-	B       *linalg.Tensor3 // B^P_μν = Σ_Q W_PQ (Q|μν)
+	// RI factorisation and its contractions (nil on the conventional
+	// path, df.go).
+	*DF
 
 	// Schwarz holds the shell-pair Cauchy–Schwarz bounds: always set on
 	// the conventional path, and on the RI path whenever three-center
@@ -136,7 +130,6 @@ type Result struct {
 	ERI []float64
 
 	opts Options
-	ws   *workspace // RI scratch of the Fock builds and the gradient (workspace.go)
 }
 
 // Opts returns the options the SCF was run with (for downstream reuse).
@@ -188,30 +181,6 @@ func eigFailed(what string, first []float64) error {
 	return nil
 }
 
-// MetricDropTol is the relative eigenvalue threshold under which the RI
-// metric's directions are projected out: eigen-directions of J under
-// MetricDropTol·λmax (canonical orthogonalisation of the auxiliary basis).
-const MetricDropTol = 1e-10
-
-// riMetricFactor returns the factor W of the RI metric's pseudo-inverse,
-// WᵀW = J⁺, that every RI contraction goes through, with the directions
-// under MetricDropTol projected out. linalg.MetricFactor does this without
-// a full eigendecomposition; a metric that is singular to working precision
-// (coincident auxiliary centres) has no Cholesky factor and takes the
-// symmetric eigen-root J^{-1/2} instead, which is as valid a W.
-func riMetricFactor(j2 *linalg.Mat) (*linalg.Mat, error) {
-	const what = "RI Coulomb metric (P|Q)"
-	w, _, err := linalg.MetricFactor(j2, MetricDropTol)
-	if errors.Is(err, linalg.ErrSingular) {
-		w = linalg.InvSqrtSym(j2, MetricDropTol)
-		return w, eigFailed(what, w.Data)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("scf: factorising the %s: %w", what, err)
-	}
-	return w, nil
-}
-
 // RHF runs a restricted closed-shell Hartree-Fock calculation.
 func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	opts.fill()
@@ -234,32 +203,21 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	if err := requireFinite("overlap matrix S", res.S); err != nil {
 		return nil, err
 	}
-	x := linalg.InvSqrtSym(res.S, 1e-10)
+	x, _ := linalg.InvSqrtSym(res.S, 1e-10)
 	if err := eigFailed("overlap matrix S", x.Data); err != nil {
 		return nil, err
 	}
 
 	var fockBuild func(d *linalg.Mat, co *linalg.Mat) *linalg.Mat
 	if opts.UseRI {
-		res.Aux = basis.BuildAux(bs, g, opts.AuxOpts)
-		if th := opts.RIScreenThresh; th > 0 {
+		if opts.RIScreenThresh > 0 {
 			res.Schwarz = integrals.SchwarzShellPairs(bs)
-			res.V3 = integrals.ThreeCenterScreened(bs, res.Aux, res.Schwarz, th)
-		} else {
-			res.V3 = integrals.ThreeCenter(bs, res.Aux)
-		}
-		res.J2 = integrals.TwoCenter(res.Aux)
-		if err := requireFinite("RI Coulomb metric (P|Q)", res.J2); err != nil {
-			return nil, err
 		}
 		var err error
-		if res.JFactor, err = riMetricFactor(res.J2); err != nil {
+		if res.DF, err = newDF(g, bs, opts, res.Schwarz); err != nil {
 			return nil, err
 		}
-		res.B = linalg.NewTensor3(res.Aux.N, bs.N, bs.N)
-		linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, res.JFactor, res.V3.Flatten(), 0, res.B.Flatten())
-		res.ws = newWorkspace(bs.N, res.Aux.N)
-		fockBuild = res.riFock
+		fockBuild = func(d, co *linalg.Mat) *linalg.Mat { return res.fock(res.H, d, co) }
 	} else if opts.StoredERI {
 		res.Schwarz = integrals.SchwarzShellPairs(bs)
 		eri := integrals.FourCenterAll(bs)
@@ -358,33 +316,6 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	res.Eelec = ePrev
 	res.Energy = ePrev + res.Enuc + res.EField
 	return res, errors.New("scf: not converged")
-}
-
-// riFock builds F = h + J − ½K from the resident B tensor with GEMMs
-// (paper Eq. 8) into the workspace's Fock buffer, which the next call
-// overwrites. co is the occupied coefficient block.
-func (r *Result) riFock(d, co *linalg.Mat) *linalg.Mat {
-	ws := r.ws
-	f := ws.f
-	f.CopyFrom(r.H)
-
-	// Coulomb: u_P = Σ_μν B_Pμν D_μν ; J_μν = Σ_P B_Pμν u_P, added onto h.
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.Flatten(), d.Vec(), 0, ws.u)
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, r.B.Flatten(), ws.u, 1, f.Vec())
-
-	// Exchange: T_Pμi = Σ_ν B_Pμν C_νi for every P in one flattened
-	// product, then K = Σ_Pi T_Pμi T_Pνi as YᵀY over the block-transposed
-	// rows Y_(P,i),μ — two packed GEMMs instead of naux small ones.
-	half, halfT := r.Scratch3(r.Bs.N, co.Cols)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, r.B.FlattenRows(), co, 0, half.FlattenRows())
-	half.TransposeBlocksInto(halfT)
-	y := halfT.FlattenRows()
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, y, y, 0, ws.k)
-
-	// YᵀY = Σ_P B_P (C_o C_oᵀ) B_P = ½ K[D] since D = 2 C_o C_oᵀ, so the
-	// −½K[D] exchange term is −1·(YᵀY).
-	f.AxpyMat(-1, ws.k)
-	return f
 }
 
 // solveFock diagonalises F in the orthonormalised basis: F' = XᵀFX,

@@ -328,14 +328,17 @@ func TestMetricFactorFallsBackOnSingularMetric(t *testing.T) {
 	if _, _, err := linalg.MetricFactor(sing, 1e-10); !errors.Is(err, linalg.ErrSingular) {
 		t.Fatalf("MetricFactor on the duplicated metric: err = %v, want ErrSingular", err)
 	}
-	w, err := riMetricFactor(sing)
+	w, dropped, err := riMetricFactor(sing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(w.Data, linalg.InvSqrtSym(sing, 1e-10).Data) {
+	if x, _ := linalg.InvSqrtSym(sing, 1e-10); !slices.Equal(w.Data, x.Data) {
 		t.Error("the fallback factor is not InvSqrtSym of the metric")
 	}
 	// One water drops one direction; the duplicate is a second.
+	if dropped != 2 {
+		t.Errorf("the fallback dropped %d directions, want 2", dropped)
+	}
 	wj := linalg.MatMul(linalg.NoTrans, linalg.NoTrans, w, sing)
 	if tr, want := linalg.MatMul(linalg.NoTrans, linalg.Trans, wj, w).Trace(), float64(n+1-2); math.Abs(tr-want) > 1e-6 {
 		t.Errorf("tr(W·J·Wᵀ) = %.9f, want %g", tr, want)
@@ -359,7 +362,7 @@ func TestMetricFactorFailureIsAnError(t *testing.T) {
 			clustered.Set(i-1, i, 5e-13)
 		}
 	}
-	_, err := riMetricFactor(clustered)
+	_, _, err := riMetricFactor(clustered)
 	if !errors.Is(err, linalg.ErrNoConvergence) || !strings.HasPrefix(err.Error(), "scf: ") || !strings.Contains(err.Error(), "RI Coulomb metric") {
 		t.Errorf("clustered spectrum: err = %v, want an scf error naming the RI metric that wraps ErrNoConvergence", err)
 	}
@@ -367,7 +370,7 @@ func TestMetricFactorFailureIsAnError(t *testing.T) {
 	nan := waterMetric(t)
 	nan.Set(3, 9, math.NaN())
 	nan.Set(9, 3, math.NaN())
-	if _, err := riMetricFactor(nan); err == nil || !strings.Contains(err.Error(), "RI Coulomb metric") {
+	if _, _, err := riMetricFactor(nan); err == nil || !strings.Contains(err.Error(), "RI Coulomb metric") {
 		t.Errorf("NaN entry: err = %v, want an error naming the RI metric", err)
 	}
 }
