@@ -28,6 +28,9 @@
 // committed one and -max-regress sets the tolerance in percent (evalcost
 // gates counts and does not read it).
 //
+// -cpuprofile writes a runtime/pprof CPU profile of the named
+// experiments, for go tool pprof (DESIGN.md §5).
+//
 // An experiment error or a gate violation makes the process exit 1; a
 // usage error exits 2. CI runs the four gates.
 package main
@@ -38,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"github.com/fragmd/fragmd/internal/bench"
@@ -62,6 +66,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	maxRegress := fs.Float64("max-regress", 25, "allowed regression vs baseline (GFLOP/s, speedups, neighbor exponent, latency, jobs/sec; evalcost gates counts), percent")
 	seed := fs.Int64("seed", 0, "cluster-simulator RNG seed for reproducible fig7/fig8/table5/hier runs (0 = default)")
 	jitter := fs.Float64("jitter", 0, "simulated task-runtime noise, fraction in [0,1) (0 = deterministic model; hier substitutes 0.1)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the named experiments to this file (go tool pprof)")
 	if testHookFlagSet != nil {
 		testHookFlagSet(fs)
 	}
@@ -109,6 +114,18 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Seed:          *seed,
 		Jitter:        *jitter,
 	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
+			}
+		}()
+	}
 	for _, e := range todo {
 		start := time.Now()
 		fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
@@ -122,4 +139,21 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// startCPUProfile starts a CPU profile written to path; stop ends it and
+// closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }

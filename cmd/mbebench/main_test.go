@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,6 +35,29 @@ func TestRunTable1(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// -cpuprofile writes a profile of the experiments it wraps (a gzipped
+// protocol buffer, as go tool pprof reads it); a path that cannot be
+// created exits 1 before anything runs.
+func TestRunCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-cpuprofile", path, "table1"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+		t.Errorf("-cpuprofile wrote %d bytes without the gzip header of a pprof profile", len(data))
+	}
+	out.Reset()
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.out")
+	if code := run([]string{"-cpuprofile", bad, "table1"}, &out, &errOut); code != 1 || out.Len() != 0 {
+		t.Errorf("uncreatable -cpuprofile: exit code %d, output %q; want 1 and nothing run", code, out.String())
 	}
 }
 

@@ -30,8 +30,9 @@ const evalMBSlack = 0.10
 // EvalCostRow is what one cold RI-MP2 evaluation costs in counts that do
 // not depend on the machine: GEMM flops, SCF and Z-vector iterations,
 // dropped RI metric directions and megabytes allocated, all from one pass
-// at GOMAXPROCS 1, plus the wall time of a second pass at the host's
-// GOMAXPROCS, which is recorded but not gated.
+// at GOMAXPROCS 1, plus the wall times of that pass and of a second one
+// at the host's GOMAXPROCS, which are recorded but not gated: their
+// ratio is the row's parallel speed-up.
 type EvalCostRow struct {
 	Name      string  `json:"name"` // "dzp-water3", "mbe2-dzp-water3-2w", stable across runs
 	GemmFLOPs int64   `json:"gemm_flops"`
@@ -39,7 +40,8 @@ type EvalCostRow struct {
 	ZVecIters int     `json:"zvec_iters"`
 	Dropped   int     `json:"dropped"`
 	AllocMB   float64 `json:"alloc_mb"`
-	Seconds   float64 `json:"seconds"`
+	Seconds1P float64 `json:"seconds_1p"` // the counting pass, at GOMAXPROCS 1
+	Seconds   float64 `json:"seconds"`    // a second pass, at the host's GOMAXPROCS
 }
 
 // EvalCostReport is the machine-readable output of the evalcost
@@ -132,9 +134,9 @@ func evalCases() []evalCase {
 	}
 }
 
-// RunEvalCost measures every row: the counts at GOMAXPROCS 1, after one
-// untimed dzp monomer gradient that absorbs first-use allocations, then
-// the seconds at the host's GOMAXPROCS.
+// RunEvalCost measures every row: the counts and seconds at GOMAXPROCS 1,
+// after one untimed dzp monomer gradient that absorbs first-use
+// allocations, then the seconds at the host's GOMAXPROCS.
 func RunEvalCost(quick bool) (*EvalCostReport, error) {
 	rep := &EvalCostReport{ReportHeader: newHeader(EvalCostSchema, quick)}
 	cases := evalCases()
@@ -148,13 +150,15 @@ func RunEvalCost(quick bool) (*EvalCostReport, error) {
 		ec := &evalCounter{basis: c.basis}
 		runtime.ReadMemStats(&ms)
 		alloc0, flops0 := ms.TotalAlloc, linalg.FLOPs()
+		start := time.Now()
 		if err := c.run(ec); err != nil {
 			return nil, fmt.Errorf("evalcost %s: %w", c.name, err)
 		}
+		seconds := time.Since(start).Seconds()
 		flops := linalg.FLOPs() - flops0
 		runtime.ReadMemStats(&ms)
 		rep.Rows = append(rep.Rows, EvalCostRow{Name: c.name, GemmFLOPs: flops, SCFIters: ec.scfIters,
-			ZVecIters: ec.zvecIters, Dropped: ec.dropped, AllocMB: float64(ms.TotalAlloc-alloc0) / 1e6})
+			ZVecIters: ec.zvecIters, Dropped: ec.dropped, AllocMB: float64(ms.TotalAlloc-alloc0) / 1e6, Seconds1P: seconds})
 	}
 	runtime.GOMAXPROCS(procs)
 	for i, c := range cases {
@@ -220,13 +224,13 @@ func EvalCost(c *Config) {
 		c.fail(err.Error())
 		return
 	}
-	c.printf("Cold RI-MP2 gradient cost in portable counts (counts at GOMAXPROCS 1,\n")
-	c.printf("seconds at GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
-	c.printf("%-20s %12s %9s %10s %8s %10s %9s\n",
-		"row", "GEMM GFLOP", "SCF iter", "Z-vec iter", "dropped", "alloc MB", "seconds")
+	c.printf("Cold RI-MP2 gradient cost in portable counts (counts and seconds 1p at\n")
+	c.printf("GOMAXPROCS 1, seconds at GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
+	c.printf("%-20s %12s %9s %10s %8s %10s %10s %9s\n",
+		"row", "GEMM GFLOP", "SCF iter", "Z-vec iter", "dropped", "alloc MB", "seconds 1p", "seconds")
 	for _, r := range rep.Rows {
-		c.printf("%-20s %12.3f %9d %10d %8d %10.1f %9.3f\n",
-			r.Name, float64(r.GemmFLOPs)/1e9, r.SCFIters, r.ZVecIters, r.Dropped, r.AllocMB, r.Seconds)
+		c.printf("%-20s %12.3f %9d %10d %8d %10.1f %10.3f %9.3f\n",
+			r.Name, float64(r.GemmFLOPs)/1e9, r.SCFIters, r.ZVecIters, r.Dropped, r.AllocMB, r.Seconds1P, r.Seconds)
 	}
 	c.printf("\nGate: flops, iterations and dropped directions equal to the baseline,\n")
 	c.printf("allocation at most %.0f%% above it; seconds are not gated.\n", 100*evalMBSlack)

@@ -17,7 +17,9 @@ func Procs() int { return runtime.GOMAXPROCS(0) }
 // in order. The caller fixes the partition (n and chunk ≥ 1, from the
 // shapes and Procs only) and folds partial results in piece order, so
 // which goroutine ran a piece changes no bit. This file alone in linalg,
-// integrals, scf and mp2 starts goroutines or reads GOMAXPROCS.
+// integrals, scf, mp2, basis and potential starts goroutines or reads
+// GOMAXPROCS; two phases of one evaluation that share no data run as the
+// two pieces of Parallel(2, 1, Procs(), …), so they are cut here too.
 func Parallel(n, chunk, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

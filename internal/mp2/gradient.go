@@ -49,7 +49,6 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 	nbf := ref.Bs.N
 	nocc := ref.NOcc
 	nvir := ref.NVirt()
-	naux := ref.Aux.N
 	eps := ref.Eps
 	ws := r.buildMOBlocks()
 
@@ -118,7 +117,32 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 	wao := sandwich(ref.C, wmo, ref.C)
 
 	// ---- skeleton contractions --------------------------------------------
+	// The one-electron derivatives and the RI derivative chain share no
+	// data, so they run as the two pieces of one linalg.Parallel call: the
+	// first sums into grad (and the field sites' gradient), the second —
+	// which holds every scf.DF call — into its own ri, folded into grad
+	// after the join.
 	grad = make([]float64, 3*ref.Geom.N())
+	ri := make([]float64, len(grad))
+	linalg.Parallel(2, 1, linalg.Procs(), func(piece, _ int) {
+		if piece == 0 {
+			r.oneElectronGrad(dh, wao, grad)
+			return
+		}
+		r.riGrad(dh, co, cv, ri)
+	})
+	for i, v := range ri {
+		grad[i] += v
+	}
+	return grad, r.embedGrad, nil
+}
+
+// oneElectronGrad sets grad to the nuclear-repulsion gradient plus the
+// kinetic, nuclear-attraction and overlap derivatives contracted with the
+// relaxed density dh and the energy-weighted density wao; in a point
+// charge field it also sets the field sites' gradient, r.embedGrad.
+func (r *Result) oneElectronGrad(dh, wao *linalg.Mat, grad []float64) {
+	ref := r.SCF
 	copy(grad, ref.Geom.NuclearRepulsionGradient())
 	integrals.KineticDeriv(ref.Bs, dh, 1, grad)
 	integrals.NuclearDeriv(ref.Bs, ref.Geom, dh, 1, grad)
@@ -128,6 +152,13 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 		integrals.NuclearFieldDeriv(ref.Geom, pc, 1, grad, r.embedGrad)
 	}
 	integrals.OverlapDeriv(ref.Bs, wao, -1, grad)
+}
+
+// riGrad adds into grad the three- and two-center derivative integrals
+// contracted with the separable and amplitude coefficients Z^P and ζ.
+func (r *Result) riGrad(dh, co, cv *linalg.Mat, grad []float64) {
+	ref, ws := r.SCF, r.ws
+	nocc, nvir, naux := ref.NOcc, ref.NVirt(), ref.Aux.N
 
 	// The separable coefficients are linear in their density, so the HF
 	// two-electron term (D, ½) and the orbital-response coupling
@@ -159,7 +190,6 @@ func (r *Result) Gradients() (grad, siteGrad []float64, err error) {
 
 	integrals.ThreeCenterDeriv(ref.Bs, ref.Aux, zAcc, 1, grad)
 	integrals.TwoCenterDeriv(ref.Aux, zetaAcc, 1, grad)
-	return grad, r.embedGrad, nil
 }
 
 // buildMOBlocks forms the full-MO B^P_pq = (Cᵀ B_P C) for every P with two

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/warmstart"
@@ -246,6 +248,73 @@ func TestRIMP2EvaluateAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations per dimer evaluation, want ≤ %d", allocs, 19770/2)
 	}
 	t.Logf("%.0f allocations per water-dimer RIMP2.Evaluate", allocs)
+}
+
+// One evaluation runs two pairs of phases side by side: the RI metric
+// and its factor beside the three-center integrals and the one-electron
+// set-up, and the one-electron derivatives beside the RI derivative
+// chain. Each piece writes outputs of its own and the gradient folds them
+// in a fixed order, so five evaluations of the sto-3g trimer at
+// GOMAXPROCS 2 repeat energy, gradient and field-site gradient bit for
+// bit, and the energy is GOMAXPROCS 1's to the bit. In a point-charge
+// field the one-electron piece also writes the field-site gradient. Under
+// -race, a piece that wrote what the other one reads fails here.
+func TestBatchedPhaseOverlapRepeatsBits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve RI-MP2 trimer evaluations; CI runs this in full under -race")
+	}
+	g := molecule.WaterCluster(3)
+	field := &integrals.PointCharges{
+		Pos: []float64{11, 2, 2, -6, 3, 1, 2, -6, 9},
+		Q:   []float64{0.35, -0.3, 0.22},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, pc := range []*integrals.PointCharges{nil, field} {
+		name := "vacuum"
+		if pc != nil {
+			name = "field"
+		}
+		eval := func(procs int) (float64, []float64, []float64) {
+			runtime.GOMAXPROCS(procs)
+			e, grad, site, _, err := (&RIMP2{Basis: "sto-3g"}).EvaluateEmbedded(g, pc, nil)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			return e, grad, site
+		}
+		e1, grad1, _ := eval(1)
+		e, grad, site := eval(2)
+		if math.Float64bits(e) != math.Float64bits(e1) {
+			t.Errorf("%s: energy %.17g at GOMAXPROCS 2, %.17g at 1", name, e, e1)
+		}
+		for i := range grad {
+			if d := math.Abs(grad[i] - grad1[i]); d > 1e-13 {
+				t.Errorf("%s: gradient[%d] %.17g at GOMAXPROCS 2, %.17g at 1 (|Δ| = %.1e > 1e-13)", name, i, grad[i], grad1[i], d)
+			}
+		}
+		if (site != nil) != (pc != nil) {
+			t.Fatalf("%s: field-site gradient %v", name, site)
+		}
+		for rep := 1; rep < 5; rep++ {
+			er, gradr, siter := eval(2)
+			if math.Float64bits(er) != math.Float64bits(e) || !sameBits(gradr, grad) || !sameBits(siter, site) {
+				t.Errorf("%s: evaluation %d at GOMAXPROCS 2 differs from the first in its bits", name, rep+1)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // The Cholesky-route metric factor (linalg.MetricFactor) against the

@@ -1,6 +1,7 @@
 package scf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -59,22 +60,36 @@ func riMetricFactor(j2 *linalg.Mat) (*linalg.Mat, int, error) {
 
 // newDF builds the RI factorisation of bs on g: the auxiliary basis, the
 // three-center integrals (Schwarz-screened at opts.RIScreenThresh when
-// schwarz is set), the metric, its factor and B = W·V3.
-func newDF(g *molecule.Geometry, bs *basis.Set, opts Options, schwarz *linalg.Mat) (*DF, error) {
+// that is positive, the bounds returned as schwarz), the metric, its
+// factor and B = W·V3. The metric and its factor share no data with the
+// three-center integrals, so they run as the two pieces of one
+// linalg.Parallel call, alongside — the caller's own set-up — on the
+// integral piece before them. Each piece owns its outputs and its error;
+// the integral piece's error is reported first.
+func newDF(g *molecule.Geometry, bs *basis.Set, opts Options, alongside func() error) (df *DF, schwarz *linalg.Mat, _ error) {
 	aux := basis.BuildAux(bs, g, opts.AuxOpts)
-	df := &DF{Aux: aux}
-	if schwarz != nil {
-		df.v3 = integrals.ThreeCenterScreened(bs, aux, schwarz, opts.RIScreenThresh)
-	} else {
-		df.v3 = integrals.ThreeCenter(bs, aux)
-	}
-	df.J2 = integrals.TwoCenter(aux)
-	if err := requireFinite("RI Coulomb metric (P|Q)", df.J2); err != nil {
-		return nil, err
-	}
-	var err error
-	if df.w, df.Dropped, err = riMetricFactor(df.J2); err != nil {
-		return nil, err
+	df = &DF{Aux: aux}
+	var errInts, errMetric error
+	linalg.Parallel(2, 1, linalg.Procs(), func(piece, _ int) {
+		if piece == 0 {
+			if errInts = alongside(); errInts != nil {
+				return
+			}
+			if opts.RIScreenThresh > 0 {
+				schwarz = integrals.SchwarzShellPairs(bs)
+				df.v3 = integrals.ThreeCenterScreened(bs, aux, schwarz, opts.RIScreenThresh)
+			} else {
+				df.v3 = integrals.ThreeCenter(bs, aux)
+			}
+			return
+		}
+		df.J2 = integrals.TwoCenter(aux)
+		if errMetric = requireFinite("RI Coulomb metric (P|Q)", df.J2); errMetric == nil {
+			df.w, df.Dropped, errMetric = riMetricFactor(df.J2)
+		}
+	})
+	if err := cmp.Or(errInts, errMetric); err != nil {
+		return nil, nil, err
 	}
 	nbf, naux := bs.N, aux.N
 	df.B = linalg.NewTensor3(naux, nbf, nbf)
@@ -83,7 +98,7 @@ func newDF(g *molecule.Geometry, bs *basis.Set, opts Options, schwarz *linalg.Ma
 	df.f, df.k = linalg.NewMat(nbf, nbf), linalg.NewMat(nbf, nbf)
 	df.u, df.wa, df.wb, df.wt = linalg.NewMat(naux, 1), linalg.NewMat(naux, 1), linalg.NewMat(naux, 1), linalg.NewMat(naux, 1)
 	df.slabA, df.slabB = make([]float64, naux*nbf*nbf), make([]float64, naux*nbf*nbf)
-	return df, nil
+	return df, schwarz, nil
 }
 
 // Scratch3 hands out the two three-index scratch slabs: t is a

@@ -181,6 +181,22 @@ func eigFailed(what string, first []float64) error {
 	return nil
 }
 
+// oneElectron sets S, H (with the point-charge field's attraction when
+// there is one) and EField, and returns the orthogonaliser X = S^{-1/2}.
+func (res *Result) oneElectron() (*linalg.Mat, error) {
+	res.S = integrals.Overlap(res.Bs)
+	res.H = integrals.Hcore(res.Bs, res.Geom)
+	if pc := res.opts.EmbedCharges; pc.N() > 0 {
+		res.H.AxpyMat(1, integrals.PointChargeMatrix(res.Bs, pc))
+		res.EField = integrals.NuclearFieldEnergy(res.Geom, pc)
+	}
+	if err := requireFinite("overlap matrix S", res.S); err != nil {
+		return nil, err
+	}
+	x, _ := linalg.InvSqrtSym(res.S, 1e-10)
+	return x, eigFailed("overlap matrix S", x.Data)
+}
+
 // RHF runs a restricted closed-shell Hartree-Fock calculation.
 func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	opts.fill()
@@ -194,29 +210,23 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	}
 
 	res := &Result{Geom: g, Bs: bs, NOcc: nocc, Enuc: g.NuclearRepulsion(), opts: opts}
-	res.S = integrals.Overlap(bs)
-	res.H = integrals.Hcore(bs, g)
-	if pc := opts.EmbedCharges; pc.N() > 0 {
-		res.H.AxpyMat(1, integrals.PointChargeMatrix(bs, pc))
-		res.EField = integrals.NuclearFieldEnergy(g, pc)
+	var x *linalg.Mat
+	setUp := func() (err error) {
+		x, err = res.oneElectron()
+		return err
 	}
-	if err := requireFinite("overlap matrix S", res.S); err != nil {
-		return nil, err
+	var err error
+	if opts.UseRI {
+		res.DF, res.Schwarz, err = newDF(g, bs, opts, setUp)
+	} else {
+		err = setUp()
 	}
-	x, _ := linalg.InvSqrtSym(res.S, 1e-10)
-	if err := eigFailed("overlap matrix S", x.Data); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
 	var fockBuild func(d *linalg.Mat, co *linalg.Mat) *linalg.Mat
 	if opts.UseRI {
-		if opts.RIScreenThresh > 0 {
-			res.Schwarz = integrals.SchwarzShellPairs(bs)
-		}
-		var err error
-		if res.DF, err = newDF(g, bs, opts, res.Schwarz); err != nil {
-			return nil, err
-		}
 		fockBuild = func(d, co *linalg.Mat) *linalg.Mat { return res.fock(res.H, d, co) }
 	} else if opts.StoredERI {
 		res.Schwarz = integrals.SchwarzShellPairs(bs)
@@ -256,7 +266,6 @@ func RHF(g *molecule.Geometry, bs *basis.Set, opts Options) (*Result, error) {
 	// Initial guess: injected density (warm start) or core Hamiltonian.
 	var c, d, co *linalg.Mat
 	var eps []float64
-	var err error
 	if gd := opts.GuessDensity; gd != nil && gd.Rows == bs.N && gd.Cols == bs.N {
 		d = gd.Clone()
 		if gc := opts.GuessC; gc != nil && gc.Rows == bs.N && gc.Cols >= nocc {
