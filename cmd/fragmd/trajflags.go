@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"github.com/fragmd/fragmd/internal/chem"
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
@@ -20,14 +21,16 @@ import (
 )
 
 // trajFlags holds the system, physics, dynamics, scheduler and
-// resilience flags. workers, warm and embedTol are bound by fragmd
-// alone; coordinate leaves them zero (the fleet sizes the evaluation
-// and owns the caches, and the engine runs every SCC round).
+// resilience flags; the scheduler and resilience flags bind straight
+// into schedule. workers, warm and embedTol are bound by fragmd alone;
+// coordinate leaves them zero (the fleet sizes the evaluation and owns
+// the caches, and the engine runs every SCC round).
 type trajFlags struct {
-	in, basis, ckPath                                              string
-	apm, steps, groups, batch, embedSCC, ckEvery, retries, workers int
-	dimerCut, trimerCut, dt, temp, riScreen, embedDamp, embedTol   float64
-	sync, steal, scs, embed, resume, speculate, warm               bool
+	in, basis, ckPath                                            string
+	apm, steps, embedSCC, ckEvery, workers                       int
+	dimerCut, trimerCut, dt, temp, riScreen, embedDamp, embedTol float64
+	sync, scs, embed, resume, warm                               bool
+	schedule                                                     coord.Schedule
 }
 
 // newTrajFlags registers the shared flags on fs.
@@ -42,9 +45,9 @@ func newTrajFlags(fs *flag.FlagSet) *trajFlags {
 	fs.Float64Var(&t.dt, "dt", 0.5, "MD time step in fs")
 	fs.Float64Var(&t.temp, "temp", 150, "initial temperature in K")
 	fs.BoolVar(&t.sync, "sync", false, "use synchronous time steps")
-	fs.IntVar(&t.groups, "groups", 0, "group coordinators between the scheduler and the workers (0/1 = flat; on a fleet 0 = one per worker process)")
-	fs.IntVar(&t.batch, "batch", 0, "tasks per coordinator batch transfer (0/1 = single-task dispatch)")
-	fs.BoolVar(&t.steal, "steal", false, "enable work stealing between group coordinators")
+	fs.IntVar(&t.schedule.Groups, "groups", 0, "group coordinators between the scheduler and the workers (0/1 = flat; on a fleet 0 = one per worker process)")
+	fs.IntVar(&t.schedule.Batch, "batch", 0, "tasks per coordinator batch transfer (0/1 = single-task dispatch)")
+	fs.BoolVar(&t.schedule.Steal, "steal", false, "enable work stealing between group coordinators")
 	fs.BoolVar(&t.scs, "scs", false, "report SCS-MP2 energies")
 	fs.Float64Var(&t.riScreen, "ri-screen", 0, "Schwarz screening threshold for three-center (μν|P) integrals (0 = default 1e-12, negative disables)")
 	fs.BoolVar(&t.embed, "embed", false, "electrostatically embed every MBE term in the other monomers' Mulliken charges (EE-MBE)")
@@ -53,8 +56,8 @@ func newTrajFlags(fs *flag.FlagSet) *trajFlags {
 	fs.StringVar(&t.ckPath, "checkpoint", "", "trajectory checkpoint file (MD runs)")
 	fs.IntVar(&t.ckEvery, "checkpoint-every", 0, "checkpoint every N completed MD steps (0 = only at the end)")
 	fs.BoolVar(&t.resume, "resume", false, "resume the trajectory from -checkpoint instead of starting fresh")
-	fs.IntVar(&t.retries, "retries", 0, "per-task failure retry budget (0 = failures are fatal; a fleet raises 0 to 1, since a dead worker's reclaimed attempts draw on it)")
-	fs.BoolVar(&t.speculate, "speculate", false, "re-dispatch straggling tasks to idle workers (first copy wins)")
+	fs.IntVar(&t.schedule.MaxRetries, "retries", 0, "per-task failure retry budget (0 = failures are fatal; a fleet raises 0 to 1, since a dead worker's reclaimed attempts draw on it)")
+	fs.BoolVar(&t.schedule.Speculate, "speculate", false, "re-dispatch straggling tasks to idle workers (first copy wins)")
 	return t
 }
 
@@ -136,8 +139,7 @@ func (t *trajFlags) load(fs *flag.FlagSet, out io.Writer, boxA []float64, pbc bo
 func (t *trajFlags) options() sched.Options {
 	o := sched.Options{
 		Workers: t.workers, Async: !t.sync, Dt: t.dt * chem.AtomicTimePerFs,
-		Groups: t.groups, Batch: t.batch, Steal: t.steal,
-		WarmStart: t.warm, MaxRetries: t.retries, Speculate: t.speculate,
+		Schedule: t.schedule, WarmStart: t.warm,
 	}
 	if t.embed {
 		o.Embed = &fragment.EmbedOptions{SCC: t.embedSCC, SCCTol: t.embedTol, Damping: t.embedDamp}

@@ -37,6 +37,7 @@ import (
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/linalg"
@@ -192,6 +193,10 @@ type (
 	// EngineOptions configures the asynchronous AIMD engine. A run's
 	// deadline is the context passed to Engine.RunContext.
 	EngineOptions = sched.Options
+	// Schedule is the scheduling-policy knobs that EngineOptions and
+	// SimOptions embed: group coordinators, batching, stealing, retry
+	// budget, straggler copies and the dispatch trace.
+	Schedule = coord.Schedule
 	// Engine is the asynchronous time-step AIMD driver (paper §V-F).
 	Engine = sched.Engine
 )
@@ -208,7 +213,7 @@ type TrajectoryWriter = md.TrajectoryWriter
 
 // NewEngine creates the asynchronous (or, with Async=false, barrier-
 // synchronised) AIMD engine over a fragmentation and potential. The
-// EngineOptions Groups/Batch/Steal knobs engage the hierarchical
+// Groups/Batch/Steal knobs of its Schedule engage the hierarchical
 // group-coordinator scheduler shared with the cluster simulator
 // (DESIGN.md §6); Workers defaults to runtime.GOMAXPROCS(0).
 func NewEngine(f *Fragmentation, eval Evaluator, opts EngineOptions) (*Engine, error) {

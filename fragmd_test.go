@@ -113,7 +113,7 @@ func TestPublicAPIDistributed(t *testing.T) {
 	}
 	x := c.Executor()
 	eng, err := fragmd.NewEngine(frag, nil, fragmd.EngineOptions{
-		Async: true, Dt: 0.25 * fragmd.AtomicTimePerFs, Exec: x, Groups: x.Procs(),
+		Async: true, Dt: 0.25 * fragmd.AtomicTimePerFs, Exec: x, Schedule: fragmd.Schedule{Groups: x.Procs()},
 	})
 	if err != nil {
 		t.Fatal(err)

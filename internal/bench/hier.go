@@ -6,6 +6,7 @@ import (
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/potential"
 	"github.com/fragmd/fragmd/internal/sched"
 )
@@ -43,17 +44,17 @@ func Hier(c *Config) {
 	c.printf("Machine: %s, %d nodes (%d GCDs), jitter ±%.0f%%\n\n",
 		m.Name, nodes, nodes*m.GCDsPerNode, 100*jitter)
 
+	// Each row's one Schedule drives both backends.
 	type cfgRow struct {
-		name          string
-		groups, batch int
-		steal         bool
+		name     string
+		schedule coord.Schedule
 	}
 	rows := []cfgRow{
-		{"flat", 0, 0, false},
-		{"g4 b8", 4, 8, true},
-		{"g8 b16", 8, 16, true},
-		{"g8 b32", 8, 32, true},
-		{"g16 b32", 16, 32, true},
+		{"flat", coord.Schedule{}},
+		{"g4 b8", coord.Schedule{Groups: 4, Batch: 8, Steal: true}},
+		{"g8 b16", coord.Schedule{Groups: 8, Batch: 16, Steal: true}},
+		{"g8 b32", coord.Schedule{Groups: 8, Batch: 32, Steal: true}},
+		{"g16 b32", coord.Schedule{Groups: 16, Batch: 32, Steal: true}},
 	}
 	c.printf("%10s %10s %12s %10s %9s %8s %9s\n",
 		"config", "ms/step", "tasks/s", "coordutil", "batches", "steals", "speedup")
@@ -61,8 +62,7 @@ func Hier(c *Config) {
 	var bestSpeedup, bestUtilDrop float64
 	for _, r := range rows {
 		res, err := cluster.Simulate(w, m, cluster.Options{
-			Nodes: nodes, Steps: 2, Async: true,
-			Groups: r.groups, Batch: r.batch, Steal: r.steal,
+			Nodes: nodes, Steps: 2, Async: true, Schedule: r.schedule,
 			Seed: c.Seed, Jitter: jitter,
 		})
 		if err != nil {
@@ -76,7 +76,7 @@ func Hier(c *Config) {
 		c.printf("%10s %10.2f %12.0f %9.0f%% %9d %8d %8.2fx\n",
 			r.name, 1e3*res.AvgStep, res.Throughput, 100*res.CoordUtil,
 			res.Batches, res.Steals, speedup)
-		if r.groups > 0 {
+		if r.schedule.Groups > 0 {
 			if speedup > bestSpeedup {
 				bestSpeedup = speedup
 			}
@@ -107,8 +107,7 @@ func Hier(c *Config) {
 	eval := &potential.LennardJones{Delay: delay}
 	run := func(r cfgRow) ([]sched.StepStats, float64, error) {
 		return trajectory(f, eval, sched.Options{
-			Workers: 4, Async: true, Dt: 0.5 * chem.AtomicTimePerFs,
-			Groups: r.groups, Batch: r.batch, Steal: r.steal,
+			Workers: 4, Async: true, Dt: 0.5 * chem.AtomicTimePerFs, Schedule: r.schedule,
 		}, 3, 100, 7)
 	}
 	c.printf("\nLive in-process engine (β-fibril analogue, %d monomers, 4 workers):\n", len(f.Monomers))

@@ -7,6 +7,7 @@ import (
 
 	"github.com/fragmd/fragmd/internal/chem"
 	"github.com/fragmd/fragmd/internal/cluster"
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/netcoord"
@@ -71,7 +72,7 @@ func NetCoord(c *Config) {
 
 	// Live half: real TCP transport on localhost, throttled-LJ workers.
 	eval := &modelCostEval{perMonomer: perMonomer}
-	coord, err := netcoord.Listen("127.0.0.1:0", netcoord.CoordinatorOptions{
+	fleet, err := netcoord.Listen("127.0.0.1:0", netcoord.CoordinatorOptions{
 		Eval:      potential.Spec{Potential: "lj"},
 		Heartbeat: 100 * time.Millisecond,
 	})
@@ -79,16 +80,16 @@ func NetCoord(c *Config) {
 		c.fail("netcoord: " + err.Error())
 		return
 	}
-	defer coord.Close()
+	defer fleet.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < procs; i++ {
-		go netcoord.RunWorker(ctx, coord.Addr(), netcoord.WorkerOptions{Slots: slots, Eval: eval})
+		go netcoord.RunWorker(ctx, fleet.Addr(), netcoord.WorkerOptions{Slots: slots, Eval: eval})
 	}
 	waitCtx, waitCancel := context.WithTimeout(ctx, 30*time.Second)
 	defer waitCancel()
 	opts := sched.Options{Async: true, Dt: 0.5 * chem.AtomicTimePerFs}
-	release, err := coord.Lease(waitCtx, procs, &opts)
+	release, err := fleet.Lease(waitCtx, procs, &opts)
 	if err != nil {
 		c.fail("netcoord: " + err.Error())
 		return
@@ -134,7 +135,7 @@ func NetCoord(c *Config) {
 		CoordService:    1.5e-6,
 	}
 	res, err := cluster.Simulate(w, machine, cluster.Options{
-		Nodes: nWorkers, Steps: steps, Async: true, Groups: procs,
+		Nodes: nWorkers, Steps: steps, Async: true, Schedule: coord.Schedule{Groups: procs},
 		Seed: c.Seed, Jitter: c.Jitter,
 	})
 	if err != nil {

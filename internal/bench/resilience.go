@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/fragmd/fragmd/internal/cluster"
+	"github.com/fragmd/fragmd/internal/coord"
 )
 
 // Resilience sweeps simulated per-worker node failure rates against
@@ -60,7 +61,7 @@ func Resilience(c *Config) {
 	for _, r := range rows {
 		res, err := cluster.Simulate(w, m, cluster.Options{
 			Nodes: nodes, Steps: steps, Async: true, Seed: c.Seed, Jitter: c.Jitter,
-			MTBF: r.mtbf, FailPermanent: r.permanent, MaxRetries: 100,
+			MTBF: r.mtbf, FailPermanent: r.permanent, Schedule: coord.Schedule{MaxRetries: 100},
 		})
 		if err != nil {
 			c.fail(fmt.Sprintf("resilience: %s: %v", r.name, err))

@@ -24,7 +24,7 @@ func TestSimulateMTBFFailuresRecover(t *testing.T) {
 	// failures strike mid-run.
 	res, err := Simulate(w, m, Options{
 		Nodes: 2, Steps: 3, Async: true,
-		MTBF: clean.Makespan / 4, MaxRetries: 50,
+		MTBF: clean.Makespan / 4, Schedule: coord.Schedule{MaxRetries: 50},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestSimulatePermanentFailuresEvict(t *testing.T) {
 	}
 	res, err := Simulate(w, m, Options{
 		Nodes: 2, Steps: 2, Async: true,
-		MTBF: clean.Makespan, FailPermanent: true, MaxRetries: 50,
+		MTBF: clean.Makespan, FailPermanent: true, Schedule: coord.Schedule{MaxRetries: 50},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +97,12 @@ func TestSimulateChaosDeterministicForSeed(t *testing.T) {
 		var trace []string
 		res, err := Simulate(w, m, Options{
 			Nodes: 1, Steps: 2, Async: true, Seed: 21, Jitter: 0.2,
-			MTBF: 0.05, MaxRetries: 100, Speculate: true, Injector: inj,
-			TraceDispatch: func(tk coord.Task, meta coord.DispatchMeta) {
-				trace = append(trace, fmt.Sprintf("%d@%d#%d spec=%v", tk.Poly, tk.Step, meta.Attempt, meta.Speculative))
+			MTBF: 0.05, Injector: inj,
+			Schedule: coord.Schedule{
+				MaxRetries: 100, Speculate: true,
+				TraceDispatch: func(tk coord.Task, meta coord.DispatchMeta) {
+					trace = append(trace, fmt.Sprintf("%d@%d#%d spec=%v", tk.Poly, tk.Step, meta.Attempt, meta.Speculative))
+				},
 			},
 		})
 		if err != nil {
@@ -141,7 +144,7 @@ func TestSimulateFailureRNGIndependentOfJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	far, err := Simulate(w, m, Options{Nodes: 1, Steps: 2, Async: true, Seed: 3, Jitter: 0.3,
-		MTBF: 1e12, MaxRetries: 1})
+		MTBF: 1e12, Schedule: coord.Schedule{MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

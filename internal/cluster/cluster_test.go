@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"github.com/fragmd/fragmd/internal/coord"
 )
 
 func TestWorkloadEnumeration(t *testing.T) {
@@ -220,11 +222,14 @@ func TestSimValidation(t *testing.T) {
 	if _, err := Simulate(w, m, Options{Nodes: 99999, Steps: 1}); err == nil {
 		t.Error("expected too-many-nodes error")
 	}
-	if _, err := Simulate(w, m, Options{Nodes: 10, Steps: 1, Groups: -1}); err == nil {
+	if _, err := Simulate(w, m, Options{Nodes: 10, Steps: 1, Schedule: coord.Schedule{Groups: -1}}); err == nil {
 		t.Error("expected negative-groups error")
 	}
-	if _, err := Simulate(w, m, Options{Nodes: 10, Steps: 1, Batch: -3}); err == nil {
+	if _, err := Simulate(w, m, Options{Nodes: 10, Steps: 1, Schedule: coord.Schedule{Batch: -3}}); err == nil {
 		t.Error("expected negative-batch error")
+	}
+	if _, err := Simulate(w, m, Options{Nodes: 10, Steps: 1, Schedule: coord.Schedule{MaxRetries: -1}}); err == nil {
+		t.Error("expected negative-retries error")
 	}
 	if _, err := Simulate(w, m, Options{Nodes: 10, Steps: 1, Jitter: 1.5}); err == nil {
 		t.Error("expected out-of-range jitter error")
@@ -291,7 +296,7 @@ func TestHierarchicalBeatsFlatWhenDispatchBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	hier, err := Simulate(w, m, Options{Nodes: 512, Steps: 2, Async: true,
-		Groups: 8, Batch: 32, Steal: true})
+		Schedule: coord.Schedule{Groups: 8, Batch: 32, Steal: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +360,7 @@ func TestWorkStealingActivates(t *testing.T) {
 	w := dispatchBound()
 	m := Frontier()
 	r, err := Simulate(w, m, Options{Nodes: 64, Steps: 2, Async: true,
-		Groups: 8, Batch: 64, Steal: true, Jitter: 0.5, Seed: 3})
+		Schedule: coord.Schedule{Groups: 8, Batch: 64, Steal: true}, Jitter: 0.5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,11 @@ type Options struct {
 	// false inserts a global barrier between steps.
 	Async bool
 
-	// Groups is the number of group coordinators of the hierarchical
-	// scheduler (≤ 1 = flat super-coordinator, the paper's baseline);
-	// Batch is the number of tasks per super→group transfer (≤ 1 =
-	// single-task dispatch); Steal enables work stealing between group
-	// queues. See DESIGN.md §6.
-	Groups int
-	Batch  int
-	Steal  bool
+	// Schedule holds the scheduling-policy knobs — hierarchy, retry
+	// budget (required > 0 when MTBF or an Injector can fail attempts),
+	// straggler copies, dispatch trace — shared with the live engine
+	// (DESIGN.md §6).
+	coord.Schedule
 
 	// ChargeRounds simulates the EE-MBE two-phase pipeline (DESIGN.md
 	// §8): each step runs this many barriered rounds of per-monomer
@@ -57,20 +54,10 @@ type Options struct {
 	// FailPermanent makes every failure a node loss for the rest of the
 	// run: the worker is evicted instead of restarting.
 	FailPermanent bool
-	// MaxRetries is the per-task failure budget (required > 0 when MTBF
-	// or an Injector can fail attempts; 0 keeps failures fatal).
-	MaxRetries int
-	// Speculate enables straggler re-dispatch: idle workers re-run the
-	// oldest in-flight task, first copy wins.
-	Speculate bool
 	// Injector, when non-nil, adds seeded deterministic task failures
 	// and stragglers on top of (or instead of) the MTBF process — the
 	// chaos-test hook shared with the live engine.
 	Injector *resilience.FailureInjector
-
-	// TraceDispatch, when non-nil, observes every dispatch in order —
-	// the policy-equivalence test hook shared with the live engine.
-	TraceDispatch func(t coord.Task, m coord.DispatchMeta)
 }
 
 // Result reports a simulated run.
@@ -160,15 +147,13 @@ func Simulate(w *Workload, m Machine, opt Options) (*Result, error) {
 	nPoly := len(w.Tasks())
 
 	pol, err := coord.NewPolicy(w.Graph(), coord.Options{
-		Steps: opt.Steps, Workers: nWorkers, Sync: !opt.Async,
-		Groups: opt.Groups, Batch: opt.Batch, Steal: opt.Steal,
-		MaxRetries: opt.MaxRetries, Speculate: opt.Speculate,
+		Schedule: opt.Schedule, Steps: opt.Steps, Workers: nWorkers, Sync: !opt.Async,
 		ChargeRounds: opt.ChargeRounds,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	hier := coord.Options{Groups: pol.Groups(), Batch: pol.Batch()}.Hierarchical()
+	hier := pol.Groups() > 1 || pol.Batch() > 1
 
 	// Per-polymer cost (static workload: same every step).
 	secs := make([]float64, nPoly)
@@ -235,9 +220,6 @@ func Simulate(w *Workload, m Machine, opt Options) (*Result, error) {
 	backend := &coord.BackendFuncs{
 		NumWorkers: nWorkers,
 		DispatchFn: func(wk int, t coord.Task, meta coord.DispatchMeta) {
-			if opt.TraceDispatch != nil {
-				opt.TraceDispatch(t, meta)
-			}
 			var begin float64
 			if !hier {
 				start := math.Max(now, superFree)

@@ -149,7 +149,7 @@ func TestChargeRoundsValidation(t *testing.T) {
 // barrier intact and the run completes.
 func TestChargeTaskRequeue(t *testing.T) {
 	g := chainGraph(t, 3, true)
-	p, err := NewPolicy(g, Options{Steps: 1, Workers: 1, ChargeRounds: 1, MaxRetries: 2})
+	p, err := NewPolicy(g, Options{Steps: 1, Workers: 1, ChargeRounds: 1, Schedule: Schedule{MaxRetries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

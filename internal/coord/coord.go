@@ -213,40 +213,67 @@ func dist3(a, b [3]float64) float64 {
 	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
-// Options configures a Policy.
-type Options struct {
-	// Steps is the number of time steps (≥ 1).
-	Steps int
-	// Workers is the number of backend workers (≥ 1); the policy maps
-	// worker w to group w·Groups/Workers (contiguous blocks).
-	Workers int
-	// Sync inserts a global barrier between time steps instead of the
-	// per-monomer release.
-	Sync bool
-	// Groups is the number of group coordinators; values ≤ 1 (and any
-	// value when Workers == 1) collapse to a single group. Groups is
-	// clamped to Workers.
+// Schedule is the scheduling policy's knobs, declared once: the live
+// engine (sched.Options) and the cluster simulator (cluster.Options)
+// embed it and hand it to Options unchanged, so one value drives either
+// backend and the two dispatch identically. The zero value is the flat
+// scheduler with single-task transfers and fatal failures.
+type Schedule struct {
+	// Groups is the number of group coordinators between the
+	// super-coordinator and the workers; values ≤ 1 (and any value when
+	// Workers == 1) collapse to a single group, the flat scheduler.
+	// Groups is clamped to Workers, and worker w maps to group
+	// w·Groups/Workers (contiguous blocks).
 	Groups int
 	// Batch is the number of tasks transferred per super-coordinator →
-	// group-coordinator refill; ≤ 1 means single-task transfers (the
-	// flat scheduler's behaviour).
+	// group-coordinator refill; ≤ 1 means single-task transfers.
 	Batch int
 	// Steal lets a group whose queue and the super-coordinator's are
 	// both empty steal the lower-priority half of the fullest peer
 	// group's queue.
 	Steal bool
-
 	// MaxRetries is the per-task failure budget: an attempt that a
-	// backend reports as failed (Completion.Err) is re-queued on a
-	// surviving worker at most MaxRetries times before the run aborts.
-	// 0 keeps the pre-resilience behaviour — the first failure is
+	// backend reports as failed (evaluator error or panic, injected
+	// failure, lost worker) is re-queued on a surviving worker at most
+	// MaxRetries times before the run aborts. 0 keeps the first failure
 	// fatal.
 	MaxRetries int
 	// Speculate enables straggler re-dispatch: when workers sit idle
 	// with nothing ready, the oldest still-running task is dispatched a
 	// second time (at most one extra copy per task); the first copy to
-	// complete wins and the duplicate completion is dropped.
+	// complete wins and the duplicate completion is dropped, so results
+	// are unchanged.
 	Speculate bool
+	// TraceDispatch, when non-nil, observes every dispatch in order,
+	// retries and speculative copies included; RunContext calls it just
+	// before Backend.Dispatch. It is the hook the policy-equivalence
+	// tests compare the two backends through.
+	TraceDispatch func(t Task, m DispatchMeta)
+}
+
+// Validate rejects negative counts; it is the one check of the knobs.
+func (s Schedule) Validate() error {
+	switch {
+	case s.Groups < 0:
+		return fmt.Errorf("coord: group count %d must not be negative", s.Groups)
+	case s.Batch < 0:
+		return fmt.Errorf("coord: batch size %d must not be negative", s.Batch)
+	case s.MaxRetries < 0:
+		return fmt.Errorf("coord: retry budget %d must not be negative", s.MaxRetries)
+	}
+	return nil
+}
+
+// Options configures a Policy.
+type Options struct {
+	Schedule
+	// Steps is the number of time steps (≥ 1).
+	Steps int
+	// Workers is the number of backend workers (≥ 1).
+	Workers int
+	// Sync inserts a global barrier between time steps instead of the
+	// per-monomer release.
+	Sync bool
 
 	// ChargeRounds engages the two-phase EE-MBE pipeline: every step
 	// first runs ChargeRounds rounds of per-monomer charge tasks
@@ -255,10 +282,6 @@ type Options struct {
 	// step's polymer evaluations. 0 = vacuum MBE, no charge tasks.
 	ChargeRounds int
 }
-
-// Hierarchical reports whether the options engage the group-coordinator
-// layer (more than one group, or multi-task batches).
-func (o Options) Hierarchical() bool { return o.Groups > 1 || o.Batch > 1 }
 
 // DispatchMeta describes the coordination events behind one dispatch;
 // cost-modelling backends charge for them.
@@ -316,14 +339,8 @@ func NewPolicy(g *Graph, opts Options) (*Policy, error) {
 	if opts.Workers <= 0 {
 		return nil, fmt.Errorf("coord: worker count %d must be positive", opts.Workers)
 	}
-	if opts.Groups < 0 {
-		return nil, fmt.Errorf("coord: group count %d must not be negative", opts.Groups)
-	}
-	if opts.Batch < 0 {
-		return nil, fmt.Errorf("coord: batch size %d must not be negative", opts.Batch)
-	}
-	if opts.MaxRetries < 0 {
-		return nil, fmt.Errorf("coord: retry budget %d must not be negative", opts.MaxRetries)
+	if err := opts.Schedule.Validate(); err != nil {
+		return nil, err
 	}
 	if opts.ChargeRounds < 0 {
 		return nil, fmt.Errorf("coord: charge round count %d must not be negative", opts.ChargeRounds)

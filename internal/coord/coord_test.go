@@ -173,7 +173,7 @@ func TestBatchRefillPreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := NewPolicy(g, Options{Steps: 2, Workers: 1, Batch: 4})
+	batched, err := NewPolicy(g, Options{Steps: 2, Workers: 1, Schedule: Schedule{Batch: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBatchRefillPreservesOrder(t *testing.T) {
 // holds a long queue, a starved group steals the lower-priority tail.
 func TestWorkStealing(t *testing.T) {
 	g := chainGraph(t, 8, false)
-	p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Groups: 2, Batch: 100, Steal: true})
+	p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Schedule: Schedule{Groups: 2, Batch: 100, Steal: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestWorkStealing(t *testing.T) {
 // GroupOf partitions workers into contiguous, balanced blocks.
 func TestGroupOf(t *testing.T) {
 	g := chainGraph(t, 2, false)
-	p, err := NewPolicy(g, Options{Steps: 1, Workers: 8, Groups: 3})
+	p, err := NewPolicy(g, Options{Steps: 1, Workers: 8, Schedule: Schedule{Groups: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestGroupOf(t *testing.T) {
 		}
 	}
 	// Groups beyond Workers collapse.
-	p2, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Groups: 64})
+	p2, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Schedule: Schedule{Groups: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +318,14 @@ func TestPolicyValidation(t *testing.T) {
 	if _, err := NewPolicy(g, Options{Steps: 1, Workers: 0}); err == nil {
 		t.Error("expected zero-workers error")
 	}
-	if _, err := NewPolicy(g, Options{Steps: 1, Workers: 1, Groups: -1}); err == nil {
+	if _, err := NewPolicy(g, Options{Steps: 1, Workers: 1, Schedule: Schedule{Groups: -1}}); err == nil {
 		t.Error("expected negative-groups error")
 	}
-	if _, err := NewPolicy(g, Options{Steps: 1, Workers: 1, Batch: -1}); err == nil {
+	if _, err := NewPolicy(g, Options{Steps: 1, Workers: 1, Schedule: Schedule{Batch: -1}}); err == nil {
 		t.Error("expected negative-batch error")
+	}
+	if _, err := NewPolicy(g, Options{Steps: 1, Workers: 1, Schedule: Schedule{MaxRetries: -1}}); err == nil {
+		t.Error("expected negative-retries error")
 	}
 	if _, err := NewGraph(2, [][]int32{{0}}, [][]int32{{0}, {1}}, []float64{0}); err == nil {
 		t.Error("expected length-mismatch error")
@@ -346,7 +349,7 @@ func TestPolicyValidation(t *testing.T) {
 func TestRunCompletesAllTasks(t *testing.T) {
 	g := chainGraph(t, 6, true)
 	const steps = 3
-	p, err := NewPolicy(g, Options{Steps: steps, Workers: 3, Groups: 2, Batch: 2, Steal: true})
+	p, err := NewPolicy(g, Options{Steps: steps, Workers: 3, Schedule: Schedule{Groups: 2, Batch: 2, Steal: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,8 +413,8 @@ func TestConfigurationsDispatchSameWork(t *testing.T) {
 	}
 	base := gather(Options{Steps: 2, Workers: 1})
 	for _, opts := range []Options{
-		{Steps: 2, Workers: 4, Groups: 2, Batch: 3, Steal: true},
-		{Steps: 2, Workers: 4, Groups: 4, Batch: 1, Steal: true, Sync: true},
+		{Steps: 2, Workers: 4, Schedule: Schedule{Groups: 2, Batch: 3, Steal: true}},
+		{Steps: 2, Workers: 4, Schedule: Schedule{Groups: 4, Batch: 1, Steal: true}, Sync: true},
 	} {
 		got := gather(opts)
 		if len(got) != len(base) {

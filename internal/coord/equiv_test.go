@@ -96,10 +96,12 @@ func TestLiveAndSimulatedBackendsDispatchIdentically(t *testing.T) {
 			// choice to float summation order; pin both backends to the
 			// simulator's pick so the priorities are identical.
 			RefMonomer: w.RefMono(),
-			Groups:     cfg.groups, Batch: cfg.batch, Steal: cfg.steal,
-			Embed: embed,
-			TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) {
-				live = append(live, taskID(eng.Graph().Members, rounds, tk))
+			Embed:      embed,
+			Schedule: coord.Schedule{
+				Groups: cfg.groups, Batch: cfg.batch, Steal: cfg.steal,
+				TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) {
+					live = append(live, taskID(eng.Graph().Members, rounds, tk))
+				},
 			},
 		})
 		if err != nil {
@@ -121,10 +123,12 @@ func TestLiveAndSimulatedBackendsDispatchIdentically(t *testing.T) {
 		var sim []string
 		_, err = cluster.Simulate(w, testMachine, cluster.Options{
 			Nodes: 1, Steps: steps, Async: cfg.async, Seed: 17,
-			Groups: cfg.groups, Batch: cfg.batch, Steal: cfg.steal,
 			ChargeRounds: rounds,
-			TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) {
-				sim = append(sim, taskID(w.Graph().Members, rounds, tk))
+			Schedule: coord.Schedule{
+				Groups: cfg.groups, Batch: cfg.batch, Steal: cfg.steal,
+				TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) {
+					sim = append(sim, taskID(w.Graph().Members, rounds, tk))
+				},
 			},
 		})
 		if err != nil {

@@ -171,7 +171,7 @@ func TestRunEvictsWorkerHoldingTwoRuns(t *testing.T) {
 		// starts fall in the cost-sized runs of steps 1 and 2.
 		for _, dieAt := range []int{45, 57, 63, 71, 88} {
 			g := chainGraph(t, 40, true) // 79 polymers per step
-			p, err := NewPolicy(g, Options{Steps: steps, Workers: 2, MaxRetries: 1})
+			p, err := NewPolicy(g, Options{Steps: steps, Workers: 2, Schedule: Schedule{MaxRetries: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}

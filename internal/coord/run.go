@@ -12,7 +12,7 @@ type Completion struct {
 	Task   Task
 	// Err, when non-nil, marks the attempt as failed: the task's result
 	// was lost and the driver will re-queue it against the retry budget
-	// (Options.MaxRetries). Backends must not have accumulated any
+	// (Schedule.MaxRetries). Backends must not have accumulated any
 	// payload for a failed attempt.
 	Err error
 	// WorkerDown reports that the worker died executing the attempt
@@ -150,9 +150,9 @@ func Run(p *Policy, b Backend, onAdvance func(mono, step int32)) error {
 //
 // Failure semantics: an attempt reported with Completion.Err is
 // re-queued on a surviving worker until the task's retry budget
-// (Options.MaxRetries) is exhausted; a completion with WorkerDown
+// (Schedule.MaxRetries) is exhausted; a completion with WorkerDown
 // evicts the worker and reclaims every task still in flight on it, in
-// either of its runs, as a failed attempt; with Options.Speculate, idle
+// either of its runs, as a failed attempt; with Schedule.Speculate, idle
 // workers with nothing ready re-run the oldest in-flight task (one
 // extra copy per task — the straggler defence) and the losing copy's
 // completion is dropped. The context bounds the whole run: cancellation
@@ -209,6 +209,9 @@ func RunContext(ctx context.Context, p *Policy, b Backend, onAdvance func(mono, 
 
 	dispatch := func(w, run int, t Task, m DispatchMeta) {
 		m.Attempt = attempts[t]
+		if p.opts.TraceDispatch != nil {
+			p.opts.TraceDispatch(t, m)
+		}
 		b.Dispatch(w, t, m)
 		held[w].add(t, run)
 		inflight++

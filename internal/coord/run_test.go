@@ -45,7 +45,7 @@ func (b *scriptedBackend) Await(context.Context) (Completion, error) {
 // still completes every task exactly once.
 func TestRunRetriesFailedAttempts(t *testing.T) {
 	g := chainGraph(t, 5, true)
-	p, err := NewPolicy(g, Options{Steps: 2, Workers: 2, MaxRetries: 2})
+	p, err := NewPolicy(g, Options{Steps: 2, Workers: 2, Schedule: Schedule{MaxRetries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRunRetriesFailedAttempts(t *testing.T) {
 // Exhausting the retry budget aborts the run with the task named.
 func TestRunRetryBudgetExhausted(t *testing.T) {
 	g := chainGraph(t, 3, false)
-	p, err := NewPolicy(g, Options{Steps: 1, Workers: 1, MaxRetries: 1})
+	p, err := NewPolicy(g, Options{Steps: 1, Workers: 1, Schedule: Schedule{MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunRetryBudgetExhausted(t *testing.T) {
 // in-flight task is reclaimed onto a survivor.
 func TestRunEvictsDeadWorker(t *testing.T) {
 	g := chainGraph(t, 6, false)
-	p, err := NewPolicy(g, Options{Steps: 2, Workers: 3, MaxRetries: 1})
+	p, err := NewPolicy(g, Options{Steps: 2, Workers: 3, Schedule: Schedule{MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRunEvictsWorkerMidHandoff(t *testing.T) {
 	for _, silent := range []bool{false, true} {
 		g := chainGraph(t, 40, true) // 79 polymers per step
 		const steps = 3
-		p, err := NewPolicy(g, Options{Steps: steps, Workers: 2, MaxRetries: 1})
+		p, err := NewPolicy(g, Options{Steps: steps, Workers: 2, Schedule: Schedule{MaxRetries: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestHandoffsKeepSingleTaskOrder(t *testing.T) {
 				}
 			}
 		}
-		opts := Options{Steps: 4, Workers: 1, Batch: 1 + rng.Intn(6), Sync: rng.Intn(3) == 0,
+		opts := Options{Steps: 4, Workers: 1, Schedule: Schedule{Batch: 1 + rng.Intn(6)}, Sync: rng.Intn(3) == 0,
 			ChargeRounds: rng.Intn(3)}
 		dispatches := func(cost float64) ([]Task, int) {
 			g, err := NewGraph(n, members, members, dist)
@@ -309,7 +309,7 @@ func TestHandoffsKeepSingleTaskOrder(t *testing.T) {
 // When every worker dies the run aborts instead of wedging.
 func TestRunAllWorkersEvicted(t *testing.T) {
 	g := chainGraph(t, 4, false)
-	p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, MaxRetries: 100})
+	p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Schedule: Schedule{MaxRetries: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func (b *slowBackend) Await(ctx context.Context) (Completion, error) {
 
 func TestRunSpeculatesAgainstStraggler(t *testing.T) {
 	g := chainGraph(t, 6, false)
-	p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Speculate: true})
+	p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Schedule: Schedule{Speculate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRunSpeculatesAgainstStraggler(t *testing.T) {
 // is already in flight, then lands as a duplicate.
 func TestRunDropsDuplicateCompletions(t *testing.T) {
 	g := chainGraph(t, 2, false) // monomers X=0, Y=1
-	p, err := NewPolicy(g, Options{Steps: 2, Workers: 2, Speculate: true})
+	p, err := NewPolicy(g, Options{Steps: 2, Workers: 2, Schedule: Schedule{Speculate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestRunDropsDuplicateCompletions(t *testing.T) {
 // speculation is an optimisation, never a new way to fail.
 func TestRunSpeculativeFailureDoesNotBurnBudget(t *testing.T) {
 	g := chainGraph(t, 2, false) // monomers X=0, Y=1
-	p, err := NewPolicy(g, Options{Steps: 2, Workers: 2, Speculate: true, MaxRetries: 0})
+	p, err := NewPolicy(g, Options{Steps: 2, Workers: 2, Schedule: Schedule{Speculate: true, MaxRetries: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestCompletedAndRequeue(t *testing.T) {
 func TestRunRejectsForgedWorkerIdentity(t *testing.T) {
 	run := func(forge func(c Completion, evictedSeen bool) Completion) error {
 		g := chainGraph(t, 4, false)
-		p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, MaxRetries: 3})
+		p, err := NewPolicy(g, Options{Steps: 1, Workers: 2, Schedule: Schedule{MaxRetries: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -417,9 +417,10 @@ type Executor struct {
 // Lease reserves the fleet for one engine run: it waits for the
 // previous lease's release and for at least min worker processes, then
 // points o at a fresh snapshot — Exec is set, Workers adopts its slot
-// count, Groups, when unset, becomes one group per worker process, and
-// a zero MaxRetries becomes 1, because a dead worker's reclaimed
-// attempts are charged to the retry budget.
+// count, and o's Schedule gets the fleet defaults: Groups, when unset,
+// becomes one group per worker process, and a zero MaxRetries becomes
+// 1, because a dead worker's reclaimed attempts are charged to the
+// retry budget.
 // Leases are exclusive because a snapshot maps fleet slots to one
 // engine's worker handles: two concurrent engines would corrupt each
 // other's in-flight bookkeeping. Call release when the run ends.
@@ -475,13 +476,13 @@ func (c *Coordinator) Executor() *Executor {
 func (x *Executor) Workers() int { return len(x.slotProc) }
 
 // Procs returns the number of worker processes in the snapshot — the
-// natural Options.Groups for an engine run over it.
+// natural Schedule.Groups for an engine run over it.
 func (x *Executor) Procs() int { return len(x.procs) }
 
 // Execute ships the attempt to the slot's worker process. A dead
 // process (or a send failure, which kills it) surfaces as a WorkerDown
 // result through the usual eviction path; Lease budgets retries for
-// those re-queues (Options.MaxRetries ≥ 1).
+// those re-queues (Schedule.MaxRetries ≥ 1).
 func (x *Executor) Execute(w int, req sched.ExecRequest) {
 	p := x.slotProc[w]
 	slot := x.slotLocal[w]

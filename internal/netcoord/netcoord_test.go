@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
@@ -143,7 +144,7 @@ func TestNetworkMatchesLocalTrajectory(t *testing.T) {
 	const steps, seed = 4, 11
 	f := waterFrag(t, 6)
 	localState, localStats := runTrajectory(t, f, &potential.LennardJones{},
-		sched.Options{Workers: 4, Groups: 2}, seed, steps)
+		sched.Options{Workers: 4, Schedule: coord.Schedule{Groups: 2}}, seed, steps)
 
 	c := startCoordinator(t, CoordinatorOptions{Eval: potential.Spec{Potential: "lj"}})
 	for i := 0; i < 2; i++ {
@@ -159,7 +160,7 @@ func TestNetworkMatchesLocalTrajectory(t *testing.T) {
 		t.Fatalf("executor snapshot: %d slots over %d procs, want 4 over 2", x.Workers(), x.Procs())
 	}
 	netState, netStats := runTrajectory(t, f, nil,
-		sched.Options{Exec: x, Groups: x.Procs()}, seed, steps)
+		sched.Options{Exec: x, Schedule: coord.Schedule{Groups: x.Procs()}}, seed, steps)
 	assertTrajectoriesMatch(t, localState, netState, localStats, netStats)
 }
 
@@ -187,7 +188,7 @@ func TestNetworkMatchesLocalEmbedded(t *testing.T) {
 	}
 	x := c.Executor()
 	netState, netStats := runTrajectory(t, f, nil,
-		sched.Options{Exec: x, Groups: x.Procs(), Embed: embed}, seed, steps)
+		sched.Options{Exec: x, Schedule: coord.Schedule{Groups: x.Procs()}, Embed: embed}, seed, steps)
 	assertTrajectoriesMatch(t, localState, netState, localStats, netStats)
 }
 
@@ -249,7 +250,7 @@ func TestSeveredConnectionEvictsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := c.Executor()
-	opts := sched.Options{Exec: x, Groups: x.Procs(), MaxRetries: 3}
+	opts := sched.Options{Exec: x, Schedule: coord.Schedule{Groups: x.Procs(), MaxRetries: 3}}
 	opts.Dt, opts.Async = dt, true
 	eng, err := sched.New(f, nil, opts)
 	if err != nil {
@@ -303,7 +304,7 @@ func TestChaosRemoteEvaluatorPanicRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := c.Executor()
-	opts := sched.Options{Exec: x, Groups: x.Procs(), MaxRetries: 1}
+	opts := sched.Options{Exec: x, Schedule: coord.Schedule{Groups: x.Procs(), MaxRetries: 1}}
 	opts.Dt, opts.Async = dt, true
 	eng, err := sched.New(f, nil, opts)
 	if err != nil {
@@ -369,7 +370,7 @@ func TestCoordinatorRestartReassemblesFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := c.Executor()
-		eng, err := sched.New(f, nil, sched.Options{Exec: x, Groups: x.Procs(), Async: true, Dt: dt})
+		eng, err := sched.New(f, nil, sched.Options{Exec: x, Schedule: coord.Schedule{Groups: x.Procs()}, Async: true, Dt: dt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,8 +530,8 @@ func TestLeaseAdaptsOptionsToFleet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, tc := range []struct{ in, want sched.Options }{
-		{sched.Options{Workers: 4}, sched.Options{Groups: 1, MaxRetries: 1}},
-		{sched.Options{Groups: 2, MaxRetries: 3}, sched.Options{Groups: 2, MaxRetries: 3}},
+		{sched.Options{Workers: 4}, sched.Options{Schedule: coord.Schedule{Groups: 1, MaxRetries: 1}}},
+		{sched.Options{Schedule: coord.Schedule{Groups: 2, MaxRetries: 3}}, sched.Options{Schedule: coord.Schedule{Groups: 2, MaxRetries: 3}}},
 	} {
 		o := tc.in
 		release, err := c.Lease(ctx, 1, &o)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
@@ -80,7 +81,7 @@ func TestChaosEnergiesMatchFailureFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		chaos, eng := chaosRun(t, f, Options{
-			Workers: 4, MaxRetries: 8, Speculate: speculate, Injector: inj,
+			Workers: 4, Schedule: coord.Schedule{MaxRetries: 8, Speculate: speculate}, Injector: inj,
 		}, steps)
 
 		if len(chaos) != len(clean) {
@@ -114,7 +115,7 @@ func TestChaosInjectionDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, eng := chaosRun(t, f, Options{Workers: 3, MaxRetries: 10, Injector: inj}, 3)
+		stats, eng := chaosRun(t, f, Options{Workers: 3, Schedule: coord.Schedule{MaxRetries: 10}, Injector: inj}, 3)
 		return stats, eng.RunStats().Retries
 	}
 	s1, r1 := run()
@@ -140,7 +141,7 @@ func TestChaosEvaluatorPanicRetried(t *testing.T) {
 
 	eval := &panicOnce{inner: &potential.LennardJones{}}
 	eng, err := New(f, eval, Options{
-		Workers: 3, Async: true, Dt: 0.5 * chem.AtomicTimePerFs, MaxRetries: 2,
+		Workers: 3, Async: true, Dt: 0.5 * chem.AtomicTimePerFs, Schedule: coord.Schedule{MaxRetries: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +237,7 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosRun(t, f, Options{Workers: 4, MaxRetries: 8, Injector: inj}, 2)
+	chaosRun(t, f, Options{Workers: 4, Schedule: coord.Schedule{MaxRetries: 8}, Injector: inj}, 2)
 
 	// An aborted run (budget exhausted mid-flight).
 	injAll, err := resilience.NewFailureInjector(resilience.InjectOptions{Seed: 2, TaskFailProb: 1})
@@ -244,7 +245,7 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := New(f, &potential.LennardJones{}, Options{
-		Workers: 4, Async: true, Dt: 0.5 * chem.AtomicTimePerFs, Injector: injAll, MaxRetries: 1,
+		Workers: 4, Async: true, Dt: 0.5 * chem.AtomicTimePerFs, Injector: injAll, Schedule: coord.Schedule{MaxRetries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

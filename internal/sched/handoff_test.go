@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/molecule"
 	"github.com/fragmd/fragmd/internal/resilience"
@@ -91,7 +92,7 @@ func TestChaosFailuresInsideHandoffs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, eng := chaosRun(t, f, Options{Workers: workers, MaxRetries: 1, Injector: inj}, steps)
+		got, eng := chaosRun(t, f, Options{Workers: workers, Schedule: coord.Schedule{MaxRetries: 1}, Injector: inj}, steps)
 		match("worker death", got)
 		st := eng.RunStats()
 		if st.Evicted != 1 {
@@ -123,7 +124,7 @@ func TestChaosFailuresInsideHandoffs(t *testing.T) {
 	if late == 0 {
 		t.Fatal("the injector fails no task after step 0 — the test is vacuous")
 	}
-	got, eng := chaosRun(t, f, Options{Workers: workers, MaxRetries: 8, Injector: inj}, steps)
+	got, eng := chaosRun(t, f, Options{Workers: workers, Schedule: coord.Schedule{MaxRetries: 8}, Injector: inj}, steps)
 	match("task failures", got)
 	if st := eng.RunStats(); st.Retries < late || st.Coalesced == 0 || st.Evicted != 0 {
 		t.Errorf("task failures: %+v, want ≥ %d retries, multi-task hand-offs and no eviction", st, late)
@@ -147,7 +148,7 @@ func TestChaosSpeculationDuringHandoffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, eng := chaosRun(t, f, Options{Workers: workers, Speculate: true, Injector: inj}, steps)
+	got, eng := chaosRun(t, f, Options{Workers: workers, Schedule: coord.Schedule{Speculate: true}, Injector: inj}, steps)
 	for i := range clean {
 		if d := math.Abs(got[i].Etot - clean[i].Etot); d > 1e-10 {
 			t.Errorf("step %d: |ΔEtot| = %.3e Ha with speculation (> 1e-10)", i, d)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/fragmd/fragmd/internal/chem"
+	"github.com/fragmd/fragmd/internal/coord"
 	"github.com/fragmd/fragmd/internal/fragment"
 	"github.com/fragmd/fragmd/internal/md"
 	"github.com/fragmd/fragmd/internal/molecule"
@@ -78,7 +79,7 @@ func TestChaosWorkerDiesWithTwoRunsQueued(t *testing.T) {
 	const steps, workers = 6, 2
 	run := func(inj *resilience.FailureInjector) ([]StepStats, *Engine) {
 		eng, err := New(f, &slowLJ{}, Options{Workers: workers, Async: true, Dt: 0.5 * chem.AtomicTimePerFs,
-			MaxRetries: 1, Injector: inj})
+			Schedule: coord.Schedule{MaxRetries: 1}, Injector: inj})
 		if err != nil {
 			t.Fatal(err)
 		}

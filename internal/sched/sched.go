@@ -59,14 +59,10 @@ type Options struct {
 	// what cluster.NewWorkload always uses.
 	RefMonomer int
 
-	// Groups is the number of group coordinators between the
-	// super-coordinator and the workers (≤ 1 = flat); Batch is the
-	// number of tasks per super→group transfer (≤ 1 = single-task
-	// dispatch); Steal enables work stealing between group queues.
-	// See DESIGN.md §6.
-	Groups int
-	Batch  int
-	Steal  bool
+	// Schedule holds the scheduling-policy knobs — hierarchy, retry
+	// budget, straggler copies, dispatch trace — shared with the
+	// cluster simulator (DESIGN.md §6).
+	coord.Schedule
 
 	// WarmStart enables incremental evaluation across time steps: each
 	// polymer's converged electronic state is cached and injected as
@@ -94,16 +90,6 @@ type Options struct {
 	// nil = vacuum MBE.
 	Embed *fragment.EmbedOptions
 
-	// MaxRetries is the per-task failure budget: an evaluation that
-	// fails (evaluator error, evaluator panic, injected failure) is
-	// re-queued on a surviving worker at most MaxRetries times before
-	// the run aborts. 0 keeps failures fatal on first occurrence.
-	MaxRetries int
-	// Speculate re-dispatches the oldest still-running task to an
-	// otherwise idle worker (one extra copy per task) — the straggler
-	// defence; the losing copy's result is dropped, so energies are
-	// unchanged.
-	Speculate bool
 	// Injector, when non-nil, injects seeded deterministic failures —
 	// task-level failures, worker deaths, slow-worker stragglers — for
 	// chaos testing. See internal/resilience. Ignored when Exec is set
@@ -122,11 +108,6 @@ type Options struct {
 	// Injector are ignored (remote workers own their caches; see the
 	// fragmd worker flags).
 	Exec Executor
-
-	// TraceDispatch, when non-nil, observes every dispatch in order —
-	// the policy-equivalence test hook shared with the cluster
-	// simulator.
-	TraceDispatch func(t coord.Task, m coord.DispatchMeta)
 }
 
 // StepStats reports a completed time step.
@@ -281,14 +262,8 @@ func (e *Engine) With(opts Options) (*Engine, error) {
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("sched: worker count %d must not be negative", opts.Workers)
 	}
-	if opts.Groups < 0 {
-		return nil, fmt.Errorf("sched: group count %d must not be negative", opts.Groups)
-	}
-	if opts.Batch < 0 {
-		return nil, fmt.Errorf("sched: batch size %d must not be negative", opts.Batch)
-	}
-	if opts.MaxRetries < 0 {
-		return nil, fmt.Errorf("sched: retry budget %d must not be negative", opts.MaxRetries)
+	if err := opts.Schedule.Validate(); err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
 	}
 	if opts.Exec != nil {
 		// External execution: the engine coordinates, the executor's
@@ -621,9 +596,7 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	}
 
 	pol, err := coord.NewPolicy(e.graph, coord.Options{
-		Steps: n, Workers: e.Opts.Workers, Sync: !e.Opts.Async,
-		Groups: e.Opts.Groups, Batch: e.Opts.Batch, Steal: e.Opts.Steal,
-		MaxRetries: e.Opts.MaxRetries, Speculate: e.Opts.Speculate,
+		Schedule: e.Opts.Schedule, Steps: n, Workers: e.Opts.Workers, Sync: !e.Opts.Async,
 		ChargeRounds: chargeRounds,
 	})
 	if err != nil {
@@ -777,9 +750,6 @@ func (e *Engine) RunContext(ctx context.Context, state *md.State, n int, obs fun
 	backend := &coord.BackendFuncs{
 		NumWorkers: e.Opts.Workers,
 		DispatchFn: func(w int, t coord.Task, m coord.DispatchMeta) {
-			if e.Opts.TraceDispatch != nil {
-				e.Opts.TraceDispatch(t, m)
-			}
 			if firstDispatch[t.Step].IsZero() {
 				firstDispatch[t.Step] = time.Now()
 			}

@@ -103,7 +103,7 @@ func TestEngineDispatchesOnlyNonZeroCoefficients(t *testing.T) {
 		got := map[string]bool{}
 		var eng *Engine
 		eng, err = New(f, ev, Options{Workers: 2, Async: true, Dt: dtFs * chem.AtomicTimePerFs,
-			TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) { got[eng.polymers[tk.Poly].Key()] = true },
+			Schedule: coord.Schedule{TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) { got[eng.polymers[tk.Poly].Key()] = true }},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +305,7 @@ func TestQueueOrdering(t *testing.T) {
 	var order []coord.Task
 	eng, err := New(f, &potential.LennardJones{}, Options{
 		Workers: 1, Async: true, Dt: 1,
-		TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) { order = append(order, tk) },
+		Schedule: coord.Schedule{TraceDispatch: func(tk coord.Task, _ coord.DispatchMeta) { order = append(order, tk) }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestHierMatchesFlatTrajectory(t *testing.T) {
 		return state, stats
 	}
 	sf, statsF := run(Options{Workers: 4})
-	sh, statsH := run(Options{Workers: 4, Groups: 2, Batch: 3, Steal: true})
+	sh, statsH := run(Options{Workers: 4, Schedule: coord.Schedule{Groups: 2, Batch: 3, Steal: true}})
 	for i := range sf.Geom.Atoms {
 		for k := 0; k < 3; k++ {
 			if d := math.Abs(sf.Geom.Atoms[i].Pos[k] - sh.Geom.Atoms[i].Pos[k]); d > 1e-10 {
@@ -386,7 +386,7 @@ func TestHierMatchesFlatTrajectory(t *testing.T) {
 func TestGroupSchedulingRace(t *testing.T) {
 	f := ljFrag(t, 8, fragment.Options{DimerCutoff: 14, TrimerCutoff: 10})
 	eng, err := New(f, &potential.LennardJones{}, Options{
-		Workers: 8, Groups: 4, Batch: 2, Steal: true,
+		Workers: 8, Schedule: coord.Schedule{Groups: 4, Batch: 2, Steal: true},
 		Async: true, Dt: 0.25 * chem.AtomicTimePerFs,
 	})
 	if err != nil {
@@ -418,10 +418,10 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := New(f, lj, Options{Dt: 1, Workers: -1}); err == nil {
 		t.Fatal("expected error for negative workers")
 	}
-	if _, err := New(f, lj, Options{Dt: 1, Groups: -2}); err == nil {
+	if _, err := New(f, lj, Options{Dt: 1, Schedule: coord.Schedule{Groups: -2}}); err == nil {
 		t.Fatal("expected error for negative groups")
 	}
-	if _, err := New(f, lj, Options{Dt: 1, Batch: -1}); err == nil {
+	if _, err := New(f, lj, Options{Dt: 1, Schedule: coord.Schedule{Batch: -1}}); err == nil {
 		t.Fatal("expected error for negative batch")
 	}
 	eng, err := New(f, lj, Options{Dt: 1})
@@ -459,10 +459,13 @@ func TestWithSharesTopology(t *testing.T) {
 		t.Errorf("options: derived %+v, receiver %+v", w.Opts, eng.Opts)
 	}
 	for name, bad := range map[string]Options{
-		"embed on":      {Dt: 1, Embed: &fragment.EmbedOptions{}},
-		"ref monomer":   {Dt: 1, RefMonomer: -1},
-		"negative work": {Dt: 1, Workers: -1},
-		"no time step":  {},
+		"embed on":         {Dt: 1, Embed: &fragment.EmbedOptions{}},
+		"ref monomer":      {Dt: 1, RefMonomer: -1},
+		"negative work":    {Dt: 1, Workers: -1},
+		"no time step":     {},
+		"negative groups":  {Dt: 1, Schedule: coord.Schedule{Groups: -1}},
+		"negative batch":   {Dt: 1, Schedule: coord.Schedule{Batch: -1}},
+		"negative retries": {Dt: 1, Schedule: coord.Schedule{MaxRetries: -1}},
 	} {
 		if _, err := eng.With(bad); err == nil {
 			t.Errorf("%s: With accepted %+v", name, bad)
