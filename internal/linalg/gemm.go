@@ -122,13 +122,26 @@ func packedCrossover() int64 {
 // m×k, op(B) is k×n, C is m×n. The work is counted as 2·m·n·k FLOPs in
 // the global counter.
 func Gemm(tA, tB Transpose, alpha float64, a, b *Mat, beta float64, c *Mat) {
-	GemmKernel(KernelAuto, tA, tB, alpha, a, b, beta, c)
+	gemm(KernelAuto, Procs(), tA, tB, alpha, a, b, beta, c)
+}
+
+// GemmInline is Gemm on the calling goroutine alone, at any size: the
+// product of one piece of a Parallel call, which must not fan out a
+// second time. Tiles and row ranges own disjoint elements of C, so its
+// result is Gemm's bit for bit.
+func GemmInline(tA, tB Transpose, alpha float64, a, b *Mat, beta float64, c *Mat) {
+	gemm(KernelAuto, 1, tA, tB, alpha, a, b, beta, c)
 }
 
 // GemmKernel is Gemm with an explicit engine choice. KernelAuto applies
 // the size heuristic; KernelStream and KernelPacked force their engine
 // (used by the autotuner's per-shape arbitration and the benchmarks).
 func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta float64, c *Mat) {
+	gemm(kern, Procs(), tA, tB, alpha, a, b, beta, c)
+}
+
+// gemm is GemmKernel on at most workers goroutines.
+func gemm(kern Kernel, workers int, tA, tB Transpose, alpha float64, a, b *Mat, beta float64, c *Mat) {
 	m, k := a.Rows, a.Cols
 	if tA {
 		m, k = a.Cols, a.Rows
@@ -174,15 +187,15 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 		return
 	}
 	if kern == KernelPacked {
-		gemmPacked(tA, tB, alpha, a, b, c, store)
+		gemmPacked(tA, tB, alpha, a, b, c, store, workers)
 		return
 	}
 
 	// Above parallelThreshold (only KernelStream gets here with that
-	// much work) the rows are split into min(Procs, m) equal ranges.
+	// much work) the rows are split into min(workers, m) equal ranges.
 	nw := 1
 	if work > parallelThreshold {
-		nw = min(Procs(), m)
+		nw = min(workers, m)
 	}
 	if nw <= 1 {
 		gemmRange(tA, tB, alpha, a, b, c, 0, m)
@@ -199,26 +212,38 @@ func GemmKernel(kern Kernel, tA, tB Transpose, alpha float64, a, b *Mat, beta fl
 // partial sums of a dot product are a fixed function of the row length.
 func gemv(tA Transpose, alpha float64, a *Mat, x, y []float64) {
 	if tA {
+		y = y[:a.Cols]
 		for l, xv := range x {
 			f := alpha * xv
 			if f == 0 {
 				continue
 			}
-			for i, av := range a.Row(l) {
-				y[i] += f * av
+			row := a.Row(l)[:len(y)]
+			i := 0
+			for ; i+4 <= len(row); i += 4 {
+				r, yi := row[i:i+4:i+4], y[i:i+4:i+4]
+				yi[0] += f * r[0]
+				yi[1] += f * r[1]
+				yi[2] += f * r[2]
+				yi[3] += f * r[3]
+			}
+			for ; i < len(row); i++ {
+				y[i] += f * row[i]
 			}
 		}
 		return
 	}
+	x = x[:a.Cols]
 	for i := range y {
-		row := a.Row(i)
+		row := a.Row(i)[:len(x)]
 		var s0, s1, s2, s3 float64
 		l := 0
 		for ; l+4 <= len(row); l += 4 {
-			s0 += row[l] * x[l]
-			s1 += row[l+1] * x[l+1]
-			s2 += row[l+2] * x[l+2]
-			s3 += row[l+3] * x[l+3]
+			r, xl := row[l:l+4:l+4], x[l:l+4:l+4]
+			s0 += r[0] * xl[0]
+			s1 += r[1] * xl[1]
+			s2 += r[2] * xl[2]
+			s3 += r[3] * xl[3]
 		}
 		for ; l < len(row); l++ {
 			s0 += row[l] * x[l]

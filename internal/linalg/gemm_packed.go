@@ -51,8 +51,8 @@ var forcePacking bool
 // A β ≠ 0 is applied to C by the caller (GemmKernel) before dispatch;
 // store marks β = 0, which a strided kernel turns into a store on each
 // tile's first k-panel and which otherwise clears C here. alpha must be
-// non-zero.
-func gemmPacked(tA, tB Transpose, alpha float64, a, b, c *Mat, store bool) {
+// non-zero. At most workers goroutines sweep the tiles.
+func gemmPacked(tA, tB Transpose, alpha float64, a, b, c *Mat, store bool, workers int) {
 	impl := activeKernel()
 	if store && impl.strided == nil {
 		c.Zero()
@@ -108,11 +108,11 @@ func gemmPacked(tA, tB Transpose, alpha float64, a, b, c *Mat, store bool) {
 		}
 		packPool.Put(buf)
 	}
-	// Tiles own disjoint C elements; above parallelThreshold up to Procs
-	// goroutines pull them in turn, as they free up.
+	// Tiles own disjoint C elements; above parallelThreshold up to
+	// workers goroutines pull them in turn, as they free up.
 	nw := 1
 	if int64(m)*int64(n)*int64(k) > parallelThreshold {
-		nw = Procs()
+		nw = workers
 	}
 	Parallel(nIC*nJC, 1, nw, task)
 }

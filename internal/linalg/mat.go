@@ -62,6 +62,11 @@ func (m *Mat) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 // Row returns a view (not a copy) of row i.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// RowSpan returns the zero-copy view of rows [lo, hi) of m.
+func (m *Mat) RowSpan(lo, hi int) *Mat {
+	return &Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // Vec returns the zero-copy (Rows·Cols)×1 column-vector view of m, the
 // operand shape of a matrix–vector product over a flattened index pair.
 func (m *Mat) Vec() *Mat {

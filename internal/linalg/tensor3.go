@@ -31,6 +31,12 @@ func (t *Tensor3) Slice(p int) *Mat {
 	return &Mat{Rows: t.N2, Cols: t.N3, Data: t.Data[off : off+t.N2*t.N3]}
 }
 
+// Span returns a zero-copy view of the leading-index blocks [lo, hi).
+func (t *Tensor3) Span(lo, hi int) *Tensor3 {
+	s := t.N2 * t.N3
+	return &Tensor3{N1: hi - lo, N2: t.N2, N3: t.N3, Data: t.Data[lo*s : hi*s]}
+}
+
 // Flatten returns a zero-copy N1×(N2·N3) matrix view of the whole tensor,
 // used to apply J^{-1/2} across the auxiliary index with one GEMM.
 func (t *Tensor3) Flatten() *Mat {
@@ -56,7 +62,17 @@ func (t *Tensor3) TransposeBlocksInto(out *Tensor3) {
 	for p := 0; p < t.N1; p++ {
 		src := t.Data[p*n2*n3:][:n2*n3]
 		dst := out.Data[p*n2*n3:][:n2*n3]
-		for i := 0; i < n2; i++ {
+		// Four source rows at a time fill four adjacent elements of
+		// every destination row.
+		i := 0
+		for ; i+4 <= n2; i += 4 {
+			r0, r1, r2, r3 := src[i*n3:][:n3], src[(i+1)*n3:][:n3], src[(i+2)*n3:][:n3], src[(i+3)*n3:][:n3]
+			for j := range r0 {
+				d := dst[j*n2+i:][:4]
+				d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
+			}
+		}
+		for ; i < n2; i++ {
 			for j, v := range src[i*n3:][:n3] {
 				dst[j*n2+i] = v
 			}

@@ -165,9 +165,7 @@ func (r *Result) riGrad(dh, co, cv *linalg.Mat, grad []float64) {
 	// (P̄ + Pz, 1) fold into one call.
 	dsep := dh.Clone()
 	dsep.AxpyMat(-0.5, ref.D)
-	zAcc, zetaAcc := ws.zAcc, ws.zetaAcc
-	zAcc.Zero()
-	zetaAcc.Zero()
+	zAcc, zetaAcc := linalg.NewTensor3(naux, ref.Bs.N, ref.Bs.N), linalg.NewMat(naux, naux)
 	ref.AddRISeparableCoeffs(dsep, 1.0, zAcc, zetaAcc)
 
 	// Amplitude skeleton: Z^{amp} = 4 (Wᵀγ)^AO and
@@ -193,8 +191,8 @@ func (r *Result) riGrad(dh, co, cv *linalg.Mat, grad []float64) {
 }
 
 // buildMOBlocks forms the full-MO B^P_pq = (Cᵀ B_P C) for every P with two
-// batched GEMMs over the flattened (naux·nbf) dimension and scatters it
-// into the workspace's orbital-class blocks. The blockwise transpose
+// flattened GEMMs per auxiliary block (scf.DF.EachBlock) and scatters the
+// block into the workspace's orbital-class blocks. The blockwise transpose
 // between the GEMMs exploits B_P = B_Pᵀ: with T_P = B_P·C,
 // (T_Pᵀ·C)(q,p) = (Cᵀ B_P C)(p,q), and Cᵀ B_P C is symmetric, so the
 // second flat product lands the MO blocks directly. Only the gradient
@@ -208,24 +206,25 @@ func (r *Result) buildMOBlocks() *workspace {
 	naux := ref.Aux.N
 	nocc := ref.NOcc
 	nvir := ref.NVirt()
-	ws := newWorkspace(nbf, naux, nocc, nvir)
+	ws := newWorkspace(nbf, naux, nocc, nvir, ref.NumBlocks())
 
-	ta, tb := ref.Half(ref.C)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, tb.FlattenRows(), ref.C, 0, ta.FlattenRows())
-	for p := 0; p < naux; p++ {
-		for q := 0; q < nbf; q++ {
-			row := ta.Data[(p*nbf+q)*nbf:][:nbf]
-			if q < nocc {
-				copy(ws.boo.Data[(q*naux+p)*nocc:], row[:nocc])
-				copy(ws.bov.Data[(q*naux+p)*nvir:], row[nocc:])
-				continue
+	ref.EachBlock(func(_, lo, hi int) {
+		ta, tb := ref.HalfBlock(ref.C, lo, hi)
+		linalg.GemmInline(linalg.NoTrans, linalg.NoTrans, 1, tb.FlattenRows(), ref.C, 0, ta.FlattenRows())
+		for p := lo; p < hi; p++ {
+			for q := 0; q < nbf; q++ {
+				row := ta.Data[((p-lo)*nbf+q)*nbf:][:nbf]
+				if q < nocc {
+					copy(ws.boo.Data[(q*naux+p)*nocc:], row[:nocc])
+					copy(ws.bov.Data[(q*naux+p)*nvir:], row[nocc:])
+					continue
+				}
+				b := q - nocc
+				copy(ws.bvv.Data[(b*naux+p)*nvir:], row[nocc:])
+				copy(ws.bpvo.Data[(p*nvir+b)*nocc:], row[:nocc])
 			}
-			b := q - nocc
-			copy(ws.bvo.Data[(b*naux+p)*nocc:], row[:nocc])
-			copy(ws.bvv.Data[(b*naux+p)*nvir:], row[nocc:])
-			copy(ws.bpvo.Data[(p*nvir+b)*nocc:], row[:nocc])
 		}
-	}
+	})
 	r.ws = ws
 	return ws
 }
@@ -233,21 +232,26 @@ func (r *Result) buildMOBlocks() *workspace {
 // amplitudes fills the workspace with t_ij = (ia|jb)/Δ_ijab and
 // T̃_ij = 2t_ij − t_ijᵀ for every ordered pair (t_ji = t_ijᵀ), the
 // three-index amplitude density γ and the unrelaxed blocks P_oo, P_vv.
+// Two linalg.Parallel calls cut the work by occupied orbital: piece i of
+// the first forms the pairs (i, j ≥ i) and writes blocks ij and ji; piece
+// i of the second forms γ_i, and P_vv and P_oo are one more piece each.
+// Every piece owns its outputs, and its GEMMs are the per-pair ones of a
+// single loop, so the bits do not depend on which goroutine ran it.
 func (r *Result) amplitudes() {
 	ws := r.ws
 	nocc := r.SCF.NOcc
 	nvir := r.SCF.NVirt()
 	eps := r.SCF.Eps
 
-	for i := 0; i < nocc; i++ {
-		bi := ws.bov.Slice(i)
+	linalg.Parallel(nocc, 1, linalg.Procs(), func(i, _ int) {
+		bi, vij := ws.bov.Slice(i), ws.vij.Slice(i)
 		for j := i; j < nocc; j++ {
-			linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, bi, ws.bov.Slice(j), 0, ws.vij)
+			linalg.GemmInline(linalg.Trans, linalg.NoTrans, 1, bi, ws.bov.Slice(j), 0, vij)
 			tij, tji := ws.t.Slice(i*nocc+j), ws.t.Slice(j*nocc+i)
 			for a := 0; a < nvir; a++ {
 				ea := eps[i] + eps[j] - eps[nocc+a]
 				for b := 0; b < nvir; b++ {
-					tij.Set(a, b, ws.vij.At(a, b)/(ea-eps[nocc+b]))
+					tij.Set(a, b, vij.At(a, b)/(ea-eps[nocc+b]))
 				}
 			}
 			ttij, ttji := ws.tt.Slice(i*nocc+j), ws.tt.Slice(j*nocc+i)
@@ -265,49 +269,68 @@ func (r *Result) amplitudes() {
 				}
 			}
 		}
-	}
+	})
 
-	ws.gamma.Zero()
-	ws.pvv.Zero()
-	for i := 0; i < nocc; i++ {
-		gi := ws.gamma.Slice(i)
-		for j := 0; j < nocc; j++ {
-			tt := ws.tt.Slice(i*nocc + j)
-			// γ_i += B_j · T̃_ijᵀ.
-			linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, ws.bov.Slice(j), tt, 1, gi)
-			// P_ab += 2 Σ_c T̃_ij[a,c] t_ij[b,c].
-			linalg.Gemm(linalg.NoTrans, linalg.Trans, 2, tt, ws.t.Slice(i*nocc+j), 1, ws.pvv)
-		}
-	}
 	// P_ij = −2 Σ_kab T̃_ikab t_jkab: one product over the (k, a, b) rows.
 	byOcc := func(x *linalg.Tensor3) *linalg.Mat {
 		return &linalg.Mat{Rows: nocc, Cols: nocc * nvir * nvir, Data: x.Data}
 	}
-	linalg.Gemm(linalg.NoTrans, linalg.Trans, -2, byOcc(ws.tt), byOcc(ws.t), 0, ws.poo)
+	linalg.Parallel(nocc+2, 1, linalg.Procs(), func(i, _ int) {
+		switch i {
+		case nocc:
+			// P_ab += 2 Σ_c T̃_ij[a,c] t_ij[b,c].
+			ws.pvv.Zero()
+			for ij := range nocc * nocc {
+				linalg.GemmInline(linalg.NoTrans, linalg.Trans, 2, ws.tt.Slice(ij), ws.t.Slice(ij), 1, ws.pvv)
+			}
+		case nocc + 1:
+			linalg.GemmInline(linalg.NoTrans, linalg.Trans, -2, byOcc(ws.tt), byOcc(ws.t), 0, ws.poo)
+		default:
+			// γ_i = Σ_j B_j · T̃_ijᵀ.
+			gi := ws.gamma.Slice(i)
+			gi.Zero()
+			for j := 0; j < nocc; j++ {
+				linalg.GemmInline(linalg.NoTrans, linalg.Trans, 1, ws.bov.Slice(j), ws.tt.Slice(i*nocc+j), 1, gi)
+			}
+		}
+	})
 }
 
 // lagrangian forms Λ_pi = 4 Σ_Pa B^P_pa γ^P_ia and Λ_pa = 4 Σ_Pi B^P_pi γ^P_ia,
-// one GEMM over (P, a) respectively (i, P) per orbital-class row block.
+// one GEMM over (P, a) respectively (i, P) per orbital-class row block;
+// the four write disjoint blocks and run as the pieces of one fan-out.
 func (r *Result) lagrangian() {
 	ws := r.ws
 	nocc := r.SCF.NOcc
 	nbf := r.SCF.Bs.N
 	g := ws.gamma
-	linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bov.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, 0, nocc))
-	linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, ws.bvv.Flatten(), g.Flatten(), 0, rowBlock(ws.lamOcc, nocc, nbf))
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.boo.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, 0, nocc))
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 4, ws.bov.FlattenRows(), g.FlattenRows(), 0, rowBlock(ws.lamVir, nocc, nbf))
+	linalg.Parallel(4, 1, linalg.Procs(), func(piece, _ int) {
+		switch piece {
+		case 0:
+			linalg.GemmInline(linalg.NoTrans, linalg.Trans, 4, ws.bov.Flatten(), g.Flatten(), 0, ws.lamOcc.RowSpan(0, nocc))
+		case 1:
+			linalg.GemmInline(linalg.Trans, linalg.NoTrans, 4, ws.boo.FlattenRows(), g.FlattenRows(), 0, ws.lamVir.RowSpan(0, nocc))
+		case 2:
+			linalg.GemmInline(linalg.NoTrans, linalg.Trans, 4, ws.bvv.Flatten(), g.Flatten(), 0, ws.lamOcc.RowSpan(nocc, nbf))
+		default:
+			linalg.GemmInline(linalg.Trans, linalg.NoTrans, 4, ws.bov.FlattenRows(), g.FlattenRows(), 0, ws.lamVir.RowSpan(nocc, nbf))
+		}
+	})
 }
 
 // ampBackTransform accumulates the AO back-transform 4·C_o·Γ̃_P·C_vᵀ of
 // the Wᵀ-transformed amplitude density (workspace gamT, arranged
-// (P, a, i)) into z for every P: the occupied index in one flattened
-// product, a block transpose, the virtual index in a second.
+// (P, a, i)) into z for every P, one auxiliary block at a time: the
+// occupied index in one flattened product, a block transpose, the
+// virtual index in a second.
 func (r *Result) ampBackTransform(co, cv *linalg.Mat, z *linalg.Tensor3) {
 	pvn, pnv := r.SCF.Scratch3(cv.Cols, cv.Rows)
-	linalg.Gemm(linalg.NoTrans, linalg.Trans, 1, r.ws.gamT.FlattenRows(), co, 0, pvn.FlattenRows())
-	pvn.TransposeBlocksInto(pnv)
-	linalg.Gemm(linalg.NoTrans, linalg.Trans, 4, pnv.FlattenRows(), cv, 1, z.FlattenRows())
+	r.SCF.EachBlock(func(_, lo, hi int) {
+		pvnb, pnvb := pvn.Span(lo, hi), pnv.Span(lo, hi)
+		linalg.GemmInline(linalg.NoTrans, linalg.Trans, 1, r.ws.gamT.Span(lo, hi).FlattenRows(), co, 0, pvnb.FlattenRows())
+		pvnb.TransposeBlocksInto(pnvb)
+		linalg.GemmInline(linalg.NoTrans, linalg.Trans, 4, pnvb.FlattenRows(), cv, 1, z.Span(lo, hi).FlattenRows())
+	})
 }
 
 // toMO transforms an AO matrix to the MO basis: CᵀXC.
@@ -346,25 +369,51 @@ func symOV(cv, z, co *linalg.Mat) *linalg.Mat {
 //
 //	(Az)_ai = (εa−εi) z_ai + Σ_bj [4(ai|bj) − (ab|ij) − (aj|ib)] z_bj,
 //
-// on the resident MO blocks of B: the Coulomb part is two matrix–vector
-// products with the (P, a, i) block, and each exchange part one product
-// with z and one contraction over (orbital, P) — four packed GEMMs, no
-// AO round trip and no permute.
+// on the resident MO blocks of B. (ab|ij) z_bj = Σ_(b,P) B^P_ab Y_b,P,i
+// with Y = z·B^oo, one packed product over j; then one linalg.Parallel
+// call runs the rest as pieces that each write an nvir × nocc partial of
+// their own, added in piece order. A piece per auxiliary block does the
+// Coulomb part, two matrix–vector products with the block's rows of the
+// (P, a, i) tensor, and (aj|ib) z_bj = Σ_P Σ_b X^P_ab B^P_bi with
+// X^P = B^P_vo·zᵀ: one flattened product, a block transpose on the
+// reference's scratch slabs, and one contraction over (P, b). The
+// contraction of B^P_ab with Y over (b, P) is cut by its leading virtual
+// b instead, one piece each.
 func (r *Result) hessVec(z, out *linalg.Mat) {
-	ws := r.ws
-	nocc := r.SCF.NOcc
-	eps := r.SCF.Eps
+	ws, ref := r.ws, r.SCF
+	nocc := ref.NOcc
+	nvir := z.Rows
+	eps := ref.Eps
 
-	bvo := ws.bpvo.Flatten()
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 2, bvo, z.Vec(), 0, ws.u)
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 2, bvo, ws.u, 0, out.Vec())
-	// (ab|ij) z_bj: W_j,(P,a) = Σ_b z_bj B^P_ba, then Σ_(j,P) W_(j,P),a B^P_ji.
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, 1, z, ws.bvv.Flatten(), 0, ws.hw.Flatten())
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hw.FlattenRows(), ws.boo.FlattenRows(), 1, out)
-	// (aj|ib) z_bj: X_b,(P,a) = Σ_j z_bj B^P_ja, then Σ_(b,P) X_(b,P),a B^P_bi.
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, z, ws.bov.Flatten(), 0, ws.hx.Flatten())
-	linalg.Gemm(linalg.Trans, linalg.NoTrans, -1, ws.hx.FlattenRows(), ws.bvo.FlattenRows(), 1, out)
-	for a := 0; a < z.Rows; a++ {
+	nblk := ref.NumBlocks()
+	npiece := nblk + nvir
+	nvo := nvir * nocc
+	x, xT := ref.Scratch3(nvir, nvir)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, z, ws.boo.Flatten(), 0, ws.hy.Flatten())
+	linalg.Parallel(npiece, 1, linalg.Procs(), func(piece, _ int) {
+		part := &linalg.Mat{Rows: nvir, Cols: nocc, Data: ws.hpart[piece*nvo : (piece+1)*nvo]}
+		if piece >= nblk {
+			b := piece - nblk
+			linalg.GemmInline(linalg.Trans, linalg.NoTrans, -1, ws.bvv.Slice(b), ws.hy.Slice(b), 0, part)
+			return
+		}
+		lo, hi := ref.Block(piece)
+		bvo := ws.bpvo.Span(lo, hi)
+		u := ws.u.RowSpan(lo, hi)
+		linalg.GemmInline(linalg.NoTrans, linalg.NoTrans, 2, bvo.Flatten(), z.Vec(), 0, u)
+		linalg.GemmInline(linalg.Trans, linalg.NoTrans, 2, bvo.Flatten(), u, 0, part.Vec())
+		xb, xTb := x.Span(lo, hi), xT.Span(lo, hi)
+		linalg.GemmInline(linalg.NoTrans, linalg.Trans, 1, bvo.FlattenRows(), z, 0, xb.FlattenRows())
+		xb.TransposeBlocksInto(xTb)
+		linalg.GemmInline(linalg.Trans, linalg.NoTrans, -1, xTb.FlattenRows(), bvo.FlattenRows(), 1, part)
+	})
+	out.Zero()
+	for piece := range npiece {
+		for k, v := range ws.hpart[piece*nvo : (piece+1)*nvo] {
+			out.Data[k] += v
+		}
+	}
+	for a := 0; a < nvir; a++ {
 		zrow, orow := z.Row(a), out.Row(a)
 		for i, zv := range zrow {
 			orow[i] += (eps[nocc+a] - eps[i]) * zv

@@ -287,12 +287,16 @@ func PairEnergiesUnblocked(bov *linalg.Tensor3, eps []float64, nocc int) (eos, e
 //	Q_Pia  = Σ_μ T_Pμi C_μa     one (naux·nocc) × nbf × nvir GEMM
 //
 // with a P-blockwise (μ,i) → (i,μ) transpose between the two (the
-// reference's scf.DF.Half).
+// reference's scf.DF.HalfBlock), all three on one auxiliary block at a
+// time (scf.DF.EachBlock).
 func (r *Result) buildQov() {
 	ref := r.SCF
-	_, halfT := ref.Half(ref.COcc()) // (P, i, μ)
+	co, cv := ref.COcc(), ref.CVirt()
 	r.qov = linalg.NewTensor3(ref.Aux.N, ref.NOcc, ref.NVirt())
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), ref.CVirt(), 0, r.qov.FlattenRows())
+	ref.EachBlock(func(_, lo, hi int) {
+		_, halfT := ref.HalfBlock(co, lo, hi) // (P, i, μ)
+		linalg.GemmInline(linalg.NoTrans, linalg.NoTrans, 1, halfT.FlattenRows(), cv, 0, r.qov.Span(lo, hi).FlattenRows())
+	})
 }
 
 // quarticLive counts the N⁴ scratch arrays currently alive in

@@ -11,6 +11,7 @@ import (
 	"github.com/fragmd/fragmd/internal/integrals"
 	"github.com/fragmd/fragmd/internal/linalg"
 	"github.com/fragmd/fragmd/internal/molecule"
+	"github.com/fragmd/fragmd/internal/mp2"
 	"github.com/fragmd/fragmd/internal/warmstart"
 )
 
@@ -258,7 +259,12 @@ func TestRIMP2EvaluateAllocs(t *testing.T) {
 // GOMAXPROCS 2 repeat energy, gradient and field-site gradient bit for
 // bit, and the energy is GOMAXPROCS 1's to the bit. In a point-charge
 // field the one-electron piece also writes the field-site gradient. Under
-// -race, a piece that wrote what the other one reads fails here.
+// -race, a piece that wrote what the other one reads fails here. The
+// scf.DF auxiliary blocks are a function of the shapes alone, so the SCF
+// and Z-vector iteration counts are the same at both GOMAXPROCS, and the
+// ones recorded before the blocks landed: 12 and 11, in vacuum and in
+// the field. Each evaluation makes the calls RIMP2.EvaluateEmbedded makes,
+// so the counts can be read.
 func TestBatchedPhaseOverlapRepeatsBits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve RI-MP2 trimer evaluations; CI runs this in full under -race")
@@ -268,6 +274,7 @@ func TestBatchedPhaseOverlapRepeatsBits(t *testing.T) {
 		Pos: []float64{11, 2, 2, -6, 3, 1, 2, -6, 9},
 		Q:   []float64{0.35, -0.3, 0.22},
 	}
+	const scfIters, zvecIters = 12, 11
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, pc := range []*integrals.PointCharges{nil, field} {
 		name := "vacuum"
@@ -276,11 +283,23 @@ func TestBatchedPhaseOverlapRepeatsBits(t *testing.T) {
 		}
 		eval := func(procs int) (float64, []float64, []float64) {
 			runtime.GOMAXPROCS(procs)
-			e, grad, site, _, err := (&RIMP2{Basis: "sto-3g"}).EvaluateEmbedded(g, pc, nil)
+			ref, _, err := (&RIMP2{Basis: "sto-3g"}).hf().run(g, pc, nil)
 			if err != nil {
 				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
 			}
-			return e, grad, site
+			r, err := mp2.RIMP2(ref, mp2.Options{})
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			grad, site, err := r.Gradients()
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			if ref.Iters != scfIters || r.ZVecIters != zvecIters {
+				t.Errorf("%s at GOMAXPROCS %d: %d SCF and %d Z-vector iterations, want %d and %d",
+					name, procs, ref.Iters, r.ZVecIters, scfIters, zvecIters)
+			}
+			return r.ETotal, grad, site
 		}
 		e1, grad1, _ := eval(1)
 		e, grad, site := eval(2)

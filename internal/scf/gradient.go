@@ -105,25 +105,29 @@ func (r *Result) AddRISeparableCoeffs(da *linalg.Mat, factor float64, zAcc *lina
 	// C̃_P = (Wᵀ·B)_P never formed: X_P = B_P·C_o as in the Fock build,
 	// H_P = C̃_P·C_o = (Wᵀ·X)_P, and M_P = Da·H_P by block-transposing H
 	// (Da is symmetric), multiplying flat by Da and transposing back.
-	x, xT := df.half(co)
+	// Wᵀ mixes every P; the stages before and after it run block by block.
+	df.EachBlock(func(_, lo, hi int) { df.halfBlock(co, lo, hi) })
+	x, xT := df.Scratch3(nbf, nocc)
 	h := linalg.NewTensor3(naux, nbf, nocc)
 	df.ApplyWT(x, h)
-	h.TransposeBlocksInto(xT)
 	mT, m := df.Scratch3(nocc, nbf)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, xT.FlattenRows(), da, 0, mT.FlattenRows())
-	mT.TransposeBlocksInto(m)
 
-	// zAcc_P += factor·(w^b_P·Da + w^a_P·D) − 2·factor·M_P·C_oᵀ: Coulomb
-	// plus the exchange coefficient −factor·(Da C̃_P D)_μν.
-	for p := 0; p < naux; p++ {
-		wap, wbp := wa[p]*factor, wb[p]*factor
-		off := p * nbf * nbf
-		zp := zAcc.Data[off : off+nbf*nbf]
-		for i := range zp {
-			zp[i] += wbp*da.Data[i] + wap*r.D.Data[i]
+	// Per block: zAcc_P += factor·(w^b_P·Da + w^a_P·D) − 2·factor·M_P·C_oᵀ,
+	// Coulomb plus the exchange coefficient −factor·(Da C̃_P D)_μν.
+	df.EachBlock(func(_, lo, hi int) {
+		xTb, mTb, mb := xT.Span(lo, hi), mT.Span(lo, hi), m.Span(lo, hi)
+		h.Span(lo, hi).TransposeBlocksInto(xTb)
+		linalg.GemmInline(linalg.NoTrans, linalg.NoTrans, 1, xTb.FlattenRows(), da, 0, mTb.FlattenRows())
+		mTb.TransposeBlocksInto(mb)
+		for p := lo; p < hi; p++ {
+			wap, wbp := wa[p]*factor, wb[p]*factor
+			zp := zAcc.Data[p*nbf*nbf : (p+1)*nbf*nbf]
+			for i := range zp {
+				zp[i] += wbp*da.Data[i] + wap*r.D.Data[i]
+			}
 		}
-	}
-	linalg.Gemm(linalg.NoTrans, linalg.Trans, -2*factor, m.FlattenRows(), co, 1, zAcc.FlattenRows())
+		linalg.GemmInline(linalg.NoTrans, linalg.Trans, -2*factor, mb.FlattenRows(), co, 1, zAcc.Span(lo, hi).FlattenRows())
+	})
 
 	// ζ: −½(w^a w^bᵀ + w^b w^aᵀ) + ½ G, G_PQ = tr(Da C̃_P D C̃_Q) = 2·Σ M_P·H_Q.
 	linalg.Gemm(linalg.NoTrans, linalg.Trans, factor, m.Flatten(), h.Flatten(), 1, zetaAcc)
